@@ -8,6 +8,7 @@ halves away from zero).  Exit codes: 0 success, 2 input or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,6 +33,15 @@ def _corpus_alphabet(symbols) -> int:
     return len({s.text for s in symbols})
 
 
+def _two_part(report: RunReport) -> str:
+    """The dictionary and total fields of a two-part (dictionary plus
+    stream) code, or nothing when the codec sends no dictionary."""
+    if report.dictionary_bits is None:
+        return ""
+    return (f" dictionary_bits={format_bits(report.dictionary_bits)}"
+            f" total_bits={format_bits(report.total_bits)}")
+
+
 def cmd_compress(args) -> int:
     text = _read_text(args.corpus)
     symbols = tokenize(text, _mode(args))
@@ -41,8 +51,10 @@ def cmd_compress(args) -> int:
             fh.write(codecs.stream_to_json(codecs.EncodedStream(
                 codecs.ChunkDictionary(), ())))
         unit = "chunks" if args.mode == "chunk" else "runs"
+        if args.mode == "chunk":
+            report.dictionary_bits = 0.0
         print(f"mode={args.mode} symbols=0 alphabet=0 {unit}=0")
-        print("raw_bits=0.000 encoded_bits=0.000 ratio=1.000")
+        print("raw_bits=0.000 encoded_bits=0.000 ratio=1.000" + _two_part(report))
         if args.report:
             report.write(args.report)
         return 0
@@ -61,6 +73,7 @@ def cmd_compress(args) -> int:
         report.details = {"mode": "chunk",
                           "chunks": [{"code": e.code, "count": e.count,
                                       "len": len(e.chunk)} for e in dictionary]}
+        report.dictionary_bits = codecs.dictionary_cost_bits(dictionary, alphabet)
     else:
         runs = codecs.rle_encode(symbols)
         encoded = codecs.rle_cost_bits(runs, alphabet)
@@ -75,7 +88,7 @@ def cmd_compress(args) -> int:
     report.encoded_bits = encoded
     ratio = encoded / raw if raw > 0 else 1.0
     print(f"raw_bits={format_bits(raw)} encoded_bits={format_bits(encoded)} "
-          f"ratio={format_bits(ratio)}")
+          f"ratio={format_bits(ratio)}{_two_part(report)}")
     if args.report:
         report.write(args.report)
     return 0
@@ -461,10 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later ``main`` calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

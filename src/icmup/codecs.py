@@ -6,6 +6,14 @@ counting is non-overlapping and left-to-right, discovery is greedy
 longest-first, and encoding takes the longest dictionary match at each
 position (ties broken by discovery order).  Chunk and run codecs are
 lossless; plain unification deliberately is not (it discards positions).
+
+Cost, for N symbols: the coders spell the symbols as a string, one
+character per distinct symbol, so an n-gram is a substring.
+``rle_encode`` makes O(N log N) probes (for each block length b, only the
+positions 0, b, 2b, ...), each extended by slice compares.
+``discover_chunks`` costs O(N * L), with L the longest repeat: one pass
+over the unclaimed windows per chunk length.  ``chunk_encode`` makes one
+table lookup per distinct chunk length at each position.
 """
 
 from __future__ import annotations
@@ -13,7 +21,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from itertools import compress
+from operator import eq
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent, UnknownCode)
@@ -87,20 +97,13 @@ class EncodedStream:
     tokens: tuple[Token, ...]
 
 
-def _occurrences(texts: Sequence[str], gram: tuple[str, ...],
-                 claimed: Sequence[bool]) -> list[int]:
-    """Non-overlapping left-to-right occurrence starts, skipping claimed cells."""
-    n = len(gram)
-    occs = []
-    pos = 0
-    while pos + n <= len(texts):
-        if (not any(claimed[pos:pos + n])
-                and tuple(texts[pos:pos + n]) == gram):
-            occs.append(pos)
-            pos += n
-        else:
-            pos += 1
-    return occs
+def _spell(texts: Iterable[str], letters: dict[str, str]) -> str:
+    """Spell symbol texts as one string, one character per distinct text.
+
+    ``letters`` maps texts to characters and grows with every new text, so
+    strings spelled with the same map compare like the symbol sequences.
+    """
+    return "".join([letters.setdefault(t, chr(len(letters))) for t in texts])
 
 
 def expected_count(gram: Sequence[str], corpus_freq: Mapping[str, int],
@@ -115,18 +118,35 @@ def expected_count(gram: Sequence[str], corpus_freq: Mapping[str, int],
     return (corpus_len - n + 1) * p
 
 
-def _longest_repeat(texts: Sequence[str], start: int) -> int:
+def _windows(s: str, starts: Sequence[int], n: int) -> list[str]:
+    """The length-``n`` substrings of ``s`` at ``starts``."""
+    return list(map(s.__getitem__, map(slice, starts, map(n.__add__, starts))))
+
+
+def _has_repeat(s: str, n: int) -> bool:
+    # a short period repeats within the first few windows: look there first
+    windows = len(s) - n + 1
+    return any(len(set(_windows(s, range(k), n))) < k
+               for k in (min(64, windows), windows))
+
+
+def _longest_repeat(s: str, shortest: int) -> int:
     """Largest n <= len/2 at which some n-gram still occurs twice (counting
-    overlaps); an upper bound for useful chunk lengths."""
-    limit = len(texts) // 2
-    n = start - 1
-    while n < limit:
-        counts = Counter(tuple(texts[i:i + n + 1])
-                         for i in range(len(texts) - n))
-        if not counts or max(counts.values()) < 2:
-            return n
-        n += 1
-    return n
+    overlaps), or ``shortest - 1`` if none does; an upper bound for useful
+    chunk lengths.  A repeated n-gram has a repeated (n-1)-gram, so the
+    search gallops up from ``shortest`` and then bisects."""
+    top = len(s) // 2
+    good, n = shortest - 1, shortest
+    while n <= top and _has_repeat(s, n):
+        good, n = n, 2 * n
+    bad = min(n, top + 1)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _has_repeat(s, mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
@@ -137,44 +157,56 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
     ``min_count`` and exceeds the count expected by chance under a zero-order
     model of the corpus.  Search is greedy longest-first; accepted
     occurrences are claimed so shorter chunks cannot reuse their cells.
-    Codes are assigned ``w1, w2, ...`` in discovery order.  Discovery is
-    single-pass: the residue is not re-scanned for second-order chunks built
-    out of codes.
+    Within one length, grams are tried in the order of their first unclaimed
+    window, re-checking claims as cells get claimed.  Codes are assigned
+    ``w1, w2, ...`` in discovery order.  Discovery is single-pass: the
+    residue is not re-scanned for second-order chunks built out of codes.
     """
     if min_len < 2 or min_count < 2:
         raise ValueError("min_len and min_count must both be >= 2")
     texts = [s.text for s in corpus]
-    length = len(texts)
+    s = _spell(texts, {})
+    length = len(s)
     freq = Counter(texts)
-    claimed = [False] * length
+    claimed = bytearray(length)
     entries: list[ChunkEntry] = []
-    for n in range(_longest_repeat(texts, min_len), min_len - 1, -1):
-        # overlap-counting totals bound the non-overlapping counts from above
-        naive = Counter(tuple(texts[i:i + n]) for i in range(length - n + 1))
-        if max(naive.values()) < min_count:
+    for n in range(_longest_repeat(s, min_len), min_len - 1, -1):
+        free = bytes(n)
+        starts: list[int] = []  # windows that touch no claimed cell
+        a = claimed.find(free)
+        while a >= 0:
+            b = claimed.find(1, a)
+            b = length if b < 0 else b
+            starts.extend(range(a, b - n + 1))
+            a = claimed.find(free, b)
+        if not starts:
             continue
-        rejected: set[tuple[str, ...]] = set()
-        pos = 0
-        while pos + n <= length:
-            if any(claimed[pos:pos + n]):
-                pos += 1
+        grams = _windows(s, starts, n)
+        # overlap-counting totals bound the non-overlapping counts from above
+        counts = Counter(grams)
+        if max(counts.values()) < min_count:
+            continue
+        candidates = list(compress(zip(starts, grams), map(
+            min_count.__le__, map(counts.__getitem__, grams))))
+        where: dict[str, list[int]] = {}
+        for p, g in candidates:
+            where.setdefault(g, []).append(p)
+        decided: set[str] = set()
+        for p, g in candidates:
+            if g in decided or claimed.find(1, p, p + n) >= 0:
                 continue
-            gram = tuple(texts[pos:pos + n])
-            if gram in rejected or naive[gram] < min_count:
-                pos += 1
-                continue
-            occs = _occurrences(texts, gram, claimed)
-            if len(occs) >= min_count and len(occs) > expected_count(gram, freq, length):
+            decided.add(g)
+            occs: list[int] = []
+            for q in where[g]:
+                if (not occs or q >= occs[-1] + n) and claimed.find(1, q, q + n) < 0:
+                    occs.append(q)
+            if (len(occs) >= min_count
+                    and len(occs) > expected_count(texts[p:p + n], freq, length)):
                 code = f"w{len(entries) + 1}"
-                chunk = SPPattern(code, tuple(SPSymbol(t) for t in gram))
+                chunk = SPPattern(code, tuple(corpus[p:p + n]))
                 entries.append(ChunkEntry(code, chunk, len(occs)))
-                for start in occs:
-                    for k in range(start, start + n):
-                        claimed[k] = True
-                pos += n
-            else:
-                rejected.add(gram)
-                pos += 1
+                for q in occs:
+                    claimed[q:q + n] = b"\x01" * n
     return ChunkDictionary(entries)
 
 
@@ -206,17 +238,22 @@ def unify_basic(corpus: Sequence[SPSymbol],
 
 def chunk_encode(corpus: Sequence[SPSymbol],
                  dictionary: ChunkDictionary) -> EncodedStream:
-    """Replace chunk occurrences by code references, longest match first."""
-    ordered = sorted(enumerate(dictionary),
-                     key=lambda pair: (-len(pair[1].chunk), pair[0]))
+    """Replace chunk occurrences by code references, longest match first;
+    among chunks with the same symbols the first in discovery order wins."""
+    letters: dict[str, str] = {}
+    s = _spell((sym.text for sym in corpus), letters)
+    by_length: dict[int, dict[str, str]] = {}
+    for entry in dictionary:
+        gram = _spell(entry.chunk.texts, letters)
+        by_length.setdefault(len(gram), {}).setdefault(gram, entry.code)
+    tables = sorted(by_length.items(), reverse=True)
     tokens: list[Token] = []
     pos = 0
-    while pos < len(corpus):
-        for _, entry in ordered:
-            gram = entry.chunk.texts
-            n = len(gram)
-            if tuple(s.text for s in corpus[pos:pos + n]) == gram:
-                tokens.append(CodeRef(entry.code))
+    while pos < len(s):
+        for n, codes in tables:
+            code = codes.get(s[pos:pos + n])
+            if code is not None:
+                tokens.append(CodeRef(code))
                 pos += n
                 break
         else:
@@ -249,6 +286,13 @@ def encoded_cost_bits(stream: EncodedStream, alphabet_size: int) -> float:
     return cost
 
 
+def dictionary_cost_bits(dictionary: ChunkDictionary, alphabet_size: int) -> float:
+    """Cost of sending the dictionary itself, the first part of a two-part
+    code: each chunk's symbols at fixed length plus one symbol's worth to end
+    the entry, so sum((len(chunk) + 1) * log2(A)).  Mirrors ``rle_cost_bits``."""
+    return symbol_cost_bits(alphabet_size) * sum(len(e.chunk) + 1 for e in dictionary)
+
+
 class Unbounded:
     """Display-only repetition marker: the run repeats, end unstated."""
 
@@ -276,6 +320,27 @@ class Run:
             raise ValueError("run count must be >= 1")
 
 
+def _lce(s: str, i: int, j: int, limit: int) -> int:
+    """Length of the common prefix of ``s[i:]`` and ``s[j:]``, at most
+    ``limit``: galloping slice compares, then bisection of the block that
+    differs."""
+    n, step = 0, 1
+    while n < limit:
+        m = min(step, limit - n)
+        if s[i + n:i + n + m] != s[j + n:j + n + m]:
+            lo, hi = n, n + m  # the prefix up to lo matches; a mismatch is before hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if s[i + lo:i + mid] == s[j + lo:j + mid]:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+        n += m
+        step *= 2
+    return n
+
+
 def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
     """Detect immediately repeated blocks, maximal munch.
 
@@ -283,30 +348,44 @@ def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
     (block length x repeat count); span ties go to the longest block, then
     the greatest count.  Positions with no repeated block become single-symbol
     runs of count 1.
+
+    A block of length b repeats at i exactly when ``s[k] == s[k + b]`` for
+    every k in [i, i + b).  Such a stretch covers a multiple of b, so for
+    each b only the positions 0, b, 2b, ... are probed, and a matching probe
+    is extended both ways to its maximal stretch [lo, hi).  Inside it the
+    block at i repeats ``1 + (hi - i) // b`` times.
     """
-    texts = [s.text for s in seq]
+    s = _spell((sym.text for sym in seq), {})
+    r = s[::-1]
+    length = len(s)
+    stretches: list[tuple[int, int, int]] = []  # (lo, hi, b), hi - lo >= b
+    for b in range(1, length // 2 + 1):
+        probes = range(0, length - b, b)
+        hi = 0
+        for j in compress(probes, map(eq, s[:length - b:b], s[b::b])):
+            if j < hi:
+                continue  # inside the stretch just found
+            lo = j - _lce(r, length - j, length - j - b, min(b - 1, j))
+            hi = j + _lce(s, j, j + b, length - b - j)
+            if hi - lo >= b:
+                stretches.append((lo, hi, b))
+    stretches.sort()
     runs: list[Run] = []
     i = 0
-    ridx = 1
-    while i < len(seq):
-        rem = len(seq) - i
-        best = None  # (span, block_len, count)
-        for b in range(1, rem // 2 + 1):
-            block = texts[i:i + b]
-            c = 1
-            while texts[i + c * b:i + (c + 1) * b] == block:
-                c += 1
-            if c >= 2:
-                cand = (b * c, b, c)
-                if best is None or cand > best:
-                    best = cand
-        if best is None:
-            block_len, count = 1, 1
-        else:
-            _, block_len, count = best
-        pattern = SPPattern(f"r{ridx}", tuple(seq[i:i + block_len]))
+    k = 0
+    while i < length:
+        # each stretch is weighed once: the munch from i ends past every
+        # stretch that is still live here
+        best = (1, 1, 1)  # (span, block_len, count)
+        while k < len(stretches) and stretches[k][0] <= i:
+            _, hi, b = stretches[k]
+            k += 1
+            if hi - i >= b:
+                count = 1 + (hi - i) // b
+                best = max(best, (b * count, b, count))
+        _, block_len, count = best
+        pattern = SPPattern(f"r{len(runs) + 1}", tuple(seq[i:i + block_len]))
         runs.append(Run(pattern, count))
-        ridx += 1
         i += block_len * count
     return runs
 

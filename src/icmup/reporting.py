@@ -32,12 +32,18 @@ class RunReport:
     raw_bits: float = 0.0
     encoded_bits: float = 0.0
     details: dict = field(default_factory=dict)
+    dictionary_bits: float | None = None  # set by codecs that send a dictionary
 
     @property
     def ratio(self) -> float:
         if self.raw_bits > 0:
             return self.encoded_bits / self.raw_bits
         return 1.0
+
+    @property
+    def total_bits(self) -> float:
+        """Dictionary plus encoded stream: everything a decoder needs."""
+        return self.encoded_bits + (self.dictionary_bits or 0.0)
 
     def to_json(self) -> str:
         doc = {
@@ -48,6 +54,9 @@ class RunReport:
             "ratio": self.ratio,
             "details": self.details,
         }
+        if self.dictionary_bits is not None:
+            doc["dictionary_bits"] = self.dictionary_bits
+            doc["total_bits"] = self.total_bits
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def write(self, path: str) -> None:

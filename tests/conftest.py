@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from icmup import (FunctionTable, PatternKind, SPPattern, SPSymbol,
                    parse_grammar)
+
+# the same examples on every run, and no deadline for the slow oracles
+settings.register_profile("icmup", derandomize=True, deadline=None)
+settings.load_profile("icmup")
 
 KITTENS_GRAMMAR = """\
 # toy parsing grammar: words plus bracketing structure

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from conftest import KITTENS_GRAMMAR
+from icmup import cli
 from icmup.cli import main
 
 ADDER_TSV = ("in:a\tin:b\tout:sum\tout:carry\n"
@@ -105,6 +107,43 @@ class TestCompressDecompress:
         stream.write_text("{broken")
         assert run(capsys, "decompress", str(stream), "--out",
                    str(tmp_path / "d.txt"))[0] == 2
+
+    def test_two_part_bits(self, tmp_path, capsys):
+        # the stream alone is free, but the dictionary is not: 10 symbols
+        # plus one to end the entry, at log2(10) bits each
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("q w e r t y u i o p q w e r t y u i o p")
+        report = tmp_path / "r.json"
+        code, stdout, _ = run(capsys, "compress", str(corpus), "--out",
+                              str(tmp_path / "s.json"), "--report", str(report))
+        assert code == 0
+        assert stdout.splitlines()[-1] == (
+            "raw_bits=66.439 encoded_bits=0.000 ratio=0.000 "
+            "dictionary_bits=36.541 total_bits=36.541")
+        doc = json.loads(report.read_text())
+        assert doc["dictionary_bits"] == pytest.approx(11 * math.log2(10))
+        assert doc["total_bits"] == doc["encoded_bits"] + doc["dictionary_bits"]
+
+    def test_two_part_bits_empty_corpus(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("")
+        code, stdout, _ = run(capsys, "compress", str(corpus), "--out",
+                              str(tmp_path / "s.json"))
+        assert code == 0
+        assert stdout.splitlines()[-1] == (
+            "raw_bits=0.000 encoded_bits=0.000 ratio=1.000 "
+            "dictionary_bits=0.000 total_bits=0.000")
+
+    def test_rle_has_no_dictionary(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b a b")
+        report = tmp_path / "r.json"
+        code, stdout, _ = run(capsys, "compress", str(corpus), "--mode", "rle",
+                              "--out", str(tmp_path / "s.json"),
+                              "--report", str(report))
+        assert code == 0
+        assert "dictionary_bits" not in stdout
+        assert "dictionary_bits" not in json.loads(report.read_text())
 
     def test_report_file(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
@@ -292,3 +331,33 @@ class TestSmallCommands:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["compress"]) == 2
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_calls(self, tmp_path, capsys,
+                                              grammar_file):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b a b a b x\n")
+        argvs = [
+            ["compress", str(corpus), "--out", str(tmp_path / "s.json")],
+            ["decompress", str(tmp_path / "s.json"), "--out",
+             str(tmp_path / "d.txt")],
+            ["compress", str(corpus), "--mode", "rle", "--out",
+             str(tmp_path / "r.json")],
+            ["retrieve", grammar_file, "--query", "k i t t e n", "--top", "2"],
+            ["sets", "union", "a b", "b c"],
+            ["compress", str(corpus), "--mode", "nope", "--out", "x"],
+            ["unary", "add", "2", "3"],
+            ["compress"],
+            ["peano", "2", "3"],
+        ]
+        cli._parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in argvs]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 0, 2, 0]
+        assert "invalid choice" in shared[5][2]
