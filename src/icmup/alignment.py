@@ -113,8 +113,7 @@ def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
     targets = [(ci, col.symbol) for ci, col in enumerate(columns) if not col.is_hit]
     target_texts = tuple(t for _, t in targets)
     p_texts = pattern.texts
-    ids_target, ids_p = kernels.intern_ids(target_texts, p_texts)
-    pairs = kernels.match_pairs(ids_target, ids_p)
+    pairs = kernels.match_pairs(target_texts, p_texts)
 
     hit_at: dict[int, int] = {}
     insert_before: dict[int, list[int]] = {}
@@ -156,14 +155,21 @@ def _unmatched_new_count(new: SPPattern, columns: Sequence[Column]) -> int:
     return len(new) - hit
 
 
+def _cost(new: SPPattern, old_rows: Sequence[SPPattern],
+          columns: Sequence[Column], store: PatternStore | None,
+          alphabet_size: int) -> float:
+    """The cost rule: the Old rows' codes (free when no store prices them),
+    plus log2(A) per driving symbol in a non-hit column."""
+    codes = 0 if store is None else sum(code_cost(r.id, store) for r in old_rows)
+    return codes + _unmatched_new_count(new, columns) * symbol_cost_bits(alphabet_size)
+
+
 def encoding_cost(al: Alignment, store: PatternStore, alphabet_size: int) -> float:
     """Code costs of the Old rows used, plus fixed-length costs of driving
     symbols in non-hit columns.  Old-row symbols in non-hit columns are free
     (predicted content), and hit columns that join only Old rows earn
     nothing, so a row that matches no driving symbol only adds its code."""
-    cost = sum(code_cost(row.id, store) for row in al.old_rows)
-    cost += _unmatched_new_count(al.new_row, al.columns) * symbol_cost_bits(alphabet_size)
-    return cost
+    return _cost(al.new_row, al.old_rows, al.columns, store, alphabet_size)
 
 
 def default_alphabet(new: SPPattern, store: PatternStore | None = None) -> int:
@@ -176,11 +182,7 @@ def default_alphabet(new: SPPattern, store: PatternStore | None = None) -> int:
 def _build(new: SPPattern, old_rows: tuple[SPPattern, ...],
            columns: tuple[Column, ...], store: PatternStore | None,
            alphabet_size: int) -> Alignment:
-    if store is None:
-        cost = _unmatched_new_count(new, columns) * symbol_cost_bits(alphabet_size)
-    else:
-        cost = (sum(code_cost(r.id, store) for r in old_rows)
-                + _unmatched_new_count(new, columns) * symbol_cost_bits(alphabet_size))
+    cost = _cost(new, old_rows, columns, store, alphabet_size)
     cd = raw_cost(new, alphabet_size) - cost
     return Alignment(new, old_rows, columns, cost, cd)
 
@@ -320,14 +322,11 @@ def retrieve(query: SPPattern, store: PatternStore,
     if k < 1:
         raise ValueError("k must be >= 1")
     alphabet_size = default_alphabet(query, store)
-    per_symbol = symbol_cost_bits(alphabet_size)
     raw = raw_cost(query, alphabet_size)
     scored: list[tuple[str, float]] = []
     for pid in store.ids():
         al = align_pair(query, store.get(pid), alphabet_size)
-        unmatched = len(query) - len(al.new_hit_positions())
-        cd = raw - (code_cost(pid, store) + unmatched * per_symbol)
-        scored.append((pid, cd))
+        scored.append((pid, raw - encoding_cost(al, store, alphabet_size)))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
 

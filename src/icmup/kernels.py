@@ -1,116 +1,56 @@
-"""Pairwise match kernels: the dynamic-programming table behind alignment.
+"""Pairwise match kernel: the longest common subsequence behind alignment.
 
-The table fill is the one hot inner loop in the package (it runs once per
-candidate pair during alignment search and retrieval), so it is JIT-compiled
-with numba when available.  Setting ``ICMUP_NO_NUMBA=1`` in the environment
-selects the pure-numpy fallback, which sweeps rows with a vectorised running
-maximum instead of two scalar loops.  ``benchmarks/bench_kernels.py``
-compares the two paths.
+``match_pairs`` runs the bit-parallel LCS of Allison & Dix (1986), in the
+form of Hyyrö (2004), on Python ints: one mask per symbol text of ``b`` and
+one bit-vector row per symbol of ``a``.  Both sequences are scanned
+reversed, so bit k of ``rows[i]`` is set when ``b[m-1-k]`` lengthens a common
+subsequence of ``a[i:]`` and the suffix table ``dp[i][j] = L(a[i:], b[j:])``
+(L the LCS length, m = len(b)) reads back as
 
-Both kernels fill the suffix table ``dp[i, j] = L(a[i:], b[j:])`` where L is
-the length of the longest common subsequence, so the greedy forward walk in
-``match_pairs`` yields the leftmost optimal pairing.
+    dp[i][j] = (rows[i] & ((1 << (m - j)) - 1)).bit_count()
+
+Each row costs O(ceil(m / w)) word operations for w-bit machine words, the
+table O(n * ceil(m / w)).  The greedy forward walk over the table yields the
+leftmost optimal pairing in at most n + m steps of the same cost as a row.
 """
 
-from __future__ import annotations
 
-import os
-
-import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("ICMUP_NO_NUMBA", "") not in ("1", "true", "yes")
-
-
-def _suffix_table_py(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    m = b.shape[0]
-    dp = np.zeros((n + 1, m + 1), dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            best = dp[i + 1, j]
-            if dp[i, j + 1] > best:
-                best = dp[i, j + 1]
-            if a[i] == b[j] and dp[i + 1, j + 1] + 1 > best:
-                best = dp[i + 1, j + 1] + 1
-            dp[i, j] = best
-    return dp
+def _suffix_rows(a: tuple[str, ...], b: tuple[str, ...]) -> list[int]:
+    """``rows[i]`` for i = 0..len(a), encoding ``dp[i][.]`` as above."""
+    full = (1 << len(b)) - 1
+    masks: dict[str, int] = {}
+    for k, text in enumerate(reversed(b)):
+        masks[text] = masks.get(text, 0) | (1 << k)
+    rows = [0] * (len(a) + 1)
+    v = full
+    for i in range(len(a) - 1, -1, -1):
+        u = v & masks.get(a[i], 0)
+        v = ((v + u) | (v - u)) & full
+        rows[i] = full ^ v
+    return rows
 
 
-def suffix_table_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Suffix LCS table via one python loop over rows.
-
-    Within a row, dp[i, j] = max(c[j], c[j+1], ..., c[m-1]) where
-    c[j] = max(dp[i+1, j], dp[i+1, j+1] + (a[i] == b[j])), so the row is a
-    reversed cumulative maximum of c.
-    """
-    n = a.shape[0]
-    m = b.shape[0]
-    dp = np.zeros((n + 1, m + 1), dtype=np.int32)
-    if m == 0:
-        return dp
-    for i in range(n - 1, -1, -1):
-        eq = (b == a[i]).astype(np.int32)
-        c = np.maximum(dp[i + 1, :m], dp[i + 1, 1:] + eq)
-        dp[i, :m] = np.maximum.accumulate(c[::-1])[::-1]
-    return dp
-
-
-if HAVE_NUMBA:
-    suffix_table_numba = njit(cache=True)(_suffix_table_py)
-else:  # pragma: no cover
-    suffix_table_numba = _suffix_table_py
-
-
-def suffix_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dispatch to the jitted kernel or the numpy fallback (env-selected)."""
-    if USE_NUMBA:
-        return suffix_table_numba(a, b)
-    return suffix_table_numpy(a, b)
-
-
-def match_pairs(a_ids: np.ndarray, b_ids: np.ndarray) -> list[tuple[int, int]]:
-    """Leftmost maximum set of matched index pairs between two id sequences.
+def match_pairs(a: tuple[str, ...], b: tuple[str, ...]) -> list[tuple[int, int]]:
+    """Leftmost maximum set of matched index pairs between two sequences of
+    symbol texts.
 
     The number of pairs equals the LCS length; pairs are strictly increasing
     in both coordinates.
     """
-    dp = suffix_table(a_ids, b_ids)
-    n = a_ids.shape[0]
-    m = b_ids.shape[0]
+    rows = _suffix_rows(a, b)
+    n, m = len(a), len(b)
     pairs: list[tuple[int, int]] = []
     i = j = 0
     while i < n and j < m:
-        if a_ids[i] == b_ids[j] and dp[i + 1, j + 1] + 1 == dp[i, j]:
+        # equal heads always extend an LCS, so dp[i][j] == dp[i+1][j+1] + 1
+        if a[i] == b[j]:
             pairs.append((i, j))
             i += 1
             j += 1
-        elif dp[i + 1, j] == dp[i, j]:
+            continue
+        low = (1 << (m - j)) - 1
+        if (rows[i + 1] & low).bit_count() == (rows[i] & low).bit_count():
             i += 1
         else:
             j += 1
     return pairs
-
-
-def intern_ids(*sequences: tuple[str, ...]) -> list[np.ndarray]:
-    """Map symbol texts to shared int32 ids, one array per input sequence."""
-    table: dict[str, int] = {}
-    out = []
-    for seq in sequences:
-        ids = np.empty(len(seq), dtype=np.int32)
-        for k, text in enumerate(seq):
-            ids[k] = table.setdefault(text, len(table))
-        out.append(ids)
-    return out
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed paths do not pay for it."""
-    a = np.array([0, 1, 2], dtype=np.int32)
-    suffix_table(a, a)

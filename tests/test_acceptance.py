@@ -15,7 +15,7 @@ from conftest import KITTENS_GRAMMAR, KITTENS_SENTENCE
 from icmup import (CodeRef, PatternKind, SPPattern, SPSymbol,
                    Schema, Slot, FixedSymbol, align_pair, build_alignments,
                    chunk_decode, chunk_encode, compile_truth_table,
-                   discover_chunks, eval_circuit, eval_table, kernels,
+                   discover_chunks, eval_circuit, eval_table,
                    multiset_to_set, parse_grammar, parse_peano,
                    positional_to_unary, raw_cost, rle_decode, rle_encode,
                    schema_encode, schema_instantiate, set_intersection,
@@ -185,7 +185,6 @@ def lcs_oracle(a, b):
 def test_criterion_07_alignment():
     with criterion(7, "sentence fully covered with positive CD; 500 pairwise "
                       "hit counts equal the LCS oracle; probabilities sum to 1"):
-        kernels.warmup()
         start = time.perf_counter()
         store = parse_grammar(KITTENS_GRAMMAR)
         new = SPPattern.from_text("new", KITTENS_SENTENCE, kind=PatternKind.NEW)

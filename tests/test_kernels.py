@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
-import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import icmup
+import kernel_oracle as oracle
 from icmup import kernels
 
 
@@ -18,56 +24,67 @@ def lcs_oracle(a, b):
     return dp[n][m]
 
 
-def random_pair(rng, max_len=40, alphabet=5):
-    a = [rng.randrange(alphabet) for _ in range(rng.randrange(max_len + 1))]
-    b = [rng.randrange(alphabet) for _ in range(rng.randrange(max_len + 1))]
-    return np.array(a, dtype=np.int32), np.array(b, dtype=np.int32)
+def random_pair(rng, max_len=40, alphabet="ABCDE"):
+    a = tuple(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
+    b = tuple(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
+    return a, b
+
+
+def decoded_table(a, b):
+    """The suffix table as the kernel docstring says its rows encode it."""
+    rows = kernels._suffix_rows(a, b)
+    m = len(b)
+    return [[(row & ((1 << (m - j)) - 1)).bit_count() for j in range(m + 1)]
+            for row in rows]
+
+
+# Symbol texts of one to three characters over a small set, so "a", "aa"
+# and "ab" are distinct symbols that share characters.
+SYMBOLS = st.text(alphabet="ab#N", min_size=1, max_size=3)
+
+
+@st.composite
+def text_pairs(draw):
+    alphabet = draw(st.lists(SYMBOLS, min_size=1, max_size=8, unique=True))
+
+    def sequence():
+        size = draw(st.integers(0, 200))
+        return tuple(draw(st.lists(st.sampled_from(alphabet),
+                                   min_size=size, max_size=size)))
+
+    return sequence(), sequence()
 
 
 class TestSuffixTable:
-    def test_paths_agree(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            a, b = random_pair(rng)
-            expect = kernels.suffix_table_numpy(a, b)
-            assert np.array_equal(kernels.suffix_table_numba(a, b), expect)
-
     def test_against_oracle(self):
         rng = random.Random(11)
         for _ in range(100):
-            a, b = random_pair(rng)
-            table = kernels.suffix_table(a, b)
-            assert table[0, 0] == lcs_oracle(list(a), list(b))
+            a, b = random_pair(rng, max_len=150)
+            table = decoded_table(a, b)
+            assert table == oracle.suffix_table(a, b)
+            assert table[0][0] == lcs_oracle(a, b)
 
     def test_empty_inputs(self):
-        empty = np.array([], dtype=np.int32)
-        one = np.array([3], dtype=np.int32)
-        assert kernels.suffix_table(empty, one)[0, 0] == 0
-        assert kernels.suffix_table(one, empty)[0, 0] == 0
-        assert kernels.suffix_table_numpy(one, empty)[0, 0] == 0
-
-    def test_env_flag_selects_numpy(self, monkeypatch):
-        calls = []
-        real = kernels.suffix_table_numpy
-
-        def spy(a, b):
-            calls.append(1)
-            return real(a, b)
-
-        monkeypatch.setattr(kernels, "suffix_table_numpy", spy)
-        monkeypatch.setattr(kernels, "USE_NUMBA", False)
-        a = np.array([1, 2], dtype=np.int32)
-        kernels.suffix_table(a, a)
-        assert calls
+        assert decoded_table((), ("a",)) == [[0, 0]]
+        assert decoded_table(("a",), ()) == [[0], [0]]
+        assert kernels.match_pairs((), ("a",)) == []
+        assert kernels.match_pairs(("a",), ()) == []
+        assert kernels.match_pairs((), ()) == []
 
 
 class TestMatchPairs:
+    @settings(max_examples=300)
+    @given(text_pairs())
+    def test_equals_oracle(self, pair):
+        a, b = pair
+        assert kernels.match_pairs(a, b) == oracle.match_pairs(a, b)
+
     def test_count_equals_lcs(self):
         rng = random.Random(13)
         for _ in range(200):
             a, b = random_pair(rng)
             pairs = kernels.match_pairs(a, b)
-            assert len(pairs) == lcs_oracle(list(a), list(b))
+            assert len(pairs) == lcs_oracle(a, b)
 
     def test_pairs_are_monotone_matches(self):
         rng = random.Random(17)
@@ -79,16 +96,21 @@ class TestMatchPairs:
             assert all(a[i] == b[j] for i, j in pairs)
 
     def test_leftmost_preference(self):
-        a = np.array([1, 2], dtype=np.int32)
-        b = np.array([1, 1, 2, 2], dtype=np.int32)
-        assert kernels.match_pairs(a, b) == [(0, 0), (1, 2)]
+        assert kernels.match_pairs(("1", "2"), ("1", "1", "2", "2")) == [(0, 0), (1, 2)]
 
     def test_identical(self):
-        a = np.array([4, 5, 6], dtype=np.int32)
+        a = ("4", "5", "6")
         assert kernels.match_pairs(a, a) == [(0, 0), (1, 1), (2, 2)]
 
+    def test_no_common_symbol(self):
+        assert kernels.match_pairs(("a", "b", "a"), ("ab", "c")) == []
 
-def test_intern_ids_shares_table():
-    xs, ys = kernels.intern_ids(("a", "b", "a"), ("b", "c"))
-    assert list(xs) == [0, 1, 0]
-    assert list(ys) == [1, 2]
+
+def test_cli_import_needs_no_numpy_or_numba():
+    src = os.path.dirname(os.path.dirname(icmup.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, icmup.cli; "
+            "print(sorted({'numpy', 'numba'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
