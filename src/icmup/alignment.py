@@ -21,11 +21,14 @@ So an outer pattern that only closes another row's boundary symbols (say
 below the alignment without it.  An Old row enters the best alignment only
 by matching driving symbols.
 
-Search is a deterministic beam search.  Candidates are extended by aligning
-a further stored pattern against the still-unmatched columns (driving or
+Search is a deterministic beam search.  Each round extends the frontier,
+the members the previous round newly admitted to the beam, by aligning a
+further stored pattern against their still-unmatched columns (driving or
 Old), which is what lets bracketing service symbols chain upward through
-grammar-like stores.  Ranking ties break by fewer rows, then the Old-id
-sequence, so results never depend on evaluation order.
+grammar-like stores.  The candidates are the patterns that share a symbol
+with an unmatched column, looked up in the store's symbol index; any other
+pattern would match nothing.  Ranking ties break by fewer rows, then the
+Old-id sequence, so results never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -52,9 +55,6 @@ class Column:
     @property
     def is_hit(self) -> bool:
         return len(self.entries) >= 2
-
-    def rows(self) -> tuple[int, ...]:
-        return tuple(r for r, _ in self.entries)
 
 
 @dataclass(frozen=True)
@@ -106,44 +106,32 @@ def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
     """Merge a further pattern into the column structure as a new row.
 
     The pattern is matched (maximally, leftmost) against the sequence of
-    non-hit columns; matched columns become hits, unmatched pattern symbols
-    are inserted as fresh columns adjacent to their nearest anchor.  Returns
-    the new columns and the number of matched pairs.
+    non-hit columns; matched columns become hits.  One left-to-right pass
+    places the unmatched pattern symbols as fresh columns: those before a
+    match go just before its column, the rest just after the last matched
+    column (after the last column when nothing matched).  Returns the new
+    columns and the number of matched pairs.
     """
-    targets = [(ci, col.symbol) for ci, col in enumerate(columns) if not col.is_hit]
-    target_texts = tuple(t for _, t in targets)
+    targets = [ci for ci, col in enumerate(columns) if not col.is_hit]
     p_texts = pattern.texts
-    pairs = kernels.match_pairs(target_texts, p_texts)
+    pairs = kernels.match_pairs(tuple(columns[ci].symbol for ci in targets), p_texts)
+    hit_at = {targets[ti]: pj for ti, pj in pairs}
+    last = targets[pairs[-1][0]] if pairs else len(columns) - 1
 
-    hit_at: dict[int, int] = {}
-    insert_before: dict[int, list[int]] = {}
-    insert_after: dict[int, list[int]] = {}
-    if pairs:
-        anchor_cols = [targets[ti][0] for ti, _ in pairs]
-        for (ti, pj), ci in zip(pairs, anchor_cols):
-            hit_at[ci] = pj
-        first_pj = pairs[0][1]
-        insert_before[anchor_cols[0]] = list(range(0, first_pj))
-        for k in range(1, len(pairs)):
-            prev_pj = pairs[k - 1][1]
-            cur_pj = pairs[k][1]
-            insert_before.setdefault(anchor_cols[k], []).extend(
-                range(prev_pj + 1, cur_pj))
-        last_pj = pairs[-1][1]
-        insert_after[anchor_cols[-1]] = list(range(last_pj + 1, len(p_texts)))
-    else:
-        # nothing matched: the whole pattern trails the existing columns
-        insert_after[len(columns) - 1] = list(range(len(p_texts)))
+    def fresh(start: int, stop: int) -> list[Column]:
+        return [Column(p_texts[pj], ((row_index, pj),)) for pj in range(start, stop)]
 
     out: list[Column] = []
+    placed = 0  # pattern symbols placed so far
     for ci, col in enumerate(columns):
-        for pj in insert_before.get(ci, ()):
-            out.append(Column(p_texts[pj], ((row_index, pj),)))
-        if ci in hit_at:
-            col = Column(col.symbol, col.entries + ((row_index, hit_at[ci]),))
+        pj = hit_at.get(ci)
+        if pj is not None:
+            out.extend(fresh(placed, pj))
+            col = Column(col.symbol, col.entries + ((row_index, pj),))
+            placed = pj + 1
         out.append(col)
-        for pj in insert_after.get(ci, ()):
-            out.append(Column(p_texts[pj], ((row_index, pj),)))
+        if ci == last:
+            out.extend(fresh(placed, len(p_texts)))
     return tuple(out), len(pairs)
 
 
@@ -226,9 +214,10 @@ def _signature(al: Alignment):
             tuple((c.symbol, c.entries) for c in al.columns))
 
 
-def _rank_key(al: Alignment):
-    return (-al.compression_difference, len(al.old_rows),
-            tuple(r.id for r in al.old_rows), _signature(al))
+def _rank_key(al: Alignment, signature) -> tuple:
+    """Best CD first, then fewer rows, then the signature (which starts with
+    the Old-row ids), so no two kept alignments tie."""
+    return (-al.compression_difference, len(al.old_rows), signature)
 
 
 @dataclass(frozen=True)
@@ -260,10 +249,10 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
                      alphabet_size: int | None = None) -> AlignmentRanking:
     """Beam search over alignments of ``new`` against the store.
 
-    Seeds with the literal alignment plus every single-row pairwise
-    alignment, then repeatedly extends beam members with further stored
-    patterns matched against their unmatched columns.  Deterministic: the
-    ranking is independent of candidate arrival order.
+    Starts from the literal alignment.  Each round extends the members the
+    last round admitted by every stored pattern that shares a symbol with
+    one of their non-hit columns, then keeps the best ``beam``.
+    Deterministic: the ranking is independent of candidate arrival order.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
@@ -271,34 +260,37 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         raise ValueError("max_old_rows must be >= 0")
     alphabet_size = alphabet_size or default_alphabet(new, store)
 
-    def extend(al: Alignment, pattern: SPPattern) -> Alignment | None:
-        columns, hits = _extend_columns(al.columns, pattern,
-                                        row_index=len(al.old_rows) + 1)
-        if hits == 0:
-            return None
-        return _build(new, al.old_rows + (pattern,), columns, store, alphabet_size)
+    def candidates(al: Alignment) -> list[str]:
+        """Ids of the stored patterns that share a symbol with a non-hit
+        column: only these can match anything."""
+        ids: set[str] = set()
+        for col in al.columns:
+            if not col.is_hit:
+                ids.update(store.patterns_containing(col.symbol))
+        return sorted(ids)
 
     literal = literal_alignment(new, store, alphabet_size)
-    kept: dict = {_signature(literal): literal}
-    expanded: set = set()
-    while True:
-        ranked = sorted(kept.values(), key=_rank_key)[:beam]
-        kept = {_signature(al): al for al in ranked}
-        frontier = [al for al in ranked
-                    if _signature(al) not in expanded
-                    and len(al.old_rows) < max_old_rows]
+    kept = {_signature(literal): literal}  # the beam, signature -> alignment
+    for rows in range(max_old_rows):
+        # Each round extends the members the last round admitted, which are
+        # exactly those with `rows` Old rows: every member has one parent and
+        # is only made in the round that extends that parent, so an older
+        # member has had its round and a dropped one never comes back.
+        frontier = [al for al in kept.values() if len(al.old_rows) == rows]
         if not frontier:
             break
         for al in frontier:
-            expanded.add(_signature(al))
-            for pid in store.ids():
-                ext = extend(al, store.get(pid))
-                if ext is not None:
-                    kept.setdefault(_signature(ext), ext)
+            for pid in candidates(al):
+                pattern = store.get(pid)
+                columns, _ = _extend_columns(al.columns, pattern, row_index=rows + 1)
+                ext = _build(new, al.old_rows + (pattern,), columns, store,
+                             alphabet_size)
+                kept[_signature(ext)] = ext
+        kept = dict(sorted(kept.items(),
+                           key=lambda item: _rank_key(item[1], item[0]))[:beam])
 
-    ranked = sorted(kept.values(), key=_rank_key)[:beam]
-    probs = alignment_probabilities(ranked)
-    return AlignmentRanking(tuple(ranked), tuple(probs))
+    alignments = tuple(kept.values())
+    return AlignmentRanking(alignments, tuple(alignment_probabilities(alignments)))
 
 
 def infer_unmatched(al: Alignment) -> list[tuple[str, SPSymbol]]:

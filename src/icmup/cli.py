@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import alignment as al
@@ -46,24 +45,13 @@ def cmd_compress(args) -> int:
     text = _read_text(args.corpus)
     symbols = tokenize(text, _mode(args))
     report = RunReport("compress", {args.corpus: file_digest(args.corpus)})
-    if not symbols:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(codecs.stream_to_json(codecs.EncodedStream(
-                codecs.ChunkDictionary(), ())))
-        unit = "chunks" if args.mode == "chunk" else "runs"
-        if args.mode == "chunk":
-            report.dictionary_bits = 0.0
-        print(f"mode={args.mode} symbols=0 alphabet=0 {unit}=0")
-        print("raw_bits=0.000 encoded_bits=0.000 ratio=1.000" + _two_part(report))
-        if args.report:
-            report.write(args.report)
-        return 0
     alphabet = _corpus_alphabet(symbols)
-    raw = raw_cost(symbols, alphabet)
+    priced = max(alphabet, 1)  # with no symbols every cost is 0 anyway
+    raw = raw_cost(symbols, priced)
     if args.mode == "chunk":
         dictionary = codecs.discover_chunks(symbols, args.min_len, args.min_count)
         stream = codecs.chunk_encode(symbols, dictionary)
-        encoded = codecs.encoded_cost_bits(stream, alphabet)
+        encoded = codecs.encoded_cost_bits(stream, priced)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(codecs.stream_to_json(stream))
         print(f"mode=chunk symbols={len(symbols)} alphabet={alphabet} "
@@ -73,10 +61,10 @@ def cmd_compress(args) -> int:
         report.details = {"mode": "chunk",
                           "chunks": [{"code": e.code, "count": e.count,
                                       "len": len(e.chunk)} for e in dictionary]}
-        report.dictionary_bits = codecs.dictionary_cost_bits(dictionary, alphabet)
+        report.dictionary_bits = codecs.dictionary_cost_bits(dictionary, priced)
     else:
         runs = codecs.rle_encode(symbols)
-        encoded = codecs.rle_cost_bits(runs, alphabet)
+        encoded = codecs.rle_cost_bits(runs, priced)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(codecs.runs_to_json(runs))
         print(f"mode=rle symbols={len(symbols)} alphabet={alphabet} "
@@ -95,15 +83,11 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    text = _read_text(args.stream)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"stream file is not valid JSON: {exc}") from None
-    if isinstance(doc, dict) and "runs" in doc:
-        symbols = codecs.rle_decode(codecs.runs_from_json(text))
+    doc = codecs.parse_json(_read_text(args.stream))
+    if "runs" in doc:
+        symbols = codecs.rle_decode(codecs.runs_from_json(doc))
     else:
-        symbols = codecs.chunk_decode(codecs.stream_from_json(text))
+        symbols = codecs.chunk_decode(codecs.stream_from_json(doc))
     rendered = ("".join(s.text for s in symbols) if args.chars
                 else render(symbols))
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -315,12 +299,10 @@ def cmd_newton(args) -> int:
     print(f"formula_bits={format_bits(rep.formula_bits)} "
           f"table_bits={format_bits(rep.table_bits)}")
     if args.report:
-        doc = {"g": rep.g,
-               "rows": [{"t": r.t, "s": r.s} for r in rep.rows],
-               "formula_bits": rep.formula_bits,
-               "table_bits": rep.table_bits}
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+        RunReport("newton", raw_bits=rep.table_bits, encoded_bits=rep.formula_bits,
+                  details={"g": rep.g,
+                           "rows": [{"t": r.t, "s": r.s} for r in rep.rows]}
+                  ).write(args.report)
     return 0
 
 

@@ -27,8 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent, UnknownCode)
-from .patterns import (PatternStore, SPPattern, SPSymbol, code_cost_bits,
-                       symbol_cost_bits)
+from .patterns import SPPattern, SPSymbol, code_cost_bits, symbol_cost_bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,12 +69,6 @@ class ChunkDictionary:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def as_store(self) -> PatternStore:
-        """View the dictionary as a pattern store (code = id, count = frequency)."""
-        return PatternStore(
-            SPPattern(e.code, e.chunk.symbols, frequency=e.count) for e in self.entries
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -510,12 +503,22 @@ def stream_to_json(stream: EncodedStream) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def stream_from_json(text: str) -> EncodedStream:
+def parse_json(text: str) -> dict:
+    """The JSON object a chunk stream or runs file holds."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"stream file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "dictionary" not in doc or "stream" not in doc:
+    if not isinstance(doc, dict):
+        raise InputFormatError("stream file must hold a JSON object")
+    return doc
+
+
+def stream_from_json(source: str | dict) -> EncodedStream:
+    """A chunk stream from a file's text, or from the object ``parse_json``
+    made of it."""
+    doc = parse_json(source) if isinstance(source, str) else source
+    if "dictionary" not in doc or "stream" not in doc:
         raise InputFormatError("stream file needs 'dictionary' and 'stream' sections")
     try:
         entries = [
@@ -551,12 +554,11 @@ def runs_to_json(runs: Sequence[Run]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def runs_from_json(text: str) -> list[Run]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"runs file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "runs" not in doc:
+def runs_from_json(source: str | dict) -> list[Run]:
+    """A run list from a file's text, or from the object ``parse_json`` made
+    of it."""
+    doc = parse_json(source) if isinstance(source, str) else source
+    if "runs" not in doc:
         raise InputFormatError("runs file needs a 'runs' section")
     out: list[Run] = []
     try:

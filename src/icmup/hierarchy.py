@@ -77,11 +77,6 @@ class Hierarchy:
     def names(self) -> list[str]:
         return sorted(self._nodes)
 
-    def leaves(self) -> list[str]:
-        """Classes that no other class lists as a parent."""
-        referenced = {p for n in self._nodes.values() for p in n.parents}
-        return [name for name in self.names() if name not in referenced]
-
     def __contains__(self, name: str) -> bool:
         return name in self._nodes
 

@@ -96,17 +96,12 @@ class OperationTrace:
     def step_count(self) -> int:
         return len(self.steps)
 
-    def count_kind(self, kind: str) -> int:
-        return sum(1 for s in self.steps if s.kind == kind)
-
-    def dump(self, max_lines: int | None = None) -> str:
+    def dump(self) -> str:
         """One line per step, depth first: ``<depth> <kind> <detail>``."""
         lines: list[str] = []
 
         def walk(steps, depth):
             for step in steps:
-                if max_lines is not None and len(lines) >= max_lines:
-                    return
                 lines.append(f"{depth} {step.kind} {step.detail}")
                 walk(step.substeps, depth + 1)
 

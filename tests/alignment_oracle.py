@@ -1,0 +1,121 @@
+"""Reference beam search: the original column merge and search loop, kept
+verbatim as oracles.  ``icmup.alignment.build_alignments`` must give exactly
+the same rankings.
+
+The merge builds ``insert_before`` / ``insert_after`` maps and has a
+separate no-match branch; the search extends every frontier member by every
+stored pattern, drops the zero-hit results, recomputes each alignment's
+signature wherever it needs one and remembers expanded members in a set.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from icmup import kernels
+from icmup.alignment import (Alignment, AlignmentRanking, Column, _build,
+                             alignment_probabilities, default_alphabet,
+                             literal_alignment)
+from icmup.patterns import PatternStore, SPPattern
+
+
+def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
+                    row_index: int) -> tuple[tuple[Column, ...], int]:
+    """Merge a further pattern into the column structure as a new row.
+
+    The pattern is matched (maximally, leftmost) against the sequence of
+    non-hit columns; matched columns become hits, unmatched pattern symbols
+    are inserted as fresh columns adjacent to their nearest anchor.  Returns
+    the new columns and the number of matched pairs.
+    """
+    targets = [(ci, col.symbol) for ci, col in enumerate(columns) if not col.is_hit]
+    target_texts = tuple(t for _, t in targets)
+    p_texts = pattern.texts
+    pairs = kernels.match_pairs(target_texts, p_texts)
+
+    hit_at: dict[int, int] = {}
+    insert_before: dict[int, list[int]] = {}
+    insert_after: dict[int, list[int]] = {}
+    if pairs:
+        anchor_cols = [targets[ti][0] for ti, _ in pairs]
+        for (ti, pj), ci in zip(pairs, anchor_cols):
+            hit_at[ci] = pj
+        first_pj = pairs[0][1]
+        insert_before[anchor_cols[0]] = list(range(0, first_pj))
+        for k in range(1, len(pairs)):
+            prev_pj = pairs[k - 1][1]
+            cur_pj = pairs[k][1]
+            insert_before.setdefault(anchor_cols[k], []).extend(
+                range(prev_pj + 1, cur_pj))
+        last_pj = pairs[-1][1]
+        insert_after[anchor_cols[-1]] = list(range(last_pj + 1, len(p_texts)))
+    else:
+        # nothing matched: the whole pattern trails the existing columns
+        insert_after[len(columns) - 1] = list(range(len(p_texts)))
+
+    out: list[Column] = []
+    for ci, col in enumerate(columns):
+        for pj in insert_before.get(ci, ()):
+            out.append(Column(p_texts[pj], ((row_index, pj),)))
+        if ci in hit_at:
+            col = Column(col.symbol, col.entries + ((row_index, hit_at[ci]),))
+        out.append(col)
+        for pj in insert_after.get(ci, ()):
+            out.append(Column(p_texts[pj], ((row_index, pj),)))
+    return tuple(out), len(pairs)
+
+
+def _signature(al: Alignment):
+    return (tuple(r.id for r in al.old_rows),
+            tuple((c.symbol, c.entries) for c in al.columns))
+
+
+def _rank_key(al: Alignment):
+    return (-al.compression_difference, len(al.old_rows),
+            tuple(r.id for r in al.old_rows), _signature(al))
+
+
+def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
+                     max_old_rows: int = 12,
+                     alphabet_size: int | None = None) -> AlignmentRanking:
+    """Beam search over alignments of ``new`` against the store.
+
+    Seeds with the literal alignment plus every single-row pairwise
+    alignment, then repeatedly extends beam members with further stored
+    patterns matched against their unmatched columns.  Deterministic: the
+    ranking is independent of candidate arrival order.
+    """
+    if beam < 1:
+        raise ValueError("beam must be >= 1")
+    if max_old_rows < 0:
+        raise ValueError("max_old_rows must be >= 0")
+    alphabet_size = alphabet_size or default_alphabet(new, store)
+
+    def extend(al: Alignment, pattern: SPPattern) -> Alignment | None:
+        columns, hits = _extend_columns(al.columns, pattern,
+                                        row_index=len(al.old_rows) + 1)
+        if hits == 0:
+            return None
+        return _build(new, al.old_rows + (pattern,), columns, store, alphabet_size)
+
+    literal = literal_alignment(new, store, alphabet_size)
+    kept: dict = {_signature(literal): literal}
+    expanded: set = set()
+    while True:
+        ranked = sorted(kept.values(), key=_rank_key)[:beam]
+        kept = {_signature(al): al for al in ranked}
+        frontier = [al for al in ranked
+                    if _signature(al) not in expanded
+                    and len(al.old_rows) < max_old_rows]
+        if not frontier:
+            break
+        for al in frontier:
+            expanded.add(_signature(al))
+            for pid in store.ids():
+                ext = extend(al, store.get(pid))
+                if ext is not None:
+                    kept.setdefault(_signature(ext), ext)
+
+    ranked = sorted(kept.values(), key=_rank_key)[:beam]
+    probs = alignment_probabilities(ranked)
+    return AlignmentRanking(tuple(ranked), tuple(probs))

@@ -6,6 +6,8 @@ import pytest
 from conftest import KITTENS_GRAMMAR
 from icmup import cli
 from icmup.cli import main
+from icmup.reporting import format_bits
+from icmup.setnum import newton_table
 
 ADDER_TSV = ("in:a\tin:b\tout:sum\tout:carry\n"
              "1\t1\t0\t1\n1\t0\t1\t0\n0\t1\t1\t0\n0\t0\t0\t0\n")
@@ -80,14 +82,20 @@ class TestCompressDecompress:
     def test_empty_corpus(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("")
-        stream = tmp_path / "s.json"
-        code, stdout, _ = run(capsys, "compress", str(corpus), "--out",
-                              str(stream))
-        assert code == 0
-        assert "symbols=0" in stdout
-        out = tmp_path / "d.txt"
-        assert run(capsys, "decompress", str(stream), "--out", str(out))[0] == 0
-        assert out.read_text() == ""
+        for mode, unit, doc in (
+                ("chunk", "chunks", {"dictionary": [], "stream": []}),
+                ("rle", "runs", {"runs": []})):
+            stream = tmp_path / f"{mode}.json"
+            report = tmp_path / f"{mode}.report.json"
+            code, stdout, _ = run(capsys, "compress", str(corpus), "--mode", mode,
+                                  "--out", str(stream), "--report", str(report))
+            assert code == 0
+            assert stdout.splitlines()[0] == f"mode={mode} symbols=0 alphabet=0 {unit}=0"
+            assert json.loads(stream.read_text()) == doc
+            assert json.loads(report.read_text())["details"]["mode"] == mode
+            out = tmp_path / f"{mode}.txt"
+            assert run(capsys, "decompress", str(stream), "--out", str(out))[0] == 0
+            assert out.read_text() == ""
 
     def test_unreadable_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "compress", str(tmp_path / "missing.txt"),
@@ -315,8 +323,15 @@ class TestSmallCommands:
         assert lines[1] == "1\t4.9"
         assert lines[10] == "10\t490.3"
         doc = json.loads(report.read_text())
-        assert set(doc) == {"g", "rows", "formula_bits", "table_bits"}
-        assert doc["rows"][16] == {"t": 16, "s": 1255.3}
+        assert doc["command"] == "newton"
+        assert set(doc["details"]) == {"g", "rows"}
+        assert doc["details"]["g"] == 9.80665
+        assert doc["details"]["rows"][16] == {"t": 16, "s": 1255.3}
+        rep = newton_table(9.80665, 16)
+        assert doc["raw_bits"] == rep.table_bits
+        assert doc["encoded_bits"] == rep.formula_bits
+        assert lines[-1] == (f"formula_bits={format_bits(doc['encoded_bits'])} "
+                             f"table_bits={format_bits(doc['raw_bits'])}")
 
     def test_hierarchy(self, tmp_path, capsys):
         h = tmp_path / "h.txt"
