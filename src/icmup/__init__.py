@@ -19,16 +19,15 @@ from .codecs import (ChunkDictionary, ChunkEntry, CodeRef, EncodedStream,
                      rle_encode, schema_encode, schema_instantiate,
                      unify_basic)
 from .hierarchy import (ClassNode, Hierarchy, description_length,
-                        load_hierarchy, parse_hierarchy, part_context,
-                        resolve_attributes)
+                        parse_hierarchy, part_context, resolve_attributes)
 from .machines import (NAND_TABLE, FunctionTable, Gate, HALTED, NandCircuit,
                        TapeState, TuringMachine, adder_nand_circuit,
                        compile_truth_table, eval_circuit, eval_table,
-                       load_table, load_tm, parse_table, parse_tm, tm_run,
-                       tm_step, unary_successor_machine, xor_nand_circuit)
+                       parse_circuit, parse_table, parse_tm, tm_run, tm_step,
+                       unary_successor_machine, xor_nand_circuit)
 from .patterns import (PatternKind, PatternStore, SPPattern, SPSymbol,
-                       code_cost, code_cost_bits, load_grammar, parse_grammar,
-                       raw_cost, render, symbol_cost_bits, tokenize)
+                       code_cost, code_cost_bits, parse_grammar, raw_cost,
+                       render, symbol_cost_bits, tokenize)
 from .setnum import (OperationTrace, PeanoNumeral, TraceStep, UnaryNumber,
                      bounded_product, bounded_sum, multiset_to_set,
                      newton_table, parse_peano, parse_unary,

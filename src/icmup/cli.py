@@ -1,8 +1,10 @@
 """Command-line surface tying the library together.
 
 Every command prints deterministic text (fractional bits to three decimals,
-halves away from zero).  Exit codes: 0 success, 2 input or parse error,
-3 domain error (the error class name goes to stderr).
+halves away from zero).  A command that accounts for bits returns its
+``RunReport``, and ``main`` writes it when ``--report`` is given.  Exit
+codes: 0 success, 2 input or parse error, 3 domain error (the error class
+name goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import sys
 
 from . import alignment as al
 from . import codecs, hierarchy, machines, setnum
-from .errors import DomainError, IcmupError, InputFormatError
-from .patterns import (PatternKind, SPPattern, SPSymbol, load_grammar,
+from .errors import IcmupError, InputFormatError
+from .patterns import (PatternKind, SPPattern, SPSymbol, parse_grammar,
                        raw_cost, render, tokenize)
 from .reporting import RunReport, file_digest, format_bits
 
@@ -25,7 +27,7 @@ def _read_text(path: str) -> str:
 
 
 def _mode(args) -> str:
-    return "chars" if getattr(args, "chars", False) else "whitespace"
+    return "chars" if args.chars else "whitespace"
 
 
 def _corpus_alphabet(symbols) -> int:
@@ -41,7 +43,7 @@ def _two_part(report: RunReport) -> str:
             f" total_bits={format_bits(report.total_bits)}")
 
 
-def cmd_compress(args) -> int:
+def cmd_compress(args) -> RunReport:
     text = _read_text(args.corpus)
     symbols = tokenize(text, _mode(args))
     report = RunReport("compress", {args.corpus: file_digest(args.corpus)})
@@ -77,12 +79,10 @@ def cmd_compress(args) -> int:
     ratio = encoded / raw if raw > 0 else 1.0
     print(f"raw_bits={format_bits(raw)} encoded_bits={format_bits(encoded)} "
           f"ratio={format_bits(ratio)}{_two_part(report)}")
-    if args.report:
-        report.write(args.report)
-    return 0
+    return report
 
 
-def cmd_decompress(args) -> int:
+def cmd_decompress(args) -> None:
     doc = codecs.parse_json(_read_text(args.stream))
     if "runs" in doc:
         symbols = codecs.rle_decode(codecs.runs_from_json(doc))
@@ -93,7 +93,6 @@ def cmd_decompress(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(rendered + ("\n" if rendered else ""))
     print(f"symbols={len(symbols)}")
-    return 0
 
 
 def _new_pattern(args, field: str) -> SPPattern:
@@ -112,50 +111,49 @@ def _print_alignment(index: int, alignm, prob: float) -> None:
     print(f"parse: {al.parse_render(alignm)}")
 
 
-def cmd_align(args) -> int:
-    store = load_grammar(args.grammar)
+def _search(args):
+    """Load the grammar, tokenize ``--new`` and rank its alignments."""
+    store = parse_grammar(_read_text(args.grammar))
     new = _new_pattern(args, "new")
     ranking = al.build_alignments(new, store, beam=args.beam,
                                   max_old_rows=args.max_rows)
+    return store, new, ranking
+
+
+def cmd_align(args) -> RunReport:
+    if args.top < 1:
+        raise InputFormatError("--top must be >= 1")
+    store, new, ranking = _search(args)
     top = list(ranking.alignments[:args.top])
     probs = al.alignment_probabilities(top)
     for i, (alignm, p) in enumerate(zip(top, probs), start=1):
         if i > 1:
             print()
         _print_alignment(i, alignm, p)
-    if args.report:
-        best = top[0]
-        report = RunReport("align", {args.grammar: file_digest(args.grammar)},
-                           raw_bits=raw_cost(new, al.default_alphabet(new, store)),
-                           encoded_bits=best.encoding_cost,
-                           details={"top": [
-                               {"rows": [r.id for r in a.old_rows],
-                                "cd": a.compression_difference,
-                                "p": p}
-                               for a, p in zip(top, probs)]})
-        report.write(args.report)
-    return 0
+    return RunReport("align", {args.grammar: file_digest(args.grammar)},
+                     raw_bits=raw_cost(new, al.default_alphabet(new, store)),
+                     encoded_bits=top[0].encoding_cost,
+                     details={"top": [
+                         {"rows": [r.id for r in a.old_rows],
+                          "cd": a.compression_difference,
+                          "p": p}
+                         for a, p in zip(top, probs)]})
 
 
-def cmd_parse(args) -> int:
-    store = load_grammar(args.grammar)
-    new = _new_pattern(args, "new")
-    ranking = al.build_alignments(new, store, beam=args.beam,
-                                  max_old_rows=args.max_rows)
+def cmd_parse(args) -> None:
+    _, _, ranking = _search(args)
     print(al.parse_render(ranking.best))
-    return 0
 
 
-def cmd_retrieve(args) -> int:
-    store = load_grammar(args.grammar)
+def cmd_retrieve(args) -> None:
+    store = parse_grammar(_read_text(args.grammar))
     query = _new_pattern(args, "query")
     for pid, cd in al.retrieve(query, store, args.top):
         print(f"{pid}\t{format_bits(cd)}")
-    return 0
 
 
-def cmd_table(args) -> int:
-    table = machines.load_table(args.table, name=args.table)
+def cmd_table(args) -> None:
+    table = machines.parse_table(_read_text(args.table), name=args.table)
     inputs = [SPSymbol(v) for v in args.inputs.split(",") if v]
     if args.diag:
         selection = machines.score_rows(table, inputs)
@@ -165,18 +163,17 @@ def cmd_table(args) -> int:
     outputs = machines.eval_table(table, inputs)
     print(" ".join(f"{col}={sym.text}"
                    for col, sym in zip(table.output_cols, outputs)))
-    return 0
 
 
-def cmd_circuit(args) -> int:
-    circuit = machines.load_circuit(args.circuit)
+def cmd_circuit(args) -> None:
+    circuit = machines.parse_circuit(_read_text(args.circuit))
     if args.compile:
         table = machines.compile_truth_table(circuit)
         print("\t".join([f"in:{c}" for c in table.input_cols]
                         + [f"out:{c}" for c in table.output_cols]))
         for row_in, row_out in table.rows:
             print("\t".join(s.text for s in row_in + row_out))
-        return 0
+        return
     if not args.inputs:
         raise InputFormatError("need --in name=value,... or --compile")
     assignment = {}
@@ -187,11 +184,10 @@ def cmd_circuit(args) -> int:
         assignment[name] = value
     result = machines.eval_circuit(circuit, assignment)
     print(" ".join(f"{k}={v}" for k, v in result.items()))
-    return 0
 
 
-def cmd_tm(args) -> int:
-    machine = machines.load_tm(args.machine)
+def cmd_tm(args) -> None:
+    machine = machines.parse_tm(_read_text(args.machine))
     cells = {}
     for i, ch in enumerate(args.tape):
         if ch not in "01":
@@ -206,7 +202,6 @@ def cmd_tm(args) -> int:
     print(f"halted={'true' if result.halted else 'false'} state={state.state} "
           f"steps={state.steps} attempts={result.attempts} head={state.head}")
     print(f"tape[{lo}..{hi}]={tape}")
-    return 0
 
 
 def _set_arg(text: str) -> list[SPSymbol]:
@@ -217,19 +212,18 @@ def _render_set(symbols) -> str:
     return "{" + ", ".join(s.text for s in symbols) + "}"
 
 
-def cmd_sets(args) -> int:
+def cmd_sets(args) -> None:
     if args.op == "toset":
         print(_render_set(setnum.multiset_to_set(_set_arg(args.a))))
-        return 0
+        return
     a, b = _set_arg(args.a), _set_arg(args.b or "")
     if args.op == "union":
         print(_render_set(setnum.set_union(a, b)))
     else:
         print(_render_set(setnum.set_intersection(a, b)))
-    return 0
 
 
-def cmd_unary(args) -> int:
+def cmd_unary(args) -> None:
     op = args.op
     if op in ("add", "sub", "mul"):
         a = setnum.UnaryNumber(args.a)
@@ -257,6 +251,10 @@ def cmd_unary(args) -> int:
         print(f"unary={result.render()}")
     elif op in ("sum", "prod"):
         values = [int(v) for v in args.terms.split(",")]
+        count = args.hi - args.lo + 1
+        if count > 0 and len(values) != count:
+            raise InputFormatError(f"--terms has {len(values)} values for the "
+                                   f"{count} indices {args.lo}..{args.hi}")
         terms = {i: v for i, v in zip(range(args.lo, args.hi + 1), values)}
         fn = setnum.bounded_sum if op == "sum" else setnum.bounded_product
         result, trace = fn(terms, args.lo, args.hi)
@@ -266,48 +264,43 @@ def cmd_unary(args) -> int:
         raise InputFormatError(f"unknown unary op {op!r}")
     if args.trace:
         print(trace.dump())
-    return 0
 
 
-def cmd_peano(args) -> int:
+def cmd_peano(args) -> None:
     p = setnum.to_peano(args.n)
     print(p.render())
     if args.m is not None:
         q = setnum.to_peano(args.m)
         print(q.render())
         print(f"shared_depth={setnum.peano_shared_depth(p, q)}")
-    return 0
 
 
-def cmd_base(args) -> int:
+def cmd_base(args) -> None:
     if args.decode:
         u = setnum.positional_to_unary(args.value, args.base)
         print(f"count={u.count}")
-        return 0
+        return
     u = setnum.UnaryNumber(int(args.value))
     rep = setnum.base_report(u, args.base)
     print(f"digits={rep.digits} unary_symbols={rep.unary_symbols} "
           f"positional_symbols={rep.positional_symbols} "
           f"ratio={format_bits(rep.ratio)}")
-    return 0
 
 
-def cmd_newton(args) -> int:
+def cmd_newton(args) -> RunReport:
     rep = setnum.newton_table(args.g, args.tmax)
     for row in rep.rows:
         print(f"{row.t}\t{row.s:.1f}")
     print(f"formula_bits={format_bits(rep.formula_bits)} "
           f"table_bits={format_bits(rep.table_bits)}")
-    if args.report:
-        RunReport("newton", raw_bits=rep.table_bits, encoded_bits=rep.formula_bits,
-                  details={"g": rep.g,
-                           "rows": [{"t": r.t, "s": r.s} for r in rep.rows]}
-                  ).write(args.report)
-    return 0
+    return RunReport("newton", raw_bits=rep.table_bits,
+                     encoded_bits=rep.formula_bits,
+                     details={"g": rep.g,
+                              "rows": [{"t": r.t, "s": r.s} for r in rep.rows]})
 
 
-def cmd_hierarchy(args) -> int:
-    h = hierarchy.load_hierarchy(args.hierarchy)
+def cmd_hierarchy(args) -> None:
+    h = hierarchy.parse_hierarchy(_read_text(args.hierarchy))
     did = False
     if args.resolve:
         attrs = sorted(a.text for a in hierarchy.resolve_attributes(h, args.resolve))
@@ -318,7 +311,8 @@ def cmd_hierarchy(args) -> int:
         print(f"{args.context}: {' '.join(chain)}")
         did = True
     if args.dl:
-        size = args.alphabet or len(hierarchy.required_alphabet(h))
+        size = (len(hierarchy.required_alphabet(h)) if args.alphabet is None
+                else args.alphabet)
         flat = hierarchy.description_length(h, "flat", size)
         hier = hierarchy.description_length(h, "hierarchical", size)
         print(f"alphabet={size} flat_bits={format_bits(flat)} "
@@ -327,7 +321,6 @@ def cmd_hierarchy(args) -> int:
         did = True
     if not did:
         raise InputFormatError("need --resolve, --context, or --dl")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,46 +329,47 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pattern codecs, hierarchies, table machines, and a "
                     "multiple-alignment engine with bit accounting.")
     sub = parser.add_subparsers(dest="command", required=True)
+    chars = argparse.ArgumentParser(add_help=False)
+    chars.add_argument("--chars", action="store_true",
+                       help="one symbol per character instead of whitespace tokens")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--beam", type=int, default=50)
+    search.add_argument("--max-rows", type=int, default=12)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report")
 
-    p = sub.add_parser("compress", help="discover chunks or runs and encode a corpus")
+    p = sub.add_parser("compress", parents=[chars, report],
+                       help="discover chunks or runs and encode a corpus")
     p.add_argument("corpus")
     p.add_argument("--mode", choices=("chunk", "rle"), default="chunk")
     p.add_argument("--min-len", type=int, default=2)
     p.add_argument("--min-count", type=int, default=2)
     p.add_argument("--out", required=True)
-    p.add_argument("--chars", action="store_true",
-                   help="one symbol per character instead of whitespace tokens")
-    p.add_argument("--report")
     p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("decompress", help="reconstruct a corpus from a stream file")
+    p = sub.add_parser("decompress", parents=[chars],
+                       help="reconstruct a corpus from a stream file")
     p.add_argument("stream")
     p.add_argument("--out", required=True)
-    p.add_argument("--chars", action="store_true")
     p.set_defaults(func=cmd_decompress)
 
-    p = sub.add_parser("align", help="rank alignments of a new pattern against a grammar")
+    p = sub.add_parser("align", parents=[chars, search, report],
+                       help="rank alignments of a new pattern against a grammar")
     p.add_argument("grammar")
     p.add_argument("--new", required=True)
-    p.add_argument("--chars", action="store_true")
-    p.add_argument("--beam", type=int, default=50)
-    p.add_argument("--max-rows", type=int, default=12)
     p.add_argument("--top", type=int, default=3)
-    p.add_argument("--report")
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("parse", help="print the best alignment as a bracketing")
+    p = sub.add_parser("parse", parents=[chars, search],
+                       help="print the best alignment as a bracketing")
     p.add_argument("grammar")
     p.add_argument("--new", required=True)
-    p.add_argument("--chars", action="store_true")
-    p.add_argument("--beam", type=int, default=50)
-    p.add_argument("--max-rows", type=int, default=12)
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("retrieve", help="rank stored patterns against a query")
+    p = sub.add_parser("retrieve", parents=[chars],
+                       help="rank stored patterns against a query")
     p.add_argument("grammar")
     p.add_argument("--query", required=True)
-    p.add_argument("--chars", action="store_true")
     p.add_argument("--top", type=int, default=5)
     p.set_defaults(func=cmd_retrieve)
 
@@ -439,10 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat value as a digit string and print the count")
     p.set_defaults(func=cmd_base)
 
-    p = sub.add_parser("newton", help="falling-body table with cost comparison")
+    p = sub.add_parser("newton", parents=[report],
+                       help="falling-body table with cost comparison")
     p.add_argument("--g", type=float, default=9.80665)
     p.add_argument("--tmax", type=int, default=16)
-    p.add_argument("--report")
     p.set_defaults(func=cmd_newton)
 
     p = sub.add_parser("hierarchy", help="attribute resolution and description lengths")
@@ -468,19 +462,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except InputFormatError as exc:
+        report = args.func(args)
+        if report is not None and args.report:
+            report.write(args.report)
+    except (InputFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+    except IcmupError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except IcmupError as exc:  # pragma: no cover - safety net
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

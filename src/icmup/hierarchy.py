@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownClass
-from .patterns import SPSymbol, symbol_cost_bits
+from .patterns import SPSymbol, content_lines, symbol_cost_bits
 
 DL_FORMS = ("flat", "hierarchical")
 
@@ -169,10 +169,7 @@ def parse_hierarchy(text: str) -> Hierarchy:
     blank lines are ignored.
     """
     nodes: list[ClassNode] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         if not stripped.startswith("CLASS"):
             raise InputFormatError(f"line {lineno}: expected 'CLASS'")
         head, sep, body = stripped[len("CLASS"):].partition(":")
@@ -200,8 +197,3 @@ def parse_hierarchy(text: str) -> Hierarchy:
         return Hierarchy(nodes)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
-
-
-def load_hierarchy(path: str) -> Hierarchy:
-    with open(path, encoding="utf-8") as fh:
-        return parse_hierarchy(fh.read())

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (ArityMismatch, InputFormatError, MissingInput, NoMatch,
                      TooLarge)
-from .patterns import SPSymbol
+from .patterns import SPSymbol, content_lines
 
 MAX_TABLE_INPUTS = 16
 
@@ -331,11 +331,11 @@ def unary_successor_machine() -> TuringMachine:
 def parse_table(text: str, name: str = "table") -> FunctionTable:
     """Parse the tab-separated table format: a header row of ``in:<name>``
     then ``out:<name>`` columns, one data row per following line."""
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    raw = text.splitlines()  # unstripped, so an empty cell at either end is seen
+    lines = [(lineno, raw[lineno - 1]) for lineno, _ in content_lines(text)]
     if not lines:
         raise InputFormatError("table file is empty")
-    header = lines[0].split("\t")
+    header = lines[0][1].split("\t")
     input_cols: list[str] = []
     output_cols: list[str] = []
     for cell in header:
@@ -351,7 +351,7 @@ def parse_table(text: str, name: str = "table") -> FunctionTable:
     if not input_cols or not output_cols:
         raise InputFormatError("table needs at least one in: and one out: column")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split("\t")]
         if len(cells) != len(input_cols) + len(output_cols):
             raise InputFormatError(f"line {lineno}: expected "
@@ -368,18 +368,10 @@ def parse_table(text: str, name: str = "table") -> FunctionTable:
         raise InputFormatError(str(exc)) from None
 
 
-def load_table(path: str, name: str | None = None) -> FunctionTable:
-    with open(path, encoding="utf-8") as fh:
-        return parse_table(fh.read(), name or path)
-
-
 def parse_tm(text: str) -> TuringMachine:
     """Parse the transition format: ``<state> <read> -> <next> <W0|W1|L|R>``."""
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         head, sep, tail = stripped.partition("->")
         if not sep:
             raise InputFormatError(f"line {lineno}: missing '->'")
@@ -399,21 +391,13 @@ def parse_tm(text: str) -> TuringMachine:
         raise InputFormatError(str(exc)) from None
 
 
-def load_tm(path: str) -> TuringMachine:
-    with open(path, encoding="utf-8") as fh:
-        return parse_tm(fh.read())
-
-
 def parse_circuit(text: str) -> NandCircuit:
     """Parse the circuit format: ``input <name>``, ``gate <id> <a> <b>``,
     ``output <id>`` lines in any order consistent with define-before-use."""
     inputs: list[str] = []
     gates: list[Gate] = []
     outputs: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         parts = stripped.split()
         if parts[0] == "input" and len(parts) == 2:
             inputs.append(parts[1])
@@ -427,8 +411,3 @@ def parse_circuit(text: str) -> NandCircuit:
         return NandCircuit(tuple(inputs), tuple(gates), tuple(outputs))
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
-
-
-def load_circuit(path: str) -> NandCircuit:
-    with open(path, encoding="utf-8") as fh:
-        return parse_circuit(fh.read())

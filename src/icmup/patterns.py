@@ -162,6 +162,16 @@ def code_cost(pattern_id: str, store: PatternStore) -> float:
     return code_cost_bits(p.frequency, store.total_frequency)
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, stripped line)`` for every line of ``text`` that
+    is neither blank nor a ``#`` comment.  Numbers count every line of the
+    file from 1, so a parser's error cites the line an editor shows."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
+
+
 def parse_grammar(text: str) -> PatternStore:
     """Parse the grammar file format, one pattern per line:
 
@@ -172,10 +182,7 @@ def parse_grammar(text: str) -> PatternStore:
     """
     patterns: list[SPPattern] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         if not stripped.startswith("PATTERN"):
             raise InputFormatError(f"line {lineno}: expected 'PATTERN', got {stripped.split()[0]!r}")
         head, sep, body = stripped[len("PATTERN"):].partition(":")
@@ -202,8 +209,3 @@ def parse_grammar(text: str) -> PatternStore:
             raise InputFormatError(f"line {lineno}: frequency must be >= 1")
         patterns.append(SPPattern(pid, tuple(SPSymbol(s) for s in syms), freq))
     return PatternStore(patterns)
-
-
-def load_grammar(path: str) -> PatternStore:
-    with open(path, encoding="utf-8") as fh:
-        return parse_grammar(fh.read())

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -153,6 +154,21 @@ class TestCompressDecompress:
         assert "dictionary_bits" not in stdout
         assert "dictionary_bits" not in json.loads(report.read_text())
 
+    def test_failed_run_writes_no_report(self, tmp_path, capsys, grammar_file):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b a b")
+        report = tmp_path / "r.json"
+        failing = [
+            ["compress", str(tmp_path / "missing.txt"), "--out",
+             str(tmp_path / "s.json")],
+            ["compress", str(corpus), "--out", str(tmp_path / "no" / "s.json")],
+            ["align", str(corpus), "--new", "a b"],
+            ["align", grammar_file, "--new", "a b", "--top", "0"],
+        ]
+        for argv in failing:
+            assert run(capsys, *argv, "--report", str(report))[0] == 2
+            assert not report.exists()
+
     def test_report_file(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a b a b a b")
@@ -196,6 +212,14 @@ class TestAlign:
         code, _, err = run(capsys, "align", str(grammar), "--new", "a")
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_exits_2(self, grammar_file, capsys, top):
+        code, stdout, err = run(capsys, "align", grammar_file, "--new",
+                                "k i t t e n", "--top", top, "--beam", "3")
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --top must be >= 1\n"
 
     def test_parse_command(self, grammar_file, capsys):
         code, stdout, _ = run(capsys, "parse", grammar_file, "--new",
@@ -301,6 +325,23 @@ class TestSmallCommands:
         assert code == 0
         assert stdout.splitlines()[0] == "result=15 iterations=5"
 
+    @pytest.mark.parametrize("op, hi, terms, given", [
+        ("sum", "2", "1,2,3,4", 4),  # too many: the extra values were dropped
+        ("prod", "4", "1,2", 2),     # too few
+    ])
+    def test_unary_terms_must_fill_the_range(self, capsys, op, hi, terms, given):
+        code, stdout, err = run(capsys, "unary", op, "--lo", "1", "--hi", hi,
+                                "--terms", terms)
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: --terms has {given} values for the {hi} indices 1..{hi}\n"
+
+    def test_unary_empty_range(self, capsys):
+        code, _, err = run(capsys, "unary", "sum", "--lo", "3", "--hi", "2",
+                           "--terms", "1")
+        assert code == 2
+        assert err == "error: empty index range 3..2\n"
+
     def test_peano(self, capsys):
         assert run(capsys, "peano", "3")[1] == "S(S(S(0)))\n"
         code, stdout, _ = run(capsys, "peano", "2", "3")
@@ -344,6 +385,17 @@ class TestSmallCommands:
         code, _, err = run(capsys, "hierarchy", str(h))
         assert code == 2
 
+    @pytest.mark.parametrize("alphabet", ["0", "1"])
+    def test_hierarchy_alphabet_too_small(self, tmp_path, capsys, alphabet):
+        h = tmp_path / "h.txt"
+        h.write_text("CLASS mammal : attrs=fur parents= parts=\n"
+                     "CLASS cat : attrs= parents=mammal parts=\n")
+        code, stdout, err = run(capsys, "hierarchy", str(h), "--dl",
+                                "--alphabet", alphabet)
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("DegenerateAlphabet")
+
     def test_usage_error_exits_2(self, capsys):
         assert main(["compress"]) == 2
 
@@ -376,3 +428,47 @@ class TestParserReuse:
         assert shared == fresh
         assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 0, 2, 0]
         assert "invalid choice" in shared[5][2]
+
+
+def _option_strings(parser):
+    """Each subcommand's option strings but for help, nested subcommands
+    as 'a b'."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out[name] = sorted(o for a in sub._actions
+                                   if not isinstance(a, argparse._HelpAction)
+                                   for o in a.option_strings)
+                out.update({f"{name} {k}": v
+                            for k, v in _option_strings(sub).items()})
+    return out
+
+
+def test_option_strings_pinned():
+    # shared declarations may neither add nor drop an option anywhere;
+    # --report in particular stays on exactly compress, align and newton
+    unary_binary = ["--trace"]
+    unary_range = ["--hi", "--lo", "--terms", "--trace"]
+    assert _option_strings(cli.build_parser()) == {
+        "compress": ["--chars", "--min-count", "--min-len", "--mode", "--out",
+                     "--report"],
+        "decompress": ["--chars", "--out"],
+        "align": ["--beam", "--chars", "--max-rows", "--new", "--report",
+                  "--top"],
+        "parse": ["--beam", "--chars", "--max-rows", "--new"],
+        "retrieve": ["--chars", "--query", "--top"],
+        "table": ["--diag", "--in"],
+        "circuit": ["--compile", "--in"],
+        "tm": ["--head", "--max-steps", "--state", "--tape"],
+        "sets": [],
+        "unary": [],
+        **{f"unary {op}": unary_binary
+           for op in ("add", "sub", "mul", "div", "pow", "fact")},
+        "unary sum": unary_range,
+        "unary prod": unary_range,
+        "peano": [],
+        "base": ["--decode"],
+        "newton": ["--g", "--report", "--tmax"],
+        "hierarchy": ["--alphabet", "--context", "--dl", "--resolve"],
+    }

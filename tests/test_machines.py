@@ -227,10 +227,23 @@ class TestFileFormats:
         "a\tb\n1\t0\n",
         "out:s\tin:a\n0\t0\n",
         "in:a\tout:s\n1\n",
+        "in:a\tout:s\n1\t0\t\n",             # empty cell at the end
+        "in:a\tin:b\tout:s\n\t1\t0\t1\n",   # empty cell at the start
     ])
     def test_bad_tables(self, text):
         with pytest.raises(InputFormatError):
             parse_table(text)
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_table, "# adder\nin:a\tin:b\tout:sum\tout:carry\n\n"
+                      "1\t1\t0\t1\n1\t0\n"),
+        (parse_tm, "# successor\ns0 1 -> s0 R\n\ns0 0 -> s1 W1\ns1 1 s1 L\n"),
+        (parse_circuit, "# xor\ninput a\n\ninput b\nwire a b\n"),
+    ])
+    def test_errors_cite_file_lines(self, parse, text):
+        # blank and comment lines still count: the bad line is line 5
+        with pytest.raises(InputFormatError, match="line 5"):
+            parse(text)
 
     def test_tm_format(self):
         text = ("# successor\n"
