@@ -154,7 +154,10 @@ def cmd_retrieve(args) -> None:
 
 def cmd_table(args) -> None:
     table = machines.parse_table(_read_text(args.table), name=args.table)
-    inputs = [SPSymbol(v) for v in args.inputs.split(",") if v]
+    values = args.inputs.split(",")
+    if "" in values:
+        raise InputFormatError(f"--in has an empty value: {args.inputs!r}")
+    inputs = [SPSymbol(v) for v in values]
     if args.diag:
         selection = machines.score_rows(table, inputs)
         counts = ",".join(str(c) for c in selection.match_counts)
@@ -181,6 +184,10 @@ def cmd_circuit(args) -> None:
         name, eq, value = item.partition("=")
         if not eq:
             raise InputFormatError(f"bad assignment {item!r}")
+        if name not in circuit.inputs:
+            raise InputFormatError(f"{name!r} is not an input of the circuit")
+        if name in assignment:
+            raise InputFormatError(f"input {name!r} is assigned twice")
         assignment[name] = value
     result = machines.eval_circuit(circuit, assignment)
     print(" ".join(f"{k}={v}" for k, v in result.items()))

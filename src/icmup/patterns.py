@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownPattern
 
@@ -28,7 +28,7 @@ class SPSymbol:
     def __post_init__(self):
         if not self.text:
             raise ValueError("symbol text must be non-empty")
-        if any(ch.isspace() for ch in self.text):
+        if self.text.split() != [self.text]:
             raise ValueError(f"symbol text may not contain whitespace: {self.text!r}")
 
     def __str__(self) -> str:
@@ -92,11 +92,12 @@ def render(symbols: Iterable[SPSymbol]) -> str:
 
 class PatternStore:
     """An immutable dictionary of Old patterns with a derived alphabet,
-    total frequency, and a symbol-to-pattern retrieval index."""
+    total frequency, and a symbol-to-pattern retrieval index that also
+    counts each symbol's occurrences in each pattern."""
 
     def __init__(self, patterns: Iterable[SPPattern] = ()):
         by_id: dict[str, SPPattern] = {}
-        index: dict[str, set[str]] = {}
+        index: dict[str, dict[str, int]] = {}
         total = 0
         for p in patterns:
             if p.kind is not PatternKind.OLD:
@@ -106,9 +107,10 @@ class PatternStore:
             by_id[p.id] = p
             total += p.frequency
             for s in p.symbols:
-                index.setdefault(s.text, set()).add(p.id)
+                counts = index.setdefault(s.text, {})
+                counts[p.id] = counts.get(p.id, 0) + 1
         self._by_id = by_id
-        self._index = {t: tuple(sorted(ids)) for t, ids in index.items()}
+        self._index = index
         self.alphabet: frozenset[str] = frozenset(index)
         self.total_frequency: int = total
 
@@ -122,7 +124,12 @@ class PatternStore:
         return sorted(self._by_id)
 
     def patterns_containing(self, text: str) -> tuple[str, ...]:
-        return self._index.get(text, ())
+        return tuple(sorted(self.occurrences(text)))
+
+    def occurrences(self, text: str) -> Mapping[str, int]:
+        """Pattern id -> how many of its symbols are ``text``, for every
+        stored pattern holding ``text`` (read-only)."""
+        return self._index.get(text, {})
 
     def __contains__(self, pattern_id: str) -> bool:
         return pattern_id in self._by_id

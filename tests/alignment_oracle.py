@@ -1,11 +1,13 @@
-"""Reference beam search: the original column merge and search loop, kept
-verbatim as oracles.  ``icmup.alignment.build_alignments`` must give exactly
-the same rankings.
+"""Reference beam search and retrieval: the original column merge, search
+loop and ``retrieve``, kept verbatim as oracles.
+``icmup.alignment.build_alignments`` and ``icmup.alignment.retrieve`` must
+give exactly the same rankings.
 
 The merge builds ``insert_before`` / ``insert_after`` maps and has a
 separate no-match branch; the search extends every frontier member by every
 stored pattern, drops the zero-hit results, recomputes each alignment's
 signature wherever it needs one and remembers expanded members in a set.
+``retrieve`` aligns the query with every stored pattern and sorts them all.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from typing import Sequence
 
 from icmup import kernels
 from icmup.alignment import (Alignment, AlignmentRanking, Column, _build,
-                             alignment_probabilities, default_alphabet,
+                             align_pair, alignment_probabilities,
+                             default_alphabet, encoding_cost,
                              literal_alignment)
-from icmup.patterns import PatternStore, SPPattern
+from icmup.patterns import PatternStore, SPPattern, raw_cost
 
 
 def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
@@ -119,3 +122,19 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
     ranked = sorted(kept.values(), key=_rank_key)[:beam]
     probs = alignment_probabilities(ranked)
     return AlignmentRanking(tuple(ranked), tuple(probs))
+
+
+def retrieve(query: SPPattern, store: PatternStore,
+             k: int) -> list[tuple[str, float]]:
+    """Top-k stored patterns by pairwise compression difference against the
+    query, with store code costs; ties break by id."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    alphabet_size = default_alphabet(query, store)
+    raw = raw_cost(query, alphabet_size)
+    scored: list[tuple[str, float]] = []
+    for pid in store.ids():
+        al = align_pair(query, store.get(pid), alphabet_size)
+        scored.append((pid, raw - encoding_cost(al, store, alphabet_size)))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:k]

@@ -1,12 +1,16 @@
-"""The beam search against the original one in ``alignment_oracle``:
-rankings must be exactly equal."""
+"""The beam search and retrieval against the original ones in
+``alignment_oracle``: rankings must be exactly equal, though the bound
+pruning skips most merges."""
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alignment_oracle as oracle
 from icmup import (PatternKind, PatternStore, SPPattern, SPSymbol,
-                   build_alignments, dump_columns, parse_grammar, parse_render)
+                   build_alignments, dump_columns, parse_grammar, parse_render,
+                   retrieve)
 from icmup import alignment
 
 SYMBOLS = ("a", "b", "ab", "ba", "N", "#N", "x", "yy")
@@ -52,20 +56,120 @@ def test_kittens_rankings_equal_oracle(kittens_new, kittens_store):
             oracle.build_alignments(kittens_new, kittens_store, beam, max_old_rows))
 
 
-def test_every_merge_matches_a_symbol(kittens_new, kittens_store, monkeypatch):
-    # candidates come from the store's symbol index, so no merge is wasted
-    # on a pattern that shares no symbol with an unmatched column
-    hits = []
+def counting_merges(hits):
+    """A stand-in for ``_extend_columns`` that records each merge's hits."""
     merge = alignment._extend_columns
 
     def counted(*args, **kwargs):
         columns, n = merge(*args, **kwargs)
         hits.append(n)
         return columns, n
+    return counted
 
-    monkeypatch.setattr(alignment, "_extend_columns", counted)
+
+def test_every_merge_matches_a_symbol(kittens_new, kittens_store, monkeypatch):
+    # candidates come from the store's symbol index, so no merge is wasted
+    # on a pattern that shares no symbol with an unmatched column
+    hits = []
+    monkeypatch.setattr(alignment, "_extend_columns", counting_merges(hits))
     build_alignments(kittens_new, kittens_store)
     assert hits and min(hits) >= 1
+
+
+def test_kittens_merge_count(kittens_new, kittens_store, monkeypatch):
+    # at the defaults (beam 50, 12 rows) the search without the bound made
+    # 838 merges; the bound skips every candidate that cannot reach the beam
+    hits = []
+    monkeypatch.setattr(alignment, "_extend_columns", counting_merges(hits))
+    build_alignments(kittens_new, kittens_store)
+    assert len(hits) <= 354
+
+
+@settings(max_examples=200)
+@given(searches(), st.integers(1, 4))
+def test_full_beam_prunes_and_equals_oracle(search, max_old_rows):
+    new, store, _, _ = search
+    # A heavy pattern of a symbol no query holds makes every other code cost
+    # more than log2(A), so the one-symbol probe gains less than its code and
+    # cannot beat the literal alignment that fills a beam of 1.
+    store = PatternStore(list(store) + [
+        SPPattern("heavy", (SPSymbol("zz"),), 100),
+        SPPattern("probe", new.symbols[:1], 1)])
+    hits, offered = [], []
+    candidates = alignment._candidates
+
+    def counted_candidates(*args):
+        out = candidates(*args)
+        offered.append(len(out))
+        return out
+
+    with mock.patch.object(alignment, "_extend_columns", counting_merges(hits)), \
+            mock.patch.object(alignment, "_candidates", counted_candidates):
+        ranking = build_alignments(new, store, 1, max_old_rows)
+    assert len(hits) < sum(offered)
+    assert ranking_of(ranking) == \
+        ranking_of(oracle.build_alignments(new, store, 1, max_old_rows))
+
+
+@st.composite
+def retrievals(draw):
+    """A query, a store of patterns over a few symbols, and a k larger than
+    the number of patterns that share a symbol with the query."""
+    alphabet = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=8,
+                             unique=True))
+    bodies = draw(st.lists(st.lists(st.sampled_from(alphabet), min_size=1,
+                                    max_size=6), max_size=20))
+    store = PatternStore(
+        SPPattern(f"p{i:02d}", tuple(SPSymbol(t) for t in body),
+                  draw(st.integers(1, 3)))
+        for i, body in enumerate(bodies))
+    query = draw(st.lists(st.sampled_from(alphabet + ["q", "r"]), min_size=1,
+                          max_size=8))
+    sharers = sum(1 for body in bodies if set(body) & set(query))
+    k = sharers + draw(st.integers(1, 4))
+    return SPPattern("q", tuple(SPSymbol(t) for t in query),
+                     kind=PatternKind.NEW), store, k
+
+
+@settings(max_examples=200)
+@given(retrievals())
+def test_retrieve_past_the_sharers_equals_oracle(retrieval):
+    # patterns that share no symbol with the query still rank, by their code
+    query, store, k = retrieval
+    result = retrieve(query, store, k)
+    assert result == oracle.retrieve(query, store, k)
+    assert len(result) == min(k, len(store))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_retrieve_id_ties_equal_oracle(data):
+    # copies of one body under shuffled ids score the same, and k cuts
+    # through a group of equal scores, so only the id decides who is in
+    body = data.draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=5))
+    others = data.draw(st.lists(st.lists(st.sampled_from(SYMBOLS), min_size=1,
+                                         max_size=5), max_size=8))
+    copies = data.draw(st.integers(2, 6))
+    ids = data.draw(st.permutations([f"id{i}" for i in range(copies + len(others))]))
+    store = PatternStore(
+        SPPattern(pid, tuple(SPSymbol(t) for t in syms), 2)
+        for pid, syms in zip(ids, [body] * copies + others))
+    query = SPPattern("q", tuple(SPSymbol(t) for t in data.draw(
+        st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=6))),
+        kind=PatternKind.NEW)
+    full = oracle.retrieve(query, store, len(store))
+    cuts = [k for k in range(1, len(full)) if full[k - 1][1] == full[k][1]]
+    assert cuts  # the copies tie, at least
+    k = data.draw(st.sampled_from(cuts))
+    assert retrieve(query, store, k) == oracle.retrieve(query, store, k)
+
+
+def test_kittens_retrieve_equals_oracle(kittens_store):
+    for text in ("k i t t e n", "N Np Nr #Nr s #N", "t w o k i t t e n s"):
+        query = SPPattern.from_text("q", text, kind=PatternKind.NEW)
+        for k in range(1, len(kittens_store) + 2):
+            assert retrieve(query, kittens_store, k) == \
+                oracle.retrieve(query, kittens_store, k)
 
 
 def test_ties_go_to_fewer_rows_then_ids():

@@ -267,6 +267,27 @@ class TestMachinesCli:
         assert code == 3
         assert err.startswith("NoMatch")
 
+    @pytest.mark.parametrize("values", [",1,0", "1,,0", "1,0,"])
+    def test_table_empty_value_exits_2(self, tmp_path, capsys, values):
+        table = tmp_path / "adder.tsv"
+        table.write_text(ADDER_TSV)
+        code, stdout, err = run(capsys, "table", str(table), "--in", values)
+        assert code == 2 and stdout == ""
+        assert "empty value" in err
+
+    @pytest.mark.parametrize("assignment, message", [
+        ("a=1,b=0,zz=7", "'zz' is not an input"),
+        ("a=1,g1=0,b=0", "'g1' is not an input"),
+        ("a=1,b=0,a=0", "'a' is assigned twice"),
+    ])
+    def test_circuit_bad_assignment_exits_2(self, tmp_path, capsys, assignment,
+                                            message):
+        circuit = tmp_path / "xor.circuit"
+        circuit.write_text(XOR_CIRCUIT)
+        code, stdout, err = run(capsys, "circuit", str(circuit), "--in", assignment)
+        assert code == 2 and stdout == ""
+        assert message in err
+
     def test_circuit_eval_and_compile(self, tmp_path, capsys):
         circuit = tmp_path / "xor.circuit"
         circuit.write_text(XOR_CIRCUIT)

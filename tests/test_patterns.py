@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from icmup.errors import DegenerateAlphabet, InputFormatError, UnknownPattern
 
 symbol_texts = st.text(alphabet="abcdefgXYZ#/01", min_size=1, max_size=4)
 symbol_lists = st.lists(symbol_texts.map(SPSymbol), min_size=0, max_size=30)
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
 
 class TestSymbol:
@@ -22,6 +24,12 @@ class TestSymbol:
     def test_rejects_empty_and_whitespace(self, bad):
         with pytest.raises(ValueError):
             SPSymbol(bad)
+
+    @pytest.mark.parametrize("space", WHITESPACE, ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_rejects_every_whitespace_character(self, space):
+        for text in (space, f"a{space}", f"{space}a", f"a{space}b"):
+            with pytest.raises(ValueError, match="whitespace"):
+                SPSymbol(text)
 
 
 class TestTokenize:
