@@ -395,7 +395,8 @@ def retrieve(query: SPPattern, store: PatternStore,
         if len(floor) == k and -neg_bound < floor[0] - _PRUNE_MARGIN:
             break
         al = align_pair(query, store.get(pid), alphabet_size)
-        cd = raw - encoding_cost(al, store, alphabet_size)
+        # align_pair priced the unmatched columns with the code free; add it
+        cd = raw - (code_cost(pid, store) + al.encoding_cost)
         scored.append((pid, cd))
         _keep_best(floor, cd, k)
     scored.sort(key=lambda item: (-item[1], item[0]))

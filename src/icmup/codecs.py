@@ -27,7 +27,8 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent, UnknownCode)
-from .patterns import SPPattern, SPSymbol, code_cost_bits, symbol_cost_bits
+from .patterns import (SPPattern, SPSymbol, code_cost_bits, intern_symbols,
+                       symbol_cost_bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -520,10 +521,10 @@ def stream_from_json(source: str | dict) -> EncodedStream:
     doc = parse_json(source) if isinstance(source, str) else source
     if "dictionary" not in doc or "stream" not in doc:
         raise InputFormatError("stream file needs 'dictionary' and 'stream' sections")
+    made: dict[str, SPSymbol] = {}
     try:
         entries = [
-            ChunkEntry(d["code"],
-                       SPPattern(d["code"], tuple(SPSymbol(s) for s in d["symbols"])),
+            ChunkEntry(d["code"], SPPattern(d["code"], intern_symbols(d["symbols"], made)),
                        int(d["count"]))
             for d in doc["dictionary"]
         ]
@@ -535,7 +536,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
                     raise InputFormatError(f"stream references unknown code {item['code']!r}")
                 tokens.append(CodeRef(item["code"]))
             elif "lit" in item:
-                tokens.append(Literal(SPSymbol(item["lit"])))
+                tokens.append(Literal(intern_symbols([item["lit"]], made)[0]))
             else:
                 raise InputFormatError(f"stream token needs 'code' or 'lit': {item!r}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -561,9 +562,10 @@ def runs_from_json(source: str | dict) -> list[Run]:
     if "runs" not in doc:
         raise InputFormatError("runs file needs a 'runs' section")
     out: list[Run] = []
+    made: dict[str, SPSymbol] = {}
     try:
         for k, item in enumerate(doc["runs"], start=1):
-            pattern = SPPattern(f"r{k}", tuple(SPSymbol(s) for s in item["symbols"]))
+            pattern = SPPattern(f"r{k}", intern_symbols(item["symbols"], made))
             count = UNBOUNDED if item["count"] == "*" else int(item["count"])
             out.append(Run(pattern, count))
     except (KeyError, TypeError, ValueError) as exc:

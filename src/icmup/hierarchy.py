@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownClass
-from .patterns import SPSymbol, content_lines, symbol_cost_bits
+from .patterns import SPSymbol, content_lines, intern_symbols, symbol_cost_bits
 
 DL_FORMS = ("flat", "hierarchical")
 
@@ -169,6 +169,7 @@ def parse_hierarchy(text: str) -> Hierarchy:
     blank lines are ignored.
     """
     nodes: list[ClassNode] = []
+    made: dict[str, SPSymbol] = {}
     for lineno, stripped in content_lines(text):
         if not stripped.startswith("CLASS"):
             raise InputFormatError(f"line {lineno}: expected 'CLASS'")
@@ -187,7 +188,7 @@ def parse_hierarchy(text: str) -> Hierarchy:
         try:
             nodes.append(ClassNode(
                 name,
-                frozenset(SPSymbol(a) for a in fields["attrs"]),
+                frozenset(intern_symbols(fields["attrs"], made)),
                 frozenset(fields["parents"]),
                 tuple(fields["parts"]),
             ))

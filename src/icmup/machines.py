@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (ArityMismatch, InputFormatError, MissingInput, NoMatch,
                      TooLarge)
-from .patterns import SPSymbol, content_lines
+from .patterns import SPSymbol, content_lines, intern_symbols
 
 MAX_TABLE_INPUTS = 16
 
@@ -351,14 +351,15 @@ def parse_table(text: str, name: str = "table") -> FunctionTable:
     if not input_cols or not output_cols:
         raise InputFormatError("table needs at least one in: and one out: column")
     rows = []
+    made: dict[str, SPSymbol] = {}
     for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split("\t")]
         if len(cells) != len(input_cols) + len(output_cols):
             raise InputFormatError(f"line {lineno}: expected "
                                    f"{len(input_cols) + len(output_cols)} cells")
         try:
-            rows.append((tuple(SPSymbol(c) for c in cells[:len(input_cols)]),
-                         tuple(SPSymbol(c) for c in cells[len(input_cols):])))
+            rows.append((intern_symbols(cells[:len(input_cols)], made),
+                         intern_symbols(cells[len(input_cols):], made)))
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from None
     try:

@@ -26,6 +26,8 @@ class SPSymbol:
     text: str
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise TypeError(f"symbol text must be a string, got {type(self.text).__name__}")
         if not self.text:
             raise ValueError("symbol text must be non-empty")
         if self.text.split() != [self.text]:
@@ -75,14 +77,31 @@ class SPPattern:
         return render(self.symbols)
 
 
+def intern_symbols(texts: Iterable[str], made: dict[str, SPSymbol]) -> tuple[SPSymbol, ...]:
+    """The symbols for ``texts``, in order, validated once per distinct text.
+
+    ``made`` maps each text already seen to its symbol and gains every new
+    one; a parser passes the same dict for all its lines, so a repeated
+    token costs one dict lookup and equal texts share one object."""
+    out = []
+    for text in texts:
+        symbol = made.get(text)
+        if symbol is None:
+            symbol = made[text] = SPSymbol(text)
+        out.append(symbol)
+    return tuple(out)
+
+
 def tokenize(text: str, mode: str = "whitespace") -> list[SPSymbol]:
     """Split text into symbols: on whitespace runs, or one symbol per
-    non-whitespace character.  Empty input yields an empty list."""
+    non-whitespace character.  Empty input yields an empty list.  Each
+    distinct token is validated into one symbol; a repeat costs one dict
+    lookup."""
     if mode not in TOKENIZE_MODES:
         raise ValueError(f"unknown tokenize mode {mode!r}")
     if mode == "whitespace":
-        return [SPSymbol(tok) for tok in text.split()]
-    return [SPSymbol(ch) for ch in text if not ch.isspace()]
+        return list(intern_symbols(text.split(), {}))
+    return list(intern_symbols([ch for ch in text if not ch.isspace()], {}))
 
 
 def render(symbols: Iterable[SPSymbol]) -> str:
@@ -184,26 +203,29 @@ def parse_grammar(text: str) -> PatternStore:
 
         PATTERN <id> <freq>: <sym> <sym> ...
 
-    ``<freq>`` may be omitted (defaults to 1).  Lines starting with ``#`` and
-    blank lines are ignored.  Duplicate ids are a load error.
+    ``<freq>`` is ASCII digits and may be omitted (defaults to 1).  Lines
+    starting with ``#`` and blank lines are ignored.  Duplicate ids are a
+    load error.  Loading costs one dict lookup per token plus one validated
+    symbol per distinct text: all lines share their symbols.
     """
     patterns: list[SPPattern] = []
     seen: set[str] = set()
+    made: dict[str, SPSymbol] = {}
     for lineno, stripped in content_lines(text):
-        if not stripped.startswith("PATTERN"):
+        head, sep, body = stripped.partition(":")
+        words = head.split()
+        if not words or words[0] != "PATTERN":
             raise InputFormatError(f"line {lineno}: expected 'PATTERN', got {stripped.split()[0]!r}")
-        head, sep, body = stripped[len("PATTERN"):].partition(":")
         if not sep:
             raise InputFormatError(f"line {lineno}: missing ':' separator")
-        fields = head.split()
+        fields = words[1:]
         if len(fields) == 1:
             pid, freq = fields[0], 1
         elif len(fields) == 2:
             pid = fields[0]
-            try:
-                freq = int(fields[1])
-            except ValueError:
-                raise InputFormatError(f"line {lineno}: bad frequency {fields[1]!r}") from None
+            if not (fields[1].isascii() and fields[1].isdigit()):
+                raise InputFormatError(f"line {lineno}: bad frequency {fields[1]!r}")
+            freq = int(fields[1])
         else:
             raise InputFormatError(f"line {lineno}: expected '<id> [<freq>]' before ':'")
         if pid in seen:
@@ -214,5 +236,5 @@ def parse_grammar(text: str) -> PatternStore:
             raise InputFormatError(f"line {lineno}: pattern {pid!r} has no symbols")
         if freq < 1:
             raise InputFormatError(f"line {lineno}: frequency must be >= 1")
-        patterns.append(SPPattern(pid, tuple(SPSymbol(s) for s in syms), freq))
+        patterns.append(SPPattern(pid, intern_symbols(syms, made), freq))
     return PatternStore(patterns)

@@ -111,6 +111,18 @@ class TestCompressDecompress:
                            str(tmp_path / "d.txt"))
         assert code == 2 and "w1" in err
 
+    @pytest.mark.parametrize("doc", [
+        '{"dictionary": [], "stream": [{"lit": 7}]}',
+        '{"dictionary": [{"code": "w1", "symbols": ["a", null], "count": 2}], "stream": []}',
+        '{"runs": [{"symbols": [7], "count": 2}]}',
+    ])
+    def test_non_string_symbol_exits_2(self, tmp_path, capsys, doc):
+        stream = tmp_path / "s.json"
+        stream.write_text(doc)
+        code, _, err = run(capsys, "decompress", str(stream), "--out",
+                           str(tmp_path / "d.txt"))
+        assert code == 2 and "must be a string" in err
+
     def test_malformed_stream_exits_2(self, tmp_path, capsys):
         stream = tmp_path / "s.json"
         stream.write_text("{broken")
@@ -232,6 +244,14 @@ class TestAlign:
                               "k i t t e n", "--top", "2")
         assert code == 0
         assert stdout.splitlines()[0].startswith("p1\t")
+
+    @pytest.mark.parametrize("line", ["PATTERNx 2: a b", "PATTERN x 1_0: a"])
+    def test_bad_grammar_line_exits_2(self, tmp_path, capsys, line):
+        grammar = tmp_path / "bad.grammar"
+        grammar.write_text(f"# header\nPATTERN p1: a\n{line}\n")
+        code, stdout, err = run(capsys, "retrieve", str(grammar), "--query", "a")
+        assert (code, stdout) == (2, "")
+        assert "line 3:" in err
 
     def test_deterministic_output(self, grammar_file, capsys):
         args = ("align", grammar_file, "--new", "t w o k i t t e n s p l a y")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -176,6 +177,18 @@ class TestStreamFile:
         with pytest.raises(InputFormatError):
             stream_from_json(text)
 
+    @pytest.mark.parametrize("bad", ["a b", "a\tb", "\u00a0", "", 7, ["a"]])
+    @pytest.mark.parametrize("where", ["dictionary", "literal"])
+    def test_round_trip_rejects_a_bad_symbol(self, bad, where):
+        corpus = chars(TWO_INSTANCE_CORPUS)
+        doc = json.loads(stream_to_json(chunk_encode(corpus, discover_chunks(corpus, 2, 2))))
+        if where == "dictionary":
+            doc["dictionary"][0]["symbols"][1] = bad
+        else:
+            next(item for item in doc["stream"] if "lit" in item)["lit"] = bad
+        with pytest.raises(InputFormatError, match="malformed stream file"):
+            stream_from_json(json.dumps(doc))
+
 
 class TestRle:
     def test_five_copies(self):
@@ -206,6 +219,13 @@ class TestRle:
         runs = rle_encode(chars("xxyyxxyy"))
         again = runs_from_json(runs_to_json(runs))
         assert rle_decode(again) == rle_decode(runs)
+
+    @pytest.mark.parametrize("bad", ["a b", "a\tb", "\u00a0", "", 7, ["a"]])
+    def test_file_round_trip_rejects_a_bad_symbol(self, bad):
+        doc = json.loads(runs_to_json(rle_encode(chars("xxyyxxyy"))))
+        doc["runs"][0]["symbols"][-1] = bad
+        with pytest.raises(InputFormatError, match="malformed runs file"):
+            runs_from_json(json.dumps(doc))
 
     @settings(max_examples=200, deadline=None)
     @given(corpora)

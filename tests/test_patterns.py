@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import pytest
@@ -6,13 +7,39 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icmup import (PatternStore, SPPattern, SPSymbol, code_cost,
-                   code_cost_bits, parse_grammar, raw_cost, render,
+                   code_cost_bits, parse_grammar, patterns, raw_cost, render,
                    symbol_cost_bits, tokenize)
 from icmup.errors import DegenerateAlphabet, InputFormatError, UnknownPattern
+
+from conftest import KITTENS_GRAMMAR
 
 symbol_texts = st.text(alphabet="abcdefgXYZ#/01", min_size=1, max_size=4)
 symbol_lists = st.lists(symbol_texts.map(SPSymbol), min_size=0, max_size=30)
 WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+@st.composite
+def grammars(draw):
+    """A grammar file with its pattern lines as (id, frequency or None,
+    body): optional frequencies, comment and blank lines, irregular
+    spacing, and multi-character symbols repeated within and across lines."""
+    words = st.sampled_from(["a", "b", "NP", "#NP", "k1/0"]) | symbol_texts
+    lines = draw(st.lists(
+        st.tuples(st.text(alphabet="pqxz09_", min_size=1, max_size=3),
+                  st.none() | st.integers(1, 999),
+                  st.lists(words, min_size=1, max_size=8)),
+        max_size=12, unique_by=lambda line: line[0]))
+    gaps = st.sampled_from([" ", "  ", "\t", " \t "])
+    out: list[str] = []
+    parsed = []
+    for pid, freq, body in lines:
+        out.extend(draw(st.lists(st.sampled_from(["", "   ", "# a comment", "  #PATTERN z: q"]),
+                                 max_size=2)))
+        head = f"PATTERN{draw(gaps)}{pid}" + ("" if freq is None else f"{draw(gaps)}{freq}")
+        joined = draw(gaps).join(body)
+        out.append(f"{draw(gaps)}{head}:{draw(gaps)}{joined}")
+        parsed.append((pid, freq, joined))
+    return "\n".join(out) + "\n", parsed
 
 
 class TestSymbol:
@@ -153,7 +180,67 @@ class TestGrammarFile:
         "PATTERN p 0: a",
         "PATTERN p 1:",
         "PATTERN p q r: a",
+        "PATTERNx 2: a",
+        "PATTERN x 1_0: a",
     ])
     def test_bad_lines(self, line):
         with pytest.raises(InputFormatError):
             parse_grammar(line)
+
+    def test_glued_keyword_cites_its_line(self):
+        with pytest.raises(InputFormatError, match="line 3: expected 'PATTERN', got 'PATTERNx'"):
+            parse_grammar("PATTERN p: a\n\nPATTERNx 2: a b\n")
+
+    @pytest.mark.parametrize("freq", ["1_0", "\u0663", "\uff11", "+1", "-1", "1.0"])
+    def test_frequency_is_ascii_digits(self, freq):
+        with pytest.raises(InputFormatError, match=re.escape(f"line 1: bad frequency {freq!r}")):
+            parse_grammar(f"PATTERN x {freq}: a")
+
+    def test_leading_zeros_are_digits(self):
+        assert parse_grammar("PATTERN x 007: a").get("x").frequency == 7
+
+    @given(grammars())
+    def test_equals_plain_reference(self, grammar):
+        text, lines = grammar
+        reference = PatternStore(
+            SPPattern(pid, tuple(SPSymbol(t) for t in body.split()), freq or 1)
+            for pid, freq, body in lines)
+        store = parse_grammar(text)
+        assert list(store) == list(reference)
+        assert store.alphabet == reference.alphabet
+        for t in reference.alphabet:
+            assert store.occurrences(t) == reference.occurrences(t)
+
+
+class TestOneSymbolPerText:
+    """``parse_grammar`` and ``tokenize`` build one symbol per distinct
+    text and share it."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        texts: list[str] = []
+
+        class CountingSymbol(SPSymbol):
+            __slots__ = ()
+
+            def __post_init__(self):
+                texts.append(self.text)
+                SPSymbol.__post_init__(self)
+
+        monkeypatch.setattr(patterns, "SPSymbol", CountingSymbol)
+        return texts
+
+    def test_parse_grammar(self, built):
+        store = parse_grammar(KITTENS_GRAMMAR)
+        assert sorted(built) == sorted(store.alphabet)
+        assert store.get("p2").symbols[2] is store.get("p1").symbols[0]  # Nr
+
+    @pytest.mark.parametrize("mode, text, distinct", [
+        ("whitespace", "a b a  c\tb a", ["a", "b", "c"]),
+        ("chars", "abra cadabra", ["a", "b", "r", "c", "d"]),
+    ])
+    def test_tokenize(self, built, mode, text, distinct):
+        symbols = tokenize(text, mode)
+        assert built == distinct
+        by_text = {s.text: s for s in symbols}
+        assert all(s is by_text[s.text] for s in symbols)
