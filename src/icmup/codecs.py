@@ -13,7 +13,10 @@ character per distinct symbol, so an n-gram is a substring.
 positions 0, b, 2b, ...), each extended by slice compares.
 ``discover_chunks`` costs O(N * L), with L the longest repeat: one pass
 over the unclaimed windows per chunk length.  ``chunk_encode`` makes one
-table lookup per distinct chunk length at each position.
+table lookup per distinct chunk length at each position.  The stream and
+runs writers give the text of ``json.dumps(doc, indent=2)`` without its
+pure-Python encoder: one C escape (``json.dumps``) per distinct text and
+code, then one dict lookup per symbol and one join per entry.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from .patterns import (SPPattern, SPSymbol, code_cost_bits, intern_symbols,
                        symbol_cost_bits)
 
 
+def _is_int(count) -> bool:
+    """An integer count; ``True`` and ``False`` are not counts."""
+    return isinstance(count, int) and not isinstance(count, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class ChunkEntry:
     code: str
@@ -38,6 +46,8 @@ class ChunkEntry:
     count: int
 
     def __post_init__(self):
+        if not _is_int(self.count):
+            raise TypeError(f"chunk {self.code!r} count must be an integer")
         if self.count < 2:
             raise ValueError(f"chunk {self.code!r} must occur at least twice")
         if len(self.chunk) < 2:
@@ -310,7 +320,9 @@ class Run:
     count: "int | Unbounded"
 
     def __post_init__(self):
-        if isinstance(self.count, int) and self.count < 1:
+        if self.count is not UNBOUNDED and not _is_int(self.count):
+            raise TypeError("run count must be an integer or UNBOUNDED")
+        if self.count is not UNBOUNDED and self.count < 1:
             raise ValueError("run count must be >= 1")
 
 
@@ -489,19 +501,40 @@ def schema_encode(instance: SPPattern, schema: Schema) -> dict[str, str]:
     return result
 
 
+class _Literals(dict):
+    """Values to their JSON literals, each made by ``json.dumps`` (for a
+    text, CPython's C escaper) the first time it is asked for.  A writer
+    keeps one table for its texts and one for its counts, for one file."""
+
+    def __missing__(self, value: "str | int") -> str:
+        self[value] = literal = json.dumps(value)
+        return literal
+
+
+def _section(entries: list[str]) -> str:
+    """A file section's laid-out entries as ``json.dumps(..., indent=2)``
+    lays out the array, its entries 4 spaces in."""
+    return "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
+
+
+# joins an entry's symbol literals, 8 spaces in; a pattern is never empty,
+# so the writers need not spell an empty array there
+_SYMBOL_SEP = ",\n        "
+
+
 def stream_to_json(stream: EncodedStream) -> str:
-    """Serialise a chunk stream to the two-section structured-text format."""
-    doc = {
-        "dictionary": [
-            {"code": e.code, "symbols": list(e.chunk.texts), "count": e.count}
-            for e in stream.dictionary
-        ],
-        "stream": [
-            {"code": tok.code} if isinstance(tok, CodeRef) else {"lit": tok.symbol.text}
-            for tok in stream.tokens
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialise a chunk stream to the two-section structured-text format:
+    the text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
+    texts, counts = _Literals(), _Literals()
+    entries = [f'{{\n      "code": {texts[e.code]},\n      "symbols": [\n        '
+               f'{_SYMBOL_SEP.join([texts[s.text] for s in e.chunk.symbols])}\n      ],\n'
+               f'      "count": {counts[e.count]}\n    }}'
+               for e in stream.dictionary]
+    tokens = [f'{{\n      "code": {texts[tok.code]}\n    }}' if isinstance(tok, CodeRef)
+              else f'{{\n      "lit": {texts[tok.symbol.text]}\n    }}'
+              for tok in stream.tokens]
+    return (f'{{\n  "dictionary": {_section(entries)},\n'
+            f'  "stream": {_section(tokens)}\n}}\n')
 
 
 def parse_json(text: str) -> dict:
@@ -515,6 +548,13 @@ def parse_json(text: str) -> dict:
     return doc
 
 
+def _read_symbols(value, made: dict[str, SPSymbol]) -> tuple[SPSymbol, ...]:
+    """The symbols a file's ``symbols`` array holds."""
+    if not isinstance(value, list):
+        raise TypeError(f"symbols must be a JSON array, got {type(value).__name__}")
+    return intern_symbols(value, made)
+
+
 def stream_from_json(source: str | dict) -> EncodedStream:
     """A chunk stream from a file's text, or from the object ``parse_json``
     made of it."""
@@ -524,35 +564,36 @@ def stream_from_json(source: str | dict) -> EncodedStream:
     made: dict[str, SPSymbol] = {}
     try:
         entries = [
-            ChunkEntry(d["code"], SPPattern(d["code"], intern_symbols(d["symbols"], made)),
-                       int(d["count"]))
+            ChunkEntry(d["code"], SPPattern(d["code"], _read_symbols(d["symbols"], made)),
+                       d["count"])
             for d in doc["dictionary"]
         ]
         dictionary = ChunkDictionary(entries)
         tokens: list[Token] = []
         for item in doc["stream"]:
+            if ("code" in item) == ("lit" in item):
+                raise InputFormatError(
+                    f"stream token needs exactly one of 'code' and 'lit': {item!r}")
             if "code" in item:
                 if item["code"] not in dictionary:
                     raise InputFormatError(f"stream references unknown code {item['code']!r}")
                 tokens.append(CodeRef(item["code"]))
-            elif "lit" in item:
-                tokens.append(Literal(intern_symbols([item["lit"]], made)[0]))
             else:
-                raise InputFormatError(f"stream token needs 'code' or 'lit': {item!r}")
+                tokens.append(Literal(intern_symbols([item["lit"]], made)[0]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed stream file: {exc}") from None
     return EncodedStream(dictionary, tuple(tokens))
 
 
 def runs_to_json(runs: Sequence[Run]) -> str:
-    doc = {
-        "runs": [
-            {"symbols": list(r.pattern.texts),
-             "count": r.count if isinstance(r.count, int) else "*"}
-            for r in runs
-        ]
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialise a run list to the one-section structured-text format: the
+    text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
+    texts, counts = _Literals(), _Literals({UNBOUNDED: '"*"'})
+    items = [f'{{\n      "symbols": [\n        '
+             f'{_SYMBOL_SEP.join([texts[s.text] for s in r.pattern.symbols])}\n      ],\n'
+             f'      "count": {counts[r.count]}\n    }}'
+             for r in runs]
+    return f'{{\n  "runs": {_section(items)}\n}}\n'
 
 
 def runs_from_json(source: str | dict) -> list[Run]:
@@ -565,8 +606,8 @@ def runs_from_json(source: str | dict) -> list[Run]:
     made: dict[str, SPSymbol] = {}
     try:
         for k, item in enumerate(doc["runs"], start=1):
-            pattern = SPPattern(f"r{k}", intern_symbols(item["symbols"], made))
-            count = UNBOUNDED if item["count"] == "*" else int(item["count"])
+            pattern = SPPattern(f"r{k}", _read_symbols(item["symbols"], made))
+            count = UNBOUNDED if item["count"] == "*" else item["count"]
             out.append(Run(pattern, count))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed runs file: {exc}") from None

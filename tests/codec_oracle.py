@@ -1,6 +1,7 @@
-"""Reference codecs: the original, slow chunk and run coders, kept verbatim
-as oracles.  The library versions in ``icmup.codecs`` must give exactly the
-same dictionaries, streams and runs.
+"""Reference codecs: the original, slow chunk and run coders and the
+original stream and runs file writers, kept verbatim as oracles.  The
+library versions in ``icmup.codecs`` must give exactly the same
+dictionaries, streams, runs and file texts.
 
 ``_longest_repeat`` and ``discover_chunks`` cost O(n * L^2) for a longest
 repeat L, and ``rle_encode`` is cubic, so use them on small inputs only.
@@ -8,6 +9,7 @@ repeat L, and ``rle_encode`` is cubic, so use them on small inputs only.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from typing import Sequence
 
@@ -149,3 +151,29 @@ def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
         ridx += 1
         i += block_len * count
     return runs
+
+
+def stream_to_json(stream: EncodedStream) -> str:
+    """Serialise a chunk stream to the two-section structured-text format."""
+    doc = {
+        "dictionary": [
+            {"code": e.code, "symbols": list(e.chunk.texts), "count": e.count}
+            for e in stream.dictionary
+        ],
+        "stream": [
+            {"code": tok.code} if isinstance(tok, CodeRef) else {"lit": tok.symbol.text}
+            for tok in stream.tokens
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def runs_to_json(runs: Sequence[Run]) -> str:
+    doc = {
+        "runs": [
+            {"symbols": list(r.pattern.texts),
+             "count": r.count if isinstance(r.count, int) else "*"}
+            for r in runs
+        ]
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -123,6 +123,28 @@ class TestCompressDecompress:
                            str(tmp_path / "d.txt"))
         assert code == 2 and "must be a string" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"runs": [{"symbols": ["a"], "count": 2.9}]}', "malformed runs file"),
+        ('{"runs": [{"symbols": ["a"], "count": "3"}]}', "malformed runs file"),
+        ('{"runs": [{"symbols": ["a"], "count": true}]}', "malformed runs file"),
+        ('{"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": 2.9}],'
+         ' "stream": [{"code": "w1"}]}', "malformed stream file"),
+        ('{"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": "3"}],'
+         ' "stream": [{"code": "w1"}]}', "malformed stream file"),
+        ('{"runs": [{"symbols": "ab", "count": 2}]}', "malformed runs file"),
+        ('{"dictionary": [{"code": "w1", "symbols": "ab", "count": 2}],'
+         ' "stream": [{"code": "w1"}]}', "malformed stream file"),
+        ('{"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": 2}],'
+         ' "stream": [{"code": "w1", "lit": "z"}]}', "exactly one of 'code' and 'lit'"),
+    ])
+    def test_repaired_file_exits_2(self, tmp_path, capsys, doc, message):
+        stream = tmp_path / "s.json"
+        stream.write_text(doc)
+        out = tmp_path / "d.txt"
+        code, _, err = run(capsys, "decompress", str(stream), "--out", str(out))
+        assert code == 2 and message in err
+        assert not out.exists()
+
     def test_malformed_stream_exits_2(self, tmp_path, capsys):
         stream = tmp_path / "s.json"
         stream.write_text("{broken")

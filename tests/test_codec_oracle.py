@@ -1,5 +1,6 @@
-"""The fast chunk and run codecs against the original ones in
-``codec_oracle``: dictionaries, streams and runs must be exactly equal."""
+"""The fast chunk and run codecs and file writers against the original ones
+in ``codec_oracle``: dictionaries, streams, runs and file texts must be
+exactly equal."""
 
 import random
 import time
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codec_oracle as oracle
-from icmup import (ChunkDictionary, ChunkEntry, SPPattern, SPSymbol,
+from icmup import (UNBOUNDED, ChunkDictionary, ChunkEntry, CodeRef,
+                   EncodedStream, Literal, Run, SPPattern, SPSymbol,
                    chunk_encode, discover_chunks, rle_decode, rle_encode,
                    tokenize)
+from icmup.codecs import runs_to_json, stream_to_json
 
 LETTERS = "abcdefgh"
 WORDS = ("a", "ab", "ba", "abc", "xy", "y", "the", "cat")
@@ -145,3 +148,57 @@ class TestRuns:
         runs = rle_encode(corpus)
         assert time.perf_counter() - start < 5.0
         assert rle_decode(runs) == corpus
+
+
+# texts that need escaping: quotes, backslashes, control characters (NUL,
+# DEL), non-ASCII, an astral character and a lone surrogate, among plain ones
+symbol_texts = st.text(
+    st.one_of(st.sampled_from('ab"\\/\x00\x01\x1b\x7fé€\U0001f600\ud800'),
+              st.characters()),
+    min_size=1, max_size=4).filter(lambda t: t.split() == [t])
+symbol_tuples = st.lists(symbol_texts, min_size=1, max_size=4).map(
+    lambda texts: tuple(SPSymbol(t) for t in texts))
+big_counts = st.one_of(st.integers(2, 12), st.integers(2, 10 ** 30))
+
+chunk_entries = st.builds(
+    lambda code, symbols, count: ChunkEntry(code, SPPattern(code, symbols), count),
+    symbol_texts, symbol_tuples.filter(lambda s: len(s) >= 2), big_counts)
+streams = st.builds(
+    lambda entries, tokens: EncodedStream(ChunkDictionary(entries), tuple(tokens)),
+    st.lists(chunk_entries, max_size=4, unique_by=lambda e: e.code),
+    st.lists(st.one_of(symbol_texts.map(CodeRef),
+                       symbol_texts.map(lambda t: Literal(SPSymbol(t)))), max_size=8))
+run_lists = st.lists(st.builds(
+    lambda k, symbols, count: Run(SPPattern(f"r{k}", symbols), count),
+    st.integers(1, 9), symbol_tuples,
+    st.one_of(st.integers(1, 12), big_counts, st.just(UNBOUNDED))), max_size=6)
+
+
+class TestFileWriters:
+    @settings(max_examples=200)
+    @given(streams)
+    def test_stream_file_matches_oracle(self, stream):
+        assert stream_to_json(stream) == oracle.stream_to_json(stream)
+
+    @settings(max_examples=200)
+    @given(run_lists)
+    def test_runs_file_matches_oracle(self, runs):
+        assert runs_to_json(runs) == oracle.runs_to_json(runs)
+
+    def test_empty_sections(self):
+        empty = EncodedStream(ChunkDictionary(), ())
+        assert stream_to_json(empty) == oracle.stream_to_json(empty) \
+            == '{\n  "dictionary": [],\n  "stream": []\n}\n'
+        assert runs_to_json([]) == oracle.runs_to_json([]) == '{\n  "runs": []\n}\n'
+
+    def test_escapes_and_unbounded(self):
+        texts = ['"', "\\", "\x7f", "\x00", "\ud800", "\U0001f600", "é"]
+        symbols = tuple(map(SPSymbol, texts))
+        runs = [Run(SPPattern("r1", symbols), UNBOUNDED), Run(SPPattern("r2", symbols[:1]), 1)]
+        stream = EncodedStream(
+            ChunkDictionary([ChunkEntry('w"1', SPPattern('w"1', symbols), 2)]),
+            (CodeRef('w"1'), Literal(symbols[4]), Literal(symbols[5])))
+        assert runs_to_json(runs) == oracle.runs_to_json(runs)
+        assert '"count": "*"' in runs_to_json(runs)
+        assert stream_to_json(stream) == oracle.stream_to_json(stream)
+        assert stream_to_json(stream).isascii()

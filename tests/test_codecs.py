@@ -190,6 +190,34 @@ class TestStreamFile:
             stream_from_json(json.dumps(doc))
 
 
+    @pytest.mark.parametrize("count", [2.9, 3.0, "3", True, None, [3], "*"])
+    def test_dictionary_count_must_be_an_integer(self, count):
+        doc = {"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": count}],
+               "stream": [{"code": "w1"}]}
+        with pytest.raises(InputFormatError, match="malformed stream file"):
+            stream_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("symbols", ["ab", {"a": 1, "b": 2}])
+    def test_dictionary_symbols_must_be_an_array(self, symbols):
+        doc = {"dictionary": [{"code": "w1", "symbols": symbols, "count": 2}],
+               "stream": [{"code": "w1"}]}
+        with pytest.raises(InputFormatError, match="malformed stream file"):
+            stream_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("token", [{"code": "w1", "lit": "z"}, {"lit": "z", "code": "w1"}])
+    def test_token_holds_exactly_one_of_code_and_lit(self, token):
+        doc = {"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": 2}],
+               "stream": [token]}
+        with pytest.raises(InputFormatError, match="exactly one of 'code' and 'lit'"):
+            stream_from_json(json.dumps(doc))
+
+    def test_entry_count_must_be_an_integer(self):
+        chunk = SPPattern.from_text("w1", "a b")
+        for count in (True, 2.0, "2"):
+            with pytest.raises(TypeError, match="integer"):
+                ChunkEntry("w1", chunk, count)
+
+
 class TestRle:
     def test_five_copies(self):
         runs = rle_encode(chars("INFORMATION" * 5))
@@ -226,6 +254,28 @@ class TestRle:
         doc["runs"][0]["symbols"][-1] = bad
         with pytest.raises(InputFormatError, match="malformed runs file"):
             runs_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("count", [2.9, 3.0, "3", True, False, None, [3], "**"])
+    def test_file_count_must_be_an_integer_or_star(self, count):
+        doc = {"runs": [{"symbols": ["a"], "count": count}]}
+        with pytest.raises(InputFormatError, match="malformed runs file"):
+            runs_from_json(json.dumps(doc))
+
+    def test_file_star_count_is_unbounded(self):
+        runs = runs_from_json('{"runs": [{"symbols": ["a"], "count": "*"}]}')
+        assert [r.count for r in runs] == [UNBOUNDED]
+
+    @pytest.mark.parametrize("symbols", ["ab", {"a": 1}])
+    def test_file_symbols_must_be_an_array(self, symbols):
+        doc = {"runs": [{"symbols": symbols, "count": 2}]}
+        with pytest.raises(InputFormatError, match="malformed runs file"):
+            runs_from_json(json.dumps(doc))
+
+    def test_run_count_must_be_an_integer_or_unbounded(self):
+        pattern = SPPattern.from_text("r1", "a")
+        for count in (True, 2.0, "2", "*"):
+            with pytest.raises(TypeError, match="integer"):
+                Run(pattern, count)
 
     @settings(max_examples=200, deadline=None)
     @given(corpora)
