@@ -21,6 +21,11 @@ So an outer pattern that only closes another row's boundary symbols (say
 below the alignment without it.  An Old row enters the best alignment only
 by matching driving symbols.
 
+An alignment is named by its Old-row sequence.  The columns follow from it:
+the first row's pattern is merged into the literal columns, the next into
+the result, and so on, each merge deterministic.  So the beam keys each
+alignment by its tuple of Old-row ids, and the literal alignment by ().
+
 Search is a deterministic beam search.  Each round extends the frontier,
 the members the previous round newly admitted to the beam, by aligning a
 further stored pattern against their still-unmatched columns (driving or
@@ -201,7 +206,8 @@ def _build(new: SPPattern, old_rows: tuple[SPPattern, ...],
 def literal_alignment(new: SPPattern, store: PatternStore | None = None,
                       alphabet_size: int | None = None) -> Alignment:
     """The no-Old-rows floor: every driving symbol in its own column, CD 0."""
-    alphabet_size = alphabet_size or default_alphabet(new, store)
+    if alphabet_size is None:
+        alphabet_size = default_alphabet(new, store)
     return _build(new, (), _literal_columns(new), store, alphabet_size)
 
 
@@ -223,7 +229,8 @@ def compose_alignment(new: SPPattern, row_patterns: Sequence[SPPattern],
                       store: PatternStore,
                       alphabet_size: int | None = None) -> Alignment:
     """Build an alignment with an explicit Old-row order (no search)."""
-    alphabet_size = alphabet_size or default_alphabet(new, store)
+    if alphabet_size is None:
+        alphabet_size = default_alphabet(new, store)
     columns = _literal_columns(new)
     rows: tuple[SPPattern, ...] = ()
     for pattern in row_patterns:
@@ -232,15 +239,10 @@ def compose_alignment(new: SPPattern, row_patterns: Sequence[SPPattern],
     return _build(new, rows, columns, store, alphabet_size)
 
 
-def _signature(al: Alignment):
-    return (tuple(r.id for r in al.old_rows),
-            tuple((c.symbol, c.entries) for c in al.columns))
-
-
-def _rank_key(al: Alignment, signature) -> tuple:
-    """Best CD first, then fewer rows, then the signature (which starts with
-    the Old-row ids), so no two kept alignments tie."""
-    return (-al.compression_difference, len(al.old_rows), signature)
+def _rank_key(ids: tuple[str, ...], al: Alignment) -> tuple:
+    """Best CD first, then fewer rows, then the Old-row ids, which name the
+    alignment, so no two kept alignments tie."""
+    return (-al.compression_difference, len(ids), ids)
 
 
 @dataclass(frozen=True)
@@ -318,25 +320,26 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         raise ValueError("beam must be >= 1")
     if max_old_rows < 0:
         raise ValueError("max_old_rows must be >= 0")
-    alphabet_size = alphabet_size or default_alphabet(new, store)
+    if alphabet_size is None:
+        alphabet_size = default_alphabet(new, store)
     bits = symbol_cost_bits(alphabet_size)
     codes = {pid: code_cost(pid, store) for pid in store.ids()}
 
     literal = literal_alignment(new, store, alphabet_size)
-    kept = {_signature(literal): literal}  # the beam, signature -> alignment
+    kept = {(): literal}  # the beam, Old-row ids -> alignment
     for rows in range(max_old_rows):
         # Each round extends the members the last round admitted, which are
         # exactly those with `rows` Old rows: every member has one parent and
         # is only made in the round that extends that parent, so an older
         # member has had its round and a dropped one never comes back.
-        frontier = [al for al in kept.values() if len(al.old_rows) == rows]
+        frontier = [(ids, al) for ids, al in kept.items() if len(ids) == rows]
         if not frontier:
             break
         # the `beam` best CDs among the distinct alignments kept this round;
         # once it is full, its head is the CD an extension must reach
         floor = [al.compression_difference for al in kept.values()]
         heapq.heapify(floor)
-        for al in frontier:
+        for ids, al in frontier:
             # (most CD the pattern can add, id), best first
             ranked = sorted(((ceiling * bits - codes[pid], pid) for pid, ceiling
                              in _candidates(al, store).items()), reverse=True)
@@ -348,12 +351,9 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
                 columns, _ = _extend_columns(al.columns, pattern, row_index=rows + 1)
                 ext = _build(new, al.old_rows + (pattern,), columns, store,
                              alphabet_size)
-                # a new key: the Old-row sequence fixes the columns, so
-                # distinct extensions never share a signature
-                kept[_signature(ext)] = ext
+                kept[ids + (pid,)] = ext  # always a new key
                 _keep_best(floor, ext.compression_difference, beam)
-        kept = dict(sorted(kept.items(),
-                           key=lambda item: _rank_key(item[1], item[0]))[:beam])
+        kept = dict(sorted(kept.items(), key=lambda item: _rank_key(*item))[:beam])
 
     alignments = tuple(kept.values())
     return AlignmentRanking(alignments, tuple(alignment_probabilities(alignments)))

@@ -46,6 +46,8 @@ class ChunkEntry:
     count: int
 
     def __post_init__(self):
+        if not isinstance(self.code, str):
+            raise TypeError(f"chunk code {self.code!r} must be a string")
         if not _is_int(self.count):
             raise TypeError(f"chunk {self.code!r} count must be an integer")
         if self.count < 2:
@@ -559,21 +561,26 @@ def stream_from_json(source: str | dict) -> EncodedStream:
     """A chunk stream from a file's text, or from the object ``parse_json``
     made of it."""
     doc = parse_json(source) if isinstance(source, str) else source
-    if "dictionary" not in doc or "stream" not in doc:
-        raise InputFormatError("stream file needs 'dictionary' and 'stream' sections")
+    if doc.keys() != {"dictionary", "stream"}:
+        raise InputFormatError("malformed stream file: it must hold exactly the "
+                               f"'dictionary' and 'stream' sections, not {sorted(doc)}")
     made: dict[str, SPSymbol] = {}
+    # every object is read by its documented keys, then must hold no other
     try:
-        entries = [
-            ChunkEntry(d["code"], SPPattern(d["code"], _read_symbols(d["symbols"], made)),
-                       d["count"])
-            for d in doc["dictionary"]
-        ]
+        entries = []
+        for d in doc["dictionary"]:
+            code, symbols, count = d["code"], d["symbols"], d["count"]
+            if len(d) != 3:
+                raise ValueError("an entry holds exactly 'code', 'symbols' and "
+                                 f"'count': {d!r}")
+            entries.append(ChunkEntry(code, SPPattern(code, _read_symbols(symbols, made)),
+                                      count))
         dictionary = ChunkDictionary(entries)
         tokens: list[Token] = []
         for item in doc["stream"]:
-            if ("code" in item) == ("lit" in item):
-                raise InputFormatError(
-                    f"stream token needs exactly one of 'code' and 'lit': {item!r}")
+            if len(item) != 1 or ("code" not in item and "lit" not in item):
+                raise InputFormatError("stream token needs exactly one of 'code' and "
+                                       f"'lit' and no other key: {item!r}")
             if "code" in item:
                 if item["code"] not in dictionary:
                     raise InputFormatError(f"stream references unknown code {item['code']!r}")
@@ -600,15 +607,18 @@ def runs_from_json(source: str | dict) -> list[Run]:
     """A run list from a file's text, or from the object ``parse_json`` made
     of it."""
     doc = parse_json(source) if isinstance(source, str) else source
-    if "runs" not in doc:
-        raise InputFormatError("runs file needs a 'runs' section")
+    if doc.keys() != {"runs"}:
+        raise InputFormatError("malformed runs file: it must hold exactly the 'runs' "
+                               f"section, not {sorted(doc)}")
     out: list[Run] = []
     made: dict[str, SPSymbol] = {}
     try:
         for k, item in enumerate(doc["runs"], start=1):
-            pattern = SPPattern(f"r{k}", _read_symbols(item["symbols"], made))
-            count = UNBOUNDED if item["count"] == "*" else item["count"]
-            out.append(Run(pattern, count))
+            symbols, count = item["symbols"], item["count"]
+            if len(item) != 2:
+                raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
+            pattern = SPPattern(f"r{k}", _read_symbols(symbols, made))
+            out.append(Run(pattern, UNBOUNDED if count == "*" else count))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed runs file: {exc}") from None
     return out

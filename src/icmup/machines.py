@@ -2,16 +2,18 @@
 transition-table tape machine.
 
 Table evaluation selects the row with the most matched input cells and only
-answers when that maximum is unique and complete - the same selection rule
-drives gate evaluation (every gate is a lookup in the four-row NAND table)
-and tape-machine transitions, so no primitive boolean operator appears
-anywhere in the execution path.
+answers when that maximum is unique and complete.  One function, ``_select``,
+holds that rule, and it drives all three machines: a table row is picked by
+it, every gate is a lookup in the four-row NAND table, and a tape-machine
+transition is the row whose (state, read) cells it picks.  So no primitive
+boolean operator appears anywhere in the execution path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import eq
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (ArityMismatch, InputFormatError, MissingInput, NoMatch,
@@ -56,22 +58,23 @@ class RowSelection:
     full_match: bool
 
 
+def _select(rows: Iterable[Sequence], given: Sequence) -> RowSelection:
+    """The selection rule: count each row's cells equal to the given cells;
+    the first row with the most wins, and it answers only when that maximum
+    is unique and every given cell matched."""
+    counts = tuple([sum(map(eq, cells, given)) for cells in rows])
+    best = max(counts, default=-1)
+    return RowSelection(counts, counts.index(best) if counts else None,
+                        best == len(given) and counts.count(best) == 1)
+
+
 def score_rows(table: FunctionTable, inputs: Sequence[SPSymbol]) -> RowSelection:
     """Count cell matches per row; the winner must be unique and complete."""
     if len(inputs) != table.arity:
         raise ArityMismatch(
             f"table {table.name!r} takes {table.arity} inputs, got {len(inputs)}")
-    texts = [s.text for s in inputs]
-    counts = []
-    for row_inputs, _ in table.rows:
-        counts.append(sum(1 for given, cell in zip(texts, row_inputs)
-                          if given == cell.text))
-    if not counts:
-        return RowSelection((), None, False)
-    best = max(counts)
-    winners = [i for i, c in enumerate(counts) if c == best]
-    unique_full = best == table.arity and len(winners) == 1
-    return RowSelection(tuple(counts), winners[0], unique_full)
+    return _select(([cell.text for cell in row_inputs] for row_inputs, _ in table.rows),
+                   [s.text for s in inputs])
 
 
 def eval_table(table: FunctionTable,
@@ -261,21 +264,14 @@ HALTED = Halted()
 def tm_step(machine: TuringMachine, state: TapeState) -> "TapeState | Halted":
     """Apply the single transition matching (state, cell at head).
 
-    Lookup is by match counting over the rows, exactly as in table
-    evaluation.  Writes leave the head in place; moves leave cells alone.
+    Lookup is the table-evaluation rule over the (state, read) cells of the
+    rows.  Writes leave the head in place; moves leave cells alone.
     """
-    read = state.read(state.head)
-    best_row = None
-    best = -1
-    unique = False
-    for row in machine.rows:
-        count = (row.state == state.state) + (row.read == read)
-        if count > best:
-            best, best_row, unique = count, row, True
-        elif count == best:
-            unique = False
-    if best_row is None or best < 2 or not unique:
+    selection = _select(((row.state, row.read) for row in machine.rows),
+                        (state.state, state.read(state.head)))
+    if not selection.full_match:
         return HALTED
+    best_row = machine.rows[selection.best_row]
     cells = state.cells
     head = state.head
     if best_row.action == "W0":

@@ -4,6 +4,10 @@ bases, arithmetic with repetition traces, and the falling-body table.
 Unary arithmetic makes the repetition structure of the basic operations
 explicit: addition is a run of digit transfers, multiplication a run of
 additions, powers a run of multiplications, and the traces nest accordingly.
+Each trace nests the lower operation's trace: one builder, ``_additions``,
+makes every multiplication's additions, so each multiply-iteration of a
+power, factorial or bounded product holds exactly the steps
+``unary_multiply`` gives for the same operands.
 Magnitudes are capped (the expansion is the point, not scalability).
 """
 
@@ -11,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, Sequence
 
 from .errors import (BadDigit, DivisionByZero, Indeterminate, NonIntegerTerm,
                      NotASet, TooLarge, Underflow)
 from .patterns import SPSymbol, symbol_cost_bits, tokenize
+from .reporting import round_half_up
 
 UNARY_CAP = 10 ** 6
 DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -133,10 +137,12 @@ def unary_subtract(a: UnaryNumber,
     return result, OperationTrace("subtract", (_REMOVE,) * b.count)
 
 
-def _add_iteration(addend: int, acc_before: int) -> TraceStep:
-    return TraceStep("add-iteration",
-                     f"add {addend} to {acc_before}",
-                     _transfers(addend))
+def _additions(addend: int, times: int) -> tuple[TraceStep, ...]:
+    """addend x times as that many additions of addend, starting from zero:
+    the steps of a multiplication, wherever one is traced."""
+    transfers = _transfers(addend)
+    return tuple(TraceStep("add-iteration", f"add {addend} to {addend * j}", transfers)
+                 for j in range(times))
 
 
 def unary_multiply(a: UnaryNumber,
@@ -144,12 +150,8 @@ def unary_multiply(a: UnaryNumber,
     """a x b as b additions of a, starting from zero: repetition on two levels."""
     if a.count * b.count > UNARY_CAP:
         raise TooLarge(f"product {a.count * b.count} exceeds cap {UNARY_CAP}")
-    steps = []
-    acc = 0
-    for _ in range(b.count):
-        steps.append(_add_iteration(a.count, acc))
-        acc += a.count
-    return UnaryNumber(acc), OperationTrace("multiply", tuple(steps))
+    return (UnaryNumber(a.count * b.count),
+            OperationTrace("multiply", _additions(a.count, b.count)))
 
 
 def unary_divide(a: UnaryNumber, b: UnaryNumber
@@ -180,10 +182,9 @@ def unary_power(a: UnaryNumber, k: int) -> tuple[UnaryNumber, OperationTrace]:
     steps = []
     acc = 1
     for _ in range(k):
-        # acc x a as a additions of acc
-        inner = tuple(_add_iteration(acc, acc * j) for j in range(a.count))
         steps.append(TraceStep("multiply-iteration",
-                               f"multiply {acc} by {a.count}", inner))
+                               f"multiply {acc} by {a.count}",
+                               _additions(acc, a.count)))
         acc *= a.count
     return UnaryNumber(acc), OperationTrace("power", tuple(steps))
 
@@ -198,9 +199,8 @@ def unary_factorial(n: int) -> tuple[UnaryNumber, OperationTrace]:
     acc = 1
     m = n
     while m >= 1:
-        inner = tuple(_add_iteration(acc, acc * j) for j in range(m))
         steps.append(TraceStep("multiply-iteration",
-                               f"multiply {acc} by {m}", inner))
+                               f"multiply {acc} by {m}", _additions(acc, m)))
         acc *= m
         steps.append(TraceStep("subtract-iteration",
                                f"count down {m} to {m - 1}", (_REMOVE,)))
@@ -247,9 +247,9 @@ def bounded_product(terms: Mapping[int, int], lo: int,
         term = terms[i]
         if acc * term > UNARY_CAP:
             raise TooLarge(f"product exceeds cap {UNARY_CAP}")
-        inner = tuple(_add_iteration(acc, acc * j) for j in range(term))
         steps.append(TraceStep("multiply-iteration",
-                               f"i={i}: multiply {acc} by term {term}", inner))
+                               f"i={i}: multiply {acc} by term {term}",
+                               _additions(acc, term)))
         acc *= term
     return UnaryNumber(acc), OperationTrace("bounded-product", tuple(steps))
 
@@ -345,8 +345,7 @@ def base_report(u: UnaryNumber, base: int) -> BaseReport:
 
 
 def round_half_away_from_zero(x: float, places: int = 1) -> float:
-    exp = Decimal(1).scaleb(-places)
-    return float(Decimal(str(x)).quantize(exp, rounding=ROUND_HALF_UP))
+    return float(round_half_up(x, places))
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,14 +379,20 @@ def _table_symbols(rows: Sequence[FallRow]) -> list[SPSymbol]:
 def newton_table(g: float, t_max: int) -> FallReport:
     """Distance fallen s = g t^2 / 2 for t = 0..t_max, rounded to one decimal
     (halves away from zero), with a formula-versus-table cost comparison."""
+    if not math.isfinite(g):
+        raise ValueError(f"g must be finite, got {g}")
     if g <= 0:
         raise ValueError("g must be positive")
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    rows = tuple(FallRow(t, round_half_away_from_zero(g * t * t / 2.0, 1))
-                 for t in range(t_max + 1))
+    rows: list[FallRow] = []
+    for t in range(t_max + 1):
+        s = g / 2.0 * t * t  # halving first is exact and cannot overflow early
+        if math.isinf(s):
+            raise TooLarge(f"the distance at t={t} overflows a float")
+        rows.append(FallRow(t, round_half_away_from_zero(s, 1)))
     formula = _formula_symbols(g)
     table = _table_symbols(rows)
     alphabet = {s.text for s in formula} | {s.text for s in table}
     per_symbol = symbol_cost_bits(max(len(alphabet), 1))
-    return FallReport(g, rows, len(formula) * per_symbol, len(table) * per_symbol)
+    return FallReport(g, tuple(rows), len(formula) * per_symbol, len(table) * per_symbol)

@@ -9,7 +9,7 @@ from icmup import (PatternKind, PatternStore, SPPattern, align_pair,
                    infer_unmatched, literal_alignment, parse_render, raw_cost,
                    retrieve)
 from icmup.alignment import default_alphabet
-from icmup.errors import EmptyRanking, UnknownPattern
+from icmup.errors import DegenerateAlphabet, EmptyRanking, UnknownPattern
 
 DNA_A = "G G A G C A G G G A G G A T G G G G A"
 DNA_B = "G G G G C C C A G G G A G G A G G C G G G A"
@@ -90,6 +90,16 @@ class TestEncodingCost:
         alphabet = default_alphabet(kittens_new, kittens_store)
         assert ranking.best.encoding_cost < raw_cost(kittens_new, alphabet)
 
+    @pytest.mark.parametrize("build", [
+        lambda new, store: literal_alignment(new, store, 0),
+        lambda new, store: compose_alignment(new, [store.get("p1")], store, 0),
+        lambda new, store: build_alignments(new, store, alphabet_size=0),
+    ])
+    def test_zero_alphabet_is_degenerate(self, kittens_store, kittens_new, build):
+        # 0 is a size, not "unset": it raises as align_pair does
+        with pytest.raises(DegenerateAlphabet):
+            build(kittens_new, kittens_store)
+
     def test_unknown_old_row(self, kittens_store, kittens_new):
         foreign = PatternStore([SPPattern.from_text("zz", "k i t")])
         al = build_alignments(kittens_new, foreign).best
@@ -152,6 +162,18 @@ class TestBuildAlignments:
         best.validate()
         assert [r.id for r in best.old_rows] == ["w", "w"]
         assert best.new_hit_positions() == {0, 1, 2, 3}
+
+    def test_alignments_sharing_a_last_row_are_kept_apart(self):
+        # ("a", "w") and ("b", "w") end in the same row but are different
+        # alignments; the beam holds both
+        store = PatternStore([SPPattern.from_text("a", "x"),
+                              SPPattern.from_text("b", "y"),
+                              SPPattern.from_text("w", "z")])
+        ranking = build_alignments(new_pattern("x y z q r s"), store)
+        ids = [tuple(r.id for r in al.old_rows) for al in ranking.alignments]
+        assert len(ids) == len(set(ids))
+        assert ("a", "w") in ids and ("b", "w") in ids
+        assert ids[0] == ("a", "b", "w")
 
     def test_unknown_symbols_stay_literal(self, kittens_store):
         new = new_pattern("k i t t e n ! ?")

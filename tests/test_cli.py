@@ -136,6 +136,17 @@ class TestCompressDecompress:
          ' "stream": [{"code": "w1"}]}', "malformed stream file"),
         ('{"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": 2}],'
          ' "stream": [{"code": "w1", "lit": "z"}]}', "exactly one of 'code' and 'lit'"),
+        ('{"dictionary": [{"code": 7, "symbols": ["a", "b"], "count": 2}],'
+         ' "stream": [{"code": 7}]}', "malformed stream file"),
+        ('{"dictionary": [], "stream": [{"lit": "c", "extra": 1}]}',
+         "exactly one of 'code' and 'lit'"),
+        ('{"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": 2, "x": 0}],'
+         ' "stream": [{"code": "w1"}]}', "malformed stream file"),
+        ('{"runs": [{"symbols": ["a"], "count": 2, "x": 0}]}', "malformed runs file"),
+        ('{"dictionary": [], "stream": [{"lit": "a"}], "x": 0}', "malformed stream file"),
+        ('{"runs": [{"symbols": ["a"], "count": 2}], "x": 0}', "malformed runs file"),
+        ('{"runs": [{"symbols": ["a"], "count": 2}], "dictionary": [],'
+         ' "stream": [{"lit": "a"}]}', "malformed runs file"),
     ])
     def test_repaired_file_exits_2(self, tmp_path, capsys, doc, message):
         stream = tmp_path / "s.json"
@@ -436,6 +447,24 @@ class TestSmallCommands:
         assert doc["encoded_bits"] == rep.formula_bits
         assert lines[-1] == (f"formula_bits={format_bits(doc['encoded_bits'])} "
                              f"table_bits={format_bits(doc['raw_bits'])}")
+
+    @pytest.mark.parametrize("g, want, message", [
+        ("inf", 2, "g must be finite"),
+        ("nan", 2, "g must be finite"),
+        ("1e308", 3, "TooLarge: the distance at t=2"),
+    ])
+    def test_newton_domain(self, tmp_path, capsys, g, want, message):
+        report = tmp_path / "n.json"
+        code, stdout, err = run(capsys, "newton", "--g", g, "--report", str(report))
+        assert (code, stdout) == (want, "")
+        assert message in err
+        assert not report.exists()
+
+    def test_newton_huge_g(self, capsys):
+        code, stdout, _ = run(capsys, "newton", "--g", "1e30")
+        lines = stdout.splitlines()
+        assert code == 0 and len(lines) == 18
+        assert lines[16] == "16\t128000000000000002545231979347968.0"
 
     def test_hierarchy(self, tmp_path, capsys):
         h = tmp_path / "h.txt"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from icmup import (HALTED, NAND_TABLE, FunctionTable, Gate, NandCircuit,
                    SPSymbol, TapeState, TuringMachine, adder_nand_circuit,
@@ -9,7 +11,7 @@ from icmup import (HALTED, NAND_TABLE, FunctionTable, Gate, NandCircuit,
                    xor_nand_circuit)
 from icmup.errors import (ArityMismatch, InputFormatError, MissingInput,
                           NoMatch, TooLarge)
-from icmup.machines import TMRow, parse_circuit, score_rows
+from icmup.machines import TM_ACTIONS, TMRow, _select, parse_circuit, score_rows
 
 
 def syms(*texts):
@@ -44,6 +46,14 @@ class TestEvalTable:
     def test_arity_check(self, adder_table):
         with pytest.raises(ArityMismatch):
             eval_table(adder_table, syms("1"))
+
+    def test_selection_needs_a_unique_maximum(self):
+        # the rule itself: two complete rows tie, so neither answers
+        tie = _select([("1", "0"), ("1", "0"), ("0", "0")], ("1", "0"))
+        assert tie.match_counts == (2, 2, 1)
+        assert tie.best_row == 0 and not tie.full_match
+        assert _select([("1", "0"), ("0", "0")], ("1", "0")).full_match
+        assert _select([], ("1",)).best_row is None
 
     def test_duplicate_inputs_rejected(self):
         row = ((SPSymbol("1"),), (SPSymbol("0"),))
@@ -208,6 +218,29 @@ class TestTapeMachine:
         machine = unary_successor_machine()
         runs = [tm_run(machine, {1: 1, 2: 1}, 1, "s0", 50) for _ in range(2)]
         assert runs[0] == runs[1]
+
+    @given(st.dictionaries(st.tuples(st.sampled_from(["a", "b", "c"]),
+                                     st.sampled_from([0, 1])),
+                           st.tuples(st.sampled_from(["a", "b", "h"]),
+                                     st.sampled_from(TM_ACTIONS)), max_size=6),
+           st.sampled_from(["a", "b", "c", "", "a b"]),
+           st.dictionaries(st.integers(-2, 2), st.sampled_from([0, 1]), max_size=5),
+           st.integers(-2, 2))
+    def test_step_is_a_lookup_on_state_and_cell(self, table, start, cells, head):
+        machine = TuringMachine(tuple(TMRow(s, r, nxt, act)
+                                      for (s, r), (nxt, act) in table.items()))
+        state = TapeState(dict(cells), head, start, steps=4)
+        nxt = tm_step(machine, state)
+        key = (start, cells.get(head, 0))
+        if key not in table:
+            assert nxt is HALTED
+            return
+        next_state, action = table[key]
+        want = dict(cells)
+        if action in ("W0", "W1"):
+            want[head] = int(action[1])
+        moved = head + {"L": -1, "R": 1}.get(action, 0)
+        assert nxt == TapeState(want, moved, next_state, steps=5)
 
     def test_duplicate_transition_rejected(self):
         with pytest.raises(ValueError):

@@ -193,6 +193,26 @@ class TestBoundedForms:
         assert result.count == 24
         assert trace.step_count == 4
 
+    @given(st.integers(0, 6), st.integers(0, 5), st.lists(st.integers(0, 5),
+                                                          min_size=1, max_size=4))
+    def test_multiply_iterations_are_multiplications(self, a, k, terms):
+        # every multiply-iteration of a power, factorial or product holds
+        # exactly the steps unary_multiply gives for the same operands
+        nested = []
+        if a or k:
+            nested.append((unary_power(UnaryNumber(a), k)[1], [a] * k))
+        nested.append((unary_factorial(a)[1], list(range(a, 0, -1))))
+        nested.append((bounded_product(dict(enumerate(terms)), 0,
+                                       len(terms) - 1)[1], terms))
+        for trace, factors in nested:
+            steps = [s for s in trace.steps if s.kind == "multiply-iteration"]
+            assert len(steps) == len(factors)
+            acc = 1
+            for step, m in zip(steps, factors):
+                want = unary_multiply(UnaryNumber(acc), UnaryNumber(m))[1].steps
+                assert step.substeps == want
+                acc *= m
+
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             bounded_sum({1: 1}, 2, 1)
@@ -285,3 +305,16 @@ class TestFallingBody:
             newton_table(0.0, 5)
         with pytest.raises(ValueError):
             newton_table(9.8, -1)
+
+    @pytest.mark.parametrize("g", [math.inf, -math.inf, math.nan])
+    def test_g_must_be_finite(self, g):
+        with pytest.raises(ValueError, match="finite"):
+            newton_table(g, 3)
+
+    def test_huge_distances(self):
+        # 1e30 t^2 / 2 needs 32 digits: more than Decimal's default 28
+        assert newton_table(1e30, 16).rows[16].s == 1e30 * 256 / 2
+        # 6e307 * 2 * 2 overflows, but the distance 1.2e308 is a float
+        assert newton_table(6e307, 2).rows[2].s == 1.2e308
+        with pytest.raises(TooLarge, match="t=2"):
+            newton_table(1e308, 16)
