@@ -76,9 +76,8 @@ def cmd_compress(args) -> RunReport:
         report.details = {"mode": "rle", "runs": len(runs)}
     report.raw_bits = raw
     report.encoded_bits = encoded
-    ratio = encoded / raw if raw > 0 else 1.0
     print(f"raw_bits={format_bits(raw)} encoded_bits={format_bits(encoded)} "
-          f"ratio={format_bits(ratio)}{_two_part(report)}")
+          f"ratio={format_bits(report.ratio)}{_two_part(report)}")
     return report
 
 

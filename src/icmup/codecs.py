@@ -11,8 +11,9 @@ Cost, for N symbols: the coders spell the symbols as a string, one
 character per distinct symbol, so an n-gram is a substring.
 ``rle_encode`` makes O(N log N) probes (for each block length b, only the
 positions 0, b, 2b, ...), each extended by slice compares.
-``discover_chunks`` costs O(N * L), with L the longest repeat: one pass
-over the unclaimed windows per chunk length.  ``chunk_encode`` makes one
+``discover_chunks`` makes one pass per chunk length, from L (the longest
+repeat) down, and each pass slices every unclaimed window of that length:
+O(N * L^2) in the worst case.  ``chunk_encode`` makes one
 table lookup per distinct chunk length at each position.  The stream and
 runs writers give the text of ``json.dumps(doc, indent=2)`` without its
 pure-Python encoder: one C escape (``json.dumps``) per distinct text and
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from enum import Enum
 from itertools import compress
 from operator import eq
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -283,7 +285,7 @@ def encoded_cost_bits(stream: EncodedStream, alphabet_size: int) -> float:
     counts as frequencies) plus fixed-length costs for literals."""
     total_freq = sum(e.count for e in stream.dictionary)
     cost = 0.0
-    per_symbol = symbol_cost_bits(alphabet_size) if stream.tokens else 0.0
+    per_symbol = symbol_cost_bits(alphabet_size)
     for tok in stream.tokens:
         if isinstance(tok, CodeRef):
             cost += code_cost_bits(stream.dictionary.get(tok.code).count, total_freq)
@@ -299,21 +301,14 @@ def dictionary_cost_bits(dictionary: ChunkDictionary, alphabet_size: int) -> flo
     return symbol_cost_bits(alphabet_size) * sum(len(e.chunk) + 1 for e in dictionary)
 
 
-class Unbounded:
-    """Display-only repetition marker: the run repeats, end unstated."""
+class Unbounded(Enum):
+    """Display-only repetition marker: the run repeats, end unstated.  Its
+    value is the count a runs file writes for it."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Unbounded"
+    UNBOUNDED = "*"
 
 
-UNBOUNDED = Unbounded()
+UNBOUNDED = Unbounded.UNBOUNDED
 
 
 @dataclass(frozen=True)
@@ -595,7 +590,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
 def runs_to_json(runs: Sequence[Run]) -> str:
     """Serialise a run list to the one-section structured-text format: the
     text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
-    texts, counts = _Literals(), _Literals({UNBOUNDED: '"*"'})
+    texts, counts = _Literals(), _Literals({UNBOUNDED: json.dumps(UNBOUNDED.value)})
     items = [f'{{\n      "symbols": [\n        '
              f'{_SYMBOL_SEP.join([texts[s.text] for s in r.pattern.symbols])}\n      ],\n'
              f'      "count": {counts[r.count]}\n    }}'
@@ -612,13 +607,14 @@ def runs_from_json(source: str | dict) -> list[Run]:
                                f"section, not {sorted(doc)}")
     out: list[Run] = []
     made: dict[str, SPSymbol] = {}
+    star = UNBOUNDED.value  # read once: an Enum's value is a property
     try:
         for k, item in enumerate(doc["runs"], start=1):
             symbols, count = item["symbols"], item["count"]
             if len(item) != 2:
                 raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
             pattern = SPPattern(f"r{k}", _read_symbols(symbols, made))
-            out.append(Run(pattern, UNBOUNDED if count == "*" else count))
+            out.append(Run(pattern, UNBOUNDED if count == star else count))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed runs file: {exc}") from None
     return out

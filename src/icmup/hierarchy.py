@@ -7,11 +7,17 @@ defaults or overriding.  Description lengths compare two renderings of the
 same knowledge: ``flat`` writes every class out with its fully-resolved
 attributes, ``hierarchical`` writes own attributes once plus one link symbol
 per parent reference.
+
+Parents and parts must each be acyclic; ``graphlib``'s topological sort
+checks that on construction and names the classes on any cycle.  Every walk
+is a loop over an explicit stack or chain, so a hierarchy of any depth loads
+and resolves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Iterator
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownClass
@@ -48,25 +54,17 @@ class Hierarchy:
             for ref in list(node.parents) + list(node.parts):
                 if ref not in by_name:
                     raise ValueError(f"class {node.name!r} references unknown {ref!r}")
+        for label in ("parents", "parts"):
+            # sorted edges make the reported cycle the same on every run
+            graph = {name: sorted(getattr(node, label))
+                     for name, node in by_name.items()}
+            try:
+                TopologicalSorter(graph).prepare()
+            except CycleError as exc:
+                # graphlib lists each class before the one that names it
+                cycle = " -> ".join(map(repr, reversed(exc.args[1])))
+                raise ValueError(f"cycle in {label}: {cycle}") from None
         self._nodes = by_name
-        self._check_acyclic("parents", lambda n: n.parents)
-        self._check_acyclic("parts", lambda n: n.parts)
-
-    def _check_acyclic(self, label, edges):
-        state: dict[str, int] = {}
-
-        def visit(name: str):
-            if state.get(name) == 1:
-                raise ValueError(f"cycle in {label} at {name!r}")
-            if state.get(name) == 2:
-                return
-            state[name] = 1
-            for nxt in edges(self._nodes[name]):
-                visit(nxt)
-            state[name] = 2
-
-        for name in self._nodes:
-            visit(name)
 
     def node(self, name: str) -> ClassNode:
         try:

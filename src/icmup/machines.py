@@ -12,6 +12,7 @@ boolean operator appears anywhere in the execution path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from itertools import product
 from operator import eq
 from typing import Iterable, Mapping, Sequence
@@ -244,21 +245,13 @@ class TapeState:
         return self.cells.get(position, 0)
 
 
-class Halted:
+class Halted(Enum):
     """Returned by ``tm_step`` when no transition matches: a value, not an error."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "HALTED"
+    HALTED = "HALTED"
 
 
-HALTED = Halted()
+HALTED = Halted.HALTED
 
 
 def tm_step(machine: TuringMachine, state: TapeState) -> "TapeState | Halted":

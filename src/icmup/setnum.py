@@ -8,7 +8,11 @@ Each trace nests the lower operation's trace: one builder, ``_additions``,
 makes every multiplication's additions, so each multiply-iteration of a
 power, factorial or bounded product holds exactly the steps
 ``unary_multiply`` gives for the same operands.
-Magnitudes are capped (the expansion is the point, not scalability).
+Magnitudes are capped at ``UNARY_CAP`` (the expansion is the point, not
+scalability), and so is a power's exponent, which counts multiplications.
+Powers, factorials and bounded sums and products check each partial result
+against the cap before they take the step, so a refusal costs no more than
+the steps that fit.
 """
 
 from __future__ import annotations
@@ -172,16 +176,16 @@ def unary_divide(a: UnaryNumber, b: UnaryNumber
 
 def unary_power(a: UnaryNumber, k: int) -> tuple[UnaryNumber, OperationTrace]:
     """a^k as k multiplications starting from one: repetition on three levels
-    (power -> multiply -> add -> transfer)."""
+    (power -> multiply -> add -> transfer).  k counts the multiplications, so
+    it is a unary number too, capped like any other."""
     if a.count == 0 and k == 0:
         raise Indeterminate("0^0 is undefined here")
-    if k < 0:
-        raise ValueError("exponent must be a natural number")
-    if a.count > 0 and a.count ** k > UNARY_CAP:
-        raise TooLarge(f"power {a.count}^{k} exceeds cap {UNARY_CAP}")
+    UnaryNumber(k)  # a natural within the cap, or it raises
     steps = []
     acc = 1
     for _ in range(k):
+        if acc * a.count > UNARY_CAP:
+            raise TooLarge(f"power {a.count}^{k} exceeds cap {UNARY_CAP}")
         steps.append(TraceStep("multiply-iteration",
                                f"multiply {acc} by {a.count}",
                                _additions(acc, a.count)))
@@ -193,12 +197,12 @@ def unary_factorial(n: int) -> tuple[UnaryNumber, OperationTrace]:
     """n! by a descending multiply-then-subtract loop."""
     if n < 0:
         raise ValueError("factorial needs a natural number")
-    if math.factorial(n) > UNARY_CAP:
-        raise TooLarge(f"{n}! exceeds cap {UNARY_CAP}")
     steps = []
     acc = 1
     m = n
     while m >= 1:
+        if acc * m > UNARY_CAP:
+            raise TooLarge(f"{n}! exceeds cap {UNARY_CAP}")
         steps.append(TraceStep("multiply-iteration",
                                f"multiply {acc} by {m}", _additions(acc, m)))
         acc *= m

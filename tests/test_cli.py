@@ -1,10 +1,14 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import KITTENS_GRAMMAR
+import icmup
 from icmup import cli
 from icmup.cli import main
 from icmup.reporting import format_bits
@@ -393,6 +397,27 @@ class TestSmallCommands:
         code, _, err = run(capsys, "unary", "sub", "3", "7")
         assert code == 3 and err.startswith("Underflow")
 
+    # each operand is past the cap; a refusal that builds or computes the
+    # whole answer first takes far longer than the timeout
+    @pytest.mark.parametrize("args", [
+        ("fact", "2000000"),
+        ("pow", "2", "1000000000"),
+        ("pow", "1", "2000000"),
+    ])
+    def test_unary_over_the_cap_is_refused_at_once(self, args):
+        src = os.path.dirname(os.path.dirname(icmup.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-m", "icmup", "unary", *args],
+                             capture_output=True, text=True, timeout=2,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert (out.returncode, out.stdout) == (3, "")
+        assert out.stderr.startswith("TooLarge")
+
+    def test_unary_negative_exponent_exits_2(self, capsys):
+        code, stdout, err = run(capsys, "unary", "pow", "2", "-1")
+        assert (code, stdout) == (2, "")
+        assert err == "error: unary numbers are naturals\n"
+
     def test_unary_sum(self, capsys):
         code, stdout, _ = run(capsys, "unary", "sum", "--lo", "1", "--hi", "5",
                               "--terms", "1,2,3,4,5")
@@ -476,6 +501,37 @@ class TestSmallCommands:
         assert code == 0 and "flat_bits=" in stdout
         code, _, err = run(capsys, "hierarchy", str(h))
         assert code == 2
+
+    @pytest.mark.parametrize("edge", ["parents", "parts"])
+    def test_hierarchy_deep_chain(self, tmp_path, capsys, edge):
+        # c<k> names c<k-1>, listed from the deep end: c1499 first
+        n = 1500
+        h = tmp_path / "chain.txt"
+        h.write_text("".join(f"CLASS c{k} : attrs=a{k} {edge}={'c%d' % (k - 1) if k else ''}\n"
+                             for k in reversed(range(n))))
+        code, stdout, err = run(capsys, "hierarchy", str(h), "--resolve",
+                                f"c{n - 1}", "--context", "c0", "--dl")
+        assert (code, err) == (0, "")
+        resolved, context, dl = stdout.splitlines()
+        if edge == "parents":  # c1499 inherits every attribute; c0 is no part
+            assert resolved == f"c{n - 1}: " + " ".join(sorted(f"a{k}" for k in range(n)))
+            assert context == "c0: "
+        else:  # c0 sits inside every other class
+            assert resolved == f"c{n - 1}: a{n - 1}"
+            assert context == "c0: " + " ".join(f"c{k}" for k in range(1, n))
+        assert dl.startswith(f"alphabet={2 * n} ")
+
+    def test_hierarchy_cycle_names_its_classes(self, tmp_path, capsys):
+        h = tmp_path / "h.txt"
+        h.write_text("CLASS d : parents=a\n"
+                     "CLASS a : parents=b\n"
+                     "CLASS b : parents=c\n"
+                     "CLASS c : parents=a\n")
+        code, stdout, err = run(capsys, "hierarchy", str(h), "--dl")
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: cycle in parents")
+        assert all(f"'{name}'" in err for name in "abc")
+        assert "'d'" not in err  # d reaches the cycle but is not on it
 
     @pytest.mark.parametrize("alphabet", ["0", "1"])
     def test_hierarchy_alphabet_too_small(self, tmp_path, capsys, alphabet):

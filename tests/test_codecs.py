@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -10,10 +11,11 @@ from icmup import (ChunkDictionary, ChunkEntry, CodeRef, EncodedStream,
                    Slot, UNBOUNDED, chunk_decode, chunk_encode,
                    discover_chunks, raw_cost, rle_decode, rle_encode,
                    schema_encode, schema_instantiate, tokenize, unify_basic)
-from icmup.codecs import (encoded_cost_bits, expected_count, runs_from_json,
-                          runs_to_json, stream_from_json, stream_to_json)
-from icmup.errors import (BadCorrection, InputFormatError, NoSchemaMatch,
-                          NotDecodable, NotPresent, UnknownCode)
+from icmup.codecs import (dictionary_cost_bits, encoded_cost_bits, expected_count,
+                          rle_cost_bits, runs_from_json, runs_to_json,
+                          stream_from_json, stream_to_json)
+from icmup.errors import (BadCorrection, DegenerateAlphabet, InputFormatError,
+                          NoSchemaMatch, NotDecodable, NotPresent, UnknownCode)
 
 TWO_INSTANCE_CORPUS = "abcdefghijINFORMATIONklmnopqrstINFORMATIONuvwxyz"
 
@@ -128,6 +130,15 @@ class TestChunkCodec:
         raw = raw_cost(corpus, alphabet)
         assert encoded < raw
         assert chunk_decode(stream) == list(corpus)
+
+    @pytest.mark.parametrize("price", [
+        lambda: encoded_cost_bits(EncodedStream(ChunkDictionary(), ()), 0),
+        lambda: dictionary_cost_bits(ChunkDictionary(), 0),
+        lambda: rle_cost_bits([], 0),
+    ], ids=["stream", "dictionary", "runs"])
+    def test_alphabet_zero_raises_even_with_nothing_to_price(self, price):
+        with pytest.raises(DegenerateAlphabet):
+            price()
 
     def test_unknown_code_on_decode(self):
         stream = EncodedStream(ChunkDictionary(), (CodeRef("w9"),))
@@ -264,6 +275,11 @@ class TestRle:
     def test_file_star_count_is_unbounded(self):
         runs = runs_from_json('{"runs": [{"symbols": ["a"], "count": "*"}]}')
         assert [r.count for r in runs] == [UNBOUNDED]
+
+    def test_pickle_keeps_the_unbounded_marker(self):
+        run = Run(SPPattern.from_text("r1", "a"), UNBOUNDED)
+        again = pickle.loads(pickle.dumps(run))
+        assert again == run and again.count is UNBOUNDED
 
     @pytest.mark.parametrize("symbols", ["ab", {"a": 1}])
     def test_file_symbols_must_be_an_array(self, symbols):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -161,6 +162,9 @@ class TestTapeMachine:
     def test_missing_row_halts(self):
         machine = unary_successor_machine()
         assert tm_step(machine, TapeState({0: 1}, 0, "s2")) is HALTED
+
+    def test_pickle_keeps_the_halted_marker(self):
+        assert pickle.loads(pickle.dumps(HALTED)) is HALTED
 
     def test_hand_simulated_trajectory(self):
         # two ones, head on the leftmost: eight lookups, the last one halts

@@ -12,7 +12,8 @@ from icmup import (UnaryNumber, bounded_product,
                    unary_subtract, unary_to_positional)
 from icmup.errors import (BadDigit, DivisionByZero, Indeterminate,
                           NonIntegerTerm, NotASet, TooLarge, Underflow)
-from icmup.setnum import parse_peano, parse_unary, round_half_away_from_zero
+from icmup.setnum import (UNARY_CAP, parse_peano, parse_unary,
+                          round_half_away_from_zero)
 
 small_sets = st.lists(st.sampled_from("abcdefg"), min_size=0, max_size=7,
                       unique=True)
@@ -155,6 +156,25 @@ class TestUnaryArithmetic:
             unary_factorial(10)
         with pytest.raises(TooLarge):
             UnaryNumber(10 ** 6 + 1)
+
+    # the largest exponents under the cap: one more multiplication is refused
+    @pytest.mark.parametrize("a, k", [(2, 19), (3, 12), (10, 6), (1000, 2)])
+    def test_power_up_to_the_cap(self, a, k):
+        result, trace = unary_power(UnaryNumber(a), k)
+        assert result.count == a ** k and trace.step_count == k
+        with pytest.raises(TooLarge, match=f"power {a}\\^{k + 1} exceeds cap"):
+            unary_power(UnaryNumber(a), k + 1)
+
+    def test_exponent_is_a_capped_natural(self):
+        with pytest.raises(TooLarge):
+            unary_power(UnaryNumber(1), UNARY_CAP + 1)
+        with pytest.raises(ValueError, match="naturals"):
+            unary_power(UnaryNumber(2), -1)
+
+    def test_factorial_up_to_the_cap(self):
+        assert unary_factorial(9)[0].count == math.factorial(9) <= UNARY_CAP
+        with pytest.raises(TooLarge, match="10! exceeds cap"):
+            unary_factorial(10)
 
     def test_trace_laws_small_range(self):
         for a in range(0, 13):
