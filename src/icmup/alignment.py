@@ -26,6 +26,15 @@ the first row's pattern is merged into the literal columns, the next into
 the result, and so on, each merge deterministic.  So the beam keys each
 alignment by its tuple of Old-row ids, and the literal alignment by ().
 
+A merge costs what it changes.  One comprehension picks the non-hit
+columns as the kernel's input; then each run of columns between matched
+ones is copied as one slice, and only the matched and the fresh columns are
+built, so the rest of the Python work is O(matched + fresh).  An extension
+by p takes its cost terms from its parent: the rows' codes grow by code(p),
+and the unmatched driving count falls by the driving symbols the merge hit.
+The codes are the left fold from 0 that ``sum`` over the rows makes, so the
+cost is the very float a recount gives; ``encoding_cost`` recounts.
+
 Search is a deterministic beam search.  Each round extends the frontier,
 the members the previous round newly admitted to the beam, by aligning a
 further stored pattern against their still-unmatched columns (driving or
@@ -58,7 +67,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import kernels
 from .errors import EmptyRanking
@@ -70,8 +79,7 @@ from .patterns import (PatternStore, SPPattern, SPSymbol, code_cost,
 _PRUNE_MARGIN = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class Column:
+class Column(NamedTuple):
     """One alignment column: a symbol text plus (row, position) occupants.
 
     Row 0 is the driving row; rows 1..n are Old rows in placement order.
@@ -98,13 +106,8 @@ class Alignment:
 
     def new_hit_positions(self) -> set[int]:
         """Driving-row positions that sit in hit columns."""
-        out = set()
-        for col in self.columns:
-            if col.is_hit:
-                for r, pos in col.entries:
-                    if r == 0:
-                        out.add(pos)
-        return out
+        return {pos for col in self.columns if col.is_hit
+                for r, pos in col.entries if r == 0}
 
     def row_label(self, row_index: int) -> str:
         if row_index == 0:
@@ -130,62 +133,53 @@ def _literal_columns(new: SPPattern) -> tuple[Column, ...]:
 
 
 def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
-                    row_index: int) -> tuple[tuple[Column, ...], int]:
+                    row_index: int) -> tuple[tuple[Column, ...], int, int]:
     """Merge a further pattern into the column structure as a new row.
 
     The pattern is matched (maximally, leftmost) against the sequence of
-    non-hit columns; matched columns become hits.  One left-to-right pass
-    places the unmatched pattern symbols as fresh columns: those before a
-    match go just before its column, the rest just after the last matched
-    column (after the last column when nothing matched).  Returns the new
-    columns and the number of matched pairs.
+    non-hit columns; matched columns become hits.  The unmatched pattern
+    symbols become fresh columns: those before a match go just before its
+    column, the rest just after the last matched column (after the last
+    column when nothing matched).  Returns the new columns, the number of
+    matched pairs and how many of them hit a driving symbol.
     """
-    targets = [ci for ci, col in enumerate(columns) if not col.is_hit]
+    targets = [ci for ci, col in enumerate(columns) if len(col.entries) == 1]  # no hit
     p_texts = pattern.texts
-    pairs = kernels.match_pairs(tuple(columns[ci].symbol for ci in targets), p_texts)
-    hit_at = {targets[ti]: pj for ti, pj in pairs}
-    last = targets[pairs[-1][0]] if pairs else len(columns) - 1
+    pairs = kernels.match_pairs(tuple([columns[ci].symbol for ci in targets]), p_texts)
 
     def fresh(start: int, stop: int) -> list[Column]:
         return [Column(p_texts[pj], ((row_index, pj),)) for pj in range(start, stop)]
 
     out: list[Column] = []
-    placed = 0  # pattern symbols placed so far
-    for ci, col in enumerate(columns):
-        pj = hit_at.get(ci)
-        if pj is not None:
-            out.extend(fresh(placed, pj))
-            col = Column(col.symbol, col.entries + ((row_index, pj),))
-            placed = pj + 1
-        out.append(col)
-        if ci == last:
-            out.extend(fresh(placed, len(p_texts)))
-    return tuple(out), len(pairs)
+    copied = placed = driving = 0  # columns copied, pattern symbols placed
+    for ti, pj in pairs:
+        ci = targets[ti]
+        symbol, entries = columns[ci]
+        out += columns[copied:ci]
+        out += fresh(placed, pj)
+        out.append(Column(symbol, entries + ((row_index, pj),)))
+        driving += entries[0][0] == 0
+        copied, placed = ci + 1, pj + 1
+    tail = copied if pairs else len(columns)  # after the last match, else at the end
+    out += columns[copied:tail]
+    out += fresh(placed, len(p_texts))
+    out += columns[tail:]
+    return tuple(out), len(pairs), driving
 
 
-def _unmatched_new_count(new: SPPattern, columns: Sequence[Column]) -> int:
-    hit = 0
-    for col in columns:
-        if col.is_hit:
-            hit += sum(1 for r, _ in col.entries if r == 0)
-    return len(new) - hit
-
-
-def _cost(new: SPPattern, old_rows: Sequence[SPPattern],
-          columns: Sequence[Column], store: PatternStore | None,
-          alphabet_size: int) -> float:
-    """The cost rule: the Old rows' codes (free when no store prices them),
-    plus log2(A) per driving symbol in a non-hit column."""
-    codes = 0 if store is None else sum(code_cost(r.id, store) for r in old_rows)
-    return codes + _unmatched_new_count(new, columns) * symbol_cost_bits(alphabet_size)
+def _cost(codes: float, unmatched: int, alphabet_size: int) -> float:
+    """The cost rule: the Old rows' codes plus log2(A) per unmatched driving symbol."""
+    return codes + unmatched * symbol_cost_bits(alphabet_size)
 
 
 def encoding_cost(al: Alignment, store: PatternStore, alphabet_size: int) -> float:
     """Code costs of the Old rows used, plus fixed-length costs of driving
-    symbols in non-hit columns.  Old-row symbols in non-hit columns are free
-    (predicted content), and hit columns that join only Old rows earn
-    nothing, so a row that matches no driving symbol only adds its code."""
-    return _cost(al.new_row, al.old_rows, al.columns, store, alphabet_size)
+    symbols in non-hit columns, recounted from the rows and columns.
+    Old-row symbols in non-hit columns are free (predicted content), and hit
+    columns that join only Old rows earn nothing, so a row that matches no
+    driving symbol only adds its code."""
+    codes = sum(code_cost(r.id, store) for r in al.old_rows)
+    return _cost(codes, len(al.new_row) - len(al.new_hit_positions()), alphabet_size)
 
 
 def default_alphabet(new: SPPattern, store: PatternStore | None = None) -> int:
@@ -196,11 +190,10 @@ def default_alphabet(new: SPPattern, store: PatternStore | None = None) -> int:
 
 
 def _build(new: SPPattern, old_rows: tuple[SPPattern, ...],
-           columns: tuple[Column, ...], store: PatternStore | None,
+           columns: tuple[Column, ...], codes: float, unmatched: int,
            alphabet_size: int) -> Alignment:
-    cost = _cost(new, old_rows, columns, store, alphabet_size)
-    cd = raw_cost(new, alphabet_size) - cost
-    return Alignment(new, old_rows, columns, cost, cd)
+    cost = _cost(codes, unmatched, alphabet_size)
+    return Alignment(new, old_rows, columns, cost, raw_cost(new, alphabet_size) - cost)
 
 
 def literal_alignment(new: SPPattern, store: PatternStore | None = None,
@@ -208,7 +201,7 @@ def literal_alignment(new: SPPattern, store: PatternStore | None = None,
     """The no-Old-rows floor: every driving symbol in its own column, CD 0."""
     if alphabet_size is None:
         alphabet_size = default_alphabet(new, store)
-    return _build(new, (), _literal_columns(new), store, alphabet_size)
+    return _build(new, (), _literal_columns(new), 0, len(new), alphabet_size)
 
 
 def align_pair(a: SPPattern, b: SPPattern,
@@ -221,8 +214,8 @@ def align_pair(a: SPPattern, b: SPPattern,
     """
     if alphabet_size is None:
         alphabet_size = max(len(set(a.texts) | set(b.texts)), 1)
-    columns, _ = _extend_columns(_literal_columns(a), b, row_index=1)
-    return _build(a, (b,), columns, None, alphabet_size)
+    columns, _, driving = _extend_columns(_literal_columns(a), b, row_index=1)
+    return _build(a, (b,), columns, 0, len(a) - driving, alphabet_size)
 
 
 def compose_alignment(new: SPPattern, row_patterns: Sequence[SPPattern],
@@ -233,15 +226,19 @@ def compose_alignment(new: SPPattern, row_patterns: Sequence[SPPattern],
         alphabet_size = default_alphabet(new, store)
     columns = _literal_columns(new)
     rows: tuple[SPPattern, ...] = ()
+    codes, unmatched = 0, len(new)
     for pattern in row_patterns:
-        columns, _ = _extend_columns(columns, pattern, row_index=len(rows) + 1)
+        columns, _, driving = _extend_columns(columns, pattern, row_index=len(rows) + 1)
         rows = rows + (pattern,)
-    return _build(new, rows, columns, store, alphabet_size)
+        codes += code_cost(pattern.id, store)
+        unmatched -= driving
+    return _build(new, rows, columns, codes, unmatched, alphabet_size)
 
 
-def _rank_key(ids: tuple[str, ...], al: Alignment) -> tuple:
+def _rank_key(item: tuple[tuple[str, ...], tuple]) -> tuple:
     """Best CD first, then fewer rows, then the Old-row ids, which name the
     alignment, so no two kept alignments tie."""
+    ids, (al, _, _) = item
     return (-al.compression_difference, len(ids), ids)
 
 
@@ -295,9 +292,9 @@ def _candidates(al: Alignment, store: PatternStore) -> dict[str, int]:
     stored pattern that shares a symbol with a non-hit column: only these
     can match anything."""
     driving, others = [], []
-    for col in al.columns:
-        if not col.is_hit:
-            (driving if col.entries[0][0] == 0 else others).append(col.symbol)
+    for symbol, entries in al.columns:
+        if len(entries) == 1:  # not a hit
+            (driving if entries[0][0] == 0 else others).append(symbol)
     ceilings = _match_ceilings(store, driving)
     for text in others:
         for pid in store.occurrences(text):
@@ -325,21 +322,22 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
     bits = symbol_cost_bits(alphabet_size)
     codes = {pid: code_cost(pid, store) for pid in store.ids()}
 
-    literal = literal_alignment(new, store, alphabet_size)
-    kept = {(): literal}  # the beam, Old-row ids -> alignment
+    # the beam: Old-row ids -> (alignment, its rows' codes, its unmatched
+    # driving count); an extension takes both cost terms from its parent
+    kept = {(): (literal_alignment(new, store, alphabet_size), 0, len(new))}
     for rows in range(max_old_rows):
         # Each round extends the members the last round admitted, which are
         # exactly those with `rows` Old rows: every member has one parent and
         # is only made in the round that extends that parent, so an older
         # member has had its round and a dropped one never comes back.
-        frontier = [(ids, al) for ids, al in kept.items() if len(ids) == rows]
+        frontier = [(ids, *member) for ids, member in kept.items() if len(ids) == rows]
         if not frontier:
             break
         # the `beam` best CDs among the distinct alignments kept this round;
         # once it is full, its head is the CD an extension must reach
-        floor = [al.compression_difference for al in kept.values()]
+        floor = [al.compression_difference for al, _, _ in kept.values()]
         heapq.heapify(floor)
-        for ids, al in frontier:
+        for ids, al, paid, unmatched in frontier:
             # (most CD the pattern can add, id), best first
             ranked = sorted(((ceiling * bits - codes[pid], pid) for pid, ceiling
                              in _candidates(al, store).items()), reverse=True)
@@ -348,14 +346,16 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
                         al.compression_difference + gain < floor[0] - _PRUNE_MARGIN):
                     break  # the rest bound lower still, and the floor only rises
                 pattern = store.get(pid)
-                columns, _ = _extend_columns(al.columns, pattern, row_index=rows + 1)
-                ext = _build(new, al.old_rows + (pattern,), columns, store,
+                columns, _, driving = _extend_columns(al.columns, pattern,
+                                                      row_index=rows + 1)
+                terms = (paid + codes[pid], unmatched - driving)
+                ext = _build(new, al.old_rows + (pattern,), columns, *terms,
                              alphabet_size)
-                kept[ids + (pid,)] = ext  # always a new key
+                kept[ids + (pid,)] = (ext, *terms)  # always a new key
                 _keep_best(floor, ext.compression_difference, beam)
-        kept = dict(sorted(kept.items(), key=lambda item: _rank_key(*item))[:beam])
+        kept = dict(sorted(kept.items(), key=_rank_key)[:beam])
 
-    alignments = tuple(kept.values())
+    alignments = tuple(al for al, _, _ in kept.values())
     return AlignmentRanking(alignments, tuple(alignment_probabilities(alignments)))
 
 

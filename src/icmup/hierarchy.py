@@ -16,6 +16,7 @@ and resolves.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Iterator
@@ -105,6 +106,31 @@ def resolve_attributes(h: Hierarchy, name: str) -> frozenset[SPSymbol]:
     return frozenset(attrs)
 
 
+def _resolved_sizes(h: Hierarchy) -> Iterator[int]:
+    """How many attributes each class resolves to, parents first.
+
+    Each class unions its own attributes with its parents' resolved sets.
+    A parent's set is kept only until its last child is resolved, and that
+    child extends it in place, so a chain costs time and memory linear in
+    its length."""
+    graph = {node.name: node.parents for node in h}
+    waiting = Counter(p for parents in graph.values() for p in parents)
+    resolved: dict[str, set[SPSymbol]] = {}
+    for name in TopologicalSorter(graph).static_order():
+        attrs = set(h.node(name).own_attributes)
+        for parent in graph[name]:
+            waiting[parent] -= 1
+            if waiting[parent]:
+                attrs |= resolved[parent]
+            else:  # the last child takes the parent's set over
+                inherited = resolved.pop(parent)
+                inherited |= attrs
+                attrs = inherited
+        yield len(attrs)
+        if waiting[name]:
+            resolved[name] = attrs
+
+
 def required_alphabet(h: Hierarchy) -> set[str]:
     """Every distinct symbol a rendering of the hierarchy can mention."""
     out: set[str] = set()
@@ -132,12 +158,10 @@ def description_length(h: Hierarchy, form: str, alphabet_size: int) -> float:
         raise DegenerateAlphabet(
             f"alphabet of {alphabet_size} cannot cover {needed} distinct symbols")
     per_symbol = symbol_cost_bits(alphabet_size)
-    count = 0
-    for node in h:
-        if form == "flat":
-            count += 1 + len(resolve_attributes(h, node.name))
-        else:
-            count += 1 + len(node.own_attributes) + len(node.parents)
+    if form == "flat":
+        count = sum(1 + size for size in _resolved_sizes(h))
+    else:
+        count = sum(1 + len(node.own_attributes) + len(node.parents) for node in h)
     return count * per_symbol
 
 
@@ -148,14 +172,16 @@ def part_context(h: Hierarchy, part_name: str) -> list[str]:
     container is followed.  A top-level whole has an empty context.
     """
     h.node(part_name)
+    container: dict[str, str] = {}  # part -> its smallest container
+    for node in h:  # in name order, so the first container seen is smallest
+        for part in node.parts:
+            container.setdefault(part, node.name)
     chain: list[str] = []
     current = part_name
-    while True:
-        containers = sorted(n.name for n in h if current in n.parts)
-        if not containers:
-            return chain
-        current = containers[0]
+    while current in container:
+        current = container[current]
         chain.append(current)
+    return chain
 
 
 def parse_hierarchy(text: str) -> Hierarchy:

@@ -8,6 +8,8 @@ separate no-match branch; the search extends every frontier member by every
 stored pattern, drops the zero-hit results, recomputes each alignment's
 signature wherever it needs one and remembers expanded members in a set.
 ``retrieve`` aligns the query with every stored pattern and sorts them all.
+The search prices each alignment by recounting its rows' codes and its
+unmatched driving symbols (``_cost``), as the package once did.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from icmup import kernels
-from icmup.alignment import (Alignment, AlignmentRanking, Column, _build,
+from icmup.alignment import (Alignment, AlignmentRanking, Column,
                              align_pair, alignment_probabilities,
                              default_alphabet, encoding_cost,
                              literal_alignment)
-from icmup.patterns import PatternStore, SPPattern, raw_cost
+from icmup.patterns import (PatternStore, SPPattern, code_cost, raw_cost,
+                            symbol_cost_bits)
 
 
 def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
@@ -66,6 +69,31 @@ def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
         for pj in insert_after.get(ci, ()):
             out.append(Column(p_texts[pj], ((row_index, pj),)))
     return tuple(out), len(pairs)
+
+
+def _unmatched_new_count(new: SPPattern, columns: Sequence[Column]) -> int:
+    hit = 0
+    for col in columns:
+        if col.is_hit:
+            hit += sum(1 for r, _ in col.entries if r == 0)
+    return len(new) - hit
+
+
+def _cost(new: SPPattern, old_rows: Sequence[SPPattern],
+          columns: Sequence[Column], store: PatternStore | None,
+          alphabet_size: int) -> float:
+    """The cost rule: the Old rows' codes (free when no store prices them),
+    plus log2(A) per driving symbol in a non-hit column."""
+    codes = 0 if store is None else sum(code_cost(r.id, store) for r in old_rows)
+    return codes + _unmatched_new_count(new, columns) * symbol_cost_bits(alphabet_size)
+
+
+def _build(new: SPPattern, old_rows: tuple[SPPattern, ...],
+           columns: tuple[Column, ...], store: PatternStore | None,
+           alphabet_size: int) -> Alignment:
+    cost = _cost(new, old_rows, columns, store, alphabet_size)
+    cd = raw_cost(new, alphabet_size) - cost
+    return Alignment(new, old_rows, columns, cost, cd)
 
 
 def _signature(al: Alignment):

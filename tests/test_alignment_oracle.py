@@ -2,6 +2,7 @@
 ``alignment_oracle``: rankings must be exactly equal, though the bound
 pruning skips most merges."""
 
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 import alignment_oracle as oracle
 from icmup import (PatternKind, PatternStore, SPPattern, SPSymbol,
-                   build_alignments, dump_columns, parse_grammar, parse_render,
-                   retrieve)
+                   build_alignments, code_cost, compose_alignment,
+                   dump_columns, encoding_cost, literal_alignment,
+                   parse_grammar, parse_render, raw_cost, retrieve)
 from icmup import alignment
+from icmup.alignment import default_alphabet
 
 SYMBOLS = ("a", "b", "ab", "ba", "N", "#N", "x", "yy")
 
@@ -56,14 +59,90 @@ def test_kittens_rankings_equal_oracle(kittens_new, kittens_store):
             oracle.build_alignments(kittens_new, kittens_store, beam, max_old_rows))
 
 
+def assert_costs_recount(ranking, new, store):
+    # each ranked alignment carries its cost terms from its parent; they
+    # must give the very float a recount from its rows and columns gives
+    alphabet_size = default_alphabet(new, store)
+    for al in ranking.alignments:
+        cost = encoding_cost(al, store, alphabet_size)
+        assert al.encoding_cost == cost
+        assert al.compression_difference == raw_cost(new, alphabet_size) - cost
+
+
+@settings(max_examples=200)
+@given(searches())
+def test_carried_costs_equal_recount(search):
+    new, store, beam, max_old_rows = search
+    assert_costs_recount(build_alignments(new, store, beam, max_old_rows), new, store)
+
+
+def test_kittens_carried_costs_equal_recount(kittens_new, kittens_store):
+    # the four (beam, rows) settings the rankings are checked at
+    for beam, max_old_rows in ((1, 12), (3, 2), (10, 4), (50, 12)):
+        assert_costs_recount(build_alignments(kittens_new, kittens_store, beam,
+                                              max_old_rows),
+                             kittens_new, kittens_store)
+
+
+def test_encoding_cost_recounts_from_columns(kittens_new, kittens_store):
+    alphabet_size = default_alphabet(kittens_new, kittens_store)
+    best = build_alignments(kittens_new, kittens_store).best
+    # the stored figures are not read
+    stale = replace(best, encoding_cost=-1.0, compression_difference=-1.0)
+    assert encoding_cost(stale, kittens_store, alphabet_size) == best.encoding_cost
+    # with every driving symbol back in its own column, all of them pay
+    unhit = replace(best, columns=literal_alignment(kittens_new).columns)
+    codes = sum(code_cost(r.id, kittens_store) for r in best.old_rows)
+    assert encoding_cost(unhit, kittens_store, alphabet_size) == \
+        codes + raw_cost(kittens_new, alphabet_size)
+
+
+def driving_hits(columns):
+    return sum(1 for col in columns if col.is_hit
+               for r, _ in col.entries if r == 0)
+
+
+@st.composite
+def merges(draw):
+    """A driving pattern, 0-4 stored patterns already merged onto it and one
+    more to merge, all over a few symbols."""
+    alphabet = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=6,
+                             unique=True))
+    sequence = st.lists(st.sampled_from(alphabet), min_size=1, max_size=7)
+    new = SPPattern("new", tuple(SPSymbol(t) for t in draw(sequence)),
+                    kind=PatternKind.NEW)
+    rows = [SPPattern(f"p{i}", tuple(SPSymbol(t) for t in body))
+            for i, body in enumerate(draw(st.lists(sequence, min_size=1, max_size=5)))]
+    return new, rows
+
+
+@settings(max_examples=300)
+@given(merges())
+def test_extend_columns_equals_oracle(merge):
+    new, rows = merge
+    columns = literal_alignment(new).columns
+    for row_index, pattern in enumerate(rows[:-1], start=1):
+        columns, _ = oracle._extend_columns(columns, pattern, row_index)
+    expected, pairs = oracle._extend_columns(columns, rows[-1], len(rows))
+    got, got_pairs, driving = alignment._extend_columns(columns, rows[-1], len(rows))
+    assert got == expected and got_pairs == pairs
+    assert driving == driving_hits(expected) - driving_hits(columns)
+    # compose_alignment carries its cost terms through the same merges
+    store = PatternStore(rows)
+    composed = compose_alignment(new, rows, store)
+    assert composed.columns == got
+    assert composed.encoding_cost == encoding_cost(composed, store,
+                                                   default_alphabet(new, store))
+
+
 def counting_merges(hits):
     """A stand-in for ``_extend_columns`` that records each merge's hits."""
     merge = alignment._extend_columns
 
     def counted(*args, **kwargs):
-        columns, n = merge(*args, **kwargs)
-        hits.append(n)
-        return columns, n
+        result = merge(*args, **kwargs)
+        hits.append(result[1])
+        return result
     return counted
 
 
