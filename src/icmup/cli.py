@@ -59,10 +59,10 @@ def cmd_compress(args) -> RunReport:
         print(f"mode=chunk symbols={len(symbols)} alphabet={alphabet} "
               f"chunks={len(dictionary)}")
         for entry in dictionary:
-            print(f"{entry.code} count={entry.count} len={len(entry.chunk)}")
+            print(f"{entry.id} count={entry.frequency} len={len(entry)}")
         report.details = {"mode": "chunk",
-                          "chunks": [{"code": e.code, "count": e.count,
-                                      "len": len(e.chunk)} for e in dictionary]}
+                          "chunks": [{"code": e.id, "count": e.frequency,
+                                      "len": len(e)} for e in dictionary]}
         report.dictionary_bits = codecs.dictionary_cost_bits(dictionary, priced)
     else:
         runs = codecs.rle_encode(symbols)
@@ -71,8 +71,8 @@ def cmd_compress(args) -> RunReport:
             fh.write(codecs.runs_to_json(runs))
         print(f"mode=rle symbols={len(symbols)} alphabet={alphabet} "
               f"runs={len(runs)}")
-        for run in runs:
-            print(f"{run.pattern.id} count={run.count} len={len(run.pattern)}")
+        for k, run in enumerate(runs, start=1):
+            print(f"r{k} count={run.count} len={len(run.symbols)}")
         report.details = {"mode": "rle", "runs": len(runs)}
     report.raw_bits = raw
     report.encoded_bits = encoded

@@ -7,6 +7,10 @@ longest-first, and encoding takes the longest dictionary match at each
 position (ties broken by discovery order).  Chunk and run codecs are
 lossless; plain unification deliberately is not (it discards positions).
 
+A dictionary entry is the pattern unification makes, ``SPPattern(code,
+symbols, frequency=count)``; a run is a block's symbols and its count, and
+is numbered (``r1, r2, ...``) by position only where it is printed.
+
 Cost, for N symbols: the coders spell the symbols as a string, one
 character per distinct symbol, so an n-gram is a substring.
 ``rle_encode`` makes O(N log N) probes (for each block length b, only the
@@ -33,44 +37,27 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent, UnknownCode)
 from .patterns import (SPPattern, SPSymbol, code_cost_bits, intern_symbols,
-                       symbol_cost_bits)
-
-
-def _is_int(count) -> bool:
-    """An integer count; ``True`` and ``False`` are not counts."""
-    return isinstance(count, int) and not isinstance(count, bool)
-
-
-@dataclass(frozen=True, slots=True)
-class ChunkEntry:
-    code: str
-    chunk: SPPattern
-    count: int
-
-    def __post_init__(self):
-        if not isinstance(self.code, str):
-            raise TypeError(f"chunk code {self.code!r} must be a string")
-        if not _is_int(self.count):
-            raise TypeError(f"chunk {self.code!r} count must be an integer")
-        if self.count < 2:
-            raise ValueError(f"chunk {self.code!r} must occur at least twice")
-        if len(self.chunk) < 2:
-            raise ValueError(f"chunk {self.code!r} must span at least two symbols")
+                       is_count, symbol_cost_bits)
 
 
 class ChunkDictionary:
-    """Discovered chunks with their codes and occurrence counts."""
+    """Discovered chunks in discovery order: each a pattern whose id is its
+    code and whose frequency is its occurrence count."""
 
-    def __init__(self, entries: Sequence[ChunkEntry] = ()):
+    def __init__(self, entries: Sequence[SPPattern] = ()):
         self.entries = tuple(entries)
-        by_code: dict[str, ChunkEntry] = {}
+        by_code: dict[str, SPPattern] = {}
         for e in self.entries:
-            if e.code in by_code:
-                raise ValueError(f"duplicate chunk code {e.code!r}")
-            by_code[e.code] = e
+            if e.id in by_code:
+                raise ValueError(f"duplicate chunk code {e.id!r}")
+            if e.frequency < 2:
+                raise ValueError(f"chunk {e.id!r} must occur at least twice")
+            if len(e) < 2:
+                raise ValueError(f"chunk {e.id!r} must span at least two symbols")
+            by_code[e.id] = e
         self._by_code = by_code
 
-    def get(self, code: str) -> ChunkEntry:
+    def get(self, code: str) -> SPPattern:
         try:
             return self._by_code[code]
         except KeyError:
@@ -79,7 +66,7 @@ class ChunkDictionary:
     def __contains__(self, code: str) -> bool:
         return code in self._by_code
 
-    def __iter__(self) -> Iterator[ChunkEntry]:
+    def __iter__(self) -> Iterator[SPPattern]:
         return iter(self.entries)
 
     def __len__(self) -> int:
@@ -177,7 +164,7 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
     length = len(s)
     freq = Counter(texts)
     claimed = bytearray(length)
-    entries: list[ChunkEntry] = []
+    entries: list[SPPattern] = []
     for n in range(_longest_repeat(s, min_len), min_len - 1, -1):
         free = bytes(n)
         starts: list[int] = []  # windows that touch no claimed cell
@@ -210,9 +197,8 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
                     occs.append(q)
             if (len(occs) >= min_count
                     and len(occs) > expected_count(texts[p:p + n], freq, length)):
-                code = f"w{len(entries) + 1}"
-                chunk = SPPattern(code, tuple(corpus[p:p + n]))
-                entries.append(ChunkEntry(code, chunk, len(occs)))
+                entries.append(SPPattern(f"w{len(entries) + 1}",
+                                         tuple(corpus[p:p + n]), len(occs)))
                 for q in occs:
                     claimed[q:q + n] = b"\x01" * n
     return ChunkDictionary(entries)
@@ -252,8 +238,8 @@ def chunk_encode(corpus: Sequence[SPSymbol],
     s = _spell((sym.text for sym in corpus), letters)
     by_length: dict[int, dict[str, str]] = {}
     for entry in dictionary:
-        gram = _spell(entry.chunk.texts, letters)
-        by_length.setdefault(len(gram), {}).setdefault(gram, entry.code)
+        gram = _spell(entry.texts, letters)
+        by_length.setdefault(len(gram), {}).setdefault(gram, entry.id)
     tables = sorted(by_length.items(), reverse=True)
     tokens: list[Token] = []
     pos = 0
@@ -274,7 +260,7 @@ def chunk_decode(stream: EncodedStream) -> list[SPSymbol]:
     out: list[SPSymbol] = []
     for tok in stream.tokens:
         if isinstance(tok, CodeRef):
-            out.extend(stream.dictionary.get(tok.code).chunk.symbols)
+            out.extend(stream.dictionary.get(tok.code).symbols)
         else:
             out.append(tok.symbol)
     return out
@@ -283,12 +269,12 @@ def chunk_decode(stream: EncodedStream) -> list[SPSymbol]:
 def encoded_cost_bits(stream: EncodedStream, alphabet_size: int) -> float:
     """Fractional-bit cost of a stream: code costs for references (dictionary
     counts as frequencies) plus fixed-length costs for literals."""
-    total_freq = sum(e.count for e in stream.dictionary)
+    total_freq = sum(e.frequency for e in stream.dictionary)
     cost = 0.0
     per_symbol = symbol_cost_bits(alphabet_size)
     for tok in stream.tokens:
         if isinstance(tok, CodeRef):
-            cost += code_cost_bits(stream.dictionary.get(tok.code).count, total_freq)
+            cost += code_cost_bits(stream.dictionary.get(tok.code).frequency, total_freq)
         else:
             cost += per_symbol
     return cost
@@ -298,7 +284,7 @@ def dictionary_cost_bits(dictionary: ChunkDictionary, alphabet_size: int) -> flo
     """Cost of sending the dictionary itself, the first part of a two-part
     code: each chunk's symbols at fixed length plus one symbol's worth to end
     the entry, so sum((len(chunk) + 1) * log2(A)).  Mirrors ``rle_cost_bits``."""
-    return symbol_cost_bits(alphabet_size) * sum(len(e.chunk) + 1 for e in dictionary)
+    return symbol_cost_bits(alphabet_size) * sum(len(e) + 1 for e in dictionary)
 
 
 class Unbounded(Enum):
@@ -311,13 +297,17 @@ class Unbounded(Enum):
 UNBOUNDED = Unbounded.UNBOUNDED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Run:
-    pattern: SPPattern
+    """A block of symbols and how many times it repeats."""
+
+    symbols: tuple[SPSymbol, ...]
     count: "int | Unbounded"
 
     def __post_init__(self):
-        if self.count is not UNBOUNDED and not _is_int(self.count):
+        if not self.symbols:
+            raise ValueError("a run needs at least one symbol")
+        if self.count is not UNBOUNDED and not is_count(self.count):
             raise TypeError("run count must be an integer or UNBOUNDED")
         if self.count is not UNBOUNDED and self.count < 1:
             raise ValueError("run count must be >= 1")
@@ -387,18 +377,17 @@ def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
                 count = 1 + (hi - i) // b
                 best = max(best, (b * count, b, count))
         _, block_len, count = best
-        pattern = SPPattern(f"r{len(runs) + 1}", tuple(seq[i:i + block_len]))
-        runs.append(Run(pattern, count))
+        runs.append(Run(tuple(seq[i:i + block_len]), count))
         i += block_len * count
     return runs
 
 
 def rle_decode(runs: Sequence[Run]) -> list[SPSymbol]:
     out: list[SPSymbol] = []
-    for run in runs:
-        if not isinstance(run.count, int):
-            raise NotDecodable(f"run {run.pattern.id!r} has an unbounded count")
-        out.extend(run.pattern.symbols * run.count)
+    for k, run in enumerate(runs, start=1):
+        if run.count is UNBOUNDED:
+            raise NotDecodable(f"run 'r{k}' has an unbounded count")
+        out.extend(run.symbols * run.count)
     return out
 
 
@@ -514,7 +503,7 @@ def _section(entries: list[str]) -> str:
     return "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
 
 
-# joins an entry's symbol literals, 8 spaces in; a pattern is never empty,
+# joins an entry's symbol literals, 8 spaces in; no chunk or run is empty,
 # so the writers need not spell an empty array there
 _SYMBOL_SEP = ",\n        "
 
@@ -523,9 +512,9 @@ def stream_to_json(stream: EncodedStream) -> str:
     """Serialise a chunk stream to the two-section structured-text format:
     the text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
     texts, counts = _Literals(), _Literals()
-    entries = [f'{{\n      "code": {texts[e.code]},\n      "symbols": [\n        '
-               f'{_SYMBOL_SEP.join([texts[s.text] for s in e.chunk.symbols])}\n      ],\n'
-               f'      "count": {counts[e.count]}\n    }}'
+    entries = [f'{{\n      "code": {texts[e.id]},\n      "symbols": [\n        '
+               f'{_SYMBOL_SEP.join([texts[s.text] for s in e.symbols])}\n      ],\n'
+               f'      "count": {counts[e.frequency]}\n    }}'
                for e in stream.dictionary]
     tokens = [f'{{\n      "code": {texts[tok.code]}\n    }}' if isinstance(tok, CodeRef)
               else f'{{\n      "lit": {texts[tok.symbol.text]}\n    }}'
@@ -568,8 +557,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
             if len(d) != 3:
                 raise ValueError("an entry holds exactly 'code', 'symbols' and "
                                  f"'count': {d!r}")
-            entries.append(ChunkEntry(code, SPPattern(code, _read_symbols(symbols, made)),
-                                      count))
+            entries.append(SPPattern(code, _read_symbols(symbols, made), count))
         dictionary = ChunkDictionary(entries)
         tokens: list[Token] = []
         for item in doc["stream"]:
@@ -592,7 +580,7 @@ def runs_to_json(runs: Sequence[Run]) -> str:
     text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
     texts, counts = _Literals(), _Literals({UNBOUNDED: json.dumps(UNBOUNDED.value)})
     items = [f'{{\n      "symbols": [\n        '
-             f'{_SYMBOL_SEP.join([texts[s.text] for s in r.pattern.symbols])}\n      ],\n'
+             f'{_SYMBOL_SEP.join([texts[s.text] for s in r.symbols])}\n      ],\n'
              f'      "count": {counts[r.count]}\n    }}'
              for r in runs]
     return f'{{\n  "runs": {_section(items)}\n}}\n'
@@ -609,12 +597,12 @@ def runs_from_json(source: str | dict) -> list[Run]:
     made: dict[str, SPSymbol] = {}
     star = UNBOUNDED.value  # read once: an Enum's value is a property
     try:
-        for k, item in enumerate(doc["runs"], start=1):
+        for item in doc["runs"]:
             symbols, count = item["symbols"], item["count"]
             if len(item) != 2:
                 raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
-            pattern = SPPattern(f"r{k}", _read_symbols(symbols, made))
-            out.append(Run(pattern, UNBOUNDED if count == star else count))
+            out.append(Run(_read_symbols(symbols, made),
+                           UNBOUNDED if count == star else count))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed runs file: {exc}") from None
     return out
@@ -626,7 +614,7 @@ def rle_cost_bits(runs: Sequence[Run], alphabet_size: int) -> float:
     per_symbol = symbol_cost_bits(alphabet_size)
     cost = 0.0
     for r in runs:
-        cost += len(r.pattern) * per_symbol
-        if not isinstance(r.count, int) or r.count >= 2:
+        cost += len(r.symbols) * per_symbol
+        if r.count is UNBOUNDED or r.count >= 2:
             cost += per_symbol
     return cost

@@ -11,7 +11,7 @@ boolean operator appears anywhere in the execution path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
 from operator import eq
@@ -255,52 +255,49 @@ HALTED = Halted.HALTED
 
 
 def tm_step(machine: TuringMachine, state: TapeState) -> "TapeState | Halted":
-    """Apply the single transition matching (state, cell at head).
-
-    Lookup is the table-evaluation rule over the (state, read) cells of the
-    rows.  Writes leave the head in place; moves leave cells alone.
-    """
-    selection = _select(((row.state, row.read) for row in machine.rows),
-                        (state.state, state.read(state.head)))
-    if not selection.full_match:
+    """Apply the single transition matching (state, cell at head): one step
+    of ``tm_run`` on a copy of the tape, so ``state`` is left unchanged."""
+    result = tm_run(machine, state.cells, state.head, state.state, 1)
+    if result.halted:
         return HALTED
-    best_row = machine.rows[selection.best_row]
-    cells = state.cells
-    head = state.head
-    if best_row.action == "W0":
-        cells = dict(cells)
-        cells[head] = 0
-    elif best_row.action == "W1":
-        cells = dict(cells)
-        cells[head] = 1
-    elif best_row.action == "L":
-        head -= 1
-    else:
-        head += 1
-    return TapeState(cells, head, best_row.next_state, state.steps + 1)
+    return replace(result.state, steps=state.steps + 1)
 
 
 @dataclass(frozen=True)
 class TMRunResult:
     state: TapeState
     halted: bool
-    attempts: int  # tm_step calls, including the final one that halted
+    attempts: int  # transition lookups, including the final one that halted
 
 
 def tm_run(machine: TuringMachine, tape: Mapping[int, int], head: int,
            start: str, max_steps: int) -> TMRunResult:
-    """Iterate ``tm_step`` until it halts or ``max_steps`` steps are taken."""
+    """Take transitions until none matches or ``max_steps`` steps are taken.
+
+    Lookup is the table-evaluation rule over the (state, read) cells of the
+    rows.  Writes leave the head in place; moves leave cells alone.  The run
+    writes into its own copy of ``tape``, so each step costs one lookup.
+    """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    current = TapeState(dict(tape), head, start, steps=0)
-    attempts = 0
-    while attempts < max_steps:
-        attempts += 1
-        nxt = tm_step(machine, current)
-        if nxt is HALTED:
-            return TMRunResult(current, True, attempts)
-        current = nxt
-    return TMRunResult(current, False, attempts)
+    keys = [(row.state, row.read) for row in machine.rows]
+    cells = dict(tape)
+    state = start
+    steps = 0
+    while steps < max_steps:
+        selection = _select(keys, (state, cells.get(head, 0)))
+        if not selection.full_match:
+            return TMRunResult(TapeState(cells, head, state, steps), True, steps + 1)
+        row = machine.rows[selection.best_row]
+        if row.action == "L":
+            head -= 1
+        elif row.action == "R":
+            head += 1
+        else:
+            cells[head] = int(row.action[1])  # W0 or W1
+        state = row.next_state
+        steps += 1
+    return TMRunResult(TapeState(cells, head, state, steps), False, steps)
 
 
 def unary_successor_machine() -> TuringMachine:
@@ -372,9 +369,10 @@ def parse_tm(text: str) -> TuringMachine:
                 f"line {lineno}: expected '<state> <read> -> <next> <action>'")
         if left[1] not in ("0", "1"):
             raise InputFormatError(f"line {lineno}: read cell must be 0 or 1")
-        if right[1] not in TM_ACTIONS:
-            raise InputFormatError(f"line {lineno}: unknown action {right[1]!r}")
-        rows.append(TMRow(left[0], int(left[1]), right[0], right[1]))
+        try:
+            rows.append(TMRow(left[0], int(left[1]), right[0], right[1]))
+        except ValueError as exc:
+            raise InputFormatError(f"line {lineno}: {exc}") from None
     try:
         return TuringMachine(tuple(rows))
     except ValueError as exc:

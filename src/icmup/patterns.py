@@ -1,5 +1,8 @@
 """Atomic symbols, patterns, pattern stores, and the shared bit-cost model.
 
+A pattern is what unification leaves: an id, symbols and a frequency.  Chunk
+dictionary entries are patterns too, and ``is_count`` is the one count rule.
+
 Costs are fractional "ideal" bits throughout: a symbol over an alphabet of
 size A costs log2(A) bits (1 bit for the degenerate A=1 alphabet), and a
 stored pattern's code costs -log2(f/F) bits where f is its frequency and F
@@ -17,6 +20,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import DegenerateAlphabet, InputFormatError, UnknownPattern
 
 TOKENIZE_MODES = ("whitespace", "chars")
+
+
+def is_count(value) -> bool:
+    """An integer count; ``True`` and ``False`` are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -52,10 +60,14 @@ class SPPattern:
     kind: PatternKind = PatternKind.OLD
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise TypeError(f"pattern id {self.id!r} must be a string")
         if not self.id:
             raise ValueError("pattern id must be non-empty")
         if not self.symbols:
             raise ValueError(f"pattern {self.id!r} has no symbols")
+        if not is_count(self.frequency):
+            raise TypeError(f"pattern {self.id!r} frequency must be an integer")
         if self.frequency < 1:
             raise ValueError(f"pattern {self.id!r} frequency must be >= 1")
         object.__setattr__(self, "symbols", tuple(self.symbols))
@@ -231,10 +243,8 @@ def parse_grammar(text: str) -> PatternStore:
         if pid in seen:
             raise InputFormatError(f"line {lineno}: duplicate pattern id {pid!r}")
         seen.add(pid)
-        syms = body.split()
-        if not syms:
-            raise InputFormatError(f"line {lineno}: pattern {pid!r} has no symbols")
-        if freq < 1:
-            raise InputFormatError(f"line {lineno}: frequency must be >= 1")
-        patterns.append(SPPattern(pid, intern_symbols(syms, made), freq))
+        try:
+            patterns.append(SPPattern(pid, intern_symbols(body.split(), made), freq))
+        except ValueError as exc:
+            raise InputFormatError(f"line {lineno}: {exc}") from None
     return PatternStore(patterns)

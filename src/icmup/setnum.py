@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .errors import (BadDigit, DivisionByZero, Indeterminate, NonIntegerTerm,
                      NotASet, TooLarge, Underflow)
-from .patterns import SPSymbol, symbol_cost_bits, tokenize
+from .patterns import SPSymbol, is_count, symbol_cost_bits, tokenize
 from .reporting import round_half_up
 
 UNARY_CAP = 10 ** 6
@@ -219,7 +219,7 @@ def _check_terms(terms: Mapping[int, int], lo: int, hi: int) -> None:
         if i not in terms:
             raise NonIntegerTerm(f"no term value for index {i}")
         value = terms[i]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if not is_count(value) or value < 0:
             raise NonIntegerTerm(f"term at {i} must be a non-negative integer, "
                                  f"got {value!r}")
 

@@ -13,8 +13,8 @@ import json
 from collections import Counter
 from typing import Sequence
 
-from icmup.codecs import (ChunkDictionary, ChunkEntry, CodeRef, EncodedStream,
-                          Literal, Run, Token, expected_count)
+from icmup.codecs import (ChunkDictionary, CodeRef, EncodedStream, Literal,
+                          Run, Token, expected_count)
 from icmup.patterns import SPPattern, SPSymbol
 
 
@@ -66,7 +66,7 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
     length = len(texts)
     freq = Counter(texts)
     claimed = [False] * length
-    entries: list[ChunkEntry] = []
+    entries: list[SPPattern] = []
     for n in range(_longest_repeat(texts, min_len), min_len - 1, -1):
         # overlap-counting totals bound the non-overlapping counts from above
         naive = Counter(tuple(texts[i:i + n]) for i in range(length - n + 1))
@@ -85,8 +85,8 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
             occs = _occurrences(texts, gram, claimed)
             if len(occs) >= min_count and len(occs) > expected_count(gram, freq, length):
                 code = f"w{len(entries) + 1}"
-                chunk = SPPattern(code, tuple(SPSymbol(t) for t in gram))
-                entries.append(ChunkEntry(code, chunk, len(occs)))
+                entries.append(SPPattern(code, tuple(SPSymbol(t) for t in gram),
+                                         len(occs)))
                 for start in occs:
                     for k in range(start, start + n):
                         claimed[k] = True
@@ -101,15 +101,15 @@ def chunk_encode(corpus: Sequence[SPSymbol],
                  dictionary: ChunkDictionary) -> EncodedStream:
     """Replace chunk occurrences by code references, longest match first."""
     ordered = sorted(enumerate(dictionary),
-                     key=lambda pair: (-len(pair[1].chunk), pair[0]))
+                     key=lambda pair: (-len(pair[1]), pair[0]))
     tokens: list[Token] = []
     pos = 0
     while pos < len(corpus):
         for _, entry in ordered:
-            gram = entry.chunk.texts
+            gram = entry.texts
             n = len(gram)
             if tuple(s.text for s in corpus[pos:pos + n]) == gram:
-                tokens.append(CodeRef(entry.code))
+                tokens.append(CodeRef(entry.id))
                 pos += n
                 break
         else:
@@ -129,7 +129,6 @@ def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
     texts = [s.text for s in seq]
     runs: list[Run] = []
     i = 0
-    ridx = 1
     while i < len(seq):
         rem = len(seq) - i
         best = None  # (span, block_len, count)
@@ -146,9 +145,7 @@ def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
             block_len, count = 1, 1
         else:
             _, block_len, count = best
-        pattern = SPPattern(f"r{ridx}", tuple(seq[i:i + block_len]))
-        runs.append(Run(pattern, count))
-        ridx += 1
+        runs.append(Run(tuple(seq[i:i + block_len]), count))
         i += block_len * count
     return runs
 
@@ -157,7 +154,7 @@ def stream_to_json(stream: EncodedStream) -> str:
     """Serialise a chunk stream to the two-section structured-text format."""
     doc = {
         "dictionary": [
-            {"code": e.code, "symbols": list(e.chunk.texts), "count": e.count}
+            {"code": e.id, "symbols": list(e.texts), "count": e.frequency}
             for e in stream.dictionary
         ],
         "stream": [
@@ -171,7 +168,7 @@ def stream_to_json(stream: EncodedStream) -> str:
 def runs_to_json(runs: Sequence[Run]) -> str:
     doc = {
         "runs": [
-            {"symbols": list(r.pattern.texts),
+            {"symbols": [s.text for s in r.symbols],
              "count": r.count if isinstance(r.count, int) else "*"}
             for r in runs
         ]

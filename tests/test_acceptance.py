@@ -157,7 +157,7 @@ def test_criterion_06_chunking_with_codes():
         assert sum(1 for s in corpus if s.text.isupper()) == 22
         assert sum(1 for s in corpus if s.text.islower()) >= 20
         dictionary = discover_chunks(corpus, 2, 2)
-        assert [(e.code, "".join(e.chunk.texts), e.count) for e in dictionary] \
+        assert [(e.id, "".join(e.texts), e.frequency) for e in dictionary] \
             == [("w1", "INFORMATION", 2)]
         stream = chunk_encode(corpus, dictionary)
         refs = [t for t in stream.tokens if isinstance(t, CodeRef)]

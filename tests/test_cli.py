@@ -136,6 +136,9 @@ class TestCompressDecompress:
         ('{"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": "3"}],'
          ' "stream": [{"code": "w1"}]}', "malformed stream file"),
         ('{"runs": [{"symbols": "ab", "count": 2}]}', "malformed runs file"),
+        ('{"runs": [{"symbols": [], "count": 2}]}', "malformed runs file"),
+        ('{"dictionary": [{"code": "w1", "symbols": [], "count": 2}],'
+         ' "stream": [{"code": "w1"}]}', "malformed stream file"),
         ('{"dictionary": [{"code": "w1", "symbols": "ab", "count": 2}],'
          ' "stream": [{"code": "w1"}]}', "malformed stream file"),
         ('{"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": 2}],'

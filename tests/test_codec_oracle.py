@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codec_oracle as oracle
-from icmup import (UNBOUNDED, ChunkDictionary, ChunkEntry, CodeRef,
-                   EncodedStream, Literal, Run, SPPattern, SPSymbol,
+from icmup import (UNBOUNDED, ChunkDictionary, CodeRef, EncodedStream, Literal, Run, SPPattern, SPSymbol,
                    chunk_encode, discover_chunks, rle_decode, rle_encode,
                    tokenize)
 from icmup.codecs import runs_to_json, stream_to_json
@@ -25,11 +24,11 @@ def chars(text):
 
 
 def entries(dictionary):
-    return [(e.code, e.chunk.symbols, e.count) for e in dictionary]
+    return [(e.id, e.symbols, e.frequency) for e in dictionary]
 
 
 def runs_of(runs):
-    return [(r.pattern.id, r.pattern.symbols, r.count) for r in runs]
+    return [(r.symbols, r.count) for r in runs]
 
 
 # one character per symbol, over 2-8 letters
@@ -87,11 +86,11 @@ class TestChunks:
         start = time.perf_counter()
         dictionary = discover_chunks(corpus, 2, 2)
         assert time.perf_counter() - start < 5.0
-        assert [(len(e.chunk), e.count) for e in dictionary] == [(1000, 2)]
+        assert [(len(e), e.frequency) for e in dictionary] == [(1000, 2)]
 
 
 def entry(code, text):
-    return ChunkEntry(code, SPPattern.from_text(code, text), 2)
+    return SPPattern.from_text(code, text, frequency=2)
 
 
 dictionaries = st.lists(
@@ -161,16 +160,14 @@ symbol_tuples = st.lists(symbol_texts, min_size=1, max_size=4).map(
 big_counts = st.one_of(st.integers(2, 12), st.integers(2, 10 ** 30))
 
 chunk_entries = st.builds(
-    lambda code, symbols, count: ChunkEntry(code, SPPattern(code, symbols), count),
-    symbol_texts, symbol_tuples.filter(lambda s: len(s) >= 2), big_counts)
+    SPPattern, symbol_texts, symbol_tuples.filter(lambda s: len(s) >= 2), big_counts)
 streams = st.builds(
     lambda entries, tokens: EncodedStream(ChunkDictionary(entries), tuple(tokens)),
-    st.lists(chunk_entries, max_size=4, unique_by=lambda e: e.code),
+    st.lists(chunk_entries, max_size=4, unique_by=lambda e: e.id),
     st.lists(st.one_of(symbol_texts.map(CodeRef),
                        symbol_texts.map(lambda t: Literal(SPSymbol(t)))), max_size=8))
 run_lists = st.lists(st.builds(
-    lambda k, symbols, count: Run(SPPattern(f"r{k}", symbols), count),
-    st.integers(1, 9), symbol_tuples,
+    Run, symbol_tuples,
     st.one_of(st.integers(1, 12), big_counts, st.just(UNBOUNDED))), max_size=6)
 
 
@@ -194,9 +191,9 @@ class TestFileWriters:
     def test_escapes_and_unbounded(self):
         texts = ['"', "\\", "\x7f", "\x00", "\ud800", "\U0001f600", "é"]
         symbols = tuple(map(SPSymbol, texts))
-        runs = [Run(SPPattern("r1", symbols), UNBOUNDED), Run(SPPattern("r2", symbols[:1]), 1)]
+        runs = [Run(symbols, UNBOUNDED), Run(symbols[:1], 1)]
         stream = EncodedStream(
-            ChunkDictionary([ChunkEntry('w"1', SPPattern('w"1', symbols), 2)]),
+            ChunkDictionary([SPPattern('w"1', symbols, 2)]),
             (CodeRef('w"1'), Literal(symbols[4]), Literal(symbols[5])))
         assert runs_to_json(runs) == oracle.runs_to_json(runs)
         assert '"count": "*"' in runs_to_json(runs)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icmup import (ChunkDictionary, ChunkEntry, CodeRef, EncodedStream,
-                   FixedSymbol, Literal, Run, SPPattern, SPSymbol, Schema,
+from icmup import (ChunkDictionary, CodeRef, EncodedStream, FixedSymbol, Literal, Run, SPPattern, SPSymbol, Schema,
                    Slot, UNBOUNDED, chunk_decode, chunk_encode,
                    discover_chunks, raw_cost, rle_decode, rle_encode,
                    schema_encode, schema_instantiate, tokenize, unify_basic)
@@ -32,9 +31,9 @@ class TestDiscovery:
         d = discover_chunks(chars(TWO_INSTANCE_CORPUS), 2, 2)
         assert len(d) == 1
         entry = d.entries[0]
-        assert entry.code == "w1"
-        assert "".join(entry.chunk.texts) == "INFORMATION"
-        assert entry.count == 2
+        assert entry.id == "w1"
+        assert "".join(entry.texts) == "INFORMATION"
+        assert entry.frequency == 2
 
     def test_all_distinct_corpus_is_empty(self):
         assert len(discover_chunks(chars("abcdefgh"), 2, 2)) == 0
@@ -44,7 +43,7 @@ class TestDiscovery:
         # expectation (6-2+1) * (3/6) * (3/6) = 1.25 < 3, so it is kept;
         # everything else is claimed or occurs once
         d = discover_chunks(tokenize("a b a b a b"), 2, 2)
-        assert [(e.code, e.chunk.texts, e.count) for e in d] == [
+        assert [(e.id, e.texts, e.frequency) for e in d] == [
             ("w1", ("a", "b"), 3)]
         assert expected_count(("a", "b"), {"a": 3, "b": 3}, 6) == pytest.approx(1.25)
 
@@ -146,8 +145,8 @@ class TestChunkCodec:
             chunk_decode(stream)
 
     def test_longest_match_first(self):
-        ab = ChunkEntry("w1", SPPattern.from_text("w1", "a b"), 2)
-        abc = ChunkEntry("w2", SPPattern.from_text("w2", "a b c"), 2)
+        ab = SPPattern.from_text("w1", "a b", frequency=2)
+        abc = SPPattern.from_text("w2", "a b c", frequency=2)
         stream = chunk_encode(tokenize("a b c a b"), ChunkDictionary([ab, abc]))
         assert [t.code for t in stream.tokens if isinstance(t, CodeRef)] == ["w2", "w1"]
 
@@ -226,31 +225,31 @@ class TestStreamFile:
         chunk = SPPattern.from_text("w1", "a b")
         for count in (True, 2.0, "2"):
             with pytest.raises(TypeError, match="integer"):
-                ChunkEntry("w1", chunk, count)
+                SPPattern("w1", chunk.symbols, count)
 
 
 class TestRle:
     def test_five_copies(self):
         runs = rle_encode(chars("INFORMATION" * 5))
         assert len(runs) == 1
-        assert "".join(runs[0].pattern.texts) == "INFORMATION"
+        assert "".join(s.text for s in runs[0].symbols) == "INFORMATION"
         assert runs[0].count == 5
 
     def test_single_symbol(self):
         runs = rle_encode(tokenize("x"))
-        assert [(r.pattern.texts, r.count) for r in runs] == [(("x",), 1)]
+        assert [(r.symbols, r.count) for r in runs] == [((SPSymbol("x"),), 1)]
 
     def test_decode_block(self):
-        runs = [Run(SPPattern.from_text("r1", "a b"), 3)]
+        runs = [Run(tuple(tokenize("a b")), 3)]
         assert [s.text for s in rle_decode(runs)] == ["a", "b", "a", "b", "a", "b"]
 
     def test_span_beats_block_length(self):
         # five copies munch further than two copies of a doubled block
         runs = rle_encode(chars("ababababab"))
-        assert [("".join(r.pattern.texts), r.count) for r in runs] == [("ab", 5)]
+        assert [("".join(s.text for s in r.symbols), r.count) for r in runs] == [("ab", 5)]
 
     def test_unbounded_is_not_decodable(self):
-        run = Run(SPPattern.from_text("r1", "a"), UNBOUNDED)
+        run = Run(tuple(tokenize("a")), UNBOUNDED)
         with pytest.raises(NotDecodable):
             rle_decode([run])
 
@@ -277,7 +276,7 @@ class TestRle:
         assert [r.count for r in runs] == [UNBOUNDED]
 
     def test_pickle_keeps_the_unbounded_marker(self):
-        run = Run(SPPattern.from_text("r1", "a"), UNBOUNDED)
+        run = Run(tuple(tokenize("a")), UNBOUNDED)
         again = pickle.loads(pickle.dumps(run))
         assert again == run and again.count is UNBOUNDED
 
@@ -288,10 +287,10 @@ class TestRle:
             runs_from_json(json.dumps(doc))
 
     def test_run_count_must_be_an_integer_or_unbounded(self):
-        pattern = SPPattern.from_text("r1", "a")
+        symbols = tuple(tokenize("a"))
         for count in (True, 2.0, "2", "*"):
             with pytest.raises(TypeError, match="integer"):
-                Run(pattern, count)
+                Run(symbols, count)
 
     @settings(max_examples=200, deadline=None)
     @given(corpora)

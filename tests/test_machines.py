@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -218,6 +219,17 @@ class TestTapeMachine:
         assert final == [0] + [1] * (n + 1) + [0]
         assert result.state.steps == 2 * n + 3
 
+    def test_long_run_is_linear(self):
+        # one lookup and at most one cell write per step: no step copies the
+        # tape, so 200,000 steps of this two-row walker stay linear
+        machine = parse_tm("s0 0 -> s1 W1\ns1 1 -> s0 R\n")
+        start = time.perf_counter()
+        result = tm_run(machine, {}, 0, "s0", 200_000)
+        assert time.perf_counter() - start < 5.0
+        assert not result.halted and result.attempts == 200_000
+        assert (result.state.state, result.state.head) == ("s0", 100_000)
+        assert result.state.cells == dict.fromkeys(range(100_000), 1)
+
     def test_determinism(self):
         machine = unary_successor_machine()
         runs = [tm_run(machine, {1: 1, 2: 1}, 1, "s0", 50) for _ in range(2)]
@@ -235,6 +247,7 @@ class TestTapeMachine:
                                       for (s, r), (nxt, act) in table.items()))
         state = TapeState(dict(cells), head, start, steps=4)
         nxt = tm_step(machine, state)
+        assert state == TapeState(dict(cells), head, start, steps=4)  # input unchanged
         key = (start, cells.get(head, 0))
         if key not in table:
             assert nxt is HALTED

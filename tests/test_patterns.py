@@ -130,6 +130,14 @@ class TestCosts:
         assert costs[-1] == 0.0
 
 
+class TestPattern:
+    @pytest.mark.parametrize("pid, frequency", [
+        (7, 1), (None, 1), ("p", True), ("p", False), ("p", 2.5), ("p", 2.0)])
+    def test_rejects_non_string_id_and_non_integer_frequency(self, pid, frequency):
+        with pytest.raises(TypeError):
+            SPPattern(pid, (SPSymbol("a"),), frequency)
+
+
 class TestStore:
     def make(self):
         return PatternStore([
