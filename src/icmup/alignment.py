@@ -26,14 +26,16 @@ the first row's pattern is merged into the literal columns, the next into
 the result, and so on, each merge deterministic.  So the beam keys each
 alignment by its tuple of Old-row ids, and the literal alignment by ().
 
-A merge costs what it changes.  One comprehension picks the non-hit
-columns as the kernel's input; then each run of columns between matched
-ones is copied as one slice, and only the matched and the fresh columns are
-built, so the rest of the Python work is O(matched + fresh).  An extension
-by p takes its cost terms from its parent: the rows' codes grow by code(p),
-and the unmatched driving count falls by the driving symbols the merge hit.
-The codes are the left fold from 0 that ``sum`` over the rows makes, so the
-cost is the very float a recount gives; ``encoding_cost`` recounts.
+A merge is a match and a placement.  The match is one kernel call on the
+texts of the non-hit columns (``_unhit``; the search picks those columns
+once per frontier member).  ``_extend_columns`` places a match, copying each
+run of columns between matched ones as one slice and building only the
+matched and the fresh columns, so its Python work is O(matched + fresh).  An
+extension's cost needs only the match: its cost terms come from its parent,
+the rows' codes growing by code(p) and the unmatched driving count falling
+by the pairs that land on driving columns.  The codes are the left fold
+from 0 that ``sum`` over the rows makes, so the cost is the very float a
+recount gives; ``encoding_cost`` recounts.
 
 Search is a deterministic beam search.  Each round extends the frontier,
 the members the previous round newly admitted to the beam, by aligning a
@@ -41,25 +43,31 @@ further stored pattern against their still-unmatched columns (driving or
 Old), which is what lets bracketing service symbols chain upward through
 grammar-like stores.  The candidates are the patterns that share a symbol
 with an unmatched column, looked up in the store's symbol index; any other
-pattern would match nothing.  Ranking ties break by fewer rows, then the
-Old-id sequence, so results never depend on evaluation order.
+pattern would match nothing.  A candidate costs one kernel call: it is
+scored from its match and the carried terms, and the round ranks the
+scores.  Columns are built only for the extensions the round keeps, from
+the match that scored them, so a round builds at most ``beam``.  Ranking
+ties break by fewer rows, then the Old-id sequence, so results never
+depend on evaluation order.
 
-Most candidates are skipped before any merge by an exact bound.  Adding
-pattern p to alignment al turns at most mh(p) driving symbols into hits,
-where mh(p) = sum over texts t of min(count of t in p, count of t in al's
-unmatched driving columns), because a matched pair joins equal texts and
-uses each occurrence once.  So the extension's CD is at most
-CD(al) - code(p) + mh(p) * log2(A).  Once the round has kept ``beam``
-distinct alignments, a candidate whose bound is below the beam-th best of
-their CDs (by a 1e-9 margin, so rounding never skips a tie) ranks below all
-of them and would be cut at the round's end; kept alignments are never
-removed within a round, so that threshold only rises, and later rounds
+Most candidates are skipped before the kernel scores them, by an exact
+bound.  Adding pattern p to alignment al turns at most mh(p) driving symbols
+into hits, where mh(p) = sum over texts t of min(count of t in p, count of
+t in al's unmatched driving columns), because a matched pair joins equal
+texts and uses each occurrence once.  So the extension's CD is at most
+CD(al) - code(p) + mh(p) * log2(A).  A frontier member's bounds sit in a
+heap, popped best first until one fails.  Once the round holds ``beam``
+distinct alignments, kept or scored, a candidate whose bound is below the
+beam-th best of their CDs (by a 1e-9 margin, so rounding never skips a tie)
+ranks below all of them and would be cut at the round's end; nothing leaves
+the round before its end, so that threshold only rises, and later rounds
 extend only beam members.  The ranking is therefore exactly the one the
 search gives without the bound.  On the kittens example at the defaults
-(beam 50, 12 rows) this cuts the merges from 838 to 354.  ``retrieve`` uses
-the same bound, CD <= mh(p) * log2(A) - code(p) against the whole query:
-it scores patterns in falling bound order and stops at the first bound
-below the k-th best score, so a bound equal to it still competes on id.
+(beam 50, 12 rows) this cuts the kernel calls from 838 to 354, and 133 of
+those extensions are built.  ``retrieve`` uses the same bound,
+CD <= mh(p) * log2(A) - code(p) against the whole query: it scores patterns
+in falling bound order and stops at the first bound below the k-th best
+score, so a bound equal to it still competes on id.
 """
 
 from __future__ import annotations
@@ -132,20 +140,35 @@ def _literal_columns(new: SPPattern) -> tuple[Column, ...]:
     return tuple(Column(s.text, ((0, i),)) for i, s in enumerate(new.symbols))
 
 
-def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
-                    row_index: int) -> tuple[tuple[Column, ...], int, int]:
+def _unhit(columns: Sequence[Column]) -> tuple[list[int], tuple[str, ...]]:
+    """The kernel's input for a merge: the indices and texts of the non-hit
+    columns."""
+    targets = [ci for ci, col in enumerate(columns) if len(col.entries) == 1]
+    return targets, tuple([columns[ci].symbol for ci in targets])
+
+
+# a merge's match: the non-hit columns' indices (``_unhit``), and the
+# kernel's pairs (index into those, pattern position)
+_Match = tuple[list[int], list[tuple[int, int]]]
+
+
+def _extend_columns(columns: Sequence[Column], pattern: SPPattern, row_index: int,
+                    match: _Match | None = None) -> tuple[tuple[Column, ...], int, int]:
     """Merge a further pattern into the column structure as a new row.
 
     The pattern is matched (maximally, leftmost) against the sequence of
-    non-hit columns; matched columns become hits.  The unmatched pattern
-    symbols become fresh columns: those before a match go just before its
-    column, the rest just after the last matched column (after the last
-    column when nothing matched).  Returns the new columns, the number of
-    matched pairs and how many of them hit a driving symbol.
+    non-hit columns, unless ``match`` is that match, made before; matched
+    columns become hits.  The unmatched pattern symbols become fresh
+    columns: those before a match go just before its column, the rest just
+    after the last matched column (after the last column when nothing
+    matched).  Returns the new columns, the number of matched pairs and how
+    many of them hit a driving symbol.
     """
-    targets = [ci for ci, col in enumerate(columns) if len(col.entries) == 1]  # no hit
+    if match is None:
+        targets, texts = _unhit(columns)
+        match = targets, kernels.match_pairs(texts, pattern.texts)
+    targets, pairs = match
     p_texts = pattern.texts
-    pairs = kernels.match_pairs(tuple([columns[ci].symbol for ci in targets]), p_texts)
 
     def fresh(start: int, stop: int) -> list[Column]:
         return [Column(p_texts[pj], ((row_index, pj),)) for pj in range(start, stop)]
@@ -235,11 +258,11 @@ def compose_alignment(new: SPPattern, row_patterns: Sequence[SPPattern],
     return _build(new, rows, columns, codes, unmatched, alphabet_size)
 
 
-def _rank_key(item: tuple[tuple[str, ...], tuple]) -> tuple:
-    """Best CD first, then fewer rows, then the Old-row ids, which name the
-    alignment, so no two kept alignments tie."""
-    ids, (al, _, _) = item
-    return (-al.compression_difference, len(ids), ids)
+def _rank_key(item: tuple[float, tuple[str, ...]]) -> tuple:
+    """(CD, Old-row ids): best CD first, then fewer rows, then the ids,
+    which name the alignment, so no two alignments of a round tie."""
+    cd, ids = item
+    return (-cd, len(ids), ids)
 
 
 @dataclass(frozen=True)
@@ -287,18 +310,17 @@ def _keep_best(floor: list[float], score: float, size: int) -> None:
         heapq.heappushpop(floor, score)
 
 
-def _candidates(al: Alignment, store: PatternStore) -> dict[str, int]:
+def _candidates(texts: Sequence[str], drives: Sequence[bool],
+                store: PatternStore) -> dict[str, int]:
     """Id -> match ceiling over the unmatched driving symbols, for each
     stored pattern that shares a symbol with a non-hit column: only these
-    can match anything."""
-    driving, others = [], []
-    for symbol, entries in al.columns:
-        if len(entries) == 1:  # not a hit
-            (driving if entries[0][0] == 0 else others).append(symbol)
-    ceilings = _match_ceilings(store, driving)
-    for text in others:
-        for pid in store.occurrences(text):
-            ceilings.setdefault(pid, 0)
+    can match anything.  ``texts`` are the non-hit columns' texts, and
+    ``drives`` says which of them hold a driving symbol."""
+    ceilings = _match_ceilings(store, [t for t, d in zip(texts, drives) if d])
+    for text, d in zip(texts, drives):
+        if not d:
+            for pid in store.occurrences(text):
+                ceilings.setdefault(pid, 0)
     return ceilings
 
 
@@ -310,7 +332,9 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
     Starts from the literal alignment.  Each round extends the members the
     last round admitted by every stored pattern that shares a symbol with
     one of their non-hit columns, then keeps the best ``beam``.  A candidate
-    whose CD bound cannot reach the beam is skipped before any merge.
+    whose CD bound cannot reach the beam is skipped before the kernel runs;
+    the others are scored by one kernel call each, and columns are built
+    only for the extensions the round keeps.
     Deterministic: the ranking is independent of candidate arrival order.
     """
     if beam < 1:
@@ -319,6 +343,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         raise ValueError("max_old_rows must be >= 0")
     if alphabet_size is None:
         alphabet_size = default_alphabet(new, store)
+    raw = raw_cost(new, alphabet_size)
     bits = symbol_cost_bits(alphabet_size)
     codes = {pid: code_cost(pid, store) for pid in store.ids()}
 
@@ -333,27 +358,47 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         frontier = [(ids, *member) for ids, member in kept.items() if len(ids) == rows]
         if not frontier:
             break
-        # the `beam` best CDs among the distinct alignments kept this round;
+        # the `beam` best CDs among the distinct alignments of this round;
         # once it is full, its head is the CD an extension must reach
         floor = [al.compression_difference for al, _, _ in kept.values()]
         heapq.heapify(floor)
+        # Old-row ids -> (CD, cost terms, parent, pattern, match): an
+        # extension scored but not yet built (always a new key)
+        scored = {}
         for ids, al, paid, unmatched in frontier:
-            # (most CD the pattern can add, id), best first
-            ranked = sorted(((ceiling * bits - codes[pid], pid) for pid, ceiling
-                             in _candidates(al, store).items()), reverse=True)
-            for gain, pid in ranked:
+            targets, texts = _unhit(al.columns)
+            drives = [al.columns[ci].entries[0][0] == 0 for ci in targets]
+            # (least the pattern can add to the cost, id), popped best first
+            bounds = [(codes[pid] - ceiling * bits, pid) for pid, ceiling
+                      in _candidates(texts, drives, store).items()]
+            heapq.heapify(bounds)
+            while bounds:
+                cost, pid = heapq.heappop(bounds)
                 if (len(floor) == beam and
-                        al.compression_difference + gain < floor[0] - _PRUNE_MARGIN):
+                        al.compression_difference - cost < floor[0] - _PRUNE_MARGIN):
                     break  # the rest bound lower still, and the floor only rises
                 pattern = store.get(pid)
-                columns, _, driving = _extend_columns(al.columns, pattern,
-                                                      row_index=rows + 1)
-                terms = (paid + codes[pid], unmatched - driving)
-                ext = _build(new, al.old_rows + (pattern,), columns, *terms,
-                             alphabet_size)
-                kept[ids + (pid,)] = (ext, *terms)  # always a new key
-                _keep_best(floor, ext.compression_difference, beam)
-        kept = dict(sorted(kept.items(), key=_rank_key)[:beam])
+                pairs = kernels.match_pairs(texts, pattern.texts)
+                terms = (paid + codes[pid],
+                         unmatched - sum([drives[ti] for ti, _ in pairs]))
+                cd = raw - _cost(*terms, alphabet_size)  # the CD _build gives
+                scored[ids + (pid,)] = (cd, terms, al, pattern, (targets, pairs))
+                _keep_best(floor, cd, beam)
+        ranked = sorted([(al.compression_difference, ids)
+                         for ids, (al, _, _) in kept.items()]
+                        + [(ext[0], ids) for ids, ext in scored.items()],
+                        key=_rank_key)[:beam]
+        members = {}
+        for _, ids in ranked:
+            if ids in kept:
+                members[ids] = kept[ids]
+                continue
+            # a survivor is built from the match that scored it
+            _, terms, parent, pattern, match = scored[ids]
+            columns, _, _ = _extend_columns(parent.columns, pattern, rows + 1, match)
+            members[ids] = (_build(new, parent.old_rows + (pattern,), columns, *terms,
+                                   alphabet_size), *terms)
+        kept = members
 
     alignments = tuple(al for al, _, _ in kept.values())
     return AlignmentRanking(alignments, tuple(alignment_probabilities(alignments)))
@@ -386,9 +431,9 @@ def retrieve(query: SPPattern, store: PatternStore,
     alphabet_size = default_alphabet(query, store)
     raw = raw_cost(query, alphabet_size)
     bits = symbol_cost_bits(alphabet_size)
+    codes = {pid: code_cost(pid, store) for pid in store.ids()}
     ceilings = _match_ceilings(store, query.texts)
-    order = sorted((code_cost(pid, store) - ceilings.get(pid, 0) * bits, pid)
-                   for pid in store.ids())
+    order = sorted((code - ceilings.get(pid, 0) * bits, pid) for pid, code in codes.items())
     scored: list[tuple[str, float]] = []
     floor: list[float] = []  # min-heap of the k best scores so far
     for neg_bound, pid in order:
@@ -396,7 +441,7 @@ def retrieve(query: SPPattern, store: PatternStore,
             break
         al = align_pair(query, store.get(pid), alphabet_size)
         # align_pair priced the unmatched columns with the code free; add it
-        cd = raw - (code_cost(pid, store) + al.encoding_cost)
+        cd = raw - (codes[pid] + al.encoding_cost)
         scored.append((pid, cd))
         _keep_best(floor, cd, k)
     scored.sort(key=lambda item: (-item[1], item[0]))

@@ -194,6 +194,13 @@ class TestBuildAlignments:
         assert ranking.best.old_rows == ()
         assert ranking.best.compression_difference == pytest.approx(0.0)
 
+    def test_ranked_columns_equal_a_fresh_chain(self, kittens_store, kittens_new):
+        # the search builds only the extensions a round keeps, from the
+        # match that scored them; a fresh chain of merges gives the same
+        for al in build_alignments(kittens_new, kittens_store).alignments:
+            fresh = compose_alignment(kittens_new, al.old_rows, kittens_store)
+            assert al.columns == fresh.columns
+
     def test_bracket_chaining_two_levels(self):
         # the inner pattern's service symbols are matched by the outer one
         store = PatternStore([

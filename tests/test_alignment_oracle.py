@@ -13,7 +13,7 @@ from icmup import (PatternKind, PatternStore, SPPattern, SPSymbol,
                    build_alignments, code_cost, compose_alignment,
                    dump_columns, encoding_cost, literal_alignment,
                    parse_grammar, parse_render, raw_cost, retrieve)
-from icmup import alignment
+from icmup import alignment, kernels
 from icmup.alignment import default_alphabet
 
 SYMBOLS = ("a", "b", "ab", "ba", "N", "#N", "x", "yy")
@@ -136,21 +136,22 @@ def test_extend_columns_equals_oracle(merge):
 
 
 def counting_merges(hits):
-    """A stand-in for ``_extend_columns`` that records each merge's hits."""
-    merge = alignment._extend_columns
+    """A stand-in for ``kernels.match_pairs``, the step that scores each
+    candidate of a search, that records each scored merge's hits."""
+    match = kernels.match_pairs
 
     def counted(*args, **kwargs):
-        result = merge(*args, **kwargs)
-        hits.append(result[1])
+        result = match(*args, **kwargs)
+        hits.append(len(result))
         return result
     return counted
 
 
 def test_every_merge_matches_a_symbol(kittens_new, kittens_store, monkeypatch):
-    # candidates come from the store's symbol index, so no merge is wasted
-    # on a pattern that shares no symbol with an unmatched column
+    # candidates come from the store's symbol index, so no kernel call is
+    # wasted on a pattern that shares no symbol with an unmatched column
     hits = []
-    monkeypatch.setattr(alignment, "_extend_columns", counting_merges(hits))
+    monkeypatch.setattr(kernels, "match_pairs", counting_merges(hits))
     build_alignments(kittens_new, kittens_store)
     assert hits and min(hits) >= 1
 
@@ -158,8 +159,9 @@ def test_every_merge_matches_a_symbol(kittens_new, kittens_store, monkeypatch):
 def test_kittens_merge_count(kittens_new, kittens_store, monkeypatch):
     # at the defaults (beam 50, 12 rows) the search without the bound made
     # 838 merges; the bound skips every candidate that cannot reach the beam
+    # before the kernel scores it
     hits = []
-    monkeypatch.setattr(alignment, "_extend_columns", counting_merges(hits))
+    monkeypatch.setattr(kernels, "match_pairs", counting_merges(hits))
     build_alignments(kittens_new, kittens_store)
     assert len(hits) <= 354
 
@@ -182,12 +184,58 @@ def test_full_beam_prunes_and_equals_oracle(search, max_old_rows):
         offered.append(len(out))
         return out
 
-    with mock.patch.object(alignment, "_extend_columns", counting_merges(hits)), \
+    with mock.patch.object(kernels, "match_pairs", counting_merges(hits)), \
             mock.patch.object(alignment, "_candidates", counted_candidates):
         ranking = build_alignments(new, store, 1, max_old_rows)
     assert len(hits) < sum(offered)
     assert ranking_of(ranking) == \
         ranking_of(oracle.build_alignments(new, store, 1, max_old_rows))
+
+
+def counting_builds(rounds, calls):
+    """A stand-in for ``_extend_columns`` that counts the extensions each
+    round builds, keyed by row index, and checks that placing one reuses
+    the match it was scored by: ``calls`` holds the kernel calls so far."""
+    place = alignment._extend_columns
+
+    def counted(columns, pattern, row_index, *args):
+        before = len(calls)
+        result = place(columns, pattern, row_index, *args)
+        assert len(calls) == before, "the kernel ran again to build"
+        rounds[row_index] = rounds.get(row_index, 0) + 1
+        return result
+    return counted
+
+
+def assert_builds_at_most_beam(new, store, beam, max_old_rows):
+    rounds, calls = {}, []
+    with mock.patch.object(kernels, "match_pairs", counting_merges(calls)), \
+            mock.patch.object(alignment, "_extend_columns",
+                              counting_builds(rounds, calls)):
+        ranking = build_alignments(new, store, beam, max_old_rows)
+    assert all(built <= beam for built in rounds.values())
+    # every ranked alignment but the literal one was built
+    assert sum(rounds.values()) >= len(ranking.alignments) - 1
+
+
+@settings(max_examples=200)
+@given(searches())
+def test_each_round_builds_at_most_beam(search):
+    assert_builds_at_most_beam(*search)
+
+
+def test_kittens_rounds_build_at_most_beam(kittens_new, kittens_store):
+    assert_builds_at_most_beam(kittens_new, kittens_store, 50, 12)
+
+
+@settings(max_examples=200)
+@given(searches())
+def test_ranked_columns_equal_a_fresh_chain(search):
+    # a ranked alignment's columns were placed from the match that scored
+    # it; merging its rows afresh, one after another, gives the same
+    new, store, beam, max_old_rows = search
+    for al in build_alignments(new, store, beam, max_old_rows).alignments:
+        assert al.columns == compose_alignment(new, al.old_rows, store).columns
 
 
 @st.composite
