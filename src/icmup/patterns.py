@@ -154,9 +154,6 @@ class PatternStore:
     def ids(self) -> list[str]:
         return sorted(self._by_id)
 
-    def patterns_containing(self, text: str) -> tuple[str, ...]:
-        return tuple(sorted(self.occurrences(text)))
-
     def occurrences(self, text: str) -> Mapping[str, int]:
         """Pattern id -> how many of its symbols are ``text``, for every
         stored pattern holding ``text`` (read-only)."""

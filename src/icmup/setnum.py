@@ -4,22 +4,26 @@ bases, arithmetic with repetition traces, and the falling-body table.
 Unary arithmetic makes the repetition structure of the basic operations
 explicit: addition is a run of digit transfers, multiplication a run of
 additions, powers a run of multiplications, and the traces nest accordingly.
-Each trace nests the lower operation's trace: one builder, ``_additions``,
-makes every multiplication's additions, so each multiply-iteration of a
-power, factorial or bounded product holds exactly the steps
-``unary_multiply`` gives for the same operands.
+One builder, ``_additions``, makes every multiplication's additions, so each
+multiply-iteration of a power, factorial or bounded product holds exactly
+the steps ``unary_multiply`` gives for the same operands.  A trace knows its
+step count when the operation returns; its steps are made only when read
+(``.steps``, ``dump()``, ``unary --trace``).
 Magnitudes are capped at ``UNARY_CAP`` (the expansion is the point, not
-scalability), and so is a power's exponent, which counts multiplications.
-Powers, factorials and bounded sums and products check each partial result
-against the cap before they take the step, so a refusal costs no more than
-the steps that fit.
+scalability), and so are a power's exponent and a successor numeral's depth.
+Powers, factorials and bounded sums and products share one fold, which
+checks each partial result against the cap before it takes the step, so a
+refusal costs no more than the steps that fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (BadDigit, DivisionByZero, Indeterminate, NonIntegerTerm,
                      NotASet, TooLarge, Underflow)
@@ -95,14 +99,17 @@ class TraceStep:
     substeps: tuple["TraceStep", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperationTrace:
-    operation: str
-    steps: tuple[TraceStep, ...]
+    """A step count known at once, and steps that ``make_steps`` makes when read."""
 
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
+    operation: str
+    step_count: int
+    make_steps: Callable[[], Iterable[TraceStep]] = field(repr=False)
+
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        return tuple(self.make_steps())
 
     def dump(self) -> str:
         """One line per step, depth first: ``<depth> <kind> <detail>``."""
@@ -126,10 +133,24 @@ def _transfers(n: int) -> tuple[TraceStep, ...]:
     return (_TRANSFER,) * n
 
 
+def _fold(combine: Callable[[int, int], int], start: int,
+          operands: Iterable[int], refusal: str) -> tuple[int, list[int]]:
+    """The fold of ``operands`` from ``start``, and the accumulator before each
+    step; each partial result is checked against the cap before its step."""
+    acc, before = start, []
+    for x in operands:
+        nxt = combine(acc, x)
+        if nxt > UNARY_CAP:
+            raise TooLarge(refusal)
+        before.append(acc)
+        acc = nxt
+    return acc, before
+
+
 def unary_add(a: UnaryNumber, b: UnaryNumber) -> tuple[UnaryNumber, OperationTrace]:
     """a + b as b single-digit transfers onto a."""
     result = UnaryNumber(a.count + b.count)
-    return result, OperationTrace("add", _transfers(b.count))
+    return result, OperationTrace("add", b.count, lambda: _transfers(b.count))
 
 
 def unary_subtract(a: UnaryNumber,
@@ -138,7 +159,7 @@ def unary_subtract(a: UnaryNumber,
     if b.count > a.count:
         raise Underflow(f"cannot subtract {b.count} from {a.count}")
     result = UnaryNumber(a.count - b.count)
-    return result, OperationTrace("subtract", (_REMOVE,) * b.count)
+    return result, OperationTrace("subtract", b.count, lambda: (_REMOVE,) * b.count)
 
 
 def _additions(addend: int, times: int) -> tuple[TraceStep, ...]:
@@ -155,7 +176,7 @@ def unary_multiply(a: UnaryNumber,
     if a.count * b.count > UNARY_CAP:
         raise TooLarge(f"product {a.count * b.count} exceeds cap {UNARY_CAP}")
     return (UnaryNumber(a.count * b.count),
-            OperationTrace("multiply", _additions(a.count, b.count)))
+            OperationTrace("multiply", b.count, lambda: _additions(a.count, b.count)))
 
 
 def unary_divide(a: UnaryNumber, b: UnaryNumber
@@ -163,15 +184,11 @@ def unary_divide(a: UnaryNumber, b: UnaryNumber
     """a / b as repeated subtraction; quotient counts the iterations."""
     if b.count == 0:
         raise DivisionByZero("division by zero")
-    steps = []
-    remainder = a.count
-    while remainder >= b.count:
-        steps.append(TraceStep("subtract-iteration",
-                               f"subtract {b.count} from {remainder}",
-                               (_REMOVE,) * b.count))
-        remainder -= b.count
-    return (UnaryNumber(len(steps)), UnaryNumber(remainder),
-            OperationTrace("divide", tuple(steps)))
+    q, r = divmod(a.count, b.count)
+    return UnaryNumber(q), UnaryNumber(r), OperationTrace("divide", q, lambda: (
+        TraceStep("subtract-iteration",
+                  f"subtract {b.count} from {a.count - b.count * j}",
+                  (_REMOVE,) * b.count) for j in range(q)))
 
 
 def unary_power(a: UnaryNumber, k: int) -> tuple[UnaryNumber, OperationTrace]:
@@ -181,35 +198,28 @@ def unary_power(a: UnaryNumber, k: int) -> tuple[UnaryNumber, OperationTrace]:
     if a.count == 0 and k == 0:
         raise Indeterminate("0^0 is undefined here")
     UnaryNumber(k)  # a natural within the cap, or it raises
-    steps = []
-    acc = 1
-    for _ in range(k):
-        if acc * a.count > UNARY_CAP:
-            raise TooLarge(f"power {a.count}^{k} exceeds cap {UNARY_CAP}")
-        steps.append(TraceStep("multiply-iteration",
-                               f"multiply {acc} by {a.count}",
-                               _additions(acc, a.count)))
-        acc *= a.count
-    return UnaryNumber(acc), OperationTrace("power", tuple(steps))
+    result, before = _fold(operator.mul, 1, repeat(a.count, k),
+                           f"power {a.count}^{k} exceeds cap {UNARY_CAP}")
+    return UnaryNumber(result), OperationTrace("power", k, lambda: (
+        TraceStep("multiply-iteration", f"multiply {acc} by {a.count}",
+                  _additions(acc, a.count)) for acc in before))
 
 
 def unary_factorial(n: int) -> tuple[UnaryNumber, OperationTrace]:
     """n! by a descending multiply-then-subtract loop."""
     if n < 0:
         raise ValueError("factorial needs a natural number")
-    steps = []
-    acc = 1
-    m = n
-    while m >= 1:
-        if acc * m > UNARY_CAP:
-            raise TooLarge(f"{n}! exceeds cap {UNARY_CAP}")
-        steps.append(TraceStep("multiply-iteration",
-                               f"multiply {acc} by {m}", _additions(acc, m)))
-        acc *= m
-        steps.append(TraceStep("subtract-iteration",
-                               f"count down {m} to {m - 1}", (_REMOVE,)))
-        m -= 1
-    return UnaryNumber(acc), OperationTrace("factorial", tuple(steps))
+    factors = range(n, 0, -1)
+    result, before = _fold(operator.mul, 1, factors, f"{n}! exceeds cap {UNARY_CAP}")
+
+    def steps():
+        for acc, m in zip(before, factors):
+            yield TraceStep("multiply-iteration", f"multiply {acc} by {m}",
+                            _additions(acc, m))
+            yield TraceStep("subtract-iteration", f"count down {m} to {m - 1}",
+                            (_REMOVE,))
+
+    return UnaryNumber(result), OperationTrace("factorial", 2 * n, steps)
 
 
 def _check_terms(terms: Mapping[int, int], lo: int, hi: int) -> None:
@@ -228,45 +238,36 @@ def bounded_sum(terms: Mapping[int, int], lo: int,
                 hi: int) -> tuple[UnaryNumber, OperationTrace]:
     """Fold addition over the index range; each iteration logs its term."""
     _check_terms(terms, lo, hi)
-    steps = []
-    acc = 0
-    for i in range(lo, hi + 1):
-        term = terms[i]
-        if acc + term > UNARY_CAP:
-            raise TooLarge(f"sum exceeds cap {UNARY_CAP}")
-        steps.append(TraceStep("add-iteration",
-                               f"i={i}: add term {term} to {acc}",
-                               _transfers(term)))
-        acc += term
-    return UnaryNumber(acc), OperationTrace("bounded-sum", tuple(steps))
+    values = [terms[i] for i in range(lo, hi + 1)]
+    result, before = _fold(operator.add, 0, values, f"sum exceeds cap {UNARY_CAP}")
+    return UnaryNumber(result), OperationTrace("bounded-sum", len(values), lambda: (
+        TraceStep("add-iteration", f"i={i}: add term {term} to {acc}", _transfers(term))
+        for i, term, acc in zip(range(lo, hi + 1), values, before)))
 
 
 def bounded_product(terms: Mapping[int, int], lo: int,
                     hi: int) -> tuple[UnaryNumber, OperationTrace]:
     """Fold multiplication over the index range, starting from one."""
     _check_terms(terms, lo, hi)
-    steps = []
-    acc = 1
-    for i in range(lo, hi + 1):
-        term = terms[i]
-        if acc * term > UNARY_CAP:
-            raise TooLarge(f"product exceeds cap {UNARY_CAP}")
-        steps.append(TraceStep("multiply-iteration",
-                               f"i={i}: multiply {acc} by term {term}",
-                               _additions(acc, term)))
-        acc *= term
-    return UnaryNumber(acc), OperationTrace("bounded-product", tuple(steps))
+    values = [terms[i] for i in range(lo, hi + 1)]
+    result, before = _fold(operator.mul, 1, values, f"product exceeds cap {UNARY_CAP}")
+    return UnaryNumber(result), OperationTrace("bounded-product", len(values), lambda: (
+        TraceStep("multiply-iteration", f"i={i}: multiply {acc} by term {term}",
+                  _additions(acc, term))
+        for i, term, acc in zip(range(lo, hi + 1), values, before)))
 
 
 @dataclass(frozen=True, slots=True)
 class PeanoNumeral:
-    """A natural as nested successor applications."""
+    """A natural as nested successor applications, at most ``UNARY_CAP`` deep."""
 
     depth: int
 
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
+        if self.depth > UNARY_CAP:
+            raise TooLarge(f"successor depth {self.depth} exceeds cap {UNARY_CAP}")
 
     def render(self) -> str:
         return "S(" * self.depth + "0" + ")" * self.depth
@@ -286,12 +287,9 @@ def peano_shared_depth(p: PeanoNumeral, q: PeanoNumeral) -> int:
 
 
 def parse_peano(text: str) -> PeanoNumeral:
-    depth = 0
-    rest = text.strip()
-    while rest.startswith("S("):
-        depth += 1
-        rest = rest[2:]
-    if rest != "0" + ")" * depth:
+    body = text.strip()
+    depth = (len(body) - 1) // 3  # a numeral of depth d has 3d + 1 characters
+    if body != "S(" * depth + "0" + ")" * depth:
         raise BadDigit(f"not a successor numeral: {text!r}")
     return PeanoNumeral(depth)
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -416,6 +417,24 @@ class TestSmallCommands:
         assert (out.returncode, out.stdout) == (3, "")
         assert out.stderr.startswith("TooLarge")
 
+    # a million steps print two lines; the trace is made only when read, so
+    # an untraced run costs its arithmetic
+    @pytest.mark.parametrize("args, first, marks", [
+        (("mul", "1", "1000000"), "result=1000000 add_iterations=1000000", 10 ** 6),
+        (("pow", "1000000", "1"), "result=1000000 multiply_iterations=1", 10 ** 6),
+        (("pow", "1", "1000000"), "result=1 multiply_iterations=1000000", 1),
+        (("div", "1000000", "1"),
+         "quotient=1000000 remainder=0 subtract_iterations=1000000", 10 ** 6),
+    ])
+    def test_unary_million_steps_untraced_within_a_second(self, capsys, args,
+                                                          first, marks):
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "unary", *args)
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, "")
+        assert stdout == f"{first}\nunary={'/' * marks}\n"
+        assert elapsed < 1.0
+
     def test_unary_negative_exponent_exits_2(self, capsys):
         code, stdout, err = run(capsys, "unary", "pow", "2", "-1")
         assert (code, stdout) == (2, "")
@@ -448,6 +467,11 @@ class TestSmallCommands:
         assert run(capsys, "peano", "3")[1] == "S(S(S(0)))\n"
         code, stdout, _ = run(capsys, "peano", "2", "3")
         assert stdout.splitlines()[-1] == "shared_depth=2"
+
+    def test_peano_over_the_cap_exits_3(self, capsys):
+        code, stdout, err = run(capsys, "peano", "1000001")
+        assert (code, stdout) == (3, "")
+        assert err == "TooLarge: successor depth 1000001 exceeds cap 1000000\n"
 
     def test_base(self, capsys):
         code, stdout, _ = run(capsys, "base", "17", "10")

@@ -166,8 +166,8 @@ class TestStore:
 
     def test_retrieval_index(self):
         store = self.make()
-        assert store.patterns_containing("y") == ("a", "b")
-        assert store.patterns_containing("w") == ()
+        assert store.occurrences("y") == {"a": 1, "b": 1}
+        assert store.occurrences("w") == {}
 
 
 class TestGrammarFile:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,22 @@ class TestPeano:
     def test_parse_rejects_garbage(self):
         with pytest.raises(BadDigit):
             parse_peano("S(S(1))")
+
+    def test_deep_parse_is_linear(self):
+        # a parse that copies the rest of the text per layer is quadratic:
+        # 0.75 s at depth 10^5
+        text = to_peano(UNARY_CAP).render()
+        start = time.perf_counter()
+        assert parse_peano(text).depth == UNARY_CAP
+        assert time.perf_counter() - start < 1.0
+
+    def test_depth_cap(self):
+        with pytest.raises(TooLarge, match="depth 1000001 exceeds cap"):
+            to_peano(UNARY_CAP + 1)
+        with pytest.raises(TooLarge):
+            peano_succ(to_peano(UNARY_CAP))
+        with pytest.raises(TooLarge):
+            parse_peano("S(" + to_peano(UNARY_CAP).render() + ")")
 
 
 class TestPositional:
