@@ -64,10 +64,16 @@ the round before its end, so that threshold only rises, and later rounds
 extend only beam members.  The ranking is therefore exactly the one the
 search gives without the bound.  On the kittens example at the defaults
 (beam 50, 12 rows) this cuts the kernel calls from 838 to 354, and 133 of
-those extensions are built.  ``retrieve`` uses the same bound,
-CD <= mh(p) * log2(A) - code(p) against the whole query: it scores patterns
-in falling bound order and stops at the first bound below the k-th best
-score, so a bound equal to it still competes on id.
+those extensions are built.
+
+``retrieve`` is the search's first round.  There every column is driving
+and unhit, so extending the literal alignment by p gives CD = raw -
+(code(p) + unmatched * log2(A)), and the rank key (-CD, 1, (p,)) orders
+these one-row alignments by (-CD, id).  A search with beam k + 1 and one
+row therefore keeps at least the k best patterns that share a symbol with
+the query (the literal alignment takes at most one place).  A pattern that
+shares none is never offered: it matches nothing, so it scores -code(p),
+and ``retrieve`` ranks those patterns with the search's before taking k.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels
 from .errors import EmptyRanking
@@ -227,20 +233,6 @@ def literal_alignment(new: SPPattern, store: PatternStore | None = None,
     return _build(new, (), _literal_columns(new), 0, len(new), alphabet_size)
 
 
-def align_pair(a: SPPattern, b: SPPattern,
-               alphabet_size: int | None = None) -> Alignment:
-    """Two-row alignment maximising hit columns, leftmost on ties.
-
-    The hit count equals the longest-common-subsequence length of the two
-    symbol sequences.  Standalone pairwise costing treats ``b`` as the sole
-    stored pattern, so its code is free and CD is the matched symbol mass.
-    """
-    if alphabet_size is None:
-        alphabet_size = max(len(set(a.texts) | set(b.texts)), 1)
-    columns, _, driving = _extend_columns(_literal_columns(a), b, row_index=1)
-    return _build(a, (b,), columns, 0, len(a) - driving, alphabet_size)
-
-
 def compose_alignment(new: SPPattern, row_patterns: Sequence[SPPattern],
                       store: PatternStore,
                       alphabet_size: int | None = None) -> Alignment:
@@ -289,34 +281,21 @@ def alignment_probabilities(alignments: Sequence[Alignment]) -> list[float]:
     return [w / total for w in weights]
 
 
-def _match_ceilings(store: PatternStore, texts: Iterable[str]) -> dict[str, int]:
-    """mh(p) = sum over texts t of min(count of t in p, count of t in
-    ``texts``), for every stored pattern p holding one of ``texts``.
-
-    A matched pair joins two equal texts and uses each occurrence once, so
-    no alignment of p against ``texts`` matches more than mh(p) of them."""
-    ceilings: dict[str, int] = {}
-    for text, need in Counter(texts).items():
-        for pid, have in store.occurrences(text).items():
-            ceilings[pid] = ceilings.get(pid, 0) + min(have, need)
-    return ceilings
-
-
-def _keep_best(floor: list[float], score: float, size: int) -> None:
-    """Add ``score`` to ``floor``, a min-heap of the ``size`` best scores."""
-    if len(floor) < size:
-        heapq.heappush(floor, score)
-    else:
-        heapq.heappushpop(floor, score)
-
-
 def _candidates(texts: Sequence[str], drives: Sequence[bool],
                 store: PatternStore) -> dict[str, int]:
-    """Id -> match ceiling over the unmatched driving symbols, for each
-    stored pattern that shares a symbol with a non-hit column: only these
-    can match anything.  ``texts`` are the non-hit columns' texts, and
-    ``drives`` says which of them hold a driving symbol."""
-    ceilings = _match_ceilings(store, [t for t, d in zip(texts, drives) if d])
+    """Id -> mh(p), for each stored pattern p that shares a symbol with a
+    non-hit column: only these can match anything.  ``texts`` are the
+    non-hit columns' texts, and ``drives`` says which of them hold a driving
+    symbol.
+
+    mh(p) is the sum over texts t of min(count of t in p, count of t in the
+    driving columns).  A matched pair joins two equal texts and uses each
+    occurrence once, so no merge of p turns more than mh(p) driving symbols
+    into hits."""
+    ceilings: dict[str, int] = {}
+    for text, need in Counter([t for t, d in zip(texts, drives) if d]).items():
+        for pid, have in store.occurrences(text).items():
+            ceilings[pid] = ceilings.get(pid, 0) + min(have, need)
     for text, d in zip(texts, drives):
         if not d:
             for pid in store.occurrences(text):
@@ -383,7 +362,10 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
                          unmatched - sum([drives[ti] for ti, _ in pairs]))
                 cd = raw - _cost(*terms, alphabet_size)  # the CD _build gives
                 scored[ids + (pid,)] = (cd, terms, al, pattern, (targets, pairs))
-                _keep_best(floor, cd, beam)
+                if len(floor) < beam:
+                    heapq.heappush(floor, cd)
+                else:
+                    heapq.heappushpop(floor, cd)
         ranked = sorted([(al.compression_difference, ids)
                          for ids, (al, _, _) in kept.items()]
                         + [(ext[0], ids) for ids, ext in scored.items()],
@@ -420,30 +402,24 @@ def infer_unmatched(al: Alignment) -> list[tuple[str, SPSymbol]]:
 
 def retrieve(query: SPPattern, store: PatternStore,
              k: int) -> list[tuple[str, float]]:
-    """Top-k stored patterns by pairwise compression difference against the
+    """Top-k stored patterns by one-row compression difference against the
     query, with store code costs; ties break by id.
 
-    A pattern's CD is at most its match ceiling times log2(A) minus its
-    code, so patterns are scored in falling order of that bound until it
-    falls below the k-th best score."""
+    The patterns that share a symbol with the query are round one of the
+    search, and the others match nothing: each pays its code and leaves
+    every driving symbol unmatched."""
     if k < 1:
         raise ValueError("k must be >= 1")
     alphabet_size = default_alphabet(query, store)
+    # the literal alignment takes at most one of the k + 1 places
+    ranking = build_alignments(query, store, beam=k + 1, max_old_rows=1,
+                               alphabet_size=alphabet_size)
+    scored = [(al.old_rows[0].id, al.compression_difference)
+              for al in ranking.alignments if al.old_rows]
+    shared = {pid for text in query.texts for pid in store.occurrences(text)}
     raw = raw_cost(query, alphabet_size)
-    bits = symbol_cost_bits(alphabet_size)
-    codes = {pid: code_cost(pid, store) for pid in store.ids()}
-    ceilings = _match_ceilings(store, query.texts)
-    order = sorted((code - ceilings.get(pid, 0) * bits, pid) for pid, code in codes.items())
-    scored: list[tuple[str, float]] = []
-    floor: list[float] = []  # min-heap of the k best scores so far
-    for neg_bound, pid in order:
-        if len(floor) == k and -neg_bound < floor[0] - _PRUNE_MARGIN:
-            break
-        al = align_pair(query, store.get(pid), alphabet_size)
-        # align_pair priced the unmatched columns with the code free; add it
-        cd = raw - (codes[pid] + al.encoding_cost)
-        scored.append((pid, cd))
-        _keep_best(floor, cd, k)
+    scored += [(pid, raw - _cost(code_cost(pid, store), len(query), alphabet_size))
+               for pid in store.ids() if pid not in shared]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
 

@@ -13,7 +13,7 @@ no frequency weighting) so compression differences are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -58,6 +58,8 @@ class SPPattern:
     symbols: tuple[SPSymbol, ...]
     frequency: int = 1
     kind: PatternKind = PatternKind.OLD
+    # the symbols' texts, made once: the kernel and the codecs read them
+    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.id, str):
@@ -71,16 +73,13 @@ class SPPattern:
         if self.frequency < 1:
             raise ValueError(f"pattern {self.id!r} frequency must be >= 1")
         object.__setattr__(self, "symbols", tuple(self.symbols))
+        object.__setattr__(self, "texts", tuple([s.text for s in self.symbols]))
 
     @classmethod
     def from_text(cls, id: str, text: str, *, frequency: int = 1,
                   kind: PatternKind = PatternKind.OLD,
                   mode: str = "whitespace") -> "SPPattern":
         return cls(id, tuple(tokenize(text, mode)), frequency, kind)
-
-    @property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(s.text for s in self.symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)

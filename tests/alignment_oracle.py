@@ -7,9 +7,10 @@ The merge builds ``insert_before`` / ``insert_after`` maps and has a
 separate no-match branch; the search extends every frontier member by every
 stored pattern, drops the zero-hit results, recomputes each alignment's
 signature wherever it needs one and remembers expanded members in a set.
-``retrieve`` aligns the query with every stored pattern and sorts them all.
-The search prices each alignment by recounting its rows' codes and its
-unmatched driving symbols (``_cost``), as the package once did.
+``retrieve`` aligns the query with every stored pattern through
+``align_pair``, the package's former pairwise alignment, and sorts them all.
+Both price each alignment by recounting its rows' codes and its unmatched
+driving symbols (``_cost``), as the package once did.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Sequence
 
 from icmup import kernels
 from icmup.alignment import (Alignment, AlignmentRanking, Column,
-                             align_pair, alignment_probabilities,
-                             default_alphabet, encoding_cost,
+                             alignment_probabilities, default_alphabet,
                              literal_alignment)
 from icmup.patterns import (PatternStore, SPPattern, code_cost, raw_cost,
                             symbol_cost_bits)
@@ -96,6 +96,21 @@ def _build(new: SPPattern, old_rows: tuple[SPPattern, ...],
     return Alignment(new, old_rows, columns, cost, cd)
 
 
+def align_pair(a: SPPattern, b: SPPattern,
+               alphabet_size: int | None = None) -> Alignment:
+    """Two-row alignment maximising hit columns, leftmost on ties.
+
+    The hit count equals the longest-common-subsequence length of the two
+    symbol sequences.  Standalone pairwise costing treats ``b`` as the sole
+    stored pattern, so its code is free and CD is the matched symbol mass.
+    """
+    if alphabet_size is None:
+        alphabet_size = max(len(set(a.texts) | set(b.texts)), 1)
+    literal = tuple(Column(s.text, ((0, i),)) for i, s in enumerate(a.symbols))
+    columns, _ = _extend_columns(literal, b, row_index=1)
+    return _build(a, (b,), columns, None, alphabet_size)
+
+
 def _signature(al: Alignment):
     return (tuple(r.id for r in al.old_rows),
             tuple((c.symbol, c.entries) for c in al.columns))
@@ -163,6 +178,7 @@ def retrieve(query: SPPattern, store: PatternStore,
     scored: list[tuple[str, float]] = []
     for pid in store.ids():
         al = align_pair(query, store.get(pid), alphabet_size)
-        scored.append((pid, raw - encoding_cost(al, store, alphabet_size)))
+        cost = _cost(query, al.old_rows, al.columns, store, alphabet_size)
+        scored.append((pid, raw - cost))
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import settings
 
-from icmup import (FunctionTable, PatternKind, SPPattern, SPSymbol,
-                   parse_grammar)
+from icmup import (FunctionTable, PatternKind, PatternStore, SPPattern,
+                   SPSymbol, compose_alignment, parse_grammar)
 
 # the same examples on every run, and no deadline for the slow oracles
 settings.register_profile("icmup", derandomize=True, deadline=None)
@@ -21,6 +21,12 @@ PATTERN p8 1: Num PL ; Np Vp
 """
 
 KITTENS_SENTENCE = "t w o k i t t e n s p l a y"
+
+
+def pair_alignment(a, b):
+    """The two-row alignment of ``a`` against ``b``: ``b`` is the whole store,
+    so its code is free and the alphabet is the two patterns' texts."""
+    return compose_alignment(a, [b], PatternStore([b]))
 
 
 def bits(*texts):

@@ -11,9 +11,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import KITTENS_GRAMMAR, KITTENS_SENTENCE
+from conftest import KITTENS_GRAMMAR, KITTENS_SENTENCE, pair_alignment
 from icmup import (CodeRef, PatternKind, SPPattern, SPSymbol,
-                   Schema, Slot, FixedSymbol, align_pair, build_alignments,
+                   Schema, Slot, FixedSymbol, build_alignments,
                    chunk_decode, chunk_encode, compile_truth_table,
                    discover_chunks, eval_circuit, eval_table,
                    multiset_to_set, parse_grammar, parse_peano,
@@ -205,7 +205,7 @@ def test_criterion_07_alignment():
         for xs, ys in pairs:
             a = SPPattern("a", tuple(SPSymbol(t) for t in xs), kind=PatternKind.NEW)
             b = SPPattern("b", tuple(SPSymbol(t) for t in ys))
-            hit_counts.append(align_pair(a, b).hit_count())
+            hit_counts.append(pair_alignment(a, b).hit_count())
         elapsed = time.perf_counter() - start
         for (xs, ys), hits in zip(pairs, hit_counts):
             assert hits == lcs_oracle(xs, ys)

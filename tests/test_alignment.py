@@ -2,8 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from icmup import (PatternKind, PatternStore, SPPattern, align_pair,
+import alignment_oracle as oracle
+from conftest import pair_alignment
+from icmup import (PatternKind, PatternStore, SPPattern,
                    alignment_probabilities, build_alignments, code_cost,
                    compose_alignment, dump_columns, encoding_cost,
                    infer_unmatched, literal_alignment, parse_render, raw_cost,
@@ -32,21 +36,23 @@ def new_pattern(text, pid="new"):
 
 
 class TestAlignPair:
+    """Two-row alignments: a driving pattern against a one-pattern store."""
+
     def test_identical_sequences_all_hits(self):
         a = new_pattern("a b c")
         b = SPPattern.from_text("b", "a b c")
-        al = align_pair(a, b)
+        al = pair_alignment(a, b)
         al.validate()
         assert al.hit_count() == 3
         assert len(al.columns) == 3
 
     def test_three_hits(self):
-        al = align_pair(new_pattern("G G A G"), SPPattern.from_text("b", "G G C G"))
+        al = pair_alignment(new_pattern("G G A G"), SPPattern.from_text("b", "G G C G"))
         assert al.hit_count() == 3
         al.validate()
 
     def test_dna_rows_match_oracle(self):
-        al = align_pair(new_pattern(DNA_A), SPPattern.from_text("b", DNA_B))
+        al = pair_alignment(new_pattern(DNA_A), SPPattern.from_text("b", DNA_B))
         assert al.hit_count() == lcs_oracle(DNA_A.split(), DNA_B.split())
         al.validate()
 
@@ -57,16 +63,31 @@ class TestAlignPair:
             ys = [rng.choice("abcz") for _ in range(rng.randrange(0, 41))]
             if not xs or not ys:
                 continue
-            al = align_pair(new_pattern(" ".join(xs)),
+            al = pair_alignment(new_pattern(" ".join(xs)),
                             SPPattern.from_text("b", " ".join(ys)))
             assert al.hit_count() == lcs_oracle(xs, ys)
             al.validate()
 
     def test_no_shared_symbols(self):
-        al = align_pair(new_pattern("a b"), SPPattern.from_text("b", "x y"))
+        al = pair_alignment(new_pattern("a b"), SPPattern.from_text("b", "x y"))
         al.validate()
         assert al.hit_count() == 0
         assert al.compression_difference == pytest.approx(0.0)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from("abcz"), min_size=1, max_size=30),
+           st.lists(st.sampled_from("abcz"), min_size=1, max_size=30),
+           st.integers(1, 5))
+    def test_pairs_equal_the_oracle_pairwise_alignment(self, xs, ys, frequency):
+        # the one-pattern store makes b's code free at any frequency, and its
+        # alphabet is the two patterns' texts, as the oracle's is
+        a = new_pattern(" ".join(xs))
+        b = SPPattern.from_text("b", " ".join(ys), frequency=frequency)
+        al, expected = pair_alignment(a, b), oracle.align_pair(a, b)
+        assert al.columns == expected.columns
+        assert al.encoding_cost == expected.encoding_cost
+        assert al.compression_difference == expected.compression_difference
+        assert al.hit_count() == lcs_oracle(xs, ys)
 
 
 class TestEncodingCost:
@@ -96,7 +117,7 @@ class TestEncodingCost:
         lambda new, store: build_alignments(new, store, alphabet_size=0),
     ])
     def test_zero_alphabet_is_degenerate(self, kittens_store, kittens_new, build):
-        # 0 is a size, not "unset": it raises as align_pair does
+        # 0 is a size, not "unset": it raises like any size below 1
         with pytest.raises(DegenerateAlphabet):
             build(kittens_new, kittens_store)
 
@@ -268,12 +289,12 @@ class TestProbabilities:
 class TestInferUnmatched:
     def test_word_pattern_predictions(self, kittens_store):
         new = new_pattern("k i t t e n")
-        al = align_pair(new, kittens_store.get("p1"))
+        al = pair_alignment(new, kittens_store.get("p1"))
         predicted = [(pid, s.text) for pid, s in infer_unmatched(al)]
         assert predicted == [("p1", "Nr"), ("p1", "5"), ("p1", "#Nr")]
 
     def test_identical_pair_predicts_nothing(self):
-        al = align_pair(new_pattern("a b"), SPPattern.from_text("p", "a b"))
+        al = pair_alignment(new_pattern("a b"), SPPattern.from_text("p", "a b"))
         assert infer_unmatched(al) == []
 
     def test_literal_alignment_predicts_nothing(self, kittens_new, kittens_store):
@@ -304,7 +325,7 @@ class TestRendering:
         assert parse_render(al) == "t w o k i t t e n s p l a y"
 
     def test_single_row_brackets(self):
-        al = align_pair(new_pattern("a b"), SPPattern.from_text("P1", "a b"))
+        al = pair_alignment(new_pattern("a b"), SPPattern.from_text("P1", "a b"))
         assert parse_render(al) == "P1( a b )"
 
     def test_full_parse_nesting(self, kittens_store, kittens_new):

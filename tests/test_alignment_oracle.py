@@ -1,11 +1,11 @@
 """The beam search and retrieval against the original ones in
 ``alignment_oracle``: rankings must be exactly equal, though the bound
-pruning skips most merges."""
+pruning skips most merges and retrieval reads the search's first round."""
 
 from dataclasses import replace
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import alignment_oracle as oracle
@@ -268,6 +268,47 @@ def test_retrieve_past_the_sharers_equals_oracle(retrieval):
     assert len(result) == min(k, len(store))
 
 
+@st.composite
+def crowded_retrievals(draw):
+    """A query, a store of rare (1-3) and frequent (100-400) patterns, and a
+    k no larger than the number of patterns that share a symbol with the
+    query.  A pattern that shares none scores minus its code, which a
+    frequent one keeps small, so it can outrank rare sharers whose CD is
+    negative (about one example in six)."""
+    alphabet = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=8,
+                             unique=True))
+    bodies = draw(st.lists(st.lists(st.sampled_from(alphabet + ["q", "r"]),
+                                    min_size=1, max_size=6),
+                           min_size=1, max_size=20))
+    store = PatternStore(
+        SPPattern(f"p{i:02d}", tuple(SPSymbol(t) for t in body),
+                  draw(st.one_of(st.integers(1, 3), st.integers(100, 400))))
+        for i, body in enumerate(bodies))
+    query = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))
+    sharers = sum(1 for body in bodies if set(body) & set(query))
+    assume(sharers >= 1)
+    k = draw(st.integers(1, sharers))
+    return SPPattern("q", tuple(SPSymbol(t) for t in query),
+                     kind=PatternKind.NEW), store, k
+
+
+@settings(max_examples=300)
+@given(crowded_retrievals())
+# "x" and "x2" match one and two query symbols (2.8 bits each) but pay an
+# 8.7-bit code; "y" matches nothing and pays under 0.01 bits, so it is the
+# top 1 though two patterns share a symbol with the query
+@example((SPPattern.from_text("q", "a b c d e f", kind=PatternKind.NEW),
+          PatternStore([SPPattern.from_text("x", "a"),
+                        SPPattern.from_text("x2", "a b"),
+                        SPPattern.from_text("y", "z", frequency=400)]), 1))
+def test_retrieve_within_the_sharers_equals_oracle(retrieval):
+    # the cut falls among the sharers, and a cheap non-sharer may pass it
+    query, store, k = retrieval
+    result = retrieve(query, store, k)
+    assert result == oracle.retrieve(query, store, k)
+    assert len(result) == k
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_retrieve_id_ties_equal_oracle(data):
@@ -297,6 +338,32 @@ def test_kittens_retrieve_equals_oracle(kittens_store):
         for k in range(1, len(kittens_store) + 2):
             assert retrieve(query, kittens_store, k) == \
                 oracle.retrieve(query, kittens_store, k)
+
+
+def assert_retrieve_work(query, store, k):
+    rounds, calls = {}, []
+    with mock.patch.object(kernels, "match_pairs", counting_merges(calls)), \
+            mock.patch.object(alignment, "_extend_columns",
+                              counting_builds(rounds, calls)):
+        retrieve(query, store, k)
+    # columns only for the search's survivors, the literal alignment aside
+    assert sum(rounds.values()) <= k + 1
+    # every query column is open to the kernel, so a call that matched
+    # nothing was one on a pattern that shares no symbol with the query
+    assert all(hits >= 1 for hits in calls)
+
+
+@settings(max_examples=200)
+@given(st.one_of(retrievals(), crowded_retrievals()))
+def test_retrieve_builds_only_survivors(retrieval):
+    assert_retrieve_work(*retrieval)
+
+
+def test_kittens_retrieve_builds_only_survivors(kittens_store):
+    for text in ("k i t t e n", "N Np Nr #Nr s #N", "t w o k i t t e n s"):
+        query = SPPattern.from_text("q", text, kind=PatternKind.NEW)
+        for k in range(1, len(kittens_store) + 2):
+            assert_retrieve_work(query, kittens_store, k)
 
 
 def test_ties_go_to_fewer_rows_then_ids():
