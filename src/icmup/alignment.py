@@ -27,15 +27,18 @@ the result, and so on, each merge deterministic.  So the beam keys each
 alignment by its tuple of Old-row ids, and the literal alignment by ().
 
 A merge is a match and a placement.  The match is one kernel call on the
-texts of the non-hit columns (``_unhit``; the search picks those columns
-once per frontier member).  ``_extend_columns`` places a match, copying each
-run of columns between matched ones as one slice and building only the
-matched and the fresh columns, so its Python work is O(matched + fresh).  An
-extension's cost needs only the match: its cost terms come from its parent,
-the rows' codes growing by code(p) and the unmatched driving count falling
-by the pairs that land on driving columns.  The codes are the left fold
-from 0 that ``sum`` over the rows makes, so the cost is the very float a
-recount gives; ``encoding_cost`` recounts.
+texts of the non-hit columns (``_unhit``).  The search picks those columns,
+and builds the kernel's mask table over their texts, once per frontier
+member: every candidate of a member is matched against the same texts, so a
+kernel call costs O(len(p) * ceil(n / w)) word operations for n non-hit
+columns and w-bit machine words (see ``kernels``).  ``_extend_columns``
+places a match, copying each run of columns between matched ones as one
+slice and building only the matched and the fresh columns, so its Python
+work is O(matched + fresh).  An extension's cost needs only the match: its
+cost terms come from its parent, the rows' codes growing by code(p) and the
+unmatched driving count falling by the pairs that land on driving columns.
+The codes are the left fold from 0 that ``sum`` over the rows makes, so the
+cost is the very float a recount gives; ``encoding_cost`` recounts.
 
 Search is a deterministic beam search.  Each round extends the frontier,
 the members the previous round newly admitted to the beam, by aligning a
@@ -52,19 +55,27 @@ depend on evaluation order.
 
 Most candidates are skipped before the kernel scores them, by an exact
 bound.  Adding pattern p to alignment al turns at most mh(p) driving symbols
-into hits, where mh(p) = sum over texts t of min(count of t in p, count of
-t in al's unmatched driving columns), because a matched pair joins equal
-texts and uses each occurrence once.  So the extension's CD is at most
-CD(al) - code(p) + mh(p) * log2(A).  A frontier member's bounds sit in a
+into hits, where mh(p) = sum over texts t of min(count of t in p, count of t
+in al's unmatched driving columns), because a matched pair joins equal texts
+and uses each occurrence once.  So the extension's CD is at most CD(al) -
+code(p) + mh(p) * log2(A).  The ceilings come from counting, not from one
+``min`` per (text, pattern) pair: with need copies of t among the driving
+columns, min(have, need) = sum over c < need of [have > c], so counting each
+id once in every level c < need of ``store.holders(t)``, the ids holding
+more than c copies, sums mh(p) in C.  A frontier member's bounds sit in a
 heap, popped best first until one fails.  Once the round holds ``beam``
 distinct alignments, kept or scored, a candidate whose bound is below the
 beam-th best of their CDs (by a 1e-9 margin, so rounding never skips a tie)
 ranks below all of them and would be cut at the round's end; nothing leaves
 the round before its end, so that threshold only rises, and later rounds
 extend only beam members.  The ranking is therefore exactly the one the
-search gives without the bound.  On the kittens example at the defaults
-(beam 50, 12 rows) this cuts the kernel calls from 838 to 354, and 133 of
-those extensions are built.
+search gives without the bound.  On the kittens example at the defaults (beam
+50, 12 rows) this cuts the kernel calls from 838 to 354, and 133 of those
+extensions are built.  A pattern that shares a symbol only with Old columns
+has mh 0 and a bound of CD(al) - code(p), so when that bound for the store's
+cheapest code already fails at the member's start, the member gathers none
+of them: each would fail when popped and end the member's loop, so the same
+candidates are scored.
 
 ``retrieve`` is the search's first round.  There every column is driving
 and unhit, so extending the literal alignment by p gives CD = raw -
@@ -81,6 +92,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from . import kernels
@@ -282,24 +294,24 @@ def alignment_probabilities(alignments: Sequence[Alignment]) -> list[float]:
 
 
 def _candidates(texts: Sequence[str], drives: Sequence[bool],
-                store: PatternStore) -> dict[str, int]:
+                store: PatternStore, olds: bool) -> dict[str, int]:
     """Id -> mh(p), for each stored pattern p that shares a symbol with a
     non-hit column: only these can match anything.  ``texts`` are the
     non-hit columns' texts, and ``drives`` says which of them hold a driving
-    symbol.
+    symbol.  Unless ``olds``, the patterns that share a symbol only with Old
+    columns, all of mh 0, are left out.
 
     mh(p) is the sum over texts t of min(count of t in p, count of t in the
     driving columns).  A matched pair joins two equal texts and uses each
     occurrence once, so no merge of p turns more than mh(p) driving symbols
-    into hits."""
-    ceilings: dict[str, int] = {}
-    for text, need in Counter([t for t, d in zip(texts, drives) if d]).items():
-        for pid, have in store.occurrences(text).items():
-            ceilings[pid] = ceilings.get(pid, 0) + min(have, need)
-    for text, d in zip(texts, drives):
-        if not d:
-            for pid in store.occurrences(text):
-                ceilings.setdefault(pid, 0)
+    into hits.  With need copies of t driving, min(have, need) is the number
+    of levels c < need at which p holds more than c copies, so counting p
+    once per level of ``store.holders(t)[:need]`` sums it."""
+    need = Counter([t for t, d in zip(texts, drives) if d])
+    ceilings = dict.fromkeys(chain.from_iterable(
+        store.occurrences(t) for t, d in zip(texts, drives) if olds and not d), 0)
+    ceilings.update(Counter(chain.from_iterable(
+        level for t, n in need.items() for level in store.holders(t)[:n])))
     return ceilings
 
 
@@ -325,6 +337,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
     raw = raw_cost(new, alphabet_size)
     bits = symbol_cost_bits(alphabet_size)
     codes = {pid: code_cost(pid, store) for pid in store.ids()}
+    cheapest = min(codes.values(), default=0.0)
 
     # the beam: Old-row ids -> (alignment, its rows' codes, its unmatched
     # driving count); an extension takes both cost terms from its parent
@@ -341,23 +354,33 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         # once it is full, its head is the CD an extension must reach
         floor = [al.compression_difference for al, _, _ in kept.values()]
         heapq.heapify(floor)
+
+        def below_floor(cd: float) -> bool:
+            """Whether an extension whose CD is at most ``cd`` would be cut
+            at the round's end; the floor only rises, so it stays cut."""
+            return len(floor) == beam and cd < floor[0] - _PRUNE_MARGIN
+
         # Old-row ids -> (CD, cost terms, parent, pattern, match): an
         # extension scored but not yet built (always a new key)
         scored = {}
         for ids, al, paid, unmatched in frontier:
             targets, texts = _unhit(al.columns)
             drives = [al.columns[ci].entries[0][0] == 0 for ci in targets]
+            masks = kernels.text_masks(texts)  # one table for every candidate
+            # a pattern that shares only Old symbols makes no driving hit, so
+            # its bound is CD(al) - code(p): gather those only if the
+            # cheapest code can pass
+            olds = not below_floor(al.compression_difference - cheapest)
             # (least the pattern can add to the cost, id), popped best first
             bounds = [(codes[pid] - ceiling * bits, pid) for pid, ceiling
-                      in _candidates(texts, drives, store).items()]
+                      in _candidates(texts, drives, store, olds).items()]
             heapq.heapify(bounds)
             while bounds:
                 cost, pid = heapq.heappop(bounds)
-                if (len(floor) == beam and
-                        al.compression_difference - cost < floor[0] - _PRUNE_MARGIN):
-                    break  # the rest bound lower still, and the floor only rises
+                if below_floor(al.compression_difference - cost):
+                    break  # the rest bound lower still
                 pattern = store.get(pid)
-                pairs = kernels.match_pairs(texts, pattern.texts)
+                pairs = kernels.match_pairs(texts, pattern.texts, masks)
                 terms = (paid + codes[pid],
                          unmatched - sum([drives[ti] for ti, _ in pairs]))
                 cd = raw - _cost(*terms, alphabet_size)  # the CD _build gives

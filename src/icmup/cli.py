@@ -4,13 +4,15 @@ Every command prints deterministic text (fractional bits to three decimals,
 halves away from zero).  A command that accounts for bits returns its
 ``RunReport``, and ``main`` writes it when ``--report`` is given.  Exit
 codes: 0 success, 2 input or parse error, 3 domain error (the error class
-name goes to stderr).
+name goes to stderr).  A ``--report`` path whose directory does not exist
+fails the run before the command starts, so it prints and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import alignment as al
@@ -468,6 +470,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # the report is written last; a path that cannot take it must fail
+        # before the command prints or writes anything
+        folder = os.path.dirname(getattr(args, "report", None) or "")
+        if folder and not os.path.isdir(folder):
+            raise InputFormatError(f"--report: no directory {folder!r}")
         report = args.func(args)
         if report is not None and args.report:
             report.write(args.report)

@@ -1,56 +1,74 @@
 """Pairwise match kernel: the longest common subsequence behind alignment.
 
 ``match_pairs`` runs the bit-parallel LCS of Allison & Dix (1986), in the
-form of Hyyrö (2004), on Python ints: one mask per symbol text of ``b`` and
-one bit-vector row per symbol of ``a``.  Both sequences are scanned
-reversed, so bit k of ``rows[i]`` is set when ``b[m-1-k]`` lengthens a common
-subsequence of ``a[i:]`` and the suffix table ``dp[i][j] = L(a[i:], b[j:])``
-(L the LCS length, m = len(b)) reads back as
+form of Hyyrö (2004), on Python ints, with the bit vectors over ``a``: the
+transpose of the usual layout, which keeps masks over ``b`` and makes one
+row per symbol of ``a``.  ``text_masks(a)`` holds, for each symbol text, bit
+k where ``a[n-1-k]`` has that text (n = len(a)), and the kernel makes one
+column vector per symbol of ``b`` (m = len(b)).  Both sequences are scanned
+reversed, so with ``dp[i][j] = L(a[i:], b[j:])`` the suffix table (L the LCS
+length), bit n-1-i of ``cols[j]`` is set exactly when
+``dp[i][j] > dp[i+1][j]``, and the table reads back as
 
-    dp[i][j] = (rows[i] & ((1 << (m - j)) - 1)).bit_count()
+    dp[i][j] = (cols[j] & ((1 << (n - i)) - 1)).bit_count()
 
-Each row costs O(ceil(m / w)) word operations for w-bit machine words, the
-table O(n * ceil(m / w)).  The greedy forward walk over the table yields the
-leftmost optimal pairing in at most n + m steps of the same cost as a row.
+The masks depend on ``a`` alone: a caller that matches many sequences
+against one builds them once, in O(n) steps, and passes them.  Each column
+then costs O(ceil(n / w)) word operations for w-bit machine words, the table
+O(m * ceil(n / w)).  The greedy forward walk over the table yields the
+leftmost optimal pairing.  At (i, j) it pairs equal heads, steps down ``a``
+while ``dp[i][j] == dp[i+1][j]`` (bit n-1-i of ``cols[j]`` clear) and
+otherwise steps along ``b``.  One bit search in ``cols[j] | masks[b[j]]``
+finds where a run down ``a`` stops, so the walk takes at most m steps of
+the same cost as a column.
 """
 
 
-def _suffix_rows(a: tuple[str, ...], b: tuple[str, ...]) -> list[int]:
-    """``rows[i]`` for i = 0..len(a), encoding ``dp[i][.]`` as above."""
-    full = (1 << len(b)) - 1
+def text_masks(a: tuple[str, ...]) -> dict[str, int]:
+    """Symbol text -> the bits k where ``a[len(a)-1-k]`` has that text."""
     masks: dict[str, int] = {}
-    for k, text in enumerate(reversed(b)):
+    for k, text in enumerate(reversed(a)):
         masks[text] = masks.get(text, 0) | (1 << k)
-    rows = [0] * (len(a) + 1)
+    return masks
+
+
+def _suffix_cols(masks: dict[str, int], n: int, b: tuple[str, ...]) -> list[int]:
+    """``cols[j]`` for j = 0..len(b), encoding ``dp[.][j]`` as above, from the
+    masks of a length-n ``a``."""
+    full = (1 << n) - 1
+    cols = [0] * (len(b) + 1)
     v = full
-    for i in range(len(a) - 1, -1, -1):
-        u = v & masks.get(a[i], 0)
+    for j in range(len(b) - 1, -1, -1):
+        u = v & masks.get(b[j], 0)
         v = ((v + u) | (v - u)) & full
-        rows[i] = full ^ v
-    return rows
+        cols[j] = full ^ v
+    return cols
 
 
-def match_pairs(a: tuple[str, ...], b: tuple[str, ...]) -> list[tuple[int, int]]:
+def match_pairs(a: tuple[str, ...], b: tuple[str, ...],
+                masks: dict[str, int] | None = None) -> list[tuple[int, int]]:
     """Leftmost maximum set of matched index pairs between two sequences of
-    symbol texts.
+    symbol texts; ``masks`` is ``text_masks(a)`` when the caller has it.
 
     The number of pairs equals the LCS length; pairs are strictly increasing
     in both coordinates.
     """
-    rows = _suffix_rows(a, b)
+    if masks is None:
+        masks = text_masks(a)
     n, m = len(a), len(b)
+    cols = _suffix_cols(masks, n, b)
     pairs: list[tuple[int, int]] = []
     i = j = 0
     while i < n and j < m:
+        # the first i' >= i where a[i'] == b[j] or dp[i'][j] > dp[i'+1][j];
+        # none means dp[i][j] == 0, so nothing more pairs
+        stops = (cols[j] | masks.get(b[j], 0)) & ((1 << (n - i)) - 1)
+        if not stops:
+            break
+        i = n - stops.bit_length()
         # equal heads always extend an LCS, so dp[i][j] == dp[i+1][j+1] + 1
         if a[i] == b[j]:
             pairs.append((i, j))
             i += 1
-            j += 1
-            continue
-        low = (1 << (m - j)) - 1
-        if (rows[i + 1] & low).bit_count() == (rows[i] & low).bit_count():
-            i += 1
-        else:
-            j += 1
+        j += 1
     return pairs

@@ -123,7 +123,8 @@ def render(symbols: Iterable[SPSymbol]) -> str:
 class PatternStore:
     """An immutable dictionary of Old patterns with a derived alphabet,
     total frequency, and a symbol-to-pattern retrieval index that also
-    counts each symbol's occurrences in each pattern."""
+    counts each symbol's occurrences in each pattern.  The index's levels
+    (``holders``) are derived per symbol when first asked for."""
 
     def __init__(self, patterns: Iterable[SPPattern] = ()):
         by_id: dict[str, SPPattern] = {}
@@ -141,6 +142,7 @@ class PatternStore:
                 counts[p.id] = counts.get(p.id, 0) + 1
         self._by_id = by_id
         self._index = index
+        self._holders: dict[str, tuple[tuple[str, ...], ...]] = {}
         self.alphabet: frozenset[str] = frozenset(index)
         self.total_frequency: int = total
 
@@ -157,6 +159,18 @@ class PatternStore:
         """Pattern id -> how many of its symbols are ``text``, for every
         stored pattern holding ``text`` (read-only)."""
         return self._index.get(text, {})
+
+    def holders(self, text: str) -> tuple[tuple[str, ...], ...]:
+        """Level c -> the ids of the patterns holding more than c copies of
+        ``text``, for each c below the most copies one pattern holds.  Made
+        from ``occurrences`` on the first request and kept."""
+        levels = self._holders.get(text)
+        if levels is None:
+            counts = self.occurrences(text)
+            levels = self._holders[text] = tuple(
+                tuple([pid for pid, have in counts.items() if have > c])
+                for c in range(max(counts.values(), default=0)))
+        return levels
 
     def __contains__(self, pattern_id: str) -> bool:
         return pattern_id in self._by_id

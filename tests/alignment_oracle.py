@@ -10,14 +10,21 @@ signature wherever it needs one and remembers expanded members in a set.
 ``retrieve`` aligns the query with every stored pattern through
 ``align_pair``, the package's former pairwise alignment, and sorts them all.
 Both price each alignment by recounting its rows' codes and its unmatched
-driving symbols (``_cost``), as the package once did.
+driving symbols (``_cost``), as the package once did.  Merges match with
+``kernel_oracle.match_pairs``, the dynamic-programming table, so no oracle
+here runs the package's kernel.
+
+``_candidates`` is the search's former candidate set, one ``min`` per
+(text, pattern) pair over the symbol index; the package's must give the
+same ceilings.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
-from icmup import kernels
+import kernel_oracle
 from icmup.alignment import (Alignment, AlignmentRanking, Column,
                              alignment_probabilities, default_alphabet,
                              literal_alignment)
@@ -37,7 +44,7 @@ def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
     targets = [(ci, col.symbol) for ci, col in enumerate(columns) if not col.is_hit]
     target_texts = tuple(t for _, t in targets)
     p_texts = pattern.texts
-    pairs = kernels.match_pairs(target_texts, p_texts)
+    pairs = kernel_oracle.match_pairs(target_texts, p_texts)
 
     hit_at: dict[int, int] = {}
     insert_before: dict[int, list[int]] = {}
@@ -69,6 +76,28 @@ def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
         for pj in insert_after.get(ci, ()):
             out.append(Column(p_texts[pj], ((row_index, pj),)))
     return tuple(out), len(pairs)
+
+
+def _candidates(texts: Sequence[str], drives: Sequence[bool],
+                store: PatternStore) -> dict[str, int]:
+    """Id -> mh(p), for each stored pattern p that shares a symbol with a
+    non-hit column: only these can match anything.  ``texts`` are the
+    non-hit columns' texts, and ``drives`` says which of them hold a driving
+    symbol.
+
+    mh(p) is the sum over texts t of min(count of t in p, count of t in the
+    driving columns).  A matched pair joins two equal texts and uses each
+    occurrence once, so no merge of p turns more than mh(p) driving symbols
+    into hits."""
+    ceilings: dict[str, int] = {}
+    for text, need in Counter([t for t, d in zip(texts, drives) if d]).items():
+        for pid, have in store.occurrences(text).items():
+            ceilings[pid] = ceilings.get(pid, 0) + min(have, need)
+    for text, d in zip(texts, drives):
+        if not d:
+            for pid in store.occurrences(text):
+                ceilings.setdefault(pid, 0)
+    return ceilings
 
 
 def _unmatched_new_count(new: SPPattern, columns: Sequence[Column]) -> int:

@@ -2,7 +2,11 @@
 ``alignment_oracle``: rankings must be exactly equal, though the bound
 pruning skips most merges and retrieval reads the search's first round."""
 
+import importlib.util
+import random
+import time
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import assume, example, given, settings
@@ -163,7 +167,67 @@ def test_kittens_merge_count(kittens_new, kittens_store, monkeypatch):
     hits = []
     monkeypatch.setattr(kernels, "match_pairs", counting_merges(hits))
     build_alignments(kittens_new, kittens_store)
-    assert len(hits) <= 354
+    assert 0 < len(hits) <= 354
+
+
+def load_bench_generator():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_1k_store_160_symbols(monkeypatch):
+    # The 1,008-pattern kittens-style store and eight joined ~20-letter
+    # sentences, at the defaults (beam 50, 12 rows).  The bound decides which
+    # candidates are scored, so their count is pinned; the search took about
+    # 6 s at 160 symbols before the transposed kernel and the holders-based
+    # ceilings, and about 1.7 s after, on a 2-vCPU x86-64 VM, so 4 s leaves
+    # room for a slower host.
+    gen = load_bench_generator()
+    _, lines, lexicon = gen.kittens_grammar(random.Random(1), 100, 500, 400)
+    store = parse_grammar("\n".join(lines) + "\n")
+    rng = random.Random(3)
+    letters = [c for _ in range(8) for c in gen.kittens_sentence(rng, lexicon, 20)]
+    new = SPPattern("new", tuple(map(SPSymbol, letters)), kind=PatternKind.NEW)
+    assert (len(store), len(new)) == (1008, 160)
+    hits = []
+    monkeypatch.setattr(kernels, "match_pairs", counting_merges(hits))
+    start = time.perf_counter()
+    ranking = build_alignments(new, store)
+    elapsed = time.perf_counter() - start
+    assert len(hits) == 43227
+    assert len(ranking.best.old_rows) == 12
+    assert elapsed < 4.0
+
+
+def candidate_inputs():
+    """Non-hit column texts, which of them drive, and a store whose
+    patterns hold some texts several times and some not at all."""
+    texts = st.sampled_from(SYMBOLS + ("q",))
+    bodies = st.lists(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=8),
+                      max_size=20)
+    columns = st.lists(st.tuples(texts, st.booleans()), max_size=12)
+    return st.tuples(columns, bodies.map(lambda bodies: PatternStore(
+        SPPattern(f"p{i}", tuple(map(SPSymbol, body)))
+        for i, body in enumerate(bodies))))
+
+
+@settings(max_examples=300)
+@given(candidate_inputs())
+def test_candidates_equal_oracle(inputs):
+    columns, store = inputs
+    texts = tuple(t for t, _ in columns)
+    drives = [d for _, d in columns]
+    expected = oracle._candidates(texts, drives, store)
+    assert alignment._candidates(texts, drives, store, True) == expected
+    # without the patterns that share only Old symbols: those of mh 0 that
+    # share no driving symbol
+    driving = {t for t, d in columns if d}
+    assert alignment._candidates(texts, drives, store, False) == {
+        pid: mh for pid, mh in expected.items()
+        if any(t in driving for t in store.get(pid).texts)}
 
 
 @settings(max_examples=200)

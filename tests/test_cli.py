@@ -221,6 +221,16 @@ class TestCompressDecompress:
         for argv in failing:
             assert run(capsys, *argv, "--report", str(report))[0] == 2
             assert not report.exists()
+        # a report that cannot be written fails the run before it starts:
+        # nothing printed, no --out file
+        out = tmp_path / "s.json"
+        for argv in (["compress", str(corpus), "--out", str(out)],
+                     ["align", grammar_file, "--new", "a b"],
+                     ["newton"]):
+            code, stdout, err = run(capsys, *argv, "--report",
+                                    str(tmp_path / "nodir" / "r.json"))
+            assert (code, stdout) == (2, "") and "nodir" in err
+            assert not out.exists()
 
     def test_report_file(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

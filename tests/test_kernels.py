@@ -31,11 +31,11 @@ def random_pair(rng, max_len=40, alphabet="ABCDE"):
 
 
 def decoded_table(a, b):
-    """The suffix table as the kernel docstring says its rows encode it."""
-    rows = kernels._suffix_rows(a, b)
-    m = len(b)
-    return [[(row & ((1 << (m - j)) - 1)).bit_count() for j in range(m + 1)]
-            for row in rows]
+    """The suffix table as the kernel docstring says its columns encode it."""
+    n = len(a)
+    cols = kernels._suffix_cols(kernels.text_masks(a), n, b)
+    return [[(col & ((1 << (n - i)) - 1)).bit_count() for col in cols]
+            for i in range(n + 1)]
 
 
 # Symbol texts of one to three characters over a small set, so "a", "aa"
@@ -44,7 +44,8 @@ SYMBOLS = st.text(alphabet="ab#N", min_size=1, max_size=3)
 
 
 @st.composite
-def text_pairs(draw):
+def text_sequences(draw, count):
+    """``count`` sequences over one drawn alphabet."""
     alphabet = draw(st.lists(SYMBOLS, min_size=1, max_size=8, unique=True))
 
     def sequence():
@@ -52,7 +53,7 @@ def text_pairs(draw):
         return tuple(draw(st.lists(st.sampled_from(alphabet),
                                    min_size=size, max_size=size)))
 
-    return sequence(), sequence()
+    return [sequence() for _ in range(count)]
 
 
 class TestSuffixTable:
@@ -74,7 +75,7 @@ class TestSuffixTable:
 
 class TestMatchPairs:
     @settings(max_examples=300)
-    @given(text_pairs())
+    @given(text_sequences(2))
     def test_equals_oracle(self, pair):
         a, b = pair
         assert kernels.match_pairs(a, b) == oracle.match_pairs(a, b)
@@ -104,6 +105,17 @@ class TestMatchPairs:
 
     def test_no_common_symbol(self):
         assert kernels.match_pairs(("a", "b", "a"), ("ab", "c")) == []
+
+    @settings(max_examples=100)
+    @given(st.integers(2, 6).flatmap(text_sequences))
+    def test_one_mask_table_for_many_sequences(self, sequences):
+        # the search matches every candidate against one member's masks, so
+        # a call must leave them as it found them
+        a, *others = sequences
+        masks = kernels.text_masks(a)
+        for b in others:
+            assert kernels.match_pairs(a, b, masks) == oracle.match_pairs(a, b)
+        assert masks == kernels.text_masks(a)
 
 
 def test_cli_import_needs_no_numpy_or_numba():

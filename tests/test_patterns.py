@@ -169,6 +169,20 @@ class TestStore:
         assert store.occurrences("y") == {"a": 1, "b": 1}
         assert store.occurrences("w") == {}
 
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1,
+                             max_size=8), max_size=12))
+    def test_holders_recount(self, bodies):
+        store = PatternStore(SPPattern(f"p{i}", tuple(map(SPSymbol, body)))
+                             for i, body in enumerate(bodies))
+        for text in ("a", "b", "ab", "w"):
+            levels = store.holders(text)
+            most = max([body.count(text) for body in bodies], default=0)
+            assert len(levels) == most
+            for c, ids in enumerate(levels):
+                assert sorted(ids) == sorted(f"p{i}" for i, body in enumerate(bodies)
+                                             if body.count(text) > c)
+            assert store.holders(text) is levels  # made once, then kept
+
 
 class TestGrammarFile:
     def test_basic(self):
