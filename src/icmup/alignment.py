@@ -224,10 +224,10 @@ def encoding_cost(al: Alignment, store: PatternStore, alphabet_size: int) -> flo
 
 
 def default_alphabet(new: SPPattern, store: PatternStore | None = None) -> int:
-    texts = set(new.texts)
-    if store is not None:
-        texts |= store.alphabet
-    return max(len(texts), 1)
+    """The distinct texts of ``new`` and the store together, at least 1."""
+    if store is None:
+        return max(len(set(new.texts)), 1)
+    return max(len(store.alphabet) + len(set(new.texts).difference(store.alphabet)), 1)
 
 
 def _build(new: SPPattern, old_rows: tuple[SPPattern, ...],
@@ -336,7 +336,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         alphabet_size = default_alphabet(new, store)
     raw = raw_cost(new, alphabet_size)
     bits = symbol_cost_bits(alphabet_size)
-    codes = {pid: code_cost(pid, store) for pid in store.ids()}
+    codes = store.codes()
     cheapest = min(codes.values(), default=0.0)
 
     # the beam: Old-row ids -> (alignment, its rows' codes, its unmatched
@@ -441,8 +441,8 @@ def retrieve(query: SPPattern, store: PatternStore,
               for al in ranking.alignments if al.old_rows]
     shared = {pid for text in query.texts for pid in store.occurrences(text)}
     raw = raw_cost(query, alphabet_size)
-    scored += [(pid, raw - _cost(code_cost(pid, store), len(query), alphabet_size))
-               for pid in store.ids() if pid not in shared]
+    scored += [(pid, raw - _cost(code, len(query), alphabet_size))
+               for pid, code in store.codes().items() if pid not in shared]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
 

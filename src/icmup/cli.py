@@ -20,7 +20,7 @@ from . import codecs, hierarchy, machines, setnum
 from .errors import IcmupError, InputFormatError
 from .patterns import (PatternKind, SPPattern, SPSymbol, parse_grammar,
                        raw_cost, render, tokenize)
-from .reporting import RunReport, file_digest, format_bits
+from .reporting import RunReport, format_bits
 
 
 def _read_text(path: str) -> str:
@@ -48,7 +48,7 @@ def _two_part(report: RunReport) -> str:
 def cmd_compress(args) -> RunReport:
     text = _read_text(args.corpus)
     symbols = tokenize(text, _mode(args))
-    report = RunReport("compress", {args.corpus: file_digest(args.corpus)})
+    report = RunReport("compress", (args.corpus,))
     alphabet = _corpus_alphabet(symbols)
     priced = max(alphabet, 1)  # with no symbols every cost is 0 anyway
     raw = raw_cost(symbols, priced)
@@ -131,7 +131,7 @@ def cmd_align(args) -> RunReport:
         if i > 1:
             print()
         _print_alignment(i, alignm, p)
-    return RunReport("align", {args.grammar: file_digest(args.grammar)},
+    return RunReport("align", (args.grammar,),
                      raw_bits=raw_cost(new, al.default_alphabet(new, store)),
                      encoded_bits=top[0].encoding_cost,
                      details={"top": [

@@ -2,6 +2,13 @@
 
 A pattern is what unification leaves: an id, symbols and a frequency.  Chunk
 dictionary entries are patterns too, and ``is_count`` is the one count rule.
+``check_pattern`` holds a pattern's field checks, for ``SPPattern`` and for
+the grammar loader alike.
+
+A ``PatternStore`` loaded from a grammar costs its lines and its index: it
+keeps each pattern as texts and a frequency and makes the ``SPPattern``, and
+its new symbols, only when the pattern is first read.  A search reads the
+store's codes from ``PatternStore.codes``, made once per store.
 
 Costs are fractional "ideal" bits throughout: a symbol over an alphabet of
 size A costs log2(A) bits (1 bit for the degenerate A=1 alphabet), and a
@@ -62,16 +69,7 @@ class SPPattern:
     texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise TypeError(f"pattern id {self.id!r} must be a string")
-        if not self.id:
-            raise ValueError("pattern id must be non-empty")
-        if not self.symbols:
-            raise ValueError(f"pattern {self.id!r} has no symbols")
-        if not is_count(self.frequency):
-            raise TypeError(f"pattern {self.id!r} frequency must be an integer")
-        if self.frequency < 1:
-            raise ValueError(f"pattern {self.id!r} frequency must be >= 1")
+        check_pattern(self.id, self.symbols, self.frequency)
         object.__setattr__(self, "symbols", tuple(self.symbols))
         object.__setattr__(self, "texts", tuple([s.text for s in self.symbols]))
 
@@ -86,6 +84,22 @@ class SPPattern:
 
     def render(self) -> str:
         return render(self.symbols)
+
+
+def check_pattern(id: str, symbols: Sequence, frequency: int) -> None:
+    """The checks a pattern's fields pass, wherever the pattern is made:
+    a non-empty string id, at least one symbol and a count of at least 1.
+    Raises ``TypeError`` for a wrong type and ``ValueError`` otherwise."""
+    if not isinstance(id, str):
+        raise TypeError(f"pattern id {id!r} must be a string")
+    if not id:
+        raise ValueError("pattern id must be non-empty")
+    if not symbols:
+        raise ValueError(f"pattern {id!r} has no symbols")
+    if not is_count(frequency):
+        raise TypeError(f"pattern {id!r} frequency must be an integer")
+    if frequency < 1:
+        raise ValueError(f"pattern {id!r} frequency must be >= 1")
 
 
 def intern_symbols(texts: Iterable[str], made: dict[str, SPSymbol]) -> tuple[SPSymbol, ...]:
@@ -120,40 +134,81 @@ def render(symbols: Iterable[SPSymbol]) -> str:
     return " ".join(s.text for s in symbols)
 
 
+# one stored pattern before it is made: its symbols' texts and its frequency
+_Row = tuple[tuple[str, ...], int]
+
+
 class PatternStore:
     """An immutable dictionary of Old patterns with a derived alphabet,
-    total frequency, and a symbol-to-pattern retrieval index that also
-    counts each symbol's occurrences in each pattern.  The index's levels
-    (``holders``) are derived per symbol when first asked for."""
+    total frequency, code costs, and a symbol-to-pattern retrieval index
+    that also counts each symbol's occurrences in each pattern.
+
+    The store keeps each pattern as its texts and frequency, and makes its
+    ``SPPattern`` on the first ``get``; the symbols come from one table per
+    store, one ``SPSymbol`` per distinct text, so made patterns share them.
+    A store built from patterns returns those very objects.  The index's
+    levels (``holders``) and the codes are derived when first asked for."""
 
     def __init__(self, patterns: Iterable[SPPattern] = ()):
-        by_id: dict[str, SPPattern] = {}
-        index: dict[str, dict[str, int]] = {}
-        total = 0
+        made: dict[str, SPPattern] = {}
         for p in patterns:
             if p.kind is not PatternKind.OLD:
                 raise ValueError(f"store accepts Old patterns only, got {p.id!r}")
-            if p.id in by_id:
+            if p.id in made:
                 raise ValueError(f"duplicate pattern id {p.id!r}")
-            by_id[p.id] = p
-            total += p.frequency
-            for s in p.symbols:
-                counts = index.setdefault(s.text, {})
-                counts[p.id] = counts.get(p.id, 0) + 1
-        self._by_id = by_id
+            made[p.id] = p
+        self._load({pid: (p.texts, p.frequency) for pid, p in made.items()}, made)
+
+    @classmethod
+    def _from_rows(cls, rows: dict[str, _Row]) -> "PatternStore":
+        """A store of patterns given as id -> (texts, frequency) rows, none
+        of them made yet.  The rows must pass ``check_pattern``."""
+        store = cls.__new__(cls)
+        store._load(rows, {})
+        return store
+
+    def _load(self, rows: dict[str, _Row], made: dict[str, SPPattern]) -> None:
+        index: dict[str, dict[str, int]] = {}
+        total = 0
+        for pid, (texts, frequency) in rows.items():
+            total += frequency
+            for text in texts:
+                counts = index.get(text)
+                if counts is None:
+                    index[text] = {pid: 1}
+                else:
+                    counts[pid] = counts.get(pid, 0) + 1
+        self._rows = rows
+        self._made = made
+        self._symbols: dict[str, SPSymbol] = {}
         self._index = index
         self._holders: dict[str, tuple[tuple[str, ...], ...]] = {}
+        self._codes: dict[str, float] | None = None
         self.alphabet: frozenset[str] = frozenset(index)
         self.total_frequency: int = total
 
     def get(self, pattern_id: str) -> SPPattern:
-        try:
-            return self._by_id[pattern_id]
-        except KeyError:
-            raise UnknownPattern(f"no pattern with id {pattern_id!r}") from None
+        pattern = self._made.get(pattern_id)
+        if pattern is None:
+            try:
+                texts, frequency = self._rows[pattern_id]
+            except KeyError:
+                raise UnknownPattern(f"no pattern with id {pattern_id!r}") from None
+            pattern = self._made[pattern_id] = SPPattern(
+                pattern_id, intern_symbols(texts, self._symbols), frequency)
+        return pattern
 
     def ids(self) -> list[str]:
-        return sorted(self._by_id)
+        return sorted(self._rows)
+
+    def codes(self) -> Mapping[str, float]:
+        """Pattern id -> its code cost, ``code_cost_bits(f, F)``, for every
+        stored pattern (read-only).  Made on the first request and kept."""
+        if self._codes is None:
+            total = self.total_frequency
+            self._codes = {pid: code_cost_bits(frequency, total)
+                           for pid, (_, frequency) in self._rows.items()}
+        return self._codes
 
     def occurrences(self, text: str) -> Mapping[str, int]:
         """Pattern id -> how many of its symbols are ``text``, for every
@@ -173,14 +228,14 @@ class PatternStore:
         return levels
 
     def __contains__(self, pattern_id: str) -> bool:
-        return pattern_id in self._by_id
+        return pattern_id in self._rows
 
     def __iter__(self) -> Iterator[SPPattern]:
         for pid in self.ids():
-            yield self._by_id[pid]
+            yield self.get(pid)
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self._rows)
 
 
 def symbol_cost_bits(alphabet_size: int) -> float:
@@ -206,8 +261,11 @@ def raw_cost(pattern: SPPattern | Sequence[SPSymbol], alphabet_size: int) -> flo
 
 
 def code_cost(pattern_id: str, store: PatternStore) -> float:
-    p = store.get(pattern_id)
-    return code_cost_bits(p.frequency, store.total_frequency)
+    """The stored pattern's code cost, read from ``store.codes()``."""
+    try:
+        return store.codes()[pattern_id]
+    except KeyError:
+        raise UnknownPattern(f"no pattern with id {pattern_id!r}") from None
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -227,12 +285,17 @@ def parse_grammar(text: str) -> PatternStore:
 
     ``<freq>`` is ASCII digits and may be omitted (defaults to 1).  Lines
     starting with ``#`` and blank lines are ignored.  Duplicate ids are a
-    load error.  Loading costs one dict lookup per token plus one validated
-    symbol per distinct text: all lines share their symbols.
+    load error, and so is a line that fails ``check_pattern``.
+
+    Loading costs one dict lookup per token, to share one string per
+    distinct text, plus the store's index; it makes no ``SPPattern`` and no
+    ``SPSymbol``.  The store makes a pattern when it is first read (see
+    ``PatternStore``).  Tokens from ``str.split()`` are non-empty and hold
+    no whitespace, so every one passes ``SPSymbol``'s rule and a symbol
+    made later cannot fail.
     """
-    patterns: list[SPPattern] = []
-    seen: set[str] = set()
-    made: dict[str, SPSymbol] = {}
+    rows: dict[str, _Row] = {}
+    made: dict[str, str] = {}
     for lineno, stripped in content_lines(text):
         head, sep, body = stripped.partition(":")
         words = head.split()
@@ -250,11 +313,15 @@ def parse_grammar(text: str) -> PatternStore:
             freq = int(fields[1])
         else:
             raise InputFormatError(f"line {lineno}: expected '<id> [<freq>]' before ':'")
-        if pid in seen:
+        if pid in rows:
             raise InputFormatError(f"line {lineno}: duplicate pattern id {pid!r}")
-        seen.add(pid)
+        tokens = body.split()
+        # via a list: tuple() of an iterator grows its tuple by resizing,
+        # which is slower and, over repeated loads, raised peak memory
+        texts = tuple(list(map(made.setdefault, tokens, tokens)))
         try:
-            patterns.append(SPPattern(pid, intern_symbols(body.split(), made), freq))
+            check_pattern(pid, texts, freq)
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from None
-    return PatternStore(patterns)
+        rows[pid] = texts, freq
+    return PatternStore._from_rows(rows)

@@ -33,10 +33,13 @@ def file_digest(path: str) -> str:
 
 @dataclass
 class RunReport:
-    """Summary of one CLI run: inputs by digest plus the cost accounting."""
+    """Summary of one CLI run: its input files plus the cost accounting.
+
+    The inputs are named by path, and ``write`` names each by its sha256
+    too, so a run that writes no report reads no input twice."""
 
     command: str
-    inputs: dict[str, str] = field(default_factory=dict)
+    inputs: tuple[str, ...] = ()
     raw_bits: float = 0.0
     encoded_bits: float = 0.0
     details: dict = field(default_factory=dict)
@@ -53,10 +56,10 @@ class RunReport:
         """Dictionary plus encoded stream: everything a decoder needs."""
         return self.encoded_bits + (self.dictionary_bits or 0.0)
 
-    def to_json(self) -> str:
+    def to_json(self, digests: dict[str, str]) -> str:
         doc = {
             "command": self.command,
-            "inputs": self.inputs,
+            "inputs": digests,
             "raw_bits": self.raw_bits,
             "encoded_bits": self.encoded_bits,
             "ratio": self.ratio,
@@ -68,5 +71,7 @@ class RunReport:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def write(self, path: str) -> None:
+        # hashed before the report is opened, which may truncate an input
+        text = self.to_json({name: file_digest(name) for name in self.inputs})
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+            fh.write(text)

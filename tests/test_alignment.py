@@ -121,6 +121,19 @@ class TestEncodingCost:
         with pytest.raises(DegenerateAlphabet):
             build(kittens_new, kittens_store)
 
+    @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=8),
+           st.none() | st.lists(st.lists(st.sampled_from("abcdxyz"), min_size=1,
+                                         max_size=5), max_size=5))
+    def test_default_alphabet_counts_the_union(self, query, bodies):
+        new = SPPattern.from_text("new", " ".join(query), kind=PatternKind.NEW)
+        if bodies is None:
+            store, union = None, set(new.texts)
+        else:
+            store = PatternStore(SPPattern.from_text(f"p{i}", " ".join(body))
+                                 for i, body in enumerate(bodies))
+            union = set(new.texts) | store.alphabet
+        assert default_alphabet(new, store) == max(len(union), 1)
+
     def test_unknown_old_row(self, kittens_store, kittens_new):
         foreign = PatternStore([SPPattern.from_text("zz", "k i t")])
         al = build_alignments(kittens_new, foreign).best

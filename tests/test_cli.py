@@ -1,16 +1,18 @@
 import argparse
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import KITTENS_GRAMMAR
 import icmup
-from icmup import cli
+from icmup import cli, reporting
 from icmup.cli import main
 from icmup.reporting import format_bits
 from icmup.setnum import newton_table
@@ -242,6 +244,26 @@ class TestCompressDecompress:
         assert doc["command"] == "compress"
         assert doc["ratio"] == doc["encoded_bits"] / doc["raw_bits"]
         assert len(doc["inputs"]) == 1
+
+    @pytest.mark.parametrize("command", ["compress", "align"])
+    def test_input_hashed_only_for_a_report(self, tmp_path, capsys, monkeypatch,
+                                            grammar_file, command):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b a b a b")
+        source = str(corpus) if command == "compress" else grammar_file
+        argv = (["compress", source, "--out", str(tmp_path / "s.json")]
+                if command == "compress" else ["align", source, "--new", "k i t"])
+
+        def refuse(path):
+            raise AssertionError(f"hashed {path} with no report to write")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(reporting, "file_digest", refuse)
+            assert run(capsys, *argv)[0] == 0
+        report = tmp_path / "r.json"
+        assert run(capsys, *argv, "--report", str(report))[0] == 0
+        digest = hashlib.sha256(Path(source).read_bytes()).hexdigest()
+        assert json.loads(report.read_text())["inputs"] == {source: digest}
 
 
 class TestAlign:

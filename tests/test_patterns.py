@@ -223,15 +223,62 @@ class TestGrammarFile:
 
     @given(grammars())
     def test_equals_plain_reference(self, grammar):
+        """The lazy store a grammar loads into reads as the eager store of
+        the same patterns, in every view, in the same order."""
         text, lines = grammar
         reference = PatternStore(
             SPPattern(pid, tuple(SPSymbol(t) for t in body.split()), freq or 1)
             for pid, freq, body in lines)
         store = parse_grammar(text)
-        assert list(store) == list(reference)
+        assert store.ids() == reference.ids()
+        assert len(store) == len(reference)
         assert store.alphabet == reference.alphabet
-        for t in reference.alphabet:
-            assert store.occurrences(t) == reference.occurrences(t)
+        assert store.total_frequency == reference.total_frequency
+        assert list(store.codes().items()) == list(reference.codes().items())
+        for pid in reference.ids():
+            assert store.get(pid) == reference.get(pid)
+        assert list(store) == list(reference)
+        for t in reference.alphabet | {"absent"}:
+            assert list(store.occurrences(t).items()) == list(reference.occurrences(t).items())
+            assert store.holders(t) == reference.holders(t)
+
+    # each message is the one the grammar loader has always given
+    @pytest.mark.parametrize("text, message", [
+        ("# one\nPATTERN p 1: a\n\nPATTERN q 1:\n", "line 4: pattern 'q' has no symbols"),
+        ("PATTERN p 1: a\n# two\nPATTERN q 0: a\n", "line 3: pattern 'q' frequency must be >= 1"),
+        ("PATTERN p 1: a\n\nPATTERN p 2: b\n", "line 3: duplicate pattern id 'p'"),
+        ("\n  \nPATTERN p one: a\n", "line 3: bad frequency 'one'"),
+        ("PATTERN p 1: a\nPATTERN q 1 a\n", "line 2: missing ':' separator"),
+    ])
+    def test_load_errors_pinned(self, text, message):
+        with pytest.raises(InputFormatError) as caught:
+            parse_grammar(text)
+        assert str(caught.value) == message
+
+
+@pytest.fixture()
+def made(monkeypatch):
+    """The texts of the symbols and the ids of the patterns that the
+    ``patterns`` module makes while the test runs."""
+    made = {"patterns": [], "symbols": []}
+
+    class CountingSymbol(SPSymbol):
+        __slots__ = ()
+
+        def __post_init__(self):
+            made["symbols"].append(self.text)
+            SPSymbol.__post_init__(self)
+
+    class CountingPattern(SPPattern):
+        __slots__ = ()
+
+        def __post_init__(self):
+            made["patterns"].append(self.id)
+            SPPattern.__post_init__(self)
+
+    monkeypatch.setattr(patterns, "SPSymbol", CountingSymbol)
+    monkeypatch.setattr(patterns, "SPPattern", CountingPattern)
+    return made
 
 
 class TestOneSymbolPerText:
@@ -239,21 +286,13 @@ class TestOneSymbolPerText:
     text and share it."""
 
     @pytest.fixture()
-    def built(self, monkeypatch):
-        texts: list[str] = []
-
-        class CountingSymbol(SPSymbol):
-            __slots__ = ()
-
-            def __post_init__(self):
-                texts.append(self.text)
-                SPSymbol.__post_init__(self)
-
-        monkeypatch.setattr(patterns, "SPSymbol", CountingSymbol)
-        return texts
+    def built(self, made):
+        return made["symbols"]
 
     def test_parse_grammar(self, built):
+        # the store makes its symbols when its patterns are first read
         store = parse_grammar(KITTENS_GRAMMAR)
+        list(store)
         assert sorted(built) == sorted(store.alphabet)
         assert store.get("p2").symbols[2] is store.get("p1").symbols[0]  # Nr
 
@@ -266,3 +305,24 @@ class TestOneSymbolPerText:
         assert built == distinct
         by_text = {s.text: s for s in symbols}
         assert all(s is by_text[s.text] for s in symbols)
+
+
+class TestLazyStore:
+    """A loaded grammar makes a pattern, and its new symbols, only when the
+    pattern is first read."""
+
+    def test_loading_makes_nothing_and_each_get_one_pattern(self, made):
+        store = parse_grammar(KITTENS_GRAMMAR)
+        assert store.codes() and store.occurrences("Nr") and store.holders("k")
+        assert made == {"patterns": [], "symbols": []}
+        for k, pid in enumerate(["p4", "p1", "p2"], start=1):
+            first = store.get(pid)
+            assert store.get(pid) is first
+            assert made["patterns"] == ["p4", "p1", "p2"][:k]
+        assert sorted(made["symbols"]) == sorted(
+            {t for pid in ("p1", "p2", "p4") for t in store.get(pid).texts})
+
+    def test_given_patterns_are_returned(self):
+        given = [SPPattern.from_text("a", "x y"), SPPattern.from_text("b", "y")]
+        store = PatternStore(given)
+        assert all(store.get(p.id) is p for p in given)
