@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -65,3 +68,14 @@ def xor_table():
             (bits("1", "0"), bits("1")),
             (bits("0", "0"), bits("0")),
         ))
+
+
+@pytest.fixture(scope="session")
+def bench_gen():
+    """The benchmark's seeded input generators, ``perfbench/gen.py``, which
+    is a script directory rather than a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

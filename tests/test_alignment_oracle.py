@@ -2,11 +2,9 @@
 ``alignment_oracle``: rankings must be exactly equal, though the bound
 pruning skips most merges and retrieval reads the search's first round."""
 
-import importlib.util
 import random
 import time
 from dataclasses import replace
-from pathlib import Path
 from unittest import mock
 
 from hypothesis import assume, example, given, settings
@@ -170,26 +168,17 @@ def test_kittens_merge_count(kittens_new, kittens_store, monkeypatch):
     assert 0 < len(hits) <= 354
 
 
-def load_bench_generator():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_1k_store_160_symbols(monkeypatch):
+def test_1k_store_160_symbols(monkeypatch, bench_gen):
     # The 1,008-pattern kittens-style store and eight joined ~20-letter
     # sentences, at the defaults (beam 50, 12 rows).  The bound decides which
     # candidates are scored, so their count is pinned; the search took about
     # 6 s at 160 symbols before the transposed kernel and the holders-based
     # ceilings, and about 1.7 s after, on a 2-vCPU x86-64 VM, so 4 s leaves
     # room for a slower host.
-    gen = load_bench_generator()
-    _, lines, lexicon = gen.kittens_grammar(random.Random(1), 100, 500, 400)
+    _, lines, lexicon = bench_gen.kittens_grammar(random.Random(1), 100, 500, 400)
     store = parse_grammar("\n".join(lines) + "\n")
     rng = random.Random(3)
-    letters = [c for _ in range(8) for c in gen.kittens_sentence(rng, lexicon, 20)]
+    letters = [c for _ in range(8) for c in bench_gen.kittens_sentence(rng, lexicon, 20)]
     new = SPPattern("new", tuple(map(SPSymbol, letters)), kind=PatternKind.NEW)
     assert (len(store), len(new)) == (1008, 160)
     hits = []
