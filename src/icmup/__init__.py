@@ -12,10 +12,10 @@ from .alignment import (Alignment, AlignmentRanking, alignment_probabilities,
                         build_alignments, compose_alignment, dump_columns,
                         encoding_cost, infer_unmatched, literal_alignment,
                         parse_render, retrieve)
-from .codecs import (ChunkDictionary, CodeRef, EncodedStream, FixedSymbol,
-                     Literal, Run, Schema, Slot, UNBOUNDED, chunk_decode,
-                     chunk_encode, discover_chunks, rle_decode, rle_encode,
-                     schema_encode, schema_instantiate, unify_basic)
+from .codecs import (CodeRef, EncodedStream, FixedSymbol, Literal, Run,
+                     Schema, Slot, UNBOUNDED, chunk_decode, chunk_encode,
+                     discover_chunks, rle_decode, rle_encode, schema_encode,
+                     schema_instantiate, unify_basic)
 from .hierarchy import (ClassNode, Hierarchy, description_length,
                         parse_hierarchy, part_context, resolve_attributes)
 from .machines import (NAND_TABLE, FunctionTable, Gate, HALTED, NandCircuit,

@@ -4,8 +4,9 @@ Every command prints deterministic text (fractional bits to three decimals,
 halves away from zero).  A command that accounts for bits returns its
 ``RunReport``, and ``main`` writes it when ``--report`` is given.  Exit
 codes: 0 success, 2 input or parse error, 3 domain error (the error class
-name goes to stderr).  A ``--report`` path whose directory does not exist
-fails the run before the command starts, so it prints and writes nothing.
+name goes to stderr).  A ``--report`` path whose directory does not exist,
+and an ``--out`` or ``--report`` path that names the command's input file,
+fail the run before the command starts, so it prints and writes nothing.
 """
 
 from __future__ import annotations
@@ -458,6 +459,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Refuse an ``--out`` or ``--report`` that would be written over the
+    command's input file, or into a directory that does not exist."""
+    folder = os.path.dirname(getattr(args, "report", None) or "")
+    if folder and not os.path.isdir(folder):
+        raise InputFormatError(f"--report: no directory {folder!r}")
+    source = (getattr(args, "corpus", None) or getattr(args, "stream", None)
+              or getattr(args, "grammar", None))
+    for flag in ("out", "report"):
+        target = getattr(args, flag, None)
+        if (source and target and os.path.exists(source) and os.path.exists(target)
+                and os.path.samefile(source, target)):
+            raise InputFormatError(f"--{flag} {target!r} is the input file; "
+                                   "writing it would destroy the input")
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by later ``main`` calls."""
@@ -470,11 +487,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # the report is written last; a path that cannot take it must fail
-        # before the command prints or writes anything
-        folder = os.path.dirname(getattr(args, "report", None) or "")
-        if folder and not os.path.isdir(folder):
-            raise InputFormatError(f"--report: no directory {folder!r}")
+        # the report is written last; an output path that cannot take its
+        # file must fail before the command prints or writes anything
+        _check_outputs(args)
         report = args.func(args)
         if report is not None and args.report:
             report.write(args.report)

@@ -8,8 +8,11 @@ position (ties broken by discovery order).  Chunk and run codecs are
 lossless; plain unification deliberately is not (it discards positions).
 
 A dictionary entry is the pattern unification makes, ``SPPattern(code,
-symbols, frequency=count)``; a run is a block's symbols and its count, and
-is numbered (``r1, r2, ...``) by position only where it is printed.
+symbols, frequency=count)``, and a dictionary is a ``PatternStore`` of
+them, in discovery order.  A code reference is priced from the store's
+``codes()``, as a search prices a stored pattern.  A run is a block's
+symbols and its count, and is numbered (``r1, r2, ...``) by position only
+where it is printed.
 
 Cost, for N symbols: the coders spell the symbols as a string, one
 character per distinct symbol, so an n-gram is a substring.
@@ -32,45 +35,12 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from operator import eq
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
-                     NotDecodable, NotPresent, UnknownCode)
-from .patterns import (SPPattern, SPSymbol, code_cost_bits, intern_symbols,
-                       is_count, symbol_cost_bits)
-
-
-class ChunkDictionary:
-    """Discovered chunks in discovery order: each a pattern whose id is its
-    code and whose frequency is its occurrence count."""
-
-    def __init__(self, entries: Sequence[SPPattern] = ()):
-        self.entries = tuple(entries)
-        by_code: dict[str, SPPattern] = {}
-        for e in self.entries:
-            if e.id in by_code:
-                raise ValueError(f"duplicate chunk code {e.id!r}")
-            if e.frequency < 2:
-                raise ValueError(f"chunk {e.id!r} must occur at least twice")
-            if len(e) < 2:
-                raise ValueError(f"chunk {e.id!r} must span at least two symbols")
-            by_code[e.id] = e
-        self._by_code = by_code
-
-    def get(self, code: str) -> SPPattern:
-        try:
-            return self._by_code[code]
-        except KeyError:
-            raise UnknownCode(f"no chunk with code {code!r}") from None
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._by_code
-
-    def __iter__(self) -> Iterator[SPPattern]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+                     NotDecodable, NotPresent)
+from .patterns import (PatternStore, SPPattern, SPSymbol, code_cost,
+                       intern_symbols, is_count, symbol_cost_bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +58,7 @@ Token = Union[CodeRef, Literal]
 
 @dataclass(frozen=True)
 class EncodedStream:
-    dictionary: ChunkDictionary
+    dictionary: PatternStore
     tokens: tuple[Token, ...]
 
 
@@ -145,7 +115,7 @@ def _longest_repeat(s: str, shortest: int) -> int:
 
 
 def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
-                    min_count: int = 2) -> ChunkDictionary:
+                    min_count: int = 2) -> PatternStore:
     """Find maximal repeated contiguous chunks worth a dictionary entry.
 
     A chunk is kept when its non-overlapping occurrence count is at least
@@ -201,7 +171,7 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
                                          tuple(corpus[p:p + n]), len(occs)))
                 for q in occs:
                     claimed[q:q + n] = b"\x01" * n
-    return ChunkDictionary(entries)
+    return PatternStore(entries)
 
 
 def unify_basic(corpus: Sequence[SPSymbol],
@@ -231,7 +201,7 @@ def unify_basic(corpus: Sequence[SPSymbol],
 
 
 def chunk_encode(corpus: Sequence[SPSymbol],
-                 dictionary: ChunkDictionary) -> EncodedStream:
+                 dictionary: PatternStore) -> EncodedStream:
     """Replace chunk occurrences by code references, longest match first;
     among chunks with the same symbols the first in discovery order wins."""
     letters: dict[str, str] = {}
@@ -267,20 +237,20 @@ def chunk_decode(stream: EncodedStream) -> list[SPSymbol]:
 
 
 def encoded_cost_bits(stream: EncodedStream, alphabet_size: int) -> float:
-    """Fractional-bit cost of a stream: code costs for references (dictionary
-    counts as frequencies) plus fixed-length costs for literals."""
-    total_freq = sum(e.frequency for e in stream.dictionary)
+    """Fractional-bit cost of a stream: each reference's code from the
+    dictionary's ``codes()`` (counts as frequencies) plus fixed-length costs
+    for literals."""
     cost = 0.0
     per_symbol = symbol_cost_bits(alphabet_size)
     for tok in stream.tokens:
         if isinstance(tok, CodeRef):
-            cost += code_cost_bits(stream.dictionary.get(tok.code).frequency, total_freq)
+            cost += code_cost(tok.code, stream.dictionary)
         else:
             cost += per_symbol
     return cost
 
 
-def dictionary_cost_bits(dictionary: ChunkDictionary, alphabet_size: int) -> float:
+def dictionary_cost_bits(dictionary: PatternStore, alphabet_size: int) -> float:
     """Cost of sending the dictionary itself, the first part of a two-part
     code: each chunk's symbols at fixed length plus one symbol's worth to end
     the entry, so sum((len(chunk) + 1) * log2(A)).  Mirrors ``rle_cost_bits``."""
@@ -543,7 +513,9 @@ def _read_symbols(value, made: dict[str, SPSymbol]) -> tuple[SPSymbol, ...]:
 
 def stream_from_json(source: str | dict) -> EncodedStream:
     """A chunk stream from a file's text, or from the object ``parse_json``
-    made of it."""
+    made of it.  Each entry is a chunk as ``discover_chunks`` makes one: it
+    occurs at least twice, spans at least two symbols and has a code no
+    other entry has."""
     doc = parse_json(source) if isinstance(source, str) else source
     if doc.keys() != {"dictionary", "stream"}:
         raise InputFormatError("malformed stream file: it must hold exactly the "
@@ -557,8 +529,13 @@ def stream_from_json(source: str | dict) -> EncodedStream:
             if len(d) != 3:
                 raise ValueError("an entry holds exactly 'code', 'symbols' and "
                                  f"'count': {d!r}")
-            entries.append(SPPattern(code, _read_symbols(symbols, made), count))
-        dictionary = ChunkDictionary(entries)
+            entry = SPPattern(code, _read_symbols(symbols, made), count)
+            if entry.frequency < 2:
+                raise ValueError(f"chunk {code!r} must occur at least twice")
+            if len(entry) < 2:
+                raise ValueError(f"chunk {code!r} must span at least two symbols")
+            entries.append(entry)
+        dictionary = PatternStore(entries)
         tokens: list[Token] = []
         for item in doc["stream"]:
             if len(item) != 1 or ("code" not in item and "lit" not in item):

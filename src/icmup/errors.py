@@ -23,15 +23,11 @@ class DegenerateAlphabet(DomainError):
 
 
 class UnknownPattern(DomainError):
-    """Pattern id not present in the store."""
+    """Pattern id (or chunk code) not present in the store."""
 
 
 class NotPresent(DomainError):
     """Chunk has zero occurrences in the corpus."""
-
-
-class UnknownCode(DomainError):
-    """Encoded stream references a code missing from its dictionary."""
 
 
 class NotDecodable(DomainError):

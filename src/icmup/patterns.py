@@ -1,14 +1,16 @@
 """Atomic symbols, patterns, pattern stores, and the shared bit-cost model.
 
-A pattern is what unification leaves: an id, symbols and a frequency.  Chunk
-dictionary entries are patterns too, and ``is_count`` is the one count rule.
-``check_pattern`` holds a pattern's field checks, for ``SPPattern`` and for
-the grammar loader alike.
+A pattern is what unification leaves: an id, symbols and a frequency.  A
+``PatternStore`` holds patterns in the order it was given them: a grammar's
+in file order, and a chunk dictionary's (see ``codecs``) in discovery
+order.  ``is_count`` is the one count rule, and ``check_pattern`` holds a
+pattern's field checks, for ``SPPattern`` and for the grammar loader alike.
 
 A ``PatternStore`` loaded from a grammar costs its lines and its index: it
 keeps each pattern as texts and a frequency and makes the ``SPPattern``, and
-its new symbols, only when the pattern is first read.  A search reads the
-store's codes from ``PatternStore.codes``, made once per store.
+its new symbols, only when the pattern is first read.  A search, and a chunk
+stream's price, read the store's codes from ``PatternStore.codes``, made
+once per store.
 
 Costs are fractional "ideal" bits throughout: a symbol over an alphabet of
 size A costs log2(A) bits (1 bit for the degenerate A=1 alphabet), and a
@@ -141,7 +143,8 @@ _Row = tuple[tuple[str, ...], int]
 class PatternStore:
     """An immutable dictionary of Old patterns with a derived alphabet,
     total frequency, code costs, and a symbol-to-pattern retrieval index
-    that also counts each symbol's occurrences in each pattern.
+    that also counts each symbol's occurrences in each pattern.  Ids and
+    iteration keep the order the patterns were given in.
 
     The store keeps each pattern as its texts and frequency, and makes its
     ``SPPattern`` on the first ``get``; the symbols come from one table per
@@ -199,7 +202,7 @@ class PatternStore:
         return pattern
 
     def ids(self) -> list[str]:
-        return sorted(self._rows)
+        return list(self._rows)
 
     def codes(self) -> Mapping[str, float]:
         """Pattern id -> its code cost, ``code_cost_bits(f, F)``, for every

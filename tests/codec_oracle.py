@@ -13,9 +13,9 @@ import json
 from collections import Counter
 from typing import Sequence
 
-from icmup.codecs import (ChunkDictionary, CodeRef, EncodedStream, Literal,
-                          Run, Token, expected_count)
-from icmup.patterns import SPPattern, SPSymbol
+from icmup.codecs import (CodeRef, EncodedStream, Literal, Run, Token,
+                          expected_count)
+from icmup.patterns import PatternStore, SPPattern, SPSymbol
 
 
 def _occurrences(texts: Sequence[str], gram: tuple[str, ...],
@@ -49,7 +49,7 @@ def _longest_repeat(texts: Sequence[str], start: int) -> int:
 
 
 def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
-                    min_count: int = 2) -> ChunkDictionary:
+                    min_count: int = 2) -> PatternStore:
     """Find maximal repeated contiguous chunks worth a dictionary entry.
 
     A chunk is kept when its non-overlapping occurrence count is at least
@@ -94,11 +94,11 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
             else:
                 rejected.add(gram)
                 pos += 1
-    return ChunkDictionary(entries)
+    return PatternStore(entries)
 
 
 def chunk_encode(corpus: Sequence[SPSymbol],
-                 dictionary: ChunkDictionary) -> EncodedStream:
+                 dictionary: PatternStore) -> EncodedStream:
     """Replace chunk occurrences by code references, longest match first."""
     ordered = sorted(enumerate(dictionary),
                      key=lambda pair: (-len(pair[1]), pair[0]))

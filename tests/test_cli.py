@@ -57,6 +57,24 @@ class TestCompressDecompress:
         assert code == 0
         assert out.read_text() == corpus.read_text() + "\n"
 
+    def test_chunks_listed_in_discovery_order(self, tmp_path, capsys):
+        # eleven pairs, each seen twice, first seen in the order p0 .. p10:
+        # codes follow discovery, so w10 comes after w9, not after w1
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(" ".join(f"p{k} q{k} f{k} p{k} q{k} g{k}" for k in range(11)))
+        stream = tmp_path / "s.json"
+        report = tmp_path / "r.json"
+        code, stdout, _ = run(capsys, "compress", str(corpus), "--out", str(stream),
+                              "--report", str(report))
+        assert code == 0
+        codes = [f"w{k}" for k in range(1, 12)]
+        assert stdout.splitlines()[1:12] == [f"{c} count=2 len=2" for c in codes]
+        entries = json.loads(stream.read_text())["dictionary"]
+        assert [(e["code"], e["symbols"]) for e in entries] == [
+            (c, [f"p{k}", f"q{k}"]) for k, c in enumerate(codes)]
+        chunks = json.loads(report.read_text())["details"]["chunks"]
+        assert [c["code"] for c in chunks] == codes
+
     def test_whitespace_round_trip(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a b a b a b x\n")
@@ -157,6 +175,14 @@ class TestCompressDecompress:
         ('{"runs": [{"symbols": ["a"], "count": 2}], "x": 0}', "malformed runs file"),
         ('{"runs": [{"symbols": ["a"], "count": 2}], "dictionary": [],'
          ' "stream": [{"lit": "a"}]}', "malformed runs file"),
+        # a chunk occurs at least twice, spans two symbols, has its own code
+        ('{"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": 1}],'
+         ' "stream": [{"code": "w1"}]}', "malformed stream file"),
+        ('{"dictionary": [{"code": "w1", "symbols": ["a"], "count": 2}],'
+         ' "stream": [{"code": "w1"}]}', "malformed stream file"),
+        ('{"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": 2},'
+         ' {"code": "w1", "symbols": ["c", "d"], "count": 2}],'
+         ' "stream": [{"code": "w1"}]}', "malformed stream file"),
     ])
     def test_repaired_file_exits_2(self, tmp_path, capsys, doc, message):
         stream = tmp_path / "s.json"
@@ -233,6 +259,27 @@ class TestCompressDecompress:
                                     str(tmp_path / "nodir" / "r.json"))
             assert (code, stdout) == (2, "") and "nodir" in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "IN", "--out", "IN"],
+        ["compress", "IN", "--out", "s.json", "--report", "IN"],
+        ["decompress", "IN", "--out", "IN"],
+        ["align", "IN", "--new", "k i t", "--report", "IN"],
+    ], ids=["compress-out", "compress-report", "decompress-out", "align-report"])
+    def test_output_over_input_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        source = Path("input")
+        source.write_text({"compress": "a b a b", "align": KITTENS_GRAMMAR,
+                           "decompress": '{"dictionary": [], "stream": [{"lit": "a"}]}'
+                           }[argv[0]])
+        before = source.read_bytes()
+        # the output names the input by another spelling of its path
+        argv = argv[:1] + ["input"] + [os.path.join(".", "input") if a == "IN" else a
+                                       for a in argv[2:]]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "") and "is the input file" in err
+        assert source.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["input"]
 
     def test_report_file(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

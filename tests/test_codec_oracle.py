@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codec_oracle as oracle
-from icmup import (UNBOUNDED, ChunkDictionary, CodeRef, EncodedStream, Literal, Run, SPPattern, SPSymbol,
+from icmup import (UNBOUNDED, CodeRef, EncodedStream, Literal, PatternStore, Run, SPPattern, SPSymbol,
                    chunk_encode, discover_chunks, rle_decode, rle_encode,
                    tokenize)
 from icmup.codecs import runs_to_json, stream_to_json
@@ -95,7 +95,7 @@ def entry(code, text):
 
 dictionaries = st.lists(
     st.lists(st.sampled_from("abcz"), min_size=2, max_size=4), max_size=6
-).map(lambda grams: ChunkDictionary(
+).map(lambda grams: PatternStore(
     [entry(f"w{k}", " ".join(g)) for k, g in enumerate(grams, start=1)]))
 
 
@@ -110,15 +110,15 @@ class TestChunkEncode:
 
     def test_absent_entries_never_match(self):
         corpus = tokenize("a b a b")
-        dictionary = ChunkDictionary([entry("w1", "q r"), entry("w2", "a q"),
-                                      entry("w3", "a b")])
+        dictionary = PatternStore([entry("w1", "q r"), entry("w2", "a q"),
+                                   entry("w3", "a b")])
         stream = chunk_encode(corpus, dictionary)
         assert stream.tokens == oracle.chunk_encode(corpus, dictionary).tokens
         assert [t.code for t in stream.tokens] == ["w3", "w3"]
 
     def test_first_of_two_codes_wins(self):
         corpus = tokenize("x a b x a b")
-        dictionary = ChunkDictionary([entry("w1", "a b"), entry("w2", "a b")])
+        dictionary = PatternStore([entry("w1", "a b"), entry("w2", "a b")])
         stream = chunk_encode(corpus, dictionary)
         assert stream.tokens == oracle.chunk_encode(corpus, dictionary).tokens
         assert [getattr(t, "code", None) for t in stream.tokens] == [
@@ -162,7 +162,7 @@ big_counts = st.one_of(st.integers(2, 12), st.integers(2, 10 ** 30))
 chunk_entries = st.builds(
     SPPattern, symbol_texts, symbol_tuples.filter(lambda s: len(s) >= 2), big_counts)
 streams = st.builds(
-    lambda entries, tokens: EncodedStream(ChunkDictionary(entries), tuple(tokens)),
+    lambda entries, tokens: EncodedStream(PatternStore(entries), tuple(tokens)),
     st.lists(chunk_entries, max_size=4, unique_by=lambda e: e.id),
     st.lists(st.one_of(symbol_texts.map(CodeRef),
                        symbol_texts.map(lambda t: Literal(SPSymbol(t)))), max_size=8))
@@ -183,7 +183,7 @@ class TestFileWriters:
         assert runs_to_json(runs) == oracle.runs_to_json(runs)
 
     def test_empty_sections(self):
-        empty = EncodedStream(ChunkDictionary(), ())
+        empty = EncodedStream(PatternStore(), ())
         assert stream_to_json(empty) == oracle.stream_to_json(empty) \
             == '{\n  "dictionary": [],\n  "stream": []\n}\n'
         assert runs_to_json([]) == oracle.runs_to_json([]) == '{\n  "runs": []\n}\n'
@@ -193,7 +193,7 @@ class TestFileWriters:
         symbols = tuple(map(SPSymbol, texts))
         runs = [Run(symbols, UNBOUNDED), Run(symbols[:1], 1)]
         stream = EncodedStream(
-            ChunkDictionary([SPPattern('w"1', symbols, 2)]),
+            PatternStore([SPPattern('w"1', symbols, 2)]),
             (CodeRef('w"1'), Literal(symbols[4]), Literal(symbols[5])))
         assert runs_to_json(runs) == oracle.runs_to_json(runs)
         assert '"count": "*"' in runs_to_json(runs)

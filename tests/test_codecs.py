@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icmup import (ChunkDictionary, CodeRef, EncodedStream, FixedSymbol, Literal, Run, SPPattern, SPSymbol, Schema,
+from icmup import (CodeRef, EncodedStream, FixedSymbol, Literal, PatternStore, Run, SPPattern, SPSymbol, Schema,
                    Slot, UNBOUNDED, chunk_decode, chunk_encode,
                    discover_chunks, raw_cost, rle_decode, rle_encode,
                    schema_encode, schema_instantiate, tokenize, unify_basic)
@@ -14,7 +14,7 @@ from icmup.codecs import (dictionary_cost_bits, encoded_cost_bits, expected_coun
                           rle_cost_bits, runs_from_json, runs_to_json,
                           stream_from_json, stream_to_json)
 from icmup.errors import (BadCorrection, DegenerateAlphabet, InputFormatError,
-                          NoSchemaMatch, NotDecodable, NotPresent, UnknownCode)
+                          NoSchemaMatch, NotDecodable, NotPresent, UnknownPattern)
 
 TWO_INSTANCE_CORPUS = "abcdefghijINFORMATIONklmnopqrstINFORMATIONuvwxyz"
 
@@ -30,7 +30,7 @@ class TestDiscovery:
     def test_finds_repeated_word(self):
         d = discover_chunks(chars(TWO_INSTANCE_CORPUS), 2, 2)
         assert len(d) == 1
-        entry = d.entries[0]
+        entry = list(d)[0]
         assert entry.id == "w1"
         assert "".join(entry.texts) == "INFORMATION"
         assert entry.frequency == 2
@@ -112,7 +112,7 @@ class TestChunkCodec:
 
     def test_empty_dictionary_is_identity(self):
         corpus = tokenize("p q r")
-        stream = chunk_encode(corpus, ChunkDictionary())
+        stream = chunk_encode(corpus, PatternStore())
         assert all(isinstance(t, Literal) for t in stream.tokens)
         assert chunk_decode(stream) == list(corpus)
 
@@ -131,8 +131,8 @@ class TestChunkCodec:
         assert chunk_decode(stream) == list(corpus)
 
     @pytest.mark.parametrize("price", [
-        lambda: encoded_cost_bits(EncodedStream(ChunkDictionary(), ()), 0),
-        lambda: dictionary_cost_bits(ChunkDictionary(), 0),
+        lambda: encoded_cost_bits(EncodedStream(PatternStore(), ()), 0),
+        lambda: dictionary_cost_bits(PatternStore(), 0),
         lambda: rle_cost_bits([], 0),
     ], ids=["stream", "dictionary", "runs"])
     def test_alphabet_zero_raises_even_with_nothing_to_price(self, price):
@@ -140,14 +140,14 @@ class TestChunkCodec:
             price()
 
     def test_unknown_code_on_decode(self):
-        stream = EncodedStream(ChunkDictionary(), (CodeRef("w9"),))
-        with pytest.raises(UnknownCode):
+        stream = EncodedStream(PatternStore(), (CodeRef("w9"),))
+        with pytest.raises(UnknownPattern):
             chunk_decode(stream)
 
     def test_longest_match_first(self):
         ab = SPPattern.from_text("w1", "a b", frequency=2)
         abc = SPPattern.from_text("w2", "a b c", frequency=2)
-        stream = chunk_encode(tokenize("a b c a b"), ChunkDictionary([ab, abc]))
+        stream = chunk_encode(tokenize("a b c a b"), PatternStore([ab, abc]))
         assert [t.code for t in stream.tokens if isinstance(t, CodeRef)] == ["w2", "w1"]
 
     @settings(max_examples=150, deadline=None)

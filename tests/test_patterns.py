@@ -191,6 +191,13 @@ class TestGrammarFile:
         assert store.get("p2").frequency == 1
         assert store.alphabet == {"a", "b", "c", "d"}
 
+    def test_store_keeps_file_order(self):
+        store = parse_grammar("PATTERN w2: a b\nPATTERN w10: c\nPATTERN w1 3: a\n")
+        assert store.ids() == ["w2", "w10", "w1"]
+        assert [p.id for p in store] == ["w2", "w10", "w1"]
+        given = [store.get("w10"), store.get("w2"), store.get("w1")]
+        assert list(PatternStore(given)) == given
+
     def test_duplicate_id(self):
         with pytest.raises(InputFormatError, match="line 2"):
             parse_grammar("PATTERN p 1: a\nPATTERN p 1: b\n")
