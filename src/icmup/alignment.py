@@ -97,8 +97,8 @@ from typing import NamedTuple, Sequence
 
 from . import kernels
 from .errors import EmptyRanking
-from .patterns import (PatternStore, SPPattern, SPSymbol, code_cost,
-                       raw_cost, symbol_cost_bits)
+from .patterns import (PatternStore, SPPattern, code_cost, raw_cost,
+                       symbol_cost_bits)
 
 # A bound must fall this far below the score it has to reach before its
 # candidate is skipped, so float rounding can never skip a tie.
@@ -147,7 +147,7 @@ class Alignment:
         for col in self.columns:
             assert col.entries, "empty column"
             for r, pos in col.entries:
-                assert rows[r].symbols[pos].text == col.symbol, "column symbol mismatch"
+                assert rows[r].symbols[pos] == col.symbol, "column symbol mismatch"
                 seen[r].append(pos)
         for r, positions in seen.items():
             assert positions == sorted(positions), f"row {r} out of order"
@@ -155,7 +155,7 @@ class Alignment:
 
 
 def _literal_columns(new: SPPattern) -> tuple[Column, ...]:
-    return tuple(Column(s.text, ((0, i),)) for i, s in enumerate(new.symbols))
+    return tuple(Column(s, ((0, i),)) for i, s in enumerate(new.symbols))
 
 
 def _unhit(columns: Sequence[Column]) -> tuple[list[int], tuple[str, ...]]:
@@ -184,9 +184,9 @@ def _extend_columns(columns: Sequence[Column], pattern: SPPattern, row_index: in
     """
     if match is None:
         targets, texts = _unhit(columns)
-        match = targets, kernels.match_pairs(texts, pattern.texts)
+        match = targets, kernels.match_pairs(texts, pattern.symbols)
     targets, pairs = match
-    p_texts = pattern.texts
+    p_texts = pattern.symbols
 
     def fresh(start: int, stop: int) -> list[Column]:
         return [Column(p_texts[pj], ((row_index, pj),)) for pj in range(start, stop)]
@@ -226,8 +226,8 @@ def encoding_cost(al: Alignment, store: PatternStore, alphabet_size: int) -> flo
 def default_alphabet(new: SPPattern, store: PatternStore | None = None) -> int:
     """The distinct texts of ``new`` and the store together, at least 1."""
     if store is None:
-        return max(len(set(new.texts)), 1)
-    return max(len(store.alphabet) + len(set(new.texts).difference(store.alphabet)), 1)
+        return max(len(set(new.symbols)), 1)
+    return max(len(store.alphabet) + len(set(new.symbols).difference(store.alphabet)), 1)
 
 
 def _build(new: SPPattern, old_rows: tuple[SPPattern, ...],
@@ -380,7 +380,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
                 if below_floor(al.compression_difference - cost):
                     break  # the rest bound lower still
                 pattern = store.get(pid)
-                pairs = kernels.match_pairs(texts, pattern.texts, masks)
+                pairs = kernels.match_pairs(texts, pattern.symbols, masks)
                 terms = (paid + codes[pid],
                          unmatched - sum([drives[ti] for ti, _ in pairs]))
                 cd = raw - _cost(*terms, alphabet_size)  # the CD _build gives
@@ -409,10 +409,10 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
     return AlignmentRanking(alignments, tuple(alignment_probabilities(alignments)))
 
 
-def infer_unmatched(al: Alignment) -> list[tuple[str, SPSymbol]]:
+def infer_unmatched(al: Alignment) -> list[tuple[str, str]]:
     """Old-row symbols in non-hit columns, in column order: the content the
     partial match predicts."""
-    out: list[tuple[str, SPSymbol]] = []
+    out: list[tuple[str, str]] = []
     for col in al.columns:
         if col.is_hit:
             continue
@@ -439,7 +439,7 @@ def retrieve(query: SPPattern, store: PatternStore,
                                alphabet_size=alphabet_size)
     scored = [(al.old_rows[0].id, al.compression_difference)
               for al in ranking.alignments if al.old_rows]
-    shared = {pid for text in query.texts for pid in store.occurrences(text)}
+    shared = {pid for text in query.symbols for pid in store.occurrences(text)}
     raw = raw_cost(query, alphabet_size)
     scored += [(pid, raw - _cost(code, len(query), alphabet_size))
                for pid, code in store.codes().items() if pid not in shared]

@@ -5,8 +5,9 @@ halves away from zero).  A command that accounts for bits returns its
 ``RunReport``, and ``main`` writes it when ``--report`` is given.  Exit
 codes: 0 success, 2 input or parse error, 3 domain error (the error class
 name goes to stderr).  A ``--report`` path whose directory does not exist,
-and an ``--out`` or ``--report`` path that names the command's input file,
-fail the run before the command starts, so it prints and writes nothing.
+an ``--out`` or ``--report`` path that names the command's input file, and
+a ``--report`` that names the ``--out`` file fail the run before the
+command starts, so it prints and writes nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from . import alignment as al
 from . import codecs, hierarchy, machines, setnum
 from .errors import IcmupError, InputFormatError
-from .patterns import (PatternKind, SPPattern, SPSymbol, parse_grammar,
+from .patterns import (PatternKind, SPPattern, check_symbol, parse_grammar,
                        raw_cost, render, tokenize)
 from .reporting import RunReport, format_bits
 
@@ -31,10 +32,6 @@ def _read_text(path: str) -> str:
 
 def _mode(args) -> str:
     return "chars" if args.chars else "whitespace"
-
-
-def _corpus_alphabet(symbols) -> int:
-    return len({s.text for s in symbols})
 
 
 def _two_part(report: RunReport) -> str:
@@ -50,7 +47,7 @@ def cmd_compress(args) -> RunReport:
     text = _read_text(args.corpus)
     symbols = tokenize(text, _mode(args))
     report = RunReport("compress", (args.corpus,))
-    alphabet = _corpus_alphabet(symbols)
+    alphabet = len(set(symbols))
     priced = max(alphabet, 1)  # with no symbols every cost is 0 anyway
     raw = raw_cost(symbols, priced)
     if args.mode == "chunk":
@@ -90,8 +87,7 @@ def cmd_decompress(args) -> None:
         symbols = codecs.rle_decode(codecs.runs_from_json(doc))
     else:
         symbols = codecs.chunk_decode(codecs.stream_from_json(doc))
-    rendered = ("".join(s.text for s in symbols) if args.chars
-                else render(symbols))
+    rendered = "".join(symbols) if args.chars else render(symbols)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(rendered + ("\n" if rendered else ""))
     print(f"symbols={len(symbols)}")
@@ -159,15 +155,14 @@ def cmd_table(args) -> None:
     values = args.inputs.split(",")
     if "" in values:
         raise InputFormatError(f"--in has an empty value: {args.inputs!r}")
-    inputs = [SPSymbol(v) for v in values]
+    inputs = [check_symbol(v) for v in values]
     if args.diag:
         selection = machines.score_rows(table, inputs)
         counts = ",".join(str(c) for c in selection.match_counts)
         selected = selection.best_row + 1 if selection.full_match else "-"
         print(f"selected_row={selected} matches={counts}")
     outputs = machines.eval_table(table, inputs)
-    print(" ".join(f"{col}={sym.text}"
-                   for col, sym in zip(table.output_cols, outputs)))
+    print(" ".join(f"{col}={sym}" for col, sym in zip(table.output_cols, outputs)))
 
 
 def cmd_circuit(args) -> None:
@@ -177,7 +172,7 @@ def cmd_circuit(args) -> None:
         print("\t".join([f"in:{c}" for c in table.input_cols]
                         + [f"out:{c}" for c in table.output_cols]))
         for row_in, row_out in table.rows:
-            print("\t".join(s.text for s in row_in + row_out))
+            print("\t".join(row_in + row_out))
         return
     if not args.inputs:
         raise InputFormatError("need --in name=value,... or --compile")
@@ -213,12 +208,12 @@ def cmd_tm(args) -> None:
     print(f"tape[{lo}..{hi}]={tape}")
 
 
-def _set_arg(text: str) -> list[SPSymbol]:
+def _set_arg(text: str) -> list[str]:
     return tokenize(text, "whitespace")
 
 
 def _render_set(symbols) -> str:
-    return "{" + ", ".join(s.text for s in symbols) + "}"
+    return "{" + ", ".join(symbols) + "}"
 
 
 def cmd_sets(args) -> None:
@@ -312,7 +307,7 @@ def cmd_hierarchy(args) -> None:
     h = hierarchy.parse_hierarchy(_read_text(args.hierarchy))
     did = False
     if args.resolve:
-        attrs = sorted(a.text for a in hierarchy.resolve_attributes(h, args.resolve))
+        attrs = sorted(hierarchy.resolve_attributes(h, args.resolve))
         print(f"{args.resolve}: {' '.join(attrs)}")
         did = True
     if args.context:
@@ -461,8 +456,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_outputs(args) -> None:
     """Refuse an ``--out`` or ``--report`` that would be written over the
-    command's input file, or into a directory that does not exist."""
-    folder = os.path.dirname(getattr(args, "report", None) or "")
+    command's input file or over the other output, or into a directory that
+    does not exist."""
+    report = getattr(args, "report", None)
+    folder = os.path.dirname(report or "")
     if folder and not os.path.isdir(folder):
         raise InputFormatError(f"--report: no directory {folder!r}")
     source = (getattr(args, "corpus", None) or getattr(args, "stream", None)
@@ -473,6 +470,11 @@ def _check_outputs(args) -> None:
                 and os.path.samefile(source, target)):
             raise InputFormatError(f"--{flag} {target!r} is the input file; "
                                    "writing it would destroy the input")
+    out = getattr(args, "out", None)
+    # neither output need exist yet, so compare the resolved paths
+    if out and report and os.path.realpath(out) == os.path.realpath(report):
+        raise InputFormatError(f"--report {report!r} is the --out file; "
+                               "writing it would destroy the output")
 
 
 @functools.cache

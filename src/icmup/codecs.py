@@ -39,8 +39,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent)
-from .patterns import (PatternStore, SPPattern, SPSymbol, code_cost,
-                       intern_symbols, is_count, symbol_cost_bits)
+from .patterns import (PatternStore, SPPattern, check_symbols, code_cost,
+                       is_count, symbol_cost_bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +50,7 @@ class CodeRef:
 
 @dataclass(frozen=True, slots=True)
 class Literal:
-    symbol: SPSymbol
+    symbol: str
 
 
 Token = Union[CodeRef, Literal]
@@ -62,13 +62,13 @@ class EncodedStream:
     tokens: tuple[Token, ...]
 
 
-def _spell(texts: Iterable[str], letters: dict[str, str]) -> str:
-    """Spell symbol texts as one string, one character per distinct text.
+def _spell(symbols: Iterable[str], letters: dict[str, str]) -> str:
+    """Spell symbols as one string, one character per distinct symbol.
 
-    ``letters`` maps texts to characters and grows with every new text, so
+    ``letters`` maps symbols to characters and grows with every new one, so
     strings spelled with the same map compare like the symbol sequences.
     """
-    return "".join([letters.setdefault(t, chr(len(letters))) for t in texts])
+    return "".join([letters.setdefault(t, chr(len(letters))) for t in symbols])
 
 
 def expected_count(gram: Sequence[str], corpus_freq: Mapping[str, int],
@@ -114,7 +114,7 @@ def _longest_repeat(s: str, shortest: int) -> int:
     return good
 
 
-def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
+def discover_chunks(corpus: Sequence[str], min_len: int = 2,
                     min_count: int = 2) -> PatternStore:
     """Find maximal repeated contiguous chunks worth a dictionary entry.
 
@@ -129,10 +129,9 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
     """
     if min_len < 2 or min_count < 2:
         raise ValueError("min_len and min_count must both be >= 2")
-    texts = [s.text for s in corpus]
-    s = _spell(texts, {})
+    s = _spell(corpus, {})
     length = len(s)
-    freq = Counter(texts)
+    freq = Counter(corpus)
     claimed = bytearray(length)
     entries: list[SPPattern] = []
     for n in range(_longest_repeat(s, min_len), min_len - 1, -1):
@@ -166,7 +165,7 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
                 if (not occs or q >= occs[-1] + n) and claimed.find(1, q, q + n) < 0:
                     occs.append(q)
             if (len(occs) >= min_count
-                    and len(occs) > expected_count(texts[p:p + n], freq, length)):
+                    and len(occs) > expected_count(corpus[p:p + n], freq, length)):
                 entries.append(SPPattern(f"w{len(entries) + 1}",
                                          tuple(corpus[p:p + n]), len(occs)))
                 for q in occs:
@@ -174,21 +173,20 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
     return PatternStore(entries)
 
 
-def unify_basic(corpus: Sequence[SPSymbol],
-                chunk: SPPattern) -> tuple[SPPattern, list[SPSymbol]]:
+def unify_basic(corpus: Sequence[str],
+                chunk: SPPattern) -> tuple[SPPattern, list[str]]:
     """Merge every occurrence of ``chunk`` into one pattern carrying the count.
 
     Lossy on purpose: the residue no longer records where the occurrences
     were.  Occurrence counting is non-overlapping, left to right.
     """
-    gram = chunk.texts
+    gram = chunk.symbols
     n = len(gram)
-    residue: list[SPSymbol] = []
+    residue: list[str] = []
     count = 0
     pos = 0
     while pos < len(corpus):
-        window = tuple(s.text for s in corpus[pos:pos + n])
-        if window == gram:
+        if tuple(corpus[pos:pos + n]) == gram:
             count += 1
             pos += n
         else:
@@ -200,15 +198,15 @@ def unify_basic(corpus: Sequence[SPSymbol],
     return unified, residue
 
 
-def chunk_encode(corpus: Sequence[SPSymbol],
+def chunk_encode(corpus: Sequence[str],
                  dictionary: PatternStore) -> EncodedStream:
     """Replace chunk occurrences by code references, longest match first;
     among chunks with the same symbols the first in discovery order wins."""
     letters: dict[str, str] = {}
-    s = _spell((sym.text for sym in corpus), letters)
+    s = _spell(corpus, letters)
     by_length: dict[int, dict[str, str]] = {}
     for entry in dictionary:
-        gram = _spell(entry.texts, letters)
+        gram = _spell(entry.symbols, letters)
         by_length.setdefault(len(gram), {}).setdefault(gram, entry.id)
     tables = sorted(by_length.items(), reverse=True)
     tokens: list[Token] = []
@@ -226,8 +224,8 @@ def chunk_encode(corpus: Sequence[SPSymbol],
     return EncodedStream(dictionary, tuple(tokens))
 
 
-def chunk_decode(stream: EncodedStream) -> list[SPSymbol]:
-    out: list[SPSymbol] = []
+def chunk_decode(stream: EncodedStream) -> list[str]:
+    out: list[str] = []
     for tok in stream.tokens:
         if isinstance(tok, CodeRef):
             out.extend(stream.dictionary.get(tok.code).symbols)
@@ -271,7 +269,7 @@ UNBOUNDED = Unbounded.UNBOUNDED
 class Run:
     """A block of symbols and how many times it repeats."""
 
-    symbols: tuple[SPSymbol, ...]
+    symbols: tuple[str, ...]
     count: "int | Unbounded"
 
     def __post_init__(self):
@@ -304,7 +302,7 @@ def _lce(s: str, i: int, j: int, limit: int) -> int:
     return n
 
 
-def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
+def rle_encode(seq: Sequence[str]) -> list[Run]:
     """Detect immediately repeated blocks, maximal munch.
 
     At each position the candidate block maximises the munched span
@@ -318,7 +316,7 @@ def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
     is extended both ways to its maximal stretch [lo, hi).  Inside it the
     block at i repeats ``1 + (hi - i) // b`` times.
     """
-    s = _spell((sym.text for sym in seq), {})
+    s = _spell(seq, {})
     r = s[::-1]
     length = len(s)
     stretches: list[tuple[int, int, int]] = []  # (lo, hi, b), hi - lo >= b
@@ -352,8 +350,8 @@ def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
     return runs
 
 
-def rle_decode(runs: Sequence[Run]) -> list[SPSymbol]:
-    out: list[SPSymbol] = []
+def rle_decode(runs: Sequence[Run]) -> list[str]:
+    out: list[str] = []
     for k, run in enumerate(runs, start=1):
         if run.count is UNBOUNDED:
             raise NotDecodable(f"run 'r{k}' has an unbounded count")
@@ -363,7 +361,7 @@ def rle_decode(runs: Sequence[Run]) -> list[SPSymbol]:
 
 @dataclass(frozen=True, slots=True)
 class FixedSymbol:
-    symbol: SPSymbol
+    symbol: str
 
 
 @dataclass(frozen=True)
@@ -375,7 +373,7 @@ class Slot:
         codes = [c for c, _ in self.fillers]
         if len(set(codes)) != len(codes):
             raise ValueError(f"slot {self.name!r} has duplicate filler codes")
-        bodies = [f.texts for _, f in self.fillers]
+        bodies = [f.symbols for _, f in self.fillers]
         if len(set(bodies)) != len(bodies):
             raise ValueError(f"slot {self.name!r} has fillers with identical symbols")
 
@@ -409,7 +407,7 @@ def schema_instantiate(schema: Schema, corrections: Mapping[str, str]) -> SPPatt
     unknown = set(corrections) - set(schema.slot_names)
     if unknown:
         raise BadCorrection(f"unknown slots: {sorted(unknown)}")
-    symbols: list[SPSymbol] = []
+    symbols: list[str] = []
     chosen: list[str] = []
     for element in schema.elements:
         if isinstance(element, FixedSymbol):
@@ -431,20 +429,20 @@ def schema_encode(instance: SPPattern, schema: Schema) -> dict[str, str]:
     longest (then lexicographically first code) is preferred, so encoding
     inverts instantiation whenever the schema parses unambiguously.
     """
-    texts = instance.texts
+    texts = instance.symbols
 
     def parse(elem_idx: int, pos: int) -> "dict[str, str] | None":
         if elem_idx == len(schema.elements):
             return {} if pos == len(texts) else None
         element = schema.elements[elem_idx]
         if isinstance(element, FixedSymbol):
-            if pos < len(texts) and texts[pos] == element.symbol.text:
+            if pos < len(texts) and texts[pos] == element.symbol:
                 return parse(elem_idx + 1, pos + 1)
             return None
         candidates = sorted(element.fillers,
                             key=lambda cf: (-len(cf[1]), cf[0]))
         for code, filler in candidates:
-            body = filler.texts
+            body = filler.symbols
             if texts[pos:pos + len(body)] == body:
                 rest = parse(elem_idx + 1, pos + len(body))
                 if rest is not None:
@@ -483,11 +481,11 @@ def stream_to_json(stream: EncodedStream) -> str:
     the text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
     texts, counts = _Literals(), _Literals()
     entries = [f'{{\n      "code": {texts[e.id]},\n      "symbols": [\n        '
-               f'{_SYMBOL_SEP.join([texts[s.text] for s in e.symbols])}\n      ],\n'
+               f'{_SYMBOL_SEP.join(map(texts.__getitem__, e.symbols))}\n      ],\n'
                f'      "count": {counts[e.frequency]}\n    }}'
                for e in stream.dictionary]
     tokens = [f'{{\n      "code": {texts[tok.code]}\n    }}' if isinstance(tok, CodeRef)
-              else f'{{\n      "lit": {texts[tok.symbol.text]}\n    }}'
+              else f'{{\n      "lit": {texts[tok.symbol]}\n    }}'
               for tok in stream.tokens]
     return (f'{{\n  "dictionary": {_section(entries)},\n'
             f'  "stream": {_section(tokens)}\n}}\n')
@@ -504,13 +502,6 @@ def parse_json(text: str) -> dict:
     return doc
 
 
-def _read_symbols(value, made: dict[str, SPSymbol]) -> tuple[SPSymbol, ...]:
-    """The symbols a file's ``symbols`` array holds."""
-    if not isinstance(value, list):
-        raise TypeError(f"symbols must be a JSON array, got {type(value).__name__}")
-    return intern_symbols(value, made)
-
-
 def stream_from_json(source: str | dict) -> EncodedStream:
     """A chunk stream from a file's text, or from the object ``parse_json``
     made of it.  Each entry is a chunk as ``discover_chunks`` makes one: it
@@ -520,7 +511,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
     if doc.keys() != {"dictionary", "stream"}:
         raise InputFormatError("malformed stream file: it must hold exactly the "
                                f"'dictionary' and 'stream' sections, not {sorted(doc)}")
-    made: dict[str, SPSymbol] = {}
+    checked: set[str] = set()
     # every object is read by its documented keys, then must hold no other
     try:
         entries = []
@@ -529,7 +520,9 @@ def stream_from_json(source: str | dict) -> EncodedStream:
             if len(d) != 3:
                 raise ValueError("an entry holds exactly 'code', 'symbols' and "
                                  f"'count': {d!r}")
-            entry = SPPattern(code, _read_symbols(symbols, made), count)
+            if not isinstance(symbols, list):
+                raise TypeError(f"symbols must be a JSON array, got {type(symbols).__name__}")
+            entry = SPPattern(code, check_symbols(symbols, checked), count)
             if entry.frequency < 2:
                 raise ValueError(f"chunk {code!r} must occur at least twice")
             if len(entry) < 2:
@@ -546,7 +539,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
                     raise InputFormatError(f"stream references unknown code {item['code']!r}")
                 tokens.append(CodeRef(item["code"]))
             else:
-                tokens.append(Literal(intern_symbols([item["lit"]], made)[0]))
+                tokens.append(Literal(check_symbols([item["lit"]], checked)[0]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed stream file: {exc}") from None
     return EncodedStream(dictionary, tuple(tokens))
@@ -557,7 +550,7 @@ def runs_to_json(runs: Sequence[Run]) -> str:
     text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
     texts, counts = _Literals(), _Literals({UNBOUNDED: json.dumps(UNBOUNDED.value)})
     items = [f'{{\n      "symbols": [\n        '
-             f'{_SYMBOL_SEP.join([texts[s.text] for s in r.symbols])}\n      ],\n'
+             f'{_SYMBOL_SEP.join(map(texts.__getitem__, r.symbols))}\n      ],\n'
              f'      "count": {counts[r.count]}\n    }}'
              for r in runs]
     return f'{{\n  "runs": {_section(items)}\n}}\n'
@@ -571,14 +564,16 @@ def runs_from_json(source: str | dict) -> list[Run]:
         raise InputFormatError("malformed runs file: it must hold exactly the 'runs' "
                                f"section, not {sorted(doc)}")
     out: list[Run] = []
-    made: dict[str, SPSymbol] = {}
+    checked: set[str] = set()
     star = UNBOUNDED.value  # read once: an Enum's value is a property
     try:
         for item in doc["runs"]:
             symbols, count = item["symbols"], item["count"]
             if len(item) != 2:
                 raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
-            out.append(Run(_read_symbols(symbols, made),
+            if not isinstance(symbols, list):
+                raise TypeError(f"symbols must be a JSON array, got {type(symbols).__name__}")
+            out.append(Run(check_symbols(symbols, checked),
                            UNBOUNDED if count == star else count))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed runs file: {exc}") from None

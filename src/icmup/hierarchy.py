@@ -22,7 +22,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Iterator
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownClass
-from .patterns import SPSymbol, content_lines, intern_symbols, symbol_cost_bits
+from .patterns import check_symbols, content_lines, symbol_cost_bits
 
 DL_FORMS = ("flat", "hierarchical")
 
@@ -30,7 +30,7 @@ DL_FORMS = ("flat", "hierarchical")
 @dataclass(frozen=True)
 class ClassNode:
     name: str
-    own_attributes: frozenset[SPSymbol] = frozenset()
+    own_attributes: frozenset[str] = frozenset()
     parents: frozenset[str] = frozenset()
     parts: tuple[str, ...] = ()
 
@@ -98,7 +98,7 @@ def ancestors(h: Hierarchy, name: str) -> set[str]:
     return out
 
 
-def resolve_attributes(h: Hierarchy, name: str) -> frozenset[SPSymbol]:
+def resolve_attributes(h: Hierarchy, name: str) -> frozenset[str]:
     """Own attributes unioned with everything inherited via parents."""
     attrs = set(h.node(name).own_attributes)
     for anc in ancestors(h, name):
@@ -115,7 +115,7 @@ def _resolved_sizes(h: Hierarchy) -> Iterator[int]:
     its length."""
     graph = {node.name: node.parents for node in h}
     waiting = Counter(p for parents in graph.values() for p in parents)
-    resolved: dict[str, set[SPSymbol]] = {}
+    resolved: dict[str, set[str]] = {}
     for name in TopologicalSorter(graph).static_order():
         attrs = set(h.node(name).own_attributes)
         for parent in graph[name]:
@@ -136,7 +136,7 @@ def required_alphabet(h: Hierarchy) -> set[str]:
     out: set[str] = set()
     for node in h:
         out.add(node.name)
-        out.update(a.text for a in node.own_attributes)
+        out.update(node.own_attributes)
     return out
 
 
@@ -193,7 +193,7 @@ def parse_hierarchy(text: str) -> Hierarchy:
     blank lines are ignored.
     """
     nodes: list[ClassNode] = []
-    made: dict[str, SPSymbol] = {}
+    checked: set[str] = set()
     for lineno, stripped in content_lines(text):
         if not stripped.startswith("CLASS"):
             raise InputFormatError(f"line {lineno}: expected 'CLASS'")
@@ -212,7 +212,7 @@ def parse_hierarchy(text: str) -> Hierarchy:
         try:
             nodes.append(ClassNode(
                 name,
-                frozenset(intern_symbols(fields["attrs"], made)),
+                frozenset(check_symbols(fields["attrs"], checked)),
                 frozenset(fields["parents"]),
                 tuple(fields["parts"]),
             ))

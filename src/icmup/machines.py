@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (ArityMismatch, InputFormatError, MissingInput, NoMatch,
                      TooLarge)
-from .patterns import SPSymbol, content_lines, intern_symbols
+from .patterns import check_symbol, check_symbols, content_lines
 
 MAX_TABLE_INPUTS = 16
 
@@ -31,7 +31,7 @@ class FunctionTable:
     name: str
     input_cols: tuple[str, ...]
     output_cols: tuple[str, ...]
-    rows: tuple[tuple[tuple[SPSymbol, ...], tuple[SPSymbol, ...]], ...]
+    rows: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
     def __post_init__(self):
         seen = set()
@@ -40,7 +40,7 @@ class FunctionTable:
                 raise ValueError(f"table {self.name!r}: row input arity mismatch")
             if len(outputs) != len(self.output_cols):
                 raise ValueError(f"table {self.name!r}: row output arity mismatch")
-            key = tuple(s.text for s in inputs)
+            key = tuple(inputs)
             if key in seen:
                 raise ValueError(f"table {self.name!r}: duplicate input row {key}")
             seen.add(key)
@@ -69,34 +69,27 @@ def _select(rows: Iterable[Sequence], given: Sequence) -> RowSelection:
                         best == len(given) and counts.count(best) == 1)
 
 
-def score_rows(table: FunctionTable, inputs: Sequence[SPSymbol]) -> RowSelection:
+def score_rows(table: FunctionTable, inputs: Sequence[str]) -> RowSelection:
     """Count cell matches per row; the winner must be unique and complete."""
     if len(inputs) != table.arity:
         raise ArityMismatch(
             f"table {table.name!r} takes {table.arity} inputs, got {len(inputs)}")
-    return _select(([cell.text for cell in row_inputs] for row_inputs, _ in table.rows),
-                   [s.text for s in inputs])
+    return _select((row_inputs for row_inputs, _ in table.rows), inputs)
 
 
 def eval_table(table: FunctionTable,
-               inputs: Sequence[SPSymbol]) -> tuple[SPSymbol, ...]:
+               inputs: Sequence[str]) -> tuple[str, ...]:
     """Outputs of the single row matching every input cell."""
     selection = score_rows(table, inputs)
     if not selection.full_match:
         raise NoMatch(
             f"table {table.name!r} has no row fully matching "
-            f"({', '.join(s.text for s in inputs)})")
+            f"({', '.join(inputs)})")
     return table.rows[selection.best_row][1]
 
 
-def _sym(value) -> SPSymbol:
-    if isinstance(value, SPSymbol):
-        return value
-    return SPSymbol(str(value))
-
-
 def _bit_row(bits: Iterable, out_bits: Iterable):
-    return (tuple(_sym(b) for b in bits), tuple(_sym(b) for b in out_bits))
+    return tuple(map(str, bits)), tuple(map(str, out_bits))
 
 
 NAND_TABLE = FunctionTable(
@@ -150,11 +143,10 @@ def eval_circuit(circuit: NandCircuit,
     for terminal in circuit.inputs:
         if terminal not in inputs:
             raise MissingInput(f"no value for input terminal {terminal!r}")
-        values[terminal] = _sym(inputs[terminal]).text
+        values[terminal] = check_symbol(str(inputs[terminal]))
     for gate in circuit.gates:
-        out = eval_table(NAND_TABLE, (SPSymbol(values[gate.source_a]),
-                                      SPSymbol(values[gate.source_b])))
-        values[gate.id] = out[0].text
+        out = eval_table(NAND_TABLE, (values[gate.source_a], values[gate.source_b]))
+        values[gate.id] = out[0]
     return {out: values[out] for out in circuit.outputs}
 
 
@@ -337,15 +329,15 @@ def parse_table(text: str, name: str = "table") -> FunctionTable:
     if not input_cols or not output_cols:
         raise InputFormatError("table needs at least one in: and one out: column")
     rows = []
-    made: dict[str, SPSymbol] = {}
+    checked: set[str] = set()
     for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split("\t")]
         if len(cells) != len(input_cols) + len(output_cols):
             raise InputFormatError(f"line {lineno}: expected "
                                    f"{len(input_cols) + len(output_cols)} cells")
         try:
-            rows.append((intern_symbols(cells[:len(input_cols)], made),
-                         intern_symbols(cells[len(input_cols):], made)))
+            rows.append((check_symbols(cells[:len(input_cols)], checked),
+                         check_symbols(cells[len(input_cols):], checked)))
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from None
     try:

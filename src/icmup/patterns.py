@@ -1,4 +1,11 @@
-"""Atomic symbols, patterns, pattern stores, and the shared bit-cost model.
+"""Symbols, patterns, pattern stores, and the shared bit-cost model.
+
+A symbol is a plain ``str``: an atomic mark, and two symbols match only when
+their texts are the same.  ``check_symbol`` holds the one rule a symbol text
+passes (a non-empty string with no whitespace); it runs where text enters
+the package.  ``tokenize`` is valid by construction, since it splits on
+whitespace; each file reader checks each distinct text once
+(``check_symbols``), and ``SPPattern`` checks its symbols for API callers.
 
 A pattern is what unification leaves: an id, symbols and a frequency.  A
 ``PatternStore`` holds patterns in the order it was given them: a grammar's
@@ -7,10 +14,9 @@ order.  ``is_count`` is the one count rule, and ``check_pattern`` holds a
 pattern's field checks, for ``SPPattern`` and for the grammar loader alike.
 
 A ``PatternStore`` loaded from a grammar costs its lines and its index: it
-keeps each pattern as texts and a frequency and makes the ``SPPattern``, and
-its new symbols, only when the pattern is first read.  A search, and a chunk
-stream's price, read the store's codes from ``PatternStore.codes``, made
-once per store.
+keeps each pattern as texts and a frequency and makes the ``SPPattern`` only
+when the pattern is first read.  A search, and a chunk stream's price, read
+the store's codes from ``PatternStore.codes``, made once per store.
 
 Costs are fractional "ideal" bits throughout: a symbol over an alphabet of
 size A costs log2(A) bits (1 bit for the degenerate A=1 alphabet), and a
@@ -22,7 +28,7 @@ no frequency weighting) so compression differences are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -36,22 +42,27 @@ def is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class SPSymbol:
-    """One atomic token.  Two symbols are equal iff their texts are identical."""
+def check_symbol(text) -> str:
+    """``text`` if it is a symbol: a non-empty string with no whitespace.
+    Raises ``TypeError`` for a wrong type and ``ValueError`` otherwise."""
+    if not isinstance(text, str):
+        raise TypeError(f"symbol text must be a string, got {type(text).__name__}")
+    if not text:
+        raise ValueError("symbol text must be non-empty")
+    if text.split() != [text]:
+        raise ValueError(f"symbol text may not contain whitespace: {text!r}")
+    return text
 
-    text: str
 
-    def __post_init__(self):
-        if not isinstance(self.text, str):
-            raise TypeError(f"symbol text must be a string, got {type(self.text).__name__}")
-        if not self.text:
-            raise ValueError("symbol text must be non-empty")
-        if self.text.split() != [self.text]:
-            raise ValueError(f"symbol text may not contain whitespace: {self.text!r}")
-
-    def __str__(self) -> str:
-        return self.text
+def check_symbols(texts: Iterable, checked: set[str]) -> tuple[str, ...]:
+    """``texts`` as a tuple, each distinct text passed to ``check_symbol``
+    once: ``checked`` holds the texts already checked and gains the new
+    ones, so a reader passes one set for its whole file."""
+    out = tuple(texts)
+    for text in out:
+        if text not in checked:
+            checked.add(check_symbol(text))
+    return out
 
 
 class PatternKind(Enum):
@@ -64,16 +75,21 @@ class SPPattern:
     """An ordered, non-empty sequence of symbols with an id and a frequency."""
 
     id: str
-    symbols: tuple[SPSymbol, ...]
+    symbols: tuple[str, ...]
     frequency: int = 1
     kind: PatternKind = PatternKind.OLD
-    # the symbols' texts, made once: the kernel and the codecs read them
-    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_pattern(self.id, self.symbols, self.frequency)
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        object.__setattr__(self, "texts", tuple([s.text for s in self.symbols]))
+        symbols = tuple(self.symbols)
+        try:  # exact: the split gives the symbols back only if each is one
+            valid = " ".join(symbols).split() == list(symbols)
+        except TypeError:  # a symbol that is not a string
+            valid = False
+        if not valid:
+            for text in symbols:
+                check_symbol(text)  # raises for the first bad one
+        check_pattern(self.id, symbols, self.frequency)
+        object.__setattr__(self, "symbols", symbols)
 
     @classmethod
     def from_text(cls, id: str, text: str, *, frequency: int = 1,
@@ -104,39 +120,23 @@ def check_pattern(id: str, symbols: Sequence, frequency: int) -> None:
         raise ValueError(f"pattern {id!r} frequency must be >= 1")
 
 
-def intern_symbols(texts: Iterable[str], made: dict[str, SPSymbol]) -> tuple[SPSymbol, ...]:
-    """The symbols for ``texts``, in order, validated once per distinct text.
-
-    ``made`` maps each text already seen to its symbol and gains every new
-    one; a parser passes the same dict for all its lines, so a repeated
-    token costs one dict lookup and equal texts share one object."""
-    out = []
-    for text in texts:
-        symbol = made.get(text)
-        if symbol is None:
-            symbol = made[text] = SPSymbol(text)
-        out.append(symbol)
-    return tuple(out)
-
-
-def tokenize(text: str, mode: str = "whitespace") -> list[SPSymbol]:
+def tokenize(text: str, mode: str = "whitespace") -> list[str]:
     """Split text into symbols: on whitespace runs, or one symbol per
-    non-whitespace character.  Empty input yields an empty list.  Each
-    distinct token is validated into one symbol; a repeat costs one dict
-    lookup."""
+    non-whitespace character.  Empty input yields an empty list.  Every
+    token is a symbol by construction, so none is checked."""
     if mode not in TOKENIZE_MODES:
         raise ValueError(f"unknown tokenize mode {mode!r}")
     if mode == "whitespace":
-        return list(intern_symbols(text.split(), {}))
-    return list(intern_symbols([ch for ch in text if not ch.isspace()], {}))
+        return text.split()
+    return [ch for ch in text if not ch.isspace()]
 
 
-def render(symbols: Iterable[SPSymbol]) -> str:
-    """Inverse of whitespace tokenization: single-space-joined symbol texts."""
-    return " ".join(s.text for s in symbols)
+def render(symbols: Iterable[str]) -> str:
+    """Inverse of whitespace tokenization: the symbols joined by single spaces."""
+    return " ".join(symbols)
 
 
-# one stored pattern before it is made: its symbols' texts and its frequency
+# one stored pattern before it is made: its symbols and its frequency
 _Row = tuple[tuple[str, ...], int]
 
 
@@ -146,10 +146,9 @@ class PatternStore:
     that also counts each symbol's occurrences in each pattern.  Ids and
     iteration keep the order the patterns were given in.
 
-    The store keeps each pattern as its texts and frequency, and makes its
-    ``SPPattern`` on the first ``get``; the symbols come from one table per
-    store, one ``SPSymbol`` per distinct text, so made patterns share them.
-    A store built from patterns returns those very objects.  The index's
+    The store keeps each pattern as its symbols and frequency, and makes
+    its ``SPPattern`` on the first ``get``.  A store built from patterns
+    returns those very objects.  The index's
     levels (``holders``) and the codes are derived when first asked for."""
 
     def __init__(self, patterns: Iterable[SPPattern] = ()):
@@ -160,11 +159,11 @@ class PatternStore:
             if p.id in made:
                 raise ValueError(f"duplicate pattern id {p.id!r}")
             made[p.id] = p
-        self._load({pid: (p.texts, p.frequency) for pid, p in made.items()}, made)
+        self._load({pid: (p.symbols, p.frequency) for pid, p in made.items()}, made)
 
     @classmethod
     def _from_rows(cls, rows: dict[str, _Row]) -> "PatternStore":
-        """A store of patterns given as id -> (texts, frequency) rows, none
+        """A store of patterns given as id -> (symbols, frequency) rows, none
         of them made yet.  The rows must pass ``check_pattern``."""
         store = cls.__new__(cls)
         store._load(rows, {})
@@ -173,9 +172,9 @@ class PatternStore:
     def _load(self, rows: dict[str, _Row], made: dict[str, SPPattern]) -> None:
         index: dict[str, dict[str, int]] = {}
         total = 0
-        for pid, (texts, frequency) in rows.items():
+        for pid, (symbols, frequency) in rows.items():
             total += frequency
-            for text in texts:
+            for text in symbols:
                 counts = index.get(text)
                 if counts is None:
                     index[text] = {pid: 1}
@@ -183,7 +182,6 @@ class PatternStore:
                     counts[pid] = counts.get(pid, 0) + 1
         self._rows = rows
         self._made = made
-        self._symbols: dict[str, SPSymbol] = {}
         self._index = index
         self._holders: dict[str, tuple[tuple[str, ...], ...]] = {}
         self._codes: dict[str, float] | None = None
@@ -194,11 +192,10 @@ class PatternStore:
         pattern = self._made.get(pattern_id)
         if pattern is None:
             try:
-                texts, frequency = self._rows[pattern_id]
+                symbols, frequency = self._rows[pattern_id]
             except KeyError:
                 raise UnknownPattern(f"no pattern with id {pattern_id!r}") from None
-            pattern = self._made[pattern_id] = SPPattern(
-                pattern_id, intern_symbols(texts, self._symbols), frequency)
+            pattern = self._made[pattern_id] = SPPattern(pattern_id, symbols, frequency)
         return pattern
 
     def ids(self) -> list[str]:
@@ -258,7 +255,7 @@ def code_cost_bits(frequency: int, total_frequency: int) -> float:
     return -math.log2(frequency / total_frequency)
 
 
-def raw_cost(pattern: SPPattern | Sequence[SPSymbol], alphabet_size: int) -> float:
+def raw_cost(pattern: SPPattern | Sequence[str], alphabet_size: int) -> float:
     """Length times per-symbol cost under the fixed-length baseline."""
     return len(pattern) * symbol_cost_bits(alphabet_size)
 
@@ -291,11 +288,10 @@ def parse_grammar(text: str) -> PatternStore:
     load error, and so is a line that fails ``check_pattern``.
 
     Loading costs one dict lookup per token, to share one string per
-    distinct text, plus the store's index; it makes no ``SPPattern`` and no
-    ``SPSymbol``.  The store makes a pattern when it is first read (see
-    ``PatternStore``).  Tokens from ``str.split()`` are non-empty and hold
-    no whitespace, so every one passes ``SPSymbol``'s rule and a symbol
-    made later cannot fail.
+    distinct text, plus the store's index; it makes no ``SPPattern``.  The
+    store makes a pattern when it is first read (see ``PatternStore``).
+    Tokens from ``str.split()`` are non-empty and hold no whitespace, so
+    every one is a symbol and none is passed to ``check_symbol``.
     """
     rows: dict[str, _Row] = {}
     made: dict[str, str] = {}

@@ -27,47 +27,35 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (BadDigit, DivisionByZero, Indeterminate, NonIntegerTerm,
                      NotASet, TooLarge, Underflow)
-from .patterns import SPSymbol, is_count, symbol_cost_bits, tokenize
+from .patterns import is_count, symbol_cost_bits, tokenize
 from .reporting import round_half_up
 
 UNARY_CAP = 10 ** 6
 DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def multiset_to_set(elements: Sequence[SPSymbol]) -> list[SPSymbol]:
+def multiset_to_set(elements: Sequence[str]) -> list[str]:
     """Unify matching elements pairwise; first occurrences keep their order."""
+    return list(dict.fromkeys(elements))
+
+
+def _require_set(elements: Sequence[str], label: str) -> set[str]:
     seen: set[str] = set()
-    out: list[SPSymbol] = []
     for el in elements:
-        if el.text not in seen:
-            seen.add(el.text)
-            out.append(el)
-    return out
+        if el in seen:
+            raise NotASet(f"{label} repeats element {el!r}")
+        seen.add(el)
+    return seen
 
 
-def _require_set(elements: Sequence[SPSymbol], label: str) -> dict[str, SPSymbol]:
-    by_text: dict[str, SPSymbol] = {}
-    for el in elements:
-        if el.text in by_text:
-            raise NotASet(f"{label} repeats element {el.text!r}")
-        by_text[el.text] = el
-    return by_text
-
-
-def set_union(a: Sequence[SPSymbol], b: Sequence[SPSymbol]) -> list[SPSymbol]:
+def set_union(a: Sequence[str], b: Sequence[str]) -> list[str]:
     """Union by unifying shared elements; output in lexicographic order."""
-    left = _require_set(a, "first set")
-    right = _require_set(b, "second set")
-    merged = {**left, **right}
-    return [merged[t] for t in sorted(merged)]
+    return sorted(_require_set(a, "first set") | _require_set(b, "second set"))
 
 
-def set_intersection(a: Sequence[SPSymbol],
-                     b: Sequence[SPSymbol]) -> list[SPSymbol]:
+def set_intersection(a: Sequence[str], b: Sequence[str]) -> list[str]:
     """The unified (matched) elements only; output in lexicographic order."""
-    left = _require_set(a, "first set")
-    right = _require_set(b, "second set")
-    return [left[t] for t in sorted(set(left) & set(right))]
+    return sorted(_require_set(a, "first set") & _require_set(b, "second set"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -367,12 +355,12 @@ class FallReport:
     table_bits: float
 
 
-def _formula_symbols(g: float) -> list[SPSymbol]:
+def _formula_symbols(g: float) -> list[str]:
     return tokenize(f"s = ( g * t ^ 2 ) / 2 ; g = {g}")
 
 
-def _table_symbols(rows: Sequence[FallRow]) -> list[SPSymbol]:
-    out: list[SPSymbol] = []
+def _table_symbols(rows: Sequence[FallRow]) -> list[str]:
+    out: list[str] = []
     for row in rows:
         out.extend(tokenize(f"{row.t} {row.s:.1f}"))
     return out
@@ -395,6 +383,6 @@ def newton_table(g: float, t_max: int) -> FallReport:
         rows.append(FallRow(t, round_half_away_from_zero(s, 1)))
     formula = _formula_symbols(g)
     table = _table_symbols(rows)
-    alphabet = {s.text for s in formula} | {s.text for s in table}
+    alphabet = set(formula) | set(table)
     per_symbol = symbol_cost_bits(max(len(alphabet), 1))
     return FallReport(g, tuple(rows), len(formula) * per_symbol, len(table) * per_symbol)

@@ -43,7 +43,7 @@ def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
     """
     targets = [(ci, col.symbol) for ci, col in enumerate(columns) if not col.is_hit]
     target_texts = tuple(t for _, t in targets)
-    p_texts = pattern.texts
+    p_texts = pattern.symbols
     pairs = kernel_oracle.match_pairs(target_texts, p_texts)
 
     hit_at: dict[int, int] = {}
@@ -134,8 +134,8 @@ def align_pair(a: SPPattern, b: SPPattern,
     stored pattern, so its code is free and CD is the matched symbol mass.
     """
     if alphabet_size is None:
-        alphabet_size = max(len(set(a.texts) | set(b.texts)), 1)
-    literal = tuple(Column(s.text, ((0, i),)) for i, s in enumerate(a.symbols))
+        alphabet_size = max(len(set(a.symbols) | set(b.symbols)), 1)
+    literal = tuple(Column(s, ((0, i),)) for i, s in enumerate(a.symbols))
     columns, _ = _extend_columns(literal, b, row_index=1)
     return _build(a, (b,), columns, None, alphabet_size)
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from icmup.codecs import (CodeRef, EncodedStream, Literal, Run, Token,
                           expected_count)
-from icmup.patterns import PatternStore, SPPattern, SPSymbol
+from icmup.patterns import PatternStore, SPPattern
 
 
 def _occurrences(texts: Sequence[str], gram: tuple[str, ...],
@@ -48,7 +48,7 @@ def _longest_repeat(texts: Sequence[str], start: int) -> int:
     return n
 
 
-def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
+def discover_chunks(corpus: Sequence[str], min_len: int = 2,
                     min_count: int = 2) -> PatternStore:
     """Find maximal repeated contiguous chunks worth a dictionary entry.
 
@@ -62,7 +62,7 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
     """
     if min_len < 2 or min_count < 2:
         raise ValueError("min_len and min_count must both be >= 2")
-    texts = [s.text for s in corpus]
+    texts = list(corpus)
     length = len(texts)
     freq = Counter(texts)
     claimed = [False] * length
@@ -85,8 +85,7 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
             occs = _occurrences(texts, gram, claimed)
             if len(occs) >= min_count and len(occs) > expected_count(gram, freq, length):
                 code = f"w{len(entries) + 1}"
-                entries.append(SPPattern(code, tuple(SPSymbol(t) for t in gram),
-                                         len(occs)))
+                entries.append(SPPattern(code, gram, len(occs)))
                 for start in occs:
                     for k in range(start, start + n):
                         claimed[k] = True
@@ -97,7 +96,7 @@ def discover_chunks(corpus: Sequence[SPSymbol], min_len: int = 2,
     return PatternStore(entries)
 
 
-def chunk_encode(corpus: Sequence[SPSymbol],
+def chunk_encode(corpus: Sequence[str],
                  dictionary: PatternStore) -> EncodedStream:
     """Replace chunk occurrences by code references, longest match first."""
     ordered = sorted(enumerate(dictionary),
@@ -106,9 +105,9 @@ def chunk_encode(corpus: Sequence[SPSymbol],
     pos = 0
     while pos < len(corpus):
         for _, entry in ordered:
-            gram = entry.texts
+            gram = entry.symbols
             n = len(gram)
-            if tuple(s.text for s in corpus[pos:pos + n]) == gram:
+            if tuple(corpus[pos:pos + n]) == gram:
                 tokens.append(CodeRef(entry.id))
                 pos += n
                 break
@@ -118,7 +117,7 @@ def chunk_encode(corpus: Sequence[SPSymbol],
     return EncodedStream(dictionary, tuple(tokens))
 
 
-def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
+def rle_encode(seq: Sequence[str]) -> list[Run]:
     """Detect immediately repeated blocks, maximal munch.
 
     At each position the candidate block maximises the munched span
@@ -126,7 +125,7 @@ def rle_encode(seq: Sequence[SPSymbol]) -> list[Run]:
     the greatest count.  Positions with no repeated block become single-symbol
     runs of count 1.
     """
-    texts = [s.text for s in seq]
+    texts = list(seq)
     runs: list[Run] = []
     i = 0
     while i < len(seq):
@@ -154,11 +153,11 @@ def stream_to_json(stream: EncodedStream) -> str:
     """Serialise a chunk stream to the two-section structured-text format."""
     doc = {
         "dictionary": [
-            {"code": e.id, "symbols": list(e.texts), "count": e.frequency}
+            {"code": e.id, "symbols": list(e.symbols), "count": e.frequency}
             for e in stream.dictionary
         ],
         "stream": [
-            {"code": tok.code} if isinstance(tok, CodeRef) else {"lit": tok.symbol.text}
+            {"code": tok.code} if isinstance(tok, CodeRef) else {"lit": tok.symbol}
             for tok in stream.tokens
         ],
     }
@@ -168,7 +167,7 @@ def stream_to_json(stream: EncodedStream) -> str:
 def runs_to_json(runs: Sequence[Run]) -> str:
     doc = {
         "runs": [
-            {"symbols": [s.text for s in r.symbols],
+            {"symbols": list(r.symbols),
              "count": r.count if isinstance(r.count, int) else "*"}
             for r in runs
         ]

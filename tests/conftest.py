@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from icmup import (FunctionTable, PatternKind, PatternStore, SPPattern,
-                   SPSymbol, compose_alignment, parse_grammar)
+                   compose_alignment, parse_grammar)
 
 # the same examples on every run, and no deadline for the slow oracles
 settings.register_profile("icmup", derandomize=True, deadline=None)
@@ -33,7 +33,7 @@ def pair_alignment(a, b):
 
 
 def bits(*texts):
-    return tuple(SPSymbol(t) for t in texts)
+    return texts
 
 
 @pytest.fixture(scope="session")

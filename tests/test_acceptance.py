@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import KITTENS_GRAMMAR, KITTENS_SENTENCE, pair_alignment
-from icmup import (CodeRef, PatternKind, SPPattern, SPSymbol,
+from icmup import (CodeRef, PatternKind, SPPattern,
                    Schema, Slot, FixedSymbol, build_alignments,
                    chunk_decode, chunk_encode, compile_truth_table,
                    discover_chunks, eval_circuit, eval_table,
@@ -43,7 +43,7 @@ def criterion(number, description):
 
 
 def syms(*texts):
-    return [SPSymbol(t) for t in texts]
+    return list(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +76,11 @@ def test_criterion_02_adder_and_xor_tables(adder_table, xor_table):
         expected_adder = {("1", "1"): ("0", "1"), ("1", "0"): ("1", "0"),
                           ("0", "1"): ("1", "0"), ("0", "0"): ("0", "0")}
         for (a, b), outs in expected_adder.items():
-            assert tuple(s.text for s in eval_table(adder_table, syms(a, b))) == outs
+            assert eval_table(adder_table, syms(a, b)) == outs
         expected_xor = {("1", "1"): "0", ("0", "1"): "1",
                         ("1", "0"): "1", ("0", "0"): "0"}
         for (a, b), out in expected_xor.items():
-            assert eval_table(xor_table, syms(a, b))[0].text == out
+            assert eval_table(xor_table, syms(a, b))[0] == out
         assert score_rows(adder_table, syms("1", "0")).best_row + 1 == 2
         assert score_rows(xor_table, syms("1", "0")).best_row + 1 == 3
 
@@ -105,10 +105,9 @@ def test_criterion_03_nand_generality(adder_table, xor_table):
             table = compile_truth_table(circ)
             assert len(table.rows) == 2 ** len(circ.inputs)
             for row_inputs, _ in table.rows:
-                direct = eval_circuit(circ, dict(zip(circ.inputs,
-                                                     (s.text for s in row_inputs))))
+                direct = eval_circuit(circ, dict(zip(circ.inputs, row_inputs)))
                 via = eval_table(table, list(row_inputs))
-                assert [direct[o] for o in circ.outputs] == [s.text for s in via]
+                assert [direct[o] for o in circ.outputs] == list(via)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +138,11 @@ def test_criterion_04_tape_machine_increment():
 def test_criterion_05_set_instances():
     with criterion(5, "multiset and union/intersection instances match exactly"):
         multiset = tokenize("a b a c b b c a c")
-        assert [s.text for s in multiset_to_set(multiset)] == ["a", "b", "c"]
+        assert list(multiset_to_set(multiset)) == ["a", "b", "c"]
         a, b = tokenize("b f d a c e"), tokenize("e g i f d h")
-        assert [s.text for s in set_union(a, b)] == [
+        assert list(set_union(a, b)) == [
             "a", "b", "c", "d", "e", "f", "g", "h", "i"]
-        assert [s.text for s in set_intersection(a, b)] == ["d", "e", "f"]
+        assert list(set_intersection(a, b)) == ["d", "e", "f"]
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +153,16 @@ def test_criterion_06_chunking_with_codes():
                       "lossless, cheaper than raw"):
         corpus = tokenize("abcdefghijINFORMATIONklmnopqrstINFORMATIONuvwxyz",
                           "chars")
-        assert sum(1 for s in corpus if s.text.isupper()) == 22
-        assert sum(1 for s in corpus if s.text.islower()) >= 20
+        assert sum(1 for s in corpus if s.isupper()) == 22
+        assert sum(1 for s in corpus if s.islower()) >= 20
         dictionary = discover_chunks(corpus, 2, 2)
-        assert [(e.id, "".join(e.texts), e.frequency) for e in dictionary] \
+        assert [(e.id, "".join(e.symbols), e.frequency) for e in dictionary] \
             == [("w1", "INFORMATION", 2)]
         stream = chunk_encode(corpus, dictionary)
         refs = [t for t in stream.tokens if isinstance(t, CodeRef)]
         assert [r.code for r in refs] == ["w1", "w1"]
         assert chunk_decode(stream) == list(corpus)
-        alphabet = len({s.text for s in corpus})
+        alphabet = len(set(corpus))
         assert encoded_cost_bits(stream, alphabet) < raw_cost(corpus, alphabet)
 
 
@@ -203,8 +202,8 @@ def test_criterion_07_alignment():
             pairs.append((xs, ys))
         hit_counts = []
         for xs, ys in pairs:
-            a = SPPattern("a", tuple(SPSymbol(t) for t in xs), kind=PatternKind.NEW)
-            b = SPPattern("b", tuple(SPSymbol(t) for t in ys))
+            a = SPPattern("a", tuple(xs), kind=PatternKind.NEW)
+            b = SPPattern("b", tuple(ys))
             hit_counts.append(pair_alignment(a, b).hit_count())
         elapsed = time.perf_counter() - start
         for (xs, ys), hits in zip(pairs, hit_counts):
@@ -270,13 +269,13 @@ def test_criterion_09_round_trips():
         rng = random.Random(777)
 
         for _ in range(1000):
-            corpus = [SPSymbol(rng.choice("abcd"))
+            corpus = [rng.choice("abcd")
                       for _ in range(rng.randrange(0, 45))]
             stream = chunk_encode(corpus, discover_chunks(corpus, 2, 2))
             assert chunk_decode(stream) == corpus
 
         for _ in range(1000):
-            corpus = [SPSymbol(rng.choice("abc"))
+            corpus = [rng.choice("abc")
                       for _ in range(rng.randrange(0, 50))]
             assert rle_decode(rle_encode(corpus)) == corpus
 
@@ -295,11 +294,11 @@ def test_criterion_09_round_trips():
                     bodies.add(body)
                     code = f"s{k}f{fi}"
                     fillers.append(
-                        (code, SPPattern(code, tuple(SPSymbol(t) for t in body))))
+                        (code, SPPattern(code, tuple(body))))
                 elements.append(Slot(f"slot{k}", tuple(fillers)))
                 corrections[f"slot{k}"] = rng.choice([c for c, _ in fillers])
                 if rng.random() < 0.5:
-                    elements.append(FixedSymbol(SPSymbol(rng.choice("XYZ"))))
+                    elements.append(FixedSymbol(rng.choice("XYZ")))
             schema = Schema("R", tuple(elements))
             inst = schema_instantiate(schema, corrections)
             assert schema_encode(inst, schema) == corrections
@@ -332,7 +331,7 @@ def test_criterion_10_hierarchy_dl():
         # contentless extra ancestor costs a symbol and brings nothing, so
         # no savings claim can hold over arbitrary multi-parent structures
         popcount = [bin(x).count("1") for x in range(4)]
-        attr_symbols = (SPSymbol("x"), SPSymbol("y"))
+        attr_symbols = ("x", "y")
         checked = satisfied = 0
         for n in range(1, 6):
             validate_against_impl = n <= 4

@@ -127,11 +127,11 @@ class TestEncodingCost:
     def test_default_alphabet_counts_the_union(self, query, bodies):
         new = SPPattern.from_text("new", " ".join(query), kind=PatternKind.NEW)
         if bodies is None:
-            store, union = None, set(new.texts)
+            store, union = None, set(new.symbols)
         else:
             store = PatternStore(SPPattern.from_text(f"p{i}", " ".join(body))
                                  for i, body in enumerate(bodies))
-            union = set(new.texts) | store.alphabet
+            union = set(new.symbols) | store.alphabet
         assert default_alphabet(new, store) == max(len(union), 1)
 
     def test_unknown_old_row(self, kittens_store, kittens_new):
@@ -303,7 +303,7 @@ class TestInferUnmatched:
     def test_word_pattern_predictions(self, kittens_store):
         new = new_pattern("k i t t e n")
         al = pair_alignment(new, kittens_store.get("p1"))
-        predicted = [(pid, s.text) for pid, s in infer_unmatched(al)]
+        predicted = infer_unmatched(al)
         assert predicted == [("p1", "Nr"), ("p1", "5"), ("p1", "#Nr")]
 
     def test_identical_pair_predicts_nothing(self):

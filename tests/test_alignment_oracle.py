@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import alignment_oracle as oracle
-from icmup import (PatternKind, PatternStore, SPPattern, SPSymbol,
+from icmup import (PatternKind, PatternStore, SPPattern,
                    build_alignments, code_cost, compose_alignment,
                    dump_columns, encoding_cost, literal_alignment,
                    parse_grammar, parse_render, raw_cost, retrieve)
@@ -38,9 +38,9 @@ def searches(draw):
     picks = draw(st.lists(st.tuples(st.integers(0, len(bodies) - 1),
                                     st.integers(1, 3)), max_size=60))
     store = PatternStore(
-        SPPattern(f"p{i:02d}", tuple(SPSymbol(t) for t in bodies[k]), freq)
+        SPPattern(f"p{i:02d}", tuple(bodies[k]), freq)
         for i, (k, freq) in enumerate(picks))
-    new = SPPattern("new", tuple(SPSymbol(t) for t in draw(
+    new = SPPattern("new", tuple(draw(
         st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))),
         kind=PatternKind.NEW)
     return new, store, draw(st.integers(1, 10)), draw(st.integers(0, 4))
@@ -111,9 +111,9 @@ def merges(draw):
     alphabet = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=6,
                              unique=True))
     sequence = st.lists(st.sampled_from(alphabet), min_size=1, max_size=7)
-    new = SPPattern("new", tuple(SPSymbol(t) for t in draw(sequence)),
+    new = SPPattern("new", tuple(draw(sequence)),
                     kind=PatternKind.NEW)
-    rows = [SPPattern(f"p{i}", tuple(SPSymbol(t) for t in body))
+    rows = [SPPattern(f"p{i}", tuple(body))
             for i, body in enumerate(draw(st.lists(sequence, min_size=1, max_size=5)))]
     return new, rows
 
@@ -179,7 +179,7 @@ def test_1k_store_160_symbols(monkeypatch, bench_gen):
     store = parse_grammar("\n".join(lines) + "\n")
     rng = random.Random(3)
     letters = [c for _ in range(8) for c in bench_gen.kittens_sentence(rng, lexicon, 20)]
-    new = SPPattern("new", tuple(map(SPSymbol, letters)), kind=PatternKind.NEW)
+    new = SPPattern("new", tuple(letters), kind=PatternKind.NEW)
     assert (len(store), len(new)) == (1008, 160)
     hits = []
     monkeypatch.setattr(kernels, "match_pairs", counting_merges(hits))
@@ -199,7 +199,7 @@ def candidate_inputs():
                       max_size=20)
     columns = st.lists(st.tuples(texts, st.booleans()), max_size=12)
     return st.tuples(columns, bodies.map(lambda bodies: PatternStore(
-        SPPattern(f"p{i}", tuple(map(SPSymbol, body)))
+        SPPattern(f"p{i}", tuple(body))
         for i, body in enumerate(bodies))))
 
 
@@ -216,7 +216,7 @@ def test_candidates_equal_oracle(inputs):
     driving = {t for t, d in columns if d}
     assert alignment._candidates(texts, drives, store, False) == {
         pid: mh for pid, mh in expected.items()
-        if any(t in driving for t in store.get(pid).texts)}
+        if any(t in driving for t in store.get(pid).symbols)}
 
 
 @settings(max_examples=200)
@@ -227,7 +227,7 @@ def test_full_beam_prunes_and_equals_oracle(search, max_old_rows):
     # more than log2(A), so the one-symbol probe gains less than its code and
     # cannot beat the literal alignment that fills a beam of 1.
     store = PatternStore(list(store) + [
-        SPPattern("heavy", (SPSymbol("zz"),), 100),
+        SPPattern("heavy", ("zz",), 100),
         SPPattern("probe", new.symbols[:1], 1)])
     hits, offered = [], []
     candidates = alignment._candidates
@@ -300,14 +300,14 @@ def retrievals(draw):
     bodies = draw(st.lists(st.lists(st.sampled_from(alphabet), min_size=1,
                                     max_size=6), max_size=20))
     store = PatternStore(
-        SPPattern(f"p{i:02d}", tuple(SPSymbol(t) for t in body),
+        SPPattern(f"p{i:02d}", tuple(body),
                   draw(st.integers(1, 3)))
         for i, body in enumerate(bodies))
     query = draw(st.lists(st.sampled_from(alphabet + ["q", "r"]), min_size=1,
                           max_size=8))
     sharers = sum(1 for body in bodies if set(body) & set(query))
     k = sharers + draw(st.integers(1, 4))
-    return SPPattern("q", tuple(SPSymbol(t) for t in query),
+    return SPPattern("q", tuple(query),
                      kind=PatternKind.NEW), store, k
 
 
@@ -334,14 +334,14 @@ def crowded_retrievals(draw):
                                     min_size=1, max_size=6),
                            min_size=1, max_size=20))
     store = PatternStore(
-        SPPattern(f"p{i:02d}", tuple(SPSymbol(t) for t in body),
+        SPPattern(f"p{i:02d}", tuple(body),
                   draw(st.one_of(st.integers(1, 3), st.integers(100, 400))))
         for i, body in enumerate(bodies))
     query = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))
     sharers = sum(1 for body in bodies if set(body) & set(query))
     assume(sharers >= 1)
     k = draw(st.integers(1, sharers))
-    return SPPattern("q", tuple(SPSymbol(t) for t in query),
+    return SPPattern("q", tuple(query),
                      kind=PatternKind.NEW), store, k
 
 
@@ -373,9 +373,9 @@ def test_retrieve_id_ties_equal_oracle(data):
     copies = data.draw(st.integers(2, 6))
     ids = data.draw(st.permutations([f"id{i}" for i in range(copies + len(others))]))
     store = PatternStore(
-        SPPattern(pid, tuple(SPSymbol(t) for t in syms), 2)
+        SPPattern(pid, tuple(syms), 2)
         for pid, syms in zip(ids, [body] * copies + others))
-    query = SPPattern("q", tuple(SPSymbol(t) for t in data.draw(
+    query = SPPattern("q", tuple(data.draw(
         st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=6))),
         kind=PatternKind.NEW)
     full = oracle.retrieve(query, store, len(store))

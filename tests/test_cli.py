@@ -281,6 +281,21 @@ class TestCompressDecompress:
         assert source.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["input"]
 
+    @pytest.mark.parametrize("spelling, exists", [
+        ("s.json", False), (os.path.join(".", "s.json"), False), ("s.json", True)])
+    def test_report_over_out_exits_2(self, tmp_path, capsys, monkeypatch,
+                                     spelling, exists):
+        monkeypatch.chdir(tmp_path)
+        Path("c.txt").write_text("a b a b")
+        if exists:
+            Path("s.json").write_text("kept")
+        code, stdout, err = run(capsys, "compress", "c.txt", "--out", "s.json",
+                                "--report", spelling)
+        assert (code, stdout) == (2, "") and "is the --out file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["c.txt", "s.json"] if exists else ["c.txt"])
+        assert not exists or Path("s.json").read_text() == "kept"
+
     def test_report_file(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a b a b a b")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codec_oracle as oracle
-from icmup import (UNBOUNDED, CodeRef, EncodedStream, Literal, PatternStore, Run, SPPattern, SPSymbol,
+from icmup import (UNBOUNDED, CodeRef, EncodedStream, Literal, PatternStore, Run, SPPattern,
                    chunk_encode, discover_chunks, rle_decode, rle_encode,
                    tokenize)
 from icmup.codecs import runs_to_json, stream_to_json
@@ -33,8 +33,7 @@ def runs_of(runs):
 
 # one character per symbol, over 2-8 letters
 letter_corpora = st.integers(2, 8).flatmap(
-    lambda a: st.lists(st.sampled_from(LETTERS[:a]), max_size=48)
-).map(lambda texts: [SPSymbol(t) for t in texts])
+    lambda a: st.lists(st.sampled_from(LETTERS[:a]), max_size=48))
 
 # whitespace-mode symbols of one to three characters
 word_corpora = st.lists(st.sampled_from(WORDS), max_size=40).map(
@@ -50,7 +49,7 @@ def periodic_corpora(draw):
     while len(texts) < 40:
         texts += motif * draw(st.integers(1, 5))
         texts += draw(st.lists(st.sampled_from(alphabet), max_size=3))
-    return [SPSymbol(t) for t in texts[:48]]
+    return list(texts[:48])
 
 
 corpora = st.one_of(letter_corpora, word_corpora, periodic_corpora())
@@ -76,7 +75,7 @@ class TestChunks:
         # gives other codes here
         corpus = chars("aaabbbabbabbaaa")
         assert_same_chunks(corpus, 2, 2)
-        assert [("".join(s.text for s in chunk), count)
+        assert [("".join(chunk), count)
                 for _, chunk, count in entries(discover_chunks(corpus, 2, 2))] \
             == [("aaa", 2), ("bba", 2)]
 
@@ -101,8 +100,7 @@ dictionaries = st.lists(
 
 class TestChunkEncode:
     @settings(max_examples=100)
-    @given(st.lists(st.sampled_from("abc"), max_size=40).map(
-        lambda texts: [SPSymbol(t) for t in texts]), dictionaries)
+    @given(st.lists(st.sampled_from("abc"), max_size=40), dictionaries)
     def test_any_dictionary_matches_oracle(self, corpus, dictionary):
         # entries may use the absent symbol z, and may repeat each other
         assert (chunk_encode(corpus, dictionary).tokens
@@ -155,8 +153,7 @@ symbol_texts = st.text(
     st.one_of(st.sampled_from('ab"\\/\x00\x01\x1b\x7fé€\U0001f600\ud800'),
               st.characters()),
     min_size=1, max_size=4).filter(lambda t: t.split() == [t])
-symbol_tuples = st.lists(symbol_texts, min_size=1, max_size=4).map(
-    lambda texts: tuple(SPSymbol(t) for t in texts))
+symbol_tuples = st.lists(symbol_texts, min_size=1, max_size=4).map(tuple)
 big_counts = st.one_of(st.integers(2, 12), st.integers(2, 10 ** 30))
 
 chunk_entries = st.builds(
@@ -165,7 +162,7 @@ streams = st.builds(
     lambda entries, tokens: EncodedStream(PatternStore(entries), tuple(tokens)),
     st.lists(chunk_entries, max_size=4, unique_by=lambda e: e.id),
     st.lists(st.one_of(symbol_texts.map(CodeRef),
-                       symbol_texts.map(lambda t: Literal(SPSymbol(t)))), max_size=8))
+                       symbol_texts.map(Literal)), max_size=8))
 run_lists = st.lists(st.builds(
     Run, symbol_tuples,
     st.one_of(st.integers(1, 12), big_counts, st.just(UNBOUNDED))), max_size=6)
@@ -190,7 +187,7 @@ class TestFileWriters:
 
     def test_escapes_and_unbounded(self):
         texts = ['"', "\\", "\x7f", "\x00", "\ud800", "\U0001f600", "é"]
-        symbols = tuple(map(SPSymbol, texts))
+        symbols = tuple(texts)
         runs = [Run(symbols, UNBOUNDED), Run(symbols[:1], 1)]
         stream = EncodedStream(
             PatternStore([SPPattern('w"1', symbols, 2)]),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icmup import (CodeRef, EncodedStream, FixedSymbol, Literal, PatternStore, Run, SPPattern, SPSymbol, Schema,
+from icmup import (CodeRef, EncodedStream, FixedSymbol, Literal, PatternStore, Run, SPPattern, Schema,
                    Slot, UNBOUNDED, chunk_decode, chunk_encode,
                    discover_chunks, raw_cost, rle_decode, rle_encode,
                    schema_encode, schema_instantiate, tokenize, unify_basic)
@@ -19,7 +19,7 @@ from icmup.errors import (BadCorrection, DegenerateAlphabet, InputFormatError,
 TWO_INSTANCE_CORPUS = "abcdefghijINFORMATIONklmnopqrstINFORMATIONuvwxyz"
 
 corpora = st.lists(
-    st.sampled_from("abcd").map(SPSymbol), min_size=0, max_size=60)
+    st.sampled_from("abcd"), min_size=0, max_size=60)
 
 
 def chars(text):
@@ -32,7 +32,7 @@ class TestDiscovery:
         assert len(d) == 1
         entry = list(d)[0]
         assert entry.id == "w1"
-        assert "".join(entry.texts) == "INFORMATION"
+        assert "".join(entry.symbols) == "INFORMATION"
         assert entry.frequency == 2
 
     def test_all_distinct_corpus_is_empty(self):
@@ -43,7 +43,7 @@ class TestDiscovery:
         # expectation (6-2+1) * (3/6) * (3/6) = 1.25 < 3, so it is kept;
         # everything else is claimed or occurs once
         d = discover_chunks(tokenize("a b a b a b"), 2, 2)
-        assert [(e.id, e.texts, e.frequency) for e in d] == [
+        assert [(e.id, e.symbols, e.frequency) for e in d] == [
             ("w1", ("a", "b"), 3)]
         assert expected_count(("a", "b"), {"a": 3, "b": 3}, 6) == pytest.approx(1.25)
 
@@ -64,7 +64,7 @@ class TestUnifyBasic:
         chunk = SPPattern.from_text("c", "INFORMATION", mode="chars")
         unified, residue = unify_basic(corpus, chunk)
         assert unified.frequency == 2
-        assert "".join(s.text for s in residue) == "abcdefghijklmnopqrstuvwxyz"
+        assert "".join(residue) == "abcdefghijklmnopqrstuvwxyz"
 
     def test_corpus_equals_chunk(self):
         chunk = SPPattern.from_text("c", "x y z")
@@ -76,7 +76,7 @@ class TestUnifyBasic:
         chunk = SPPattern.from_text("c", "a b a")
         unified, residue = unify_basic(tokenize("a b a b a"), chunk)
         assert unified.frequency == 1
-        assert [s.text for s in residue] == ["b", "a"]
+        assert list(residue) == ["b", "a"]
 
     def test_size_conservation(self):
         corpus = tokenize("a b a b a b c")
@@ -87,7 +87,7 @@ class TestUnifyBasic:
     def test_size_conservation_random(self):
         rng = random.Random(31)
         for _ in range(200):
-            corpus = [SPSymbol(rng.choice("abc"))
+            corpus = [rng.choice("abc")
                       for _ in range(rng.randrange(2, 40))]
             start = rng.randrange(0, len(corpus) - 1)
             end = rng.randrange(start + 1, min(start + 6, len(corpus)) + 1)
@@ -124,7 +124,7 @@ class TestChunkCodec:
                        + "qrst" + "INFORMATION")
         d = discover_chunks(corpus, 2, 2)
         stream = chunk_encode(corpus, d)
-        alphabet = len({s.text for s in corpus})
+        alphabet = len(set(corpus))
         encoded = encoded_cost_bits(stream, alphabet)
         raw = raw_cost(corpus, alphabet)
         assert encoded < raw
@@ -163,7 +163,7 @@ class TestChunkCodec:
         d = discover_chunks(corpus, 2, 2)
         if len(d) == 0:
             return
-        alphabet = len({s.text for s in corpus})
+        alphabet = len(set(corpus))
         stream = chunk_encode(corpus, d)
         assert encoded_cost_bits(stream, alphabet) <= raw_cost(corpus, alphabet) + 1e-9
 
@@ -232,21 +232,21 @@ class TestRle:
     def test_five_copies(self):
         runs = rle_encode(chars("INFORMATION" * 5))
         assert len(runs) == 1
-        assert "".join(s.text for s in runs[0].symbols) == "INFORMATION"
+        assert "".join(runs[0].symbols) == "INFORMATION"
         assert runs[0].count == 5
 
     def test_single_symbol(self):
         runs = rle_encode(tokenize("x"))
-        assert [(r.symbols, r.count) for r in runs] == [((SPSymbol("x"),), 1)]
+        assert [(r.symbols, r.count) for r in runs] == [(("x",), 1)]
 
     def test_decode_block(self):
         runs = [Run(tuple(tokenize("a b")), 3)]
-        assert [s.text for s in rle_decode(runs)] == ["a", "b", "a", "b", "a", "b"]
+        assert list(rle_decode(runs)) == ["a", "b", "a", "b", "a", "b"]
 
     def test_span_beats_block_length(self):
         # five copies munch further than two copies of a doubled block
         runs = rle_encode(chars("ababababab"))
-        assert [("".join(s.text for s in r.symbols), r.count) for r in runs] == [("ab", 5)]
+        assert [("".join(r.symbols), r.count) for r in runs] == [("ab", 5)]
 
     def test_unbounded_is_not_decodable(self):
         run = Run(tuple(tokenize("a")), UNBOUNDED)
@@ -303,7 +303,7 @@ def menu_schema():
         return (code, SPPattern.from_text(code, text))
 
     return Schema("MN:", (
-        FixedSymbol(SPSymbol("MN:")),
+        FixedSymbol("MN:"),
         Slot("ST", (filler("st2", "minestrone-soup"),
                     filler("st6", "prawn-cocktail"))),
         Slot("MC", (filler("mc5", "vegetable-lasagne"),
@@ -320,9 +320,9 @@ class TestSchema:
         assert inst.render() == "MN: minestrone-soup vegetable-lasagne ice-cream"
 
     def test_zero_slot_schema(self):
-        schema = Schema("K", (FixedSymbol(SPSymbol("k1")), FixedSymbol(SPSymbol("k2"))))
+        schema = Schema("K", (FixedSymbol("k1"), FixedSymbol("k2")))
         inst = schema_instantiate(schema, {})
-        assert inst.texts == ("k1", "k2")
+        assert inst.symbols == ("k1", "k2")
         assert schema_encode(inst, schema) == {}
 
     def test_round_trip_second_meal(self):
@@ -348,7 +348,7 @@ class TestSchema:
         schema = Schema("S", (
             Slot("X", (("a", SPPattern.from_text("a", "p")),
                        ("b", SPPattern.from_text("b", "p q")))),
-            FixedSymbol(SPSymbol("q")),
+            FixedSymbol("q"),
         ))
         inst = schema_instantiate(schema, {"X": "a"})
         assert schema_encode(inst, schema) == {"X": "a"}
@@ -375,11 +375,11 @@ def random_schema(rng: random.Random):
                 continue
             bodies.add(body)
             code = f"s{k}f{fi}"
-            fillers.append((code, SPPattern(code, tuple(SPSymbol(t) for t in body))))
+            fillers.append((code, SPPattern(code, tuple(body))))
         elements.append(Slot(f"slot{k}", tuple(fillers)))
         slot_fillers[f"slot{k}"] = [c for c, _ in fillers]
         if rng.random() < 0.7:
-            elements.append(FixedSymbol(SPSymbol(rng.choice("XYZ"))))
+            elements.append(FixedSymbol(rng.choice("XYZ")))
     schema = Schema("R", tuple(elements))
     corrections = {name: rng.choice(codes) for name, codes in slot_fillers.items()}
     return schema, corrections

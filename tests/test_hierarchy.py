@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from icmup import (ClassNode, Hierarchy, SPSymbol, description_length,
+from icmup import (ClassNode, Hierarchy, description_length,
                    parse_hierarchy, part_context, resolve_attributes)
 from icmup.errors import DegenerateAlphabet, InputFormatError, UnknownClass
 from icmup.hierarchy import required_alphabet
@@ -34,7 +34,7 @@ def animals():
 
 
 def texts(symbols):
-    return sorted(s.text for s in symbols)
+    return sorted(symbols)
 
 
 class TestResolve:
@@ -60,8 +60,8 @@ class TestResolve:
 
     def test_shared_attribute_appears_once(self):
         h = Hierarchy([
-            ClassNode("p1", frozenset({SPSymbol("a")})),
-            ClassNode("p2", frozenset({SPSymbol("a")})),
+            ClassNode("p1", frozenset({"a"})),
+            ClassNode("p2", frozenset({"a"})),
             ClassNode("c", parents=frozenset({"p1", "p2"})),
         ])
         assert texts(resolve_attributes(h, "c")) == ["a"]
@@ -84,7 +84,7 @@ class TestPartContext:
 
 class TestDescriptionLength:
     def test_single_class_forms_agree(self):
-        h = Hierarchy([ClassNode("only", frozenset({SPSymbol("a"), SPSymbol("b")}))])
+        h = Hierarchy([ClassNode("only", frozenset({"a", "b"}))])
         size = len(required_alphabet(h))
         assert description_length(h, "flat", size) == description_length(
             h, "hierarchical", size)
@@ -92,7 +92,7 @@ class TestDescriptionLength:
     def test_hoisted_attributes_save(self):
         # three species, two attributes hoisted to the parent
         h = Hierarchy([
-            ClassNode("mammal", frozenset({SPSymbol("fur"), SPSymbol("warm")})),
+            ClassNode("mammal", frozenset({"fur", "warm"})),
             ClassNode("cat", parents=frozenset({"mammal"})),
             ClassNode("dog", parents=frozenset({"mammal"})),
             ClassNode("rabbit", parents=frozenset({"mammal"})),
@@ -151,7 +151,7 @@ def dags(draw):
         names = [f"c{j}" for j in range(i)]
         earlier = st.sets(st.sampled_from(names)) if names else st.just(set())
         nodes.append(ClassNode(
-            f"c{i}", frozenset(SPSymbol(t) for t in draw(st.sets(st.sampled_from("wxyz")))),
+            f"c{i}", frozenset(draw(st.sets(st.sampled_from("wxyz")))),
             frozenset(draw(earlier)), tuple(sorted(draw(earlier)))))
     return Hierarchy(nodes)
 
@@ -178,7 +178,7 @@ def test_flat_dl_and_context_equal_per_class_resolution(h):
 
 def chain(n, edge):
     """c<k> names c<k-1> under ``edge``, and each class owns one attribute."""
-    return Hierarchy(ClassNode(f"c{k}", frozenset({SPSymbol(f"a{k}")}),
+    return Hierarchy(ClassNode(f"c{k}", frozenset({f"a{k}"}),
                                **{edge: [f"c{k - 1}"] if k else []})
                      for k in range(n))
 
@@ -209,7 +209,7 @@ class TestDeepChains:
 def enumerate_tree_hierarchies(n):
     """All single-parent structures on n canonically-ordered nodes with own
     attributes drawn from {x, y}; yields symbol counts plus the nodes."""
-    attr_symbols = (SPSymbol("x"), SPSymbol("y"))
+    attr_symbols = ("x", "y")
     names = [f"n{i}" for i in range(n)]
     parent_choices = [[None] + list(range(i)) for i in range(n)]
     for parents in itertools.product(*parent_choices):

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from icmup import (PatternStore, SPPattern, SPSymbol, code_cost,
-                   code_cost_bits, parse_grammar, patterns, raw_cost, render,
-                   symbol_cost_bits, tokenize)
+from icmup import (PatternStore, SPPattern, check_symbol, code_cost,
+                   code_cost_bits, parse_grammar, parse_hierarchy, parse_table,
+                   patterns, raw_cost, render, symbol_cost_bits, tokenize)
+from icmup.codecs import runs_from_json, stream_from_json
 from icmup.errors import DegenerateAlphabet, InputFormatError, UnknownPattern
 
 from conftest import KITTENS_GRAMMAR
 
 symbol_texts = st.text(alphabet="abcdefgXYZ#/01", min_size=1, max_size=4)
-symbol_lists = st.lists(symbol_texts.map(SPSymbol), min_size=0, max_size=30)
+symbol_lists = st.lists(symbol_texts, min_size=0, max_size=30)
 WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
 
@@ -42,31 +43,51 @@ def grammars(draw):
     return "\n".join(out) + "\n", parsed
 
 
+# the two places a symbol text is checked: alone, and in a pattern (which
+# checks every symbol at once and names the first bad one)
+CHECKS = [check_symbol, lambda text: SPPattern("p", ("a", text, "b"))]
+
+
 class TestSymbol:
     def test_equality_is_textual(self):
-        assert SPSymbol("a") == SPSymbol("a")
-        assert SPSymbol("a") != SPSymbol("b")
+        assert check_symbol("a") == "a"
+        assert SPPattern("p", ("a",)) == SPPattern("p", tuple("a"))
+        assert SPPattern("p", ("a",)) != SPPattern("p", ("b",))
 
-    @pytest.mark.parametrize("bad", ["", "a b", "a\t", "\n"])
-    def test_rejects_empty_and_whitespace(self, bad):
-        with pytest.raises(ValueError):
-            SPSymbol(bad)
+    @pytest.mark.parametrize("check", CHECKS, ids=["alone", "in-pattern"])
+    @pytest.mark.parametrize("bad, message", [
+        ("", "symbol text must be non-empty"),
+        ("a b", "symbol text may not contain whitespace: 'a b'"),
+        ("a\t", "symbol text may not contain whitespace: 'a\\t'"),
+        ("\n", "symbol text may not contain whitespace: '\\n'"),
+    ])
+    def test_rejects_empty_and_whitespace(self, check, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(bad)
+
+    @pytest.mark.parametrize("check", CHECKS, ids=["alone", "in-pattern"])
+    @pytest.mark.parametrize("bad", [5, None, b"a"])
+    def test_rejects_a_non_string(self, check, bad):
+        message = f"symbol text must be a string, got {type(bad).__name__}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            check(bad)
 
     @pytest.mark.parametrize("space", WHITESPACE, ids=lambda ch: f"U+{ord(ch):04X}")
     def test_rejects_every_whitespace_character(self, space):
         for text in (space, f"a{space}", f"{space}a", f"a{space}b"):
-            with pytest.raises(ValueError, match="whitespace"):
-                SPSymbol(text)
+            for check in CHECKS:
+                with pytest.raises(ValueError, match="whitespace"):
+                    check(text)
 
 
 class TestTokenize:
     def test_whitespace_mode(self):
-        assert [s.text for s in tokenize("a b c")] == ["a", "b", "c"]
+        assert tokenize("a b c") == ["a", "b", "c"]
 
     def test_chars_mode(self):
         syms = tokenize("INFORMATION", "chars")
         assert len(syms) == 11
-        assert [s.text for s in syms[:3]] == ["I", "N", "F"]
+        assert syms[:3] == ["I", "N", "F"]
 
     def test_sentence_has_fourteen_symbols(self):
         assert len(tokenize("t w o k i t t e n s p l a y")) == 14
@@ -135,7 +156,7 @@ class TestPattern:
         (7, 1), (None, 1), ("p", True), ("p", False), ("p", 2.5), ("p", 2.0)])
     def test_rejects_non_string_id_and_non_integer_frequency(self, pid, frequency):
         with pytest.raises(TypeError):
-            SPPattern(pid, (SPSymbol("a"),), frequency)
+            SPPattern(pid, ("a",), frequency)
 
 
 class TestStore:
@@ -172,7 +193,7 @@ class TestStore:
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1,
                              max_size=8), max_size=12))
     def test_holders_recount(self, bodies):
-        store = PatternStore(SPPattern(f"p{i}", tuple(map(SPSymbol, body)))
+        store = PatternStore(SPPattern(f"p{i}", tuple(body))
                              for i, body in enumerate(bodies))
         for text in ("a", "b", "ab", "w"):
             levels = store.holders(text)
@@ -234,7 +255,7 @@ class TestGrammarFile:
         the same patterns, in every view, in the same order."""
         text, lines = grammar
         reference = PatternStore(
-            SPPattern(pid, tuple(SPSymbol(t) for t in body.split()), freq or 1)
+            SPPattern(pid, tuple(body.split()), freq or 1)
             for pid, freq, body in lines)
         store = parse_grammar(text)
         assert store.ids() == reference.ids()
@@ -265,16 +286,13 @@ class TestGrammarFile:
 
 @pytest.fixture()
 def made(monkeypatch):
-    """The texts of the symbols and the ids of the patterns that the
-    ``patterns`` module makes while the test runs."""
+    """The texts passed to ``check_symbol`` and the ids of the patterns
+    that the ``patterns`` module makes while the test runs."""
     made = {"patterns": [], "symbols": []}
 
-    class CountingSymbol(SPSymbol):
-        __slots__ = ()
-
-        def __post_init__(self):
-            made["symbols"].append(self.text)
-            SPSymbol.__post_init__(self)
+    def counting_check(text):
+        made["symbols"].append(text)
+        return check_symbol(text)
 
     class CountingPattern(SPPattern):
         __slots__ = ()
@@ -283,40 +301,39 @@ def made(monkeypatch):
             made["patterns"].append(self.id)
             SPPattern.__post_init__(self)
 
-    monkeypatch.setattr(patterns, "SPSymbol", CountingSymbol)
+    monkeypatch.setattr(patterns, "check_symbol", counting_check)
     monkeypatch.setattr(patterns, "SPPattern", CountingPattern)
     return made
 
 
-class TestOneSymbolPerText:
-    """``parse_grammar`` and ``tokenize`` build one symbol per distinct
-    text and share it."""
+class TestOneCheckPerText:
+    """Each reader passes each distinct text to ``check_symbol`` once, in
+    the order the texts first appear; ``parse_grammar`` and ``tokenize``,
+    whose tokens are symbols by construction, pass none."""
 
-    @pytest.fixture()
-    def built(self, made):
-        return made["symbols"]
-
-    def test_parse_grammar(self, built):
-        # the store makes its symbols when its patterns are first read
-        store = parse_grammar(KITTENS_GRAMMAR)
-        list(store)
-        assert sorted(built) == sorted(store.alphabet)
-        assert store.get("p2").symbols[2] is store.get("p1").symbols[0]  # Nr
-
-    @pytest.mark.parametrize("mode, text, distinct", [
-        ("whitespace", "a b a  c\tb a", ["a", "b", "c"]),
-        ("chars", "abra cadabra", ["a", "b", "r", "c", "d"]),
-    ])
-    def test_tokenize(self, built, mode, text, distinct):
-        symbols = tokenize(text, mode)
-        assert built == distinct
-        by_text = {s.text: s for s in symbols}
-        assert all(s is by_text[s.text] for s in symbols)
+    @pytest.mark.parametrize("read, text, checked", [
+        (parse_table, "in:a\tin:b\tout:c\n1\t1\t0\n1\t0\t1\n0\t1\t1\n0\t0\t0\n",
+         ["1", "0"]),
+        (stream_from_json, '{"dictionary": [{"code": "w1", "symbols": ["a", "b", "a"],'
+         ' "count": 2}], "stream": [{"code": "w1"}, {"lit": "c"}, {"lit": "a"},'
+         ' {"lit": "c"}]}', ["a", "b", "c"]),
+        (runs_from_json, '{"runs": [{"symbols": ["x", "y"], "count": 2},'
+         ' {"symbols": ["y"], "count": "*"}, {"symbols": ["x", "z", "x"], "count": 1}]}',
+         ["x", "y", "z"]),
+        (parse_hierarchy, "CLASS a : attrs=fur,warm\n"
+         "CLASS b : attrs=warm,tail,fur parents=a\nCLASS c : attrs=tail parents=b\n",
+         ["fur", "warm", "tail"]),
+        (lambda text: list(parse_grammar(text)), KITTENS_GRAMMAR, []),
+        (tokenize, "a b a  c\tb a", []),
+    ], ids=["table", "stream", "runs", "hierarchy", "grammar", "tokenize"])
+    def test_reader(self, made, read, text, checked):
+        read(text)
+        assert made["symbols"] == checked
 
 
 class TestLazyStore:
-    """A loaded grammar makes a pattern, and its new symbols, only when the
-    pattern is first read."""
+    """A loaded grammar makes a pattern only when the pattern is first
+    read, and checks none of its symbols."""
 
     def test_loading_makes_nothing_and_each_get_one_pattern(self, made):
         store = parse_grammar(KITTENS_GRAMMAR)
@@ -326,8 +343,7 @@ class TestLazyStore:
             first = store.get(pid)
             assert store.get(pid) is first
             assert made["patterns"] == ["p4", "p1", "p2"][:k]
-        assert sorted(made["symbols"]) == sorted(
-            {t for pid in ("p1", "p2", "p4") for t in store.get(pid).texts})
+        assert made["symbols"] == []
 
     def test_given_patterns_are_returned(self):
         given = [SPPattern.from_text("a", "x y"), SPPattern.from_text("b", "y")]
