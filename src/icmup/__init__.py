@@ -23,9 +23,9 @@ from .machines import (NAND_TABLE, FunctionTable, Gate, HALTED, NandCircuit,
                        compile_truth_table, eval_circuit, eval_table,
                        parse_circuit, parse_table, parse_tm, tm_run, tm_step,
                        unary_successor_machine, xor_nand_circuit)
-from .patterns import (PatternKind, PatternStore, SPPattern, check_symbol,
-                       code_cost, code_cost_bits, parse_grammar, raw_cost,
-                       render, symbol_cost_bits, tokenize)
+from .patterns import (PatternStore, SPPattern, check_symbol, code_cost,
+                       code_cost_bits, parse_grammar, raw_cost, render,
+                       symbol_cost_bits, tokenize)
 from .setnum import (OperationTrace, PeanoNumeral, TraceStep, UnaryNumber,
                      bounded_product, bounded_sum, multiset_to_set,
                      newton_table, parse_peano, parse_unary,

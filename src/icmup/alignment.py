@@ -27,18 +27,19 @@ the result, and so on, each merge deterministic.  So the beam keys each
 alignment by its tuple of Old-row ids, and the literal alignment by ().
 
 A merge is a match and a placement.  The match is one kernel call on the
-texts of the non-hit columns (``_unhit``).  The search picks those columns,
-and builds the kernel's mask table over their texts, once per frontier
-member: every candidate of a member is matched against the same texts, so a
-kernel call costs O(len(p) * ceil(n / w)) word operations for n non-hit
-columns and w-bit machine words (see ``kernels``).  ``_extend_columns``
-places a match, copying each run of columns between matched ones as one
-slice and building only the matched and the fresh columns, so its Python
-work is O(matched + fresh).  An extension's cost needs only the match: its
-cost terms come from its parent, the rows' codes growing by code(p) and the
-unmatched driving count falling by the pairs that land on driving columns.
-The codes are the left fold from 0 that ``sum`` over the rows makes, so the
-cost is the very float a recount gives; ``encoding_cost`` recounts.
+texts of the non-hit columns (``_unhit``), made by the caller: the search
+or ``compose_alignment``.  The search picks those columns, and builds the
+kernel's mask table over their texts, once per frontier member: every
+candidate of a member is matched against the same texts, so a kernel call
+costs O(len(p) * ceil(n / w)) word operations for n non-hit columns and
+w-bit machine words (see ``kernels``).  ``_extend_columns`` places a match,
+copying each run of columns between matched ones as one slice and building
+only the matched and the fresh columns, so its Python work is O(matched +
+fresh).  An extension's cost needs only the match: its cost terms come from
+its parent, the rows' codes growing by code(p) and the unmatched driving
+count falling by the pairs that land on driving columns.  The codes are the
+left fold from 0 that ``sum`` over the rows makes, so the cost is the very
+float a recount gives; ``encoding_cost`` recounts.
 
 Search is a deterministic beam search.  Each round extends the frontier,
 the members the previous round newly admitted to the beam, by aligning a
@@ -171,20 +172,17 @@ _Match = tuple[list[int], list[tuple[int, int]]]
 
 
 def _extend_columns(columns: Sequence[Column], pattern: SPPattern, row_index: int,
-                    match: _Match | None = None) -> tuple[tuple[Column, ...], int, int]:
+                    match: _Match) -> tuple[tuple[Column, ...], int, int]:
     """Merge a further pattern into the column structure as a new row.
 
-    The pattern is matched (maximally, leftmost) against the sequence of
-    non-hit columns, unless ``match`` is that match, made before; matched
-    columns become hits.  The unmatched pattern symbols become fresh
-    columns: those before a match go just before its column, the rest just
-    after the last matched column (after the last column when nothing
-    matched).  Returns the new columns, the number of matched pairs and how
-    many of them hit a driving symbol.
+    ``match`` is the pattern's maximal, leftmost match against the non-hit
+    columns (``_unhit`` and one kernel call); matched columns become hits.
+    The unmatched pattern symbols become fresh columns: those before a
+    match go just before its column, the rest just after the last matched
+    column (after the last column when nothing matched).  Returns the new
+    columns, the number of matched pairs and how many of them hit a driving
+    symbol.
     """
-    if match is None:
-        targets, texts = _unhit(columns)
-        match = targets, kernels.match_pairs(texts, pattern.symbols)
     targets, pairs = match
     p_texts = pattern.symbols
 
@@ -237,29 +235,26 @@ def _build(new: SPPattern, old_rows: tuple[SPPattern, ...],
     return Alignment(new, old_rows, columns, cost, raw_cost(new, alphabet_size) - cost)
 
 
-def literal_alignment(new: SPPattern, store: PatternStore | None = None,
-                      alphabet_size: int | None = None) -> Alignment:
+def literal_alignment(new: SPPattern, store: PatternStore | None = None) -> Alignment:
     """The no-Old-rows floor: every driving symbol in its own column, CD 0."""
-    if alphabet_size is None:
-        alphabet_size = default_alphabet(new, store)
-    return _build(new, (), _literal_columns(new), 0, len(new), alphabet_size)
+    return _build(new, (), _literal_columns(new), 0, len(new),
+                  default_alphabet(new, store))
 
 
 def compose_alignment(new: SPPattern, row_patterns: Sequence[SPPattern],
-                      store: PatternStore,
-                      alphabet_size: int | None = None) -> Alignment:
+                      store: PatternStore) -> Alignment:
     """Build an alignment with an explicit Old-row order (no search)."""
-    if alphabet_size is None:
-        alphabet_size = default_alphabet(new, store)
     columns = _literal_columns(new)
     rows: tuple[SPPattern, ...] = ()
     codes, unmatched = 0, len(new)
     for pattern in row_patterns:
-        columns, _, driving = _extend_columns(columns, pattern, row_index=len(rows) + 1)
+        targets, texts = _unhit(columns)
+        match = targets, kernels.match_pairs(texts, pattern.symbols)
+        columns, _, driving = _extend_columns(columns, pattern, len(rows) + 1, match)
         rows = rows + (pattern,)
         codes += code_cost(pattern.id, store)
         unmatched -= driving
-    return _build(new, rows, columns, codes, unmatched, alphabet_size)
+    return _build(new, rows, columns, codes, unmatched, default_alphabet(new, store))
 
 
 def _rank_key(item: tuple[float, tuple[str, ...]]) -> tuple:
@@ -316,8 +311,7 @@ def _candidates(texts: Sequence[str], drives: Sequence[bool],
 
 
 def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
-                     max_old_rows: int = 12,
-                     alphabet_size: int | None = None) -> AlignmentRanking:
+                     max_old_rows: int = 12) -> AlignmentRanking:
     """Beam search over alignments of ``new`` against the store.
 
     Starts from the literal alignment.  Each round extends the members the
@@ -332,8 +326,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         raise ValueError("beam must be >= 1")
     if max_old_rows < 0:
         raise ValueError("max_old_rows must be >= 0")
-    if alphabet_size is None:
-        alphabet_size = default_alphabet(new, store)
+    alphabet_size = default_alphabet(new, store)
     raw = raw_cost(new, alphabet_size)
     bits = symbol_cost_bits(alphabet_size)
     codes = store.codes()
@@ -341,7 +334,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
 
     # the beam: Old-row ids -> (alignment, its rows' codes, its unmatched
     # driving count); an extension takes both cost terms from its parent
-    kept = {(): (literal_alignment(new, store, alphabet_size), 0, len(new))}
+    kept = {(): (literal_alignment(new, store), 0, len(new))}
     for rows in range(max_old_rows):
         # Each round extends the members the last round admitted, which are
         # exactly those with `rows` Old rows: every member has one parent and
@@ -435,8 +428,7 @@ def retrieve(query: SPPattern, store: PatternStore,
         raise ValueError("k must be >= 1")
     alphabet_size = default_alphabet(query, store)
     # the literal alignment takes at most one of the k + 1 places
-    ranking = build_alignments(query, store, beam=k + 1, max_old_rows=1,
-                               alphabet_size=alphabet_size)
+    ranking = build_alignments(query, store, beam=k + 1, max_old_rows=1)
     scored = [(al.old_rows[0].id, al.compression_difference)
               for al in ranking.alignments if al.old_rows]
     shared = {pid for text in query.symbols for pid in store.occurrences(text)}

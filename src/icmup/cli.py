@@ -5,9 +5,9 @@ halves away from zero).  A command that accounts for bits returns its
 ``RunReport``, and ``main`` writes it when ``--report`` is given.  Exit
 codes: 0 success, 2 input or parse error, 3 domain error (the error class
 name goes to stderr).  A ``--report`` path whose directory does not exist,
-an ``--out`` or ``--report`` path that names the command's input file, and
-a ``--report`` that names the ``--out`` file fail the run before the
-command starts, so it prints and writes nothing.
+an ``--out`` or ``--report`` path that names a directory or the command's
+input file, and a ``--report`` that names the ``--out`` file fail the run
+before the command starts, so it prints and writes nothing.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import sys
 from . import alignment as al
 from . import codecs, hierarchy, machines, setnum
 from .errors import IcmupError, InputFormatError
-from .patterns import (PatternKind, SPPattern, check_symbol, parse_grammar,
-                       raw_cost, render, tokenize)
+from .patterns import (SPPattern, check_symbol, parse_grammar, raw_cost,
+                       render, tokenize)
 from .reporting import RunReport, format_bits
 
 
@@ -98,7 +98,7 @@ def _new_pattern(args, field: str) -> SPPattern:
     symbols = tokenize(raw, _mode(args))
     if not symbols:
         raise InputFormatError(f"--{field} needs at least one symbol")
-    return SPPattern(field, tuple(symbols), kind=PatternKind.NEW)
+    return SPPattern(field, tuple(symbols))
 
 
 def _print_alignment(index: int, alignm, prob: float) -> None:
@@ -455,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Refuse an ``--out`` or ``--report`` that would be written over the
-    command's input file or over the other output, or into a directory that
-    does not exist."""
+    """Refuse an ``--out`` or ``--report`` that names a directory, or that
+    would be written over the command's input file or over the other
+    output, or into a directory that does not exist."""
     report = getattr(args, "report", None)
     folder = os.path.dirname(report or "")
     if folder and not os.path.isdir(folder):
@@ -466,6 +466,8 @@ def _check_outputs(args) -> None:
               or getattr(args, "grammar", None))
     for flag in ("out", "report"):
         target = getattr(args, flag, None)
+        if target and os.path.isdir(target):
+            raise InputFormatError(f"--{flag} {target!r} is a directory")
         if (source and target and os.path.exists(source) and os.path.exists(target)
                 and os.path.samefile(source, target)):
             raise InputFormatError(f"--{flag} {target!r} is the input file; "

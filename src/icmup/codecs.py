@@ -12,7 +12,8 @@ symbols, frequency=count)``, and a dictionary is a ``PatternStore`` of
 them, in discovery order.  A code reference is priced from the store's
 ``codes()``, as a search prices a stored pattern.  A run is a block's
 symbols and its count, and is numbered (``r1, r2, ...``) by position only
-where it is printed.
+where it is printed.  ``rle_decode`` makes at most ``DECODE_CAP`` symbols,
+so a count in a runs file cannot ask for more memory than that.
 
 Cost, for N symbols: the coders spell the symbols as a string, one
 character per distinct symbol, so an n-gram is a substring.
@@ -38,9 +39,13 @@ from operator import eq
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
-                     NotDecodable, NotPresent)
+                     NotDecodable, NotPresent, TooLarge)
 from .patterns import (PatternStore, SPPattern, check_symbols, code_cost,
                        is_count, symbol_cost_bits)
+
+# the most symbols ``rle_decode`` makes: 100 times the 100k-character corpus
+# the README times, and a list of about 80 MB
+DECODE_CAP = 10 ** 7
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,24 +183,16 @@ def unify_basic(corpus: Sequence[str],
     """Merge every occurrence of ``chunk`` into one pattern carrying the count.
 
     Lossy on purpose: the residue no longer records where the occurrences
-    were.  Occurrence counting is non-overlapping, left to right.
+    were.  This is ``chunk_encode`` with ``chunk`` as the whole dictionary,
+    so occurrences are counted non-overlapping, left to right: the count is
+    the number of code references and the residue is the literals.
     """
-    gram = chunk.symbols
-    n = len(gram)
-    residue: list[str] = []
-    count = 0
-    pos = 0
-    while pos < len(corpus):
-        if tuple(corpus[pos:pos + n]) == gram:
-            count += 1
-            pos += n
-        else:
-            residue.append(corpus[pos])
-            pos += 1
+    tokens = chunk_encode(corpus, PatternStore([chunk])).tokens
+    residue = [tok.symbol for tok in tokens if isinstance(tok, Literal)]
+    count = len(tokens) - len(residue)
     if count == 0:
         raise NotPresent(f"chunk {chunk.id!r} does not occur in the corpus")
-    unified = SPPattern(chunk.id, chunk.symbols, frequency=count)
-    return unified, residue
+    return SPPattern(chunk.id, chunk.symbols, frequency=count), residue
 
 
 def chunk_encode(corpus: Sequence[str],
@@ -351,10 +348,18 @@ def rle_encode(seq: Sequence[str]) -> list[Run]:
 
 
 def rle_decode(runs: Sequence[Run]) -> list[str]:
+    """The symbols the runs stand for.  The runs are checked in order, and
+    the first run that is unbounded, or that would take the output past
+    ``DECODE_CAP`` symbols, raises before it is expanded."""
     out: list[str] = []
+    length = 0
     for k, run in enumerate(runs, start=1):
         if run.count is UNBOUNDED:
             raise NotDecodable(f"run 'r{k}' has an unbounded count")
+        length += len(run.symbols) * run.count
+        if length > DECODE_CAP:
+            raise TooLarge(f"run 'r{k}' takes the output past the cap of "
+                           f"{DECODE_CAP} symbols")
         out.extend(run.symbols * run.count)
     return out
 
@@ -497,6 +502,8 @@ def parse_json(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"stream file is not valid JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the stack
+        raise InputFormatError("stream file nests too deeply to read") from None
     if not isinstance(doc, dict):
         raise InputFormatError("stream file must hold a JSON object")
     return doc

@@ -63,7 +63,8 @@ class MissingInput(DomainError):
 
 
 class TooLarge(DomainError):
-    """Result exceeds the unary magnitude cap or enumeration bound."""
+    """Result exceeds the unary magnitude cap, the decode cap or an
+    enumeration bound."""
 
 
 class Underflow(DomainError):

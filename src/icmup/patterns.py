@@ -7,7 +7,9 @@ the package.  ``tokenize`` is valid by construction, since it splits on
 whitespace; each file reader checks each distinct text once
 (``check_symbols``), and ``SPPattern`` checks its symbols for API callers.
 
-A pattern is what unification leaves: an id, symbols and a frequency.  A
+A pattern is what unification leaves: an id, symbols and a frequency.
+Whether it plays New or Old in an alignment follows from where it sits:
+the pattern being encoded is New, and the stored ones are Old.  A
 ``PatternStore`` holds patterns in the order it was given them: a grammar's
 in file order, and a chunk dictionary's (see ``codecs``) in discovery
 order.  ``is_count`` is the one count rule, and ``check_pattern`` holds a
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownPattern
@@ -65,11 +66,6 @@ def check_symbols(texts: Iterable, checked: set[str]) -> tuple[str, ...]:
     return out
 
 
-class PatternKind(Enum):
-    NEW = "New"
-    OLD = "Old"
-
-
 @dataclass(frozen=True, slots=True)
 class SPPattern:
     """An ordered, non-empty sequence of symbols with an id and a frequency."""
@@ -77,7 +73,6 @@ class SPPattern:
     id: str
     symbols: tuple[str, ...]
     frequency: int = 1
-    kind: PatternKind = PatternKind.OLD
 
     def __post_init__(self):
         symbols = tuple(self.symbols)
@@ -93,9 +88,8 @@ class SPPattern:
 
     @classmethod
     def from_text(cls, id: str, text: str, *, frequency: int = 1,
-                  kind: PatternKind = PatternKind.OLD,
                   mode: str = "whitespace") -> "SPPattern":
-        return cls(id, tuple(tokenize(text, mode)), frequency, kind)
+        return cls(id, tuple(tokenize(text, mode)), frequency)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -141,9 +135,10 @@ _Row = tuple[tuple[str, ...], int]
 
 
 class PatternStore:
-    """An immutable dictionary of Old patterns with a derived alphabet,
-    total frequency, code costs, and a symbol-to-pattern retrieval index
-    that also counts each symbol's occurrences in each pattern.  Ids and
+    """An immutable dictionary of patterns (a search's Old patterns, or a
+    chunk dictionary's entries) with a derived alphabet, total frequency,
+    code costs, and a symbol-to-pattern retrieval index that also counts
+    each symbol's occurrences in each pattern.  Any pattern fits.  Ids and
     iteration keep the order the patterns were given in.
 
     The store keeps each pattern as its symbols and frequency, and makes
@@ -154,8 +149,6 @@ class PatternStore:
     def __init__(self, patterns: Iterable[SPPattern] = ()):
         made: dict[str, SPPattern] = {}
         for p in patterns:
-            if p.kind is not PatternKind.OLD:
-                raise ValueError(f"store accepts Old patterns only, got {p.id!r}")
             if p.id in made:
                 raise ValueError(f"duplicate pattern id {p.id!r}")
             made[p.id] = p

@@ -151,8 +151,7 @@ def _rank_key(al: Alignment):
 
 
 def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
-                     max_old_rows: int = 12,
-                     alphabet_size: int | None = None) -> AlignmentRanking:
+                     max_old_rows: int = 12) -> AlignmentRanking:
     """Beam search over alignments of ``new`` against the store.
 
     Seeds with the literal alignment plus every single-row pairwise
@@ -164,7 +163,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         raise ValueError("beam must be >= 1")
     if max_old_rows < 0:
         raise ValueError("max_old_rows must be >= 0")
-    alphabet_size = alphabet_size or default_alphabet(new, store)
+    alphabet_size = default_alphabet(new, store)
 
     def extend(al: Alignment, pattern: SPPattern) -> Alignment | None:
         columns, hits = _extend_columns(al.columns, pattern,
@@ -173,7 +172,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
             return None
         return _build(new, al.old_rows + (pattern,), columns, store, alphabet_size)
 
-    literal = literal_alignment(new, store, alphabet_size)
+    literal = literal_alignment(new, store)
     kept: dict = {_signature(literal): literal}
     expanded: set = set()
     while True:

@@ -1,7 +1,8 @@
-"""Reference codecs: the original, slow chunk and run coders and the
-original stream and runs file writers, kept verbatim as oracles.  The
-library versions in ``icmup.codecs`` must give exactly the same
-dictionaries, streams, runs and file texts.
+"""Reference codecs: the original, slow chunk and run coders, plain
+unification's own matcher and the original stream and runs file writers,
+kept verbatim as oracles.  The library versions in ``icmup.codecs`` must
+give exactly the same dictionaries, streams, unifications, runs and file
+texts.
 
 ``_longest_repeat`` and ``discover_chunks`` cost O(n * L^2) for a longest
 repeat L, and ``rle_encode`` is cubic, so use them on small inputs only.
@@ -15,6 +16,7 @@ from typing import Sequence
 
 from icmup.codecs import (CodeRef, EncodedStream, Literal, Run, Token,
                           expected_count)
+from icmup.errors import NotPresent
 from icmup.patterns import PatternStore, SPPattern
 
 
@@ -115,6 +117,31 @@ def chunk_encode(corpus: Sequence[str],
             tokens.append(Literal(corpus[pos]))
             pos += 1
     return EncodedStream(dictionary, tuple(tokens))
+
+
+def unify_basic(corpus: Sequence[str],
+                chunk: SPPattern) -> tuple[SPPattern, list[str]]:
+    """Merge every occurrence of ``chunk`` into one pattern carrying the count.
+
+    Lossy on purpose: the residue no longer records where the occurrences
+    were.  Occurrence counting is non-overlapping, left to right.
+    """
+    gram = chunk.symbols
+    n = len(gram)
+    residue: list[str] = []
+    count = 0
+    pos = 0
+    while pos < len(corpus):
+        if tuple(corpus[pos:pos + n]) == gram:
+            count += 1
+            pos += n
+        else:
+            residue.append(corpus[pos])
+            pos += 1
+    if count == 0:
+        raise NotPresent(f"chunk {chunk.id!r} does not occur in the corpus")
+    unified = SPPattern(chunk.id, chunk.symbols, frequency=count)
+    return unified, residue
 
 
 def rle_encode(seq: Sequence[str]) -> list[Run]:

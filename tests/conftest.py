@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from icmup import (FunctionTable, PatternKind, PatternStore, SPPattern,
+from icmup import (FunctionTable, PatternStore, SPPattern,
                    compose_alignment, parse_grammar)
 
 # the same examples on every run, and no deadline for the slow oracles
@@ -43,7 +43,7 @@ def kittens_store():
 
 @pytest.fixture()
 def kittens_new():
-    return SPPattern.from_text("new", KITTENS_SENTENCE, kind=PatternKind.NEW)
+    return SPPattern.from_text("new", KITTENS_SENTENCE)
 
 
 @pytest.fixture(scope="session")

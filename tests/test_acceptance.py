@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import KITTENS_GRAMMAR, KITTENS_SENTENCE, pair_alignment
-from icmup import (CodeRef, PatternKind, SPPattern,
+from icmup import (CodeRef, SPPattern,
                    Schema, Slot, FixedSymbol, build_alignments,
                    chunk_decode, chunk_encode, compile_truth_table,
                    discover_chunks, eval_circuit, eval_table,
@@ -186,7 +186,7 @@ def test_criterion_07_alignment():
                       "hit counts equal the LCS oracle; probabilities sum to 1"):
         start = time.perf_counter()
         store = parse_grammar(KITTENS_GRAMMAR)
-        new = SPPattern.from_text("new", KITTENS_SENTENCE, kind=PatternKind.NEW)
+        new = SPPattern.from_text("new", KITTENS_SENTENCE)
         ranking = build_alignments(new, store, beam=50, max_old_rows=12)
         best = ranking.best
         assert best.new_hit_positions() == set(range(14))
@@ -202,7 +202,7 @@ def test_criterion_07_alignment():
             pairs.append((xs, ys))
         hit_counts = []
         for xs, ys in pairs:
-            a = SPPattern("a", tuple(xs), kind=PatternKind.NEW)
+            a = SPPattern("a", tuple(xs))
             b = SPPattern("b", tuple(ys))
             hit_counts.append(pair_alignment(a, b).hit_count())
         elapsed = time.perf_counter() - start

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import alignment_oracle as oracle
 from conftest import pair_alignment
-from icmup import (PatternKind, PatternStore, SPPattern,
+from icmup import (PatternStore, SPPattern,
                    alignment_probabilities, build_alignments, code_cost,
                    compose_alignment, dump_columns, encoding_cost,
                    infer_unmatched, literal_alignment, parse_render, raw_cost,
                    retrieve)
 from icmup.alignment import default_alphabet
-from icmup.errors import DegenerateAlphabet, EmptyRanking, UnknownPattern
+from icmup.errors import EmptyRanking, UnknownPattern
 
 DNA_A = "G G A G C A G G G A G G A T G G G G A"
 DNA_B = "G G G G C C C A G G G A G G A G G C G G G A"
@@ -32,7 +32,7 @@ def lcs_oracle(a, b):
 
 
 def new_pattern(text, pid="new"):
-    return SPPattern.from_text(pid, text, kind=PatternKind.NEW)
+    return SPPattern.from_text(pid, text)
 
 
 class TestAlignPair:
@@ -111,21 +111,11 @@ class TestEncodingCost:
         alphabet = default_alphabet(kittens_new, kittens_store)
         assert ranking.best.encoding_cost < raw_cost(kittens_new, alphabet)
 
-    @pytest.mark.parametrize("build", [
-        lambda new, store: literal_alignment(new, store, 0),
-        lambda new, store: compose_alignment(new, [store.get("p1")], store, 0),
-        lambda new, store: build_alignments(new, store, alphabet_size=0),
-    ])
-    def test_zero_alphabet_is_degenerate(self, kittens_store, kittens_new, build):
-        # 0 is a size, not "unset": it raises like any size below 1
-        with pytest.raises(DegenerateAlphabet):
-            build(kittens_new, kittens_store)
-
     @given(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=8),
            st.none() | st.lists(st.lists(st.sampled_from("abcdxyz"), min_size=1,
                                          max_size=5), max_size=5))
     def test_default_alphabet_counts_the_union(self, query, bodies):
-        new = SPPattern.from_text("new", " ".join(query), kind=PatternKind.NEW)
+        new = SPPattern.from_text("new", " ".join(query))
         if bodies is None:
             store, union = None, set(new.symbols)
         else:

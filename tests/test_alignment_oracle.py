@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import alignment_oracle as oracle
-from icmup import (PatternKind, PatternStore, SPPattern,
+from icmup import (PatternStore, SPPattern,
                    build_alignments, code_cost, compose_alignment,
                    dump_columns, encoding_cost, literal_alignment,
                    parse_grammar, parse_render, raw_cost, retrieve)
@@ -41,8 +41,7 @@ def searches(draw):
         SPPattern(f"p{i:02d}", tuple(bodies[k]), freq)
         for i, (k, freq) in enumerate(picks))
     new = SPPattern("new", tuple(draw(
-        st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))),
-        kind=PatternKind.NEW)
+        st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))))
     return new, store, draw(st.integers(1, 10)), draw(st.integers(0, 4))
 
 
@@ -111,8 +110,7 @@ def merges(draw):
     alphabet = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=6,
                              unique=True))
     sequence = st.lists(st.sampled_from(alphabet), min_size=1, max_size=7)
-    new = SPPattern("new", tuple(draw(sequence)),
-                    kind=PatternKind.NEW)
+    new = SPPattern("new", tuple(draw(sequence)))
     rows = [SPPattern(f"p{i}", tuple(body))
             for i, body in enumerate(draw(st.lists(sequence, min_size=1, max_size=5)))]
     return new, rows
@@ -126,7 +124,10 @@ def test_extend_columns_equals_oracle(merge):
     for row_index, pattern in enumerate(rows[:-1], start=1):
         columns, _ = oracle._extend_columns(columns, pattern, row_index)
     expected, pairs = oracle._extend_columns(columns, rows[-1], len(rows))
-    got, got_pairs, driving = alignment._extend_columns(columns, rows[-1], len(rows))
+    targets, texts = alignment._unhit(columns)
+    match = targets, kernels.match_pairs(texts, rows[-1].symbols)
+    got, got_pairs, driving = alignment._extend_columns(columns, rows[-1], len(rows),
+                                                        match)
     assert got == expected and got_pairs == pairs
     assert driving == driving_hits(expected) - driving_hits(columns)
     # compose_alignment carries its cost terms through the same merges
@@ -179,7 +180,7 @@ def test_1k_store_160_symbols(monkeypatch, bench_gen):
     store = parse_grammar("\n".join(lines) + "\n")
     rng = random.Random(3)
     letters = [c for _ in range(8) for c in bench_gen.kittens_sentence(rng, lexicon, 20)]
-    new = SPPattern("new", tuple(letters), kind=PatternKind.NEW)
+    new = SPPattern("new", tuple(letters))
     assert (len(store), len(new)) == (1008, 160)
     hits = []
     monkeypatch.setattr(kernels, "match_pairs", counting_merges(hits))
@@ -307,8 +308,7 @@ def retrievals(draw):
                           max_size=8))
     sharers = sum(1 for body in bodies if set(body) & set(query))
     k = sharers + draw(st.integers(1, 4))
-    return SPPattern("q", tuple(query),
-                     kind=PatternKind.NEW), store, k
+    return SPPattern("q", tuple(query)), store, k
 
 
 @settings(max_examples=200)
@@ -341,8 +341,7 @@ def crowded_retrievals(draw):
     sharers = sum(1 for body in bodies if set(body) & set(query))
     assume(sharers >= 1)
     k = draw(st.integers(1, sharers))
-    return SPPattern("q", tuple(query),
-                     kind=PatternKind.NEW), store, k
+    return SPPattern("q", tuple(query)), store, k
 
 
 @settings(max_examples=300)
@@ -350,7 +349,7 @@ def crowded_retrievals(draw):
 # "x" and "x2" match one and two query symbols (2.8 bits each) but pay an
 # 8.7-bit code; "y" matches nothing and pays under 0.01 bits, so it is the
 # top 1 though two patterns share a symbol with the query
-@example((SPPattern.from_text("q", "a b c d e f", kind=PatternKind.NEW),
+@example((SPPattern.from_text("q", "a b c d e f"),
           PatternStore([SPPattern.from_text("x", "a"),
                         SPPattern.from_text("x2", "a b"),
                         SPPattern.from_text("y", "z", frequency=400)]), 1))
@@ -376,8 +375,7 @@ def test_retrieve_id_ties_equal_oracle(data):
         SPPattern(pid, tuple(syms), 2)
         for pid, syms in zip(ids, [body] * copies + others))
     query = SPPattern("q", tuple(data.draw(
-        st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=6))),
-        kind=PatternKind.NEW)
+        st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=6))))
     full = oracle.retrieve(query, store, len(store))
     cuts = [k for k in range(1, len(full)) if full[k - 1][1] == full[k][1]]
     assert cuts  # the copies tie, at least
@@ -387,7 +385,7 @@ def test_retrieve_id_ties_equal_oracle(data):
 
 def test_kittens_retrieve_equals_oracle(kittens_store):
     for text in ("k i t t e n", "N Np Nr #Nr s #N", "t w o k i t t e n s"):
-        query = SPPattern.from_text("q", text, kind=PatternKind.NEW)
+        query = SPPattern.from_text("q", text)
         for k in range(1, len(kittens_store) + 2):
             assert retrieve(query, kittens_store, k) == \
                 oracle.retrieve(query, kittens_store, k)
@@ -414,7 +412,7 @@ def test_retrieve_builds_only_survivors(retrieval):
 
 def test_kittens_retrieve_builds_only_survivors(kittens_store):
     for text in ("k i t t e n", "N Np Nr #Nr s #N", "t w o k i t t e n s"):
-        query = SPPattern.from_text("q", text, kind=PatternKind.NEW)
+        query = SPPattern.from_text("q", text)
         for k in range(1, len(kittens_store) + 2):
             assert_retrieve_work(query, kittens_store, k)
 
@@ -423,7 +421,7 @@ def test_ties_go_to_fewer_rows_then_ids():
     # A = 2 and two patterns of frequency 1: a code and an unmatched driving
     # symbol both cost 1 bit, so every alignment of "a b" has CD 0
     store = parse_grammar("PATTERN p0: a\nPATTERN p1: b\n")
-    new = SPPattern.from_text("new", "a b", kind=PatternKind.NEW)
+    new = SPPattern.from_text("new", "a b")
     ranking = build_alignments(new, store)
     assert {al.compression_difference for al in ranking.alignments} == {0.0}
     assert [tuple(r.id for r in al.old_rows) for al in ranking.alignments] == [

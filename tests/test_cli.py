@@ -12,7 +12,7 @@ import pytest
 
 from conftest import KITTENS_GRAMMAR
 import icmup
-from icmup import cli, reporting
+from icmup import cli, codecs, reporting
 from icmup.cli import main
 from icmup.reporting import format_bits
 from icmup.setnum import newton_table
@@ -192,6 +192,33 @@ class TestCompressDecompress:
         assert code == 2 and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("counts", [
+        [10 ** 30],
+        [codecs.DECODE_CAP + 1],
+        [1, codecs.DECODE_CAP],  # each run alone is within the cap
+    ], ids=["huge", "one-over", "together"])
+    def test_decode_past_the_cap_exits_3(self, tmp_path, capsys, counts):
+        stream = tmp_path / "runs.json"
+        stream.write_text(json.dumps(
+            {"runs": [{"symbols": ["a"], "count": c} for c in counts]}))
+        out = tmp_path / "d.txt"
+        code, stdout, err = run(capsys, "decompress", str(stream), "--out", str(out))
+        assert (code, stdout) == (3, "") and "Traceback" not in err
+        assert err == (f"TooLarge: run 'r{len(counts)}' takes the output past "
+                       f"the cap of {codecs.DECODE_CAP} symbols\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["[" * 200_000, '{"runs": ' + "[" * 200_000],
+                             ids=["arrays", "in-runs"])
+    def test_deep_nesting_exits_2(self, tmp_path, capsys, text):
+        stream = tmp_path / "s.json"
+        stream.write_text(text)
+        out = tmp_path / "d.txt"
+        code, stdout, err = run(capsys, "decompress", str(stream), "--out", str(out))
+        assert (code, stdout) == (2, "") and "Traceback" not in err
+        assert "nests too deeply" in err
+        assert not out.exists()
+
     def test_malformed_stream_exits_2(self, tmp_path, capsys):
         stream = tmp_path / "s.json"
         stream.write_text("{broken")
@@ -295,6 +322,25 @@ class TestCompressDecompress:
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             ["c.txt", "s.json"] if exists else ["c.txt"])
         assert not exists or Path("s.json").read_text() == "kept"
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "c.txt", "--out", "DIR"],
+        ["compress", "c.txt", "--out", "s.json", "--report", "DIR"],
+        ["decompress", "s.json", "--out", "DIR"],
+    ], ids=["compress-out", "compress-report", "decompress-out"])
+    def test_output_naming_a_directory_exits_2(self, tmp_path, capsys, monkeypatch,
+                                               argv):
+        monkeypatch.chdir(tmp_path)
+        Path("c.txt").write_text("a b a b")
+        if argv[0] == "decompress":
+            Path("s.json").write_text('{"dictionary": [], "stream": [{"lit": "a"}]}')
+        Path("outputs").mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, stdout, err = run(capsys, *["outputs" if a == "DIR" else a
+                                          for a in argv])
+        assert (code, stdout) == (2, "") and "'outputs' is a directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert not any(Path("outputs").iterdir())
 
     def test_report_file(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

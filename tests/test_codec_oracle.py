@@ -6,14 +6,15 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import codec_oracle as oracle
 from icmup import (UNBOUNDED, CodeRef, EncodedStream, Literal, PatternStore, Run, SPPattern,
                    chunk_encode, discover_chunks, rle_decode, rle_encode,
-                   tokenize)
+                   tokenize, unify_basic)
 from icmup.codecs import runs_to_json, stream_to_json
+from icmup.errors import NotPresent
 
 LETTERS = "abcdefgh"
 WORDS = ("a", "ab", "ba", "abc", "xy", "y", "the", "cat")
@@ -121,6 +122,32 @@ class TestChunkEncode:
         assert stream.tokens == oracle.chunk_encode(corpus, dictionary).tokens
         assert [getattr(t, "code", None) for t in stream.tokens] == [
             None, "w1", None, "w1"]
+
+
+def unification(corpus, chunk, unify):
+    """``unify``'s (frequency, residue) for ``chunk``, or None if it is absent."""
+    try:
+        unified, residue = unify(corpus, chunk)
+    except NotPresent:
+        return None
+    assert (unified.id, unified.symbols) == (chunk.id, chunk.symbols)
+    return unified.frequency, residue
+
+
+class TestUnifyBasic:
+    # a chunk may hold the absent symbol z, and its occurrences may overlap
+    # (a a in a a a), so each kind of chunk is drawn
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from("abc"), max_size=40),
+           st.lists(st.sampled_from("abcz"), min_size=1, max_size=4))
+    @example(list("aaaaa"), list("aa"))
+    @example(list("ababa"), list("aba"))
+    @example(list("abc"), list("z"))
+    @example([], list("a"))
+    def test_matches_oracle(self, corpus, gram):
+        chunk = SPPattern("c", tuple(gram))
+        assert (unification(corpus, chunk, unify_basic)
+                == unification(corpus, chunk, oracle.unify_basic))
 
 
 class TestRuns:

@@ -13,8 +13,10 @@ from icmup import (CodeRef, EncodedStream, FixedSymbol, Literal, PatternStore, R
 from icmup.codecs import (dictionary_cost_bits, encoded_cost_bits, expected_count,
                           rle_cost_bits, runs_from_json, runs_to_json,
                           stream_from_json, stream_to_json)
+from icmup import codecs
 from icmup.errors import (BadCorrection, DegenerateAlphabet, InputFormatError,
-                          NoSchemaMatch, NotDecodable, NotPresent, UnknownPattern)
+                          NoSchemaMatch, NotDecodable, NotPresent, TooLarge,
+                          UnknownPattern)
 
 TWO_INSTANCE_CORPUS = "abcdefghijINFORMATIONklmnopqrstINFORMATIONuvwxyz"
 
@@ -252,6 +254,15 @@ class TestRle:
         run = Run(tuple(tokenize("a")), UNBOUNDED)
         with pytest.raises(NotDecodable):
             rle_decode([run])
+
+    def test_decode_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(codecs, "DECODE_CAP", 6)
+        assert rle_decode([Run(("a", "b"), 2), Run(("c",), 2)]) == list("ababcc")
+        with pytest.raises(TooLarge, match="'r2' .* cap of 6 symbols"):
+            rle_decode([Run(("a", "b"), 2), Run(("c",), 3)])
+        # an unbounded run still raises NotDecodable
+        with pytest.raises(NotDecodable):
+            rle_decode([Run(("a",), 6), Run(("b",), UNBOUNDED)])
 
     def test_file_round_trip(self):
         runs = rle_encode(chars("xxyyxxyy"))
