@@ -12,16 +12,27 @@ symbols, frequency=count)``, and a dictionary is a ``PatternStore`` of
 them, in discovery order.  A code reference is priced from the store's
 ``codes()``, as a search prices a stored pattern.  A run is a block's
 symbols and its count, and is numbered (``r1, r2, ...``) by position only
-where it is printed.  ``rle_decode`` makes at most ``DECODE_CAP`` symbols,
-so a count in a runs file cannot ask for more memory than that.
+where it is printed.  ``rle_decode`` and ``chunk_decode`` expand a run or
+a code reference only while the output stays within ``DECODE_CAP``
+symbols, so a count or a reference in a file cannot ask for more memory
+than that.
 
 Cost, for N symbols: the coders spell the symbols as a string, one
 character per distinct symbol, so an n-gram is a substring.
 ``rle_encode`` makes O(N log N) probes (for each block length b, only the
 positions 0, b, 2b, ...), each extended by slice compares.
-``discover_chunks`` makes one pass per chunk length, from L (the longest
-repeat) down, and each pass slices every unclaimed window of that length:
-O(N * L^2) in the worst case.  ``chunk_encode`` makes one
+``discover_chunks`` first builds a repeats index, the suffix array and its
+LCP: O(N log N log L) in sorts, for L the longest repeat, plus O(N)
+character steps.  It gives each start i the longest window there that
+occurs again, ``longest[i]``.  One pass per chunk length n, from L down,
+then slices only the unclaimed windows at live starts, those with
+``longest[i] >= n``: a window that occurs once is never a chunk.  Where
+the repeats become chunks and claim their cells, the characters sliced
+grow about linearly (a corpus of two long copies around random noise:
+about 2.3x per doubling).  A corpus whose windows all repeat but whose
+grams never beat ``expected_count`` keeps every window live at every
+length, and stays O(N * L^2): one letter repeated 2,000 times takes about
+2 s.  ``chunk_encode`` makes one
 table lookup per distinct chunk length at each position.  The stream and
 runs writers give the text of ``json.dumps(doc, indent=2)`` without its
 pure-Python encoder: one C escape (``json.dumps``) per distinct text and
@@ -34,8 +45,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
-from operator import eq
+from itertools import chain, compress, count, repeat
+from operator import add, eq
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
@@ -93,30 +104,46 @@ def _windows(s: str, starts: Sequence[int], n: int) -> list[str]:
     return list(map(s.__getitem__, map(slice, starts, map(n.__add__, starts))))
 
 
-def _has_repeat(s: str, n: int) -> bool:
-    # a short period repeats within the first few windows: look there first
-    windows = len(s) - n + 1
-    return any(len(set(_windows(s, range(k), n))) < k
-               for k in (min(64, windows), windows))
+def _longest_repeats(s: str) -> list[int]:
+    """For each start i, the length of the longest window ``s[i:i + n]``
+    that also occurs at another start, overlaps counted.
 
-
-def _longest_repeat(s: str, shortest: int) -> int:
-    """Largest n <= len/2 at which some n-gram still occurs twice (counting
-    overlaps), or ``shortest - 1`` if none does; an upper bound for useful
-    chunk lengths.  A repeated n-gram has a repeated (n-1)-gram, so the
-    search gallops up from ``shortest`` and then bisects."""
-    top = len(s) // 2
-    good, n = shortest - 1, shortest
-    while n <= top and _has_repeat(s, n):
-        good, n = n, 2 * n
-    bad = min(n, top + 1)
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if _has_repeat(s, mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    The suffixes are sorted by prefix doubling (Manber & Myers 1990).  The
+    first round ranks them by their first 16 characters, which tells most
+    windows of prose apart at once; each further round packs a suffix's rank
+    and the rank k characters on into one int key, until every rank
+    differs.  A window repeats exactly when its suffix shares it with a
+    neighbour in that order, so i's longest repeat is the longer of its two
+    neighbours' common prefixes, which Kasai's walk finds in O(N) character
+    steps (Kasai et al. 2001).  Cost: O(N log N log L) for the sorts, with L
+    the longest repeat."""
+    length = len(s)
+    k = 16
+    keys: list = list(map(s.__getitem__, map(slice, range(length), range(k, length + k))))
+    while True:
+        order = sorted(set(keys))
+        rank = list(map(dict(zip(order, count(1))).__getitem__, keys))
+        if len(order) == length:
+            break
+        # a suffix that ends within k characters has rank 0 for its second half
+        keys = list(map(add, map((len(order) + 1).__mul__, rank), rank[k:] + [0] * k))
+        k *= 2
+    after = sorted(range(length), key=rank.__getitem__)  # after[r]: ranked r + 1
+    common = [0] * (length + 1)  # common[r]: prefix shared by ranks r and r + 1
+    h = 0
+    for i, r in enumerate(rank):
+        if r == length:
+            h = 0
+            continue
+        j = after[r]
+        limit = length - max(i, j)
+        while h < limit and s[i + h] == s[j + h]:
+            h += 1
+        common[r] = h
+        if h:
+            h -= 1  # i + 1 shares at least h - 1 with the suffix after it
+    nearest = list(map(max, chain((0,), common), common))
+    return list(map(nearest.__getitem__, rank))
 
 
 def discover_chunks(corpus: Sequence[str], min_len: int = 2,
@@ -131,6 +158,14 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
     window, re-checking claims as cells get claimed.  Codes are assigned
     ``w1, w2, ...`` in discovery order.  Discovery is single-pass: the
     residue is not re-scanned for second-order chunks built out of codes.
+
+    Only windows that occur twice are sliced.  The window at i of length n
+    occurs elsewhere exactly when n <= ``_longest_repeats(s)[i]``; any other
+    window's count is 1, below ``min_count``, and every window of a gram
+    that occurs twice passes.  So the first length is the longest repeat
+    (at most half the corpus), a start joins the live starts when n falls
+    to its longest repeat and leaves them once its own cell is claimed, and
+    the counts and candidate order are those of all unclaimed windows.
     """
     if min_len < 2 or min_count < 2:
         raise ValueError("min_len and min_count must both be >= 2")
@@ -139,15 +174,18 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
     freq = Counter(corpus)
     claimed = bytearray(length)
     entries: list[SPPattern] = []
-    for n in range(_longest_repeat(s, min_len), min_len - 1, -1):
-        free = bytes(n)
-        starts: list[int] = []  # windows that touch no claimed cell
-        a = claimed.find(free)
-        while a >= 0:
-            b = claimed.find(1, a)
-            b = length if b < 0 else b
-            starts.extend(range(a, b - n + 1))
-            a = claimed.find(free, b)
+    longest = _longest_repeats(s)
+    top = min(max(longest, default=0), length // 2)
+    joins: dict[int, list[int]] = {}  # length -> the starts that go live there
+    for i, r in enumerate(longest):
+        if r >= min_len:
+            joins.setdefault(min(r, top), []).append(i)
+    live: list[int] = []
+    for n in range(top, min_len - 1, -1):
+        if n in joins:
+            live = sorted(live + [i for i in joins[n] if not claimed[i]])
+        starts = list(compress(live, map((-1).__eq__, map(  # free windows
+            claimed.find, repeat(1), live, map(n.__add__, live)))))
         if not starts:
             continue
         grams = _windows(s, starts, n)
@@ -161,6 +199,7 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
         for p, g in candidates:
             where.setdefault(g, []).append(p)
         decided: set[str] = set()
+        known = len(entries)
         for p, g in candidates:
             if g in decided or claimed.find(1, p, p + n) >= 0:
                 continue
@@ -175,6 +214,8 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
                                          tuple(corpus[p:p + n]), len(occs)))
                 for q in occs:
                     claimed[q:q + n] = b"\x01" * n
+        if len(entries) > known:
+            live = [i for i in live if not claimed[i]]
     return PatternStore(entries)
 
 
@@ -222,10 +263,17 @@ def chunk_encode(corpus: Sequence[str],
 
 
 def chunk_decode(stream: EncodedStream) -> list[str]:
+    """The symbols the stream stands for.  The first code reference that
+    would take the output past ``DECODE_CAP`` symbols raises before it is
+    expanded."""
     out: list[str] = []
-    for tok in stream.tokens:
+    for k, tok in enumerate(stream.tokens, start=1):
         if isinstance(tok, CodeRef):
-            out.extend(stream.dictionary.get(tok.code).symbols)
+            symbols = stream.dictionary.get(tok.code).symbols
+            if len(out) + len(symbols) > DECODE_CAP:
+                raise TooLarge(f"token {k} (code {tok.code!r}) takes the output "
+                               f"past the cap of {DECODE_CAP} symbols")
+            out.extend(symbols)
         else:
             out.append(tok.symbol)
     return out

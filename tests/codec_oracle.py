@@ -5,7 +5,8 @@ give exactly the same dictionaries, streams, unifications, runs and file
 texts.
 
 ``_longest_repeat`` and ``discover_chunks`` cost O(n * L^2) for a longest
-repeat L, and ``rle_encode`` is cubic, so use them on small inputs only.
+repeat L, ``rle_encode`` is cubic, and ``longest_repeats`` compares every
+window with every other, so use them on small inputs only.
 """
 
 from __future__ import annotations
@@ -48,6 +49,21 @@ def _longest_repeat(texts: Sequence[str], start: int) -> int:
             return n
         n += 1
     return n
+
+
+def longest_repeats(texts: Sequence[str]) -> list[int]:
+    """For each start i, the largest n such that ``texts[i:i + n]`` also
+    occurs at another start, overlaps counted (0 if no window there does)."""
+    length = len(texts)
+    out = []
+    for i in range(length):
+        n = 0
+        while i + n < length and any(
+                texts[j:j + n + 1] == texts[i:i + n + 1]
+                for j in range(length - n) if j != i):
+            n += 1
+        out.append(n)
+    return out
 
 
 def discover_chunks(corpus: Sequence[str], min_len: int = 2,

@@ -208,6 +208,20 @@ class TestCompressDecompress:
                        f"the cap of {codecs.DECODE_CAP} symbols\n")
         assert not out.exists()
 
+    def test_chunk_decode_past_the_cap_exits_3(self, tmp_path, capsys):
+        # a ~165 KB file: one 1,000-symbol entry and 10,001 references to it
+        refs = codecs.DECODE_CAP // 1000 + 1
+        stream = tmp_path / "s.json"
+        stream.write_text(json.dumps(
+            {"dictionary": [{"code": "w1", "symbols": ["a"] * 1000, "count": refs}],
+             "stream": [{"code": "w1"}] * refs}))
+        out = tmp_path / "d.txt"
+        code, stdout, err = run(capsys, "decompress", str(stream), "--out", str(out))
+        assert (code, stdout) == (3, "") and "Traceback" not in err
+        assert err == (f"TooLarge: token {refs} (code 'w1') takes the output past "
+                       f"the cap of {codecs.DECODE_CAP} symbols\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["[" * 200_000, '{"runs": ' + "[" * 200_000],
                              ids=["arrays", "in-runs"])
     def test_deep_nesting_exits_2(self, tmp_path, capsys, text):

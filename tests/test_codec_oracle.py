@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import codec_oracle as oracle
 from icmup import (UNBOUNDED, CodeRef, EncodedStream, Literal, PatternStore, Run, SPPattern,
-                   chunk_encode, discover_chunks, rle_decode, rle_encode,
+                   chunk_decode, chunk_encode, discover_chunks, rle_decode, rle_encode,
                    tokenize, unify_basic)
+from icmup import codecs
 from icmup.codecs import runs_to_json, stream_to_json
 from icmup.errors import NotPresent
 
@@ -58,6 +59,18 @@ min_lens = st.sampled_from((2, 3, 4))
 min_counts = st.sampled_from((2, 3))
 
 
+def rep_noise_rep(size):
+    """Two copies of ``size // 4`` random letters around ``size // 2`` more,
+    over 16 letters: the longest repeat is a quarter of the corpus."""
+    rng = random.Random(1)
+    rep = rng.choices("abcdefghijklmnop", k=size // 4)
+    return rep + rng.choices("abcdefghijklmnop", k=size // 2) + rep
+
+
+# a Fibonacci word: its longest repeats overlap themselves at every scale
+FIBONACCI = "abaababaabaababaababaabaababaabaab"
+
+
 def assert_same_chunks(corpus, min_len, min_count):
     fast = discover_chunks(corpus, min_len, min_count)
     slow = oracle.discover_chunks(corpus, min_len, min_count)
@@ -68,8 +81,22 @@ def assert_same_chunks(corpus, min_len, min_count):
 class TestChunks:
     @settings(max_examples=150)
     @given(corpora, min_lens, min_counts)
+    # longest repeats that overlap themselves
+    @example(list("a" * 30), 2, 2)
+    @example(list("abaababaab" * 3), 2, 2)
+    @example(list("abcdefgh" * 2 + "abcd"), 2, 2)
+    @example(list(FIBONACCI), 2, 2)
     def test_dictionary_and_stream_match_oracle(self, corpus, min_len, min_count):
         assert_same_chunks(corpus, min_len, min_count)
+
+    @settings(max_examples=150)
+    @given(corpora)
+    @example(list("a" * 30))
+    @example(list(FIBONACCI))
+    @example([])
+    def test_longest_repeats_match_oracle(self, corpus):
+        assert (codecs._longest_repeats(codecs._spell(corpus, {}))
+                == oracle.longest_repeats(corpus))
 
     def test_position_order_example(self):
         # a scan that tries grams in index order rather than position order
@@ -87,6 +114,33 @@ class TestChunks:
         dictionary = discover_chunks(corpus, 2, 2)
         assert time.perf_counter() - start < 5.0
         assert [(len(e), e.frequency) for e in dictionary] == [(1000, 2)]
+
+    def test_two_long_copies_are_found_quickly(self):
+        # only the starts that can repeat are sliced at each length; slicing
+        # every unclaimed window here takes minutes
+        corpus = rep_noise_rep(64_000)
+        start = time.perf_counter()
+        dictionary = discover_chunks(corpus, 2, 2)
+        assert time.perf_counter() - start < 10.0
+        first = next(iter(dictionary))
+        assert (first.symbols, first.frequency) == (tuple(corpus[:16_000]), 2)
+        assert chunk_decode(chunk_encode(corpus, dictionary)) == corpus
+
+    def test_sliced_characters_grow_near_linearly(self, monkeypatch):
+        # counted, not timed: the characters that discovery slices into
+        # windows, at 4k, 8k, 16k and 32k symbols
+        windows = codecs._windows
+        sliced = []
+
+        def counting(s, starts, n):
+            sliced[-1] += len(starts) * n
+            return windows(s, starts, n)
+
+        monkeypatch.setattr(codecs, "_windows", counting)
+        for size in (4_000, 8_000, 16_000, 32_000):
+            sliced.append(0)
+            discover_chunks(rep_noise_rep(size), 2, 2)
+            assert len(sliced) == 1 or sliced[-1] <= 3 * sliced[-2], sliced
 
 
 def entry(code, text):

@@ -264,6 +264,15 @@ class TestRle:
         with pytest.raises(NotDecodable):
             rle_decode([Run(("a",), 6), Run(("b",), UNBOUNDED)])
 
+    def test_chunk_decode_stops_at_the_cap(self, monkeypatch):
+        dictionary = PatternStore([SPPattern("w1", ("a", "b", "c"), 2)])
+        stream = EncodedStream(dictionary, (Literal("x"), CodeRef("w1"), CodeRef("w1")))
+        monkeypatch.setattr(codecs, "DECODE_CAP", 7)
+        assert chunk_decode(stream) == list("xabcabc")
+        monkeypatch.setattr(codecs, "DECODE_CAP", 6)
+        with pytest.raises(TooLarge, match=r"token 3 \(code 'w1'\) .* cap of 6 symbols"):
+            chunk_decode(stream)
+
     def test_file_round_trip(self):
         runs = rle_encode(chars("xxyyxxyy"))
         again = runs_from_json(runs_to_json(runs))
