@@ -8,10 +8,9 @@ multiple-alignment engine that encodes new patterns against stored ones and
 ranks the results by compression difference.
 """
 
-from .alignment import (Alignment, AlignmentRanking, alignment_probabilities,
-                        build_alignments, compose_alignment, dump_columns,
-                        encoding_cost, infer_unmatched, literal_alignment,
-                        parse_render, retrieve)
+from .alignment import (Alignment, alignment_probabilities, build_alignments,
+                        compose_alignment, dump_columns, infer_unmatched,
+                        literal_alignment, parse_render, retrieve)
 from .codecs import (CodeRef, EncodedStream, FixedSymbol, Literal, Run,
                      Schema, Slot, UNBOUNDED, chunk_decode, chunk_encode,
                      discover_chunks, rle_decode, rle_encode, schema_encode,

@@ -35,11 +35,13 @@ costs O(len(p) * ceil(n / w)) word operations for n non-hit columns and
 w-bit machine words (see ``kernels``).  ``_extend_columns`` places a match,
 copying each run of columns between matched ones as one slice and building
 only the matched and the fresh columns, so its Python work is O(matched +
-fresh).  An extension's cost needs only the match: its cost terms come from
-its parent, the rows' codes growing by code(p) and the unmatched driving
-count falling by the pairs that land on driving columns.  The codes are the
-left fold from 0 that ``sum`` over the rows makes, so the cost is the very
-float a recount gives; ``encoding_cost`` recounts.
+fresh).  An ``Alignment`` carries its two cost terms, and an extension's
+terms need only the match: they come from its parent, the rows' codes
+growing by code(p) and the unmatched driving count falling by the pairs
+that land on driving columns.  ``_extend`` builds every extension that way,
+in the search and in ``compose_alignment`` alike.  The codes are the left
+fold from 0 that ``sum`` over the rows makes, so the cost is the very float
+a recount from the rows and columns gives.
 
 Search is a deterministic beam search.  Each round extends the frontier,
 the members the previous round newly admitted to the beam, by aligning a
@@ -92,7 +94,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple, Sequence
 
@@ -122,37 +124,33 @@ class Column(NamedTuple):
 
 @dataclass(frozen=True)
 class Alignment:
+    """Rows, columns and the two cost terms: ``codes``, the Old rows' codes
+    summed in row order from 0, and ``unmatched``, the driving symbols
+    outside hit columns.  ``encoding_cost`` and ``compression_difference``
+    follow from them, worked out once here."""
+
     new_row: SPPattern
     old_rows: tuple[SPPattern, ...]
     columns: tuple[Column, ...]
-    encoding_cost: float
-    compression_difference: float
+    codes: float
+    unmatched: int
+    alphabet_size: int
+    encoding_cost: float = field(init=False)
+    compression_difference: float = field(init=False)
+
+    def __post_init__(self):
+        cost = _cost(self.codes, self.unmatched, self.alphabet_size)
+        object.__setattr__(self, "encoding_cost", cost)
+        object.__setattr__(self, "compression_difference",
+                           raw_cost(self.new_row, self.alphabet_size) - cost)
 
     def hit_count(self) -> int:
         return sum(1 for c in self.columns if c.is_hit)
-
-    def new_hit_positions(self) -> set[int]:
-        """Driving-row positions that sit in hit columns."""
-        return {pos for col in self.columns if col.is_hit
-                for r, pos in col.entries if r == 0}
 
     def row_label(self, row_index: int) -> str:
         if row_index == 0:
             return self.new_row.id
         return self.old_rows[row_index - 1].id
-
-    def validate(self) -> None:
-        """Assert the structural invariants (used by tests)."""
-        rows = [self.new_row] + list(self.old_rows)
-        seen: dict[int, list[int]] = {r: [] for r in range(len(rows))}
-        for col in self.columns:
-            assert col.entries, "empty column"
-            for r, pos in col.entries:
-                assert rows[r].symbols[pos] == col.symbol, "column symbol mismatch"
-                seen[r].append(pos)
-        for r, positions in seen.items():
-            assert positions == sorted(positions), f"row {r} out of order"
-            assert sorted(positions) == list(range(len(rows[r]))), f"row {r} not partitioned"
 
 
 def _literal_columns(new: SPPattern) -> tuple[Column, ...]:
@@ -211,50 +209,36 @@ def _cost(codes: float, unmatched: int, alphabet_size: int) -> float:
     return codes + unmatched * symbol_cost_bits(alphabet_size)
 
 
-def encoding_cost(al: Alignment, store: PatternStore, alphabet_size: int) -> float:
-    """Code costs of the Old rows used, plus fixed-length costs of driving
-    symbols in non-hit columns, recounted from the rows and columns.
-    Old-row symbols in non-hit columns are free (predicted content), and hit
-    columns that join only Old rows earn nothing, so a row that matches no
-    driving symbol only adds its code."""
-    codes = sum(code_cost(r.id, store) for r in al.old_rows)
-    return _cost(codes, len(al.new_row) - len(al.new_hit_positions()), alphabet_size)
-
-
-def default_alphabet(new: SPPattern, store: PatternStore | None = None) -> int:
+def default_alphabet(new: SPPattern, store: PatternStore) -> int:
     """The distinct texts of ``new`` and the store together, at least 1."""
-    if store is None:
-        return max(len(set(new.symbols)), 1)
     return max(len(store.alphabet) + len(set(new.symbols).difference(store.alphabet)), 1)
 
 
-def _build(new: SPPattern, old_rows: tuple[SPPattern, ...],
-           columns: tuple[Column, ...], codes: float, unmatched: int,
-           alphabet_size: int) -> Alignment:
-    cost = _cost(codes, unmatched, alphabet_size)
-    return Alignment(new, old_rows, columns, cost, raw_cost(new, alphabet_size) - cost)
-
-
-def literal_alignment(new: SPPattern, store: PatternStore | None = None) -> Alignment:
+def literal_alignment(new: SPPattern, store: PatternStore) -> Alignment:
     """The no-Old-rows floor: every driving symbol in its own column, CD 0."""
-    return _build(new, (), _literal_columns(new), 0, len(new),
-                  default_alphabet(new, store))
+    return Alignment(new, (), _literal_columns(new), 0.0, len(new),
+                     default_alphabet(new, store))
+
+
+def _extend(al: Alignment, pattern: SPPattern, match: _Match, code: float) -> Alignment:
+    """``al`` with ``pattern``, whose code is ``code``, placed by ``match`` as
+    a further Old row.  The cost terms come from ``al``: the codes grow by
+    ``code`` and the unmatched driving count falls by the pairs that land on
+    driving columns."""
+    columns, _, driving = _extend_columns(al.columns, pattern, len(al.old_rows) + 1, match)
+    return Alignment(al.new_row, al.old_rows + (pattern,), columns, al.codes + code,
+                     al.unmatched - driving, al.alphabet_size)
 
 
 def compose_alignment(new: SPPattern, row_patterns: Sequence[SPPattern],
                       store: PatternStore) -> Alignment:
     """Build an alignment with an explicit Old-row order (no search)."""
-    columns = _literal_columns(new)
-    rows: tuple[SPPattern, ...] = ()
-    codes, unmatched = 0, len(new)
+    al = literal_alignment(new, store)
     for pattern in row_patterns:
-        targets, texts = _unhit(columns)
+        targets, texts = _unhit(al.columns)
         match = targets, kernels.match_pairs(texts, pattern.symbols)
-        columns, _, driving = _extend_columns(columns, pattern, len(rows) + 1, match)
-        rows = rows + (pattern,)
-        codes += code_cost(pattern.id, store)
-        unmatched -= driving
-    return _build(new, rows, columns, codes, unmatched, default_alphabet(new, store))
+        al = _extend(al, pattern, match, code_cost(pattern.id, store))
+    return al
 
 
 def _rank_key(item: tuple[float, tuple[str, ...]]) -> tuple:
@@ -262,19 +246,6 @@ def _rank_key(item: tuple[float, tuple[str, ...]]) -> tuple:
     which name the alignment, so no two alignments of a round tie."""
     cd, ids = item
     return (-cd, len(ids), ids)
-
-
-@dataclass(frozen=True)
-class AlignmentRanking:
-    alignments: tuple[Alignment, ...]
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        assert len(self.alignments) == len(self.probabilities)
-
-    @property
-    def best(self) -> Alignment:
-        return self.alignments[0]
 
 
 def alignment_probabilities(alignments: Sequence[Alignment]) -> list[float]:
@@ -311,8 +282,9 @@ def _candidates(texts: Sequence[str], drives: Sequence[bool],
 
 
 def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
-                     max_old_rows: int = 12) -> AlignmentRanking:
-    """Beam search over alignments of ``new`` against the store.
+                     max_old_rows: int = 12) -> tuple[Alignment, ...]:
+    """Beam search over alignments of ``new`` against the store: the beam,
+    best first.
 
     Starts from the literal alignment.  Each round extends the members the
     last round admitted by every stored pattern that shares a symbol with
@@ -326,26 +298,26 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         raise ValueError("beam must be >= 1")
     if max_old_rows < 0:
         raise ValueError("max_old_rows must be >= 0")
-    alphabet_size = default_alphabet(new, store)
+    literal = literal_alignment(new, store)
+    alphabet_size = literal.alphabet_size
     raw = raw_cost(new, alphabet_size)
     bits = symbol_cost_bits(alphabet_size)
     codes = store.codes()
     cheapest = min(codes.values(), default=0.0)
 
-    # the beam: Old-row ids -> (alignment, its rows' codes, its unmatched
-    # driving count); an extension takes both cost terms from its parent
-    kept = {(): (literal_alignment(new, store), 0, len(new))}
+    # the beam: Old-row ids -> alignment
+    kept = {(): literal}
     for rows in range(max_old_rows):
         # Each round extends the members the last round admitted, which are
         # exactly those with `rows` Old rows: every member has one parent and
         # is only made in the round that extends that parent, so an older
         # member has had its round and a dropped one never comes back.
-        frontier = [(ids, *member) for ids, member in kept.items() if len(ids) == rows]
+        frontier = [(ids, al) for ids, al in kept.items() if len(ids) == rows]
         if not frontier:
             break
         # the `beam` best CDs among the distinct alignments of this round;
         # once it is full, its head is the CD an extension must reach
-        floor = [al.compression_difference for al, _, _ in kept.values()]
+        floor = [al.compression_difference for al in kept.values()]
         heapq.heapify(floor)
 
         def below_floor(cd: float) -> bool:
@@ -353,10 +325,10 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
             at the round's end; the floor only rises, so it stays cut."""
             return len(floor) == beam and cd < floor[0] - _PRUNE_MARGIN
 
-        # Old-row ids -> (CD, cost terms, parent, pattern, match): an
-        # extension scored but not yet built (always a new key)
+        # Old-row ids -> (CD, parent, pattern, match): an extension scored
+        # but not yet built (always a new key)
         scored = {}
-        for ids, al, paid, unmatched in frontier:
+        for ids, al in frontier:
             targets, texts = _unhit(al.columns)
             drives = [al.columns[ci].entries[0][0] == 0 for ci in targets]
             masks = kernels.text_masks(texts)  # one table for every candidate
@@ -374,32 +346,24 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
                     break  # the rest bound lower still
                 pattern = store.get(pid)
                 pairs = kernels.match_pairs(texts, pattern.symbols, masks)
-                terms = (paid + codes[pid],
-                         unmatched - sum([drives[ti] for ti, _ in pairs]))
-                cd = raw - _cost(*terms, alphabet_size)  # the CD _build gives
-                scored[ids + (pid,)] = (cd, terms, al, pattern, (targets, pairs))
+                # the CD ``_extend`` gives: the driving pairs are the ones
+                # ``_extend_columns`` counts
+                cd = raw - _cost(al.codes + codes[pid],
+                                 al.unmatched - sum([drives[ti] for ti, _ in pairs]),
+                                 alphabet_size)
+                scored[ids + (pid,)] = (cd, al, pattern, (targets, pairs))
                 if len(floor) < beam:
                     heapq.heappush(floor, cd)
                 else:
                     heapq.heappushpop(floor, cd)
-        ranked = sorted([(al.compression_difference, ids)
-                         for ids, (al, _, _) in kept.items()]
+        ranked = sorted([(al.compression_difference, ids) for ids, al in kept.items()]
                         + [(ext[0], ids) for ids, ext in scored.items()],
                         key=_rank_key)[:beam]
-        members = {}
-        for _, ids in ranked:
-            if ids in kept:
-                members[ids] = kept[ids]
-                continue
-            # a survivor is built from the match that scored it
-            _, terms, parent, pattern, match = scored[ids]
-            columns, _, _ = _extend_columns(parent.columns, pattern, rows + 1, match)
-            members[ids] = (_build(new, parent.old_rows + (pattern,), columns, *terms,
-                                   alphabet_size), *terms)
-        kept = members
-
-    alignments = tuple(al for al, _, _ in kept.values())
-    return AlignmentRanking(alignments, tuple(alignment_probabilities(alignments)))
+        # a survivor is built from the match that scored it
+        kept = {ids: kept[ids] if ids in kept
+                else _extend(*scored[ids][1:], codes[ids[-1]])
+                for _, ids in ranked}
+    return tuple(kept.values())
 
 
 def infer_unmatched(al: Alignment) -> list[tuple[str, str]]:
@@ -428,9 +392,9 @@ def retrieve(query: SPPattern, store: PatternStore,
         raise ValueError("k must be >= 1")
     alphabet_size = default_alphabet(query, store)
     # the literal alignment takes at most one of the k + 1 places
-    ranking = build_alignments(query, store, beam=k + 1, max_old_rows=1)
     scored = [(al.old_rows[0].id, al.compression_difference)
-              for al in ranking.alignments if al.old_rows]
+              for al in build_alignments(query, store, beam=k + 1, max_old_rows=1)
+              if al.old_rows]
     shared = {pid for text in query.symbols for pid in store.occurrences(text)}
     raw = raw_cost(query, alphabet_size)
     scored += [(pid, raw - _cost(code, len(query), alphabet_size))

@@ -121,15 +121,15 @@ def _search(args):
 def cmd_align(args) -> RunReport:
     if args.top < 1:
         raise InputFormatError("--top must be >= 1")
-    store, new, ranking = _search(args)
-    top = list(ranking.alignments[:args.top])
+    _, new, ranking = _search(args)
+    top = ranking[:args.top]
     probs = al.alignment_probabilities(top)
     for i, (alignm, p) in enumerate(zip(top, probs), start=1):
         if i > 1:
             print()
         _print_alignment(i, alignm, p)
     return RunReport("align", (args.grammar,),
-                     raw_bits=raw_cost(new, al.default_alphabet(new, store)),
+                     raw_bits=raw_cost(new, top[0].alphabet_size),
                      encoded_bits=top[0].encoding_cost,
                      details={"top": [
                          {"rows": [r.id for r in a.old_rows],
@@ -140,7 +140,7 @@ def cmd_align(args) -> RunReport:
 
 def cmd_parse(args) -> None:
     _, _, ranking = _search(args)
-    print(al.parse_render(ranking.best))
+    print(al.parse_render(ranking[0]))
 
 
 def cmd_retrieve(args) -> None:

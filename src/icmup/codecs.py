@@ -51,8 +51,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent, TooLarge)
-from .patterns import (PatternStore, SPPattern, check_symbols, code_cost,
-                       is_count, symbol_cost_bits)
+from .patterns import (PatternStore, SPPattern, check_symbol, check_symbols,
+                       code_cost, is_count, symbol_cost_bits)
 
 # the most symbols ``rle_decode`` makes: 100 times the 100k-character corpus
 # the README times, and a list of about 80 MB
@@ -416,6 +416,9 @@ def rle_decode(runs: Sequence[Run]) -> list[str]:
 class FixedSymbol:
     symbol: str
 
+    def __post_init__(self):
+        check_symbol(self.symbol)
+
 
 @dataclass(frozen=True)
 class Slot:
@@ -511,11 +514,20 @@ def schema_encode(instance: SPPattern, schema: Schema) -> dict[str, str]:
 class _Literals(dict):
     """Values to their JSON literals, each made by ``json.dumps`` (for a
     text, CPython's C escaper) the first time it is asked for.  A writer
-    keeps one table for its texts and one for its counts, for one file."""
+    keeps one table for each kind of value it writes, for one file."""
 
     def __missing__(self, value: "str | int") -> str:
         self[value] = literal = json.dumps(value)
         return literal
+
+
+class _Symbols(_Literals):
+    """A ``_Literals`` table for symbol texts: each distinct text passes
+    ``check_symbol`` once, when its literal is made, so a writer never
+    writes a file its reader rejects."""
+
+    def __missing__(self, text: str) -> str:
+        return super().__missing__(check_symbol(text))
 
 
 def _section(entries: list[str]) -> str:
@@ -532,12 +544,13 @@ _SYMBOL_SEP = ",\n        "
 def stream_to_json(stream: EncodedStream) -> str:
     """Serialise a chunk stream to the two-section structured-text format:
     the text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
-    texts, counts = _Literals(), _Literals()
-    entries = [f'{{\n      "code": {texts[e.id]},\n      "symbols": [\n        '
+    # a code is a pattern id, which the symbol rule does not bind
+    texts, codes, counts = _Symbols(), _Literals(), _Literals()
+    entries = [f'{{\n      "code": {codes[e.id]},\n      "symbols": [\n        '
                f'{_SYMBOL_SEP.join(map(texts.__getitem__, e.symbols))}\n      ],\n'
                f'      "count": {counts[e.frequency]}\n    }}'
                for e in stream.dictionary]
-    tokens = [f'{{\n      "code": {texts[tok.code]}\n    }}' if isinstance(tok, CodeRef)
+    tokens = [f'{{\n      "code": {codes[tok.code]}\n    }}' if isinstance(tok, CodeRef)
               else f'{{\n      "lit": {texts[tok.symbol]}\n    }}'
               for tok in stream.tokens]
     return (f'{{\n  "dictionary": {_section(entries)},\n'
@@ -603,7 +616,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
 def runs_to_json(runs: Sequence[Run]) -> str:
     """Serialise a run list to the one-section structured-text format: the
     text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
-    texts, counts = _Literals(), _Literals({UNBOUNDED: json.dumps(UNBOUNDED.value)})
+    texts, counts = _Symbols(), _Literals({UNBOUNDED: json.dumps(UNBOUNDED.value)})
     items = [f'{{\n      "symbols": [\n        '
              f'{_SYMBOL_SEP.join(map(texts.__getitem__, r.symbols))}\n      ],\n'
              f'      "count": {counts[r.count]}\n    }}'

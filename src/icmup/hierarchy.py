@@ -22,7 +22,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Iterator
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownClass
-from .patterns import check_symbols, content_lines, symbol_cost_bits
+from .patterns import check_symbols, check_texts, content_lines, symbol_cost_bits
 
 DL_FORMS = ("flat", "hierarchical")
 
@@ -35,9 +35,10 @@ class ClassNode:
     parts: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("class name must be non-empty")
-        object.__setattr__(self, "own_attributes", frozenset(self.own_attributes))
+        # the name and the attributes are symbols of the required alphabet
+        attributes = tuple(self.own_attributes)
+        check_texts((self.name, *attributes))
+        object.__setattr__(self, "own_attributes", frozenset(attributes))
         object.__setattr__(self, "parents", frozenset(self.parents))
         object.__setattr__(self, "parts", tuple(self.parts))
 

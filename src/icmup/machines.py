@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import product
+from itertools import chain, product
 from operator import eq
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (ArityMismatch, InputFormatError, MissingInput, NoMatch,
                      TooLarge)
-from .patterns import check_symbol, check_symbols, content_lines
+from .patterns import check_symbol, check_symbols, check_texts, content_lines
 
 MAX_TABLE_INPUTS = 16
 
@@ -44,6 +44,9 @@ class FunctionTable:
             if key in seen:
                 raise ValueError(f"table {self.name!r}: duplicate input row {key}")
             seen.add(key)
+        # each distinct cell once, in the order the rows first hold it
+        cells = chain.from_iterable(chain.from_iterable(self.rows))
+        check_texts(tuple(dict.fromkeys(cells)))
 
     @property
     def arity(self) -> int:

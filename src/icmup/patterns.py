@@ -66,6 +66,20 @@ def check_symbols(texts: Iterable, checked: set[str]) -> tuple[str, ...]:
     return out
 
 
+def check_texts(texts: Sequence) -> None:
+    """Raise as ``check_symbol`` does for the first of ``texts`` that is not
+    a symbol, and call it for none when all are: one join and split test
+    them all, exactly, since the split gives the texts back only if each is
+    one symbol."""
+    try:
+        valid = " ".join(texts).split() == list(texts)
+    except TypeError:  # a text that is not a string
+        valid = False
+    if not valid:
+        for text in texts:
+            check_symbol(text)  # raises for the first bad one
+
+
 @dataclass(frozen=True, slots=True)
 class SPPattern:
     """An ordered, non-empty sequence of symbols with an id and a frequency."""
@@ -76,13 +90,7 @@ class SPPattern:
 
     def __post_init__(self):
         symbols = tuple(self.symbols)
-        try:  # exact: the split gives the symbols back only if each is one
-            valid = " ".join(symbols).split() == list(symbols)
-        except TypeError:  # a symbol that is not a string
-            valid = False
-        if not valid:
-            for text in symbols:
-                check_symbol(text)  # raises for the first bad one
+        check_texts(symbols)
         check_pattern(self.id, symbols, self.frequency)
         object.__setattr__(self, "symbols", symbols)
 

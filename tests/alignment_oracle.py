@@ -14,6 +14,9 @@ driving symbols (``_cost``), as the package once did.  Merges match with
 ``kernel_oracle.match_pairs``, the dynamic-programming table, so no oracle
 here runs the package's kernel.
 
+``validate`` and ``new_hit_positions`` read an alignment's columns back:
+the structural invariants, and the driving positions in hit columns.
+
 ``_candidates`` is the search's former candidate set, one ``min`` per
 (text, pattern) pair over the symbol index; the package's must give the
 same ceilings.
@@ -25,11 +28,31 @@ from collections import Counter
 from typing import Sequence
 
 import kernel_oracle
-from icmup.alignment import (Alignment, AlignmentRanking, Column,
-                             alignment_probabilities, default_alphabet,
+from icmup.alignment import (Alignment, Column, default_alphabet,
                              literal_alignment)
 from icmup.patterns import (PatternStore, SPPattern, code_cost, raw_cost,
                             symbol_cost_bits)
+
+
+def validate(al: Alignment) -> None:
+    """Assert the structural invariants: each column holds one text, and
+    each row's positions sit in its columns once each, in order."""
+    rows = [al.new_row] + list(al.old_rows)
+    seen: dict[int, list[int]] = {r: [] for r in range(len(rows))}
+    for col in al.columns:
+        assert col.entries, "empty column"
+        for r, pos in col.entries:
+            assert rows[r].symbols[pos] == col.symbol, "column symbol mismatch"
+            seen[r].append(pos)
+    for r, positions in seen.items():
+        assert positions == sorted(positions), f"row {r} out of order"
+        assert sorted(positions) == list(range(len(rows[r]))), f"row {r} not partitioned"
+
+
+def new_hit_positions(al: Alignment) -> set[int]:
+    """Driving-row positions that sit in hit columns."""
+    return {pos for col in al.columns if col.is_hit
+            for r, pos in col.entries if r == 0}
 
 
 def _extend_columns(columns: Sequence[Column], pattern: SPPattern,
@@ -120,9 +143,13 @@ def _cost(new: SPPattern, old_rows: Sequence[SPPattern],
 def _build(new: SPPattern, old_rows: tuple[SPPattern, ...],
            columns: tuple[Column, ...], store: PatternStore | None,
            alphabet_size: int) -> Alignment:
-    cost = _cost(new, old_rows, columns, store, alphabet_size)
-    cd = raw_cost(new, alphabet_size) - cost
-    return Alignment(new, old_rows, columns, cost, cd)
+    """The alignment with its cost terms recounted from its rows and
+    columns; the record's cost must be the one ``_cost`` gives."""
+    codes = 0 if store is None else sum(code_cost(r.id, store) for r in old_rows)
+    al = Alignment(new, old_rows, columns, codes,
+                   _unmatched_new_count(new, columns), alphabet_size)
+    assert al.encoding_cost == _cost(new, old_rows, columns, store, alphabet_size)
+    return al
 
 
 def align_pair(a: SPPattern, b: SPPattern,
@@ -151,7 +178,7 @@ def _rank_key(al: Alignment):
 
 
 def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
-                     max_old_rows: int = 12) -> AlignmentRanking:
+                     max_old_rows: int = 12) -> tuple[Alignment, ...]:
     """Beam search over alignments of ``new`` against the store.
 
     Seeds with the literal alignment plus every single-row pairwise
@@ -190,9 +217,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
                 if ext is not None:
                     kept.setdefault(_signature(ext), ext)
 
-    ranked = sorted(kept.values(), key=_rank_key)[:beam]
-    probs = alignment_probabilities(ranked)
-    return AlignmentRanking(tuple(ranked), tuple(probs))
+    return tuple(sorted(kept.values(), key=_rank_key)[:beam])
 
 
 def retrieve(query: SPPattern, store: PatternStore,

@@ -4,17 +4,16 @@ pruning skips most merges and retrieval reads the search's first round."""
 
 import random
 import time
-from dataclasses import replace
 from unittest import mock
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import alignment_oracle as oracle
-from icmup import (PatternStore, SPPattern,
-                   build_alignments, code_cost, compose_alignment,
-                   dump_columns, encoding_cost, literal_alignment,
-                   parse_grammar, parse_render, raw_cost, retrieve)
+from icmup import (PatternStore, SPPattern, alignment_probabilities,
+                   build_alignments, compose_alignment, dump_columns,
+                   literal_alignment, parse_grammar, parse_render, raw_cost,
+                   retrieve)
 from icmup import alignment, kernels
 from icmup.alignment import default_alphabet
 
@@ -24,7 +23,7 @@ SYMBOLS = ("a", "b", "ab", "ba", "N", "#N", "x", "yy")
 def ranking_of(ranking):
     return [(tuple(r.id for r in al.old_rows), al.compression_difference,
              al.encoding_cost, p, dump_columns(al), parse_render(al))
-            for al, p in zip(ranking.alignments, ranking.probabilities)]
+            for al, p in zip(ranking, alignment_probabilities(ranking))]
 
 
 @st.composite
@@ -64,8 +63,10 @@ def assert_costs_recount(ranking, new, store):
     # each ranked alignment carries its cost terms from its parent; they
     # must give the very float a recount from its rows and columns gives
     alphabet_size = default_alphabet(new, store)
-    for al in ranking.alignments:
-        cost = encoding_cost(al, store, alphabet_size)
+    for al in ranking:
+        oracle.validate(al)
+        assert al.unmatched == oracle._unmatched_new_count(new, al.columns)
+        cost = oracle._cost(new, al.old_rows, al.columns, store, alphabet_size)
         assert al.encoding_cost == cost
         assert al.compression_difference == raw_cost(new, alphabet_size) - cost
 
@@ -83,19 +84,6 @@ def test_kittens_carried_costs_equal_recount(kittens_new, kittens_store):
         assert_costs_recount(build_alignments(kittens_new, kittens_store, beam,
                                               max_old_rows),
                              kittens_new, kittens_store)
-
-
-def test_encoding_cost_recounts_from_columns(kittens_new, kittens_store):
-    alphabet_size = default_alphabet(kittens_new, kittens_store)
-    best = build_alignments(kittens_new, kittens_store).best
-    # the stored figures are not read
-    stale = replace(best, encoding_cost=-1.0, compression_difference=-1.0)
-    assert encoding_cost(stale, kittens_store, alphabet_size) == best.encoding_cost
-    # with every driving symbol back in its own column, all of them pay
-    unhit = replace(best, columns=literal_alignment(kittens_new).columns)
-    codes = sum(code_cost(r.id, kittens_store) for r in best.old_rows)
-    assert encoding_cost(unhit, kittens_store, alphabet_size) == \
-        codes + raw_cost(kittens_new, alphabet_size)
 
 
 def driving_hits(columns):
@@ -120,7 +108,8 @@ def merges(draw):
 @given(merges())
 def test_extend_columns_equals_oracle(merge):
     new, rows = merge
-    columns = literal_alignment(new).columns
+    store = PatternStore(rows)
+    columns = literal_alignment(new, store).columns
     for row_index, pattern in enumerate(rows[:-1], start=1):
         columns, _ = oracle._extend_columns(columns, pattern, row_index)
     expected, pairs = oracle._extend_columns(columns, rows[-1], len(rows))
@@ -131,11 +120,10 @@ def test_extend_columns_equals_oracle(merge):
     assert got == expected and got_pairs == pairs
     assert driving == driving_hits(expected) - driving_hits(columns)
     # compose_alignment carries its cost terms through the same merges
-    store = PatternStore(rows)
     composed = compose_alignment(new, rows, store)
     assert composed.columns == got
-    assert composed.encoding_cost == encoding_cost(composed, store,
-                                                   default_alphabet(new, store))
+    assert composed.encoding_cost == oracle._cost(new, rows, got, store,
+                                                  default_alphabet(new, store))
 
 
 def counting_merges(hits):
@@ -188,7 +176,7 @@ def test_1k_store_160_symbols(monkeypatch, bench_gen):
     ranking = build_alignments(new, store)
     elapsed = time.perf_counter() - start
     assert len(hits) == 43227
-    assert len(ranking.best.old_rows) == 12
+    assert len(ranking[0].old_rows) == 12
     assert elapsed < 4.0
 
 
@@ -269,7 +257,7 @@ def assert_builds_at_most_beam(new, store, beam, max_old_rows):
         ranking = build_alignments(new, store, beam, max_old_rows)
     assert all(built <= beam for built in rounds.values())
     # every ranked alignment but the literal one was built
-    assert sum(rounds.values()) >= len(ranking.alignments) - 1
+    assert sum(rounds.values()) >= len(ranking) - 1
 
 
 @settings(max_examples=200)
@@ -285,11 +273,12 @@ def test_kittens_rounds_build_at_most_beam(kittens_new, kittens_store):
 @settings(max_examples=200)
 @given(searches())
 def test_ranked_columns_equal_a_fresh_chain(search):
-    # a ranked alignment's columns were placed from the match that scored
-    # it; merging its rows afresh, one after another, gives the same
+    # a ranked alignment was placed from the match that scored it and took
+    # its cost terms from its parent; merging its rows afresh, one after
+    # another, gives the same record
     new, store, beam, max_old_rows = search
-    for al in build_alignments(new, store, beam, max_old_rows).alignments:
-        assert al.columns == compose_alignment(new, al.old_rows, store).columns
+    for al in build_alignments(new, store, beam, max_old_rows):
+        assert al == compose_alignment(new, al.old_rows, store)
 
 
 @st.composite
@@ -423,7 +412,7 @@ def test_ties_go_to_fewer_rows_then_ids():
     store = parse_grammar("PATTERN p0: a\nPATTERN p1: b\n")
     new = SPPattern.from_text("new", "a b")
     ranking = build_alignments(new, store)
-    assert {al.compression_difference for al in ranking.alignments} == {0.0}
-    assert [tuple(r.id for r in al.old_rows) for al in ranking.alignments] == [
+    assert {al.compression_difference for al in ranking} == {0.0}
+    assert [tuple(r.id for r in al.old_rows) for al in ranking] == [
         (), ("p0",), ("p1",), ("p0", "p1"), ("p1", "p0")]
     assert ranking_of(ranking) == ranking_of(oracle.build_alignments(new, store))

@@ -223,6 +223,20 @@ class TestStreamFile:
         with pytest.raises(InputFormatError, match="exactly one of 'code' and 'lit'"):
             stream_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", ["a b", "", 7])
+    def test_writer_rejects_what_the_reader_would(self, bad):
+        # a literal is not checked when made, so the writer checks its text
+        with pytest.raises((TypeError, ValueError), match="symbol text"):
+            stream_to_json(EncodedStream(PatternStore([]), (Literal(bad),)))
+
+    def test_writer_takes_any_pattern_id_as_a_code(self):
+        # a code is a pattern id, which may hold whitespace
+        stream = EncodedStream(PatternStore([SPPattern("w 1", ("a", "b"), 2)]),
+                               (CodeRef("w 1"), Literal("c")))
+        again = stream_from_json(stream_to_json(stream))
+        assert list(again.dictionary) == list(stream.dictionary)
+        assert again.tokens == stream.tokens
+
     def test_entry_count_must_be_an_integer(self):
         chunk = SPPattern.from_text("w1", "a b")
         for count in (True, 2.0, "2"):
@@ -285,6 +299,12 @@ class TestRle:
         with pytest.raises(InputFormatError, match="malformed runs file"):
             runs_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", ["a b", "", 7])
+    def test_file_writer_rejects_what_the_reader_would(self, bad):
+        # a run is not checked when made, so the writer checks its texts
+        with pytest.raises((TypeError, ValueError), match="symbol text"):
+            runs_to_json([Run(("a", bad), 2)])
+
     @pytest.mark.parametrize("count", [2.9, 3.0, "3", True, False, None, [3], "**"])
     def test_file_count_must_be_an_integer_or_star(self, count):
         doc = {"runs": [{"symbols": ["a"], "count": count}]}
@@ -338,6 +358,11 @@ class TestSchema:
         inst = schema_instantiate(menu_schema(),
                                   {"ST": "st2", "MC": "mc5", "PG": "pg3"})
         assert inst.render() == "MN: minestrone-soup vegetable-lasagne ice-cream"
+
+    @pytest.mark.parametrize("bad", ["a b", "", None])
+    def test_fixed_symbol_is_a_symbol(self, bad):
+        with pytest.raises((TypeError, ValueError), match="symbol text"):
+            FixedSymbol(bad)
 
     def test_zero_slot_schema(self):
         schema = Schema("K", (FixedSymbol("k1"), FixedSymbol("k2")))

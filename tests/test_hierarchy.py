@@ -82,6 +82,14 @@ class TestPartContext:
             part_context(animals, "rotor")
 
 
+@pytest.mark.parametrize("name, attributes", [
+    ("A", {"p q", ""}), ("A", {"p q"}), ("A", {""}), ("", set()), ("a b", {"p"})])
+def test_class_names_and_attributes_are_symbols(name, attributes):
+    # both are symbols of the required alphabet
+    with pytest.raises(ValueError, match="symbol text"):
+        ClassNode(name, attributes)
+
+
 class TestDescriptionLength:
     def test_single_class_forms_agree(self):
         h = Hierarchy([ClassNode("only", frozenset({"a", "b"}))])

@@ -62,6 +62,12 @@ class TestEvalTable:
         with pytest.raises(ValueError):
             FunctionTable("t", ("a",), ("o",), (row, row))
 
+    @pytest.mark.parametrize("row", [(("x y",), ("",)), (("1",), ("",)),
+                                     (("1",), (0,))])
+    def test_cells_are_symbols(self, row):
+        with pytest.raises((TypeError, ValueError), match="symbol text"):
+            FunctionTable("t", ("a",), ("o",), (row,))
+
 
 class TestCircuits:
     def test_single_nand(self):
