@@ -48,7 +48,7 @@ the members the previous round newly admitted to the beam, by aligning a
 further stored pattern against their still-unmatched columns (driving or
 Old), which is what lets bracketing service symbols chain upward through
 grammar-like stores.  The candidates are the patterns that share a symbol
-with an unmatched column, looked up in the store's symbol index; any other
+with an unmatched column, read from ``PatternStore.holders``; any other
 pattern would match nothing.  A candidate costs one kernel call: it is
 scored from its match and the carried terms, and the round ranks the
 scores.  Columns are built only for the extensions the round keeps, from
@@ -147,10 +147,10 @@ class Alignment:
     def hit_count(self) -> int:
         return sum(1 for c in self.columns if c.is_hit)
 
-    def row_label(self, row_index: int) -> str:
-        if row_index == 0:
+    def row_label(self, row: int) -> str:
+        if row == 0:
             return self.new_row.id
-        return self.old_rows[row_index - 1].id
+        return self.old_rows[row - 1].id
 
 
 def _literal_columns(new: SPPattern) -> tuple[Column, ...]:
@@ -169,7 +169,7 @@ def _unhit(columns: Sequence[Column]) -> tuple[list[int], tuple[str, ...]]:
 _Match = tuple[list[int], list[tuple[int, int]]]
 
 
-def _extend_columns(columns: Sequence[Column], pattern: SPPattern, row_index: int,
+def _extend_columns(columns: Sequence[Column], pattern: SPPattern, row: int,
                     match: _Match) -> tuple[tuple[Column, ...], int, int]:
     """Merge a further pattern into the column structure as a new row.
 
@@ -185,7 +185,7 @@ def _extend_columns(columns: Sequence[Column], pattern: SPPattern, row_index: in
     p_texts = pattern.symbols
 
     def fresh(start: int, stop: int) -> list[Column]:
-        return [Column(p_texts[pj], ((row_index, pj),)) for pj in range(start, stop)]
+        return [Column(p_texts[pj], ((row, pj),)) for pj in range(start, stop)]
 
     out: list[Column] = []
     copied = placed = driving = 0  # columns copied, pattern symbols placed
@@ -194,7 +194,7 @@ def _extend_columns(columns: Sequence[Column], pattern: SPPattern, row_index: in
         symbol, entries = columns[ci]
         out += columns[copied:ci]
         out += fresh(placed, pj)
-        out.append(Column(symbol, entries + ((row_index, pj),)))
+        out.append(Column(symbol, entries + ((row, pj),)))
         driving += entries[0][0] == 0
         copied, placed = ci + 1, pj + 1
     tail = copied if pairs else len(columns)  # after the last match, else at the end
@@ -265,7 +265,7 @@ def _candidates(texts: Sequence[str], drives: Sequence[bool],
     non-hit column: only these can match anything.  ``texts`` are the
     non-hit columns' texts, and ``drives`` says which of them hold a driving
     symbol.  Unless ``olds``, the patterns that share a symbol only with Old
-    columns, all of mh 0, are left out.
+    columns (level 0 of ``store.holders``), all of mh 0, are left out.
 
     mh(p) is the sum over texts t of min(count of t in p, count of t in the
     driving columns).  A matched pair joins two equal texts and uses each
@@ -275,7 +275,8 @@ def _candidates(texts: Sequence[str], drives: Sequence[bool],
     once per level of ``store.holders(t)[:need]`` sums it."""
     need = Counter([t for t, d in zip(texts, drives) if d])
     ceilings = dict.fromkeys(chain.from_iterable(
-        store.occurrences(t) for t, d in zip(texts, drives) if olds and not d), 0)
+        level for t, d in zip(texts, drives) if olds and not d
+        for level in store.holders(t)[:1]), 0)
     ceilings.update(Counter(chain.from_iterable(
         level for t, n in need.items() for level in store.holders(t)[:n])))
     return ceilings
@@ -390,12 +391,13 @@ def retrieve(query: SPPattern, store: PatternStore,
     every driving symbol unmatched."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    alphabet_size = default_alphabet(query, store)
     # the literal alignment takes at most one of the k + 1 places
+    ranking = build_alignments(query, store, beam=k + 1, max_old_rows=1)
+    alphabet_size = ranking[0].alphabet_size
     scored = [(al.old_rows[0].id, al.compression_difference)
-              for al in build_alignments(query, store, beam=k + 1, max_old_rows=1)
-              if al.old_rows]
-    shared = {pid for text in query.symbols for pid in store.occurrences(text)}
+              for al in ranking if al.old_rows]
+    shared = {pid for text in query.symbols for level in store.holders(text)[:1]
+              for pid in level}
     raw = raw_cost(query, alphabet_size)
     scored += [(pid, raw - _cost(code, len(query), alphabet_size))
                for pid, code in store.codes().items() if pid not in shared]

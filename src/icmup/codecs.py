@@ -54,8 +54,8 @@ from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
 from .patterns import (PatternStore, SPPattern, check_symbol, check_symbols,
                        code_cost, is_count, symbol_cost_bits)
 
-# the most symbols ``rle_decode`` makes: 100 times the 100k-character corpus
-# the README times, and a list of about 80 MB
+# the most symbols ``rle_decode`` or ``chunk_decode`` makes: 100 times the
+# 100k-character corpus the README times, and a list of about 80 MB
 DECODE_CAP = 10 ** 7
 
 

@@ -17,8 +17,9 @@ pattern's field checks, for ``SPPattern`` and for the grammar loader alike.
 
 A ``PatternStore`` loaded from a grammar costs its lines and its index: it
 keeps each pattern as texts and a frequency and makes the ``SPPattern`` only
-when the pattern is first read.  A search, and a chunk stream's price, read
-the store's codes from ``PatternStore.codes``, made once per store.
+when the pattern is first read.  Its index, one postings list per text, is
+read only as the levels of ``PatternStore.holders``.  A search, and a chunk
+stream's price, read the store's codes from ``PatternStore.codes``.
 
 Costs are fractional "ideal" bits throughout: a symbol over an alphabet of
 size A costs log2(A) bits (1 bit for the degenerate A=1 alphabet), and a
@@ -30,6 +31,7 @@ no frequency weighting) so compression differences are reproducible.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -145,14 +147,13 @@ _Row = tuple[tuple[str, ...], int]
 class PatternStore:
     """An immutable dictionary of patterns (a search's Old patterns, or a
     chunk dictionary's entries) with a derived alphabet, total frequency,
-    code costs, and a symbol-to-pattern retrieval index that also counts
-    each symbol's occurrences in each pattern.  Any pattern fits.  Ids and
-    iteration keep the order the patterns were given in.
-
-    The store keeps each pattern as its symbols and frequency, and makes
-    its ``SPPattern`` on the first ``get``.  A store built from patterns
-    returns those very objects.  The index's
-    levels (``holders``) and the codes are derived when first asked for."""
+    code costs, and a symbol-to-pattern retrieval index: the postings, each
+    text's list of the ids holding it, an id once per copy, in store order.
+    Any pattern fits.  Ids and iteration keep the order the patterns were
+    given in.  The store keeps each pattern as its symbols and frequency,
+    and makes its ``SPPattern`` on the first ``get``; a store built from
+    patterns returns those very objects.  The index's levels (``holders``)
+    and the codes are derived when first asked for."""
 
     def __init__(self, patterns: Iterable[SPPattern] = ()):
         made: dict[str, SPPattern] = {}
@@ -171,22 +172,18 @@ class PatternStore:
         return store
 
     def _load(self, rows: dict[str, _Row], made: dict[str, SPPattern]) -> None:
-        index: dict[str, dict[str, int]] = {}
+        postings: defaultdict[str, list[str]] = defaultdict(list)
         total = 0
         for pid, (symbols, frequency) in rows.items():
             total += frequency
             for text in symbols:
-                counts = index.get(text)
-                if counts is None:
-                    index[text] = {pid: 1}
-                else:
-                    counts[pid] = counts.get(pid, 0) + 1
+                postings[text].append(pid)
         self._rows = rows
         self._made = made
-        self._index = index
+        self._postings = postings
         self._holders: dict[str, tuple[tuple[str, ...], ...]] = {}
         self._codes: dict[str, float] | None = None
-        self.alphabet: frozenset[str] = frozenset(index)
+        self.alphabet: frozenset[str] = frozenset(postings)
         self.total_frequency: int = total
 
     def get(self, pattern_id: str) -> SPPattern:
@@ -211,21 +208,20 @@ class PatternStore:
                            for pid, (_, frequency) in self._rows.items()}
         return self._codes
 
-    def occurrences(self, text: str) -> Mapping[str, int]:
-        """Pattern id -> how many of its symbols are ``text``, for every
-        stored pattern holding ``text`` (read-only)."""
-        return self._index.get(text, {})
-
     def holders(self, text: str) -> tuple[tuple[str, ...], ...]:
-        """Level c -> the ids of the patterns holding more than c copies of
-        ``text``, for each c below the most copies one pattern holds.  Made
-        from ``occurrences`` on the first request and kept."""
+        """Level c -> the ids, in store order, of the patterns holding more
+        than c copies of ``text``, for each c below the most copies one
+        pattern holds.  Made on the first request and kept: level 0 counts
+        the text's postings, and each level filters the one before, so all
+        of them together cost one pass over the postings."""
         levels = self._holders.get(text)
         if levels is None:
-            counts = self.occurrences(text)
-            levels = self._holders[text] = tuple(
-                tuple([pid for pid, have in counts.items() if have > c])
-                for c in range(max(counts.values(), default=0)))
+            counts = Counter(self._postings.get(text, ()))
+            level, out = tuple(counts), []
+            while level:
+                out.append(level)
+                level = tuple([pid for pid in level if counts[pid] > len(out)])
+            levels = self._holders[text] = tuple(out)
         return levels
 
     def __contains__(self, pattern_id: str) -> bool:
@@ -288,9 +284,9 @@ def parse_grammar(text: str) -> PatternStore:
     starting with ``#`` and blank lines are ignored.  Duplicate ids are a
     load error, and so is a line that fails ``check_pattern``.
 
-    Loading costs one dict lookup per token, to share one string per
-    distinct text, plus the store's index; it makes no ``SPPattern``.  The
-    store makes a pattern when it is first read (see ``PatternStore``).
+    Loading costs two steps per token: a dict lookup, to share one string
+    per distinct text, and a postings append.  It makes no ``SPPattern``:
+    the store makes a pattern when it is first read (see ``PatternStore``).
     Tokens from ``str.split()`` are non-empty and hold no whitespace, so
     every one is a symbol and none is passed to ``check_symbol``.
     """

@@ -18,7 +18,8 @@ here runs the package's kernel.
 the structural invariants, and the driving positions in hit columns.
 
 ``_candidates`` is the search's former candidate set, one ``min`` per
-(text, pattern) pair over the symbol index; the package's must give the
+(text, pattern) pair, with each count taken from the stored pattern's
+symbols rather than from the store's index; the package's must give the
 same ceilings.
 """
 
@@ -112,15 +113,9 @@ def _candidates(texts: Sequence[str], drives: Sequence[bool],
     driving columns).  A matched pair joins two equal texts and uses each
     occurrence once, so no merge of p turns more than mh(p) driving symbols
     into hits."""
-    ceilings: dict[str, int] = {}
-    for text, need in Counter([t for t, d in zip(texts, drives) if d]).items():
-        for pid, have in store.occurrences(text).items():
-            ceilings[pid] = ceilings.get(pid, 0) + min(have, need)
-    for text, d in zip(texts, drives):
-        if not d:
-            for pid in store.occurrences(text):
-                ceilings.setdefault(pid, 0)
-    return ceilings
+    need = Counter([t for t, d in zip(texts, drives) if d])
+    return {p.id: sum(min(p.symbols.count(t), n) for t, n in need.items())
+            for p in store if not set(texts).isdisjoint(p.symbols)}
 
 
 def _unmatched_new_count(new: SPPattern, columns: Sequence[Column]) -> int:

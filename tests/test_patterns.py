@@ -1,9 +1,10 @@
 import math
 import re
 import sys
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icmup import (PatternStore, SPPattern, check_symbol, code_cost,
@@ -187,11 +188,13 @@ class TestStore:
 
     def test_retrieval_index(self):
         store = self.make()
-        assert store.occurrences("y") == {"a": 1, "b": 1}
-        assert store.occurrences("w") == {}
+        assert store.holders("y") == (("a", "b"),)  # one copy each, store order
+        assert store.holders("x") == (("a",),)
+        assert store.holders("w") == ()
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1,
                              max_size=8), max_size=12))
+    @example([["b", "a"], ["a"] * 40, ["ab"], ["a", "b", "a"]])
     def test_holders_recount(self, bodies):
         store = PatternStore(SPPattern(f"p{i}", tuple(body))
                              for i, body in enumerate(bodies))
@@ -200,9 +203,23 @@ class TestStore:
             most = max([body.count(text) for body in bodies], default=0)
             assert len(levels) == most
             for c, ids in enumerate(levels):
-                assert sorted(ids) == sorted(f"p{i}" for i, body in enumerate(bodies)
-                                             if body.count(text) > c)
+                assert ids == tuple(f"p{i}" for i, body in enumerate(bodies)
+                                    if body.count(text) > c)  # in store order
             assert store.holders(text) is levels  # made once, then kept
+
+    def test_holders_grow_with_the_postings(self):
+        """One pattern holding a text n times gives n levels, made in time
+        linear in the text's postings, not in n times its holders."""
+        n = 20_000
+        store = parse_grammar("".join(f"PATTERN p{i}: a\n" for i in range(n))
+                              + "PATTERN deep: " + " a" * n + "\n")
+        start = time.perf_counter()
+        levels = store.holders("a")
+        elapsed = time.perf_counter() - start
+        assert len(levels) == n
+        assert levels[0] == tuple(f"p{i}" for i in range(n)) + ("deep",)
+        assert all(level == ("deep",) for level in levels[1:])
+        assert elapsed < 1.0
 
 
 class TestGrammarFile:
@@ -267,7 +284,6 @@ class TestGrammarFile:
             assert store.get(pid) == reference.get(pid)
         assert list(store) == list(reference)
         for t in reference.alphabet | {"absent"}:
-            assert list(store.occurrences(t).items()) == list(reference.occurrences(t).items())
             assert store.holders(t) == reference.holders(t)
 
     # each message is the one the grammar loader has always given
@@ -337,7 +353,7 @@ class TestLazyStore:
 
     def test_loading_makes_nothing_and_each_get_one_pattern(self, made):
         store = parse_grammar(KITTENS_GRAMMAR)
-        assert store.codes() and store.occurrences("Nr") and store.holders("k")
+        assert store.codes() and store.holders("Nr") and store.holders("k")
         assert made == {"patterns": [], "symbols": []}
         for k, pid in enumerate(["p4", "p1", "p2"], start=1):
             first = store.get(pid)
