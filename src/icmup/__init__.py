@@ -6,31 +6,64 @@ templates, class and part hierarchies, match-driven function tables and a
 tape machine, unary arithmetic with repetition traces, and a
 multiple-alignment engine that encodes new patterns against stored ones and
 ranks the results by compression difference.
+
+Importing the package loads none of its modules.  An exported name, or a
+submodule, is imported the first time it is read from the package (PEP 562,
+``__getattr__`` over ``_EXPORTS``), so a process pays only for the modules
+it uses.
 """
 
-from .alignment import (Alignment, alignment_probabilities, build_alignments,
-                        compose_alignment, dump_columns, infer_unmatched,
-                        literal_alignment, parse_render, retrieve)
-from .codecs import (CodeRef, EncodedStream, FixedSymbol, Literal, Run,
-                     Schema, Slot, UNBOUNDED, chunk_decode, chunk_encode,
-                     discover_chunks, rle_decode, rle_encode, schema_encode,
-                     schema_instantiate, unify_basic)
-from .hierarchy import (ClassNode, Hierarchy, description_length,
-                        parse_hierarchy, part_context, resolve_attributes)
-from .machines import (NAND_TABLE, FunctionTable, Gate, HALTED, NandCircuit,
-                       TapeState, TuringMachine, adder_nand_circuit,
-                       compile_truth_table, eval_circuit, eval_table,
-                       parse_circuit, parse_table, parse_tm, tm_run, tm_step,
-                       unary_successor_machine, xor_nand_circuit)
-from .patterns import (PatternStore, SPPattern, check_symbol, code_cost,
-                       code_cost_bits, parse_grammar, raw_cost, render,
-                       symbol_cost_bits, tokenize)
-from .setnum import (OperationTrace, PeanoNumeral, TraceStep, UnaryNumber,
-                     bounded_product, bounded_sum, multiset_to_set,
-                     newton_table, parse_peano, parse_unary,
-                     peano_shared_depth, peano_succ, positional_to_unary,
-                     set_intersection, set_union, to_peano, unary_add,
-                     unary_divide, unary_factorial, unary_multiply,
-                     unary_power, unary_subtract, unary_to_positional)
+import importlib
 
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "alignment": ("Alignment", "alignment_probabilities", "build_alignments",
+                  "compose_alignment", "dump_columns", "infer_unmatched",
+                  "literal_alignment", "parse_render", "retrieve"),
+    "codecs": ("CodeRef", "EncodedStream", "FixedSymbol", "Literal", "Run",
+               "Schema", "Slot", "UNBOUNDED", "chunk_decode", "chunk_encode",
+               "discover_chunks", "rle_decode", "rle_encode", "schema_encode",
+               "schema_instantiate", "unify_basic"),
+    "errors": (),
+    "hierarchy": ("ClassNode", "Hierarchy", "description_length",
+                  "parse_hierarchy", "part_context", "resolve_attributes"),
+    "kernels": (),
+    "machines": ("NAND_TABLE", "FunctionTable", "Gate", "HALTED", "NandCircuit",
+                 "TapeState", "TuringMachine", "adder_nand_circuit",
+                 "compile_truth_table", "eval_circuit", "eval_table",
+                 "parse_circuit", "parse_table", "parse_tm", "tm_run", "tm_step",
+                 "unary_successor_machine", "xor_nand_circuit"),
+    "patterns": ("PatternStore", "SPPattern", "check_symbol", "code_cost",
+                 "code_cost_bits", "parse_grammar", "raw_cost", "render",
+                 "symbol_cost_bits", "tokenize"),
+    "reporting": (),
+    "setnum": ("OperationTrace", "PeanoNumeral", "TraceStep", "UnaryNumber",
+               "bounded_product", "bounded_sum", "multiset_to_set",
+               "newton_table", "parse_peano", "parse_unary",
+               "peano_shared_depth", "peano_succ", "positional_to_unary",
+               "set_intersection", "set_union", "to_peano", "unary_add",
+               "unary_divide", "unary_factorial", "unary_multiply",
+               "unary_power", "unary_subtract", "unary_to_positional"),
+}
+
+# exported name -> its submodule; a submodule's own name maps to itself
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in (module, *names)}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import ``name``'s submodule and keep the name, on its first read."""
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

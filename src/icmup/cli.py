@@ -8,6 +8,18 @@ name goes to stderr).  A ``--report`` path whose directory does not exist,
 an ``--out`` or ``--report`` path that names a directory or the command's
 input file, and a ``--report`` that names the ``--out`` file fail the run
 before the command starts, so it prints and writes nothing.
+
+The codecs and the alignment engine (with its kernel) are imported with
+this module, and ``machines``, ``setnum`` and ``hierarchy`` by the commands
+that run them, so a process loads those worked examples only when it runs
+one.  The first group stays eager on purpose: a tracer that wraps the
+package's functions from outside, as perfbench's does, wraps only the
+``icmup`` modules loaded when it is made, right after ``import icmup.cli``.
+Were the codecs or the alignment engine loaded on first use, their
+functions would go unwrapped and their layers would read as absent, every
+per-layer figure 0, and the checks that an exercised layer recorded calls
+and that a codec command never reached the kernel would pass without
+testing anything.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import os
 import sys
 
 from . import alignment as al
-from . import codecs, hierarchy, machines, setnum
+from . import codecs
 from .errors import IcmupError, InputFormatError
 from .patterns import (SPPattern, check_symbol, parse_grammar, raw_cost,
                        render, tokenize)
@@ -151,6 +163,8 @@ def cmd_retrieve(args) -> None:
 
 
 def cmd_table(args) -> None:
+    from . import machines
+
     table = machines.parse_table(_read_text(args.table), name=args.table)
     values = args.inputs.split(",")
     if "" in values:
@@ -166,6 +180,8 @@ def cmd_table(args) -> None:
 
 
 def cmd_circuit(args) -> None:
+    from . import machines
+
     circuit = machines.parse_circuit(_read_text(args.circuit))
     if args.compile:
         table = machines.compile_truth_table(circuit)
@@ -191,6 +207,8 @@ def cmd_circuit(args) -> None:
 
 
 def cmd_tm(args) -> None:
+    from . import machines
+
     machine = machines.parse_tm(_read_text(args.machine))
     cells = {}
     for i, ch in enumerate(args.tape):
@@ -217,6 +235,8 @@ def _render_set(symbols) -> str:
 
 
 def cmd_sets(args) -> None:
+    from . import setnum
+
     if args.op == "toset":
         print(_render_set(setnum.multiset_to_set(_set_arg(args.a))))
         return
@@ -228,6 +248,8 @@ def cmd_sets(args) -> None:
 
 
 def cmd_unary(args) -> None:
+    from . import setnum
+
     op = args.op
     if op in ("add", "sub", "mul"):
         a = setnum.UnaryNumber(args.a)
@@ -271,6 +293,8 @@ def cmd_unary(args) -> None:
 
 
 def cmd_peano(args) -> None:
+    from . import setnum
+
     p = setnum.to_peano(args.n)
     print(p.render())
     if args.m is not None:
@@ -280,6 +304,8 @@ def cmd_peano(args) -> None:
 
 
 def cmd_base(args) -> None:
+    from . import setnum
+
     if args.decode:
         u = setnum.positional_to_unary(args.value, args.base)
         print(f"count={u.count}")
@@ -292,6 +318,8 @@ def cmd_base(args) -> None:
 
 
 def cmd_newton(args) -> RunReport:
+    from . import setnum
+
     rep = setnum.newton_table(args.g, args.tmax)
     for row in rep.rows:
         print(f"{row.t}\t{row.s:.1f}")
@@ -304,6 +332,8 @@ def cmd_newton(args) -> RunReport:
 
 
 def cmd_hierarchy(args) -> None:
+    from . import hierarchy
+
     h = hierarchy.parse_hierarchy(_read_text(args.hierarchy))
     did = False
     if args.resolve:

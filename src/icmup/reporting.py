@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -24,6 +23,8 @@ def format_bits(value: float) -> str:
 
 
 def file_digest(path: str) -> str:
+    import hashlib  # only a written report needs it
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):

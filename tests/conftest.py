@@ -1,9 +1,13 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import icmup
 from icmup import (FunctionTable, PatternStore, SPPattern,
                    compose_alignment, parse_grammar)
 
@@ -24,6 +28,15 @@ PATTERN p8 1: Num PL ; Np Vp
 """
 
 KITTENS_SENTENCE = "t w o k i t t e n s p l a y"
+
+
+def fresh_python(*args):
+    """Stdout of a fresh interpreter run with ``args``, importing ``icmup``
+    from the tree under test."""
+    src = os.path.dirname(os.path.dirname(icmup.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
 
 
 def pair_alignment(a, b):

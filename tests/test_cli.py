@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import KITTENS_GRAMMAR
+from conftest import KITTENS_GRAMMAR, KITTENS_SENTENCE, fresh_python
 import icmup
 from icmup import cli, codecs, reporting
 from icmup.cli import main
@@ -801,3 +801,49 @@ def test_option_strings_pinned():
         "newton": ["--g", "--report", "--tmax"],
         "hierarchy": ["--alphabet", "--context", "--dl", "--resolve"],
     }
+
+
+# Runs cli.main on its arguments, if any, and prints the icmup modules loaded.
+LOADED_BY_MAIN = """\
+import contextlib, io, json, sys
+import icmup.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert icmup.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "icmup")))
+"""
+
+# What `import icmup.cli` loads.  The codecs and the alignment engine stay
+# eager: perfbench's tracer wraps only the icmup modules already imported
+# when it is made, right after `import icmup.cli`, so a layer loaded later
+# would go untraced and read as absent.
+CLI_MODULES = ["icmup", "icmup.alignment", "icmup.cli", "icmup.codecs",
+               "icmup.errors", "icmup.kernels", "icmup.patterns", "icmup.reporting"]
+
+
+@pytest.mark.parametrize("argv, more", [
+    ([], []),
+    (["compress", "{corpus}", "--out", "{stream}"], []),
+    (["align", "{grammar}", "--new", KITTENS_SENTENCE], []),
+    (["table", "{table}", "--in", "1,0"], ["icmup.machines"]),
+    (["unary", "add", "2", "3"], ["icmup.setnum"]),
+    (["hierarchy", "{hierarchy}", "--dl"], ["icmup.hierarchy"]),
+], ids=["import", "compress", "align", "table", "unary", "hierarchy"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, more):
+    files = {"corpus": "a b a b c\n", "grammar": KITTENS_GRAMMAR, "table": ADDER_TSV,
+             "hierarchy": "CLASS mammal : attrs=fur parents= parts=\n"
+                          "CLASS cat : attrs= parents=mammal parts=\n"}
+    paths = {name: tmp_path / name for name in [*files, "stream"]}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
+    loaded = json.loads(fresh_python("-c", LOADED_BY_MAIN, *argv))
+    assert loaded == sorted(CLI_MODULES + more)
+
+
+def test_cli_import_needs_no_numpy_or_numba():
+    code = "import sys, icmup.cli; print(sorted({'numpy', 'numba'} & set(sys.modules)))"
+    assert fresh_python("-c", code).strip() == "[]"
+    # -S keeps site's own imports out; only a written report needs hashlib
+    code = "import sys, icmup.cli; print('hashlib' in sys.modules)"
+    assert fresh_python("-S", "-c", code).strip() == "False"

@@ -1,12 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import icmup
 import kernel_oracle as oracle
 from icmup import kernels
 
@@ -117,12 +113,3 @@ class TestMatchPairs:
             assert kernels.match_pairs(a, b, masks) == oracle.match_pairs(a, b)
         assert masks == kernels.text_masks(a)
 
-
-def test_cli_import_needs_no_numpy_or_numba():
-    src = os.path.dirname(os.path.dirname(icmup.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = ("import sys, icmup.cli; "
-            "print(sorted({'numpy', 'numba'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
