@@ -49,12 +49,18 @@ further stored pattern against their still-unmatched columns (driving or
 Old), which is what lets bracketing service symbols chain upward through
 grammar-like stores.  The candidates are the patterns that share a symbol
 with an unmatched column, read from ``PatternStore.holders``; any other
-pattern would match nothing.  A candidate costs one kernel call: it is
-scored from its match and the carried terms, and the round ranks the
-scores.  Columns are built only for the extensions the round keeps, from
-the match that scored them, so a round builds at most ``beam``.  Ranking
-ties break by fewer rows, then the Old-id sequence, so results never
-depend on evaluation order.
+pattern would match nothing.  A candidate costs one kernel call on its
+symbols (``PatternStore.symbols``, which makes no ``SPPattern``): it is
+scored from its driving hits and the carried terms, and the round ranks
+the scores.  When every non-hit column of a member is driving, every
+matched pair is a driving hit, so the hits are the LCS length and
+``kernels.lcs_length`` scores the candidate with no walk; otherwise
+``match_pairs`` gives the pairs, and the hits are those on driving
+columns.  Only the extensions the round keeps make their pattern and
+their columns, from the match that scored them (one scored by length is
+walked first, against the same masks), so a round makes and builds at
+most ``beam``.  Ranking ties break by fewer rows, then the Old-id
+sequence, so results never depend on evaluation order.
 
 Most candidates are skipped before the kernel scores them, by an exact
 bound.  Adding pattern p to alignment al turns at most mh(p) driving symbols
@@ -81,8 +87,9 @@ of them: each would fail when popped and end the member's loop, so the same
 candidates are scored.
 
 ``retrieve`` is the search's first round.  There every column is driving
-and unhit, so extending the literal alignment by p gives CD = raw -
-(code(p) + unmatched * log2(A)), and the rank key (-CD, 1, (p,)) orders
+and unhit, so every candidate is scored by its LCS length with the query,
+and extending the literal alignment by p gives CD = raw -
+(code(p) + unmatched * log2(A)); the rank key (-CD, 1, (p,)) orders
 these one-row alignments by (-CD, id).  A search with beam k + 1 and one
 row therefore keeps at least the k best patterns that share a symbol with
 the query (the literal alignment takes at most one place).  A pattern that
@@ -291,8 +298,9 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
     last round admitted by every stored pattern that shares a symbol with
     one of their non-hit columns, then keeps the best ``beam``.  A candidate
     whose CD bound cannot reach the beam is skipped before the kernel runs;
-    the others are scored by one kernel call each, and columns are built
-    only for the extensions the round keeps.
+    the others are scored by one kernel call each, ``lcs_length`` where
+    every non-hit column drives, and patterns and columns are made only
+    for the extensions the round keeps.
     Deterministic: the ranking is independent of candidate arrival order.
     """
     if beam < 1:
@@ -326,13 +334,17 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
             at the round's end; the floor only rises, so it stays cut."""
             return len(floor) == beam and cd < floor[0] - _PRUNE_MARGIN
 
-        # Old-row ids -> (CD, parent, pattern, match): an extension scored
-        # but not yet built (always a new key)
+        # Old-row ids -> (CD, parent, its kernel input, pairs): an extension
+        # scored but not yet built (always a new key); pairs is None for one
+        # scored by length
         scored = {}
         for ids, al in frontier:
             targets, texts = _unhit(al.columns)
             drives = [al.columns[ci].entries[0][0] == 0 for ci in targets]
             masks = kernels.text_masks(texts)  # one table for every candidate
+            member = targets, texts, masks
+            # with every non-hit column driving, every pair is a driving hit
+            by_length = all(drives)
             # a pattern that shares only Old symbols makes no driving hit, so
             # its bound is CD(al) - code(p): gather those only if the
             # cheapest code can pass
@@ -345,14 +357,17 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
                 cost, pid = heapq.heappop(bounds)
                 if below_floor(al.compression_difference - cost):
                     break  # the rest bound lower still
-                pattern = store.get(pid)
-                pairs = kernels.match_pairs(texts, pattern.symbols, masks)
+                symbols = store.symbols(pid)
+                if by_length:
+                    pairs, hits = None, kernels.lcs_length(masks, len(texts), symbols)
+                else:
+                    pairs = kernels.match_pairs(texts, symbols, masks)
+                    hits = sum([drives[ti] for ti, _ in pairs])
                 # the CD ``_extend`` gives: the driving pairs are the ones
                 # ``_extend_columns`` counts
-                cd = raw - _cost(al.codes + codes[pid],
-                                 al.unmatched - sum([drives[ti] for ti, _ in pairs]),
+                cd = raw - _cost(al.codes + codes[pid], al.unmatched - hits,
                                  alphabet_size)
-                scored[ids + (pid,)] = (cd, al, pattern, (targets, pairs))
+                scored[ids + (pid,)] = (cd, al, member, pairs)
                 if len(floor) < beam:
                     heapq.heappush(floor, cd)
                 else:
@@ -360,11 +375,21 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         ranked = sorted([(al.compression_difference, ids) for ids, al in kept.items()]
                         + [(ext[0], ids) for ids, ext in scored.items()],
                         key=_rank_key)[:beam]
-        # a survivor is built from the match that scored it
-        kept = {ids: kept[ids] if ids in kept
-                else _extend(*scored[ids][1:], codes[ids[-1]])
+        kept = {ids: kept[ids] if ids in kept else _survivor(store, ids, *scored[ids][1:])
                 for _, ids in ranked}
     return tuple(kept.values())
+
+
+def _survivor(store: PatternStore, ids: tuple[str, ...], parent: Alignment,
+              member: tuple, pairs: list[tuple[int, int]] | None) -> Alignment:
+    """The kept extension ``ids`` of ``parent``, built from the match that
+    scored it; one scored by length is walked now, against the same texts
+    and masks.  Only survivors make their ``SPPattern``."""
+    targets, texts, masks = member
+    pattern = store.get(ids[-1])
+    if pairs is None:
+        pairs = kernels.match_pairs(texts, pattern.symbols, masks)
+    return _extend(parent, pattern, (targets, pairs), store.codes()[ids[-1]])
 
 
 def infer_unmatched(al: Alignment) -> list[tuple[str, str]]:

@@ -21,6 +21,12 @@ while ``dp[i][j] == dp[i+1][j]`` (bit n-1-i of ``cols[j]`` clear) and
 otherwise steps along ``b``.  One bit search in ``cols[j] | masks[b[j]]``
 finds where a run down ``a`` stops, so the walk takes at most m steps of
 the same cost as a column.
+
+``lcs_length`` is the same column pass with no table and no walk: it keeps
+only the running vector and returns ``cols[0].bit_count()``, the LCS
+length ``dp[0][0]``, for a caller that needs the count and not the pairs.
+Bits above n, which the additions carry into, never reach the low n bits,
+so the vector is cut to n bits once, at the end.
 """
 
 
@@ -43,6 +49,16 @@ def _suffix_cols(masks: dict[str, int], n: int, b: tuple[str, ...]) -> list[int]
         v = ((v + u) | (v - u)) & full
         cols[j] = full ^ v
     return cols
+
+
+def lcs_length(masks: dict[str, int], n: int, b: tuple[str, ...]) -> int:
+    """The LCS length of a length-n ``a`` and ``b``, from ``text_masks(a)``:
+    ``len(match_pairs(a, b))``, with no table and no walk."""
+    v = (1 << n) - 1
+    for text in reversed(b):
+        u = v & masks.get(text, 0)
+        v = (v + u) | (v - u)
+    return n - (v & ((1 << n) - 1)).bit_count()
 
 
 def match_pairs(a: tuple[str, ...], b: tuple[str, ...],

@@ -15,11 +15,15 @@ in file order, and a chunk dictionary's (see ``codecs``) in discovery
 order.  ``is_count`` is the one count rule, and ``check_pattern`` holds a
 pattern's field checks, for ``SPPattern`` and for the grammar loader alike.
 
-A ``PatternStore`` loaded from a grammar costs its lines and its index: it
-keeps each pattern as texts and a frequency and makes the ``SPPattern`` only
-when the pattern is first read.  Its index, one postings list per text, is
-read only as the levels of ``PatternStore.holders``.  A search, and a chunk
-stream's price, read the store's codes from ``PatternStore.codes``.
+A ``PatternStore`` costs its rows and its index.  A row is a pattern's
+symbol text, its symbols joined by whitespace, and its frequency: a grammar
+line's text as it stands, or ``" ".join(p.symbols)`` for a given pattern.
+The store splits each row once, to build the index, and makes the
+``SPPattern`` only when the pattern is first read with ``get``;
+``PatternStore.symbols`` reads a pattern's symbols without making it.  The
+index, one postings list per text, is read only as the levels of
+``PatternStore.holders``.  A search, and a chunk stream's price, read the
+store's codes from ``PatternStore.codes``.
 
 Costs are fractional "ideal" bits throughout: a symbol over an alphabet of
 size A costs log2(A) bits (1 bit for the degenerate A=1 alphabet), and a
@@ -140,8 +144,9 @@ def render(symbols: Iterable[str]) -> str:
     return " ".join(symbols)
 
 
-# one stored pattern before it is made: its symbols and its frequency
-_Row = tuple[tuple[str, ...], int]
+# one stored pattern before it is made: its symbols joined by whitespace,
+# and its frequency
+_Row = tuple[str, int]
 
 
 class PatternStore:
@@ -150,10 +155,11 @@ class PatternStore:
     code costs, and a symbol-to-pattern retrieval index: the postings, each
     text's list of the ids holding it, an id once per copy, in store order.
     Any pattern fits.  Ids and iteration keep the order the patterns were
-    given in.  The store keeps each pattern as its symbols and frequency,
-    and makes its ``SPPattern`` on the first ``get``; a store built from
-    patterns returns those very objects.  The index's levels (``holders``)
-    and the codes are derived when first asked for."""
+    given in.  The store keeps each pattern as a row, its symbol text and
+    frequency, and makes its ``SPPattern`` on the first ``get``; a store
+    built from patterns returns those very objects.  ``symbols`` splits a
+    row without making the pattern.  The index's levels (``holders``) and
+    the codes are derived when first asked for."""
 
     def __init__(self, patterns: Iterable[SPPattern] = ()):
         made: dict[str, SPPattern] = {}
@@ -161,12 +167,14 @@ class PatternStore:
             if p.id in made:
                 raise ValueError(f"duplicate pattern id {p.id!r}")
             made[p.id] = p
-        self._load({pid: (p.symbols, p.frequency) for pid, p in made.items()}, made)
+        self._load({pid: (" ".join(p.symbols), p.frequency)
+                    for pid, p in made.items()}, made)
 
     @classmethod
     def _from_rows(cls, rows: dict[str, _Row]) -> "PatternStore":
-        """A store of patterns given as id -> (symbols, frequency) rows, none
-        of them made yet.  The rows must pass ``check_pattern``."""
+        """A store of patterns given as id -> (symbol text, frequency) rows,
+        none of them made yet.  The rows must pass ``check_pattern``, and
+        each token of a text must be a symbol."""
         store = cls.__new__(cls)
         store._load(rows, {})
         return store
@@ -174,10 +182,10 @@ class PatternStore:
     def _load(self, rows: dict[str, _Row], made: dict[str, SPPattern]) -> None:
         postings: defaultdict[str, list[str]] = defaultdict(list)
         total = 0
-        for pid, (symbols, frequency) in rows.items():
+        for pid, (text, frequency) in rows.items():
             total += frequency
-            for text in symbols:
-                postings[text].append(pid)
+            for symbol in text.split():
+                postings[symbol].append(pid)
         self._rows = rows
         self._made = made
         self._postings = postings
@@ -189,12 +197,24 @@ class PatternStore:
     def get(self, pattern_id: str) -> SPPattern:
         pattern = self._made.get(pattern_id)
         if pattern is None:
-            try:
-                symbols, frequency = self._rows[pattern_id]
-            except KeyError:
-                raise UnknownPattern(f"no pattern with id {pattern_id!r}") from None
-            pattern = self._made[pattern_id] = SPPattern(pattern_id, symbols, frequency)
+            text, frequency = self._row(pattern_id)
+            pattern = self._made[pattern_id] = SPPattern(
+                pattern_id, tuple(text.split()), frequency)
         return pattern
+
+    def symbols(self, pattern_id: str) -> tuple[str, ...]:
+        """The pattern's symbols, without making its ``SPPattern``: the made
+        pattern's, if ``get`` has made it, else a split of its row."""
+        pattern = self._made.get(pattern_id)
+        if pattern is not None:
+            return pattern.symbols
+        return tuple(self._row(pattern_id)[0].split())
+
+    def _row(self, pattern_id: str) -> _Row:
+        try:
+            return self._rows[pattern_id]
+        except KeyError:
+            raise UnknownPattern(f"no pattern with id {pattern_id!r}") from None
 
     def ids(self) -> list[str]:
         return list(self._rows)
@@ -249,7 +269,10 @@ def code_cost_bits(frequency: int, total_frequency: int) -> float:
     totalling F.  Zero iff the pattern is the store's only mass."""
     if frequency < 1 or total_frequency < frequency:
         raise ValueError("need 1 <= frequency <= total_frequency")
-    return -math.log2(frequency / total_frequency)
+    ratio = frequency / total_frequency
+    if ratio == 0.0:  # f/F below the smallest float: log2 is exact on ints
+        return math.log2(total_frequency) - math.log2(frequency)
+    return -math.log2(ratio)
 
 
 def raw_cost(pattern: SPPattern | Sequence[str], alphabet_size: int) -> float:
@@ -284,14 +307,14 @@ def parse_grammar(text: str) -> PatternStore:
     starting with ``#`` and blank lines are ignored.  Duplicate ids are a
     load error, and so is a line that fails ``check_pattern``.
 
-    Loading costs two steps per token: a dict lookup, to share one string
-    per distinct text, and a postings append.  It makes no ``SPPattern``:
-    the store makes a pattern when it is first read (see ``PatternStore``).
-    Tokens from ``str.split()`` are non-empty and hold no whitespace, so
-    every one is a symbol and none is passed to ``check_symbol``.
+    A line's row is its symbol text as it stands, and its frequency.  The
+    store splits each text once, to build its index, at one postings
+    append per token; no ``SPPattern`` is made, since the store makes a
+    pattern when it is first read (see ``PatternStore``).  Tokens from
+    ``str.split()`` are non-empty and hold no whitespace, so every one is a
+    symbol and none is passed to ``check_symbol``.
     """
     rows: dict[str, _Row] = {}
-    made: dict[str, str] = {}
     for lineno, stripped in content_lines(text):
         head, sep, body = stripped.partition(":")
         words = head.split()
@@ -306,18 +329,20 @@ def parse_grammar(text: str) -> PatternStore:
             pid = fields[0]
             if not (fields[1].isascii() and fields[1].isdigit()):
                 raise InputFormatError(f"line {lineno}: bad frequency {fields[1]!r}")
-            freq = int(fields[1])
+            try:
+                freq = int(fields[1])
+            except ValueError:  # more digits than int() converts
+                raise InputFormatError(f"line {lineno}: bad frequency of "
+                                       f"{len(fields[1])} digits: too long") from None
         else:
             raise InputFormatError(f"line {lineno}: expected '<id> [<freq>]' before ':'")
         if pid in rows:
             raise InputFormatError(f"line {lineno}: duplicate pattern id {pid!r}")
-        tokens = body.split()
-        # via a list: tuple() of an iterator grows its tuple by resizing,
-        # which is slower and, over repeated loads, raised peak memory
-        texts = tuple(list(map(made.setdefault, tokens, tokens)))
+        # the stripped text is empty exactly when the line has no symbols
+        text = body.strip()
         try:
-            check_pattern(pid, texts, freq)
+            check_pattern(pid, text, freq)
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from None
-        rows[pid] = texts, freq
+        rows[pid] = text, freq
     return PatternStore._from_rows(rows)

@@ -138,6 +138,14 @@ def counting_merges(hits):
     return counted
 
 
+def counting_calls(calls, kernel):
+    """A stand-in for a kernel function that records each call's name."""
+    def counted(*args, **kwargs):
+        calls.append(kernel.__name__)
+        return kernel(*args, **kwargs)
+    return counted
+
+
 def test_every_merge_matches_a_symbol(kittens_new, kittens_store, monkeypatch):
     # candidates come from the store's symbol index, so no kernel call is
     # wasted on a pattern that shares no symbol with an unmatched column
@@ -163,19 +171,22 @@ def test_1k_store_160_symbols(monkeypatch, bench_gen):
     # candidates are scored, so their count is pinned; the search took about
     # 6 s at 160 symbols before the transposed kernel and the holders-based
     # ceilings, and about 1.7 s after, on a 2-vCPU x86-64 VM, so 4 s leaves
-    # room for a slower host.
+    # room for a slower host.  Every kernel call counts: the scorings by
+    # ``lcs_length`` and by ``match_pairs``, and the walks of the survivors
+    # scored by length.
     _, lines, lexicon = bench_gen.kittens_grammar(random.Random(1), 100, 500, 400)
     store = parse_grammar("\n".join(lines) + "\n")
     rng = random.Random(3)
     letters = [c for _ in range(8) for c in bench_gen.kittens_sentence(rng, lexicon, 20)]
     new = SPPattern("new", tuple(letters))
     assert (len(store), len(new)) == (1008, 160)
-    hits = []
-    monkeypatch.setattr(kernels, "match_pairs", counting_merges(hits))
+    calls = []
+    for kernel in (kernels.lcs_length, kernels.match_pairs):
+        monkeypatch.setattr(kernels, kernel.__name__, counting_calls(calls, kernel))
     start = time.perf_counter()
     ranking = build_alignments(new, store)
     elapsed = time.perf_counter() - start
-    assert len(hits) == 43227
+    assert len(calls) == 43277
     assert len(ranking[0].old_rows) == 12
     assert elapsed < 4.0
 

@@ -448,6 +448,24 @@ class TestAlign:
         assert (code, stdout) == (2, "")
         assert "line 3:" in err
 
+    def test_frequency_too_long_to_read_exits_2(self, tmp_path, capsys):
+        grammar = tmp_path / "long.grammar"
+        grammar.write_text("PATTERN b 1: y z\nPATTERN a 1" + "0" * 5000 + ": x y\n")
+        code, stdout, err = run(capsys, "retrieve", str(grammar), "--query", "x y")
+        assert (code, stdout) == (2, "")
+        assert err == "error: line 2: bad frequency of 5001 digits: too long\n"
+
+    def test_code_past_float_underflow_exits_0(self, tmp_path, capsys):
+        # 1 / 10^400 rounds to 0.0, so b's code was -log2(0.0), a domain error
+        grammar = tmp_path / "skewed.grammar"
+        grammar.write_text("PATTERN a 1" + "0" * 400 + ": x y\nPATTERN b 1: y z\n")
+        code, stdout, _ = run(capsys, "retrieve", str(grammar), "--query", "x y",
+                              "--top", "2")
+        assert (code, stdout) == (0, "a\t3.170\nb\t-1327.186\n")
+        code, stdout, _ = run(capsys, "align", str(grammar), "--new", "y z", "--top", "2")
+        assert code == 0
+        assert stdout.splitlines()[0] == "alignment=1 cd=1.585 p=0.500 rows=a hits=1"
+
     def test_deterministic_output(self, grammar_file, capsys):
         args = ("align", grammar_file, "--new", "t w o k i t t e n s p l a y")
         first = run(capsys, *args)

@@ -113,3 +113,27 @@ class TestMatchPairs:
             assert kernels.match_pairs(a, b, masks) == oracle.match_pairs(a, b)
         assert masks == kernels.text_masks(a)
 
+
+
+class TestLcsLength:
+    @settings(max_examples=200)
+    @given(text_sequences(2))
+    def test_equals_oracle_and_pairs(self, pair):
+        a, b = pair
+        masks = kernels.text_masks(a)
+        length = kernels.lcs_length(masks, len(a), b)
+        assert length == oracle.suffix_table(a, b)[0][0]
+        assert length == len(kernels.match_pairs(a, b, masks))
+        assert masks == kernels.text_masks(a)
+
+    def test_empty_inputs(self):
+        assert kernels.lcs_length({}, 0, ("a",)) == 0
+        assert kernels.lcs_length(kernels.text_masks(("a",)), 1, ()) == 0
+        assert kernels.lcs_length({}, 0, ()) == 0
+
+    def test_carries_stay_above_the_sequence(self):
+        # every symbol of a long b matches and carries past bit n
+        a = ("a",) * 3
+        assert kernels.lcs_length(kernels.text_masks(a), 3, ("a",) * 500) == 3
+        assert kernels.lcs_length(kernels.text_masks(a + ("b",)), 4,
+                                  ("b", "a") * 300) == 4

@@ -8,8 +8,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icmup import (PatternStore, SPPattern, check_symbol, code_cost,
-                   code_cost_bits, parse_grammar, parse_hierarchy, parse_table,
-                   patterns, raw_cost, render, symbol_cost_bits, tokenize)
+                   code_cost_bits, kernels, parse_grammar, parse_hierarchy,
+                   parse_table, patterns, raw_cost, render, symbol_cost_bits,
+                   tokenize)
+from icmup.cli import main
 from icmup.codecs import runs_from_json, stream_from_json
 from icmup.errors import DegenerateAlphabet, InputFormatError, UnknownPattern
 
@@ -145,6 +147,14 @@ class TestCosts:
         assert code_cost_bits(3, 4) == pytest.approx(-math.log2(3 / 4))
         assert code_cost_bits(3, 4) == pytest.approx(0.415, abs=0.0005)
 
+    def test_code_cost_past_float_underflow(self):
+        # f/F rounds to 0.0 here, and -log2(0.0) is a domain error; the code
+        # is log2(F) - log2(f), which math.log2 takes exactly from ints
+        assert 10**400 / (10**400 + 1) > 0 and 1 / 10**400 == 0.0
+        assert code_cost_bits(1, 10**400) == math.log2(10**400)
+        assert code_cost_bits(3, 3 * 10**400) == pytest.approx(math.log2(10**400))
+        assert code_cost_bits(10**400, 10**400 + 1) == -math.log2(10**400 / (10**400 + 1))
+
     @given(st.integers(2, 500))
     def test_code_cost_monotone_in_frequency(self, total):
         costs = [code_cost_bits(f, total) for f in range(1, total + 1)]
@@ -263,6 +273,13 @@ class TestGrammarFile:
         with pytest.raises(InputFormatError, match=re.escape(f"line 1: bad frequency {freq!r}")):
             parse_grammar(f"PATTERN x {freq}: a")
 
+    def test_frequency_past_the_int_digit_limit_cites_its_line(self):
+        # int() reads at most 4,300 digits by default; its error named no line
+        text = "PATTERN b 1: y z\nPATTERN a 1" + "0" * 5000 + ": x y\n"
+        with pytest.raises(InputFormatError) as caught:
+            parse_grammar(text)
+        assert str(caught.value) == "line 2: bad frequency of 5001 digits: too long"
+
     def test_leading_zeros_are_digits(self):
         assert parse_grammar("PATTERN x 007: a").get("x").frequency == 7
 
@@ -360,6 +377,47 @@ class TestLazyStore:
             assert store.get(pid) is first
             assert made["patterns"] == ["p4", "p1", "p2"][:k]
         assert made["symbols"] == []
+
+    def test_symbols_make_no_pattern(self, made):
+        given = [SPPattern.from_text("a", "x y x"), SPPattern.from_text("b", "y", frequency=2)]
+        for store in (parse_grammar(KITTENS_GRAMMAR), PatternStore(given)):
+            read = {pid: store.symbols(pid) for pid in store.ids()}
+            assert made["patterns"] == []
+            assert read == {pid: store.get(pid).symbols for pid in store.ids()}
+            made["patterns"].clear()
+        with pytest.raises(UnknownPattern):
+            store.symbols("zzz")
+
+    @given(grammars())
+    def test_symbols_split_the_line(self, grammar):
+        # irregular spacing in a line's text is not part of its symbols
+        text, lines = grammar
+        store = parse_grammar(text)
+        for pid, _, body in lines:
+            assert store.symbols(pid) == tuple(body.split())
+            assert store.symbols(pid) == store.get(pid).symbols
+
+    def test_retrieve_makes_and_walks_only_survivors(self, made, monkeypatch,
+                                                    tmp_path, capsys):
+        """20,000 one-symbol copies and one pattern of 20,000 copies: every
+        candidate ties, so every one is scored, but only the k + 1 that the
+        search keeps are made and walked."""
+        n = 20_000
+        grammar = tmp_path / "copies.grammar"
+        grammar.write_text("".join(f"PATTERN p{i}: a\n" for i in range(n))
+                           + "PATTERN deep: " + " a" * n + "\n")
+        walks = []
+        match = kernels.match_pairs
+
+        def counted(*args):
+            walks.append(args[1])
+            return match(*args)
+
+        monkeypatch.setattr(kernels, "match_pairs", counted)
+        assert main(["retrieve", str(grammar), "--query", "a b", "--top", "3"]) == 0
+        assert capsys.readouterr().out == "deep\t-13.288\np0\t-13.288\np1\t-13.288\n"
+        assert len(made["patterns"]) <= 4
+        assert len(walks) <= 4
 
     def test_given_patterns_are_returned(self):
         given = [SPPattern.from_text("a", "x y"), SPPattern.from_text("b", "y")]
