@@ -79,7 +79,7 @@ ranks below all of them and would be cut at the round's end; nothing leaves
 the round before its end, so that threshold only rises, and later rounds
 extend only beam members.  The ranking is therefore exactly the one the
 search gives without the bound.  On the kittens example at the defaults (beam
-50, 12 rows) this cuts the kernel calls from 838 to 354, and 133 of those
+50, 12 rows) this cuts the scorings from 838 to 354, and 133 of those
 extensions are built.  A pattern that shares a symbol only with Old columns
 has mh 0 and a bound of CD(al) - code(p), so when that bound for the store's
 cheapest code already fails at the member's start, the member gathers none
@@ -375,21 +375,21 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         ranked = sorted([(al.compression_difference, ids) for ids, al in kept.items()]
                         + [(ext[0], ids) for ids, ext in scored.items()],
                         key=_rank_key)[:beam]
-        kept = {ids: kept[ids] if ids in kept else _survivor(store, ids, *scored[ids][1:])
+        kept = {ids: kept[ids] if ids in kept
+                else _survivor(store.get(ids[-1]), codes[ids[-1]], *scored[ids][1:])
                 for _, ids in ranked}
     return tuple(kept.values())
 
 
-def _survivor(store: PatternStore, ids: tuple[str, ...], parent: Alignment,
-              member: tuple, pairs: list[tuple[int, int]] | None) -> Alignment:
-    """The kept extension ``ids`` of ``parent``, built from the match that
+def _survivor(pattern: SPPattern, code: float, parent: Alignment, member: tuple,
+              pairs: list[tuple[int, int]] | None) -> Alignment:
+    """``parent`` extended by a kept ``pattern``, built from the match that
     scored it; one scored by length is walked now, against the same texts
     and masks.  Only survivors make their ``SPPattern``."""
     targets, texts, masks = member
-    pattern = store.get(ids[-1])
     if pairs is None:
         pairs = kernels.match_pairs(texts, pattern.symbols, masks)
-    return _extend(parent, pattern, (targets, pairs), store.codes()[ids[-1]])
+    return _extend(parent, pattern, (targets, pairs), code)
 
 
 def infer_unmatched(al: Alignment) -> list[tuple[str, str]]:

@@ -1,15 +1,17 @@
+import contextlib
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
 import icmup
 from icmup import (FunctionTable, PatternStore, SPPattern,
-                   compose_alignment, parse_grammar)
+                   compose_alignment, kernels, parse_grammar)
 
 # the same examples on every run, and no deadline for the slow oracles
 settings.register_profile("icmup", derandomize=True, deadline=None)
@@ -37,6 +39,28 @@ def fresh_python(*args):
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+
+
+@contextlib.contextmanager
+def counting_merges(calls):
+    """Stands in for both kernels that score or walk a search's candidates,
+    ``kernels.lcs_length`` and ``kernels.match_pairs``, and appends each
+    call's kernel name and hits (the LCS length) to ``calls``."""
+    length, match = kernels.lcs_length, kernels.match_pairs
+
+    def counted_length(*args):
+        hits = length(*args)
+        calls.append(("lcs_length", hits))
+        return hits
+
+    def counted_match(*args):
+        pairs = match(*args)
+        calls.append(("match_pairs", len(pairs)))
+        return pairs
+
+    with mock.patch.object(kernels, "lcs_length", counted_length), \
+            mock.patch.object(kernels, "match_pairs", counted_match):
+        yield calls
 
 
 def pair_alignment(a, b):

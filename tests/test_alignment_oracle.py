@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import alignment_oracle as oracle
+from conftest import counting_merges
 from icmup import (PatternStore, SPPattern, alignment_probabilities,
                    build_alignments, compose_alignment, dump_columns,
                    literal_alignment, parse_grammar, parse_render, raw_cost,
@@ -126,46 +127,25 @@ def test_extend_columns_equals_oracle(merge):
                                                   default_alphabet(new, store))
 
 
-def counting_merges(hits):
-    """A stand-in for ``kernels.match_pairs``, the step that scores each
-    candidate of a search, that records each scored merge's hits."""
-    match = kernels.match_pairs
-
-    def counted(*args, **kwargs):
-        result = match(*args, **kwargs)
-        hits.append(len(result))
-        return result
-    return counted
-
-
-def counting_calls(calls, kernel):
-    """A stand-in for a kernel function that records each call's name."""
-    def counted(*args, **kwargs):
-        calls.append(kernel.__name__)
-        return kernel(*args, **kwargs)
-    return counted
-
-
-def test_every_merge_matches_a_symbol(kittens_new, kittens_store, monkeypatch):
+def test_every_merge_matches_a_symbol(kittens_new, kittens_store):
     # candidates come from the store's symbol index, so no kernel call is
     # wasted on a pattern that shares no symbol with an unmatched column
-    hits = []
-    monkeypatch.setattr(kernels, "match_pairs", counting_merges(hits))
-    build_alignments(kittens_new, kittens_store)
-    assert hits and min(hits) >= 1
+    with counting_merges([]) as calls:
+        build_alignments(kittens_new, kittens_store)
+    assert calls and min(hits for _, hits in calls) >= 1
 
 
-def test_kittens_merge_count(kittens_new, kittens_store, monkeypatch):
+def test_kittens_merge_count(kittens_new, kittens_store):
     # at the defaults (beam 50, 12 rows) the search without the bound made
     # 838 merges; the bound skips every candidate that cannot reach the beam
-    # before the kernel scores it
-    hits = []
-    monkeypatch.setattr(kernels, "match_pairs", counting_merges(hits))
-    build_alignments(kittens_new, kittens_store)
-    assert 0 < len(hits) <= 354
+    # before the kernel scores it.  Every kernel call counts: 354 scorings
+    # and the walks of the 4 survivors scored by length
+    with counting_merges([]) as calls:
+        build_alignments(kittens_new, kittens_store)
+    assert 0 < len(calls) <= 358
 
 
-def test_1k_store_160_symbols(monkeypatch, bench_gen):
+def test_1k_store_160_symbols(bench_gen):
     # The 1,008-pattern kittens-style store and eight joined ~20-letter
     # sentences, at the defaults (beam 50, 12 rows).  The bound decides which
     # candidates are scored, so their count is pinned; the search took about
@@ -180,12 +160,10 @@ def test_1k_store_160_symbols(monkeypatch, bench_gen):
     letters = [c for _ in range(8) for c in bench_gen.kittens_sentence(rng, lexicon, 20)]
     new = SPPattern("new", tuple(letters))
     assert (len(store), len(new)) == (1008, 160)
-    calls = []
-    for kernel in (kernels.lcs_length, kernels.match_pairs):
-        monkeypatch.setattr(kernels, kernel.__name__, counting_calls(calls, kernel))
-    start = time.perf_counter()
-    ranking = build_alignments(new, store)
-    elapsed = time.perf_counter() - start
+    with counting_merges([]) as calls:
+        start = time.perf_counter()
+        ranking = build_alignments(new, store)
+        elapsed = time.perf_counter() - start
     assert len(calls) == 43277
     assert len(ranking[0].old_rows) == 12
     assert elapsed < 4.0
@@ -229,18 +207,25 @@ def test_full_beam_prunes_and_equals_oracle(search, max_old_rows):
     store = PatternStore(list(store) + [
         SPPattern("heavy", ("zz",), 100),
         SPPattern("probe", new.symbols[:1], 1)])
-    hits, offered = [], []
-    candidates = alignment._candidates
+    calls, offered, walks = [], [], 0
+    candidates, survivor = alignment._candidates, alignment._survivor
 
     def counted_candidates(*args):
         out = candidates(*args)
         offered.append(len(out))
         return out
 
-    with mock.patch.object(kernels, "match_pairs", counting_merges(hits)), \
-            mock.patch.object(alignment, "_candidates", counted_candidates):
+    def counted_survivor(*args):
+        nonlocal walks
+        walks += args[-1] is None  # scored by length, so walked now
+        return survivor(*args)
+
+    with counting_merges(calls), \
+            mock.patch.object(alignment, "_candidates", counted_candidates), \
+            mock.patch.object(alignment, "_survivor", counted_survivor):
         ranking = build_alignments(new, store, 1, max_old_rows)
-    assert len(hits) < sum(offered)
+    # every kernel call but a survivor's walk scored a candidate
+    assert len(calls) - walks < sum(offered)
     assert ranking_of(ranking) == \
         ranking_of(oracle.build_alignments(new, store, 1, max_old_rows))
 
@@ -262,7 +247,7 @@ def counting_builds(rounds, calls):
 
 def assert_builds_at_most_beam(new, store, beam, max_old_rows):
     rounds, calls = {}, []
-    with mock.patch.object(kernels, "match_pairs", counting_merges(calls)), \
+    with counting_merges(calls), \
             mock.patch.object(alignment, "_extend_columns",
                               counting_builds(rounds, calls)):
         ranking = build_alignments(new, store, beam, max_old_rows)
@@ -393,7 +378,7 @@ def test_kittens_retrieve_equals_oracle(kittens_store):
 
 def assert_retrieve_work(query, store, k):
     rounds, calls = {}, []
-    with mock.patch.object(kernels, "match_pairs", counting_merges(calls)), \
+    with counting_merges(calls), \
             mock.patch.object(alignment, "_extend_columns",
                               counting_builds(rounds, calls)):
         retrieve(query, store, k)
@@ -401,7 +386,7 @@ def assert_retrieve_work(query, store, k):
     assert sum(rounds.values()) <= k + 1
     # every query column is open to the kernel, so a call that matched
     # nothing was one on a pattern that shares no symbol with the query
-    assert all(hits >= 1 for hits in calls)
+    assert all(hits >= 1 for _, hits in calls)
 
 
 @settings(max_examples=200)

@@ -8,14 +8,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from icmup import (PatternStore, SPPattern, check_symbol, code_cost,
-                   code_cost_bits, kernels, parse_grammar, parse_hierarchy,
-                   parse_table, patterns, raw_cost, render, symbol_cost_bits,
-                   tokenize)
+                   code_cost_bits, parse_grammar, parse_hierarchy, parse_table,
+                   patterns, raw_cost, render, symbol_cost_bits, tokenize)
 from icmup.cli import main
 from icmup.codecs import runs_from_json, stream_from_json
 from icmup.errors import DegenerateAlphabet, InputFormatError, UnknownPattern
 
-from conftest import KITTENS_GRAMMAR
+from conftest import KITTENS_GRAMMAR, counting_merges
 
 symbol_texts = st.text(alphabet="abcdefgXYZ#/01", min_size=1, max_size=4)
 symbol_lists = st.lists(symbol_texts, min_size=0, max_size=30)
@@ -397,8 +396,7 @@ class TestLazyStore:
             assert store.symbols(pid) == tuple(body.split())
             assert store.symbols(pid) == store.get(pid).symbols
 
-    def test_retrieve_makes_and_walks_only_survivors(self, made, monkeypatch,
-                                                    tmp_path, capsys):
+    def test_retrieve_makes_and_walks_only_survivors(self, made, tmp_path, capsys):
         """20,000 one-symbol copies and one pattern of 20,000 copies: every
         candidate ties, so every one is scored, but only the k + 1 that the
         search keeps are made and walked."""
@@ -406,18 +404,12 @@ class TestLazyStore:
         grammar = tmp_path / "copies.grammar"
         grammar.write_text("".join(f"PATTERN p{i}: a\n" for i in range(n))
                            + "PATTERN deep: " + " a" * n + "\n")
-        walks = []
-        match = kernels.match_pairs
-
-        def counted(*args):
-            walks.append(args[1])
-            return match(*args)
-
-        monkeypatch.setattr(kernels, "match_pairs", counted)
-        assert main(["retrieve", str(grammar), "--query", "a b", "--top", "3"]) == 0
+        calls = []
+        with counting_merges(calls):
+            assert main(["retrieve", str(grammar), "--query", "a b", "--top", "3"]) == 0
         assert capsys.readouterr().out == "deep\t-13.288\np0\t-13.288\np1\t-13.288\n"
         assert len(made["patterns"]) <= 4
-        assert len(walks) <= 4
+        assert len([kernel for kernel, _ in calls if kernel == "match_pairs"]) <= 4
 
     def test_given_patterns_are_returned(self):
         given = [SPPattern.from_text("a", "x y"), SPPattern.from_text("b", "y")]
