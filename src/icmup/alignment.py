@@ -101,13 +101,12 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple, Sequence
 
 from . import kernels
 from .errors import EmptyRanking
-from .patterns import (PatternStore, SPPattern, code_cost, raw_cost,
+from .patterns import (PatternStore, Record, SPPattern, code_cost, raw_cost,
                        symbol_cost_bits)
 
 # A bound must fall this far below the score it has to reach before its
@@ -129,21 +128,33 @@ class Column(NamedTuple):
         return len(self.entries) >= 2
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(Record):
     """Rows, columns and the two cost terms: ``codes``, the Old rows' codes
     summed in row order from 0, and ``unmatched``, the driving symbols
     outside hit columns.  ``encoding_cost`` and ``compression_difference``
-    follow from them, worked out once here."""
+    follow from them, worked out once here, and are fields too."""
 
+    __slots__ = _fields = ("new_row", "old_rows", "columns", "codes", "unmatched",
+                           "alphabet_size", "encoding_cost", "compression_difference")
     new_row: SPPattern
     old_rows: tuple[SPPattern, ...]
     columns: tuple[Column, ...]
     codes: float
     unmatched: int
     alphabet_size: int
-    encoding_cost: float = field(init=False)
-    compression_difference: float = field(init=False)
+    encoding_cost: float
+    compression_difference: float
+
+    def __init__(self, new_row: SPPattern, old_rows: tuple[SPPattern, ...],
+                 columns: tuple[Column, ...], codes: float, unmatched: int,
+                 alphabet_size: int):
+        object.__setattr__(self, "new_row", new_row)
+        object.__setattr__(self, "old_rows", old_rows)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "unmatched", unmatched)
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        self.__post_init__()
 
     def __post_init__(self):
         cost = _cost(self.codes, self.unmatched, self.alphabet_size)

@@ -19,7 +19,14 @@ Were the codecs or the alignment engine loaded on first use, their
 functions would go unwrapped and their layers would read as absent, every
 per-layer figure 0, and the checks that an exercised layer recorded calls
 and that a codec command never reached the kernel would pass without
-testing anything.
+testing anything.  No module on this path imports ``dataclasses``, which
+loads ``inspect`` and ``ast``: the records are ``patterns.Record`` classes.
+
+One table, ``COMMANDS``, declares every subcommand, and ``build_parser``
+builds the ones it is given.  ``main`` builds only the parser of the command
+that ``argv[0]`` names, and all of them for help, a bad command or no
+arguments.  Each command's help and usage, and the top-level usage line
+that argparse prints with some errors, read the same either way.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import argparse
 import functools
 import os
 import sys
+from typing import Iterable
 
 from . import alignment as al
 from . import codecs
@@ -295,12 +303,14 @@ def cmd_unary(args) -> None:
 def cmd_peano(args) -> None:
     from . import setnum
 
+    # both numerals are made before either is printed, so a second one
+    # over the cap prints nothing
     p = setnum.to_peano(args.n)
-    print(p.render())
+    lines = [p.render()]
     if args.m is not None:
         q = setnum.to_peano(args.m)
-        print(q.render())
-        print(f"shared_depth={setnum.peano_shared_depth(p, q)}")
+        lines += [q.render(), f"shared_depth={setnum.peano_shared_depth(p, q)}"]
+    print("\n".join(lines))
 
 
 def cmd_base(args) -> None:
@@ -335,152 +345,136 @@ def cmd_hierarchy(args) -> None:
     from . import hierarchy
 
     h = hierarchy.parse_hierarchy(_read_text(args.hierarchy))
-    did = False
+    # every part is worked out before any is printed, so a part that fails
+    # prints nothing
+    lines = []
     if args.resolve:
         attrs = sorted(hierarchy.resolve_attributes(h, args.resolve))
-        print(f"{args.resolve}: {' '.join(attrs)}")
-        did = True
+        lines.append(f"{args.resolve}: {' '.join(attrs)}")
     if args.context:
         chain = hierarchy.part_context(h, args.context)
-        print(f"{args.context}: {' '.join(chain)}")
-        did = True
+        lines.append(f"{args.context}: {' '.join(chain)}")
     if args.dl:
         size = (len(hierarchy.required_alphabet(h)) if args.alphabet is None
                 else args.alphabet)
         flat = hierarchy.description_length(h, "flat", size)
         hier = hierarchy.description_length(h, "hierarchical", size)
-        print(f"alphabet={size} flat_bits={format_bits(flat)} "
-              f"hierarchical_bits={format_bits(hier)} "
-              f"savings={format_bits(flat - hier)}")
-        did = True
-    if not did:
+        lines.append(f"alphabet={size} flat_bits={format_bits(flat)} "
+                     f"hierarchical_bits={format_bits(hier)} "
+                     f"savings={format_bits(flat - hier)}")
+    if not lines:
         raise InputFormatError("need --resolve, --context, or --dl")
+    print("\n".join(lines))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One ``add_argument`` call, as table data."""
+    return flags, options
+
+
+_CHARS = _arg("--chars", action="store_true",
+              help="one symbol per character instead of whitespace tokens")
+_SEARCH = (_arg("--beam", type=int, default=50),
+           _arg("--max-rows", type=int, default=12))
+_REPORT = _arg("--report")
+_TRACE = _arg("--trace", action="store_true")
+_UNARY_PAIR = (_arg("a", type=int), _arg("b", type=int), _TRACE)
+_UNARY_RANGE = (_arg("--lo", type=int, required=True),
+                _arg("--hi", type=int, required=True),
+                _arg("--terms", required=True,
+                     help="comma-separated term values for lo..hi"),
+                _TRACE)
+
+# Every subcommand, in the order help lists them: its function, its help
+# line, and its arguments, or (for ``unary``) its own subcommands, each
+# with its arguments.
+COMMANDS = {
+    "compress": (cmd_compress, "discover chunks or runs and encode a corpus", (
+        _CHARS, _REPORT, _arg("corpus"),
+        _arg("--mode", choices=("chunk", "rle"), default="chunk"),
+        _arg("--min-len", type=int, default=2),
+        _arg("--min-count", type=int, default=2),
+        _arg("--out", required=True))),
+    "decompress": (cmd_decompress, "reconstruct a corpus from a stream file", (
+        _CHARS, _arg("stream"), _arg("--out", required=True))),
+    "align": (cmd_align, "rank alignments of a new pattern against a grammar", (
+        _CHARS, *_SEARCH, _REPORT, _arg("grammar"), _arg("--new", required=True),
+        _arg("--top", type=int, default=3))),
+    "parse": (cmd_parse, "print the best alignment as a bracketing", (
+        _CHARS, *_SEARCH, _arg("grammar"), _arg("--new", required=True))),
+    "retrieve": (cmd_retrieve, "rank stored patterns against a query", (
+        _CHARS, _arg("grammar"), _arg("--query", required=True),
+        _arg("--top", type=int, default=5))),
+    "table": (cmd_table, "evaluate a function table by row matching", (
+        _arg("table"),
+        _arg("--in", dest="inputs", required=True,
+             help="comma-separated input symbols"),
+        _arg("--diag", action="store_true",
+             help="show per-row match counts and the selected row"))),
+    "circuit": (cmd_circuit, "evaluate or compile a NAND circuit", (
+        _arg("circuit"),
+        _arg("--in", dest="inputs", help="name=value,... assignments"),
+        _arg("--compile", action="store_true",
+             help="print the exhaustive truth table"))),
+    "tm": (cmd_tm, "run a transition-table tape machine", (
+        _arg("machine"), _arg("--tape", required=True),
+        _arg("--head", type=int, default=0), _arg("--state", required=True),
+        _arg("--max-steps", type=int, default=10000))),
+    "sets": (cmd_sets, "multiset/set operations by unification", (
+        _arg("op", choices=("toset", "union", "intersection")),
+        _arg("a"), _arg("b", nargs="?"))),
+    "unary": (cmd_unary, "unary arithmetic with repetition traces", {
+        "add": _UNARY_PAIR, "sub": _UNARY_PAIR, "mul": _UNARY_PAIR,
+        "div": _UNARY_PAIR, "pow": _UNARY_PAIR,
+        "fact": (_arg("a", type=int), _TRACE),
+        "sum": _UNARY_RANGE, "prod": _UNARY_RANGE}),
+    "peano": (cmd_peano, "render naturals as successor numerals", (
+        _arg("n", type=int), _arg("m", type=int, nargs="?"))),
+    "base": (cmd_base, "unary to positional conversion report", (
+        _arg("value"), _arg("base", type=int),
+        _arg("--decode", action="store_true",
+             help="treat value as a digit string and print the count"))),
+    "newton": (cmd_newton, "falling-body table with cost comparison", (
+        _REPORT, _arg("--g", type=float, default=9.80665),
+        _arg("--tmax", type=int, default=16))),
+    "hierarchy": (cmd_hierarchy, "attribute resolution and description lengths", (
+        _arg("hierarchy"), _arg("--resolve", metavar="CLASS"),
+        _arg("--context", metavar="PART"), _arg("--dl", action="store_true"),
+        _arg("--alphabet", type=int))),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, arguments) -> None:
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+
+
+def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the named subcommands, by default all of them.
+
+    Each subcommand's own parser is the same whichever others are built, and
+    so is the usage line: a parser of some commands names all of them in it,
+    as the full parser does from its choices.  The full parser leaves that
+    metavar unset, since an error about the command argument names it by its
+    metavar (``argument command: invalid choice: ...``)."""
+    names = tuple(commands)
     parser = argparse.ArgumentParser(
         prog="icmup",
         description="Pattern codecs, hierarchies, table machines, and a "
                     "multiple-alignment engine with bit accounting.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    chars = argparse.ArgumentParser(add_help=False)
-    chars.add_argument("--chars", action="store_true",
-                       help="one symbol per character instead of whitespace tokens")
-    search = argparse.ArgumentParser(add_help=False)
-    search.add_argument("--beam", type=int, default=50)
-    search.add_argument("--max-rows", type=int, default=12)
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--report")
-
-    p = sub.add_parser("compress", parents=[chars, report],
-                       help="discover chunks or runs and encode a corpus")
-    p.add_argument("corpus")
-    p.add_argument("--mode", choices=("chunk", "rle"), default="chunk")
-    p.add_argument("--min-len", type=int, default=2)
-    p.add_argument("--min-count", type=int, default=2)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compress)
-
-    p = sub.add_parser("decompress", parents=[chars],
-                       help="reconstruct a corpus from a stream file")
-    p.add_argument("stream")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decompress)
-
-    p = sub.add_parser("align", parents=[chars, search, report],
-                       help="rank alignments of a new pattern against a grammar")
-    p.add_argument("grammar")
-    p.add_argument("--new", required=True)
-    p.add_argument("--top", type=int, default=3)
-    p.set_defaults(func=cmd_align)
-
-    p = sub.add_parser("parse", parents=[chars, search],
-                       help="print the best alignment as a bracketing")
-    p.add_argument("grammar")
-    p.add_argument("--new", required=True)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("retrieve", parents=[chars],
-                       help="rank stored patterns against a query")
-    p.add_argument("grammar")
-    p.add_argument("--query", required=True)
-    p.add_argument("--top", type=int, default=5)
-    p.set_defaults(func=cmd_retrieve)
-
-    p = sub.add_parser("table", help="evaluate a function table by row matching")
-    p.add_argument("table")
-    p.add_argument("--in", dest="inputs", required=True,
-                   help="comma-separated input symbols")
-    p.add_argument("--diag", action="store_true",
-                   help="show per-row match counts and the selected row")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("circuit", help="evaluate or compile a NAND circuit")
-    p.add_argument("circuit")
-    p.add_argument("--in", dest="inputs", help="name=value,... assignments")
-    p.add_argument("--compile", action="store_true",
-                   help="print the exhaustive truth table")
-    p.set_defaults(func=cmd_circuit)
-
-    p = sub.add_parser("tm", help="run a transition-table tape machine")
-    p.add_argument("machine")
-    p.add_argument("--tape", required=True)
-    p.add_argument("--head", type=int, default=0)
-    p.add_argument("--state", required=True)
-    p.add_argument("--max-steps", type=int, default=10000)
-    p.set_defaults(func=cmd_tm)
-
-    p = sub.add_parser("sets", help="multiset/set operations by unification")
-    p.add_argument("op", choices=("toset", "union", "intersection"))
-    p.add_argument("a")
-    p.add_argument("b", nargs="?")
-    p.set_defaults(func=cmd_sets)
-
-    p = sub.add_parser("unary", help="unary arithmetic with repetition traces")
-    usub = p.add_subparsers(dest="op", required=True)
-    for op, na in (("add", 2), ("sub", 2), ("mul", 2), ("div", 2),
-                   ("pow", 2), ("fact", 1)):
-        q = usub.add_parser(op)
-        q.add_argument("a", type=int)
-        if na == 2:
-            q.add_argument("b", type=int)
-        q.add_argument("--trace", action="store_true")
-        q.set_defaults(func=cmd_unary)
-    for op in ("sum", "prod"):
-        q = usub.add_parser(op)
-        q.add_argument("--lo", type=int, required=True)
-        q.add_argument("--hi", type=int, required=True)
-        q.add_argument("--terms", required=True,
-                       help="comma-separated term values for lo..hi")
-        q.add_argument("--trace", action="store_true")
-        q.set_defaults(func=cmd_unary)
-
-    p = sub.add_parser("peano", help="render naturals as successor numerals")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int, nargs="?")
-    p.set_defaults(func=cmd_peano)
-
-    p = sub.add_parser("base", help="unary to positional conversion report")
-    p.add_argument("value")
-    p.add_argument("base", type=int)
-    p.add_argument("--decode", action="store_true",
-                   help="treat value as a digit string and print the count")
-    p.set_defaults(func=cmd_base)
-
-    p = sub.add_parser("newton", parents=[report],
-                       help="falling-body table with cost comparison")
-    p.add_argument("--g", type=float, default=9.80665)
-    p.add_argument("--tmax", type=int, default=16)
-    p.set_defaults(func=cmd_newton)
-
-    p = sub.add_parser("hierarchy", help="attribute resolution and description lengths")
-    p.add_argument("hierarchy")
-    p.add_argument("--resolve", metavar="CLASS")
-    p.add_argument("--context", metavar="PART")
-    p.add_argument("--dl", action="store_true")
-    p.add_argument("--alphabet", type=int)
-    p.set_defaults(func=cmd_hierarchy)
-
+    every = "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if names == tuple(COMMANDS) else every)
+    for name in names:
+        func, summary, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if isinstance(arguments, dict):  # a command with subcommands of its own
+            ops = p.add_subparsers(dest="op", required=True)
+            for op, op_arguments in arguments.items():
+                _add_arguments(ops.add_parser(op), op_arguments)
+        else:
+            _add_arguments(p, arguments)
     return parser
 
 
@@ -510,14 +504,19 @@ def _check_outputs(args) -> None:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by later ``main`` calls."""
-    return build_parser()
+def _parser(commands: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of ``commands``, built on first use and shared by later
+    ``main`` calls."""
+    return build_parser(commands)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command's arguments need only its own parser; help, a bad command
+    # and no arguments at all need the full one
+    commands = (argv[0],) if argv and argv[0] in COMMANDS else tuple(COMMANDS)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(commands).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

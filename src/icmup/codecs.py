@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, count, repeat
 from operator import add, eq
@@ -51,31 +50,41 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent, TooLarge)
-from .patterns import (PatternStore, SPPattern, check_symbol, check_symbols,
-                       code_cost, is_count, symbol_cost_bits)
+from .patterns import (PatternStore, Record, SPPattern, check_symbol,
+                       check_symbols, code_cost, is_count, symbol_cost_bits)
 
 # the most symbols ``rle_decode`` or ``chunk_decode`` makes: 100 times the
 # 100k-character corpus the README times, and a list of about 80 MB
 DECODE_CAP = 10 ** 7
 
 
-@dataclass(frozen=True, slots=True)
-class CodeRef:
+class CodeRef(Record):
+    __slots__ = _fields = ("code",)
     code: str
 
+    def __init__(self, code: str):
+        object.__setattr__(self, "code", code)
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+
+class Literal(Record):
+    __slots__ = _fields = ("symbol",)
     symbol: str
+
+    def __init__(self, symbol: str):
+        object.__setattr__(self, "symbol", symbol)
 
 
 Token = Union[CodeRef, Literal]
 
 
-@dataclass(frozen=True)
-class EncodedStream:
+class EncodedStream(Record):
+    __slots__ = _fields = ("dictionary", "tokens")
     dictionary: PatternStore
     tokens: tuple[Token, ...]
+
+    def __init__(self, dictionary: PatternStore, tokens: tuple[Token, ...]):
+        object.__setattr__(self, "dictionary", dictionary)
+        object.__setattr__(self, "tokens", tokens)
 
 
 def _spell(symbols: Iterable[str], letters: dict[str, str]) -> str:
@@ -310,12 +319,17 @@ class Unbounded(Enum):
 UNBOUNDED = Unbounded.UNBOUNDED
 
 
-@dataclass(frozen=True, slots=True)
-class Run:
+class Run(Record):
     """A block of symbols and how many times it repeats."""
 
+    __slots__ = _fields = ("symbols", "count")
     symbols: tuple[str, ...]
-    count: "int | Unbounded"
+    count: int | Unbounded
+
+    def __init__(self, symbols: tuple[str, ...], count: int | Unbounded):
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "count", count)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.symbols:
@@ -412,18 +426,27 @@ def rle_decode(runs: Sequence[Run]) -> list[str]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class FixedSymbol:
+class FixedSymbol(Record):
+    __slots__ = _fields = ("symbol",)
     symbol: str
+
+    def __init__(self, symbol: str):
+        object.__setattr__(self, "symbol", symbol)
+        self.__post_init__()
 
     def __post_init__(self):
         check_symbol(self.symbol)
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(Record):
+    __slots__ = _fields = ("name", "fillers")
     name: str
     fillers: tuple[tuple[str, SPPattern], ...]  # (code, filler) pairs
+
+    def __init__(self, name: str, fillers: tuple[tuple[str, SPPattern], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fillers", fillers)
+        self.__post_init__()
 
     def __post_init__(self):
         codes = [c for c, _ in self.fillers]
@@ -443,10 +466,15 @@ class Slot:
 SchemaElement = Union[FixedSymbol, Slot]
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Record):
+    __slots__ = _fields = ("id", "elements")
     id: str
     elements: tuple[SchemaElement, ...]
+
+    def __init__(self, id: str, elements: tuple[SchemaElement, ...]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "elements", elements)
+        self.__post_init__()
 
     def __post_init__(self):
         names = [e.name for e in self.elements if isinstance(e, Slot)]

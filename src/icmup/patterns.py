@@ -25,6 +25,12 @@ index, one postings list per text, is read only as the levels of
 ``PatternStore.holders``.  A search, and a chunk stream's price, read the
 store's codes from ``PatternStore.codes``.
 
+``Record`` is the base of the package's frozen records (``SPPattern``, the
+codecs' tokens, runs and schemas, and ``alignment.Alignment``): slotted
+classes with explicit ``__init__`` methods, equal by type and fields,
+immutable and picklable, with a dataclass's repr, made without importing
+``dataclasses``.
+
 Costs are fractional "ideal" bits throughout: a symbol over an alphabet of
 size A costs log2(A) bits (1 bit for the degenerate A=1 alphabet), and a
 stored pattern's code costs -log2(f/F) bits where f is its frequency and F
@@ -36,7 +42,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownPattern
@@ -86,13 +91,67 @@ def check_texts(texts: Sequence) -> None:
             check_symbol(text)  # raises for the first bad one
 
 
-@dataclass(frozen=True, slots=True)
-class SPPattern:
+class Record:
+    """The base of the package's frozen records, in the place of a frozen
+    dataclass: ``dataclasses`` imports ``inspect`` and ``ast``, a large
+    share of the time a fresh CLI process takes to start.
+
+    A subclass names its fields, in order, in ``_fields`` and in
+    ``__slots__``.  Its ``__init__`` sets them with ``object.__setattr__``,
+    then calls ``__post_init__`` when it has checks to run.  Two records are
+    equal, and hash alike, when they are of the very same type and their
+    fields are equal; the repr is a dataclass's.  A field can be neither set
+    nor deleted.  Unpickling sets the fields as they were, as a dataclass's
+    does, without running the checks again."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _unpickle, (type(self), self._values())
+
+
+def _unpickle(cls: type, values: tuple) -> Record:
+    record = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class SPPattern(Record):
     """An ordered, non-empty sequence of symbols with an id and a frequency."""
 
+    __slots__ = _fields = ("id", "symbols", "frequency")
     id: str
     symbols: tuple[str, ...]
-    frequency: int = 1
+    frequency: int
+
+    def __init__(self, id: str, symbols: Sequence[str], frequency: int = 1):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "frequency", frequency)
+        self.__post_init__()
 
     def __post_init__(self):
         symbols = tuple(self.symbols)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Context, Decimal
 
 # Digits enough to hold any finite float to a few decimals exactly: the
@@ -32,19 +31,30 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-@dataclass
 class RunReport:
     """Summary of one CLI run: its input files plus the cost accounting.
+    A command fills it in as it runs, so its fields can be set; two reports
+    are equal when their fields are.
 
     The inputs are named by path, and ``write`` names each by its sha256
     too, so a run that writes no report reads no input twice."""
 
-    command: str
-    inputs: tuple[str, ...] = ()
-    raw_bits: float = 0.0
-    encoded_bits: float = 0.0
-    details: dict = field(default_factory=dict)
-    dictionary_bits: float | None = None  # set by codecs that send a dictionary
+    def __init__(self, command: str, inputs: tuple[str, ...] = (),
+                 raw_bits: float = 0.0, encoded_bits: float = 0.0,
+                 details: dict | None = None,
+                 dictionary_bits: float | None = None):
+        self.command = command
+        self.inputs = inputs
+        self.raw_bits = raw_bits
+        self.encoded_bits = encoded_bits
+        self.details = {} if details is None else details
+        # set by codecs that send a dictionary
+        self.dictionary_bits = dictionary_bits
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def ratio(self) -> float:

@@ -645,6 +645,13 @@ class TestSmallCommands:
         assert (code, stdout) == (3, "")
         assert err == "TooLarge: successor depth 1000001 exceeds cap 1000000\n"
 
+    def test_peano_second_numeral_over_the_cap_prints_nothing(self, capsys):
+        # the first numeral is valid, but no line is printed before the
+        # second one is known to be
+        code, stdout, err = run(capsys, "peano", "2", "1000001")
+        assert (code, stdout) == (3, "")
+        assert err == "TooLarge: successor depth 1000001 exceeds cap 1000000\n"
+
     def test_base(self, capsys):
         code, stdout, _ = run(capsys, "base", "17", "10")
         assert code == 0
@@ -700,6 +707,22 @@ class TestSmallCommands:
         assert code == 0 and "flat_bits=" in stdout
         code, _, err = run(capsys, "hierarchy", str(h))
         assert code == 2
+
+    @pytest.mark.parametrize("argv, want, message", [
+        (["--resolve", "cat", "--context", "nope"], 3,
+         "UnknownClass: no class named 'nope'\n"),
+        (["--resolve", "cat", "--dl", "--alphabet", "1"], 3,
+         "DegenerateAlphabet: alphabet of 1 cannot cover 3 distinct symbols\n"),
+        (["--context", "cat", "--resolve", "nope"], 3,
+         "UnknownClass: no class named 'nope'\n"),
+    ], ids=["context", "dl", "resolve"])
+    def test_hierarchy_later_part_failing_prints_nothing(self, tmp_path, capsys,
+                                                         argv, want, message):
+        h = tmp_path / "h.txt"
+        h.write_text("CLASS mammal : attrs=fur parents= parts=\n"
+                     "CLASS cat : attrs= parents=mammal parts=\n")
+        code, stdout, err = run(capsys, "hierarchy", str(h), *argv)
+        assert (code, stdout, err) == (want, "", message)
 
     @pytest.mark.parametrize("edge", ["parents", "parts"])
     def test_hierarchy_deep_chain(self, tmp_path, capsys, edge):
@@ -764,32 +787,42 @@ class TestParserReuse:
             ["unary", "add", "2", "3"],
             ["compress"],
             ["peano", "2", "3"],
+            ["nosuch"],
+            [],
         ]
         cli._parser.cache_clear()
         shared = [run(capsys, *argv) for argv in argvs]
-        assert cli._parser.cache_info().misses == 1
+        # one build per distinct command, and one of the full parser, which
+        # a bad command and no arguments share
+        assert cli._parser.cache_info().misses == 7
         fresh = []
         for argv in argvs:
             cli._parser.cache_clear()
             fresh.append(run(capsys, *argv))
         assert shared == fresh
-        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 0, 2, 0]
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 0, 2, 0, 2, 2]
         assert "invalid choice" in shared[5][2]
+        assert "invalid choice: 'nosuch'" in shared[9][2]
+
+
+def _subparsers(parser):
+    """Each subcommand's parser, nested subcommands as 'a b'."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out[name] = sub
+                out.update({f"{name} {k}": v for k, v in _subparsers(sub).items()})
+    return out
 
 
 def _option_strings(parser):
     """Each subcommand's option strings but for help, nested subcommands
     as 'a b'."""
-    out = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                out[name] = sorted(o for a in sub._actions
-                                   if not isinstance(a, argparse._HelpAction)
-                                   for o in a.option_strings)
-                out.update({f"{name} {k}": v
-                            for k, v in _option_strings(sub).items()})
-    return out
+    return {name: sorted(o for a in sub._actions
+                         if not isinstance(a, argparse._HelpAction)
+                         for o in a.option_strings)
+            for name, sub in _subparsers(parser).items()}
 
 
 def test_option_strings_pinned():
@@ -819,6 +852,64 @@ def test_option_strings_pinned():
         "newton": ["--g", "--report", "--tmax"],
         "hierarchy": ["--alphabet", "--context", "--dl", "--resolve"],
     }
+
+
+# the fewest arguments each command parses
+MINIMAL_ARGS = {
+    "compress": ["c.txt", "--out", "o.json"],
+    "decompress": ["s.json", "--out", "o.txt"],
+    "align": ["g.txt", "--new", "a"],
+    "parse": ["g.txt", "--new", "a"],
+    "retrieve": ["g.txt", "--query", "a"],
+    "table": ["t.tsv", "--in", "1"],
+    "circuit": ["c.txt"],
+    "tm": ["m.txt", "--tape", "0", "--state", "s0"],
+    "sets": ["toset", "a"],
+    "unary": ["add", "1", "2"],
+    "peano": ["1"],
+    "base": ["1", "2"],
+    "newton": [],
+    "hierarchy": ["h.txt"],
+}
+
+
+def _parse_error(parser, argv, capsys):
+    with pytest.raises(SystemExit) as caught:
+        parser.parse_args(argv)
+    return caught.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_one_command_parser_prints_what_the_full_one_does(name, capsys):
+    full, one = cli.build_parser(), cli.build_parser((name,))
+    assert one.format_usage() == full.format_usage()
+    full_subs, one_subs = _subparsers(full), _subparsers(one)
+    assert set(one_subs) == {k for k in full_subs if k.split()[0] == name}
+    for key, sub in one_subs.items():
+        assert sub.format_help() == full_subs[key].format_help()
+        assert sub.format_usage() == full_subs[key].format_usage()
+    # argparse reports an unrecognized argument with the top-level usage,
+    # and a missing or bad one with the command's
+    for argv in ([name, *MINIMAL_ARGS[name], "--bogus"], [name, "--bogus"]):
+        want = _parse_error(full, argv, capsys)
+        assert want[0] == 2
+        assert _parse_error(one, argv, capsys) == want
+        assert main(argv) == 2
+        assert capsys.readouterr() == want[1]
+
+
+def test_full_parser_lists_every_command(capsys):
+    full = cli.build_parser()
+    assert [k for k in _subparsers(full) if " " not in k] == list(cli.COMMANDS)
+    assert main(["--help"]) == 0
+    listed = capsys.readouterr().out
+    assert "{" + ",".join(cli.COMMANDS) + "}" in listed
+    assert all(f"    {name} " in listed for name in cli.COMMANDS)
+    assert main(["nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: icmup [-h]")
+    assert "{compress,decompress," in err
+    assert "error: argument command: invalid choice: 'nosuch'" in err
 
 
 # Runs cli.main on its arguments, if any, and prints the icmup modules loaded.
@@ -862,6 +953,8 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, more):
 def test_cli_import_needs_no_numpy_or_numba():
     code = "import sys, icmup.cli; print(sorted({'numpy', 'numba'} & set(sys.modules)))"
     assert fresh_python("-c", code).strip() == "[]"
-    # -S keeps site's own imports out; only a written report needs hashlib
-    code = "import sys, icmup.cli; print('hashlib' in sys.modules)"
-    assert fresh_python("-S", "-c", code).strip() == "False"
+    # -S keeps site's own imports out; only a written report needs hashlib,
+    # and no record is a dataclass, whose module loads inspect and ast
+    code = ("import sys, icmup.cli; "
+            "print(sorted({'hashlib', 'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert fresh_python("-S", "-c", code).strip() == "[]"

@@ -1,0 +1,204 @@
+"""The package's value records: equality, hashing, repr, immutability and
+pickling, pinned field by field so that how a record is declared may change
+while what it does stays."""
+
+import pickle
+
+import pytest
+
+from icmup import (CodeRef, EncodedStream, FixedSymbol, Literal, PatternStore, Run,
+                   SPPattern, Schema, Slot, UNBOUNDED)
+from icmup.alignment import Alignment, Column
+from icmup.reporting import RunReport
+
+FILLER = SPPattern("a", ("p",))
+SLOT = Slot("X", (("a", FILLER),))
+COLUMNS = (Column("a", ((0, 0),)), Column("b", ((0, 1), (1, 0))))
+
+# record, an equal record made apart from it, a record of the same type
+# that differs in one field, and the exact repr
+CASES = {
+    "SPPattern": (SPPattern("p", ("a", "b"), 2), SPPattern("p", ["a", "b"], 2),
+                  SPPattern("p", ("a", "b")),
+                  "SPPattern(id='p', symbols=('a', 'b'), frequency=2)"),
+    "CodeRef": (CodeRef("w1"), CodeRef("w1"), CodeRef("w2"), "CodeRef(code='w1')"),
+    "Literal": (Literal("x"), Literal("x"), Literal("y"), "Literal(symbol='x')"),
+    "Run": (Run(("a", "b"), 3), Run(("a", "b"), 3), Run(("a", "b"), UNBOUNDED),
+            "Run(symbols=('a', 'b'), count=3)"),
+    "FixedSymbol": (FixedSymbol("k"), FixedSymbol("k"), FixedSymbol("q"),
+                    "FixedSymbol(symbol='k')"),
+    "Slot": (SLOT, Slot("X", (("a", SPPattern("a", ("p",))),)),
+             Slot("Y", (("a", FILLER),)),
+             "Slot(name='X', fillers=(('a', SPPattern(id='a', symbols=('p',), "
+             "frequency=1)),))"),
+    "Schema": (Schema("S", (FixedSymbol("k"), SLOT)),
+               Schema("S", (FixedSymbol("k"), SLOT)), Schema("S", (FixedSymbol("k"),)),
+               "Schema(id='S', elements=(FixedSymbol(symbol='k'), Slot(name='X', "
+               "fillers=(('a', SPPattern(id='a', symbols=('p',), frequency=1)),))))"),
+    "Alignment": (Alignment(SPPattern("new", ("a", "b")), (SPPattern("o", ("b",)),),
+                            COLUMNS, 0.0, 1, 2),
+                  Alignment(SPPattern("new", ("a", "b")), (SPPattern("o", ("b",)),),
+                            COLUMNS, 0.0, 1, 2),
+                  Alignment(SPPattern("new", ("a", "b")), (SPPattern("o", ("b",)),),
+                            COLUMNS, 0.5, 1, 2),
+                  "Alignment(new_row=SPPattern(id='new', symbols=('a', 'b'), "
+                  "frequency=1), old_rows=(SPPattern(id='o', symbols=('b',), "
+                  "frequency=1),), columns=(Column(symbol='a', entries=((0, 0),)), "
+                  "Column(symbol='b', entries=((0, 1), (1, 0)))), codes=0.0, "
+                  "unmatched=1, alphabet_size=2, encoding_cost=1.0, "
+                  "compression_difference=1.0)"),
+}
+
+FIRST_FIELD = {"SPPattern": "id", "CodeRef": "code", "Literal": "symbol",
+               "Run": "symbols", "FixedSymbol": "symbol", "Slot": "name",
+               "Schema": "id", "Alignment": "new_row"}
+
+
+@pytest.mark.parametrize("name", CASES)
+class TestFrozenRecords:
+    def test_equal_fields_make_equal_records_with_equal_hashes(self, name):
+        record, same, other, _ = CASES[name]
+        assert record == same and not record != same
+        assert hash(record) == hash(same)
+        assert record != other
+        assert len({record, same, other}) == 2
+
+    def test_repr_is_pinned(self, name):
+        record, _, _, text = CASES[name]
+        assert repr(record) == text
+
+    def test_fields_cannot_be_set_or_deleted(self, name):
+        record = CASES[name][0]
+        field = FIRST_FIELD[name]
+        value = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) is value
+
+    def test_pickle_round_trip(self, name):
+        record = CASES[name][0]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(record, protocol))
+            assert type(again) is type(record)
+            assert again == record and hash(again) == hash(record)
+            assert repr(again) == repr(record)
+
+
+def test_a_code_reference_is_not_a_literal():
+    assert CodeRef("x") != Literal("x")
+    assert Literal("x") != CodeRef("x")
+    assert len({CodeRef("x"), Literal("x")}) == 2
+
+
+def test_records_are_not_ordered():
+    with pytest.raises(TypeError):
+        CodeRef("a") < CodeRef("b")
+
+
+def test_keywords_name_the_fields():
+    assert SPPattern(id="p", symbols=("a",), frequency=2) == SPPattern("p", ("a",), 2)
+    assert Run(symbols=("a",), count=2) == Run(("a",), 2)
+    assert CodeRef(code="w1") == CodeRef("w1")
+    assert Literal(symbol="x") == Literal("x")
+    assert FixedSymbol(symbol="k") == FixedSymbol("k")
+    assert Slot(name="X", fillers=SLOT.fillers) == SLOT
+    assert Schema(id="S", elements=(SLOT,)) == Schema("S", (SLOT,))
+    with pytest.raises(TypeError):
+        SPPattern("p")
+    with pytest.raises(TypeError):
+        CodeRef("a", "b")
+
+
+def test_an_alignment_works_out_its_costs_and_takes_no_cost_argument():
+    al = CASES["Alignment"][0]
+    assert (al.encoding_cost, al.compression_difference) == (1.0, 1.0)
+    with pytest.raises(TypeError):
+        Alignment(al.new_row, al.old_rows, al.columns, 0.0, 1, 2, 1.0)
+    with pytest.raises(TypeError):
+        Alignment(al.new_row, al.old_rows, al.columns, 0.0, 1, 2,
+                  encoding_cost=1.0)
+
+
+def test_an_encoded_stream_compares_its_store_by_identity():
+    store = PatternStore([SPPattern("w1", ("a", "b"), 2)])
+    tokens = (CodeRef("w1"), Literal("x"))
+    stream = EncodedStream(store, tokens)
+    assert stream == EncodedStream(store, tokens)
+    assert hash(stream) == hash(EncodedStream(store, tokens))
+    assert stream != EncodedStream(PatternStore(list(store)), tokens)
+    assert repr(stream) == (f"EncodedStream(dictionary={store!r}, tokens=("
+                            "CodeRef(code='w1'), Literal(symbol='x')))")
+    with pytest.raises(AttributeError):
+        stream.tokens = ()
+    again = pickle.loads(pickle.dumps(stream))
+    assert again.tokens == tokens
+    assert list(again.dictionary) == list(store)
+
+
+def test_checks_still_run_when_a_record_is_made():
+    with pytest.raises(ValueError):
+        SPPattern("p", ())
+    with pytest.raises(ValueError):
+        Run((), 1)
+    with pytest.raises(ValueError):
+        FixedSymbol("a b")
+    with pytest.raises(ValueError):
+        Slot("X", (("a", FILLER), ("a", SPPattern("b", ("q",)))))
+    with pytest.raises(ValueError):
+        Schema("S", (SLOT, SLOT))
+    # a pattern's symbols are kept as a tuple, whatever sequence made it
+    assert SPPattern("p", ["a"]).symbols == ("a",)
+
+
+def test_a_pattern_subclass_keeps_the_checks_and_its_own_type():
+    seen = []
+
+    class Counted(SPPattern):
+        __slots__ = ()
+
+        def __post_init__(self):
+            seen.append(self.id)
+            SPPattern.__post_init__(self)
+
+    made = Counted("p", ["a"], 2)
+    assert seen == ["p"] and made.symbols == ("a",)
+    assert made != SPPattern("p", ("a",), 2)
+    assert made == Counted("p", ("a",), 2)
+    assert repr(made).endswith(".Counted(id='p', symbols=('a',), frequency=2)")
+    with pytest.raises(ValueError):
+        Counted("q", ())
+    with pytest.raises(AttributeError):
+        made.id = "q"
+
+
+class TestRunReport:
+    """The report is filled in as a command runs, so it stays mutable."""
+
+    def test_keywords_defaults_and_order(self):
+        report = RunReport("compress")
+        assert (report.command, report.inputs, report.raw_bits, report.encoded_bits,
+                report.details, report.dictionary_bits) == ("compress", (), 0.0, 0.0,
+                                                            {}, None)
+        assert RunReport("c").details is not RunReport("c").details
+        full = RunReport("align", ("g.txt",), 8.0, 2.0, {"k": 1}, 1.0)
+        assert full == RunReport(command="align", inputs=("g.txt",), raw_bits=8.0,
+                                 encoded_bits=2.0, details={"k": 1},
+                                 dictionary_bits=1.0)
+        assert (full.ratio, full.total_bits) == (0.25, 3.0)
+
+    def test_fields_can_be_set_and_reports_compare_by_field(self):
+        report = RunReport("compress", ("c.txt",))
+        other = RunReport("compress", ("c.txt",))
+        assert report == other
+        report.raw_bits = 4.0
+        report.details = {"mode": "rle"}
+        assert report != other and report.raw_bits == 4.0
+        with pytest.raises(TypeError):
+            hash(report)
+
+    def test_pickle_round_trip(self):
+        report = RunReport("newton", raw_bits=3.0, details={"g": 9.8})
+        again = pickle.loads(pickle.dumps(report))
+        assert type(again) is RunReport and again == report
