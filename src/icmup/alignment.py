@@ -66,25 +66,28 @@ Most candidates are skipped before the kernel scores them, by an exact
 bound.  Adding pattern p to alignment al turns at most mh(p) driving symbols
 into hits, where mh(p) = sum over texts t of min(count of t in p, count of t
 in al's unmatched driving columns), because a matched pair joins equal texts
-and uses each occurrence once.  So the extension's CD is at most CD(al) -
-code(p) + mh(p) * log2(A).  The ceilings come from counting, not from one
+and uses each occurrence once.  The ceilings come from counting, not from one
 ``min`` per (text, pattern) pair: with need copies of t among the driving
 columns, min(have, need) = sum over c < need of [have > c], so counting each
 id once in every level c < need of ``store.holders(t)``, the ids holding
-more than c copies, sums mh(p) in C.  A frontier member's bounds sit in a
-heap, popped best first until one fails.  Once the round holds ``beam``
-distinct alignments, kept or scored, a candidate whose bound is below the
-beam-th best of their CDs (by a 1e-9 margin, so rounding never skips a tie)
-ranks below all of them and would be cut at the round's end; nothing leaves
-the round before its end, so that threshold only rises, and later rounds
-extend only beam members.  The ranking is therefore exactly the one the
-search gives without the bound.  On the kittens example at the defaults (beam
-50, 12 rows) this cuts the scorings from 838 to 354, and 133 of those
-extensions are built.  A pattern that shares a symbol only with Old columns
-has mh 0 and a bound of CD(al) - code(p), so when that bound for the store's
-cheapest code already fails at the member's start, the member gathers none
-of them: each would fail when popped and end the member's loop, so the same
-candidates are scored.
+more than c copies, sums mh(p) in C.  The bound is the CD's own float
+expression with mh(p) in place of the hits, raw - ((codes + code(p)) +
+(unmatched - mh(p)) * log2(A)); rounding to nearest is monotone in each
+operand, so no extension's float CD exceeds its float bound, with no margin.
+Each round keeps one list: the rank keys (-CD, rows, ids) of its ``beam``
+best alignments, kept or scored, best first.  Once it is full, an extension
+whose key under its bound sorts after the last one ranks below all of them.
+The last key only improves as the round goes on, so a skipped candidate
+stays out, and at the round's end the list is the next beam.  A member's
+bounds sit in a heap of (-bound, id), which pops its extensions' keys in
+order, so the first skip ends the member.  The ranking is therefore exactly
+the one the search gives without the bound.  On the kittens example at the
+defaults (beam 50, 12 rows) this cuts the scorings from 838 to 177, and 133
+of those extensions are built.  A pattern that shares a symbol only with
+Old columns has mh 0, so when the key of the store's cheapest code under the
+least id, ``ids + ("",)``, already fails at the member's start, the member
+gathers none of them: each would fail when popped and end the member's
+loop, so the same candidates are scored.
 
 ``retrieve`` is the search's first round.  There every column is driving
 and unhit, so every candidate is scored by its LCS length with the query,
@@ -100,6 +103,7 @@ and ``retrieve`` ranks those patterns with the search's before taking k.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import Counter
 from itertools import chain
 from typing import NamedTuple, Sequence
@@ -108,10 +112,6 @@ from . import kernels
 from .errors import EmptyRanking
 from .patterns import (PatternStore, Record, SPPattern, code_cost, raw_cost,
                        symbol_cost_bits)
-
-# A bound must fall this far below the score it has to reach before its
-# candidate is skipped, so float rounding can never skip a tie.
-_PRUNE_MARGIN = 1e-9
 
 
 class Column(NamedTuple):
@@ -259,13 +259,6 @@ def compose_alignment(new: SPPattern, row_patterns: Sequence[SPPattern],
     return al
 
 
-def _rank_key(item: tuple[float, tuple[str, ...]]) -> tuple:
-    """(CD, Old-row ids): best CD first, then fewer rows, then the ids,
-    which name the alignment, so no two alignments of a round tie."""
-    cd, ids = item
-    return (-cd, len(ids), ids)
-
-
 def alignment_probabilities(alignments: Sequence[Alignment]) -> list[float]:
     """Relative probabilities 2^(-cost), normalised over the given list."""
     if not alignments:
@@ -325,7 +318,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
     codes = store.codes()
     cheapest = min(codes.values(), default=0.0)
 
-    # the beam: Old-row ids -> alignment
+    # the beam: Old-row ids -> alignment, best first
     kept = {(): literal}
     for rows in range(max_old_rows):
         # Each round extends the members the last round admitted, which are
@@ -335,17 +328,12 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
         frontier = [(ids, al) for ids, al in kept.items() if len(ids) == rows]
         if not frontier:
             break
-        # the `beam` best CDs among the distinct alignments of this round;
-        # once it is full, its head is the CD an extension must reach
-        floor = [al.compression_difference for al in kept.values()]
-        heapq.heapify(floor)
-
-        def below_floor(cd: float) -> bool:
-            """Whether an extension whose CD is at most ``cd`` would be cut
-            at the round's end; the floor only rises, so it stays cut."""
-            return len(floor) == beam and cd < floor[0] - _PRUNE_MARGIN
-
-        # Old-row ids -> (CD, parent, its kernel input, pairs): an extension
+        # the rank keys (-CD, rows, ids) of the round's `beam` best
+        # alignments, kept or scored, best first: once full, its last key is
+        # the floor an extension must beat, and at the round's end it is the
+        # next beam
+        best = [(-al.compression_difference, len(ids), ids) for ids, al in kept.items()]
+        # Old-row ids -> (parent, its kernel input, pairs): an extension
         # scored but not yet built (always a new key); pairs is None for one
         # scored by length
         scored = {}
@@ -356,39 +344,37 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
             member = targets, texts, masks
             # with every non-hit column driving, every pair is a driving hit
             by_length = all(drives)
-            # a pattern that shares only Old symbols makes no driving hit, so
-            # its bound is CD(al) - code(p): gather those only if the
-            # cheapest code can pass
-            olds = not below_floor(al.compression_difference - cheapest)
-            # (least the pattern can add to the cost, id), popped best first
-            bounds = [(codes[pid] - ceiling * bits, pid) for pid, ceiling
-                      in _candidates(texts, drives, store, olds).items()]
-            heapq.heapify(bounds)
-            while bounds:
-                cost, pid = heapq.heappop(bounds)
-                if below_floor(al.compression_difference - cost):
-                    break  # the rest bound lower still
+            # a bound is the CD's own float with mh(p) for the driving hits;
+            # the patterns that share only Old symbols (mh 0) are gathered
+            # only if the cheapest code under the least id can pass
+            spent, unmatched = al.codes, al.unmatched
+            olds = len(best) < beam or (
+                -(raw - ((spent + cheapest) + unmatched * bits)), rows + 1, ids + ("",)
+            ) < best[-1]
+            # (-bound, id): popped in the order of the extensions' rank keys
+            heap = [(-(raw - ((spent + codes[pid]) + (unmatched - ceiling) * bits)), pid)
+                    for pid, ceiling in _candidates(texts, drives, store, olds).items()]
+            heapq.heapify(heap)
+            while heap:
+                top, pid = heapq.heappop(heap)
+                ext = ids + (pid,)
+                if len(best) == beam and (top, rows + 1, ext) > best[-1]:
+                    break  # it and every later key rank below the beam
                 symbols = store.symbols(pid)
                 if by_length:
                     pairs, hits = None, kernels.lcs_length(masks, len(texts), symbols)
                 else:
                     pairs = kernels.match_pairs(texts, symbols, masks)
                     hits = sum([drives[ti] for ti, _ in pairs])
-                # the CD ``_extend`` gives: the driving pairs are the ones
-                # ``_extend_columns`` counts
-                cd = raw - _cost(al.codes + codes[pid], al.unmatched - hits,
-                                 alphabet_size)
-                scored[ids + (pid,)] = (cd, al, member, pairs)
-                if len(floor) < beam:
-                    heapq.heappush(floor, cd)
-                else:
-                    heapq.heappushpop(floor, cd)
-        ranked = sorted([(al.compression_difference, ids) for ids, al in kept.items()]
-                        + [(ext[0], ids) for ids, ext in scored.items()],
-                        key=_rank_key)[:beam]
+                # the CD ``_extend`` gives, in ``_cost``'s float: the driving
+                # pairs are the ones ``_extend_columns`` counts
+                cd = raw - ((spent + codes[pid]) + (unmatched - hits) * bits)
+                scored[ext] = (al, member, pairs)
+                insort(best, (-cd, rows + 1, ext))
+                del best[beam:]
         kept = {ids: kept[ids] if ids in kept
-                else _survivor(store.get(ids[-1]), codes[ids[-1]], *scored[ids][1:])
-                for _, ids in ranked}
+                else _survivor(store.get(ids[-1]), codes[ids[-1]], *scored[ids])
+                for _, _, ids in best}
     return tuple(kept.values())
 
 

@@ -6,6 +6,7 @@ import random
 import time
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from conftest import counting_merges
 from icmup import (PatternStore, SPPattern, alignment_probabilities,
                    build_alignments, compose_alignment, dump_columns,
                    literal_alignment, parse_grammar, parse_render, raw_cost,
-                   retrieve)
+                   retrieve, symbol_cost_bits)
 from icmup import alignment, kernels
 from icmup.alignment import default_alphabet
 
@@ -58,6 +59,89 @@ def test_kittens_rankings_equal_oracle(kittens_new, kittens_store):
         assert ranking_of(build_alignments(
             kittens_new, kittens_store, beam, max_old_rows)) == ranking_of(
             oracle.build_alignments(kittens_new, kittens_store, beam, max_old_rows))
+
+
+@st.composite
+def tie_heavy_searches(draw):
+    """Stores full of ties: every pattern has one frequency, and a few
+    bodies over a few symbols are each stored under up to four ids, the
+    ids shuffled so that store order is not id order."""
+    alphabet = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3,
+                             unique=True))
+    sequence = st.lists(st.sampled_from(alphabet), min_size=1, max_size=4)
+    bodies = draw(st.lists(st.tuples(sequence, st.integers(1, 4)), min_size=1,
+                           max_size=4))
+    rows = [body for body, copies in bodies for _ in range(copies)]
+    ids = draw(st.permutations([f"p{i:02d}" for i in range(len(rows))]))
+    frequency = draw(st.integers(1, 3))
+    store = PatternStore(SPPattern(pid, tuple(body), frequency)
+                         for pid, body in zip(ids, rows))
+    new = SPPattern("new", tuple(draw(
+        st.lists(st.sampled_from(alphabet), min_size=1, max_size=6))))
+    return new, store, draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+
+def oracle_tie_cuts(new, store, beam, max_old_rows):
+    """The oracle's ranking, and how many of its cuts to ``beam`` fell
+    inside a group of equal CDs, where only the rank key's rows and ids
+    decide what stays."""
+    cuts = 0
+
+    def cutting_sorted(alignments, key):
+        nonlocal cuts
+        ranked = sorted(alignments, key=key)
+        cuts += len(ranked) > beam and (ranked[beam - 1].compression_difference
+                                        == ranked[beam].compression_difference)
+        return ranked
+
+    with mock.patch.object(oracle, "sorted", cutting_sorted, create=True):
+        ranking = oracle.build_alignments(new, store, beam, max_old_rows)
+    return ranking, cuts
+
+
+def test_tie_heavy_rankings_equal_oracle():
+    cuts = []
+
+    @settings(max_examples=300)
+    @given(tie_heavy_searches())
+    def check(search):
+        expected, tie_cuts = oracle_tie_cuts(*search)
+        assert ranking_of(build_alignments(*search)) == ranking_of(expected)
+        cuts.append(tie_cuts)
+
+    check()
+    # the strategy reaches the case it is for: a beam full of equal CDs
+    assert sum(1 for n in cuts if n) >= 10
+
+
+def test_bound_holds_in_float():
+    # The search skips a candidate by its bound, the CD's own float
+    # expression with the ceiling mh(p) in place of the driving hits.
+    # Rounding to nearest is monotone in each operand, so no extension's
+    # float CD exceeds its float bound: exactly, with no margin.
+    tight = []
+
+    @settings(max_examples=300)
+    @given(searches(), st.data())
+    def check(search, data):
+        new, store, _, _ = search
+        ids = list(store.ids())
+        rows = data.draw(st.lists(st.sampled_from(ids), max_size=3)) if ids else []
+        al = compose_alignment(new, [store.get(pid) for pid in rows], store)
+        raw = raw_cost(new, al.alphabet_size)
+        bits = symbol_cost_bits(al.alphabet_size)
+        codes = store.codes()
+        targets, texts = alignment._unhit(al.columns)
+        drives = [al.columns[ci].entries[0][0] == 0 for ci in targets]
+        for pid, ceiling in alignment._candidates(texts, drives, store, True).items():
+            cd = compose_alignment(new, al.old_rows + (store.get(pid),),
+                                   store).compression_difference
+            bound = raw - ((al.codes + codes[pid]) + (al.unmatched - ceiling) * bits)
+            assert cd <= bound
+            tight.append(cd == bound)
+
+    check()
+    assert any(tight) and not all(tight)
 
 
 def assert_costs_recount(ranking, new, store):
@@ -138,33 +222,49 @@ def test_every_merge_matches_a_symbol(kittens_new, kittens_store):
 def test_kittens_merge_count(kittens_new, kittens_store):
     # at the defaults (beam 50, 12 rows) the search without the bound made
     # 838 merges; the bound skips every candidate that cannot reach the beam
-    # before the kernel scores it.  Every kernel call counts: 354 scorings
+    # before the kernel scores it.  Every kernel call counts: 177 scorings
     # and the walks of the 4 survivors scored by length
     with counting_merges([]) as calls:
         build_alignments(kittens_new, kittens_store)
-    assert 0 < len(calls) <= 358
+    assert len(calls) == 181
 
 
-def test_1k_store_160_symbols(bench_gen):
-    # The 1,008-pattern kittens-style store and eight joined ~20-letter
-    # sentences, at the defaults (beam 50, 12 rows).  The bound decides which
-    # candidates are scored, so their count is pinned; the search took about
-    # 6 s at 160 symbols before the transposed kernel and the holders-based
-    # ceilings, and about 1.7 s after, on a 2-vCPU x86-64 VM, so 4 s leaves
-    # room for a slower host.  Every kernel call counts: the scorings by
-    # ``lcs_length`` and by ``match_pairs``, and the walks of the survivors
-    # scored by length.
+def search_1k_store(bench_gen, sentences):
+    """The 1,008-pattern kittens-style store and ``sentences`` joined
+    ~20-letter sentences, searched at the defaults (beam 50, 12 rows): the
+    kernel calls, the ranking and the seconds the search took."""
     _, lines, lexicon = bench_gen.kittens_grammar(random.Random(1), 100, 500, 400)
     store = parse_grammar("\n".join(lines) + "\n")
     rng = random.Random(3)
-    letters = [c for _ in range(8) for c in bench_gen.kittens_sentence(rng, lexicon, 20)]
+    letters = [c for _ in range(sentences)
+               for c in bench_gen.kittens_sentence(rng, lexicon, 20)]
     new = SPPattern("new", tuple(letters))
-    assert (len(store), len(new)) == (1008, 160)
+    assert (len(store), len(new)) == (1008, 20 * sentences)
     with counting_merges([]) as calls:
         start = time.perf_counter()
         ranking = build_alignments(new, store)
         elapsed = time.perf_counter() - start
-    assert len(calls) == 43277
+    return calls, ranking, elapsed
+
+
+@pytest.mark.parametrize("sentences, kernel_calls", [(1, 1592), (2, 6769), (4, 23311)])
+def test_1k_store_kernel_calls(bench_gen, sentences, kernel_calls):
+    # The bound and the rank key decide which candidates are scored, so
+    # their count is pinned at 20, 40 and 80 symbols.  Every kernel call
+    # counts: the scorings by ``lcs_length`` and by ``match_pairs``, and
+    # the walks of the survivors scored by length.
+    calls, _, _ = search_1k_store(bench_gen, sentences)
+    assert len(calls) == kernel_calls
+
+
+def test_1k_store_160_symbols(bench_gen):
+    # Eight sentences: from 80 symbols on, the 12 rows bind.  The search
+    # took about 6 s at 160 symbols before the transposed kernel and the
+    # holders-based ceilings, and 0.5-0.8 s since the floor became the
+    # exact rank key, on a 2-vCPU x86-64 VM, so 4 s leaves room for a
+    # slower host.  The kernel calls are counted as at 20-80 symbols.
+    calls, ranking, elapsed = search_1k_store(bench_gen, 8)
+    assert len(calls) == 7852
     assert len(ranking[0].old_rows) == 12
     assert elapsed < 4.0
 

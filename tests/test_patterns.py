@@ -231,6 +231,15 @@ class TestStore:
         assert elapsed < 1.0
 
 
+def copies_grammar(tmp_path, n=20_000):
+    """A grammar of n one-symbol patterns ``a`` and one pattern of n ``a``s,
+    all of frequency 1."""
+    grammar = tmp_path / "copies.grammar"
+    grammar.write_text("".join(f"PATTERN p{i}: a\n" for i in range(n))
+                       + "PATTERN deep: " + " a" * n + "\n")
+    return grammar
+
+
 class TestGrammarFile:
     def test_basic(self):
         store = parse_grammar("PATTERN p1 2: a b c\n# comment\n\nPATTERN p2: d\n")
@@ -398,18 +407,32 @@ class TestLazyStore:
 
     def test_retrieve_makes_and_walks_only_survivors(self, made, tmp_path, capsys):
         """20,000 one-symbol copies and one pattern of 20,000 copies: every
-        candidate ties, so every one is scored, but only the k + 1 that the
-        search keeps are made and walked."""
-        n = 20_000
-        grammar = tmp_path / "copies.grammar"
-        grammar.write_text("".join(f"PATTERN p{i}: a\n" for i in range(n))
-                           + "PATTERN deep: " + " a" * n + "\n")
+        candidate's bound ties, so the rank key decides.  Once the k + 1
+        places are full, the next id ranks below them all, so the search
+        scores only the k it keeps and makes and walks only those."""
         calls = []
         with counting_merges(calls):
-            assert main(["retrieve", str(grammar), "--query", "a b", "--top", "3"]) == 0
+            assert main(["retrieve", str(copies_grammar(tmp_path)), "--query", "a b",
+                         "--top", "3"]) == 0
         assert capsys.readouterr().out == "deep\t-13.288\np0\t-13.288\np1\t-13.288\n"
         assert len(made["patterns"]) <= 4
-        assert len([kernel for kernel, _ in calls if kernel == "match_pairs"]) <= 4
+        # 3 scorings by length, and the walks of those 3
+        assert [kernel for kernel, _ in calls] == ["lcs_length"] * 3 + ["match_pairs"] * 3
+
+    def test_align_scores_only_what_can_stay(self, tmp_path, capsys):
+        """The same copies: round one scores the 2 that fill the beam of 3
+        with the literal alignment, and round two none, since every second
+        row only adds its code; the 2 kept are walked."""
+        calls = []
+        with counting_merges(calls):
+            assert main(["align", str(copies_grammar(tmp_path)), "--new", "a b",
+                         "--beam", "3", "--max-rows", "2"]) == 0
+        headers = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("alignment=")]
+        assert headers == ["alignment=1 cd=0.000 p=1.000 rows=(none) hits=0",
+                           "alignment=2 cd=-13.288 p=0.000 rows=deep hits=1",
+                           "alignment=3 cd=-13.288 p=0.000 rows=p0 hits=1"]
+        assert [kernel for kernel, _ in calls] == ["lcs_length"] * 2 + ["match_pairs"] * 2
 
     def test_given_patterns_are_returned(self):
         given = [SPPattern.from_text("a", "x y"), SPPattern.from_text("b", "y")]
