@@ -104,9 +104,9 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Sequence
 from itertools import chain
-from typing import NamedTuple, Sequence
 
 from . import kernels
 from .errors import EmptyRanking
@@ -114,14 +114,14 @@ from .patterns import (PatternStore, Record, SPPattern, code_cost, raw_cost,
                        symbol_cost_bits)
 
 
-class Column(NamedTuple):
-    """One alignment column: a symbol text plus (row, position) occupants.
+class Column(namedtuple("Column", ("symbol", "entries"))):
+    """One alignment column: a symbol text (``symbol``, a str) plus its
+    (row, position) occupants (``entries``, a tuple of int pairs).
 
     Row 0 is the driving row; rows 1..n are Old rows in placement order.
     """
 
-    symbol: str
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def is_hit(self) -> bool:
@@ -430,16 +430,19 @@ def retrieve(query: SPPattern, store: PatternStore,
 def parse_render(al: Alignment) -> str:
     """Bracketed constituent rendering: each Old row wraps the column span it
     occupies, nested by containment; non-hit symbols appear bare."""
-    spans: dict[int, tuple[int, int]] = {}
-    for r in range(1, len(al.old_rows) + 1):
-        cols = [ci for ci, col in enumerate(al.columns)
-                if any(entry[0] == r for entry in col.entries)]
-        spans[r] = (cols[0], cols[-1])
+    # each row's first and last column, in one pass over the entries
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for ci, col in enumerate(al.columns):
+        for r, _ in col.entries:
+            first.setdefault(r, ci)
+            last[r] = ci
     opens: dict[int, list[int]] = {}
-    for r, (start, end) in spans.items():
-        opens.setdefault(start, []).append(r)
-    for start in opens:
-        opens[start].sort(key=lambda r: (-spans[r][1], r))
+    for r, start in first.items():
+        if r:  # the driving row is not bracketed
+            opens.setdefault(start, []).append(r)
+    for rows in opens.values():
+        rows.sort(key=lambda r: (-last[r], r))
     tokens: list[str] = []
     stack: list[int] = []
     for ci, col in enumerate(al.columns):
@@ -447,7 +450,7 @@ def parse_render(al: Alignment) -> str:
             tokens.append(f"{al.old_rows[r - 1].id}(")
             stack.append(r)
         tokens.append(col.symbol)
-        while stack and spans[stack[-1]][1] <= ci:
+        while stack and last[stack[-1]] <= ci:
             stack.pop()
             tokens.append(")")
     return " ".join(tokens)

@@ -4,10 +4,11 @@ Every command prints deterministic text (fractional bits to three decimals,
 halves away from zero).  A command that accounts for bits returns its
 ``RunReport``, and ``main`` writes it when ``--report`` is given.  Exit
 codes: 0 success, 2 input or parse error, 3 domain error (the error class
-name goes to stderr).  A ``--report`` path whose directory does not exist,
-an ``--out`` or ``--report`` path that names a directory or the command's
-input file, and a ``--report`` that names the ``--out`` file fail the run
-before the command starts, so it prints and writes nothing.
+name goes to stderr).  An ``--out`` or ``--report`` path whose directory
+does not exist, that this process may not write, or that names a directory
+or the command's input file, and a ``--report`` that names the ``--out``
+file fail the run before the command starts, so it prints and writes
+nothing.
 
 The codecs and the alignment engine (with its kernel) are imported with
 this module, and ``machines``, ``setnum`` and ``hierarchy`` by the commands
@@ -21,6 +22,9 @@ per-layer figure 0, and the checks that an exercised layer recorded calls
 and that a codec command never reached the kernel would pass without
 testing anything.  No module on this path imports ``dataclasses``, which
 loads ``inspect`` and ``ast``: the records are ``patterns.Record`` classes.
+Nor does one import ``typing``, ``decimal`` or ``json``: the ABCs come from
+``collections.abc``, bit figures are rounded on integers, and ``json`` is
+imported where a file or a report is read or written.
 
 One table, ``COMMANDS``, declares every subcommand, and ``build_parser``
 builds the ones it is given.  ``main`` builds only the parser of the command
@@ -35,7 +39,7 @@ import argparse
 import functools
 import os
 import sys
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import alignment as al
 from . import codecs
@@ -479,24 +483,29 @@ def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Refuse an ``--out`` or ``--report`` that names a directory, or that
+    """Refuse an ``--out`` or ``--report`` that names a directory, that
     would be written over the command's input file or over the other
-    output, or into a directory that does not exist."""
-    report = getattr(args, "report", None)
-    folder = os.path.dirname(report or "")
-    if folder and not os.path.isdir(folder):
-        raise InputFormatError(f"--report: no directory {folder!r}")
+    output, that goes into a directory that does not exist, or that this
+    process may not write: the file, if it exists, else its directory."""
     source = (getattr(args, "corpus", None) or getattr(args, "stream", None)
               or getattr(args, "grammar", None))
     for flag in ("out", "report"):
         target = getattr(args, flag, None)
-        if target and os.path.isdir(target):
+        if not target:
+            continue
+        folder = os.path.dirname(target) or os.curdir
+        if not os.path.isdir(folder):
+            raise InputFormatError(f"--{flag}: no directory {folder!r}")
+        if os.path.isdir(target):
             raise InputFormatError(f"--{flag} {target!r} is a directory")
-        if (source and target and os.path.exists(source) and os.path.exists(target)
+        exists = os.path.exists(target)
+        if (exists and source and os.path.exists(source)
                 and os.path.samefile(source, target)):
             raise InputFormatError(f"--{flag} {target!r} is the input file; "
                                    "writing it would destroy the input")
-    out = getattr(args, "out", None)
+        if not os.access(target if exists else folder, os.W_OK):
+            raise InputFormatError(f"--{flag} {target!r} cannot be written")
+    out, report = getattr(args, "out", None), getattr(args, "report", None)
     # neither output need exist yet, so compare the resolved paths
     if out and report and os.path.realpath(out) == os.path.realpath(report):
         raise InputFormatError(f"--report {report!r} is the --out file; "

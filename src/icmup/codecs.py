@@ -41,12 +41,11 @@ code, then one dict lookup per symbol and one join per entry.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import chain, compress, count, repeat
 from operator import add, eq
-from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent, TooLarge)
@@ -74,7 +73,7 @@ class Literal(Record):
         object.__setattr__(self, "symbol", symbol)
 
 
-Token = Union[CodeRef, Literal]
+Token = CodeRef | Literal
 
 
 class EncodedStream(Record):
@@ -463,7 +462,7 @@ class Slot(Record):
         raise BadCorrection(f"slot {self.name!r} has no filler {code!r}")
 
 
-SchemaElement = Union[FixedSymbol, Slot]
+SchemaElement = FixedSymbol | Slot
 
 
 class Schema(Record):
@@ -540,12 +539,17 @@ def schema_encode(instance: SPPattern, schema: Schema) -> dict[str, str]:
 
 
 class _Literals(dict):
-    """Values to their JSON literals, each made by ``json.dumps`` (for a
-    text, CPython's C escaper) the first time it is asked for.  A writer
-    keeps one table for each kind of value it writes, for one file."""
+    """Values to their JSON literals, each made by ``dumps``, the writer's
+    ``json.dumps`` (for a text, CPython's C escaper), the first time it is
+    asked for.  A writer keeps one table for each kind of value it writes,
+    for one file."""
+
+    def __init__(self, dumps, *known):
+        super().__init__(*known)
+        self.dumps = dumps
 
     def __missing__(self, value: "str | int") -> str:
-        self[value] = literal = json.dumps(value)
+        self[value] = literal = self.dumps(value)
         return literal
 
 
@@ -572,8 +576,10 @@ _SYMBOL_SEP = ",\n        "
 def stream_to_json(stream: EncodedStream) -> str:
     """Serialise a chunk stream to the two-section structured-text format:
     the text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
+    from json import dumps  # only a stream file needs it
+
     # a code is a pattern id, which the symbol rule does not bind
-    texts, codes, counts = _Symbols(), _Literals(), _Literals()
+    texts, codes, counts = _Symbols(dumps), _Literals(dumps), _Literals(dumps)
     entries = [f'{{\n      "code": {codes[e.id]},\n      "symbols": [\n        '
                f'{_SYMBOL_SEP.join(map(texts.__getitem__, e.symbols))}\n      ],\n'
                f'      "count": {counts[e.frequency]}\n    }}'
@@ -587,6 +593,8 @@ def stream_to_json(stream: EncodedStream) -> str:
 
 def parse_json(text: str) -> dict:
     """The JSON object a chunk stream or runs file holds."""
+    import json  # only a stream or runs file needs it
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -644,7 +652,9 @@ def stream_from_json(source: str | dict) -> EncodedStream:
 def runs_to_json(runs: Sequence[Run]) -> str:
     """Serialise a run list to the one-section structured-text format: the
     text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
-    texts, counts = _Symbols(), _Literals({UNBOUNDED: json.dumps(UNBOUNDED.value)})
+    from json import dumps  # only a runs file needs it
+
+    texts, counts = _Symbols(dumps), _Literals(dumps, {UNBOUNDED: dumps(UNBOUNDED.value)})
     items = [f'{{\n      "symbols": [\n        '
              f'{_SYMBOL_SEP.join(map(texts.__getitem__, r.symbols))}\n      ],\n'
              f'      "count": {counts[r.count]}\n    }}'

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownPattern
 

@@ -1,24 +1,47 @@
-"""Run reports and deterministic number formatting for the CLI."""
+"""Run reports and deterministic number formatting for the CLI.
+
+A bit figure prints as the digits of ``str(value)`` rounded to three
+decimals, halves away from zero.  ``str`` of a float is the shortest
+decimal that reads back as the same float (Steele & White 1990; Gay
+1990), so rounding those digits treats a value as the decimal a reader
+sees: ``round_half_up(2.675, 2)`` is ``2.68`` although the float stored
+is a little below 2.675.  The rounding is done on integers: it equals the
+``decimal`` module's ``quantize`` under ``ROUND_HALF_UP`` of
+``Decimal(str(value))``, which is exact for these digits, without loading
+``decimal``.  ``json`` and ``hashlib`` load only when a report is written.
+"""
 
 from __future__ import annotations
 
-import json
-from decimal import ROUND_HALF_UP, Context, Decimal
 
-# Digits enough to hold any finite float to a few decimals exactly: the
-# largest has 309 digits before the point.
-_EXACT = Context(prec=400, rounding=ROUND_HALF_UP)
-
-
-def round_half_up(value: float, places: int) -> Decimal:
-    """The decimal ``str(value)`` rounded to ``places`` decimals, halves away
-    from zero: exact for every finite float."""
-    return Decimal(str(value)).quantize(Decimal(1).scaleb(-places, _EXACT), context=_EXACT)
+def round_half_up(value: float, places: int) -> str:
+    """The decimal ``str(value)`` rounded to ``places >= 0`` decimals,
+    halves away from zero, as text: exact for every finite float.  NaN
+    gives ``NaN``; an infinity raises ``OverflowError``, as ``int`` does."""
+    text = str(value)
+    if text == "nan":
+        return "NaN"  # what the Decimal rule printed
+    if text in ("inf", "-inf"):
+        raise OverflowError(f"cannot round {text} to {places} decimals")
+    sign = "-" if text[0] == "-" else ""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    # value * 10**places == digits * 10**shift
+    digits = int(whole + fraction)
+    shift = int(exponent or 0) - len(fraction) + places
+    if shift >= 0:
+        units = digits * 10 ** shift
+    else:
+        scale = 10 ** -shift
+        units, rest = divmod(digits, scale)
+        units += 2 * rest >= scale  # a half or more rounds the magnitude up
+    padded = str(units).rjust(places + 1, "0")
+    return f"{sign}{padded[:-places]}.{padded[-places:]}" if places else sign + padded
 
 
 def format_bits(value: float) -> str:
     """Three decimals, halves rounded away from zero; stable across runs."""
-    return str(round_half_up(float(value) + 0.0, 3))  # + 0.0 normalises -0.0
+    return round_half_up(float(value) + 0.0, 3)  # + 0.0 normalises -0.0
 
 
 def file_digest(path: str) -> str:
@@ -68,6 +91,8 @@ class RunReport:
         return self.encoded_bits + (self.dictionary_bits or 0.0)
 
     def to_json(self, digests: dict[str, str]) -> str:
+        import json  # only a written report needs it
+
         doc = {
             "command": self.command,
             "inputs": digests,

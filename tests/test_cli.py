@@ -356,6 +356,33 @@ class TestCompressDecompress:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert not any(Path("outputs").iterdir())
 
+    @pytest.mark.parametrize("argv, denied", [
+        (["compress", "c.txt", "--out", "locked/s.json"], "locked"),
+        (["compress", "c.txt", "--out", "old.json"], "old.json"),
+        (["compress", "c.txt", "--out", "s.json", "--report", "locked/r.json"], "locked"),
+        (["compress", "c.txt", "--out", "s.json", "--report", "old.json"], "old.json"),
+        (["decompress", "old.json", "--out", "locked/d.txt"], "locked"),
+        (["align", "g.txt", "--new", "k i t", "--report", "r.json"], os.curdir),
+    ], ids=["out-folder", "out-file", "report-folder", "report-file",
+            "decompress-out", "align-report-here"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch, argv,
+                                       denied):
+        # the tests may run as root, which file modes do not stop, so the
+        # permission is refused by standing in for os.access
+        monkeypatch.chdir(tmp_path)
+        Path("c.txt").write_text("a b a b")
+        Path("g.txt").write_text(KITTENS_GRAMMAR)
+        Path("old.json").write_text('{"dictionary": [], "stream": [{"lit": "a"}]}')
+        Path("locked").mkdir()
+        access = os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: (
+            path != denied and access(path, mode)))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "") and "cannot be written" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+        assert not any(Path("locked").iterdir())
+
     def test_report_file(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("a b a b a b")
@@ -958,3 +985,40 @@ def test_cli_import_needs_no_numpy_or_numba():
     code = ("import sys, icmup.cli; "
             "print(sorted({'hashlib', 'dataclasses', 'inspect'} & set(sys.modules)))")
     assert fresh_python("-S", "-c", code).strip() == "[]"
+    # bits are rounded on integers, JSON is loaded only where it is read or
+    # written, and the ABCs come from collections.abc
+    code = ("import sys, icmup.cli; "
+            "print(sorted({'decimal', 'numbers', 'json', 'typing'} & set(sys.modules)))")
+    assert fresh_python("-S", "-c", code).strip() == "[]"
+
+
+# Runs cli.main on its arguments and prints which of the watched standard
+# library modules are loaded.  It imports nothing it watches, json included.
+STDLIB_LOADED_BY_MAIN = """\
+import contextlib, io, sys
+import icmup.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert icmup.cli.main(sys.argv[1:]) == 0
+watched = {"decimal", "numbers", "json", "typing", "hashlib"}
+print(" ".join(sorted(watched & set(sys.modules))))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["align", "{grammar}", "--new", KITTENS_SENTENCE], ""),
+    (["retrieve", "{grammar}", "--query", "k i t t e n"], ""),
+    (["parse", "{grammar}", "--new", KITTENS_SENTENCE], ""),
+    (["compress", "{corpus}", "--out", "{out}"], "json"),
+    (["decompress", "{stream}", "--out", "{out}"], "json"),
+    (["align", "{grammar}", "--new", KITTENS_SENTENCE, "--report", "{out}"],
+     "hashlib json"),
+], ids=["align", "retrieve", "parse", "compress", "decompress", "align-report"])
+def test_each_command_loads_only_its_standard_library(tmp_path, argv, loaded):
+    files = {"corpus": "a b a b c\n", "grammar": KITTENS_GRAMMAR,
+             "stream": '{"dictionary": [], "stream": [{"lit": "a"}]}'}
+    paths = {name: tmp_path / name for name in [*files, "out"]}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in argv]
+    # -S keeps site's own imports out: on some installs they load typing
+    assert fresh_python("-S", "-c", STDLIB_LOADED_BY_MAIN, *argv).strip() == loaded
