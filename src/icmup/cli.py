@@ -20,11 +20,11 @@ Were the codecs or the alignment engine loaded on first use, their
 functions would go unwrapped and their layers would read as absent, every
 per-layer figure 0, and the checks that an exercised layer recorded calls
 and that a codec command never reached the kernel would pass without
-testing anything.  No module on this path imports ``dataclasses``, which
-loads ``inspect`` and ``ast``: the records are ``patterns.Record`` classes.
-Nor does one import ``typing``, ``decimal`` or ``json``: the ABCs come from
-``collections.abc``, bit figures are rounded on integers, and ``json`` is
-imported where a file or a report is read or written.
+testing anything.  No command loads ``dataclasses``, which loads
+``inspect`` and ``ast``: every frozen record is a ``patterns.Record``.  No
+module imports ``typing`` or ``decimal``, nor ``json`` at its top: the ABCs
+come from ``collections.abc``, bit figures are rounded on integers, and
+``json`` is imported where a file or a report is read or written.
 
 One table, ``COMMANDS``, declares every subcommand, and ``build_parser``
 builds the ones it is given.  ``main`` builds only the parser of the command

@@ -61,16 +61,10 @@ class CodeRef(Record):
     __slots__ = _fields = ("code",)
     code: str
 
-    def __init__(self, code: str):
-        object.__setattr__(self, "code", code)
-
 
 class Literal(Record):
     __slots__ = _fields = ("symbol",)
     symbol: str
-
-    def __init__(self, symbol: str):
-        object.__setattr__(self, "symbol", symbol)
 
 
 Token = CodeRef | Literal
@@ -80,10 +74,6 @@ class EncodedStream(Record):
     __slots__ = _fields = ("dictionary", "tokens")
     dictionary: PatternStore
     tokens: tuple[Token, ...]
-
-    def __init__(self, dictionary: PatternStore, tokens: tuple[Token, ...]):
-        object.__setattr__(self, "dictionary", dictionary)
-        object.__setattr__(self, "tokens", tokens)
 
 
 def _spell(symbols: Iterable[str], letters: dict[str, str]) -> str:
@@ -325,11 +315,6 @@ class Run(Record):
     symbols: tuple[str, ...]
     count: int | Unbounded
 
-    def __init__(self, symbols: tuple[str, ...], count: int | Unbounded):
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "count", count)
-        self.__post_init__()
-
     def __post_init__(self):
         if not self.symbols:
             raise ValueError("a run needs at least one symbol")
@@ -429,10 +414,6 @@ class FixedSymbol(Record):
     __slots__ = _fields = ("symbol",)
     symbol: str
 
-    def __init__(self, symbol: str):
-        object.__setattr__(self, "symbol", symbol)
-        self.__post_init__()
-
     def __post_init__(self):
         check_symbol(self.symbol)
 
@@ -441,11 +422,6 @@ class Slot(Record):
     __slots__ = _fields = ("name", "fillers")
     name: str
     fillers: tuple[tuple[str, SPPattern], ...]  # (code, filler) pairs
-
-    def __init__(self, name: str, fillers: tuple[tuple[str, SPPattern], ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "fillers", fillers)
-        self.__post_init__()
 
     def __post_init__(self):
         codes = [c for c, _ in self.fillers]
@@ -469,11 +445,6 @@ class Schema(Record):
     __slots__ = _fields = ("id", "elements")
     id: str
     elements: tuple[SchemaElement, ...]
-
-    def __init__(self, id: str, elements: tuple[SchemaElement, ...]):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "elements", elements)
-        self.__post_init__()
 
     def __post_init__(self):
         names = [e.name for e in self.elements if isinstance(e, Slot)]

@@ -17,22 +17,22 @@ and resolves.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from graphlib import CycleError, TopologicalSorter
-from typing import Iterable, Iterator
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownClass
-from .patterns import check_symbols, check_texts, content_lines, symbol_cost_bits
+from .patterns import Record, check_symbols, check_texts, content_lines, symbol_cost_bits
 
 DL_FORMS = ("flat", "hierarchical")
 
 
-@dataclass(frozen=True)
-class ClassNode:
+class ClassNode(Record):
+    __slots__ = _fields = ("name", "own_attributes", "parents", "parts")
     name: str
-    own_attributes: frozenset[str] = frozenset()
-    parents: frozenset[str] = frozenset()
-    parts: tuple[str, ...] = ()
+    own_attributes: frozenset[str]
+    parents: frozenset[str]
+    parts: tuple[str, ...]
+    _defaults = {"own_attributes": frozenset(), "parents": frozenset(), "parts": ()}
 
     def __post_init__(self):
         # the name and the attributes are symbols of the required alphabet

@@ -11,23 +11,22 @@ boolean operator appears anywhere in the execution path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import chain, product
 from operator import eq
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (ArityMismatch, InputFormatError, MissingInput, NoMatch,
                      TooLarge)
-from .patterns import check_symbol, check_symbols, check_texts, content_lines
+from .patterns import Record, check_symbol, check_symbols, check_texts, content_lines
 
 MAX_TABLE_INPUTS = 16
 
 
-@dataclass(frozen=True)
-class FunctionTable:
+class FunctionTable(Record):
     """A named input/output table; deterministic (input tuples are unique)."""
 
+    __slots__ = _fields = ("name", "input_cols", "output_cols", "rows")
     name: str
     input_cols: tuple[str, ...]
     output_cols: tuple[str, ...]
@@ -53,10 +52,10 @@ class FunctionTable:
         return len(self.input_cols)
 
 
-@dataclass(frozen=True)
-class RowSelection:
+class RowSelection(Record):
     """Diagnostics from row selection: per-row match counts and the winner."""
 
+    __slots__ = _fields = ("match_counts", "best_row", "full_match")
     match_counts: tuple[int, ...]
     best_row: int | None
     full_match: bool
@@ -108,17 +107,17 @@ NAND_TABLE = FunctionTable(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
+class Gate(Record):
+    __slots__ = _fields = ("id", "source_a", "source_b")
     id: str
     source_a: str
     source_b: str
 
 
-@dataclass(frozen=True)
-class NandCircuit:
+class NandCircuit(Record):
     """NAND gates over named input terminals, sources defined before use."""
 
+    __slots__ = _fields = ("inputs", "gates", "outputs")
     inputs: tuple[str, ...]
     gates: tuple[Gate, ...]
     outputs: tuple[str, ...]
@@ -200,8 +199,8 @@ def adder_nand_circuit() -> NandCircuit:
 TM_ACTIONS = ("W0", "W1", "L", "R")
 
 
-@dataclass(frozen=True, slots=True)
-class TMRow:
+class TMRow(Record):
+    __slots__ = _fields = ("state", "read", "next_state", "action")
     state: str
     read: int
     next_state: str
@@ -214,8 +213,8 @@ class TMRow:
             raise ValueError(f"unknown action {self.action!r}")
 
 
-@dataclass(frozen=True)
-class TuringMachine:
+class TuringMachine(Record):
+    __slots__ = _fields = ("rows",)
     rows: tuple[TMRow, ...]
 
     def __post_init__(self):
@@ -227,14 +226,15 @@ class TuringMachine:
             seen.add(key)
 
 
-@dataclass(frozen=True)
-class TapeState:
+class TapeState(Record):
     """Tape cells (default 0 outside the mapping), head, state, step count."""
 
+    __slots__ = _fields = ("cells", "head", "state", "steps")
     cells: dict[int, int]
     head: int
     state: str
-    steps: int = 0
+    steps: int
+    _defaults = {"steps": 0}
 
     def read(self, position: int) -> int:
         return self.cells.get(position, 0)
@@ -255,11 +255,12 @@ def tm_step(machine: TuringMachine, state: TapeState) -> "TapeState | Halted":
     result = tm_run(machine, state.cells, state.head, state.state, 1)
     if result.halted:
         return HALTED
-    return replace(result.state, steps=state.steps + 1)
+    done = result.state
+    return TapeState(done.cells, done.head, done.state, state.steps + 1)
 
 
-@dataclass(frozen=True)
-class TMRunResult:
+class TMRunResult(Record):
+    __slots__ = _fields = ("state", "halted", "attempts")
     state: TapeState
     halted: bool
     attempts: int  # transition lookups, including the final one that halted

@@ -25,11 +25,11 @@ index, one postings list per text, is read only as the levels of
 ``PatternStore.holders``.  A search, and a chunk stream's price, read the
 store's codes from ``PatternStore.codes``.
 
-``Record`` is the base of the package's frozen records (``SPPattern``, the
-codecs' tokens, runs and schemas, and ``alignment.Alignment``): slotted
-classes with explicit ``__init__`` methods, equal by type and fields,
-immutable and picklable, with a dataclass's repr, made without importing
-``dataclasses``.
+``Record`` is the base of every frozen record in the package (``SPPattern``,
+the codecs' tokens, runs and schemas, ``alignment.Alignment``, and the
+records of ``machines``, ``setnum`` and ``hierarchy``): slotted classes
+whose ``__init__`` is made from their fields, equal by type and fields,
+immutable and picklable, with a dataclass's repr, without ``dataclasses``.
 
 Costs are fractional "ideal" bits throughout: a symbol over an alphabet of
 size A costs log2(A) bits (1 bit for the degenerate A=1 alphabet), and a
@@ -97,15 +97,37 @@ class Record:
     share of the time a fresh CLI process takes to start.
 
     A subclass names its fields, in order, in ``_fields`` and in
-    ``__slots__``.  Its ``__init__`` sets them with ``object.__setattr__``,
-    then calls ``__post_init__`` when it has checks to run.  Two records are
-    equal, and hash alike, when they are of the very same type and their
-    fields are equal; the repr is a dataclass's.  A field can be neither set
-    nor deleted.  Unpickling sets the fields as they were, as a dataclass's
+    ``__slots__``, and may give defaults for trailing fields in a
+    ``_defaults`` mapping.  Its ``__init__`` is made once, when the class is
+    made, as ``collections.namedtuple`` makes its ``__new__``: one
+    parameter per field, each set with one ``object.__setattr__`` line, then
+    a call to ``__post_init__`` when the class has checks to run.  A class
+    that defines its own ``__init__`` keeps it, and one that names no
+    ``_fields`` of its own keeps its parent's.  Two records are equal, and
+    hash alike, when they are of the very same type and their fields are
+    equal; the repr is a dataclass's.  A field can be neither set nor
+    deleted.  Unpickling sets the fields as they were, as a dataclass's
     does, without running the checks again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__ or "_fields" not in cls.__dict__:
+            return
+        params = ", ".join([f"{name}=_defaults[{name!r}]" if name in cls._defaults
+                            else name for name in cls._fields])
+        lines = [f"    _setattr(self, {name!r}, {name})\n" for name in cls._fields]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()\n")
+        namespace = {"__name__": cls.__module__, "_setattr": object.__setattr__,
+                     "_defaults": cls._defaults}
+        exec(f"def __init__(self, {params}):\n{''.join(lines)}", namespace)
+        cls.__init__ = namespace["__init__"]
+        # so that a call with wrong arguments names the class in its TypeError
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -146,12 +168,7 @@ class SPPattern(Record):
     id: str
     symbols: tuple[str, ...]
     frequency: int
-
-    def __init__(self, id: str, symbols: Sequence[str], frequency: int = 1):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "frequency", frequency)
-        self.__post_init__()
+    _defaults = {"frequency": 1}
 
     def __post_init__(self):
         symbols = tuple(self.symbols)

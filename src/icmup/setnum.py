@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (BadDigit, DivisionByZero, Indeterminate, NonIntegerTerm,
                      NotASet, TooLarge, Underflow)
-from .patterns import is_count, symbol_cost_bits, tokenize
+from .patterns import Record, is_count, symbol_cost_bits, tokenize
 from .reporting import round_half_up
 
 UNARY_CAP = 10 ** 6
@@ -58,10 +57,10 @@ def set_intersection(a: Sequence[str], b: Sequence[str]) -> list[str]:
     return sorted(_require_set(a, "first set") & _require_set(b, "second set"))
 
 
-@dataclass(frozen=True, slots=True)
-class UnaryNumber:
+class UnaryNumber(Record):
     """A natural number as that many '/' marks."""
 
+    __slots__ = _fields = ("count",)
     count: int
 
     def __post_init__(self):
@@ -80,20 +79,27 @@ def parse_unary(text: str) -> UnaryNumber:
     return UnaryNumber(len(text))
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(Record):
+    __slots__ = _fields = ("kind", "detail", "substeps")
     kind: str
     detail: str
-    substeps: tuple["TraceStep", ...] = ()
+    substeps: tuple[TraceStep, ...]
+    _defaults = {"substeps": ()}
 
 
-@dataclass(frozen=True, eq=False)
 class OperationTrace:
-    """A step count known at once, and steps that ``make_steps`` makes when read."""
+    """A step count known at once, and steps that ``make_steps`` makes when
+    read.  A trace is equal only to itself, and its repr leaves out
+    ``make_steps``."""
 
-    operation: str
-    step_count: int
-    make_steps: Callable[[], Iterable[TraceStep]] = field(repr=False)
+    def __init__(self, operation: str, step_count: int,
+                 make_steps: Callable[[], Iterable[TraceStep]]):
+        self.operation = operation
+        self.step_count = step_count
+        self.make_steps = make_steps
+
+    def __repr__(self) -> str:
+        return f"OperationTrace(operation={self.operation!r}, step_count={self.step_count!r})"
 
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -245,10 +251,10 @@ def bounded_product(terms: Mapping[int, int], lo: int,
         for i, term, acc in zip(range(lo, hi + 1), values, before)))
 
 
-@dataclass(frozen=True, slots=True)
-class PeanoNumeral:
+class PeanoNumeral(Record):
     """A natural as nested successor applications, at most ``UNARY_CAP`` deep."""
 
+    __slots__ = _fields = ("depth",)
     depth: int
 
     def __post_init__(self):
@@ -313,8 +319,9 @@ def positional_to_unary(s: str, base: int) -> UnaryNumber:
     return UnaryNumber(value)
 
 
-@dataclass(frozen=True)
-class BaseReport:
+class BaseReport(Record):
+    __slots__ = _fields = ("count", "base", "digits", "unary_symbols",
+                           "positional_symbols")
     count: int
     base: int
     digits: str
@@ -338,17 +345,17 @@ def round_half_away_from_zero(x: float, places: int = 1) -> float:
     return float(round_half_up(x, places))
 
 
-@dataclass(frozen=True, slots=True)
-class FallRow:
+class FallRow(Record):
+    __slots__ = _fields = ("t", "s")
     t: int
     s: float
 
 
-@dataclass(frozen=True)
-class FallReport:
+class FallReport(Record):
     """Distances fallen per second under constant gravity, plus the bit cost
     of the generating formula versus the written-out table."""
 
+    __slots__ = _fields = ("g", "rows", "formula_bits", "table_bits")
     g: float
     rows: tuple[FallRow, ...]
     formula_bits: float

@@ -999,7 +999,7 @@ import contextlib, io, sys
 import icmup.cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert icmup.cli.main(sys.argv[1:]) == 0
-watched = {"decimal", "numbers", "json", "typing", "hashlib"}
+watched = {"decimal", "numbers", "json", "typing", "hashlib", "dataclasses", "inspect"}
 print(" ".join(sorted(watched & set(sys.modules))))
 """
 
@@ -1012,10 +1012,17 @@ print(" ".join(sorted(watched & set(sys.modules))))
     (["decompress", "{stream}", "--out", "{out}"], "json"),
     (["align", "{grammar}", "--new", KITTENS_SENTENCE, "--report", "{out}"],
      "hashlib json"),
-], ids=["align", "retrieve", "parse", "compress", "decompress", "align-report"])
+    (["unary", "add", "2", "3"], ""),
+    (["table", "{adder}", "--in", "1,0"], ""),
+    (["hierarchy", "{hierarchy}", "--dl"], ""),
+], ids=["align", "retrieve", "parse", "compress", "decompress", "align-report",
+        "unary", "table", "hierarchy"])
 def test_each_command_loads_only_its_standard_library(tmp_path, argv, loaded):
     files = {"corpus": "a b a b c\n", "grammar": KITTENS_GRAMMAR,
-             "stream": '{"dictionary": [], "stream": [{"lit": "a"}]}'}
+             "stream": '{"dictionary": [], "stream": [{"lit": "a"}]}',
+             "adder": ADDER_TSV,
+             "hierarchy": "CLASS mammal : attrs=fur parents= parts=\n"
+                          "CLASS cat : attrs= parents=mammal parts=\n"}
     paths = {name: tmp_path / name for name in [*files, "out"]}
     for name, text in files.items():
         paths[name].write_text(text)

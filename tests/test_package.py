@@ -1,6 +1,8 @@
 """The package's exported names, loaded on first use."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,3 +72,20 @@ def test_bare_import_loads_nothing_until_a_submodule_is_read():
     assert bare == ["icmup"]
     assert after == ["icmup", "icmup.codecs", "icmup.errors", "icmup.patterns"]
     assert runs == 2
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # read from the source, so what site happens to preload cannot hide one
+    banned = {"dataclasses", "typing"}
+    found = []
+    for path in sorted(Path(icmup.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] in banned]
+    assert found == []
