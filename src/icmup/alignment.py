@@ -39,9 +39,10 @@ fresh).  An ``Alignment`` carries its two cost terms, and an extension's
 terms need only the match: they come from its parent, the rows' codes
 growing by code(p) and the unmatched driving count falling by the pairs
 that land on driving columns.  ``_extend`` builds every extension that way,
-in the search and in ``compose_alignment`` alike.  The codes are the left
-fold from 0 that ``sum`` over the rows makes, so the cost is the very float
-a recount from the rows and columns gives.
+in the search and in ``compose_alignment`` alike.  The codes are a left
+fold over the rows from 0.0, one addition per row, so the cost is the very
+float a recount that adds the rows' codes in order gives.  (``sum`` is not
+that fold: from Python 3.12 it compensates a float total's rounding.)
 
 Search is a deterministic beam search.  Each round extends the frontier,
 the members the previous round newly admitted to the beam, by aligning a
@@ -130,9 +131,10 @@ class Column(namedtuple("Column", ("symbol", "entries"))):
 
 class Alignment(Record):
     """Rows, columns and the two cost terms: ``codes``, the Old rows' codes
-    summed in row order from 0, and ``unmatched``, the driving symbols
+    added in row order from 0.0, and ``unmatched``, the driving symbols
     outside hit columns.  ``encoding_cost`` and ``compression_difference``
-    follow from them, worked out once here, and are fields too."""
+    follow from them: they are fields too, worked out once when the record
+    is made, and the constructor takes no argument for them."""
 
     __slots__ = _fields = ("new_row", "old_rows", "columns", "codes", "unmatched",
                            "alphabet_size", "encoding_cost", "compression_difference")
@@ -144,17 +146,7 @@ class Alignment(Record):
     alphabet_size: int
     encoding_cost: float
     compression_difference: float
-
-    def __init__(self, new_row: SPPattern, old_rows: tuple[SPPattern, ...],
-                 columns: tuple[Column, ...], codes: float, unmatched: int,
-                 alphabet_size: int):
-        object.__setattr__(self, "new_row", new_row)
-        object.__setattr__(self, "old_rows", old_rows)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "unmatched", unmatched)
-        object.__setattr__(self, "alphabet_size", alphabet_size)
-        self.__post_init__()
+    _derived = ("encoding_cost", "compression_difference")
 
     def __post_init__(self):
         cost = _cost(self.codes, self.unmatched, self.alphabet_size)
@@ -266,7 +258,9 @@ def alignment_probabilities(alignments: Sequence[Alignment]) -> list[float]:
     costs = [al.encoding_cost for al in alignments]
     cmin = min(costs)
     weights = [2.0 ** (cmin - c) for c in costs]
-    total = sum(weights)
+    total = 0.0
+    for w in weights:  # not ``sum``, which compensates from Python 3.12
+        total += w
     return [w / total for w in weights]
 
 

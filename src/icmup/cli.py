@@ -264,30 +264,23 @@ def cmd_unary(args) -> None:
 
     op = args.op
     if op in ("add", "sub", "mul"):
-        a = setnum.UnaryNumber(args.a)
-        b = setnum.UnaryNumber(args.b)
-        fn = {"add": setnum.unary_add, "sub": setnum.unary_subtract,
-              "mul": setnum.unary_multiply}[op]
-        result, trace = fn(a, b)
-        label = {"add": "transfers", "sub": "removals",
-                 "mul": "add_iterations"}[op]
-        print(f"result={result.count} {label}={trace.step_count}")
-        print(f"unary={result.render()}")
+        fn, label = {"add": (setnum.unary_add, "transfers"),
+                     "sub": (setnum.unary_subtract, "removals"),
+                     "mul": (setnum.unary_multiply, "add_iterations")}[op]
+        result, trace = fn(setnum.UnaryNumber(args.a), setnum.UnaryNumber(args.b))
+        head = f"result={result.count} {label}={trace.step_count}"
     elif op == "div":
-        q, r, trace = setnum.unary_divide(setnum.UnaryNumber(args.a),
-                                          setnum.UnaryNumber(args.b))
-        print(f"quotient={q.count} remainder={r.count} "
-              f"subtract_iterations={trace.step_count}")
-        print(f"unary={q.render()}")
+        result, remainder, trace = setnum.unary_divide(setnum.UnaryNumber(args.a),
+                                                       setnum.UnaryNumber(args.b))
+        head = (f"quotient={result.count} remainder={remainder.count} "
+                f"subtract_iterations={trace.step_count}")
     elif op == "pow":
         result, trace = setnum.unary_power(setnum.UnaryNumber(args.a), args.b)
-        print(f"result={result.count} multiply_iterations={trace.step_count}")
-        print(f"unary={result.render()}")
+        head = f"result={result.count} multiply_iterations={trace.step_count}"
     elif op == "fact":
         result, trace = setnum.unary_factorial(args.a)
-        print(f"result={result.count} steps={trace.step_count}")
-        print(f"unary={result.render()}")
-    elif op in ("sum", "prod"):
+        head = f"result={result.count} steps={trace.step_count}"
+    else:  # sum or prod, the only ops argparse leaves
         values = [int(v) for v in args.terms.split(",")]
         count = args.hi - args.lo + 1
         if count > 0 and len(values) != count:
@@ -296,10 +289,9 @@ def cmd_unary(args) -> None:
         terms = {i: v for i, v in zip(range(args.lo, args.hi + 1), values)}
         fn = setnum.bounded_sum if op == "sum" else setnum.bounded_product
         result, trace = fn(terms, args.lo, args.hi)
-        print(f"result={result.count} iterations={trace.step_count}")
-        print(f"unary={result.render()}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputFormatError(f"unknown unary op {op!r}")
+        head = f"result={result.count} iterations={trace.step_count}"
+    print(head)
+    print(f"unary={result.render()}")
     if args.trace:
         print(trace.dump())
 

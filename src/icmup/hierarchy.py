@@ -9,9 +9,13 @@ attributes, ``hierarchical`` writes own attributes once plus one link symbol
 per parent reference.
 
 Parents and parts must each be acyclic; ``graphlib``'s topological sort
-checks that on construction and names the classes on any cycle.  Every walk
-is a loop over an explicit stack or chain, so a hierarchy of any depth loads
-and resolves.
+checks that on construction and names the classes on any cycle.  The
+hierarchy keeps the sort over the parents, which lists every class after
+its parents, and one pass in that order resolves each class from its
+parents' resolved sets (``_resolved``).  ``resolve_attributes`` reads one class's set from that
+pass and the flat description length reads every class's, so inheritance
+is resolved one way.  Every walk is a loop over an explicit order or chain,
+so a hierarchy of any depth loads and resolves.
 """
 
 from __future__ import annotations
@@ -56,16 +60,9 @@ class Hierarchy:
             for ref in list(node.parents) + list(node.parts):
                 if ref not in by_name:
                     raise ValueError(f"class {node.name!r} references unknown {ref!r}")
-        for label in ("parents", "parts"):
-            # sorted edges make the reported cycle the same on every run
-            graph = {name: sorted(getattr(node, label))
-                     for name, node in by_name.items()}
-            try:
-                TopologicalSorter(graph).prepare()
-            except CycleError as exc:
-                # graphlib lists each class before the one that names it
-                cycle = " -> ".join(map(repr, reversed(exc.args[1])))
-                raise ValueError(f"cycle in {label}: {cycle}") from None
+        # every class after its parents; the parts need only the check
+        self._parents_first = _acyclic_order(by_name, "parents")
+        _acyclic_order(by_name, "parts")
         self._nodes = by_name
 
     def node(self, name: str) -> ClassNode:
@@ -88,38 +85,34 @@ class Hierarchy:
         return len(self._nodes)
 
 
-def ancestors(h: Hierarchy, name: str) -> set[str]:
-    out: set[str] = set()
-    stack = list(h.node(name).parents)
-    while stack:
-        cur = stack.pop()
-        if cur not in out:
-            out.add(cur)
-            stack.extend(h.node(cur).parents)
-    return out
+def _acyclic_order(nodes: dict[str, ClassNode], label: str) -> tuple[str, ...]:
+    """The class names with each one after those it names under ``label``
+    (``parents`` or ``parts``); a ``ValueError`` names the classes on a
+    cycle."""
+    # sorted edges make the reported cycle the same on every run
+    graph = {name: sorted(getattr(node, label)) for name, node in nodes.items()}
+    try:
+        return tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        # graphlib lists each class before the one that names it
+        cycle = " -> ".join(map(repr, reversed(exc.args[1])))
+        raise ValueError(f"cycle in {label}: {cycle}") from None
 
 
-def resolve_attributes(h: Hierarchy, name: str) -> frozenset[str]:
-    """Own attributes unioned with everything inherited via parents."""
-    attrs = set(h.node(name).own_attributes)
-    for anc in ancestors(h, name):
-        attrs |= h.node(anc).own_attributes
-    return frozenset(attrs)
-
-
-def _resolved_sizes(h: Hierarchy) -> Iterator[int]:
-    """How many attributes each class resolves to, parents first.
+def _resolved(h: Hierarchy) -> Iterator[tuple[str, set[str]]]:
+    """Each class's name and resolved attributes, parents first.
 
     Each class unions its own attributes with its parents' resolved sets.
     A parent's set is kept only until its last child is resolved, and that
     child extends it in place, so a chain costs time and memory linear in
-    its length."""
-    graph = {node.name: node.parents for node in h}
-    waiting = Counter(p for parents in graph.values() for p in parents)
+    its length.  A yielded set is therefore the class's own only until the
+    next one is made: read it before going on."""
+    waiting = Counter(p for node in h for p in node.parents)
     resolved: dict[str, set[str]] = {}
-    for name in TopologicalSorter(graph).static_order():
-        attrs = set(h.node(name).own_attributes)
-        for parent in graph[name]:
+    for name in h._parents_first:
+        node = h.node(name)
+        attrs = set(node.own_attributes)
+        for parent in node.parents:
             waiting[parent] -= 1
             if waiting[parent]:
                 attrs |= resolved[parent]
@@ -127,9 +120,16 @@ def _resolved_sizes(h: Hierarchy) -> Iterator[int]:
                 inherited = resolved.pop(parent)
                 inherited |= attrs
                 attrs = inherited
-        yield len(attrs)
+        yield name, attrs
         if waiting[name]:
             resolved[name] = attrs
+
+
+def resolve_attributes(h: Hierarchy, name: str) -> frozenset[str]:
+    """Own attributes unioned with everything inherited via parents: the
+    class's set from the parents-first pass, which stops at the class."""
+    h.node(name)  # raises UnknownClass for a name not in h
+    return next(frozenset(attrs) for found, attrs in _resolved(h) if found == name)
 
 
 def required_alphabet(h: Hierarchy) -> set[str]:
@@ -160,7 +160,7 @@ def description_length(h: Hierarchy, form: str, alphabet_size: int) -> float:
             f"alphabet of {alphabet_size} cannot cover {needed} distinct symbols")
     per_symbol = symbol_cost_bits(alphabet_size)
     if form == "flat":
-        count = sum(1 + size for size in _resolved_sizes(h))
+        count = sum(1 + len(attrs) for _, attrs in _resolved(h))
     else:
         count = sum(1 + len(node.own_attributes) + len(node.parents) for node in h)
     return count * per_symbol

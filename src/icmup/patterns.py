@@ -98,28 +98,32 @@ class Record:
 
     A subclass names its fields, in order, in ``_fields`` and in
     ``__slots__``, and may give defaults for trailing fields in a
-    ``_defaults`` mapping.  Its ``__init__`` is made once, when the class is
-    made, as ``collections.namedtuple`` makes its ``__new__``: one
-    parameter per field, each set with one ``object.__setattr__`` line, then
-    a call to ``__post_init__`` when the class has checks to run.  A class
-    that defines its own ``__init__`` keeps it, and one that names no
-    ``_fields`` of its own keeps its parent's.  Two records are equal, and
-    hash alike, when they are of the very same type and their fields are
-    equal; the repr is a dataclass's.  A field can be neither set nor
-    deleted.  Unpickling sets the fields as they were, as a dataclass's
-    does, without running the checks again."""
+    ``_defaults`` mapping.  Fields that its ``__post_init__`` works out
+    from the others it names in ``_derived``.  Its ``__init__`` is made
+    once, when the class is made, as ``collections.namedtuple`` makes its
+    ``__new__``: one parameter per field that is not derived, each set with
+    one ``object.__setattr__`` line, then a call to ``__post_init__`` when
+    the class has checks to run or fields to work out.  Every record's
+    constructor is made so; a class that names no ``_fields`` of its own
+    keeps its parent's.  Two records are equal, and hash alike, when they
+    are of the very same type and their fields are equal; the repr is a
+    dataclass's.  A field can be neither set nor deleted.  Unpickling sets
+    the fields as they were, as a dataclass's does, without running the
+    checks again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: Mapping[str, object] = {}
+    _derived: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "__init__" in cls.__dict__ or "_fields" not in cls.__dict__:
+        if "_fields" not in cls.__dict__:
             return
+        given = [name for name in cls._fields if name not in cls._derived]
         params = ", ".join([f"{name}=_defaults[{name!r}]" if name in cls._defaults
-                            else name for name in cls._fields])
-        lines = [f"    _setattr(self, {name!r}, {name})\n" for name in cls._fields]
+                            else name for name in given])
+        lines = [f"    _setattr(self, {name!r}, {name})\n" for name in given]
         if hasattr(cls, "__post_init__"):
             lines.append("    self.__post_init__()\n")
         namespace = {"__name__": cls.__module__, "_setattr": object.__setattr__,

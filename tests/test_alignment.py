@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import alignment_oracle as oracle
 from conftest import pair_alignment
-from icmup import (PatternStore, SPPattern,
+from icmup import (Alignment, PatternStore, SPPattern,
                    alignment_probabilities, build_alignments, code_cost,
                    compose_alignment, dump_columns, infer_unmatched,
                    literal_alignment, parse_render, raw_cost, retrieve)
@@ -171,6 +171,18 @@ class TestBuildAlignments:
         probs = alignment_probabilities(ranking)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         assert probs == sorted(probs, reverse=True)
+
+    def test_probabilities_total_with_a_left_fold(self):
+        # weights 1, 2^-53 and 2^-53: added left to right from 0.0, each
+        # small weight rounds away and the total is 1.0, on every Python.
+        # A compensated sum (``sum`` from 3.12) totals 1 + 2^-52, and the
+        # best alignment's p would fall below 1.0.
+        new = new_pattern("a")
+        ranking = [Alignment(new, (), (), codes, 0, 2) for codes in (0.0, 53.0, 53.0)]
+        assert [al.encoding_cost for al in ranking] == [0.0, 53.0, 53.0]
+        probs = alignment_probabilities(ranking)
+        assert probs[0] == 1.0
+        assert probs[1:] == [2.0 ** -53] * 2
 
     def test_pattern_reused_across_rows(self):
         # a stored word can appear twice in one driving sequence

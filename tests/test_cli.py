@@ -685,6 +685,9 @@ class TestSmallCommands:
         assert stdout.startswith("digits=17 unary_symbols=17 "
                                  "positional_symbols=2")
         assert run(capsys, "base", "101", "2", "--decode")[1] == "count=5\n"
+        # zero takes one positional digit and no unary symbols
+        assert run(capsys, "base", "0", "10") == (
+            0, "digits=0 unary_symbols=0 positional_symbols=1 ratio=1.000\n", "")
 
     def test_newton(self, tmp_path, capsys):
         report = tmp_path / "n.json"
@@ -795,6 +798,63 @@ class TestSmallCommands:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["compress"]) == 2
+
+
+# Inputs for the error branches below, written to the working directory.
+ERROR_FILES = {
+    "toy.grammar": KITTENS_GRAMMAR,
+    "xor.circuit": XOR_CIRCUIT,
+    "twice-input.circuit": "input a\ninput a\ngate g1 a a\noutput g1\n",
+    "twice-gate.circuit": "input a\ngate g1 a a\ngate g1 a a\noutput g1\n",
+    "undefined.circuit": "input a\ngate g1 a zz\noutput g1\n",
+    "zero.runs.json": '{"runs": [{"symbols": ["a"], "count": 0}]}',
+    "no-out.tsv": "in:a\tin:b\n1\t1\n",
+    "twice-row.tsv": "in:a\tout:b\n1\t0\n1\t1\n",
+    "twice.tm": "s0 1 -> s0 R\ns0 1 -> s1 L\n",
+    "succ.tm": SUCCESSOR_TM,
+}
+
+
+# Error branches of the readers and the commands, each with its exit code
+# and its whole stderr; nothing is printed to stdout.
+ERROR_BRANCHES = [
+    (["align", "toy.grammar", "--new", " "], 2,
+     "error: --new needs at least one symbol\n"),
+    (["retrieve", "toy.grammar", "--query", ""], 2,
+     "error: --query needs at least one symbol\n"),
+    (["circuit", "xor.circuit"], 2, "error: need --in name=value,... or --compile\n"),
+    (["circuit", "xor.circuit", "--in", "a1"], 2, "error: bad assignment 'a1'\n"),
+    (["circuit", "twice-input.circuit", "--compile"], 2,
+     "error: duplicate input terminal names\n"),
+    (["circuit", "twice-gate.circuit", "--compile"], 2,
+     "error: duplicate name 'g1'\n"),
+    (["circuit", "undefined.circuit", "--compile"], 2,
+     "error: gate 'g1' uses undefined source 'zz'\n"),
+    (["decompress", "zero.runs.json", "--out", "back.txt"], 2,
+     "error: malformed runs file: run count must be >= 1\n"),
+    (["table", "no-out.tsv", "--in", "1,1"], 2,
+     "error: table needs at least one in: and one out: column\n"),
+    (["table", "twice-row.tsv", "--in", "1"], 2,
+     "error: table 'twice-row.tsv': duplicate input row ('1',)\n"),
+    (["tm", "twice.tm", "--tape", "1", "--state", "s0"], 2,
+     "error: duplicate transition for ('s0', 1)\n"),
+    (["tm", "succ.tm", "--tape", "1", "--state", "s0", "--max-steps", "-1"], 2,
+     "error: max_steps must be >= 0\n"),
+    (["base", "17", "1"], 2, "error: base must be in 2..36\n"),
+    (["base", "1", "40", "--decode"], 2, "error: base must be in 2..36\n"),
+    (["unary", "fact", "-1"], 2, "error: factorial needs a natural number\n"),
+    (["base", "ZZZZZ", "36", "--decode"], 3, "TooLarge: value exceeds cap 1000000\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", ERROR_BRANCHES,
+                         ids=[" ".join(argv).strip() for argv, _, _ in ERROR_BRANCHES])
+def test_error_branches(tmp_path, capsys, monkeypatch, argv, code, err):
+    monkeypatch.chdir(tmp_path)
+    for name, text in ERROR_FILES.items():
+        Path(name).write_text(text)
+    assert run(capsys, *argv) == (code, "", err)
+    assert not Path("back.txt").exists()
 
 
 class TestParserReuse:

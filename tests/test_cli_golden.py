@@ -126,6 +126,8 @@ EXPECTED = {
         "5dd494c653f2f0bb98aa860cbaf7bcf8b0cbed9792b9ff080588aed290745a91",
     "retrieve 12":
         "d98b25d37d5b2d0af7b5b281d48b652c0c70cb7ff2bc641541be03073ec70e96",
+    "align 12 top 50":
+        "317f68864dc8abfea6ed1f0b655f09dde3a3825334b9b9f154b209aebb9844e3",
     "align 18 workload":
         "2941562b4fb41d7dc1e752e1fc2583582f135b56d6970750001b151ce2925147",
     "align 18 defaults":
@@ -134,6 +136,8 @@ EXPECTED = {
         "2f7a14c0d2916fe0268f8f0cc72f2607b42c194cb7c56b2c7d9342668a5eae75",
     "retrieve 18":
         "c6614c2670ed93c4e75c28e4897a5aaf778bd30fefd2b23f00e98cc1c9615122",
+    "align 18 top 50":
+        "58cbe6aec717bfd8097e81b63e77889d00bb3997ae30d347decec70611b06e71",
     "retrieve phrases":
         "ed4243117b9fca00e1e091e253543e78f638cfac58af78a057c311c7931a4dda",
     "table adder 1,0":
@@ -336,6 +340,11 @@ def _invocations(gen):
         yield f"align {length} defaults", ["align", grammar, "--new", new]
         yield f"parse {length}", ["parse", grammar, "--new", new]
         yield f"retrieve {length}", ["retrieve", grammar, "--query", new]
+        # fifty probabilities in the report: their total is a left fold, so
+        # the last bits of each p are the same on every Python
+        yield (f"align {length} top 50",
+               ["align", grammar, "--new", new, "--top", "50",
+                "--report", f"align{length}.top50.report.json"])
 
     rng = random.Random(1)
     patterns, freqs = gen.phrase_store(rng, phrases=1000, vocab_size=4000,

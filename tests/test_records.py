@@ -13,6 +13,7 @@ from icmup.errors import TooLarge
 from icmup.hierarchy import ClassNode
 from icmup.machines import (FunctionTable, Gate, NandCircuit, RowSelection, TMRow,
                             TMRunResult, TapeState, TuringMachine)
+from icmup.patterns import Record
 from icmup.reporting import RunReport
 from icmup.setnum import (UNARY_CAP, BaseReport, FallReport, FallRow, OperationTrace,
                           PeanoNumeral, TraceStep, UnaryNumber)
@@ -209,6 +210,19 @@ def test_an_alignment_works_out_its_costs_and_takes_no_cost_argument():
     with pytest.raises(TypeError):
         Alignment(al.new_row, al.old_rows, al.columns, 0.0, 1, 2,
                   encoding_cost=1.0)
+
+
+def test_every_constructor_is_generated():
+    # one way to make a record: Record writes each package record's
+    # constructor from its fields, and none keeps a hand-written one
+    checked, pending = 0, Record.__subclasses__()
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if "_fields" in cls.__dict__ and cls.__module__.startswith("icmup."):
+            assert cls.__init__.__code__.co_filename == "<string>", cls.__qualname__
+            checked += 1
+    assert checked == 24
 
 
 def test_an_encoded_stream_compares_its_store_by_identity():
