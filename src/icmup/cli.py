@@ -44,7 +44,7 @@ from collections.abc import Iterable
 from . import alignment as al
 from . import codecs
 from .errors import IcmupError, InputFormatError
-from .patterns import (SPPattern, check_symbol, parse_grammar, raw_cost,
+from .patterns import (SPPattern, check_texts, parse_grammar, raw_cost,
                        render, tokenize)
 from .reporting import RunReport, format_bits
 
@@ -181,13 +181,13 @@ def cmd_table(args) -> None:
     values = args.inputs.split(",")
     if "" in values:
         raise InputFormatError(f"--in has an empty value: {args.inputs!r}")
-    inputs = [check_symbol(v) for v in values]
+    check_texts(values)
     if args.diag:
-        selection = machines.score_rows(table, inputs)
+        selection = machines.score_rows(table, values)
         counts = ",".join(str(c) for c in selection.match_counts)
         selected = selection.best_row + 1 if selection.full_match else "-"
         print(f"selected_row={selected} matches={counts}")
-    outputs = machines.eval_table(table, inputs)
+    outputs = machines.eval_table(table, values)
     print(" ".join(f"{col}={sym}" for col, sym in zip(table.output_cols, outputs)))
 
 

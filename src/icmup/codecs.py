@@ -36,7 +36,11 @@ length, and stays O(N * L^2): one letter repeated 2,000 times takes about
 table lookup per distinct chunk length at each position.  The stream and
 runs writers give the text of ``json.dumps(doc, indent=2)`` without its
 pure-Python encoder: one C escape (``json.dumps``) per distinct text and
-code, then one dict lookup per symbol and one join per entry.
+code, then one dict lookup per symbol and one join per entry.  A literal
+or a run does not check its symbols when made, so each writer passes the
+distinct texts it wrote to one ``check_texts`` before it returns, and each
+reader checks them as it reads; a dictionary entry is an ``SPPattern``,
+which checks its own.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from operator import add, eq
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent, TooLarge)
 from .patterns import (PatternStore, Record, SPPattern, check_symbol,
-                       check_symbols, code_cost, is_count, symbol_cost_bits)
+                       check_texts, code_cost, is_count, symbol_cost_bits)
 
 # the most symbols ``rle_decode`` or ``chunk_decode`` makes: 100 times the
 # 100k-character corpus the README times, and a list of about 80 MB
@@ -524,15 +528,6 @@ class _Literals(dict):
         return literal
 
 
-class _Symbols(_Literals):
-    """A ``_Literals`` table for symbol texts: each distinct text passes
-    ``check_symbol`` once, when its literal is made, so a writer never
-    writes a file its reader rejects."""
-
-    def __missing__(self, text: str) -> str:
-        return super().__missing__(check_symbol(text))
-
-
 def _section(entries: list[str]) -> str:
     """A file section's laid-out entries as ``json.dumps(..., indent=2)``
     lays out the array, its entries 4 spaces in."""
@@ -550,7 +545,7 @@ def stream_to_json(stream: EncodedStream) -> str:
     from json import dumps  # only a stream file needs it
 
     # a code is a pattern id, which the symbol rule does not bind
-    texts, codes, counts = _Symbols(dumps), _Literals(dumps), _Literals(dumps)
+    texts, codes, counts = _Literals(dumps), _Literals(dumps), _Literals(dumps)
     entries = [f'{{\n      "code": {codes[e.id]},\n      "symbols": [\n        '
                f'{_SYMBOL_SEP.join(map(texts.__getitem__, e.symbols))}\n      ],\n'
                f'      "count": {counts[e.frequency]}\n    }}'
@@ -558,6 +553,9 @@ def stream_to_json(stream: EncodedStream) -> str:
     tokens = [f'{{\n      "code": {codes[tok.code]}\n    }}' if isinstance(tok, CodeRef)
               else f'{{\n      "lit": {texts[tok.symbol]}\n    }}'
               for tok in stream.tokens]
+    # a literal is not checked when made, so the writer checks the distinct
+    # texts it wrote, in one batch, and never writes a file its reader rejects
+    check_texts(tuple(texts))
     return (f'{{\n  "dictionary": {_section(entries)},\n'
             f'  "stream": {_section(tokens)}\n}}\n')
 
@@ -577,6 +575,13 @@ def parse_json(text: str) -> dict:
     return doc
 
 
+def _json_symbols(value) -> tuple:
+    """An entry's ``symbols``, which must be a JSON array, as a tuple."""
+    if not isinstance(value, list):
+        raise TypeError(f"symbols must be a JSON array, got {type(value).__name__}")
+    return tuple(value)
+
+
 def stream_from_json(source: str | dict) -> EncodedStream:
     """A chunk stream from a file's text, or from the object ``parse_json``
     made of it.  Each entry is a chunk as ``discover_chunks`` makes one: it
@@ -586,7 +591,6 @@ def stream_from_json(source: str | dict) -> EncodedStream:
     if doc.keys() != {"dictionary", "stream"}:
         raise InputFormatError("malformed stream file: it must hold exactly the "
                                f"'dictionary' and 'stream' sections, not {sorted(doc)}")
-    checked: set[str] = set()
     # every object is read by its documented keys, then must hold no other
     try:
         entries = []
@@ -595,9 +599,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
             if len(d) != 3:
                 raise ValueError("an entry holds exactly 'code', 'symbols' and "
                                  f"'count': {d!r}")
-            if not isinstance(symbols, list):
-                raise TypeError(f"symbols must be a JSON array, got {type(symbols).__name__}")
-            entry = SPPattern(code, check_symbols(symbols, checked), count)
+            entry = SPPattern(code, _json_symbols(symbols), count)
             if entry.frequency < 2:
                 raise ValueError(f"chunk {code!r} must occur at least twice")
             if len(entry) < 2:
@@ -614,7 +616,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
                     raise InputFormatError(f"stream references unknown code {item['code']!r}")
                 tokens.append(CodeRef(item["code"]))
             else:
-                tokens.append(Literal(check_symbols([item["lit"]], checked)[0]))
+                tokens.append(Literal(check_symbol(item["lit"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed stream file: {exc}") from None
     return EncodedStream(dictionary, tuple(tokens))
@@ -625,11 +627,12 @@ def runs_to_json(runs: Sequence[Run]) -> str:
     text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
     from json import dumps  # only a runs file needs it
 
-    texts, counts = _Symbols(dumps), _Literals(dumps, {UNBOUNDED: dumps(UNBOUNDED.value)})
+    texts, counts = _Literals(dumps), _Literals(dumps, {UNBOUNDED: dumps(UNBOUNDED.value)})
     items = [f'{{\n      "symbols": [\n        '
              f'{_SYMBOL_SEP.join(map(texts.__getitem__, r.symbols))}\n      ],\n'
              f'      "count": {counts[r.count]}\n    }}'
              for r in runs]
+    check_texts(tuple(texts))  # a run is not checked when made either
     return f'{{\n  "runs": {_section(items)}\n}}\n'
 
 
@@ -641,17 +644,15 @@ def runs_from_json(source: str | dict) -> list[Run]:
         raise InputFormatError("malformed runs file: it must hold exactly the 'runs' "
                                f"section, not {sorted(doc)}")
     out: list[Run] = []
-    checked: set[str] = set()
     star = UNBOUNDED.value  # read once: an Enum's value is a property
     try:
         for item in doc["runs"]:
             symbols, count = item["symbols"], item["count"]
             if len(item) != 2:
                 raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
-            if not isinstance(symbols, list):
-                raise TypeError(f"symbols must be a JSON array, got {type(symbols).__name__}")
-            out.append(Run(check_symbols(symbols, checked),
-                           UNBOUNDED if count == star else count))
+            symbols = _json_symbols(symbols)
+            check_texts(symbols)
+            out.append(Run(symbols, UNBOUNDED if count == star else count))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed runs file: {exc}") from None
     return out

@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownClass
-from .patterns import Record, check_symbols, check_texts, content_lines, symbol_cost_bits
+from .patterns import Record, check_texts, content_lines, symbol_cost_bits
 
 DL_FORMS = ("flat", "hierarchical")
 
@@ -194,7 +194,6 @@ def parse_hierarchy(text: str) -> Hierarchy:
     blank lines are ignored.
     """
     nodes: list[ClassNode] = []
-    checked: set[str] = set()
     for lineno, stripped in content_lines(text):
         if not stripped.startswith("CLASS"):
             raise InputFormatError(f"line {lineno}: expected 'CLASS'")
@@ -210,15 +209,10 @@ def parse_hierarchy(text: str) -> Hierarchy:
             if not eq or key not in fields:
                 raise InputFormatError(f"line {lineno}: bad field {item!r}")
             fields[key] = [v for v in value.split(",") if v]
-        try:
-            nodes.append(ClassNode(
-                name,
-                frozenset(check_symbols(fields["attrs"], checked)),
-                frozenset(fields["parents"]),
-                tuple(fields["parts"]),
-            ))
-        except ValueError as exc:
-            raise InputFormatError(f"line {lineno}: {exc}") from None
+        # split on whitespace and commas, the name and the attributes are
+        # symbols, so the node's own check cannot fail here
+        nodes.append(ClassNode(name, frozenset(fields["attrs"]),
+                               frozenset(fields["parents"]), tuple(fields["parts"])))
     try:
         return Hierarchy(nodes)
     except ValueError as exc:

@@ -18,7 +18,7 @@ from operator import eq
 
 from .errors import (ArityMismatch, InputFormatError, MissingInput, NoMatch,
                      TooLarge)
-from .patterns import Record, check_symbol, check_symbols, check_texts, content_lines
+from .patterns import Record, check_symbol, check_texts, content_lines
 
 MAX_TABLE_INPUTS = 16
 
@@ -123,9 +123,11 @@ class NandCircuit(Record):
     outputs: tuple[str, ...]
 
     def __post_init__(self):
-        defined = set(self.inputs)
-        if len(defined) != len(self.inputs):
-            raise ValueError("duplicate input terminal names")
+        defined = set()
+        for name in self.inputs:
+            if name in defined:
+                raise ValueError(f"duplicate input terminal name {name!r}")
+            defined.add(name)
         for gate in self.gates:
             if gate.id in defined:
                 raise ValueError(f"duplicate name {gate.id!r}")
@@ -333,17 +335,17 @@ def parse_table(text: str, name: str = "table") -> FunctionTable:
     if not input_cols or not output_cols:
         raise InputFormatError("table needs at least one in: and one out: column")
     rows = []
-    checked: set[str] = set()
     for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split("\t")]
         if len(cells) != len(input_cols) + len(output_cols):
             raise InputFormatError(f"line {lineno}: expected "
                                    f"{len(input_cols) + len(output_cols)} cells")
+        # the table checks its cells too, but only this check names the line
         try:
-            rows.append((check_symbols(cells[:len(input_cols)], checked),
-                         check_symbols(cells[len(input_cols):], checked)))
+            check_texts(cells)
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from None
+        rows.append((tuple(cells[:len(input_cols)]), tuple(cells[len(input_cols):])))
     try:
         return FunctionTable(name, tuple(input_cols), tuple(output_cols),
                              tuple(rows))

@@ -2,10 +2,14 @@
 
 A symbol is a plain ``str``: an atomic mark, and two symbols match only when
 their texts are the same.  ``check_symbol`` holds the one rule a symbol text
-passes (a non-empty string with no whitespace); it runs where text enters
-the package.  ``tokenize`` is valid by construction, since it splits on
-whitespace; each file reader checks each distinct text once
-(``check_symbols``), and ``SPPattern`` checks its symbols for API callers.
+passes (a non-empty string with no whitespace), and it runs where text
+enters the package: on one text alone, or through ``check_texts`` on a
+batch, which joins and splits them once and calls ``check_symbol`` only on
+the first bad one.  A record that holds symbols (``SPPattern``, a table,
+a class node, a fixed schema symbol) checks them when it is made, and a
+reader checks only what the record it builds does not.  ``tokenize`` and
+the grammar loader check nothing, since a split on whitespace gives
+symbols by construction.
 
 A pattern is what unification leaves: an id, symbols and a frequency.
 Whether it plays New or Old in an alignment follows from where it sits:
@@ -64,17 +68,6 @@ def check_symbol(text) -> str:
     if text.split() != [text]:
         raise ValueError(f"symbol text may not contain whitespace: {text!r}")
     return text
-
-
-def check_symbols(texts: Iterable, checked: set[str]) -> tuple[str, ...]:
-    """``texts`` as a tuple, each distinct text passed to ``check_symbol``
-    once: ``checked`` holds the texts already checked and gains the new
-    ones, so a reader passes one set for its whole file."""
-    out = tuple(texts)
-    for text in out:
-        if text not in checked:
-            checked.add(check_symbol(text))
-    return out
 
 
 def check_texts(texts: Sequence) -> None:

@@ -808,6 +808,8 @@ ERROR_FILES = {
     "twice-gate.circuit": "input a\ngate g1 a a\ngate g1 a a\noutput g1\n",
     "undefined.circuit": "input a\ngate g1 a zz\noutput g1\n",
     "zero.runs.json": '{"runs": [{"symbols": ["a"], "count": 0}]}',
+    "no-code.stream.json": ('{"dictionary": [{"code": "", "symbols": ["a", "b"],'
+                            ' "count": 2}], "stream": [{"lit": "a"}]}'),
     "no-out.tsv": "in:a\tin:b\n1\t1\n",
     "twice-row.tsv": "in:a\tout:b\n1\t0\n1\t1\n",
     "twice.tm": "s0 1 -> s0 R\ns0 1 -> s1 L\n",
@@ -825,13 +827,15 @@ ERROR_BRANCHES = [
     (["circuit", "xor.circuit"], 2, "error: need --in name=value,... or --compile\n"),
     (["circuit", "xor.circuit", "--in", "a1"], 2, "error: bad assignment 'a1'\n"),
     (["circuit", "twice-input.circuit", "--compile"], 2,
-     "error: duplicate input terminal names\n"),
+     "error: duplicate input terminal name 'a'\n"),
     (["circuit", "twice-gate.circuit", "--compile"], 2,
      "error: duplicate name 'g1'\n"),
     (["circuit", "undefined.circuit", "--compile"], 2,
      "error: gate 'g1' uses undefined source 'zz'\n"),
     (["decompress", "zero.runs.json", "--out", "back.txt"], 2,
      "error: malformed runs file: run count must be >= 1\n"),
+    (["decompress", "no-code.stream.json", "--out", "back.txt"], 2,
+     "error: malformed stream file: pattern id must be non-empty\n"),
     (["table", "no-out.tsv", "--in", "1,1"], 2,
      "error: table needs at least one in: and one out: column\n"),
     (["table", "twice-row.tsv", "--in", "1"], 2,

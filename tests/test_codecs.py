@@ -379,6 +379,11 @@ class TestSchema:
         with pytest.raises(BadCorrection):
             schema_instantiate(menu_schema(), {"ST": "st2", "MC": "mc5"})
 
+    def test_unknown_slot(self):
+        corrections = {"ST": "st2", "MC": "mc5", "PG": "pg3", "XX": "x1"}
+        with pytest.raises(BadCorrection, match=r"unknown slots: \['XX'\]"):
+            schema_instantiate(menu_schema(), corrections)
+
     def test_unknown_filler(self):
         with pytest.raises(BadCorrection):
             schema_instantiate(menu_schema(),

@@ -57,6 +57,12 @@ class TestEvalTable:
         assert _select([("1", "0"), ("0", "0")], ("1", "0")).full_match
         assert _select([], ("1",)).best_row is None
 
+    @pytest.mark.parametrize("row, side", [((("1", "0"), ("0",)), "input"),
+                                           ((("1",), ("0", "1")), "output")])
+    def test_row_arity_must_match_the_columns(self, row, side):
+        with pytest.raises(ValueError, match=f"row {side} arity mismatch"):
+            FunctionTable("t", ("a",), ("o",), (row,))
+
     def test_duplicate_inputs_rejected(self):
         row = (("1",), ("0",))
         with pytest.raises(ValueError):

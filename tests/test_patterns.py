@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from icmup import (PatternStore, SPPattern, check_symbol, code_cost,
                    code_cost_bits, parse_grammar, parse_hierarchy, parse_table,
                    patterns, raw_cost, render, symbol_cost_bits, tokenize)
+from icmup import codecs, machines
 from icmup.cli import main
 from icmup.codecs import runs_from_json, stream_from_json
 from icmup.errors import DegenerateAlphabet, InputFormatError, UnknownPattern
+from icmup.patterns import check_texts
 
 from conftest import KITTENS_GRAMMAR, counting_merges
 
@@ -342,34 +344,50 @@ def made(monkeypatch):
             made["patterns"].append(self.id)
             SPPattern.__post_init__(self)
 
-    monkeypatch.setattr(patterns, "check_symbol", counting_check)
+    # every module that calls the rule on one text
+    for module in (patterns, codecs, machines):
+        monkeypatch.setattr(module, "check_symbol", counting_check)
     monkeypatch.setattr(patterns, "SPPattern", CountingPattern)
     return made
 
 
-class TestOneCheckPerText:
-    """Each reader passes each distinct text to ``check_symbol`` once, in
-    the order the texts first appear; ``parse_grammar`` and ``tokenize``,
-    whose tokens are symbols by construction, pass none."""
+class TestOneRulePerText:
+    """A reader checks only the texts that the record it builds does not,
+    and checks a batch of texts with ``check_texts``, which passes none of
+    them to ``check_symbol`` when all are symbols.  So on valid input only
+    a stream's literals, which a ``Literal`` does not check, reach
+    ``check_symbol``, one call each; ``parse_grammar`` and ``tokenize``,
+    whose tokens are symbols by construction, check nothing."""
 
     @pytest.mark.parametrize("read, text, checked", [
-        (parse_table, "in:a\tin:b\tout:c\n1\t1\t0\n1\t0\t1\n0\t1\t1\n0\t0\t0\n",
-         ["1", "0"]),
+        (parse_table, "in:a\tin:b\tout:c\n1\t1\t0\n1\t0\t1\n0\t1\t1\n0\t0\t0\n", []),
         (stream_from_json, '{"dictionary": [{"code": "w1", "symbols": ["a", "b", "a"],'
          ' "count": 2}], "stream": [{"code": "w1"}, {"lit": "c"}, {"lit": "a"},'
-         ' {"lit": "c"}]}', ["a", "b", "c"]),
+         ' {"lit": "c"}]}', ["c", "a", "c"]),
         (runs_from_json, '{"runs": [{"symbols": ["x", "y"], "count": 2},'
-         ' {"symbols": ["y"], "count": "*"}, {"symbols": ["x", "z", "x"], "count": 1}]}',
-         ["x", "y", "z"]),
+         ' {"symbols": ["y"], "count": "*"}, {"symbols": ["x", "z", "x"], "count": 1}]}', []),
         (parse_hierarchy, "CLASS a : attrs=fur,warm\n"
-         "CLASS b : attrs=warm,tail,fur parents=a\nCLASS c : attrs=tail parents=b\n",
-         ["fur", "warm", "tail"]),
-        (lambda text: list(parse_grammar(text)), KITTENS_GRAMMAR, []),
-        (tokenize, "a b a  c\tb a", []),
-    ], ids=["table", "stream", "runs", "hierarchy", "grammar", "tokenize"])
-    def test_reader(self, made, read, text, checked):
+         "CLASS b : attrs=warm,tail,fur parents=a\nCLASS c : attrs=tail parents=b\n", []),
+    ], ids=["table", "stream", "runs", "hierarchy"])
+    def test_only_literals_reach_the_rule(self, made, read, text, checked):
         read(text)
         assert made["symbols"] == checked
+
+    @pytest.mark.parametrize("read, text", [
+        (parse_grammar, KITTENS_GRAMMAR),
+        (tokenize, "a b a  c\tb a"),
+    ], ids=["grammar", "tokenize"])
+    def test_split_text_is_not_checked(self, monkeypatch, made, read, text):
+        batches = []
+
+        def counting_batch(texts):
+            batches.append(tuple(texts))
+            return check_texts(texts)
+
+        monkeypatch.setattr(patterns, "check_texts", counting_batch)
+        read(text)
+        assert made == {"patterns": [], "symbols": []}
+        assert batches == []
 
 
 class TestLazyStore:
