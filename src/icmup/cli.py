@@ -80,10 +80,11 @@ def cmd_compress(args) -> RunReport:
         encoded = codecs.encoded_cost_bits(stream, priced)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(codecs.stream_to_json(stream))
-        print(f"mode=chunk symbols={len(symbols)} alphabet={alphabet} "
-              f"chunks={len(dictionary)}")
-        for entry in dictionary:
-            print(f"{entry.id} count={entry.frequency} len={len(entry)}")
+        # the table goes out in one write, with the figures line
+        lines = [f"mode=chunk symbols={len(symbols)} alphabet={alphabet} "
+                 f"chunks={len(dictionary)}"]
+        lines += [f"{entry.id} count={entry.frequency} len={len(entry)}"
+                  for entry in dictionary]
         report.details = {"mode": "chunk",
                           "chunks": [{"code": e.id, "count": e.frequency,
                                       "len": len(e)} for e in dictionary]}
@@ -93,15 +94,16 @@ def cmd_compress(args) -> RunReport:
         encoded = codecs.rle_cost_bits(runs, priced)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(codecs.runs_to_json(runs))
-        print(f"mode=rle symbols={len(symbols)} alphabet={alphabet} "
-              f"runs={len(runs)}")
-        for k, run in enumerate(runs, start=1):
-            print(f"r{k} count={run.count} len={len(run.symbols)}")
+        lines = [f"mode=rle symbols={len(symbols)} alphabet={alphabet} "
+                 f"runs={len(runs)}"]
+        lines += [f"r{k} count={run.count} len={len(run.symbols)}"
+                  for k, run in enumerate(runs, start=1)]
         report.details = {"mode": "rle", "runs": len(runs)}
     report.raw_bits = raw
     report.encoded_bits = encoded
-    print(f"raw_bits={format_bits(raw)} encoded_bits={format_bits(encoded)} "
-          f"ratio={format_bits(report.ratio)}{_two_part(report)}")
+    lines.append(f"raw_bits={format_bits(raw)} encoded_bits={format_bits(encoded)} "
+                 f"ratio={format_bits(report.ratio)}{_two_part(report)}")
+    print("\n".join(lines))
     return report
 
 

@@ -20,7 +20,9 @@ than that.
 Cost, for N symbols: the coders spell the symbols as a string, one
 character per distinct symbol, so an n-gram is a substring.
 ``rle_encode`` makes O(N log N) probes (for each block length b, only the
-positions 0, b, 2b, ...), each extended by slice compares.
+positions 0, b, 2b, ...), and extends by slice compares only a probe whose
+half block, ceil(b/2) symbols on one side of it, repeats b later; on
+random text that leaves O(N) extensions.
 ``discover_chunks`` first builds a repeats index, the suffix array and its
 LCP: O(N log N log L) in sorts, for L the longest repeat, plus O(N)
 character steps.  It gives each start i the longest window there that
@@ -32,10 +34,10 @@ grow about linearly (a corpus of two long copies around random noise:
 about 2.3x per doubling).  A corpus whose windows all repeat but whose
 grams never beat ``expected_count`` keeps every window live at every
 length, and stays O(N * L^2): one letter repeated 2,000 times takes about
-2 s.  ``chunk_encode`` makes one
-table lookup per distinct chunk length at each position.  The stream and
-runs writers give the text of ``json.dumps(doc, indent=2)`` without its
-pure-Python encoder: one C escape (``json.dumps``) per distinct text and
+2 s.  ``chunk_encode`` makes, at each position, one table lookup per
+distinct length among the chunks that start with the symbol there.  The
+stream and runs writers give the text of ``json.dumps(doc, indent=2)``
+without its pure-Python encoder: one C escape (``json.dumps``) per distinct text and
 code, then one dict lookup per symbol and one join per entry.  A literal
 or a run does not check its symbols when made, so each writer passes the
 distinct texts it wrote to one ``check_texts`` before it returns, and each
@@ -244,15 +246,17 @@ def chunk_encode(corpus: Sequence[str],
     among chunks with the same symbols the first in discovery order wins."""
     letters: dict[str, str] = {}
     s = _spell(corpus, letters)
-    by_length: dict[int, dict[str, str]] = {}
+    by_first: dict[str, dict[int, dict[str, str]]] = {}
     for entry in dictionary:
         gram = _spell(entry.symbols, letters)
-        by_length.setdefault(len(gram), {}).setdefault(gram, entry.id)
-    tables = sorted(by_length.items(), reverse=True)
+        by_first.setdefault(gram[0], {}).setdefault(len(gram), {}).setdefault(gram, entry.id)
+    # a position tries only the chunks that start with its own symbol
+    tables = {first: sorted(by_length.items(), reverse=True)
+              for first, by_length in by_first.items()}
     tokens: list[Token] = []
     pos = 0
     while pos < len(s):
-        for n, codes in tables:
+        for n, codes in tables.get(s[pos], ()):
             code = codes.get(s[pos:pos + n])
             if code is not None:
                 tokens.append(CodeRef(code))
@@ -361,7 +365,11 @@ def rle_encode(seq: Sequence[str]) -> list[Run]:
     every k in [i, i + b).  Such a stretch covers a multiple of b, so for
     each b only the positions 0, b, 2b, ... are probed, and a matching probe
     is extended both ways to its maximal stretch [lo, hi).  Inside it the
-    block at i repeats ``1 + (hi - i) // b`` times.
+    block at i repeats ``1 + (hi - i) // b`` times.  A stretch of b or more
+    reaches h = ceil(b/2) or more to one side of any probe in it, so a
+    probe whose h symbols after it, and whose h symbols before it, do not
+    repeat b later is skipped unextended.  Its own extent forward is below
+    h, so it could not have covered the next probe, j + b, either.
     """
     s = _spell(seq, {})
     r = s[::-1]
@@ -369,10 +377,15 @@ def rle_encode(seq: Sequence[str]) -> list[Run]:
     stretches: list[tuple[int, int, int]] = []  # (lo, hi, b), hi - lo >= b
     for b in range(1, length // 2 + 1):
         probes = range(0, length - b, b)
+        h = (b + 1) // 2
         hi = 0
         for j in compress(probes, map(eq, s[:length - b:b], s[b::b])):
             if j < hi:
                 continue  # inside the stretch just found
+            # it extends less than h each way, so no stretch of b holds it
+            # (at j = 0 the slice before it is empty)
+            if s[j:j + h] != s[j + b:j + b + h] and s[j - h:j] != s[j - h + b:j + b]:
+                continue
             lo = j - _lce(r, length - j, length - j - b, min(b - 1, j))
             hi = j + _lce(s, j, j + b, length - b - j)
             if hi - lo >= b:

@@ -22,12 +22,13 @@ pattern's field checks, for ``SPPattern`` and for the grammar loader alike.
 A ``PatternStore`` costs its rows and its index.  A row is a pattern's
 symbol text, its symbols joined by whitespace, and its frequency: a grammar
 line's text as it stands, or ``" ".join(p.symbols)`` for a given pattern.
-The store splits each row once, to build the index, and makes the
-``SPPattern`` only when the pattern is first read with ``get``;
-``PatternStore.symbols`` reads a pattern's symbols without making it.  The
-index, one postings list per text, is read only as the levels of
-``PatternStore.holders``.  A search, and a chunk stream's price, read the
-store's codes from ``PatternStore.codes``.
+The store makes the ``SPPattern`` only when the pattern is first read
+with ``get``; ``PatternStore.symbols`` reads a pattern's symbols without
+making it.  The index, one postings list per text, is built on the first
+read of ``PatternStore.holders`` or ``PatternStore.alphabet``, with one
+split of each row, and is read only through those two: a chunk
+dictionary, which reads neither, never builds it.  A search, and a chunk
+stream's price, read the store's codes from ``PatternStore.codes``.
 
 ``Record`` is the base of every frozen record in the package (``SPPattern``,
 the codecs' tokens, runs and schemas, ``alignment.Alignment``, and the
@@ -47,6 +48,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownPattern
 
@@ -231,8 +233,10 @@ class PatternStore:
     given in.  The store keeps each pattern as a row, its symbol text and
     frequency, and makes its ``SPPattern`` on the first ``get``; a store
     built from patterns returns those very objects.  ``symbols`` splits a
-    row without making the pattern.  The index's levels (``holders``) and
-    the codes are derived when first asked for."""
+    row without making the pattern.  The postings and the alphabet are
+    built together, once, on the first read of ``holders`` or
+    ``alphabet``; the index's levels and the codes are also derived when
+    first asked for, and all of them are kept."""
 
     def __init__(self, patterns: Iterable[SPPattern] = ()):
         made: dict[str, SPPattern] = {}
@@ -253,19 +257,26 @@ class PatternStore:
         return store
 
     def _load(self, rows: dict[str, _Row], made: dict[str, SPPattern]) -> None:
-        postings: defaultdict[str, list[str]] = defaultdict(list)
-        total = 0
-        for pid, (text, frequency) in rows.items():
-            total += frequency
-            for symbol in text.split():
-                postings[symbol].append(pid)
         self._rows = rows
         self._made = made
-        self._postings = postings
         self._holders: dict[str, tuple[tuple[str, ...], ...]] = {}
         self._codes: dict[str, float] | None = None
-        self.alphabet: frozenset[str] = frozenset(postings)
-        self.total_frequency: int = total
+        self.total_frequency: int = sum(frequency for _, frequency in rows.values())
+
+    @cached_property
+    def _postings(self) -> dict[str, list[str]]:
+        """Each text's list of the ids holding it, an id once per copy, in
+        store order: one split of every row, on the first read."""
+        postings: defaultdict[str, list[str]] = defaultdict(list)
+        for pid, (text, _) in self._rows.items():
+            for symbol in text.split():
+                postings[symbol].append(pid)
+        return postings
+
+    @cached_property
+    def alphabet(self) -> frozenset[str]:
+        """The texts the stored patterns hold."""
+        return frozenset(self._postings)
 
     def get(self, pattern_id: str) -> SPPattern:
         pattern = self._made.get(pattern_id)
@@ -381,9 +392,10 @@ def parse_grammar(text: str) -> PatternStore:
     load error, and so is a line that fails ``check_pattern``.
 
     A line's row is its symbol text as it stands, and its frequency.  The
-    store splits each text once, to build its index, at one postings
-    append per token; no ``SPPattern`` is made, since the store makes a
-    pattern when it is first read (see ``PatternStore``).  Tokens from
+    store splits each text once, to build its index when that is first
+    read, at one postings append per token; no ``SPPattern`` is made,
+    since the store makes a pattern when it is first read (see
+    ``PatternStore``).  Tokens from
     ``str.split()`` are non-empty and hold no whitespace, so every one is a
     symbol and none is passed to ``check_symbol``.
     """

@@ -14,7 +14,9 @@ from icmup import (UNBOUNDED, CodeRef, EncodedStream, Literal, PatternStore, Run
                    chunk_decode, chunk_encode, discover_chunks, rle_decode, rle_encode,
                    tokenize, unify_basic)
 from icmup import codecs
-from icmup.codecs import runs_to_json, stream_to_json
+from icmup.cli import main
+from icmup.codecs import (dictionary_cost_bits, encoded_cost_bits, runs_to_json,
+                          stream_from_json, stream_to_json)
 from icmup.errors import NotPresent
 
 LETTERS = "abcdefgh"
@@ -177,6 +179,18 @@ class TestChunkEncode:
         assert [getattr(t, "code", None) for t in stream.tokens] == [
             None, "w1", None, "w1"]
 
+    def test_chunks_sharing_a_first_symbol(self):
+        # a starts chunks of lengths 2, 3 and 4, two of them spelling a b,
+        # and b starts only b a, so b c is two literals
+        corpus = tokenize("a b c d a b a c a b c b a b c d")
+        dictionary = PatternStore([entry("w1", "a b"), entry("w2", "a b c"),
+                                   entry("w3", "a c"), entry("w4", "a b"),
+                                   entry("w5", "b a"), entry("w6", "a b c d")])
+        stream = chunk_encode(corpus, dictionary)
+        assert stream.tokens == oracle.chunk_encode(corpus, dictionary).tokens
+        assert [getattr(t, "code", None) or t.symbol for t in stream.tokens] == [
+            "w6", "w1", "w3", "w2", "w5", "b", "c", "d"]
+
 
 def unification(corpus, chunk, unify):
     """``unify``'s (frequency, residue) for ``chunk``, or None if it is absent."""
@@ -204,11 +218,60 @@ class TestUnifyBasic:
                 == unification(corpus, chunk, oracle.unify_basic))
 
 
+@st.composite
+def near_repeats(draw):
+    """A b-symbol block over 2-4 letters after up to b more, repeated, with
+    one symbol changed: stretches of about b that end at every offset from
+    the probes at multiples of b."""
+    alphabet = LETTERS[:draw(st.integers(2, 4))]
+    b = draw(st.integers(1, 12))
+    block = draw(st.lists(st.sampled_from(alphabet), min_size=b, max_size=b))
+    texts = (draw(st.lists(st.sampled_from(alphabet), max_size=b))
+             + block * draw(st.integers(2, 64 // b + 1)))
+    texts[draw(st.integers(0, len(texts) - 1))] = draw(st.sampled_from(alphabet))
+    return texts[:80]
+
+
 class TestRuns:
     @settings(max_examples=120)
     @given(corpora)
     def test_runs_match_oracle(self, corpus):
         assert runs_of(rle_encode(corpus)) == runs_of(oracle.rle_encode(corpus))
+
+    # rle_encode extends a probe only where a half block, ceil(b/2) symbols,
+    # repeats on one side of it; these stretches of b sit at that edge
+    @settings(max_examples=150)
+    @given(near_repeats())
+    # a stretch of exactly b at the start, and at the end of the corpus
+    @example(list("abcdeabcdef"))
+    @example(list("xyabcdeabcde"))
+    # b = 5 split 3/2 and 2/3 around the probe at 5
+    @example(list("fghabcdeabcdef"))
+    @example(list("fgabcdeabcdefg"))
+    # b = 4 split 2/2 around the probe at 4
+    @example(list("xyabcdabcdx"))
+    # b = 1
+    @example(list("abba"))
+    @example(list("aab"))
+    def test_stretches_at_the_half_block_match_oracle(self, corpus):
+        assert runs_of(rle_encode(corpus)) == runs_of(oracle.rle_encode(corpus))
+
+    def test_extensions_grow_near_linearly(self, monkeypatch):
+        # counted, not timed: the _lce extensions of random acgt at 1k, 2k,
+        # 4k and 8k symbols
+        lce = codecs._lce
+        calls = []
+
+        def counting(*args):
+            calls[-1] += 1
+            return lce(*args)
+
+        monkeypatch.setattr(codecs, "_lce", counting)
+        for size in (1_000, 2_000, 4_000, 8_000):
+            calls.append(0)
+            rle_encode(random.Random(size).choices("acgt", k=size))
+            assert len(calls) == 1 or calls[-1] <= 2.3 * calls[-2], calls
+        assert calls == [678, 1360, 2868, 5706]
 
     @pytest.mark.parametrize("text", [
         "a" * 30, "ab" * 15, "abcde" * 8, "aabaabaab" * 3, "abaababaab" * 3])
@@ -277,3 +340,34 @@ class TestFileWriters:
         assert '"count": "*"' in runs_to_json(runs)
         assert stream_to_json(stream) == oracle.stream_to_json(stream)
         assert stream_to_json(stream).isascii()
+
+
+class TestLazyIndex:
+    """A store builds its postings and alphabet on the first read of
+    ``holders`` or ``alphabet``, and a chunk dictionary reads neither."""
+
+    def test_a_chunk_dictionary_never_builds_its_index(self, monkeypatch, tmp_path, capsys):
+        def built(store):
+            raise AssertionError("a chunk dictionary built its index")
+
+        monkeypatch.setattr(PatternStore, "_postings", property(built))
+        corpus = chars("abcabcxabcabcyabcabz")
+        dictionary = discover_chunks(corpus)
+        again = stream_from_json(stream_to_json(chunk_encode(corpus, dictionary)))
+        assert chunk_decode(again) == corpus
+        encoded_cost_bits(again, 5)
+        dictionary_cost_bits(again.dictionary, 5)
+        path, stream, out = tmp_path / "c.txt", tmp_path / "s.json", tmp_path / "out.txt"
+        path.write_text("abcabcxabcabcyabcabz\n")
+        assert main(["compress", str(path), "--chars", "--out", str(stream)]) == 0
+        assert main(["decompress", str(stream), "--chars", "--out", str(out)]) == 0
+        assert out.read_text() == path.read_text()
+        assert capsys.readouterr().out.startswith(
+            "mode=chunk symbols=20 alphabet=6 chunks=2\nw1 count=2 len=6\n")
+
+    @given(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=5), max_size=6))
+    def test_alphabet_is_every_stored_symbol(self, bodies):
+        store = PatternStore(SPPattern(f"p{k}", tuple(body)) for k, body in enumerate(bodies))
+        assert type(store.alphabet) is frozenset
+        assert store.alphabet == frozenset(t for body in bodies for t in body)
+        assert store.alphabet is store.alphabet

@@ -2,14 +2,15 @@ import math
 import re
 import sys
 import time
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from icmup import (PatternStore, SPPattern, check_symbol, code_cost,
+from icmup import (PatternStore, SPPattern, build_alignments, check_symbol, code_cost,
                    code_cost_bits, parse_grammar, parse_hierarchy, parse_table,
-                   patterns, raw_cost, render, symbol_cost_bits, tokenize)
+                   patterns, raw_cost, render, retrieve, symbol_cost_bits, tokenize)
 from icmup import codecs, machines
 from icmup.cli import main
 from icmup.codecs import runs_from_json, stream_from_json
@@ -217,6 +218,26 @@ class TestStore:
                 assert ids == tuple(f"p{i}" for i, body in enumerate(bodies)
                                     if body.count(text) > c)  # in store order
             assert store.holders(text) is levels  # made once, then kept
+
+    def test_index_is_built_once_on_first_read(self, monkeypatch):
+        # a search and a retrieval over one store build its postings once
+        built = []
+        postings = PatternStore._postings.func
+
+        def counting(store):
+            built.append(store)
+            return postings(store)
+
+        index = cached_property(counting)
+        index.__set_name__(PatternStore, "_postings")
+        monkeypatch.setattr(PatternStore, "_postings", index)
+        store = parse_grammar(KITTENS_GRAMMAR)
+        assert built == []
+        new = SPPattern("new", tuple("t h e c a t s".split()))
+        build_alignments(new, store)
+        retrieve(new, store, 3)
+        assert store.alphabet == {t for p in store for t in p.symbols}
+        assert built == [store]
 
     def test_holders_grow_with_the_postings(self):
         """One pattern holding a text n times gives n levels, made in time
