@@ -309,7 +309,7 @@ def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,
     alphabet_size = literal.alphabet_size
     raw = raw_cost(new, alphabet_size)
     bits = symbol_cost_bits(alphabet_size)
-    codes = store.codes()
+    codes = store.codes
     cheapest = min(codes.values(), default=0.0)
 
     # the beam: Old-row ids -> alignment, best first
@@ -416,7 +416,7 @@ def retrieve(query: SPPattern, store: PatternStore,
               for pid in level}
     raw = raw_cost(query, alphabet_size)
     scored += [(pid, raw - _cost(code, len(query), alphabet_size))
-               for pid, code in store.codes().items() if pid not in shared]
+               for pid, code in store.codes.items() if pid not in shared]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:k]
 

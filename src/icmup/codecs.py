@@ -9,16 +9,19 @@ lossless; plain unification deliberately is not (it discards positions).
 
 A dictionary entry is the pattern unification makes, ``SPPattern(code,
 symbols, frequency=count)``, and a dictionary is a ``PatternStore`` of
-them, in discovery order.  A code reference is priced from the store's
-``codes()``, as a search prices a stored pattern.  A run is a block's
-symbols and its count, and is numbered (``r1, r2, ...``) by position only
-where it is printed.  ``rle_decode`` and ``chunk_decode`` expand a run or
-a code reference only while the output stays within ``DECODE_CAP``
-symbols, so a count or a reference in a file cannot ask for more memory
-than that.
+them, in discovery order, made by the store's one constructor.  A code
+reference is priced from the store's ``codes``, a cached property, as a
+search prices a stored pattern; a dictionary never reads the store's
+index, so never builds it.  A run is a block's symbols and its count, and
+is numbered (``r1, r2, ...``) by position only where it is printed.
+``rle_decode`` and ``chunk_decode`` expand a run or a code reference only
+while the output stays within ``DECODE_CAP`` symbols, so a count or a
+reference in a file cannot ask for more memory than that.
 
 Cost, for N symbols: the coders spell the symbols as a string, one
-character per distinct symbol, so an n-gram is a substring.
+character per distinct symbol, so an n-gram is a substring, and a corpus
+of more than ``MAX_SYMBOLS`` distinct symbols, the last code point, can
+raise ``TooLarge``.
 ``rle_encode`` makes O(N log N) probes (for each block length b, only the
 positions 0, b, 2b, ...), and extends by slice compares only a probe whose
 half block, ceil(b/2) symbols on one side of it, repeats b later; on
@@ -62,6 +65,11 @@ from .patterns import (PatternStore, Record, SPPattern, check_symbol,
 # 100k-character corpus the README times, and a list of about 80 MB
 DECODE_CAP = 10 ** 7
 
+# the most distinct symbols a coder is sure to spell, one character each:
+# chr() stops here (sys.maxunicode), and ``_spell`` works out the next
+# character before it looks each symbol up
+MAX_SYMBOLS = 0x10FFFF
+
 
 class CodeRef(Record):
     __slots__ = _fields = ("code",)
@@ -87,8 +95,15 @@ def _spell(symbols: Iterable[str], letters: dict[str, str]) -> str:
 
     ``letters`` maps symbols to characters and grows with every new one, so
     strings spelled with the same map compare like the symbol sequences.
+    Up to ``MAX_SYMBOLS`` distinct symbols always spell; a symbol read
+    with more than that in ``letters`` may run out of characters, and
+    raises ``TooLarge``.
     """
-    return "".join([letters.setdefault(t, chr(len(letters))) for t in symbols])
+    try:
+        return "".join([letters.setdefault(t, chr(len(letters))) for t in symbols])
+    except ValueError:  # chr() past the last code point
+        raise TooLarge(f"more than {MAX_SYMBOLS} distinct symbols: the coders "
+                       "spell each one as a character") from None
 
 
 def expected_count(gram: Sequence[str], corpus_freq: Mapping[str, int],
@@ -287,7 +302,7 @@ def chunk_decode(stream: EncodedStream) -> list[str]:
 
 def encoded_cost_bits(stream: EncodedStream, alphabet_size: int) -> float:
     """Fractional-bit cost of a stream: each reference's code from the
-    dictionary's ``codes()`` (counts as frequencies) plus fixed-length costs
+    dictionary's ``codes`` (counts as frequencies) plus fixed-length costs
     for literals."""
     cost = 0.0
     per_symbol = symbol_cost_bits(alphabet_size)
@@ -588,11 +603,12 @@ def parse_json(text: str) -> dict:
     return doc
 
 
-def _json_symbols(value) -> tuple:
-    """An entry's ``symbols``, which must be a JSON array, as a tuple."""
+def _json_array(value, what: str) -> list:
+    """``value``, which must be a JSON array: a file's section, or an
+    entry's ``symbols``, named ``what`` in the error."""
     if not isinstance(value, list):
-        raise TypeError(f"symbols must be a JSON array, got {type(value).__name__}")
-    return tuple(value)
+        raise TypeError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
 
 
 def stream_from_json(source: str | dict) -> EncodedStream:
@@ -607,12 +623,12 @@ def stream_from_json(source: str | dict) -> EncodedStream:
     # every object is read by its documented keys, then must hold no other
     try:
         entries = []
-        for d in doc["dictionary"]:
+        for d in _json_array(doc["dictionary"], "dictionary"):
             code, symbols, count = d["code"], d["symbols"], d["count"]
             if len(d) != 3:
                 raise ValueError("an entry holds exactly 'code', 'symbols' and "
                                  f"'count': {d!r}")
-            entry = SPPattern(code, _json_symbols(symbols), count)
+            entry = SPPattern(code, _json_array(symbols, "symbols"), count)
             if entry.frequency < 2:
                 raise ValueError(f"chunk {code!r} must occur at least twice")
             if len(entry) < 2:
@@ -620,7 +636,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
             entries.append(entry)
         dictionary = PatternStore(entries)
         tokens: list[Token] = []
-        for item in doc["stream"]:
+        for item in _json_array(doc["stream"], "stream"):
             if len(item) != 1 or ("code" not in item and "lit" not in item):
                 raise InputFormatError("stream token needs exactly one of 'code' and "
                                        f"'lit' and no other key: {item!r}")
@@ -659,11 +675,11 @@ def runs_from_json(source: str | dict) -> list[Run]:
     out: list[Run] = []
     star = UNBOUNDED.value  # read once: an Enum's value is a property
     try:
-        for item in doc["runs"]:
+        for item in _json_array(doc["runs"], "runs"):
             symbols, count = item["symbols"], item["count"]
             if len(item) != 2:
                 raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
-            symbols = _json_symbols(symbols)
+            symbols = tuple(_json_array(symbols, "symbols"))
             check_texts(symbols)
             out.append(Run(symbols, UNBOUNDED if count == star else count))
     except (KeyError, TypeError, ValueError) as exc:

@@ -22,13 +22,17 @@ pattern's field checks, for ``SPPattern`` and for the grammar loader alike.
 A ``PatternStore`` costs its rows and its index.  A row is a pattern's
 symbol text, its symbols joined by whitespace, and its frequency: a grammar
 line's text as it stands, or ``" ".join(p.symbols)`` for a given pattern.
-The store makes the ``SPPattern`` only when the pattern is first read
-with ``get``; ``PatternStore.symbols`` reads a pattern's symbols without
-making it.  The index, one postings list per text, is built on the first
-read of ``PatternStore.holders`` or ``PatternStore.alphabet``, with one
-split of each row, and is read only through those two: a chunk
-dictionary, which reads neither, never builds it.  A search, and a chunk
-stream's price, read the store's codes from ``PatternStore.codes``.
+A store has one constructor, which takes patterns; ``parse_grammar`` makes
+an empty store and gives it the grammar's rows.  The store makes the
+``SPPattern`` only when the pattern is first read with ``get``;
+``PatternStore.symbols`` reads a pattern's symbols without making it.
+Every value a store derives is a cached property, made on first read and
+kept.  The index, one postings list per text, is built on the first read
+of ``PatternStore.holders`` or ``PatternStore.alphabet``, with one split of
+each row, and is read only through those two: a chunk dictionary, which
+reads neither, never builds it.  A search, and a chunk stream's price,
+read the store's codes from ``PatternStore.codes``, and the codes read
+``PatternStore.total_frequency``.
 
 ``Record`` is the base of every frozen record in the package (``SPPattern``,
 the codecs' tokens, runs and schemas, ``alignment.Alignment``, and the
@@ -49,6 +53,7 @@ import math
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownPattern
 
@@ -230,13 +235,19 @@ class PatternStore:
     code costs, and a symbol-to-pattern retrieval index: the postings, each
     text's list of the ids holding it, an id once per copy, in store order.
     Any pattern fits.  Ids and iteration keep the order the patterns were
-    given in.  The store keeps each pattern as a row, its symbol text and
-    frequency, and makes its ``SPPattern`` on the first ``get``; a store
-    built from patterns returns those very objects.  ``symbols`` splits a
-    row without making the pattern.  The postings and the alphabet are
-    built together, once, on the first read of ``holders`` or
-    ``alphabet``; the index's levels and the codes are also derived when
-    first asked for, and all of them are kept."""
+    given in.
+
+    A store has one constructor, which takes patterns and keeps each one
+    as a row, its symbol text and frequency; ``parse_grammar`` makes an
+    empty store and gives it a grammar's rows, none of them made.  ``get``
+    makes a row's ``SPPattern`` on first read, from ``symbols`` and the
+    row's frequency; a store built from patterns returns those very
+    objects.  ``symbols`` splits a row without making the pattern.  Every
+    value the store derives is a ``cached_property``, made on first read
+    and kept: ``total_frequency``, ``codes``, ``alphabet`` and the postings
+    (built with the alphabet, on the first read of ``holders`` or
+    ``alphabet``).  ``holders`` takes a text, so it keeps its levels per
+    text."""
 
     def __init__(self, patterns: Iterable[SPPattern] = ()):
         made: dict[str, SPPattern] = {}
@@ -244,24 +255,24 @@ class PatternStore:
             if p.id in made:
                 raise ValueError(f"duplicate pattern id {p.id!r}")
             made[p.id] = p
-        self._load({pid: (" ".join(p.symbols), p.frequency)
-                    for pid, p in made.items()}, made)
-
-    @classmethod
-    def _from_rows(cls, rows: dict[str, _Row]) -> "PatternStore":
-        """A store of patterns given as id -> (symbol text, frequency) rows,
-        none of them made yet.  The rows must pass ``check_pattern``, and
-        each token of a text must be a symbol."""
-        store = cls.__new__(cls)
-        store._load(rows, {})
-        return store
-
-    def _load(self, rows: dict[str, _Row], made: dict[str, SPPattern]) -> None:
-        self._rows = rows
         self._made = made
+        # id -> (symbol text, frequency); see ``parse_grammar`` for unmade rows
+        self._rows: dict[str, _Row] = {pid: (" ".join(p.symbols), p.frequency)
+                                       for pid, p in made.items()}
         self._holders: dict[str, tuple[tuple[str, ...], ...]] = {}
-        self._codes: dict[str, float] | None = None
-        self.total_frequency: int = sum(frequency for _, frequency in rows.values())
+
+    @cached_property
+    def total_frequency(self) -> int:
+        """F, the stored frequencies' sum."""
+        return sum(frequency for _, frequency in self._rows.values())
+
+    @cached_property
+    def codes(self) -> Mapping[str, float]:
+        """Pattern id -> its code cost, ``code_cost_bits(f, F)``, for every
+        stored pattern, in store order (read-only)."""
+        total = self.total_frequency
+        return MappingProxyType({pid: code_cost_bits(frequency, total)
+                                 for pid, (_, frequency) in self._rows.items()})
 
     @cached_property
     def _postings(self) -> dict[str, list[str]]:
@@ -281,9 +292,8 @@ class PatternStore:
     def get(self, pattern_id: str) -> SPPattern:
         pattern = self._made.get(pattern_id)
         if pattern is None:
-            text, frequency = self._row(pattern_id)
             pattern = self._made[pattern_id] = SPPattern(
-                pattern_id, tuple(text.split()), frequency)
+                pattern_id, self.symbols(pattern_id), self._rows[pattern_id][1])
         return pattern
 
     def symbols(self, pattern_id: str) -> tuple[str, ...]:
@@ -292,25 +302,13 @@ class PatternStore:
         pattern = self._made.get(pattern_id)
         if pattern is not None:
             return pattern.symbols
-        return tuple(self._row(pattern_id)[0].split())
-
-    def _row(self, pattern_id: str) -> _Row:
         try:
-            return self._rows[pattern_id]
+            return tuple(self._rows[pattern_id][0].split())
         except KeyError:
             raise UnknownPattern(f"no pattern with id {pattern_id!r}") from None
 
     def ids(self) -> list[str]:
         return list(self._rows)
-
-    def codes(self) -> Mapping[str, float]:
-        """Pattern id -> its code cost, ``code_cost_bits(f, F)``, for every
-        stored pattern (read-only).  Made on the first request and kept."""
-        if self._codes is None:
-            total = self.total_frequency
-            self._codes = {pid: code_cost_bits(frequency, total)
-                           for pid, (_, frequency) in self._rows.items()}
-        return self._codes
 
     def holders(self, text: str) -> tuple[tuple[str, ...], ...]:
         """Level c -> the ids, in store order, of the patterns holding more
@@ -365,9 +363,9 @@ def raw_cost(pattern: SPPattern | Sequence[str], alphabet_size: int) -> float:
 
 
 def code_cost(pattern_id: str, store: PatternStore) -> float:
-    """The stored pattern's code cost, read from ``store.codes()``."""
+    """The stored pattern's code cost, read from ``store.codes``."""
     try:
-        return store.codes()[pattern_id]
+        return store.codes[pattern_id]
     except KeyError:
         raise UnknownPattern(f"no pattern with id {pattern_id!r}") from None
 
@@ -430,4 +428,6 @@ def parse_grammar(text: str) -> PatternStore:
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from None
         rows[pid] = text, freq
-    return PatternStore._from_rows(rows)
+    store = PatternStore()
+    store._rows = rows  # unmade rows, which the store reads as its own
+    return store

@@ -130,7 +130,7 @@ def test_bound_holds_in_float():
         al = compose_alignment(new, [store.get(pid) for pid in rows], store)
         raw = raw_cost(new, al.alphabet_size)
         bits = symbol_cost_bits(al.alphabet_size)
-        codes = store.codes()
+        codes = store.codes
         targets, texts = alignment._unhit(al.columns)
         drives = [al.columns[ci].entries[0][0] == 0 for ci in targets]
         for pid, ceiling in alignment._candidates(texts, drives, store, True).items():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -183,6 +184,16 @@ class TestCompressDecompress:
         ('{"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": 2},'
          ' {"code": "w1", "symbols": ["c", "d"], "count": 2}],'
          ' "stream": [{"code": "w1"}]}', "malformed stream file"),
+        # every section is a JSON array, as every entry's symbols are
+        ('{"dictionary": "", "stream": ""}',
+         "malformed stream file: dictionary must be a JSON array, got str"),
+        ('{"dictionary": {}, "stream": {}}',
+         "malformed stream file: dictionary must be a JSON array, got dict"),
+        ('{"dictionary": [], "stream": "ab"}',
+         "malformed stream file: stream must be a JSON array, got str"),
+        ('{"runs": ""}', "malformed runs file: runs must be a JSON array, got str"),
+        ('{"runs": {}}', "malformed runs file: runs must be a JSON array, got dict"),
+        ('{"runs": "ab"}', "malformed runs file: runs must be a JSON array, got str"),
     ])
     def test_repaired_file_exits_2(self, tmp_path, capsys, doc, message):
         stream = tmp_path / "s.json"
@@ -231,6 +242,23 @@ class TestCompressDecompress:
         code, stdout, err = run(capsys, "decompress", str(stream), "--out", str(out))
         assert (code, stdout) == (2, "") and "Traceback" not in err
         assert "nests too deeply" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["chunk", "rle"])
+    def test_past_the_symbol_limit_exits_3(self, tmp_path, capsys, monkeypatch, mode):
+        # the coders run out of characters three symbols in: chr() is moved
+        # up so that the fourth distinct symbol asks for the code point
+        # past the last, as the 1,114,113th of a real corpus can
+        monkeypatch.setattr(codecs, "chr", lambda i: chr(i + codecs.MAX_SYMBOLS - 2),
+                            raising=False)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a b c d a b")
+        out = tmp_path / "s.json"
+        code, stdout, err = run(capsys, "compress", str(corpus), "--mode", mode,
+                                "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err == ("TooLarge: more than 1114111 distinct symbols: the coders "
+                       "spell each one as a character\n")
         assert not out.exists()
 
     def test_malformed_stream_exits_2(self, tmp_path, capsys):
@@ -599,6 +627,14 @@ class TestSmallCommands:
     def test_unary_domain_error(self, capsys):
         code, _, err = run(capsys, "unary", "sub", "3", "7")
         assert code == 3 and err.startswith("Underflow")
+
+    def test_module_run_is_main(self, capsys, monkeypatch):
+        # ``python -m icmup`` exits with what cli.main returns
+        monkeypatch.setattr(sys, "argv", ["icmup", "unary", "add", "2", "3"])
+        with pytest.raises(SystemExit) as caught:
+            runpy.run_module("icmup", run_name="__main__")
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.splitlines()[0] == "result=5 transfers=3"
 
     # each operand is past the cap; a refusal that builds or computes the
     # whole answer first takes far longer than the timeout

@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,8 @@ class TestDiscovery:
         assert [(e.id, e.symbols, e.frequency) for e in d] == [
             ("w1", ("a", "b"), 3)]
         assert expected_count(("a", "b"), {"a": 3, "b": 3}, 6) == pytest.approx(1.25)
+        # a gram longer than the corpus has no window to occur in
+        assert expected_count(("a", "b", "a"), {"a": 1, "b": 1}, 2) == 0.0
 
     def test_uniform_corpus_fails_chance_test(self):
         # every repeat of "a a ..." is expected by chance under zero-order
@@ -111,6 +114,15 @@ class TestChunkCodec:
         assert len(refs) == 2
         assert all(r.code == "w1" for r in refs)
         assert chunk_decode(stream) == list(corpus)
+
+    def test_spelling_past_the_last_code_point_is_too_large(self):
+        class Full(dict):  # a letters map that has spelled every code point
+            def __len__(self):
+                return codecs.MAX_SYMBOLS + 1
+
+        assert codecs.MAX_SYMBOLS == sys.maxunicode
+        with pytest.raises(TooLarge, match=f"more than {sys.maxunicode} distinct symbols"):
+            codecs._spell(["a"], Full())
 
     def test_empty_dictionary_is_identity(self):
         corpus = tokenize("p q r")

@@ -293,6 +293,7 @@ class TestHierarchyFile:
     def test_parse_and_empty_lists(self):
         h = parse_hierarchy("CLASS a : attrs= parents= parts=\n# note\n")
         assert h.names() == ["a"]
+        assert len(h) == 1 and "a" in h and "note" not in h
 
     @pytest.mark.parametrize("text", [
         "KLASS a : attrs=",

@@ -162,6 +162,10 @@ class TestCosts:
         costs = [code_cost_bits(f, total) for f in range(1, total + 1)]
         assert all(a > b for a, b in zip(costs, costs[1:]))
         assert costs[-1] == 0.0
+        # and only for 1 <= f <= F
+        for frequency in (0, total + 1):
+            with pytest.raises(ValueError, match="need 1 <= frequency <= total_frequency"):
+                code_cost_bits(frequency, total)
 
 
 class TestPattern:
@@ -188,6 +192,12 @@ class TestStore:
     def test_code_cost_lookup(self):
         store = self.make()
         assert code_cost("a", store) == pytest.approx(-math.log2(3 / 4))
+
+    def test_codes_are_kept_in_store_order_and_read_only(self):
+        store = self.make()
+        assert store.codes is store.codes and list(store.codes) == ["a", "b"]
+        with pytest.raises(TypeError):
+            store.codes["a"] = 0.0
 
     def test_unknown_pattern(self):
         with pytest.raises(UnknownPattern):
@@ -327,7 +337,7 @@ class TestGrammarFile:
         assert len(store) == len(reference)
         assert store.alphabet == reference.alphabet
         assert store.total_frequency == reference.total_frequency
-        assert list(store.codes().items()) == list(reference.codes().items())
+        assert list(store.codes.items()) == list(reference.codes.items())
         for pid in reference.ids():
             assert store.get(pid) == reference.get(pid)
         assert list(store) == list(reference)
@@ -417,7 +427,7 @@ class TestLazyStore:
 
     def test_loading_makes_nothing_and_each_get_one_pattern(self, made):
         store = parse_grammar(KITTENS_GRAMMAR)
-        assert store.codes() and store.holders("Nr") and store.holders("k")
+        assert store.codes and store.holders("Nr") and store.holders("k")
         assert made == {"patterns": [], "symbols": []}
         for k, pid in enumerate(["p4", "p1", "p2"], start=1):
             first = store.get(pid)

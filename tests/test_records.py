@@ -343,6 +343,8 @@ class TestRunReport:
         report.raw_bits = 4.0
         report.details = {"mode": "rle"}
         assert report != other and report.raw_bits == 4.0
+        # a report equals no object of another type, not even a like one
+        assert report.__eq__(vars(report)) is NotImplemented and report != vars(report)
         with pytest.raises(TypeError):
             hash(report)
 
