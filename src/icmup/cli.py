@@ -96,8 +96,8 @@ def cmd_compress(args) -> RunReport:
             fh.write(codecs.runs_to_json(runs))
         lines = [f"mode=rle symbols={len(symbols)} alphabet={alphabet} "
                  f"runs={len(runs)}"]
-        lines += [f"r{k} count={run.count} len={len(run.symbols)}"
-                  for k, run in enumerate(runs, start=1)]
+        lines += [f"r{k} count={count} len={len(symbols)}" for k, (symbols, count)
+                  in enumerate(zip(runs.blocks, runs.counts), start=1)]
         report.details = {"mode": "rle", "runs": len(runs)}
     report.raw_bits = raw
     report.encoded_bits = encoded

@@ -12,8 +12,12 @@ symbols, frequency=count)``, and a dictionary is a ``PatternStore`` of
 them, in discovery order, made by the store's one constructor.  A code
 reference is priced from the store's ``codes``, a cached property, as a
 search prices a stored pattern; a dictionary never reads the store's
-index, so never builds it.  A run is a block's symbols and its count, and
-is numbered (``r1, r2, ...``) by position only where it is printed.
+index, so never builds it.  A run list is a ``Runs``, two columns of one
+length: the blocks' symbols and their counts.  It is checked once, a
+column at a time, when made; a ``Run``, one block and its count, is made
+only when a caller iterates or indexes the list, never on the way from a
+corpus to a runs file or back.  A run is numbered (``r1, r2, ...``) by
+position only where it is printed.
 ``rle_decode`` and ``chunk_decode`` expand a run or a code reference only
 while the output stays within ``DECODE_CAP`` symbols, so a count or a
 reference in a file cannot ask for more memory than that.
@@ -41,20 +45,23 @@ length, and stays O(N * L^2): one letter repeated 2,000 times takes about
 distinct length among the chunks that start with the symbol there.  The
 stream and runs writers give the text of ``json.dumps(doc, indent=2)``
 without its pure-Python encoder: one C escape (``json.dumps``) per distinct text and
-code, then one dict lookup per symbol and one join per entry.  A literal
-or a run does not check its symbols when made, so each writer passes the
-distinct texts it wrote to one ``check_texts`` before it returns, and each
-reader checks them as it reads; a dictionary entry is an ``SPPattern``,
-which checks its own.
+code, then one dict lookup per symbol and one join per entry; the runs
+writer lays out each distinct run once.  A literal or a run list does not
+check its symbols when made, so each writer passes the distinct texts it
+wrote to one ``check_texts`` before it returns.  The stream reader checks
+each literal as it reads it, and the runs reader reads its entries as two
+columns, with one ``check_texts`` over every block's symbols; only a file
+that fails that batch is read again entry by entry, to name its first
+fault.  A dictionary entry is an ``SPPattern``, which checks its own.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from itertools import chain, compress, count, repeat
-from operator import add, eq
+from operator import add, eq, itemgetter
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent, TooLarge)
@@ -332,7 +339,8 @@ UNBOUNDED = Unbounded.UNBOUNDED
 
 
 class Run(Record):
-    """A block of symbols and how many times it repeats."""
+    """A block of symbols and how many times it repeats: what a ``Runs``
+    list yields, made when it is asked for."""
 
     __slots__ = _fields = ("symbols", "count")
     symbols: tuple[str, ...]
@@ -345,6 +353,47 @@ class Run(Record):
             raise TypeError("run count must be an integer or UNBOUNDED")
         if self.count is not UNBOUNDED and self.count < 1:
             raise ValueError("run count must be >= 1")
+
+
+class Runs(Record):
+    """A run list as two columns of one length: run k is ``blocks[k]``
+    repeated ``counts[k]`` times.  Its length is the number of runs, and
+    iterating or indexing it makes each ``Run`` when it is asked for.
+
+    The list is checked once, when made, a column at a time: every block
+    has a symbol, and every count is an integer of at least 1 or
+    ``UNBOUNDED``.  Only a list that fails that test is walked run by run,
+    so that the first bad run raises as ``Run`` would.  As a ``Run`` does
+    not, it does not check its symbols."""
+
+    __slots__ = _fields = ("blocks", "counts")
+    blocks: tuple[tuple[str, ...], ...]
+    counts: tuple[int | Unbounded, ...]
+
+    def __post_init__(self):
+        if len(self.blocks) != len(self.counts):
+            raise ValueError("a run list needs one count per block")
+        numbers = [c for c in self.counts if c is not UNBOUNDED]
+        # exact int, not is_count: a subclass of int is left to the walk
+        if not (all(self.blocks) and set(map(type, numbers)) <= {int}
+                and min(numbers, default=1) >= 1):
+            for _ in self:  # each Run checks itself
+                pass
+
+    @classmethod
+    def of(cls, runs: Iterable[Run]) -> Runs:
+        """The run list of ``runs``, in order."""
+        runs = list(runs)
+        return cls(tuple([r.symbols for r in runs]), tuple([r.count for r in runs]))
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __iter__(self) -> Iterator[Run]:
+        return map(Run, self.blocks, self.counts)
+
+    def __getitem__(self, k: int) -> Run:
+        return Run(self.blocks[k], self.counts[k])
 
 
 def _lce(s: str, i: int, j: int, limit: int) -> int:
@@ -368,7 +417,7 @@ def _lce(s: str, i: int, j: int, limit: int) -> int:
     return n
 
 
-def rle_encode(seq: Sequence[str]) -> list[Run]:
+def rle_encode(seq: Sequence[str]) -> Runs:
     """Detect immediately repeated blocks, maximal munch.
 
     At each position the candidate block maximises the munched span
@@ -384,7 +433,9 @@ def rle_encode(seq: Sequence[str]) -> list[Run]:
     reaches h = ceil(b/2) or more to one side of any probe in it, so a
     probe whose h symbols after it, and whose h symbols before it, do not
     repeat b later is skipped unextended.  Its own extent forward is below
-    h, so it could not have covered the next probe, j + b, either.
+    h, so it could not have covered the next probe, j + b, either.  The
+    symbols before the next stretch starts are each a run of count 1, and
+    go into the two columns in one step.
     """
     s = _spell(seq, {})
     r = s[::-1]
@@ -406,39 +457,50 @@ def rle_encode(seq: Sequence[str]) -> list[Run]:
             if hi - lo >= b:
                 stretches.append((lo, hi, b))
     stretches.sort()
-    runs: list[Run] = []
+    # a stretch at the end stands for none, so the symbols after the last
+    # stretch are a gap like those between stretches
+    stretches.append((length, length, 1))
+    blocks: list[tuple[str, ...]] = []
+    counts: list[int] = []
     i = 0
     k = 0
     while i < length:
+        start = stretches[k][0]
+        if i < start:  # up to the next stretch, each symbol is a run of 1
+            blocks.extend(zip(seq[i:start]))
+            counts.extend(repeat(1, start - i))
+            i = start
+            continue
         # each stretch is weighed once: the munch from i ends past every
         # stretch that is still live here
         best = (1, 1, 1)  # (span, block_len, count)
-        while k < len(stretches) and stretches[k][0] <= i:
+        while stretches[k][0] <= i:
             _, hi, b = stretches[k]
             k += 1
             if hi - i >= b:
                 count = 1 + (hi - i) // b
                 best = max(best, (b * count, b, count))
         _, block_len, count = best
-        runs.append(Run(tuple(seq[i:i + block_len]), count))
+        blocks.append(tuple(seq[i:i + block_len]))
+        counts.append(count)
         i += block_len * count
-    return runs
+    return Runs(tuple(blocks), tuple(counts))
 
 
-def rle_decode(runs: Sequence[Run]) -> list[str]:
+def rle_decode(runs: Runs) -> list[str]:
     """The symbols the runs stand for.  The runs are checked in order, and
     the first run that is unbounded, or that would take the output past
     ``DECODE_CAP`` symbols, raises before it is expanded."""
     out: list[str] = []
     length = 0
-    for k, run in enumerate(runs, start=1):
-        if run.count is UNBOUNDED:
+    for k, symbols, times in zip(count(1), runs.blocks, runs.counts):
+        if times is UNBOUNDED:
             raise NotDecodable(f"run 'r{k}' has an unbounded count")
-        length += len(run.symbols) * run.count
+        length += len(symbols) * times
         if length > DECODE_CAP:
             raise TooLarge(f"run 'r{k}' takes the output past the cap of "
                            f"{DECODE_CAP} symbols")
-        out.extend(run.symbols * run.count)
+        out += symbols * times
     return out
 
 
@@ -542,10 +604,10 @@ def schema_encode(instance: SPPattern, schema: Schema) -> dict[str, str]:
 
 
 class _Literals(dict):
-    """Values to their JSON literals, each made by ``dumps``, the writer's
-    ``json.dumps`` (for a text, CPython's C escaper), the first time it is
-    asked for.  A writer keeps one table for each kind of value it writes,
-    for one file."""
+    """Values to their JSON text, each made by ``dumps`` the first time it
+    is asked for: the writer's ``json.dumps`` (for a text, CPython's C
+    escaper), or for a whole run the runs writer's layout of it.  A writer
+    keeps one table for each kind of value it writes, for one file."""
 
     def __init__(self, dumps, *known):
         super().__init__(*known)
@@ -611,6 +673,15 @@ def _json_array(value, what: str) -> list:
     return value
 
 
+def _json_object(value, section: str) -> dict:
+    """``value``, which must be a JSON object: an entry of the file section
+    named ``section`` in the error."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{section} entry must be a JSON object, "
+                        f"got {type(value).__name__}")
+    return value
+
+
 def stream_from_json(source: str | dict) -> EncodedStream:
     """A chunk stream from a file's text, or from the object ``parse_json``
     made of it.  Each entry is a chunk as ``discover_chunks`` makes one: it
@@ -624,6 +695,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
     try:
         entries = []
         for d in _json_array(doc["dictionary"], "dictionary"):
+            d = _json_object(d, "dictionary")
             code, symbols, count = d["code"], d["symbols"], d["count"]
             if len(d) != 3:
                 raise ValueError("an entry holds exactly 'code', 'symbols' and "
@@ -637,6 +709,7 @@ def stream_from_json(source: str | dict) -> EncodedStream:
         dictionary = PatternStore(entries)
         tokens: list[Token] = []
         for item in _json_array(doc["stream"], "stream"):
+            item = _json_object(item, "stream")
             if len(item) != 1 or ("code" not in item and "lit" not in item):
                 raise InputFormatError("stream token needs exactly one of 'code' and "
                                        f"'lit' and no other key: {item!r}")
@@ -651,49 +724,80 @@ def stream_from_json(source: str | dict) -> EncodedStream:
     return EncodedStream(dictionary, tuple(tokens))
 
 
-def runs_to_json(runs: Sequence[Run]) -> str:
+def runs_to_json(runs: Runs) -> str:
     """Serialise a run list to the one-section structured-text format: the
-    text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly."""
+    text of ``json.dumps(doc, indent=2) + "\\n"``, assembled directly.  Each
+    distinct run is laid out once."""
     from json import dumps  # only a runs file needs it
 
     texts, counts = _Literals(dumps), _Literals(dumps, {UNBOUNDED: dumps(UNBOUNDED.value)})
-    items = [f'{{\n      "symbols": [\n        '
-             f'{_SYMBOL_SEP.join(map(texts.__getitem__, r.symbols))}\n      ],\n'
-             f'      "count": {counts[r.count]}\n    }}'
-             for r in runs]
-    check_texts(tuple(texts))  # a run is not checked when made either
+
+    def lay_out(run: tuple) -> str:
+        symbols, count = run
+        return (f'{{\n      "symbols": [\n        '
+                f'{_SYMBOL_SEP.join(map(texts.__getitem__, symbols))}\n      ],\n'
+                f'      "count": {counts[count]}\n    }}')
+
+    items = list(map(_Literals(lay_out).__getitem__, zip(runs.blocks, runs.counts)))
+    check_texts(tuple(texts))  # a run list does not check its symbols either
     return f'{{\n  "runs": {_section(items)}\n}}\n'
 
 
-def runs_from_json(source: str | dict) -> list[Run]:
+def _read_runs(items: list) -> Runs:
+    """The run list a runs section's entries hold, read a column at a time
+    and checked in one batch: one ``check_texts`` over every block's
+    symbols, and ``Runs``'s own check of the blocks and counts.  Raises if
+    an entry is not a run, though not always for the first in the file."""
+    if not all(map(isinstance, items, repeat(dict))) or set(map(len, items)) - {2}:
+        raise ValueError("an entry is not a run")
+    blocks = list(map(itemgetter("symbols"), items))
+    if not all(map(isinstance, blocks, repeat(list))):
+        raise TypeError("an entry's symbols are not an array")
+    check_texts(list(chain.from_iterable(blocks)))
+    star = UNBOUNDED.value  # read once: an Enum's value is a property
+    counts = [UNBOUNDED if c == star else c for c in map(itemgetter("count"), items)]
+    return Runs(tuple(map(tuple, blocks)), tuple(counts))
+
+
+def _read_run(item) -> Run:
+    """One entry of a runs section, read and checked on its own, each part
+    in the order a reader meets it."""
+    symbols, count = _json_object(item, "runs")["symbols"], item["count"]
+    if len(item) != 2:
+        raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
+    symbols = tuple(_json_array(symbols, "symbols"))
+    check_texts(symbols)
+    return Run(symbols, UNBOUNDED if count == UNBOUNDED.value else count)
+
+
+def runs_from_json(source: str | dict) -> Runs:
     """A run list from a file's text, or from the object ``parse_json`` made
-    of it."""
+    of it.  The entries are read as two columns and checked in one batch;
+    only a file that fails the batch is read again, entry by entry, so that
+    the error names its first fault in file order, as ``check_texts`` names
+    the first bad text."""
     doc = parse_json(source) if isinstance(source, str) else source
     if doc.keys() != {"runs"}:
         raise InputFormatError("malformed runs file: it must hold exactly the 'runs' "
                                f"section, not {sorted(doc)}")
-    out: list[Run] = []
-    star = UNBOUNDED.value  # read once: an Enum's value is a property
     try:
-        for item in _json_array(doc["runs"], "runs"):
-            symbols, count = item["symbols"], item["count"]
-            if len(item) != 2:
-                raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
-            symbols = tuple(_json_array(symbols, "symbols"))
-            check_texts(symbols)
-            out.append(Run(symbols, UNBOUNDED if count == star else count))
+        items = _json_array(doc["runs"], "runs")
+        try:
+            runs = _read_runs(items)
+        except (KeyError, TypeError, ValueError):
+            runs = Runs.of(map(_read_run, items))  # raises for the first entry at fault
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed runs file: {exc}") from None
-    return out
+    return runs
 
 
-def rle_cost_bits(runs: Sequence[Run], alphabet_size: int) -> float:
+def rle_cost_bits(runs: Runs, alphabet_size: int) -> float:
     """Cost of a run list: block symbols at fixed length, plus one symbol's
     worth for each repeat count actually recorded (count >= 2)."""
     per_symbol = symbol_cost_bits(alphabet_size)
     cost = 0.0
-    for r in runs:
-        cost += len(r.symbols) * per_symbol
-        if r.count is UNBOUNDED or r.count >= 2:
+    for symbols, count in zip(runs.blocks, runs.counts):
+        cost += len(symbols) * per_symbol
+        if count is UNBOUNDED or count >= 2:
             cost += per_symbol
     return cost

@@ -1,8 +1,9 @@
 """Reference codecs: the original, slow chunk and run coders, plain
-unification's own matcher and the original stream and runs file writers,
-kept verbatim as oracles.  The library versions in ``icmup.codecs`` must
-give exactly the same dictionaries, streams, unifications, runs and file
-texts.
+unification's own matcher, the original stream and runs file writers and
+the original runs file reader, kept verbatim as oracles.  The library
+versions in ``icmup.codecs`` must give exactly the same dictionaries,
+streams, unifications, runs and file texts, and the runs reader the same
+runs or the same error.
 
 ``_longest_repeat`` and ``discover_chunks`` cost O(n * L^2) for a longest
 repeat L, ``rle_encode`` is cubic, and ``longest_repeats`` compares every
@@ -15,10 +16,10 @@ import json
 from collections import Counter
 from typing import Sequence
 
-from icmup.codecs import (CodeRef, EncodedStream, Literal, Run, Token,
-                          expected_count)
-from icmup.errors import NotPresent
-from icmup.patterns import PatternStore, SPPattern
+from icmup.codecs import (UNBOUNDED, CodeRef, EncodedStream, Literal, Run, Token,
+                          _json_array, _json_object, expected_count, parse_json)
+from icmup.errors import InputFormatError, NotPresent
+from icmup.patterns import PatternStore, SPPattern, check_texts
 
 
 def _occurrences(texts: Sequence[str], gram: tuple[str, ...],
@@ -216,3 +217,26 @@ def runs_to_json(runs: Sequence[Run]) -> str:
         ]
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def runs_from_json(source: str | dict) -> list[Run]:
+    """Entry by entry, each entry checked in full before the next is read,
+    so the error names the first fault in file order.  Verbatim but for
+    ``_json_object``, which names an entry that is not an object."""
+    doc = parse_json(source) if isinstance(source, str) else source
+    if doc.keys() != {"runs"}:
+        raise InputFormatError("malformed runs file: it must hold exactly the 'runs' "
+                               f"section, not {sorted(doc)}")
+    out: list[Run] = []
+    star = UNBOUNDED.value  # read once: an Enum's value is a property
+    try:
+        for item in _json_array(doc["runs"], "runs"):
+            symbols, count = _json_object(item, "runs")["symbols"], item["count"]
+            if len(item) != 2:
+                raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
+            symbols = tuple(_json_array(symbols, "symbols"))
+            check_texts(symbols)
+            out.append(Run(symbols, UNBOUNDED if count == star else count))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"malformed runs file: {exc}") from None
+    return out

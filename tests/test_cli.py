@@ -194,6 +194,13 @@ class TestCompressDecompress:
         ('{"runs": ""}', "malformed runs file: runs must be a JSON array, got str"),
         ('{"runs": {}}', "malformed runs file: runs must be a JSON array, got dict"),
         ('{"runs": "ab"}', "malformed runs file: runs must be a JSON array, got str"),
+        # and every entry of a section is a JSON object
+        ('{"runs": [1]}', "malformed runs file: runs entry must be a JSON object, got int"),
+        ('{"runs": ["ab"]}', "malformed runs file: runs entry must be a JSON object, got str"),
+        ('{"dictionary": [7], "stream": []}',
+         "malformed stream file: dictionary entry must be a JSON object, got int"),
+        ('{"dictionary": [], "stream": [3]}',
+         "malformed stream file: stream entry must be a JSON object, got int"),
     ])
     def test_repaired_file_exits_2(self, tmp_path, capsys, doc, message):
         stream = tmp_path / "s.json"

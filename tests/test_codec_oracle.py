@@ -2,6 +2,7 @@
 in ``codec_oracle``: dictionaries, streams, runs and file texts must be
 exactly equal."""
 
+import json
 import random
 import time
 
@@ -15,9 +16,9 @@ from icmup import (UNBOUNDED, CodeRef, EncodedStream, Literal, PatternStore, Run
                    tokenize, unify_basic)
 from icmup import codecs
 from icmup.cli import main
-from icmup.codecs import (dictionary_cost_bits, encoded_cost_bits, runs_to_json,
-                          stream_from_json, stream_to_json)
-from icmup.errors import NotPresent
+from icmup.codecs import (Runs, dictionary_cost_bits, encoded_cost_bits, runs_from_json,
+                          runs_to_json, stream_from_json, stream_to_json)
+from icmup.errors import InputFormatError, NotPresent
 
 LETTERS = "abcdefgh"
 WORDS = ("a", "ab", "ba", "abc", "xy", "y", "the", "cat")
@@ -273,6 +274,39 @@ class TestRuns:
             assert len(calls) == 1 or calls[-1] <= 2.3 * calls[-2], calls
         assert calls == [678, 1360, 2868, 5706]
 
+    def test_a_run_list_is_checked_once_and_makes_no_run(self, monkeypatch, tmp_path):
+        # counted, not timed: the Run records made and the check_texts
+        # batches, on run lists of 1 to about 7,500 runs and through the CLI
+        made, checked = [], []
+        post_init, check_texts = Run.__post_init__, codecs.check_texts
+
+        def counting_run(run):
+            made.append(run)
+            post_init(run)
+
+        def counting_check(texts):
+            checked.append(len(texts))
+            check_texts(texts)
+
+        monkeypatch.setattr(Run, "__post_init__", counting_run)
+        monkeypatch.setattr(codecs, "check_texts", counting_check)
+        for size in (1, 10, 100, 1_000, 10_000):
+            corpus = random.Random(size).choices("abcdefghij", k=size)
+            runs = rle_encode(corpus)
+            assert (made, checked) == ([], [])
+            text = runs_to_json(runs)
+            assert (made, checked) == ([], [len(set(corpus))])
+            again = runs_from_json(text)
+            assert (made, checked[1:]) == ([], [sum(map(len, runs.blocks))])
+            assert again == runs and rle_decode(again) == corpus
+            checked.clear()
+        assert len(runs) > 7_000
+        corpus, out = tmp_path / "c.txt", tmp_path / "r.json"
+        corpus.write_text(" ".join(random.Random(1).choices("abcdefghij", k=2_000)))
+        assert main(["compress", str(corpus), "--mode", "rle", "--out", str(out)]) == 0
+        assert main(["decompress", str(out), "--out", str(tmp_path / "b.txt")]) == 0
+        assert (made, len(checked)) == ([], 2)
+
     @pytest.mark.parametrize("text", [
         "a" * 30, "ab" * 15, "abcde" * 8, "aabaabaab" * 3, "abaababaab" * 3])
     def test_periodic_examples(self, text):
@@ -309,7 +343,84 @@ streams = st.builds(
                        symbol_texts.map(Literal)), max_size=8))
 run_lists = st.lists(st.builds(
     Run, symbol_tuples,
-    st.one_of(st.integers(1, 12), big_counts, st.just(UNBOUNDED))), max_size=6)
+    st.one_of(st.integers(1, 12), big_counts, st.just(UNBOUNDED))), max_size=6).map(Runs.of)
+
+
+def _bad_symbol(entry, draw):
+    if not isinstance(entry.get("symbols"), list) or not entry["symbols"]:
+        return entry
+    k = draw(st.integers(0, len(entry["symbols"]) - 1))
+    entry["symbols"][k] = draw(st.sampled_from(["a b", "", "\u00a0", 7, None, ["a"]]))
+    return entry
+
+
+def _set(key, values):
+    def mutate(entry, draw):
+        entry[key] = draw(st.sampled_from(values))
+        return entry
+    return mutate
+
+
+def _missing_key(entry, draw):
+    entry.pop(draw(st.sampled_from(["symbols", "count"])), None)
+    return entry
+
+
+def _not_an_object(entry, draw):
+    return draw(st.sampled_from([1, 2.5, "ab", None, True, ["a"], [entry]]))
+
+
+# what may go wrong with one entry of a runs file, and a "*" count, which is
+# no fault
+MUTATIONS = (_bad_symbol, _set("symbols", ["ab", {"a": 1}, 3, None]),
+             _set("symbols", [[]]),
+             _set("count", [0, -1]), _set("count", [2.5, 3.0, "3", "**", True, None, [2]]),
+             _set("count", ["*"]), _set("x", [0]), _missing_key, _not_an_object)
+
+
+@st.composite
+def mutated_runs_files(draw):
+    """The object of a valid runs file with one to four changes, each one of
+    ``MUTATIONS`` made to some entry, so an entry may have more than one
+    fault.  A change to an entry that is no longer an object is skipped."""
+    runs = draw(st.lists(st.builds(Run, symbol_tuples, st.integers(1, 12)),
+                         min_size=2, max_size=6).map(Runs.of))
+    entries = json.loads(runs_to_json(runs))["runs"]
+    for k in draw(st.lists(st.integers(0, len(entries) - 1), min_size=1, max_size=4)):
+        if isinstance(entries[k], dict):
+            entries[k] = draw(st.sampled_from(MUTATIONS))(entries[k], draw)
+    return {"runs": entries}
+
+
+def reads_alike(doc):
+    """The runs the reader and its oracle read from ``doc``, or the text of
+    the error each raised."""
+    read = []
+    for reader in (runs_from_json, oracle.runs_from_json):
+        try:
+            read.append(runs_of(reader(json.dumps(doc))))
+        except InputFormatError as exc:
+            read.append(str(exc))
+    return read
+
+
+class TestRunsReader:
+    # the batch check must name the fault the oracle's entry-by-entry read
+    # meets first, wherever in the file the others are
+    @settings(max_examples=400)
+    @given(mutated_runs_files())
+    @example({"runs": [{"symbols": ["a"], "count": 0}, {"symbols": ["a b"], "count": 2}]})
+    @example({"runs": [{"symbols": ["a b"], "count": 2}, {"symbols": ["a"], "count": 0}]})
+    @example({"runs": [{"symbols": ["a"], "count": 2}, {"symbols": [], "count": "3"},
+                       {"symbols": [7], "count": 2}]})
+    @example({"runs": [{"symbols": ["a"], "count": 2, "x": 0}, 1]})
+    @example({"runs": [{"symbols": ["a"]}, {"symbols": "ab", "count": 2}]})
+    @example({"runs": [{"symbols": ["a"], "count": "*"}, {"symbols": ["b"], "count": 1}]})
+    # two faults in one entry: its symbols are checked before its count
+    @example({"runs": [{"symbols": ["a"], "count": 1}, {"symbols": [""], "count": 0}]})
+    def test_reader_matches_oracle(self, doc):
+        new, old = reads_alike(doc)
+        assert new == old
 
 
 class TestFileWriters:
@@ -327,12 +438,12 @@ class TestFileWriters:
         empty = EncodedStream(PatternStore(), ())
         assert stream_to_json(empty) == oracle.stream_to_json(empty) \
             == '{\n  "dictionary": [],\n  "stream": []\n}\n'
-        assert runs_to_json([]) == oracle.runs_to_json([]) == '{\n  "runs": []\n}\n'
+        assert runs_to_json(Runs.of([])) == oracle.runs_to_json([]) == '{\n  "runs": []\n}\n'
 
     def test_escapes_and_unbounded(self):
         texts = ['"', "\\", "\x7f", "\x00", "\ud800", "\U0001f600", "é"]
         symbols = tuple(texts)
-        runs = [Run(symbols, UNBOUNDED), Run(symbols[:1], 1)]
+        runs = Runs.of([Run(symbols, UNBOUNDED), Run(symbols[:1], 1)])
         stream = EncodedStream(
             PatternStore([SPPattern('w"1', symbols, 2)]),
             (CodeRef('w"1'), Literal(symbols[4]), Literal(symbols[5])))

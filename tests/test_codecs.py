@@ -12,7 +12,7 @@ from icmup import (CodeRef, EncodedStream, FixedSymbol, Literal, PatternStore, R
                    discover_chunks, raw_cost, rle_decode, rle_encode,
                    schema_encode, schema_instantiate, tokenize, unify_basic)
 from icmup.codecs import (dictionary_cost_bits, encoded_cost_bits, expected_count,
-                          rle_cost_bits, runs_from_json, runs_to_json,
+                          Runs, rle_cost_bits, runs_from_json, runs_to_json,
                           stream_from_json, stream_to_json)
 from icmup import codecs
 from icmup.errors import (BadCorrection, DegenerateAlphabet, InputFormatError,
@@ -268,7 +268,7 @@ class TestRle:
         assert [(r.symbols, r.count) for r in runs] == [(("x",), 1)]
 
     def test_decode_block(self):
-        runs = [Run(tuple(tokenize("a b")), 3)]
+        runs = Runs.of([Run(tuple(tokenize("a b")), 3)])
         assert list(rle_decode(runs)) == ["a", "b", "a", "b", "a", "b"]
 
     def test_span_beats_block_length(self):
@@ -279,16 +279,16 @@ class TestRle:
     def test_unbounded_is_not_decodable(self):
         run = Run(tuple(tokenize("a")), UNBOUNDED)
         with pytest.raises(NotDecodable):
-            rle_decode([run])
+            rle_decode(Runs.of([run]))
 
     def test_decode_stops_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(codecs, "DECODE_CAP", 6)
-        assert rle_decode([Run(("a", "b"), 2), Run(("c",), 2)]) == list("ababcc")
+        assert rle_decode(Runs.of([Run(("a", "b"), 2), Run(("c",), 2)])) == list("ababcc")
         with pytest.raises(TooLarge, match="'r2' .* cap of 6 symbols"):
-            rle_decode([Run(("a", "b"), 2), Run(("c",), 3)])
+            rle_decode(Runs.of([Run(("a", "b"), 2), Run(("c",), 3)]))
         # an unbounded run still raises NotDecodable
         with pytest.raises(NotDecodable):
-            rle_decode([Run(("a",), 6), Run(("b",), UNBOUNDED)])
+            rle_decode(Runs.of([Run(("a",), 6), Run(("b",), UNBOUNDED)]))
 
     def test_chunk_decode_stops_at_the_cap(self, monkeypatch):
         dictionary = PatternStore([SPPattern("w1", ("a", "b", "c"), 2)])
@@ -315,7 +315,7 @@ class TestRle:
     def test_file_writer_rejects_what_the_reader_would(self, bad):
         # a run is not checked when made, so the writer checks its texts
         with pytest.raises((TypeError, ValueError), match="symbol text"):
-            runs_to_json([Run(("a", bad), 2)])
+            runs_to_json(Runs.of([Run(("a", bad), 2)]))
 
     @pytest.mark.parametrize("count", [2.9, 3.0, "3", True, False, None, [3], "**"])
     def test_file_count_must_be_an_integer_or_star(self, count):

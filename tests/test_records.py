@@ -9,6 +9,7 @@ import pytest
 from icmup import (CodeRef, EncodedStream, FixedSymbol, Literal, PatternStore, Run,
                    SPPattern, Schema, Slot, UNBOUNDED)
 from icmup.alignment import Alignment, Column
+from icmup.codecs import Runs
 from icmup.errors import TooLarge
 from icmup.hierarchy import ClassNode
 from icmup.machines import (FunctionTable, Gate, NandCircuit, RowSelection, TMRow,
@@ -36,6 +37,9 @@ CASES = {
     "Literal": (Literal("x"), Literal("x"), Literal("y"), "Literal(symbol='x')"),
     "Run": (Run(("a", "b"), 3), Run(("a", "b"), 3), Run(("a", "b"), UNBOUNDED),
             "Run(symbols=('a', 'b'), count=3)"),
+    "Runs": (Runs((("a", "b"), ("c",)), (3, 1)), Runs((("a", "b"), ("c",)), (3, 1)),
+             Runs((("a", "b"), ("c",)), (3, UNBOUNDED)),
+             "Runs(blocks=(('a', 'b'), ('c',)), counts=(3, 1))"),
     "FixedSymbol": (FixedSymbol("k"), FixedSymbol("k"), FixedSymbol("q"),
                     "FixedSymbol(symbol='k')"),
     "Slot": (SLOT, Slot("X", (("a", SPPattern("a", ("p",))),)),
@@ -115,7 +119,7 @@ CASES = {
 }
 
 FIRST_FIELD = {"SPPattern": "id", "CodeRef": "code", "Literal": "symbol",
-               "Run": "symbols", "FixedSymbol": "symbol", "Slot": "name",
+               "Run": "symbols", "Runs": "blocks", "FixedSymbol": "symbol", "Slot": "name",
                "Schema": "id", "Alignment": "new_row", "FunctionTable": "name",
                "RowSelection": "match_counts", "Gate": "id", "NandCircuit": "inputs",
                "TMRow": "state", "TuringMachine": "rows", "TapeState": "cells",
@@ -222,7 +226,7 @@ def test_every_constructor_is_generated():
         if "_fields" in cls.__dict__ and cls.__module__.startswith("icmup."):
             assert cls.__init__.__code__.co_filename == "<string>", cls.__qualname__
             checked += 1
-    assert checked == 24
+    assert checked == 25
 
 
 def test_an_encoded_stream_compares_its_store_by_identity():
@@ -246,6 +250,10 @@ def test_checks_still_run_when_a_record_is_made():
         SPPattern("p", ())
     with pytest.raises(ValueError):
         Run((), 1)
+    with pytest.raises(ValueError):
+        Runs((("a",), ()), (1, 1))
+    with pytest.raises(ValueError, match="one count per block"):
+        Runs((("a",),), ())
     with pytest.raises(ValueError):
         FixedSymbol("a b")
     with pytest.raises(ValueError):
