@@ -46,13 +46,14 @@ distinct length among the chunks that start with the symbol there.  The
 stream and runs writers give the text of ``json.dumps(doc, indent=2)``
 without its pure-Python encoder: one C escape (``json.dumps``) per distinct text and
 code, then one dict lookup per symbol and one join per entry; the runs
-writer lays out each distinct run once.  A literal or a run list does not
-check its symbols when made, so each writer passes the distinct texts it
-wrote to one ``check_texts`` before it returns.  The stream reader checks
-each literal as it reads it, and the runs reader reads its entries as two
-columns, with one ``check_texts`` over every block's symbols; only a file
-that fails that batch is read again entry by entry, to name its first
-fault.  A dictionary entry is an ``SPPattern``, which checks its own.
+writer lays out each distinct run once.  Every record checks its own
+symbols when made: a dictionary entry is an ``SPPattern``, a run list
+tests every block's symbols in one batch, and a stream its literals, so
+neither writer checks what it writes.  Each reader reads a file's entries
+in one pass, for their structure only, and makes its record from them in
+a ``finally``: from the entries read so far, when one is at fault, so a
+bad symbol or count ahead of that fault raises first, and the error names
+the first fault in file order.
 """
 
 from __future__ import annotations
@@ -61,20 +62,20 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from itertools import chain, compress, count, repeat
-from operator import add, eq, itemgetter
+from operator import add, eq
 
 from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
                      NotDecodable, NotPresent, TooLarge)
-from .patterns import (PatternStore, Record, SPPattern, check_symbol,
+from .patterns import (PatternStore, Record, SPPattern, are_symbols, check_symbol,
                        check_texts, code_cost, is_count, symbol_cost_bits)
 
 # the most symbols ``rle_decode`` or ``chunk_decode`` makes: 100 times the
 # 100k-character corpus the README times, and a list of about 80 MB
 DECODE_CAP = 10 ** 7
 
-# the most distinct symbols a coder is sure to spell, one character each:
-# chr() stops here (sys.maxunicode), and ``_spell`` works out the next
-# character before it looks each symbol up
+# the last code point (sys.maxunicode), where chr() stops: ``_spell`` gives
+# each distinct symbol one character, chr(0) up to chr(MAX_SYMBOLS), and
+# raises ``TooLarge`` for a new symbol once they are all given
 MAX_SYMBOLS = 0x10FFFF
 
 
@@ -92,25 +93,35 @@ Token = CodeRef | Literal
 
 
 class EncodedStream(Record):
+    """A chunk dictionary and the tokens that stand for a corpus with it.
+    A ``Literal`` does not check its symbol, since ``chunk_encode`` makes
+    one per token; the stream checks them all, in one batch, when made."""
+
     __slots__ = _fields = ("dictionary", "tokens")
     dictionary: PatternStore
     tokens: tuple[Token, ...]
 
+    def __post_init__(self):
+        check_texts([tok.symbol for tok in self.tokens if isinstance(tok, Literal)])
 
-def _spell(symbols: Iterable[str], letters: dict[str, str]) -> str:
+
+def _spell(symbols: Sequence[str], letters: dict[str, str]) -> str:
     """Spell symbols as one string, one character per distinct symbol.
 
-    ``letters`` maps symbols to characters and grows with every new one, so
-    strings spelled with the same map compare like the symbol sequences.
-    Up to ``MAX_SYMBOLS`` distinct symbols always spell; a symbol read
-    with more than that in ``letters`` may run out of characters, and
-    raises ``TooLarge``.
+    ``letters`` maps symbols to characters and grows with every new one, in
+    the order the new ones are first met, so strings spelled with the same
+    map compare like the symbol sequences.  A new symbol when ``letters``
+    already holds every code point, past ``MAX_SYMBOLS``, raises
+    ``TooLarge``.
     """
     try:
-        return "".join([letters.setdefault(t, chr(len(letters))) for t in symbols])
+        for t in dict.fromkeys(symbols):
+            if t not in letters:
+                letters[t] = chr(len(letters))
     except ValueError:  # chr() past the last code point
         raise TooLarge(f"more than {MAX_SYMBOLS} distinct symbols: the coders "
                        "spell each one as a character") from None
+    return "".join(map(letters.__getitem__, symbols))
 
 
 def expected_count(gram: Sequence[str], corpus_freq: Mapping[str, int],
@@ -347,6 +358,7 @@ class Run(Record):
     count: int | Unbounded
 
     def __post_init__(self):
+        check_texts(self.symbols)
         if not self.symbols:
             raise ValueError("a run needs at least one symbol")
         if self.count is not UNBOUNDED and not is_count(self.count):
@@ -361,10 +373,10 @@ class Runs(Record):
     iterating or indexing it makes each ``Run`` when it is asked for.
 
     The list is checked once, when made, a column at a time: every block
-    has a symbol, and every count is an integer of at least 1 or
-    ``UNBOUNDED``.  Only a list that fails that test is walked run by run,
-    so that the first bad run raises as ``Run`` would.  As a ``Run`` does
-    not, it does not check its symbols."""
+    has a symbol, every symbol passes one ``are_symbols`` batch, and every
+    count is an integer of at least 1 or ``UNBOUNDED``.  Only a list that
+    fails that test is walked run by run, so that the first bad run raises
+    as ``Run`` would, for its symbols before its count."""
 
     __slots__ = _fields = ("blocks", "counts")
     blocks: tuple[tuple[str, ...], ...]
@@ -376,7 +388,8 @@ class Runs(Record):
         numbers = [c for c in self.counts if c is not UNBOUNDED]
         # exact int, not is_count: a subclass of int is left to the walk
         if not (all(self.blocks) and set(map(type, numbers)) <= {int}
-                and min(numbers, default=1) >= 1):
+                and min(numbers, default=1) >= 1
+                and are_symbols(list(chain.from_iterable(self.blocks)))):
             for _ in self:  # each Run checks itself
                 pass
 
@@ -643,9 +656,6 @@ def stream_to_json(stream: EncodedStream) -> str:
     tokens = [f'{{\n      "code": {codes[tok.code]}\n    }}' if isinstance(tok, CodeRef)
               else f'{{\n      "lit": {texts[tok.symbol]}\n    }}'
               for tok in stream.tokens]
-    # a literal is not checked when made, so the writer checks the distinct
-    # texts it wrote, in one batch, and never writes a file its reader rejects
-    check_texts(tuple(texts))
     return (f'{{\n  "dictionary": {_section(entries)},\n'
             f'  "stream": {_section(tokens)}\n}}\n')
 
@@ -686,7 +696,10 @@ def stream_from_json(source: str | dict) -> EncodedStream:
     """A chunk stream from a file's text, or from the object ``parse_json``
     made of it.  Each entry is a chunk as ``discover_chunks`` makes one: it
     occurs at least twice, spans at least two symbols and has a code no
-    other entry has."""
+    other entry has.  The tokens are read for their structure only; the
+    stream, made from the tokens read so far even when one is at fault,
+    checks their literals, so the error names the first fault in file
+    order."""
     doc = parse_json(source) if isinstance(source, str) else source
     if doc.keys() != {"dictionary", "stream"}:
         raise InputFormatError("malformed stream file: it must hold exactly the "
@@ -708,20 +721,24 @@ def stream_from_json(source: str | dict) -> EncodedStream:
             entries.append(entry)
         dictionary = PatternStore(entries)
         tokens: list[Token] = []
-        for item in _json_array(doc["stream"], "stream"):
-            item = _json_object(item, "stream")
-            if len(item) != 1 or ("code" not in item and "lit" not in item):
-                raise InputFormatError("stream token needs exactly one of 'code' and "
-                                       f"'lit' and no other key: {item!r}")
-            if "code" in item:
-                if item["code"] not in dictionary:
-                    raise InputFormatError(f"stream references unknown code {item['code']!r}")
-                tokens.append(CodeRef(item["code"]))
-            else:
-                tokens.append(Literal(check_symbol(item["lit"])))
+        try:
+            for item in _json_array(doc["stream"], "stream"):
+                item = _json_object(item, "stream")
+                if len(item) != 1 or ("code" not in item and "lit" not in item):
+                    raise InputFormatError("stream token needs exactly one of 'code' and "
+                                           f"'lit' and no other key: {item!r}")
+                if "code" in item:
+                    if item["code"] not in dictionary:
+                        raise InputFormatError(
+                            f"stream references unknown code {item['code']!r}")
+                    tokens.append(CodeRef(item["code"]))
+                else:
+                    tokens.append(Literal(item["lit"]))
+        finally:  # a bad literal before the fault raises in its place
+            stream = EncodedStream(dictionary, tuple(tokens))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed stream file: {exc}") from None
-    return EncodedStream(dictionary, tuple(tokens))
+    return stream
 
 
 def runs_to_json(runs: Runs) -> str:
@@ -739,53 +756,32 @@ def runs_to_json(runs: Runs) -> str:
                 f'      "count": {counts[count]}\n    }}')
 
     items = list(map(_Literals(lay_out).__getitem__, zip(runs.blocks, runs.counts)))
-    check_texts(tuple(texts))  # a run list does not check its symbols either
     return f'{{\n  "runs": {_section(items)}\n}}\n'
-
-
-def _read_runs(items: list) -> Runs:
-    """The run list a runs section's entries hold, read a column at a time
-    and checked in one batch: one ``check_texts`` over every block's
-    symbols, and ``Runs``'s own check of the blocks and counts.  Raises if
-    an entry is not a run, though not always for the first in the file."""
-    if not all(map(isinstance, items, repeat(dict))) or set(map(len, items)) - {2}:
-        raise ValueError("an entry is not a run")
-    blocks = list(map(itemgetter("symbols"), items))
-    if not all(map(isinstance, blocks, repeat(list))):
-        raise TypeError("an entry's symbols are not an array")
-    check_texts(list(chain.from_iterable(blocks)))
-    star = UNBOUNDED.value  # read once: an Enum's value is a property
-    counts = [UNBOUNDED if c == star else c for c in map(itemgetter("count"), items)]
-    return Runs(tuple(map(tuple, blocks)), tuple(counts))
-
-
-def _read_run(item) -> Run:
-    """One entry of a runs section, read and checked on its own, each part
-    in the order a reader meets it."""
-    symbols, count = _json_object(item, "runs")["symbols"], item["count"]
-    if len(item) != 2:
-        raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
-    symbols = tuple(_json_array(symbols, "symbols"))
-    check_texts(symbols)
-    return Run(symbols, UNBOUNDED if count == UNBOUNDED.value else count)
 
 
 def runs_from_json(source: str | dict) -> Runs:
     """A run list from a file's text, or from the object ``parse_json`` made
-    of it.  The entries are read as two columns and checked in one batch;
-    only a file that fails the batch is read again, entry by entry, so that
-    the error names its first fault in file order, as ``check_texts`` names
-    the first bad text."""
+    of it.  The entries are read for their structure only, into two
+    columns, in one pass; the run list, made from the entries read so far
+    even when one is at fault, checks their symbols and counts, so the
+    error names the first fault in file order."""
     doc = parse_json(source) if isinstance(source, str) else source
     if doc.keys() != {"runs"}:
         raise InputFormatError("malformed runs file: it must hold exactly the 'runs' "
                                f"section, not {sorted(doc)}")
+    blocks: list[tuple[str, ...]] = []
+    counts: list = []
+    star = UNBOUNDED.value  # read once: an Enum's value is a property
     try:
-        items = _json_array(doc["runs"], "runs")
         try:
-            runs = _read_runs(items)
-        except (KeyError, TypeError, ValueError):
-            runs = Runs.of(map(_read_run, items))  # raises for the first entry at fault
+            for item in _json_array(doc["runs"], "runs"):
+                symbols, count = _json_object(item, "runs")["symbols"], item["count"]
+                if len(item) != 2:
+                    raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
+                blocks.append(tuple(_json_array(symbols, "symbols")))
+                counts.append(UNBOUNDED if count == star else count)
+        finally:  # a bad run before the fault raises in its place
+            runs = Runs(tuple(blocks), tuple(counts))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed runs file: {exc}") from None
     return runs

@@ -4,12 +4,14 @@ A symbol is a plain ``str``: an atomic mark, and two symbols match only when
 their texts are the same.  ``check_symbol`` holds the one rule a symbol text
 passes (a non-empty string with no whitespace), and it runs where text
 enters the package: on one text alone, or through ``check_texts`` on a
-batch, which joins and splits them once and calls ``check_symbol`` only on
-the first bad one.  A record that holds symbols (``SPPattern``, a table,
-a class node, a fixed schema symbol) checks them when it is made, and a
-reader checks only what the record it builds does not.  ``tokenize`` and
-the grammar loader check nothing, since a split on whitespace gives
-symbols by construction.
+batch, which ``are_symbols`` tests with one join and split, calling
+``check_symbol`` only on the first bad one.  A record that holds symbols
+(``SPPattern``, a run and a run list, a chunk stream, a table, a class
+node, a fixed schema symbol) checks them when it is made, so a writer,
+handed a record, checks nothing, and a reader checks only what the record
+it builds does not: the chunk stream and runs readers check no symbol.
+``tokenize`` and the grammar loader check nothing, since a split on
+whitespace gives symbols by construction.
 
 A pattern is what unification leaves: an id, symbols and a frequency.
 Whether it plays New or Old in an alignment follows from where it sits:
@@ -77,16 +79,20 @@ def check_symbol(text) -> str:
     return text
 
 
-def check_texts(texts: Sequence) -> None:
-    """Raise as ``check_symbol`` does for the first of ``texts`` that is not
-    a symbol, and call it for none when all are: one join and split test
+def are_symbols(texts: Sequence) -> bool:
+    """Whether every one of ``texts`` is a symbol: one join and split test
     them all, exactly, since the split gives the texts back only if each is
     one symbol."""
     try:
-        valid = " ".join(texts).split() == list(texts)
+        return " ".join(texts).split() == list(texts)
     except TypeError:  # a text that is not a string
-        valid = False
-    if not valid:
+        return False
+
+
+def check_texts(texts: Sequence) -> None:
+    """Raise as ``check_symbol`` does for the first of ``texts`` that is not
+    a symbol, and call it for none when all are, as ``are_symbols`` tells."""
+    if not are_symbols(texts):
         for text in texts:
             check_symbol(text)  # raises for the first bad one
 

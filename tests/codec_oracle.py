@@ -1,9 +1,9 @@
 """Reference codecs: the original, slow chunk and run coders, plain
 unification's own matcher, the original stream and runs file writers and
-the original runs file reader, kept verbatim as oracles.  The library
-versions in ``icmup.codecs`` must give exactly the same dictionaries,
-streams, unifications, runs and file texts, and the runs reader the same
-runs or the same error.
+the original stream and runs file readers, kept verbatim as oracles.  The
+library versions in ``icmup.codecs`` must give exactly the same
+dictionaries, streams, unifications, runs and file texts, and each reader
+the same stream or runs or the same error.
 
 ``_longest_repeat`` and ``discover_chunks`` cost O(n * L^2) for a longest
 repeat L, ``rle_encode`` is cubic, and ``longest_repeats`` compares every
@@ -19,7 +19,7 @@ from typing import Sequence
 from icmup.codecs import (UNBOUNDED, CodeRef, EncodedStream, Literal, Run, Token,
                           _json_array, _json_object, expected_count, parse_json)
 from icmup.errors import InputFormatError, NotPresent
-from icmup.patterns import PatternStore, SPPattern, check_texts
+from icmup.patterns import PatternStore, SPPattern, check_symbol, check_texts
 
 
 def _occurrences(texts: Sequence[str], gram: tuple[str, ...],
@@ -206,6 +206,48 @@ def stream_to_json(stream: EncodedStream) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def stream_from_json(source: str | dict) -> EncodedStream:
+    """A chunk stream from a file's text, or from the object ``parse_json``
+    made of it.  Each entry is a chunk as ``discover_chunks`` makes one: it
+    occurs at least twice, spans at least two symbols and has a code no
+    other entry has."""
+    doc = parse_json(source) if isinstance(source, str) else source
+    if doc.keys() != {"dictionary", "stream"}:
+        raise InputFormatError("malformed stream file: it must hold exactly the "
+                               f"'dictionary' and 'stream' sections, not {sorted(doc)}")
+    # every object is read by its documented keys, then must hold no other
+    try:
+        entries = []
+        for d in _json_array(doc["dictionary"], "dictionary"):
+            d = _json_object(d, "dictionary")
+            code, symbols, count = d["code"], d["symbols"], d["count"]
+            if len(d) != 3:
+                raise ValueError("an entry holds exactly 'code', 'symbols' and "
+                                 f"'count': {d!r}")
+            entry = SPPattern(code, _json_array(symbols, "symbols"), count)
+            if entry.frequency < 2:
+                raise ValueError(f"chunk {code!r} must occur at least twice")
+            if len(entry) < 2:
+                raise ValueError(f"chunk {code!r} must span at least two symbols")
+            entries.append(entry)
+        dictionary = PatternStore(entries)
+        tokens: list[Token] = []
+        for item in _json_array(doc["stream"], "stream"):
+            item = _json_object(item, "stream")
+            if len(item) != 1 or ("code" not in item and "lit" not in item):
+                raise InputFormatError("stream token needs exactly one of 'code' and "
+                                       f"'lit' and no other key: {item!r}")
+            if "code" in item:
+                if item["code"] not in dictionary:
+                    raise InputFormatError(f"stream references unknown code {item['code']!r}")
+                tokens.append(CodeRef(item["code"]))
+            else:
+                tokens.append(Literal(check_symbol(item["lit"])))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"malformed stream file: {exc}") from None
+    return EncodedStream(dictionary, tuple(tokens))
 
 
 def runs_to_json(runs: Sequence[Run]) -> str:

@@ -275,29 +275,31 @@ class TestRuns:
         assert calls == [678, 1360, 2868, 5706]
 
     def test_a_run_list_is_checked_once_and_makes_no_run(self, monkeypatch, tmp_path):
-        # counted, not timed: the Run records made and the check_texts
-        # batches, on run lists of 1 to about 7,500 runs and through the CLI
+        # counted, not timed: the Run records made and the are_symbols
+        # batches, one per run list made, on run lists of 1 to about 7,500
+        # runs and through the CLI
         made, checked = [], []
-        post_init, check_texts = Run.__post_init__, codecs.check_texts
+        post_init, are_symbols = Run.__post_init__, codecs.are_symbols
 
         def counting_run(run):
             made.append(run)
             post_init(run)
 
-        def counting_check(texts):
+        def counting_batch(texts):
             checked.append(len(texts))
-            check_texts(texts)
+            return are_symbols(texts)
 
         monkeypatch.setattr(Run, "__post_init__", counting_run)
-        monkeypatch.setattr(codecs, "check_texts", counting_check)
+        monkeypatch.setattr(codecs, "are_symbols", counting_batch)
         for size in (1, 10, 100, 1_000, 10_000):
             corpus = random.Random(size).choices("abcdefghij", k=size)
             runs = rle_encode(corpus)
-            assert (made, checked) == ([], [])
+            symbols = sum(map(len, runs.blocks))
+            assert (made, checked) == ([], [symbols])
             text = runs_to_json(runs)
-            assert (made, checked) == ([], [len(set(corpus))])
+            assert (made, checked) == ([], [symbols])
             again = runs_from_json(text)
-            assert (made, checked[1:]) == ([], [sum(map(len, runs.blocks))])
+            assert (made, checked) == ([], [symbols, symbols])
             assert again == runs and rle_decode(again) == corpus
             checked.clear()
         assert len(runs) > 7_000
@@ -361,9 +363,11 @@ def _set(key, values):
     return mutate
 
 
-def _missing_key(entry, draw):
-    entry.pop(draw(st.sampled_from(["symbols", "count"])), None)
-    return entry
+def _drop(*keys):
+    def mutate(entry, draw):
+        entry.pop(draw(st.sampled_from(keys)), None)
+        return entry
+    return mutate
 
 
 def _not_an_object(entry, draw):
@@ -375,7 +379,8 @@ def _not_an_object(entry, draw):
 MUTATIONS = (_bad_symbol, _set("symbols", ["ab", {"a": 1}, 3, None]),
              _set("symbols", [[]]),
              _set("count", [0, -1]), _set("count", [2.5, 3.0, "3", "**", True, None, [2]]),
-             _set("count", ["*"]), _set("x", [0]), _missing_key, _not_an_object)
+             _set("count", ["*"]), _set("x", [0]), _drop("symbols", "count"),
+             _not_an_object)
 
 
 @st.composite
@@ -392,13 +397,57 @@ def mutated_runs_files(draw):
     return {"runs": entries}
 
 
-def reads_alike(doc):
-    """The runs the reader and its oracle read from ``doc``, or the text of
-    the error each raised."""
+def _one_symbol(entry, draw):
+    if isinstance(entry.get("symbols"), list):
+        entry["symbols"] = entry["symbols"][:1]
+    return entry
+
+
+# what may go wrong with one dictionary entry of a stream file, and with
+# one token; a code set on a literal token, or a literal on a code token,
+# gives it two keys, and a literal "z" is no fault
+ENTRY_MUTATIONS = (_bad_symbol, _set("symbols", ["ab", {"a": 1}, 3, None]), _one_symbol,
+                   _set("count", [1]), _set("x", [0]), _drop("code", "symbols", "count"),
+                   _not_an_object)
+TOKEN_MUTATIONS = (_set("lit", ["a b", "", "\u00a0", 7, None, ["a"], "z"]),
+                   _set("code", ["no such"]), _set("x", [0]), _drop("code", "lit"),
+                   _not_an_object)
+
+
+@st.composite
+def mutated_stream_files(draw):
+    """The object of a valid stream file with one to four changes, each one
+    of ``ENTRY_MUTATIONS`` made to some dictionary entry, or of
+    ``TOKEN_MUTATIONS`` to some token, two in three to a token.  A
+    dictionary entry may also take another entry's code.  A change to an
+    entry that is no longer an object is skipped."""
+    dictionary = draw(st.lists(chunk_entries, min_size=1, max_size=3,
+                               unique_by=lambda e: e.id))
+    codes = [e.id for e in dictionary]
+    tokens = draw(st.lists(st.one_of(st.sampled_from(codes).map(CodeRef),
+                                     symbol_texts.map(Literal)), min_size=2, max_size=6))
+    doc = json.loads(stream_to_json(EncodedStream(PatternStore(dictionary), tuple(tokens))))
+    sections = (("dictionary", ENTRY_MUTATIONS + (_set("code", codes),)),
+                ("stream", TOKEN_MUTATIONS), ("stream", TOKEN_MUTATIONS))
+    for _ in range(draw(st.integers(1, 4))):
+        section, mutations = draw(st.sampled_from(sections))
+        k = draw(st.integers(0, len(doc[section]) - 1))
+        if isinstance(doc[section][k], dict):
+            doc[section][k] = draw(st.sampled_from(mutations))(doc[section][k], draw)
+    return doc
+
+
+def stream_of(stream):
+    return entries(stream.dictionary), stream.tokens
+
+
+def reads_alike(doc, readers=(runs_from_json, oracle.runs_from_json), view=runs_of):
+    """What the reader and its oracle, ``readers``, read from ``doc``, as
+    ``view`` shows it, or the text of the error each raised."""
     read = []
-    for reader in (runs_from_json, oracle.runs_from_json):
+    for reader in readers:
         try:
-            read.append(runs_of(reader(json.dumps(doc))))
+            read.append(view(reader(json.dumps(doc))))
         except InputFormatError as exc:
             read.append(str(exc))
     return read
@@ -420,6 +469,24 @@ class TestRunsReader:
     @example({"runs": [{"symbols": ["a"], "count": 1}, {"symbols": [""], "count": 0}]})
     def test_reader_matches_oracle(self, doc):
         new, old = reads_alike(doc)
+        assert new == old
+
+
+class TestStreamReader:
+    # the stream checks its literals when made, from the tokens read so far,
+    # so a bad literal must raise ahead of a later token's fault, as in the
+    # oracle's token-by-token read
+    @settings(max_examples=400)
+    @given(mutated_stream_files())
+    @example({"dictionary": [], "stream": [{"lit": "a b"}, {"code": "w1"}]})
+    @example({"dictionary": [], "stream": [{"lit": 7}, 1]})
+    @example({"dictionary": [{"code": "w1", "symbols": ["a", "b"], "count": 2}],
+              "stream": [{"code": "w1"}, {"lit": ""}, {"code": "w1", "lit": "a"}]})
+    # a fault in the dictionary is met before any in the stream
+    @example({"dictionary": [{"code": "w1", "symbols": ["a"], "count": 2}],
+              "stream": [{"lit": "a b"}]})
+    def test_reader_matches_oracle(self, doc):
+        new, old = reads_alike(doc, (stream_from_json, oracle.stream_from_json), stream_of)
         assert new == old
 
 

@@ -237,7 +237,7 @@ class TestStreamFile:
 
     @pytest.mark.parametrize("bad", ["a b", "", 7])
     def test_writer_rejects_what_the_reader_would(self, bad):
-        # a literal is not checked when made, so the writer checks its text
+        # the stream refuses the text when made, so no writer is handed it
         with pytest.raises((TypeError, ValueError), match="symbol text"):
             stream_to_json(EncodedStream(PatternStore([]), (Literal(bad),)))
 
@@ -313,7 +313,7 @@ class TestRle:
 
     @pytest.mark.parametrize("bad", ["a b", "", 7])
     def test_file_writer_rejects_what_the_reader_would(self, bad):
-        # a run is not checked when made, so the writer checks its texts
+        # the run refuses the text when made, so no writer is handed it
         with pytest.raises((TypeError, ValueError), match="symbol text"):
             runs_to_json(Runs.of([Run(("a", bad), 2)]))
 

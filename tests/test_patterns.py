@@ -384,17 +384,17 @@ def made(monkeypatch):
 
 class TestOneRulePerText:
     """A reader checks only the texts that the record it builds does not,
-    and checks a batch of texts with ``check_texts``, which passes none of
-    them to ``check_symbol`` when all are symbols.  So on valid input only
-    a stream's literals, which a ``Literal`` does not check, reach
-    ``check_symbol``, one call each; ``parse_grammar`` and ``tokenize``,
-    whose tokens are symbols by construction, check nothing."""
+    and a record checks a batch of texts with ``check_texts``, which passes
+    none of them to ``check_symbol`` when all are symbols.  So on valid
+    input no text reaches ``check_symbol``: a stream checks its literals
+    in one batch; ``parse_grammar`` and ``tokenize``, whose tokens are
+    symbols by construction, check nothing."""
 
     @pytest.mark.parametrize("read, text, checked", [
         (parse_table, "in:a\tin:b\tout:c\n1\t1\t0\n1\t0\t1\n0\t1\t1\n0\t0\t0\n", []),
         (stream_from_json, '{"dictionary": [{"code": "w1", "symbols": ["a", "b", "a"],'
          ' "count": 2}], "stream": [{"code": "w1"}, {"lit": "c"}, {"lit": "a"},'
-         ' {"lit": "c"}]}', ["c", "a", "c"]),
+         ' {"lit": "c"}]}', []),
         (runs_from_json, '{"runs": [{"symbols": ["x", "y"], "count": 2},'
          ' {"symbols": ["y"], "count": "*"}, {"symbols": ["x", "z", "x"], "count": 1}]}', []),
         (parse_hierarchy, "CLASS a : attrs=fur,warm\n"

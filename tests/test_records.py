@@ -254,6 +254,14 @@ def test_checks_still_run_when_a_record_is_made():
         Runs((("a",), ()), (1, 1))
     with pytest.raises(ValueError, match="one count per block"):
         Runs((("a",),), ())
+    # a run's symbols are checked before its count
+    with pytest.raises(ValueError, match="may not contain whitespace: 'a b'"):
+        Run(("a", "a b"), 0)
+    with pytest.raises(ValueError, match="may not contain whitespace: 'a b'"):
+        Runs((("a",), ("b", "a b")), (1, 3))
+    # a stream checks its literals; a code is a pattern id, which it does not
+    with pytest.raises(TypeError, match="symbol text must be a string, got int"):
+        EncodedStream(PatternStore(), (Literal("a"), CodeRef("w 1"), Literal(7)))
     with pytest.raises(ValueError):
         FixedSymbol("a b")
     with pytest.raises(ValueError):
