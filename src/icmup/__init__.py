@@ -1,16 +1,18 @@
 """Information compression via the matching and unification of patterns.
 
 The package turns one idea - merge things that match - into executable
-machinery: chunk and run-length codecs with bit accounting, schema
-templates, class and part hierarchies, match-driven function tables and a
-tape machine, unary arithmetic with repetition traces, and a
-multiple-alignment engine that encodes new patterns against stored ones and
-ranks the results by compression difference.
+machinery: chunk and run-length codecs with bit accounting (``codecs``),
+schema templates (``schema``), class and part hierarchies (``hierarchy``),
+match-driven function tables and a tape machine (``machines``), unary
+arithmetic with repetition traces (``setnum``), and a multiple-alignment
+engine that encodes new patterns against stored ones and ranks the results
+by compression difference (``alignment``).  ``cli`` is the command line.
 
 Importing the package loads none of its modules.  An exported name, or a
 submodule, is imported the first time it is read from the package (PEP 562,
 ``__getattr__`` over ``_EXPORTS``), so a process pays only for the modules
-it uses.
+it uses: ``from icmup import Schema`` loads ``schema``, which no command
+loads.
 """
 
 import importlib
@@ -20,10 +22,9 @@ _EXPORTS = {
     "alignment": ("Alignment", "alignment_probabilities", "build_alignments",
                   "compose_alignment", "dump_columns", "infer_unmatched",
                   "literal_alignment", "parse_render", "retrieve"),
-    "codecs": ("CodeRef", "EncodedStream", "FixedSymbol", "Literal", "Run",
-               "Schema", "Slot", "UNBOUNDED", "chunk_decode", "chunk_encode",
-               "discover_chunks", "rle_decode", "rle_encode", "schema_encode",
-               "schema_instantiate", "unify_basic"),
+    "codecs": ("CodeRef", "EncodedStream", "Literal", "Run", "UNBOUNDED",
+               "chunk_decode", "chunk_encode", "discover_chunks", "rle_decode",
+               "rle_encode", "unify_basic"),
     "errors": (),
     "hierarchy": ("ClassNode", "Hierarchy", "description_length",
                   "parse_hierarchy", "part_context", "resolve_attributes"),
@@ -37,6 +38,8 @@ _EXPORTS = {
                  "code_cost_bits", "parse_grammar", "raw_cost", "render",
                  "symbol_cost_bits", "tokenize"),
     "reporting": (),
+    "schema": ("FixedSymbol", "Schema", "Slot", "schema_encode",
+               "schema_instantiate"),
     "setnum": ("OperationTrace", "PeanoNumeral", "TraceStep", "UnaryNumber",
                "bounded_product", "bounded_sum", "multiset_to_set",
                "newton_table", "parse_peano", "parse_unary",

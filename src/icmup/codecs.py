@@ -1,5 +1,6 @@
-"""Executable codecs: repeated-chunk unification, chunking-with-codes,
-run-length coding, and schema-plus-correction.
+"""Executable codecs: repeated-chunk unification, chunking-with-codes, and
+run-length coding.  Schema-plus-correction, which no command runs, is in
+``schema``.
 
 Chunk discovery and encoding are deterministic by construction: occurrence
 counting is non-overlapping and left-to-right, discovery is greedy
@@ -41,7 +42,8 @@ grow about linearly (a corpus of two long copies around random noise:
 about 2.3x per doubling).  A corpus whose windows all repeat but whose
 grams never beat ``expected_count`` keeps every window live at every
 length, and stays O(N * L^2): one letter repeated 2,000 times takes about
-2 s.  ``chunk_encode`` makes, at each position, one table lookup per
+2 s.  ``chunk_encode`` spells the corpus, then all the dictionary's entries
+in one more call, and makes, at each position, one table lookup per
 distinct length among the chunks that start with the symbol there.  The
 stream and runs writers give the text of ``json.dumps(doc, indent=2)``
 without its pure-Python encoder: one C escape (``json.dumps``) per distinct text and
@@ -64,10 +66,9 @@ from enum import Enum
 from itertools import chain, compress, count, repeat
 from operator import add, eq
 
-from .errors import (BadCorrection, InputFormatError, NoSchemaMatch,
-                     NotDecodable, NotPresent, TooLarge)
-from .patterns import (PatternStore, Record, SPPattern, are_symbols, check_symbol,
-                       check_texts, code_cost, is_count, symbol_cost_bits)
+from .errors import InputFormatError, NotDecodable, NotPresent, TooLarge
+from .patterns import (PatternStore, Record, SPPattern, are_symbols, check_texts,
+                       code_cost, is_count, symbol_cost_bits)
 
 # the most symbols ``rle_decode`` or ``chunk_decode`` makes: 100 times the
 # 100k-character corpus the README times, and a list of about 80 MB
@@ -279,9 +280,14 @@ def chunk_encode(corpus: Sequence[str],
     among chunks with the same symbols the first in discovery order wins."""
     letters: dict[str, str] = {}
     s = _spell(corpus, letters)
+    entries = list(dictionary)
+    # every entry's gram, spelled in one call and cut by the entries' lengths
+    grams = _spell([t for entry in entries for t in entry.symbols], letters)
     by_first: dict[str, dict[int, dict[str, str]]] = {}
-    for entry in dictionary:
-        gram = _spell(entry.symbols, letters)
+    end = 0
+    for entry in entries:
+        start, end = end, end + len(entry.symbols)
+        gram = grams[start:end]
         by_first.setdefault(gram[0], {}).setdefault(len(gram), {}).setdefault(gram, entry.id)
     # a position tries only the chunks that start with its own symbol
     tables = {first: sorted(by_length.items(), reverse=True)
@@ -515,105 +521,6 @@ def rle_decode(runs: Runs) -> list[str]:
                            f"{DECODE_CAP} symbols")
         out += symbols * times
     return out
-
-
-class FixedSymbol(Record):
-    __slots__ = _fields = ("symbol",)
-    symbol: str
-
-    def __post_init__(self):
-        check_symbol(self.symbol)
-
-
-class Slot(Record):
-    __slots__ = _fields = ("name", "fillers")
-    name: str
-    fillers: tuple[tuple[str, SPPattern], ...]  # (code, filler) pairs
-
-    def __post_init__(self):
-        codes = [c for c, _ in self.fillers]
-        if len(set(codes)) != len(codes):
-            raise ValueError(f"slot {self.name!r} has duplicate filler codes")
-        bodies = [f.symbols for _, f in self.fillers]
-        if len(set(bodies)) != len(bodies):
-            raise ValueError(f"slot {self.name!r} has fillers with identical symbols")
-
-    def filler(self, code: str) -> SPPattern:
-        for c, f in self.fillers:
-            if c == code:
-                return f
-        raise BadCorrection(f"slot {self.name!r} has no filler {code!r}")
-
-
-SchemaElement = FixedSymbol | Slot
-
-
-class Schema(Record):
-    __slots__ = _fields = ("id", "elements")
-    id: str
-    elements: tuple[SchemaElement, ...]
-
-    def __post_init__(self):
-        names = [e.name for e in self.elements if isinstance(e, Slot)]
-        if len(set(names)) != len(names):
-            raise ValueError(f"schema {self.id!r} has duplicate slot names")
-
-    @property
-    def slot_names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.elements if isinstance(e, Slot))
-
-
-def schema_instantiate(schema: Schema, corrections: Mapping[str, str]) -> SPPattern:
-    """Substitute one filler per slot, positionally, around the fixed symbols."""
-    unknown = set(corrections) - set(schema.slot_names)
-    if unknown:
-        raise BadCorrection(f"unknown slots: {sorted(unknown)}")
-    symbols: list[str] = []
-    chosen: list[str] = []
-    for element in schema.elements:
-        if isinstance(element, FixedSymbol):
-            symbols.append(element.symbol)
-        else:
-            if element.name not in corrections:
-                raise BadCorrection(f"slot {element.name!r} has no assignment")
-            code = corrections[element.name]
-            symbols.extend(element.filler(code).symbols)
-            chosen.append(code)
-    instance_id = f"{schema.id}({','.join(chosen)})"
-    return SPPattern(instance_id, tuple(symbols))
-
-
-def schema_encode(instance: SPPattern, schema: Schema) -> dict[str, str]:
-    """Recover the filler code per slot from an instantiated pattern.
-
-    Backtracking parse; when several fillers could match at a position the
-    longest (then lexicographically first code) is preferred, so encoding
-    inverts instantiation whenever the schema parses unambiguously.
-    """
-    texts = instance.symbols
-
-    def parse(elem_idx: int, pos: int) -> "dict[str, str] | None":
-        if elem_idx == len(schema.elements):
-            return {} if pos == len(texts) else None
-        element = schema.elements[elem_idx]
-        if isinstance(element, FixedSymbol):
-            if pos < len(texts) and texts[pos] == element.symbol:
-                return parse(elem_idx + 1, pos + 1)
-            return None
-        candidates = sorted(element.fillers,
-                            key=lambda cf: (-len(cf[1]), cf[0]))
-        for code, filler in candidates:
-            body = filler.symbols
-            if texts[pos:pos + len(body)] == body:
-                rest = parse(elem_idx + 1, pos + len(body))
-                if rest is not None:
-                    return {element.name: code, **rest}
-        return None
-
-    result = parse(0, 0)
-    if result is None:
-        raise NoSchemaMatch(f"instance does not match schema {schema.id!r}")
-    return result
 
 
 class _Literals(dict):

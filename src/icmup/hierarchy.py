@@ -25,7 +25,9 @@ from collections.abc import Iterable, Iterator
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownClass
-from .patterns import Record, check_texts, content_lines, symbol_cost_bits
+from .patterns import (Record, check_texts, content_lines, read_text,
+                       symbol_cost_bits)
+from .reporting import format_bits
 
 DL_FORMS = ("flat", "hierarchical")
 
@@ -217,3 +219,30 @@ def parse_hierarchy(text: str) -> Hierarchy:
         return Hierarchy(nodes)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
+
+
+# The ``hierarchy`` command: ``cli.main`` imports this module to run it, with
+# the arguments its parser made.
+
+def cmd_hierarchy(args) -> None:
+    h = parse_hierarchy(read_text(args.hierarchy))
+    # every part is worked out before any is printed, so a part that fails
+    # prints nothing
+    lines = []
+    if args.resolve:
+        attrs = sorted(resolve_attributes(h, args.resolve))
+        lines.append(f"{args.resolve}: {' '.join(attrs)}")
+    if args.context:
+        chain = part_context(h, args.context)
+        lines.append(f"{args.context}: {' '.join(chain)}")
+    if args.dl:
+        size = (len(required_alphabet(h)) if args.alphabet is None
+                else args.alphabet)
+        flat = description_length(h, "flat", size)
+        hier = description_length(h, "hierarchical", size)
+        lines.append(f"alphabet={size} flat_bits={format_bits(flat)} "
+                     f"hierarchical_bits={format_bits(hier)} "
+                     f"savings={format_bits(flat - hier)}")
+    if not lines:
+        raise InputFormatError("need --resolve, --context, or --dl")
+    print("\n".join(lines))

@@ -18,7 +18,7 @@ from operator import eq
 
 from .errors import (ArityMismatch, InputFormatError, MissingInput, NoMatch,
                      TooLarge)
-from .patterns import Record, check_symbol, check_texts, content_lines
+from .patterns import Record, check_symbol, check_texts, content_lines, read_text
 
 MAX_TABLE_INPUTS = 16
 
@@ -397,3 +397,65 @@ def parse_circuit(text: str) -> NandCircuit:
         return NandCircuit(tuple(inputs), tuple(gates), tuple(outputs))
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
+
+
+# The ``table``, ``circuit`` and ``tm`` commands: ``cli.main`` imports this
+# module to run one, with the arguments its parser made.
+
+def cmd_table(args) -> None:
+    table = parse_table(read_text(args.table), name=args.table)
+    values = args.inputs.split(",")
+    if "" in values:
+        raise InputFormatError(f"--in has an empty value: {args.inputs!r}")
+    check_texts(values)
+    if args.diag:
+        selection = score_rows(table, values)
+        counts = ",".join(str(c) for c in selection.match_counts)
+        selected = selection.best_row + 1 if selection.full_match else "-"
+        print(f"selected_row={selected} matches={counts}")
+    outputs = eval_table(table, values)
+    print(" ".join(f"{col}={sym}" for col, sym in zip(table.output_cols, outputs)))
+
+
+def cmd_circuit(args) -> None:
+    circuit = parse_circuit(read_text(args.circuit))
+    if args.compile:
+        table = compile_truth_table(circuit)
+        print("\t".join([f"in:{c}" for c in table.input_cols]
+                        + [f"out:{c}" for c in table.output_cols]))
+        for row_in, row_out in table.rows:
+            print("\t".join(row_in + row_out))
+        return
+    if not args.inputs:
+        raise InputFormatError("need --in name=value,... or --compile")
+    assignment = {}
+    for item in args.inputs.split(","):
+        name, eq, value = item.partition("=")
+        if not eq:
+            raise InputFormatError(f"bad assignment {item!r}")
+        if name not in circuit.inputs:
+            raise InputFormatError(f"{name!r} is not an input of the circuit")
+        if name in assignment:
+            raise InputFormatError(f"input {name!r} is assigned twice")
+        assignment[name] = value
+    result = eval_circuit(circuit, assignment)
+    print(" ".join(f"{k}={v}" for k, v in result.items()))
+
+
+def cmd_tm(args) -> None:
+    if args.max_steps < 0:
+        raise InputFormatError("--max-steps must be >= 0")
+    machine = parse_tm(read_text(args.machine))
+    cells = {}
+    for i, ch in enumerate(args.tape):
+        if ch not in "01":
+            raise InputFormatError("tape must be a string of 0s and 1s")
+        cells[i] = int(ch)
+    result = tm_run(machine, cells, args.head, args.state, args.max_steps)
+    state = result.state
+    positions = set(state.cells) | {state.head}
+    lo, hi = min(positions), max(positions)
+    tape = "".join(str(state.read(p)) for p in range(lo, hi + 1))
+    print(f"halted={'true' if result.halted else 'false'} state={state.state} "
+          f"steps={state.steps} attempts={result.attempts} head={state.head}")
+    print(f"tape[{lo}..{hi}]={tape}")

@@ -37,10 +37,11 @@ read the store's codes from ``PatternStore.codes``, and the codes read
 ``PatternStore.total_frequency``.
 
 ``Record`` is the base of every frozen record in the package (``SPPattern``,
-the codecs' tokens, runs and schemas, ``alignment.Alignment``, and the
-records of ``machines``, ``setnum`` and ``hierarchy``): slotted classes
-whose ``__init__`` is made from their fields, equal by type and fields,
-immutable and picklable, with a dataclass's repr, without ``dataclasses``.
+the codecs' tokens and runs, the records of ``schema``,
+``alignment.Alignment``, and those of ``machines``, ``setnum`` and
+``hierarchy``): slotted classes whose ``__init__`` is made from their
+fields on the class's first call, equal by type and fields, immutable and
+picklable, with a dataclass's repr, without ``dataclasses``.
 
 Costs are fractional "ideal" bits throughout: a symbol over an alphabet of
 size A costs log2(A) bits (1 bit for the degenerate A=1 alphabet), and a
@@ -105,17 +106,19 @@ class Record:
     A subclass names its fields, in order, in ``_fields`` and in
     ``__slots__``, and may give defaults for trailing fields in a
     ``_defaults`` mapping.  Fields that its ``__post_init__`` works out
-    from the others it names in ``_derived``.  Its ``__init__`` is made
-    once, when the class is made, as ``collections.namedtuple`` makes its
-    ``__new__``: one parameter per field that is not derived, each set with
-    one ``object.__setattr__`` line, then a call to ``__post_init__`` when
-    the class has checks to run or fields to work out.  Every record's
-    constructor is made so; a class that names no ``_fields`` of its own
-    keeps its parent's.  Two records are equal, and hash alike, when they
-    are of the very same type and their fields are equal; the repr is a
-    dataclass's.  A field can be neither set nor deleted.  Unpickling sets
-    the fields as they were, as a dataclass's does, without running the
-    checks again."""
+    from the others it names in ``_derived``.  Its ``__init__`` is written
+    from its fields as ``collections.namedtuple`` writes its ``__new__``:
+    one parameter per field that is not derived, each set with one
+    ``object.__setattr__`` line, then a call to ``__post_init__`` when the
+    class has checks to run or fields to work out.  The class keeps that
+    source and compiles it on its first call, which puts the constructor
+    on the class and runs it, so a process compiles the constructors only
+    of the records it makes.  Every record's constructor is made so; a
+    class that names no ``_fields`` of its own keeps its parent's.  Two
+    records are equal, and hash alike, when they are of the very same type
+    and their fields are equal; the repr is a dataclass's.  A field can be
+    neither set nor deleted.  Unpickling sets the fields as they were, as a
+    dataclass's does, without running the checks again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -132,12 +135,20 @@ class Record:
         lines = [f"    _setattr(self, {name!r}, {name})\n" for name in given]
         if hasattr(cls, "__post_init__"):
             lines.append("    self.__post_init__()\n")
-        namespace = {"__name__": cls.__module__, "_setattr": object.__setattr__,
-                     "_defaults": cls._defaults}
-        exec(f"def __init__(self, {params}):\n{''.join(lines)}", namespace)
-        cls.__init__ = namespace["__init__"]
-        # so that a call with wrong arguments names the class in its TypeError
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        source = f"def __init__(self, {params}):\n{''.join(lines)}"
+
+        def __init__(self, *args, **kwargs):
+            # the first call makes the constructor, puts it on the class in
+            # this builder's place, and runs it
+            namespace = {"__name__": cls.__module__, "_setattr": object.__setattr__,
+                         "_defaults": cls._defaults}
+            exec(source, namespace)
+            init = cls.__init__ = namespace["__init__"]
+            # so that a call with wrong arguments names the class in its TypeError
+            init.__qualname__ = f"{cls.__qualname__}.__init__"
+            init(self, *args, **kwargs)
+
+        cls.__init__ = __init__
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -212,6 +223,13 @@ def check_pattern(id: str, symbols: Sequence, frequency: int) -> None:
         raise TypeError(f"pattern {id!r} frequency must be an integer")
     if frequency < 1:
         raise ValueError(f"pattern {id!r} frequency must be >= 1")
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``, as each command reads its
+    input file."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def tokenize(text: str, mode: str = "whitespace") -> list[str]:

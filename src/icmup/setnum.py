@@ -24,10 +24,10 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import repeat
 
-from .errors import (BadDigit, DivisionByZero, Indeterminate, NonIntegerTerm,
-                     NotASet, TooLarge, Underflow)
+from .errors import (BadDigit, DivisionByZero, Indeterminate, InputFormatError,
+                     NonIntegerTerm, NotASet, TooLarge, Underflow)
 from .patterns import Record, is_count, symbol_cost_bits, tokenize
-from .reporting import round_half_up
+from .reporting import RunReport, format_bits, round_half_up
 
 UNARY_CAP = 10 ** 6
 DIGITS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -393,3 +393,98 @@ def newton_table(g: float, t_max: int) -> FallReport:
     alphabet = set(formula) | set(table)
     per_symbol = symbol_cost_bits(max(len(alphabet), 1))
     return FallReport(g, tuple(rows), len(formula) * per_symbol, len(table) * per_symbol)
+
+
+# The ``sets``, ``unary``, ``peano``, ``base`` and ``newton`` commands:
+# ``cli.main`` imports this module to run one, with the arguments its parser
+# made.
+
+def _set_arg(text: str) -> list[str]:
+    return tokenize(text, "whitespace")
+
+
+def _render_set(symbols) -> str:
+    return "{" + ", ".join(symbols) + "}"
+
+
+def cmd_sets(args) -> None:
+    if args.op == "toset":
+        print(_render_set(multiset_to_set(_set_arg(args.a))))
+        return
+    a, b = _set_arg(args.a), _set_arg(args.b or "")
+    if args.op == "union":
+        print(_render_set(set_union(a, b)))
+    else:
+        print(_render_set(set_intersection(a, b)))
+
+
+def cmd_unary(args) -> None:
+    op = args.op
+    if op in ("add", "sub", "mul"):
+        fn, label = {"add": (unary_add, "transfers"),
+                     "sub": (unary_subtract, "removals"),
+                     "mul": (unary_multiply, "add_iterations")}[op]
+        result, trace = fn(UnaryNumber(args.a), UnaryNumber(args.b))
+        head = f"result={result.count} {label}={trace.step_count}"
+    elif op == "div":
+        result, remainder, trace = unary_divide(UnaryNumber(args.a),
+                                                UnaryNumber(args.b))
+        head = (f"quotient={result.count} remainder={remainder.count} "
+                f"subtract_iterations={trace.step_count}")
+    elif op == "pow":
+        result, trace = unary_power(UnaryNumber(args.a), args.b)
+        head = f"result={result.count} multiply_iterations={trace.step_count}"
+    elif op == "fact":
+        result, trace = unary_factorial(args.a)
+        head = f"result={result.count} steps={trace.step_count}"
+    else:  # sum or prod, the only ops argparse leaves
+        values = [int(v) for v in args.terms.split(",")]
+        count = args.hi - args.lo + 1
+        if count > 0 and len(values) != count:
+            raise InputFormatError(f"--terms has {len(values)} values for the "
+                                   f"{count} indices {args.lo}..{args.hi}")
+        terms = {i: v for i, v in zip(range(args.lo, args.hi + 1), values)}
+        fn = bounded_sum if op == "sum" else bounded_product
+        result, trace = fn(terms, args.lo, args.hi)
+        head = f"result={result.count} iterations={trace.step_count}"
+    print(head)
+    print(f"unary={result.render()}")
+    if args.trace:
+        print(trace.dump())
+
+
+def cmd_peano(args) -> None:
+    # both numerals are made before either is printed, so a second one
+    # over the cap prints nothing
+    p = to_peano(args.n)
+    lines = [p.render()]
+    if args.m is not None:
+        q = to_peano(args.m)
+        lines += [q.render(), f"shared_depth={peano_shared_depth(p, q)}"]
+    print("\n".join(lines))
+
+
+def cmd_base(args) -> None:
+    if args.decode:
+        u = positional_to_unary(args.value, args.base)
+        print(f"count={u.count}")
+        return
+    u = UnaryNumber(int(args.value))
+    rep = base_report(u, args.base)
+    print(f"digits={rep.digits} unary_symbols={rep.unary_symbols} "
+          f"positional_symbols={rep.positional_symbols} "
+          f"ratio={format_bits(rep.ratio)}")
+
+
+def cmd_newton(args) -> RunReport:
+    if args.tmax < 0:
+        raise InputFormatError("--tmax must be >= 0")
+    rep = newton_table(args.g, args.tmax)
+    for row in rep.rows:
+        print(f"{row.t}\t{row.s:.1f}")
+    print(f"formula_bits={format_bits(rep.formula_bits)} "
+          f"table_bits={format_bits(rep.table_bits)}")
+    return RunReport("newton", raw_bits=rep.table_bits,
+                     encoded_bits=rep.formula_bits,
+                     details={"g": rep.g,
+                              "rows": [{"t": r.t, "s": r.s} for r in rep.rows]})

@@ -857,6 +857,7 @@ ERROR_FILES = {
     "twice-row.tsv": "in:a\tout:b\n1\t0\n1\t1\n",
     "twice.tm": "s0 1 -> s0 R\ns0 1 -> s1 L\n",
     "succ.tm": SUCCESSOR_TM,
+    "corpus.txt": "a b a b c\n",
 }
 
 
@@ -886,7 +887,21 @@ ERROR_BRANCHES = [
     (["tm", "twice.tm", "--tape", "1", "--state", "s0"], 2,
      "error: duplicate transition for ('s0', 1)\n"),
     (["tm", "succ.tm", "--tape", "1", "--state", "s0", "--max-steps", "-1"], 2,
-     "error: max_steps must be >= 0\n"),
+     "error: --max-steps must be >= 0\n"),
+    # an option below its least value is named as the user typed it
+    (["retrieve", "toy.grammar", "--query", "k", "--top", "0"], 2,
+     "error: --top must be >= 1\n"),
+    (["align", "toy.grammar", "--new", "k", "--beam", "0"], 2,
+     "error: --beam must be >= 1\n"),
+    (["parse", "toy.grammar", "--new", "k", "--beam", "0"], 2,
+     "error: --beam must be >= 1\n"),
+    (["parse", "toy.grammar", "--new", "k", "--max-rows", "-1"], 2,
+     "error: --max-rows must be >= 0\n"),
+    (["compress", "corpus.txt", "--min-len", "1", "--out", "back.txt"], 2,
+     "error: --min-len must be >= 2\n"),
+    (["compress", "corpus.txt", "--min-count", "1", "--out", "back.txt"], 2,
+     "error: --min-count must be >= 2\n"),
+    (["newton", "--tmax", "-1"], 2, "error: --tmax must be >= 0\n"),
     (["base", "17", "1"], 2, "error: base must be in 2..36\n"),
     (["base", "1", "40", "--decode"], 2, "error: base must be in 2..36\n"),
     (["unary", "fact", "-1"], 2, "error: factorial needs a natural number\n"),

@@ -236,7 +236,7 @@ class TestStreamFile:
             stream_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("bad", ["a b", "", 7])
-    def test_writer_rejects_what_the_reader_would(self, bad):
+    def test_stream_rejects_what_the_reader_would(self, bad):
         # the stream refuses the text when made, so no writer is handed it
         with pytest.raises((TypeError, ValueError), match="symbol text"):
             stream_to_json(EncodedStream(PatternStore([]), (Literal(bad),)))
@@ -312,7 +312,7 @@ class TestRle:
             runs_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("bad", ["a b", "", 7])
-    def test_file_writer_rejects_what_the_reader_would(self, bad):
+    def test_run_rejects_what_the_reader_would(self, bad):
         # the run refuses the text when made, so no writer is handed it
         with pytest.raises((TypeError, ValueError), match="symbol text"):
             runs_to_json(Runs.of([Run(("a", bad), 2)]))

@@ -212,6 +212,11 @@ class TestTapeMachine:
         assert not result.halted
         assert result.state.steps == 0
 
+    def test_negative_steps_refused(self):
+        # the library names its parameter; the CLI names the flag
+        with pytest.raises(ValueError, match="^max_steps must be >= 0$"):
+            tm_run(unary_successor_machine(), {0: 1}, 0, "s0", -1)
+
     def test_empty_machine_halts_immediately(self):
         result = tm_run(TuringMachine(()), {}, 0, "s0", 10)
         assert result.halted

@@ -9,15 +9,15 @@ import pytest
 from conftest import fresh_python
 import icmup
 
-# The names `icmup` exported when it imported every module eagerly, by home.
+# The names `icmup` exported when it imported every module eagerly, each
+# under the module that holds it.
 EXPORTED = {
     "alignment": ["Alignment", "alignment_probabilities", "build_alignments",
                   "compose_alignment", "dump_columns", "infer_unmatched",
                   "literal_alignment", "parse_render", "retrieve"],
-    "codecs": ["CodeRef", "EncodedStream", "FixedSymbol", "Literal", "Run",
-               "Schema", "Slot", "UNBOUNDED", "chunk_decode", "chunk_encode",
-               "discover_chunks", "rle_decode", "rle_encode", "schema_encode",
-               "schema_instantiate", "unify_basic"],
+    "codecs": ["CodeRef", "EncodedStream", "Literal", "Run", "UNBOUNDED",
+               "chunk_decode", "chunk_encode", "discover_chunks", "rle_decode",
+               "rle_encode", "unify_basic"],
     "hierarchy": ["ClassNode", "Hierarchy", "description_length",
                   "parse_hierarchy", "part_context", "resolve_attributes"],
     "machines": ["NAND_TABLE", "FunctionTable", "Gate", "HALTED", "NandCircuit",
@@ -28,6 +28,8 @@ EXPORTED = {
     "patterns": ["PatternStore", "SPPattern", "check_symbol", "code_cost",
                  "code_cost_bits", "parse_grammar", "raw_cost", "render",
                  "symbol_cost_bits", "tokenize"],
+    "schema": ["FixedSymbol", "Schema", "Slot", "schema_encode",
+               "schema_instantiate"],
     "setnum": ["OperationTrace", "PeanoNumeral", "TraceStep", "UnaryNumber",
                "bounded_product", "bounded_sum", "multiset_to_set",
                "newton_table", "parse_peano", "parse_unary",
@@ -38,7 +40,7 @@ EXPORTED = {
 }
 # and the submodules a bare `import icmup` made attributes of the package
 SUBMODULES = ["alignment", "codecs", "errors", "hierarchy", "kernels",
-              "machines", "patterns", "reporting", "setnum"]
+              "machines", "patterns", "reporting", "schema", "setnum"]
 
 
 def test_each_name_is_its_home_modules_object():
@@ -72,6 +74,17 @@ def test_bare_import_loads_nothing_until_a_submodule_is_read():
     assert bare == ["icmup"]
     assert after == ["icmup", "icmup.codecs", "icmup.errors", "icmup.patterns"]
     assert runs == 2
+
+
+def test_schema_loads_only_when_its_names_are_read():
+    code = ("import json, sys\n"
+            "import icmup.codecs\n"
+            "with_codecs = 'icmup.schema' in sys.modules\n"
+            "from icmup import Schema, schema_encode\n"
+            "print(json.dumps([with_codecs, 'icmup.schema' in sys.modules,\n"
+            "                  Schema.__module__, schema_encode.__module__]))\n")
+    assert json.loads(fresh_python("-c", code)) == [
+        False, True, "icmup.schema", "icmup.schema"]
 
 
 def test_no_module_imports_dataclasses_or_typing():

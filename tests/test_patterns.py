@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from icmup import (PatternStore, SPPattern, build_alignments, check_symbol, code_cost,
                    code_cost_bits, parse_grammar, parse_hierarchy, parse_table,
                    patterns, raw_cost, render, retrieve, symbol_cost_bits, tokenize)
-from icmup import codecs, machines
+from icmup import machines, schema
 from icmup.cli import main
 from icmup.codecs import runs_from_json, stream_from_json
 from icmup.errors import DegenerateAlphabet, InputFormatError, UnknownPattern
@@ -376,7 +376,7 @@ def made(monkeypatch):
             SPPattern.__post_init__(self)
 
     # every module that calls the rule on one text
-    for module in (patterns, codecs, machines):
+    for module in (patterns, schema, machines):
         monkeypatch.setattr(module, "check_symbol", counting_check)
     monkeypatch.setattr(patterns, "SPPattern", CountingPattern)
     return made

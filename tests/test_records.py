@@ -2,10 +2,12 @@
 pickling, pinned field by field so that how a record is declared may change
 while what it does stays."""
 
+import json
 import pickle
 
 import pytest
 
+from conftest import KITTENS_GRAMMAR, KITTENS_SENTENCE, fresh_python
 from icmup import (CodeRef, EncodedStream, FixedSymbol, Literal, PatternStore, Run,
                    SPPattern, Schema, Slot, UNBOUNDED)
 from icmup.alignment import Alignment, Column
@@ -14,7 +16,6 @@ from icmup.errors import TooLarge
 from icmup.hierarchy import ClassNode
 from icmup.machines import (FunctionTable, Gate, NandCircuit, RowSelection, TMRow,
                             TMRunResult, TapeState, TuringMachine)
-from icmup.patterns import Record
 from icmup.reporting import RunReport
 from icmup.setnum import (UNARY_CAP, BaseReport, FallReport, FallRow, OperationTrace,
                           PeanoNumeral, TraceStep, UnaryNumber)
@@ -216,17 +217,86 @@ def test_an_alignment_works_out_its_costs_and_takes_no_cost_argument():
                   encoding_cost=1.0)
 
 
-def test_every_constructor_is_generated():
-    # one way to make a record: Record writes each package record's
-    # constructor from its fields, and none keeps a hand-written one
-    checked, pending = 0, Record.__subclasses__()
+# Walks every package record class in a fresh process.  `built()` names the
+# classes whose constructor has been compiled: it is then the function
+# Record writes from the fields, from "<string>", and until then the builder.
+RECORD_CLASSES = """\
+import json, sys
+from icmup.patterns import Record
+
+def classes():
+    pending, out = Record.__subclasses__(), []
     while pending:
         cls = pending.pop()
         pending.extend(cls.__subclasses__())
         if "_fields" in cls.__dict__ and cls.__module__.startswith("icmup."):
-            assert cls.__init__.__code__.co_filename == "<string>", cls.__qualname__
-            checked += 1
-    assert checked == 25
+            out.append(cls)
+    return sorted(out, key=lambda cls: cls.__qualname__)
+
+def built():
+    return [cls.__qualname__ for cls in classes()
+            if cls.__init__.__code__.co_filename == "<string>"]
+"""
+
+# Imports icmup.cli, runs the command given, if any, and prints the records
+# built after each step.
+BUILT_BY_MAIN = RECORD_CLASSES + """\
+import contextlib, io
+import icmup.cli
+after_import = built()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert icmup.cli.main(sys.argv[1:]) == 0
+print(json.dumps([after_import, built()]))
+"""
+
+
+@pytest.mark.parametrize("argv, made", [
+    (["align", "{grammar}", "--new", KITTENS_SENTENCE], ["Alignment", "SPPattern"]),
+    # setnum's shared trace steps are made when it is imported
+    (["unary", "add", "2", "3"], ["TraceStep", "UnaryNumber"]),
+], ids=["align", "unary"])
+def test_a_cold_start_builds_only_the_constructors_it_calls(tmp_path, argv, made):
+    grammar = tmp_path / "grammar.txt"
+    grammar.write_text(KITTENS_GRAMMAR)
+    argv = [arg.format(grammar=grammar) for arg in argv]
+    after_import, after_command = json.loads(fresh_python("-c", BUILT_BY_MAIN, *argv))
+    assert after_import == []
+    assert after_command == made
+
+
+# Imports every module, then calls each record with too many arguments, and
+# prints the records built by the imports and, per class, the error and
+# whether the class is built after the call.
+FIRST_CALLS = RECORD_CLASSES + """\
+import importlib
+for name in ("alignment", "codecs", "hierarchy", "machines", "schema", "setnum"):
+    importlib.import_module(f"icmup.{name}")
+after_import = built()
+report = {}
+for cls in classes():
+    try:
+        cls(*range(50))
+    except TypeError as exc:
+        report[cls.__qualname__] = [str(exc), cls.__qualname__ in built()]
+print(json.dumps([after_import, report]))
+"""
+
+
+def test_every_constructor_is_generated():
+    # one way to make a record: Record writes each package record's
+    # constructor from its fields and compiles it on the class's first
+    # call, and none keeps a hand-written one
+    after_import, report = json.loads(fresh_python("-c", FIRST_CALLS))
+    # the only records made at import: machines.NAND_TABLE and the trace
+    # steps setnum shares; every other class still holds the builder
+    assert after_import == ["FunctionTable", "TraceStep"]
+    assert len(report) == 25
+    for name, (error, built) in report.items():
+        assert built, name
+        # the first call, with wrong arguments, raises the TypeError the
+        # constructor gives, which names the class
+        assert error.startswith(f"{name}.__init__() takes "), error
+        assert error.endswith(" but 51 were given"), error
 
 
 def test_an_encoded_stream_compares_its_store_by_identity():
