@@ -55,8 +55,9 @@ def lcs_length(masks: dict[str, int], n: int, b: tuple[str, ...]) -> int:
     """The LCS length of a length-n ``a`` and ``b``, from ``text_masks(a)``:
     ``len(match_pairs(a, b))``, with no table and no walk."""
     v = (1 << n) - 1
-    for text in reversed(b):
-        u = v & masks.get(text, 0)
+    # a symbol ``a`` does not hold has no mask, and u = 0 would give v back
+    for mask in filter(None, map(masks.get, reversed(b))):
+        u = v & mask
         v = (v + u) | (v - u)
     return n - (v & ((1 << n) - 1)).bit_count()
 

@@ -32,7 +32,10 @@ Every value a store derives is a cached property, made on first read and
 kept.  The index, one postings list per text, is built on the first read
 of ``PatternStore.holders`` or ``PatternStore.alphabet``, with one split of
 each row, and is read only through those two: a chunk dictionary, which
-reads neither, never builds it.  A search, and a chunk stream's price,
+reads neither, never builds it.  ``holders(text, depth)`` makes a text's
+levels only as deep as a caller asks, and keeps each level it makes: a
+search asks for level 0 of most texts, and for a deeper level only when
+the text drives that many columns.  A search, and a chunk stream's price,
 read the store's codes from ``PatternStore.codes``, and the codes read
 ``PatternStore.total_frequency``.
 
@@ -270,8 +273,9 @@ class PatternStore:
     value the store derives is a ``cached_property``, made on first read
     and kept: ``total_frequency``, ``codes``, ``alphabet`` and the postings
     (built with the alphabet, on the first read of ``holders`` or
-    ``alphabet``).  ``holders`` takes a text, so it keeps its levels per
-    text."""
+    ``alphabet``).  ``holders`` takes a text and a depth, so it keeps its
+    levels per text, and makes each level on the first request that
+    reaches it."""
 
     def __init__(self, patterns: Iterable[SPPattern] = ()):
         made: dict[str, SPPattern] = {}
@@ -283,7 +287,10 @@ class PatternStore:
         # id -> (symbol text, frequency); see ``parse_grammar`` for unmade rows
         self._rows: dict[str, _Row] = {pid: (" ".join(p.symbols), p.frequency)
                                        for pid, p in made.items()}
+        # text -> its holders levels made so far, and the counts of a text
+        # whose deeper levels are still to make
         self._holders: dict[str, tuple[tuple[str, ...], ...]] = {}
+        self._counts: dict[str, Counter[str]] = {}
 
     @cached_property
     def total_frequency(self) -> int:
@@ -334,21 +341,31 @@ class PatternStore:
     def ids(self) -> list[str]:
         return list(self._rows)
 
-    def holders(self, text: str) -> tuple[tuple[str, ...], ...]:
+    def holders(self, text: str, depth: int) -> tuple[tuple[str, ...], ...]:
         """Level c -> the ids, in store order, of the patterns holding more
-        than c copies of ``text``, for each c below the most copies one
-        pattern holds.  Made on the first request and kept: level 0 counts
-        the text's postings, and each level filters the one before, so all
-        of them together cost one pass over the postings."""
+        than c copies of ``text``, for each c below ``depth`` and below the
+        most copies one pattern holds.  A level is made when a caller first
+        asks for it, and kept: level 0 counts the text's postings, and each
+        deeper level filters the one before, so all of them together cost
+        one pass over the postings.  The text's counts are kept until its
+        deepest level is made."""
         levels = self._holders.get(text)
         if levels is None:
-            counts = Counter(self._postings.get(text, ()))
-            level, out = tuple(counts), []
-            while level:
-                out.append(level)
-                level = tuple([pid for pid in level if counts[pid] > len(out)])
+            postings = self._postings.get(text, ())
+            counts = Counter(postings)
+            levels = self._holders[text] = (tuple(counts),) if counts else ()
+            if len(counts) < len(postings):  # a pattern holds two copies or more
+                self._counts[text] = counts
+        if depth > len(levels) and text in self._counts:
+            counts, out = self._counts[text], list(levels)
+            while len(out) < depth:
+                deeper = tuple([pid for pid in out[-1] if counts[pid] > len(out)])
+                if not deeper:
+                    del self._counts[text]  # every level is made
+                    break
+                out.append(deeper)
             levels = self._holders[text] = tuple(out)
-        return levels
+        return levels[:depth]
 
     def __contains__(self, pattern_id: str) -> bool:
         return pattern_id in self._rows

@@ -438,7 +438,13 @@ def cmd_unary(args) -> None:
         result, trace = unary_factorial(args.a)
         head = f"result={result.count} steps={trace.step_count}"
     else:  # sum or prod, the only ops argparse leaves
-        values = [int(v) for v in args.terms.split(",")]
+        values = []
+        for place, text in enumerate(args.terms.split(","), start=1):
+            try:
+                values.append(int(text))
+            except ValueError:
+                raise InputFormatError(f"--terms value {place} is not an "
+                                       f"integer: {text!r}") from None
         count = args.hi - args.lo + 1
         if count > 0 and len(values) != count:
             raise InputFormatError(f"--terms has {len(values)} values for the "
@@ -454,6 +460,9 @@ def cmd_unary(args) -> None:
 
 
 def cmd_peano(args) -> None:
+    for name, value in (("n", args.n), ("m", args.m)):
+        if value is not None and value < 0:
+            raise InputFormatError(f"{name} must be >= 0")
     # both numerals are made before either is printed, so a second one
     # over the cap prints nothing
     p = to_peano(args.n)

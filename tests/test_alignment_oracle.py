@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import alignment_oracle as oracle
 from conftest import counting_merges
 from icmup import (PatternStore, SPPattern, alignment_probabilities,
-                   build_alignments, compose_alignment, dump_columns,
-                   literal_alignment, parse_grammar, parse_render, raw_cost,
-                   retrieve, symbol_cost_bits)
+                   build_alignments, code_cost_bits, compose_alignment,
+                   dump_columns, literal_alignment, parse_grammar, parse_render,
+                   raw_cost, retrieve, symbol_cost_bits)
 from icmup import alignment, kernels
 from icmup.alignment import default_alphabet
 
@@ -232,7 +232,8 @@ def test_kittens_merge_count(kittens_new, kittens_store):
 def search_1k_store(bench_gen, sentences):
     """The 1,008-pattern kittens-style store and ``sentences`` joined
     ~20-letter sentences, searched at the defaults (beam 50, 12 rows): the
-    kernel calls, the ranking and the seconds the search took."""
+    kernel calls, the bound tuples the members made (one per candidate
+    ``_candidates`` gathers), the ranking and the seconds the search took."""
     _, lines, lexicon = bench_gen.kittens_grammar(random.Random(1), 100, 500, 400)
     store = parse_grammar("\n".join(lines) + "\n")
     rng = random.Random(3)
@@ -240,21 +241,33 @@ def search_1k_store(bench_gen, sentences):
                for c in bench_gen.kittens_sentence(rng, lexicon, 20)]
     new = SPPattern("new", tuple(letters))
     assert (len(store), len(new)) == (1008, 20 * sentences)
-    with counting_merges([]) as calls:
+    candidates, tuples = alignment._candidates, []
+
+    def counted_candidates(*args):
+        out = candidates(*args)
+        tuples.append(len(out))
+        return out
+
+    with counting_merges([]) as calls, \
+            mock.patch.object(alignment, "_candidates", counted_candidates):
         start = time.perf_counter()
         ranking = build_alignments(new, store)
         elapsed = time.perf_counter() - start
-    return calls, ranking, elapsed
+    return calls, sum(tuples), ranking, elapsed
 
 
-@pytest.mark.parametrize("sentences, kernel_calls", [(1, 1592), (2, 6769), (4, 23311)])
-def test_1k_store_kernel_calls(bench_gen, sentences, kernel_calls):
+@pytest.mark.parametrize("sentences, kernel_calls, bound_tuples",
+                         [(1, 1592, 5143), (2, 6769, 14017), (4, 23311, 42035)])
+def test_1k_store_kernel_calls(bench_gen, sentences, kernel_calls, bound_tuples):
     # The bound and the rank key decide which candidates are scored, so
     # their count is pinned at 20, 40 and 80 symbols.  Every kernel call
     # counts: the scorings by ``lcs_length`` and by ``match_pairs``, and
-    # the walks of the survivors scored by length.
-    calls, _, _ = search_1k_store(bench_gen, sentences)
+    # the walks of the survivors scored by length.  The ceiling threshold
+    # decides which candidates get a bound tuple at all: before it, the
+    # members made 122,258, 253,293 and 534,211 for the same scorings.
+    calls, tuples, _, _ = search_1k_store(bench_gen, sentences)
     assert len(calls) == kernel_calls
+    assert tuples == bound_tuples
 
 
 def test_1k_store_160_symbols(bench_gen):
@@ -262,11 +275,59 @@ def test_1k_store_160_symbols(bench_gen):
     # took about 6 s at 160 symbols before the transposed kernel and the
     # holders-based ceilings, and 0.5-0.8 s since the floor became the
     # exact rank key, on a 2-vCPU x86-64 VM, so 4 s leaves room for a
-    # slower host.  The kernel calls are counted as at 20-80 symbols.
-    calls, ranking, elapsed = search_1k_store(bench_gen, 8)
+    # slower host.  The kernel calls and the bound tuples (552,102 before
+    # the ceiling threshold) are counted as at 20-80 symbols.
+    calls, tuples, ranking, elapsed = search_1k_store(bench_gen, 8)
     assert len(calls) == 7852
+    assert tuples == 24777
     assert len(ranking[0].old_rows) == 12
     assert elapsed < 4.0
+
+
+@st.composite
+def thresholds(draw):
+    """A member's cost terms and a floor as a search makes them: A-ary
+    symbols, codes -log2(f/F) added from 0.0, and for the floor the rank key
+    of another alignment of the same New pattern."""
+    bits = symbol_cost_bits(draw(st.integers(2, 60)))
+    n = draw(st.integers(1, 40))
+    total = draw(st.integers(1, 500))
+    codes = st.lists(st.integers(1, total).map(
+        lambda f: code_cost_bits(f, total)), max_size=4)
+
+    def fold(terms):
+        out = 0.0
+        for term in terms:
+            out += term
+        return out
+
+    raw, spent, floor_codes = n * bits, fold(draw(codes)), fold(draw(codes))
+    floor = (-(raw - (floor_codes + draw(st.integers(0, n)) * bits)),
+             draw(st.integers(0, 5)), ("p",))
+    return floor, (draw(st.integers(0, 5)), ("",)), raw, spent, draw(st.integers(0, n)), bits
+
+
+def least_ceiling_oracle(floor, tail, raw, spent, unmatched, bits):
+    return next((c for c in range(unmatched + 1)
+                 if (-(raw - (spent + (unmatched - c) * bits)), *tail) < floor),
+                unmatched + 1)
+
+
+BITS_53, BITS_29 = symbol_cost_bits(53), symbol_cost_bits(29)
+
+
+@settings(max_examples=300)
+@given(thresholds())
+# at c = 5 the key ties the floor's CD and passes on fewer rows, so the
+# closed form's 6 steps down to 5
+@example(((-(30 * BITS_53 - (0.0 + 13 * BITS_53)), 3, ("p",)), (1, ("",)),
+          30 * BITS_53, 0.0, 18, BITS_53))
+# at c = 7 the key ties the floor's CD and fails on more rows; the closed
+# form rounds to 7, which fails, and steps up to 8
+@example(((-(27 * BITS_29 - (0.0 + 7 * BITS_29)), 1, ("p",)), (4, ("",)),
+          27 * BITS_29, 0.0, 14, BITS_29))
+def test_least_ceiling_equals_a_scan(args):
+    assert alignment._least_ceiling(*args) == least_ceiling_oracle(*args)
 
 
 def candidate_inputs():
@@ -282,19 +343,16 @@ def candidate_inputs():
 
 
 @settings(max_examples=300)
-@given(candidate_inputs())
-def test_candidates_equal_oracle(inputs):
+@given(candidate_inputs(), st.integers(0, 3))
+def test_candidates_equal_oracle(inputs, least):
     columns, store = inputs
     texts = tuple(t for t, _ in columns)
     drives = [d for _, d in columns]
-    expected = oracle._candidates(texts, drives, store)
-    assert alignment._candidates(texts, drives, store, True) == expected
-    # without the patterns that share only Old symbols: those of mh 0 that
-    # share no driving symbol
-    driving = {t for t, d in columns if d}
-    assert alignment._candidates(texts, drives, store, False) == {
-        pid: mh for pid, mh in expected.items()
-        if any(t in driving for t in store.get(pid).symbols)}
+    # from ceiling 1 on, the patterns that share only Old symbols (mh 0)
+    # are left out with every other below the threshold
+    assert alignment._candidates(texts, drives, store, least) == {
+        pid: mh for pid, mh in oracle._candidates(texts, drives, store).items()
+        if mh >= least}
 
 
 @settings(max_examples=200)
@@ -378,16 +436,16 @@ def test_ranked_columns_equal_a_fresh_chain(search):
 
 
 @st.composite
-def retrievals(draw):
-    """A query, a store of patterns over a few symbols, and a k larger than
-    the number of patterns that share a symbol with the query."""
+def retrievals(draw, frequencies=st.integers(1, 3)):
+    """A query, a store of patterns over a few symbols, with frequencies
+    from ``frequencies``, and a k larger than the number of patterns that
+    share a symbol with the query."""
     alphabet = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=8,
                              unique=True))
     bodies = draw(st.lists(st.lists(st.sampled_from(alphabet), min_size=1,
                                     max_size=6), max_size=20))
     store = PatternStore(
-        SPPattern(f"p{i:02d}", tuple(body),
-                  draw(st.integers(1, 3)))
+        SPPattern(f"p{i:02d}", tuple(body), draw(frequencies))
         for i, body in enumerate(bodies))
     query = draw(st.lists(st.sampled_from(alphabet + ["q", "r"]), min_size=1,
                           max_size=8))
@@ -396,10 +454,24 @@ def retrievals(draw):
     return SPPattern("q", tuple(query)), store, k
 
 
-@settings(max_examples=200)
-@given(retrievals())
+# rare (1-3) and frequent (100-400) patterns: a pattern that shares no
+# symbol with the query scores minus its code, which a frequent one keeps
+# small, so it can outrank a rare sharer
+SKEWED = st.one_of(st.integers(1, 3), st.integers(100, 400))
+
+
+@settings(max_examples=300)
+@given(st.one_of(retrievals(), retrievals(SKEWED)))
+# "x", the only sharer, matches "a" for 2 bits but pays an 8.7-bit code;
+# "y" and "w" share nothing, and "y" pays under 0.01 bits, so y ranks
+# first, then x, then w
+@example((SPPattern.from_text("q", "a b c"),
+          PatternStore([SPPattern.from_text("x", "a"),
+                        SPPattern.from_text("y", "z", frequency=400),
+                        SPPattern.from_text("w", "z", frequency=3)]), 3))
 def test_retrieve_past_the_sharers_equals_oracle(retrieval):
-    # patterns that share no symbol with the query still rank, by their code
+    # fewer than k patterns share a symbol, so every one of the others is
+    # priced as matching nothing, and it may outrank a sharer
     query, store, k = retrieval
     result = retrieve(query, store, k)
     assert result == oracle.retrieve(query, store, k)
@@ -418,10 +490,8 @@ def crowded_retrievals(draw):
     bodies = draw(st.lists(st.lists(st.sampled_from(alphabet + ["q", "r"]),
                                     min_size=1, max_size=6),
                            min_size=1, max_size=20))
-    store = PatternStore(
-        SPPattern(f"p{i:02d}", tuple(body),
-                  draw(st.one_of(st.integers(1, 3), st.integers(100, 400))))
-        for i, body in enumerate(bodies))
+    store = PatternStore(SPPattern(f"p{i:02d}", tuple(body), draw(SKEWED))
+                         for i, body in enumerate(bodies))
     query = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))
     sharers = sum(1 for body in bodies if set(body) & set(query))
     assume(sharers >= 1)

@@ -902,6 +902,13 @@ ERROR_BRANCHES = [
     (["compress", "corpus.txt", "--min-count", "1", "--out", "back.txt"], 2,
      "error: --min-count must be >= 2\n"),
     (["newton", "--tmax", "-1"], 2, "error: --tmax must be >= 0\n"),
+    (["peano", "-1"], 2, "error: n must be >= 0\n"),
+    (["peano", "2", "-3"], 2, "error: m must be >= 0\n"),
+    # a value that is not an integer is named by its flag and its place
+    (["unary", "sum", "--lo", "1", "--hi", "2", "--terms", "1,x"], 2,
+     "error: --terms value 2 is not an integer: 'x'\n"),
+    (["unary", "prod", "--lo", "1", "--hi", "1", "--terms", "1.5"], 2,
+     "error: --terms value 1 is not an integer: '1.5'\n"),
     (["base", "17", "1"], 2, "error: base must be in 2..36\n"),
     (["base", "1", "40", "--decode"], 2, "error: base must be in 2..36\n"),
     (["unary", "fact", "-1"], 2, "error: factorial needs a natural number\n"),

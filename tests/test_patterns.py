@@ -210,24 +210,31 @@ class TestStore:
 
     def test_retrieval_index(self):
         store = self.make()
-        assert store.holders("y") == (("a", "b"),)  # one copy each, store order
-        assert store.holders("x") == (("a",),)
-        assert store.holders("w") == ()
+        assert store.holders("y", 2) == (("a", "b"),)  # one copy each, store order
+        assert store.holders("x", 1) == (("a",),)
+        assert store.holders("w", 1) == ()
+        assert store.holders("y", 0) == ()
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "ab"]), min_size=1,
-                             max_size=8), max_size=12))
-    @example([["b", "a"], ["a"] * 40, ["ab"], ["a", "b", "a"]])
-    def test_holders_recount(self, bodies):
+                             max_size=8), max_size=12),
+           st.lists(st.integers(0, 9), max_size=6))
+    @example([["b", "a"], ["a"] * 40, ["ab"], ["a", "b", "a"]],
+             [3, 0, 1, 41, 2, 40])
+    def test_holders_recount(self, bodies, depths):
+        """Every depth, asked for in any order, gives the levels a recount
+        gives: a level is made on the first request that reaches it, and a
+        request past the most copies gives every level."""
         store = PatternStore(SPPattern(f"p{i}", tuple(body))
                              for i, body in enumerate(bodies))
         for text in ("a", "b", "ab", "w"):
-            levels = store.holders(text)
             most = max([body.count(text) for body in bodies], default=0)
-            assert len(levels) == most
-            for c, ids in enumerate(levels):
-                assert ids == tuple(f"p{i}" for i, body in enumerate(bodies)
-                                    if body.count(text) > c)  # in store order
-            assert store.holders(text) is levels  # made once, then kept
+            recount = tuple(tuple(f"p{i}" for i, body in enumerate(bodies)
+                                  if body.count(text) > c)  # in store order
+                            for c in range(most))
+            for depth in depths + [most, most + 1]:
+                assert store.holders(text, depth) == recount[:depth]
+            levels = store.holders(text, most + 1)
+            assert store.holders(text, most + 1) is levels  # made once, then kept
 
     def test_index_is_built_once_on_first_read(self, monkeypatch):
         # a search and a retrieval over one store build its postings once
@@ -256,12 +263,26 @@ class TestStore:
         store = parse_grammar("".join(f"PATTERN p{i}: a\n" for i in range(n))
                               + "PATTERN deep: " + " a" * n + "\n")
         start = time.perf_counter()
-        levels = store.holders("a")
+        levels = store.holders("a", n + 1)
         elapsed = time.perf_counter() - start
         assert len(levels) == n
         assert levels[0] == tuple(f"p{i}" for i in range(n)) + ("deep",)
         assert all(level == ("deep",) for level in levels[1:])
         assert elapsed < 1.0
+
+    def test_holders_make_only_the_levels_asked_for(self):
+        """A request for level 0 filters no deeper level, though a pattern
+        holds the text many times; a deeper request makes only the levels
+        up to its depth, and the counts go once the deepest is made."""
+        store = PatternStore([SPPattern("p", ("a",) * 5), SPPattern("q", ("a", "b"))])
+        assert store.holders("a", 1) == (("p", "q"),)
+        assert len(store._holders["a"]) == 1
+        assert store.holders("a", 3) == (("p", "q"), ("p",), ("p",))
+        assert len(store._holders["a"]) == 3 and "a" in store._counts
+        assert store.holders("a", 9) == (("p", "q"),) + (("p",),) * 4
+        assert "a" not in store._counts
+        # a text no pattern holds twice keeps no counts at all
+        assert store.holders("b", 2) == (("q",),) and "b" not in store._counts
 
 
 def copies_grammar(tmp_path, n=20_000):
@@ -342,7 +363,8 @@ class TestGrammarFile:
             assert store.get(pid) == reference.get(pid)
         assert list(store) == list(reference)
         for t in reference.alphabet | {"absent"}:
-            assert store.holders(t) == reference.holders(t)
+            depth = max([len(p) for p in reference], default=0)
+            assert store.holders(t, depth) == reference.holders(t, depth)
 
     # each message is the one the grammar loader has always given
     @pytest.mark.parametrize("text, message", [
@@ -427,7 +449,7 @@ class TestLazyStore:
 
     def test_loading_makes_nothing_and_each_get_one_pattern(self, made):
         store = parse_grammar(KITTENS_GRAMMAR)
-        assert store.codes and store.holders("Nr") and store.holders("k")
+        assert store.codes and store.holders("Nr", 1) and store.holders("k", 2)
         assert made == {"patterns": [], "symbols": []}
         for k, pid in enumerate(["p4", "p1", "p2"], start=1):
             first = store.get(pid)
