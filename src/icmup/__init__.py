@@ -22,9 +22,8 @@ _EXPORTS = {
     "alignment": ("Alignment", "alignment_probabilities", "build_alignments",
                   "compose_alignment", "dump_columns", "infer_unmatched",
                   "literal_alignment", "parse_render", "retrieve"),
-    "codecs": ("CodeRef", "EncodedStream", "Literal", "Run", "UNBOUNDED",
-               "chunk_decode", "chunk_encode", "discover_chunks", "rle_decode",
-               "rle_encode", "unify_basic"),
+    "codecs": ("EncodedStream", "UNBOUNDED", "chunk_decode", "chunk_encode",
+               "discover_chunks", "rle_decode", "rle_encode", "unify_basic"),
     "errors": (),
     "hierarchy": ("ClassNode", "Hierarchy", "description_length",
                   "parse_hierarchy", "part_context", "resolve_attributes"),

@@ -10,18 +10,18 @@ lossless; plain unification deliberately is not (it discards positions).
 
 A dictionary entry is the pattern unification makes, ``SPPattern(code,
 symbols, frequency=count)``, and a dictionary is a ``PatternStore`` of
-them, in discovery order, made by the store's one constructor.  A code
-reference is priced from the store's ``codes``, a cached property, as a
+them, in discovery order, made by the store's one constructor.  A stream
+token is the entry it stands for, or a literal symbol, a plain ``str``: a
+code is how the stream refers to the pattern, so nothing looks it up again.
+A code token is priced from the store's ``codes``, a cached property, as a
 search prices a stored pattern; a dictionary never reads the store's
 index, so never builds it.  A run list is a ``Runs``, two columns of one
-length: the blocks' symbols and their counts.  It is checked once, a
-column at a time, when made; a ``Run``, one block and its count, is made
-only when a caller iterates or indexes the list, never on the way from a
-corpus to a runs file or back.  A run is numbered (``r1, r2, ...``) by
-position only where it is printed.
-``rle_decode`` and ``chunk_decode`` expand a run or a code reference only
+length: the blocks' symbols and their counts, read as columns.  It is
+checked once, a column at a time, when made.  A run is numbered (``r1,
+r2, ...``) by position only where it is printed.
+``rle_decode`` and ``chunk_decode`` expand a run or a code token only
 while the output stays within ``DECODE_CAP`` symbols, so a count or a
-reference in a file cannot ask for more memory than that.
+code in a file cannot ask for more memory than that.
 
 Cost, for N symbols: the coders spell the symbols as a string, one
 character per distinct symbol, so an n-gram is a substring, and a corpus
@@ -50,7 +50,8 @@ without its pure-Python encoder: one C escape (``json.dumps``) per distinct text
 code, then one dict lookup per symbol and one join per entry; the runs
 writer lays out each distinct run once.  Every record checks its own
 symbols when made: a dictionary entry is an ``SPPattern``, a run list
-tests every block's symbols in one batch, and a stream its literals, so
+tests every block's symbols in one batch, and a stream its literals, and
+each distinct code token against its dictionary's entry of that id, so
 neither writer checks what it writes.  Each reader reads a file's entries
 in one pass, for their structure only, and makes its record from them in
 a ``finally``: from the entries read so far, when one is at fault, so a
@@ -61,14 +62,14 @@ the first fault in file order.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from itertools import chain, compress, count, repeat
 from operator import add, eq
 
-from .errors import InputFormatError, NotDecodable, NotPresent, TooLarge
+from .errors import InputFormatError, NotDecodable, NotPresent, TooLarge, UnknownPattern
 from .patterns import (PatternStore, Record, SPPattern, are_symbols, check_texts,
-                       code_cost, is_count, symbol_cost_bits)
+                       is_count, symbol_cost_bits)
 
 # the most symbols ``rle_decode`` or ``chunk_decode`` makes: 100 times the
 # 100k-character corpus the README times, and a list of about 80 MB
@@ -80,30 +81,29 @@ DECODE_CAP = 10 ** 7
 MAX_SYMBOLS = 0x10FFFF
 
 
-class CodeRef(Record):
-    __slots__ = _fields = ("code",)
-    code: str
-
-
-class Literal(Record):
-    __slots__ = _fields = ("symbol",)
-    symbol: str
-
-
-Token = CodeRef | Literal
+Token = SPPattern | str
 
 
 class EncodedStream(Record):
     """A chunk dictionary and the tokens that stand for a corpus with it.
-    A ``Literal`` does not check its symbol, since ``chunk_encode`` makes
-    one per token; the stream checks them all, in one batch, when made."""
+    The stream is checked when made: its literals in one batch, and each
+    distinct code token, once however often it occurs, against the
+    dictionary's entry of its id.  A code token that is not that entry, or
+    whose id the dictionary lacks, raises ``UnknownPattern``."""
 
     __slots__ = _fields = ("dictionary", "tokens")
     dictionary: PatternStore
     tokens: tuple[Token, ...]
 
     def __post_init__(self):
-        check_texts([tok.symbol for tok in self.tokens if isinstance(tok, Literal)])
+        tokens = self.tokens
+        codes = {id(tok): tok for tok in tokens if isinstance(tok, SPPattern)}
+        check_texts([tok for tok in tokens if not isinstance(tok, SPPattern)])
+        for tok in codes.values():
+            entry = self.dictionary.get(tok.id)  # UnknownPattern for an id it lacks
+            if entry is not tok and entry != tok:
+                raise UnknownPattern(f"code token {tok.id!r} differs from the "
+                                     "dictionary's entry of that id")
 
 
 def _spell(symbols: Sequence[str], letters: dict[str, str]) -> str:
@@ -264,10 +264,10 @@ def unify_basic(corpus: Sequence[str],
     Lossy on purpose: the residue no longer records where the occurrences
     were.  This is ``chunk_encode`` with ``chunk`` as the whole dictionary,
     so occurrences are counted non-overlapping, left to right: the count is
-    the number of code references and the residue is the literals.
+    the number of code tokens and the residue is the literals.
     """
     tokens = chunk_encode(corpus, PatternStore([chunk])).tokens
-    residue = [tok.symbol for tok in tokens if isinstance(tok, Literal)]
+    residue = [tok for tok in tokens if isinstance(tok, str)]
     count = len(tokens) - len(residue)
     if count == 0:
         raise NotPresent(f"chunk {chunk.id!r} does not occur in the corpus")
@@ -276,65 +276,65 @@ def unify_basic(corpus: Sequence[str],
 
 def chunk_encode(corpus: Sequence[str],
                  dictionary: PatternStore) -> EncodedStream:
-    """Replace chunk occurrences by code references, longest match first;
+    """Replace chunk occurrences by their entries, longest match first;
     among chunks with the same symbols the first in discovery order wins."""
     letters: dict[str, str] = {}
     s = _spell(corpus, letters)
     entries = list(dictionary)
     # every entry's gram, spelled in one call and cut by the entries' lengths
     grams = _spell([t for entry in entries for t in entry.symbols], letters)
-    by_first: dict[str, dict[int, dict[str, str]]] = {}
+    by_first: dict[str, dict[int, dict[str, SPPattern]]] = {}
     end = 0
     for entry in entries:
         start, end = end, end + len(entry.symbols)
         gram = grams[start:end]
-        by_first.setdefault(gram[0], {}).setdefault(len(gram), {}).setdefault(gram, entry.id)
+        by_first.setdefault(gram[0], {}).setdefault(len(gram), {}).setdefault(gram, entry)
     # a position tries only the chunks that start with its own symbol
     tables = {first: sorted(by_length.items(), reverse=True)
               for first, by_length in by_first.items()}
     tokens: list[Token] = []
     pos = 0
     while pos < len(s):
-        for n, codes in tables.get(s[pos], ()):
-            code = codes.get(s[pos:pos + n])
-            if code is not None:
-                tokens.append(CodeRef(code))
+        for n, chunks in tables.get(s[pos], ()):
+            chunk = chunks.get(s[pos:pos + n])
+            if chunk is not None:
+                tokens.append(chunk)
                 pos += n
                 break
         else:
-            tokens.append(Literal(corpus[pos]))
+            tokens.append(corpus[pos])
             pos += 1
     return EncodedStream(dictionary, tuple(tokens))
 
 
 def chunk_decode(stream: EncodedStream) -> list[str]:
-    """The symbols the stream stands for.  The first code reference that
-    would take the output past ``DECODE_CAP`` symbols raises before it is
+    """The symbols the stream stands for.  The first code token that would
+    take the output past ``DECODE_CAP`` symbols raises before it is
     expanded."""
     out: list[str] = []
     for k, tok in enumerate(stream.tokens, start=1):
-        if isinstance(tok, CodeRef):
-            symbols = stream.dictionary.get(tok.code).symbols
-            if len(out) + len(symbols) > DECODE_CAP:
-                raise TooLarge(f"token {k} (code {tok.code!r}) takes the output "
-                               f"past the cap of {DECODE_CAP} symbols")
-            out.extend(symbols)
-        else:
-            out.append(tok.symbol)
+        if isinstance(tok, str):
+            out.append(tok)
+            continue
+        if len(out) + len(tok.symbols) > DECODE_CAP:
+            raise TooLarge(f"token {k} (code {tok.id!r}) takes the output "
+                           f"past the cap of {DECODE_CAP} symbols")
+        out.extend(tok.symbols)
     return out
 
 
 def encoded_cost_bits(stream: EncodedStream, alphabet_size: int) -> float:
-    """Fractional-bit cost of a stream: each reference's code from the
+    """Fractional-bit cost of a stream: each code token's code from the
     dictionary's ``codes`` (counts as frequencies) plus fixed-length costs
     for literals."""
     cost = 0.0
     per_symbol = symbol_cost_bits(alphabet_size)
+    codes = stream.dictionary.codes
     for tok in stream.tokens:
-        if isinstance(tok, CodeRef):
-            cost += code_cost(tok.code, stream.dictionary)
-        else:
+        if isinstance(tok, str):
             cost += per_symbol
+        else:
+            cost += codes[tok.id]
     return cost
 
 
@@ -355,34 +355,16 @@ class Unbounded(Enum):
 UNBOUNDED = Unbounded.UNBOUNDED
 
 
-class Run(Record):
-    """A block of symbols and how many times it repeats: what a ``Runs``
-    list yields, made when it is asked for."""
-
-    __slots__ = _fields = ("symbols", "count")
-    symbols: tuple[str, ...]
-    count: int | Unbounded
-
-    def __post_init__(self):
-        check_texts(self.symbols)
-        if not self.symbols:
-            raise ValueError("a run needs at least one symbol")
-        if self.count is not UNBOUNDED and not is_count(self.count):
-            raise TypeError("run count must be an integer or UNBOUNDED")
-        if self.count is not UNBOUNDED and self.count < 1:
-            raise ValueError("run count must be >= 1")
-
-
 class Runs(Record):
     """A run list as two columns of one length: run k is ``blocks[k]``
-    repeated ``counts[k]`` times.  Its length is the number of runs, and
-    iterating or indexing it makes each ``Run`` when it is asked for.
+    repeated ``counts[k]`` times.  Its length is the number of runs; a
+    caller reads the runs from the columns.
 
     The list is checked once, when made, a column at a time: every block
     has a symbol, every symbol passes one ``are_symbols`` batch, and every
     count is an integer of at least 1 or ``UNBOUNDED``.  Only a list that
-    fails that test is walked run by run, so that the first bad run raises
-    as ``Run`` would, for its symbols before its count."""
+    fails that test is walked run by run, so that the first bad run
+    raises, for its symbols before its count."""
 
     __slots__ = _fields = ("blocks", "counts")
     blocks: tuple[tuple[str, ...], ...]
@@ -396,23 +378,17 @@ class Runs(Record):
         if not (all(self.blocks) and set(map(type, numbers)) <= {int}
                 and min(numbers, default=1) >= 1
                 and are_symbols(list(chain.from_iterable(self.blocks)))):
-            for _ in self:  # each Run checks itself
-                pass
-
-    @classmethod
-    def of(cls, runs: Iterable[Run]) -> Runs:
-        """The run list of ``runs``, in order."""
-        runs = list(runs)
-        return cls(tuple([r.symbols for r in runs]), tuple([r.count for r in runs]))
+            for symbols, count in zip(self.blocks, self.counts):
+                check_texts(symbols)
+                if not symbols:
+                    raise ValueError("a run needs at least one symbol")
+                if count is not UNBOUNDED and not is_count(count):
+                    raise TypeError("run count must be an integer or UNBOUNDED")
+                if count is not UNBOUNDED and count < 1:
+                    raise ValueError("run count must be >= 1")
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def __iter__(self) -> Iterator[Run]:
-        return map(Run, self.blocks, self.counts)
-
-    def __getitem__(self, k: int) -> Run:
-        return Run(self.blocks[k], self.counts[k])
 
 
 def _lce(s: str, i: int, j: int, limit: int) -> int:
@@ -560,8 +536,8 @@ def stream_to_json(stream: EncodedStream) -> str:
                f'{_SYMBOL_SEP.join(map(texts.__getitem__, e.symbols))}\n      ],\n'
                f'      "count": {counts[e.frequency]}\n    }}'
                for e in stream.dictionary]
-    tokens = [f'{{\n      "code": {codes[tok.code]}\n    }}' if isinstance(tok, CodeRef)
-              else f'{{\n      "lit": {texts[tok.symbol]}\n    }}'
+    tokens = [f'{{\n      "lit": {texts[tok]}\n    }}' if isinstance(tok, str)
+              else f'{{\n      "code": {codes[tok.id]}\n    }}'
               for tok in stream.tokens]
     return (f'{{\n  "dictionary": {_section(entries)},\n'
             f'  "stream": {_section(tokens)}\n}}\n')
@@ -638,9 +614,9 @@ def stream_from_json(source: str | dict) -> EncodedStream:
                     if item["code"] not in dictionary:
                         raise InputFormatError(
                             f"stream references unknown code {item['code']!r}")
-                    tokens.append(CodeRef(item["code"]))
+                    tokens.append(dictionary.get(item["code"]))
                 else:
-                    tokens.append(Literal(item["lit"]))
+                    tokens.append(item["lit"])
         finally:  # a bad literal before the fault raises in its place
             stream = EncodedStream(dictionary, tuple(tokens))
     except (KeyError, TypeError, ValueError) as exc:

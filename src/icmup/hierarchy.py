@@ -197,14 +197,14 @@ def parse_hierarchy(text: str) -> Hierarchy:
     """
     nodes: list[ClassNode] = []
     for lineno, stripped in content_lines(text):
-        if not stripped.startswith("CLASS"):
+        head, sep, body = stripped.partition(":")
+        if head.split()[:1] != ["CLASS"]:
             raise InputFormatError(f"line {lineno}: expected 'CLASS'")
-        head, sep, body = stripped[len("CLASS"):].partition(":")
         if not sep:
             raise InputFormatError(f"line {lineno}: missing ':' separator")
-        name = head.strip()
+        name = head[len("CLASS"):].strip()
         if not name or len(name.split()) != 1:
-            raise InputFormatError(f"line {lineno}: bad class name {head.strip()!r}")
+            raise InputFormatError(f"line {lineno}: bad class name {name!r}")
         fields = {"attrs": [], "parents": [], "parts": []}
         for item in body.split():
             key, eq, value = item.partition("=")

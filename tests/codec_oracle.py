@@ -1,9 +1,11 @@
 """Reference codecs: the original, slow chunk and run coders, plain
 unification's own matcher, the original stream and runs file writers and
-the original stream and runs file readers, kept verbatim as oracles.  The
-library versions in ``icmup.codecs`` must give exactly the same
-dictionaries, streams, unifications, runs and file texts, and each reader
-the same stream or runs or the same error.
+the original stream and runs file readers, kept as oracles: verbatim, but
+that a stream token is the entry it stands for or a literal ``str``, and a
+run is the pair ``(symbols, count)``, checked by ``run``.  The library
+versions in ``icmup.codecs`` must give exactly the same dictionaries,
+streams, unifications, runs and file texts, and each reader the same
+stream or runs or the same error.
 
 ``_longest_repeat`` and ``discover_chunks`` cost O(n * L^2) for a longest
 repeat L, ``rle_encode`` is cubic, and ``longest_repeats`` compares every
@@ -16,10 +18,24 @@ import json
 from collections import Counter
 from typing import Sequence
 
-from icmup.codecs import (UNBOUNDED, CodeRef, EncodedStream, Literal, Run, Token,
-                          _json_array, _json_object, expected_count, parse_json)
+from icmup.codecs import (UNBOUNDED, EncodedStream, Token, _json_array, _json_object,
+                          expected_count, parse_json)
 from icmup.errors import InputFormatError, NotPresent
-from icmup.patterns import PatternStore, SPPattern, check_symbol, check_texts
+from icmup.patterns import PatternStore, SPPattern, check_symbol, check_texts, is_count
+
+
+def run(symbols: tuple[str, ...], count) -> tuple:
+    """The run ``(symbols, count)``, checked as one run always was: its
+    symbols first, then that it has one, then its count, an integer of at
+    least 1 or ``UNBOUNDED``."""
+    check_texts(symbols)
+    if not symbols:
+        raise ValueError("a run needs at least one symbol")
+    if count is not UNBOUNDED and not is_count(count):
+        raise TypeError("run count must be an integer or UNBOUNDED")
+    if count is not UNBOUNDED and count < 1:
+        raise ValueError("run count must be >= 1")
+    return symbols, count
 
 
 def _occurrences(texts: Sequence[str], gram: tuple[str, ...],
@@ -117,7 +133,7 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
 
 def chunk_encode(corpus: Sequence[str],
                  dictionary: PatternStore) -> EncodedStream:
-    """Replace chunk occurrences by code references, longest match first."""
+    """Replace chunk occurrences by their entries, longest match first."""
     ordered = sorted(enumerate(dictionary),
                      key=lambda pair: (-len(pair[1]), pair[0]))
     tokens: list[Token] = []
@@ -127,11 +143,11 @@ def chunk_encode(corpus: Sequence[str],
             gram = entry.symbols
             n = len(gram)
             if tuple(corpus[pos:pos + n]) == gram:
-                tokens.append(CodeRef(entry.id))
+                tokens.append(entry)
                 pos += n
                 break
         else:
-            tokens.append(Literal(corpus[pos]))
+            tokens.append(corpus[pos])
             pos += 1
     return EncodedStream(dictionary, tuple(tokens))
 
@@ -161,7 +177,7 @@ def unify_basic(corpus: Sequence[str],
     return unified, residue
 
 
-def rle_encode(seq: Sequence[str]) -> list[Run]:
+def rle_encode(seq: Sequence[str]) -> list[tuple]:
     """Detect immediately repeated blocks, maximal munch.
 
     At each position the candidate block maximises the munched span
@@ -170,7 +186,7 @@ def rle_encode(seq: Sequence[str]) -> list[Run]:
     runs of count 1.
     """
     texts = list(seq)
-    runs: list[Run] = []
+    runs: list[tuple] = []
     i = 0
     while i < len(seq):
         rem = len(seq) - i
@@ -188,7 +204,7 @@ def rle_encode(seq: Sequence[str]) -> list[Run]:
             block_len, count = 1, 1
         else:
             _, block_len, count = best
-        runs.append(Run(tuple(seq[i:i + block_len]), count))
+        runs.append(run(tuple(seq[i:i + block_len]), count))
         i += block_len * count
     return runs
 
@@ -201,7 +217,7 @@ def stream_to_json(stream: EncodedStream) -> str:
             for e in stream.dictionary
         ],
         "stream": [
-            {"code": tok.code} if isinstance(tok, CodeRef) else {"lit": tok.symbol}
+            {"lit": tok} if isinstance(tok, str) else {"code": tok.id}
             for tok in stream.tokens
         ],
     }
@@ -242,26 +258,26 @@ def stream_from_json(source: str | dict) -> EncodedStream:
             if "code" in item:
                 if item["code"] not in dictionary:
                     raise InputFormatError(f"stream references unknown code {item['code']!r}")
-                tokens.append(CodeRef(item["code"]))
+                tokens.append(dictionary.get(item["code"]))
             else:
-                tokens.append(Literal(check_symbol(item["lit"])))
+                tokens.append(check_symbol(item["lit"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed stream file: {exc}") from None
     return EncodedStream(dictionary, tuple(tokens))
 
 
-def runs_to_json(runs: Sequence[Run]) -> str:
+def runs_to_json(runs: Sequence[tuple]) -> str:
     doc = {
         "runs": [
-            {"symbols": list(r.symbols),
-             "count": r.count if isinstance(r.count, int) else "*"}
-            for r in runs
+            {"symbols": list(symbols),
+             "count": count if isinstance(count, int) else "*"}
+            for symbols, count in runs
         ]
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def runs_from_json(source: str | dict) -> list[Run]:
+def runs_from_json(source: str | dict) -> list[tuple]:
     """Entry by entry, each entry checked in full before the next is read,
     so the error names the first fault in file order.  Verbatim but for
     ``_json_object``, which names an entry that is not an object."""
@@ -269,7 +285,7 @@ def runs_from_json(source: str | dict) -> list[Run]:
     if doc.keys() != {"runs"}:
         raise InputFormatError("malformed runs file: it must hold exactly the 'runs' "
                                f"section, not {sorted(doc)}")
-    out: list[Run] = []
+    out: list[tuple] = []
     star = UNBOUNDED.value  # read once: an Enum's value is a property
     try:
         for item in _json_array(doc["runs"], "runs"):
@@ -278,7 +294,7 @@ def runs_from_json(source: str | dict) -> list[Run]:
                 raise ValueError(f"a run holds exactly 'symbols' and 'count': {item!r}")
             symbols = tuple(_json_array(symbols, "symbols"))
             check_texts(symbols)
-            out.append(Run(symbols, UNBOUNDED if count == star else count))
+            out.append(run(symbols, UNBOUNDED if count == star else count))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed runs file: {exc}") from None
     return out

@@ -13,7 +13,7 @@ import pytest
 
 import alignment_oracle as oracle
 from conftest import KITTENS_GRAMMAR, KITTENS_SENTENCE, pair_alignment
-from icmup import (CodeRef, SPPattern,
+from icmup import (SPPattern,
                    Schema, Slot, FixedSymbol, alignment_probabilities,
                    build_alignments,
                    chunk_decode, chunk_encode, compile_truth_table,
@@ -161,8 +161,8 @@ def test_criterion_06_chunking_with_codes():
         assert [(e.id, "".join(e.symbols), e.frequency) for e in dictionary] \
             == [("w1", "INFORMATION", 2)]
         stream = chunk_encode(corpus, dictionary)
-        refs = [t for t in stream.tokens if isinstance(t, CodeRef)]
-        assert [r.code for r in refs] == ["w1", "w1"]
+        refs = [t for t in stream.tokens if not isinstance(t, str)]
+        assert refs == [dictionary.get("w1")] * 2
         assert chunk_decode(stream) == list(corpus)
         alphabet = len(set(corpus))
         assert encoded_cost_bits(stream, alphabet) < raw_cost(corpus, alphabet)

@@ -85,6 +85,19 @@ class TestCompressDecompress:
         assert run(capsys, "decompress", str(stream), "--out", str(out))[0] == 0
         assert out.read_text() == "a b a b a b x\n"
 
+    @pytest.mark.parametrize("mode", ["chunk", "rle"])
+    def test_a_literal_that_spells_a_code_round_trips(self, tmp_path, capsys, mode):
+        # chunk w1 is a b, and the first symbol, the literal w1, spells its
+        # code; both codecs give the corpus back byte for byte
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("w1 x a b y a b\n")
+        stream = tmp_path / "s.json"
+        out = tmp_path / "d.txt"
+        assert run(capsys, "compress", str(corpus), "--mode", mode,
+                   "--out", str(stream))[0] == 0
+        assert run(capsys, "decompress", str(stream), "--out", str(out))[0] == 0
+        assert out.read_text() == corpus.read_text()
+
     def test_all_unique_ratio_one(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("q w e r t y")
@@ -858,6 +871,7 @@ ERROR_FILES = {
     "twice.tm": "s0 1 -> s0 R\ns0 1 -> s1 L\n",
     "succ.tm": SUCCESSOR_TM,
     "corpus.txt": "a b a b c\n",
+    "squashed.classes": "CLASSmammal : attrs=fur parents= parts=\n",
 }
 
 
@@ -880,6 +894,7 @@ ERROR_BRANCHES = [
      "error: malformed runs file: run count must be >= 1\n"),
     (["decompress", "no-code.stream.json", "--out", "back.txt"], 2,
      "error: malformed stream file: pattern id must be non-empty\n"),
+    (["hierarchy", "squashed.classes", "--dl"], 2, "error: line 1: expected 'CLASS'\n"),
     (["table", "no-out.tsv", "--in", "1,1"], 2,
      "error: table needs at least one in: and one out: column\n"),
     (["table", "twice-row.tsv", "--in", "1"], 2,

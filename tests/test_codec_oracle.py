@@ -11,10 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import codec_oracle as oracle
-from icmup import (UNBOUNDED, CodeRef, EncodedStream, Literal, PatternStore, Run, SPPattern,
-                   chunk_decode, chunk_encode, discover_chunks, rle_decode, rle_encode,
-                   tokenize, unify_basic)
-from icmup import codecs
+from icmup import (UNBOUNDED, EncodedStream, PatternStore, SPPattern, chunk_decode,
+                   chunk_encode, discover_chunks, rle_decode, rle_encode, tokenize,
+                   unify_basic)
+from icmup import codecs, patterns
 from icmup.cli import main
 from icmup.codecs import (Runs, dictionary_cost_bits, encoded_cost_bits, runs_from_json,
                           runs_to_json, stream_from_json, stream_to_json)
@@ -33,7 +33,13 @@ def entries(dictionary):
 
 
 def runs_of(runs):
-    return [(r.symbols, r.count) for r in runs]
+    """A run list's runs as the oracle gives them, ``(symbols, count)`` pairs."""
+    return list(zip(runs.blocks, runs.counts))
+
+
+def columns(pairs):
+    """The run list of ``(symbols, count)`` pairs."""
+    return Runs(tuple([symbols for symbols, _ in pairs]), tuple([count for _, count in pairs]))
 
 
 # one character per symbol, over 2-8 letters
@@ -170,14 +176,14 @@ class TestChunkEncode:
                                    entry("w3", "a b")])
         stream = chunk_encode(corpus, dictionary)
         assert stream.tokens == oracle.chunk_encode(corpus, dictionary).tokens
-        assert [t.code for t in stream.tokens] == ["w3", "w3"]
+        assert [t.id for t in stream.tokens] == ["w3", "w3"]
 
     def test_first_of_two_codes_wins(self):
         corpus = tokenize("x a b x a b")
         dictionary = PatternStore([entry("w1", "a b"), entry("w2", "a b")])
         stream = chunk_encode(corpus, dictionary)
         assert stream.tokens == oracle.chunk_encode(corpus, dictionary).tokens
-        assert [getattr(t, "code", None) for t in stream.tokens] == [
+        assert [getattr(t, "id", None) for t in stream.tokens] == [
             None, "w1", None, "w1"]
 
     def test_chunks_sharing_a_first_symbol(self):
@@ -189,9 +195,48 @@ class TestChunkEncode:
                                    entry("w5", "b a"), entry("w6", "a b c d")])
         stream = chunk_encode(corpus, dictionary)
         assert stream.tokens == oracle.chunk_encode(corpus, dictionary).tokens
-        assert [getattr(t, "code", None) or t.symbol for t in stream.tokens] == [
+        assert [t if isinstance(t, str) else t.id for t in stream.tokens] == [
             "w6", "w1", "w3", "w2", "w5", "b", "c", "d"]
 
+    def test_a_stream_is_checked_once_and_holds_its_entries(self, monkeypatch, tmp_path):
+        # counted, not timed: the are_symbols batches each stream runs when
+        # made, one over its literals, and its code tokens, each its
+        # dictionary's own entry, so no record is made per token, through
+        # the encoder, the reader and the CLI
+        made, checked = [], []
+        post_init, are_symbols = EncodedStream.__post_init__, patterns.are_symbols
+
+        def recording(stream):
+            before = len(checked)
+            post_init(stream)
+            made.append((stream, checked[before:]))
+
+        def counting_batch(texts):
+            checked.append(len(texts))
+            return are_symbols(texts)
+
+        def checked_once(stream, batches):
+            literals = [tok for tok in stream.tokens if isinstance(tok, str)]
+            return batches == [len(literals)] and all(
+                tok is stream.dictionary.get(tok.id)
+                for tok in stream.tokens if not isinstance(tok, str))
+
+        monkeypatch.setattr(EncodedStream, "__post_init__", recording)
+        monkeypatch.setattr(patterns, "are_symbols", counting_batch)
+        rng = random.Random(1)
+        phrases = [rng.choices(WORDS, k=rng.randint(2, 5)) for _ in range(12)]
+        corpus = [t for _ in range(200) for t in rng.choice(phrases) + rng.choices(WORDS)]
+        stream = chunk_encode(corpus, discover_chunks(corpus))
+        again = stream_from_json(stream_to_json(stream))
+        assert len(made) == 2 and made[0][0] is stream and made[1][0] is again
+        assert len(stream.dictionary) > 1
+        assert 0 < sum(isinstance(tok, str) for tok in stream.tokens) < len(stream.tokens)
+        path, out = tmp_path / "c.txt", tmp_path / "s.json"
+        path.write_text(" ".join(corpus))
+        assert main(["compress", str(path), "--mode", "chunk", "--out", str(out)]) == 0
+        assert main(["decompress", str(out), "--out", str(tmp_path / "b.txt")]) == 0
+        assert len(made) == 4 and all(checked_once(*pair) for pair in made)
+        assert chunk_decode(made[3][0]) == corpus
 
 def unification(corpus, chunk, unify):
     """``unify``'s (frequency, residue) for ``chunk``, or None if it is absent."""
@@ -237,7 +282,7 @@ class TestRuns:
     @settings(max_examples=120)
     @given(corpora)
     def test_runs_match_oracle(self, corpus):
-        assert runs_of(rle_encode(corpus)) == runs_of(oracle.rle_encode(corpus))
+        assert runs_of(rle_encode(corpus)) == oracle.rle_encode(corpus)
 
     # rle_encode extends a probe only where a half block, ceil(b/2) symbols,
     # repeats on one side of it; these stretches of b sit at that edge
@@ -255,7 +300,7 @@ class TestRuns:
     @example(list("abba"))
     @example(list("aab"))
     def test_stretches_at_the_half_block_match_oracle(self, corpus):
-        assert runs_of(rle_encode(corpus)) == runs_of(oracle.rle_encode(corpus))
+        assert runs_of(rle_encode(corpus)) == oracle.rle_encode(corpus)
 
     def test_extensions_grow_near_linearly(self, monkeypatch):
         # counted, not timed: the _lce extensions of random acgt at 1k, 2k,
@@ -274,32 +319,26 @@ class TestRuns:
             assert len(calls) == 1 or calls[-1] <= 2.3 * calls[-2], calls
         assert calls == [678, 1360, 2868, 5706]
 
-    def test_a_run_list_is_checked_once_and_makes_no_run(self, monkeypatch, tmp_path):
-        # counted, not timed: the Run records made and the are_symbols
-        # batches, one per run list made, on run lists of 1 to about 7,500
-        # runs and through the CLI
-        made, checked = [], []
-        post_init, are_symbols = Run.__post_init__, codecs.are_symbols
-
-        def counting_run(run):
-            made.append(run)
-            post_init(run)
+    def test_a_run_list_is_checked_once(self, monkeypatch, tmp_path):
+        # counted, not timed: the are_symbols batches, one per run list
+        # made, on run lists of 1 to about 7,500 runs and through the CLI
+        checked = []
+        are_symbols = codecs.are_symbols
 
         def counting_batch(texts):
             checked.append(len(texts))
             return are_symbols(texts)
 
-        monkeypatch.setattr(Run, "__post_init__", counting_run)
         monkeypatch.setattr(codecs, "are_symbols", counting_batch)
         for size in (1, 10, 100, 1_000, 10_000):
             corpus = random.Random(size).choices("abcdefghij", k=size)
             runs = rle_encode(corpus)
             symbols = sum(map(len, runs.blocks))
-            assert (made, checked) == ([], [symbols])
+            assert checked == [symbols]
             text = runs_to_json(runs)
-            assert (made, checked) == ([], [symbols])
+            assert checked == [symbols]
             again = runs_from_json(text)
-            assert (made, checked) == ([], [symbols, symbols])
+            assert checked == [symbols, symbols]
             assert again == runs and rle_decode(again) == corpus
             checked.clear()
         assert len(runs) > 7_000
@@ -307,13 +346,13 @@ class TestRuns:
         corpus.write_text(" ".join(random.Random(1).choices("abcdefghij", k=2_000)))
         assert main(["compress", str(corpus), "--mode", "rle", "--out", str(out)]) == 0
         assert main(["decompress", str(out), "--out", str(tmp_path / "b.txt")]) == 0
-        assert (made, len(checked)) == ([], 2)
+        assert len(checked) == 2
 
     @pytest.mark.parametrize("text", [
         "a" * 30, "ab" * 15, "abcde" * 8, "aabaabaab" * 3, "abaababaab" * 3])
     def test_periodic_examples(self, text):
         corpus = chars(text)
-        assert runs_of(rle_encode(corpus)) == runs_of(oracle.rle_encode(corpus))
+        assert runs_of(rle_encode(corpus)) == oracle.rle_encode(corpus)
 
     def test_long_prose_round_trip(self):
         rng = random.Random(7)
@@ -338,14 +377,29 @@ big_counts = st.one_of(st.integers(2, 12), st.integers(2, 10 ** 30))
 
 chunk_entries = st.builds(
     SPPattern, symbol_texts, symbol_tuples.filter(lambda s: len(s) >= 2), big_counts)
-streams = st.builds(
-    lambda entries, tokens: EncodedStream(PatternStore(entries), tuple(tokens)),
-    st.lists(chunk_entries, max_size=4, unique_by=lambda e: e.id),
-    st.lists(st.one_of(symbol_texts.map(CodeRef),
-                       symbol_texts.map(Literal)), max_size=8))
-run_lists = st.lists(st.builds(
-    Run, symbol_tuples,
-    st.one_of(st.integers(1, 12), big_counts, st.just(UNBOUNDED))), max_size=6).map(Runs.of)
+
+
+def tokens_of(entries):
+    """A stream's tokens over ``entries``: each entry itself, a literal, or
+    a literal whose text is an entry's code."""
+    if not entries:
+        return symbol_texts
+    return st.one_of(st.sampled_from(entries), symbol_texts,
+                     st.sampled_from([e.id for e in entries]))
+
+
+@st.composite
+def streams(draw, min_entries=0, min_tokens=0):
+    """A stream whose code tokens are drawn from its own entries."""
+    entries = draw(st.lists(chunk_entries, min_size=min_entries, max_size=4,
+                            unique_by=lambda e: e.id))
+    tokens = draw(st.lists(tokens_of(entries), min_size=min_tokens, max_size=8))
+    return EncodedStream(PatternStore(entries), tuple(tokens))
+
+
+run_lists = st.lists(st.tuples(
+    symbol_tuples,
+    st.one_of(st.integers(1, 12), big_counts, st.just(UNBOUNDED))), max_size=6).map(columns)
 
 
 def _bad_symbol(entry, draw):
@@ -388,8 +442,8 @@ def mutated_runs_files(draw):
     """The object of a valid runs file with one to four changes, each one of
     ``MUTATIONS`` made to some entry, so an entry may have more than one
     fault.  A change to an entry that is no longer an object is skipped."""
-    runs = draw(st.lists(st.builds(Run, symbol_tuples, st.integers(1, 12)),
-                         min_size=2, max_size=6).map(Runs.of))
+    runs = draw(st.lists(st.tuples(symbol_tuples, st.integers(1, 12)),
+                         min_size=2, max_size=6).map(columns))
     entries = json.loads(runs_to_json(runs))["runs"]
     for k in draw(st.lists(st.integers(0, len(entries) - 1), min_size=1, max_size=4)):
         if isinstance(entries[k], dict):
@@ -421,12 +475,9 @@ def mutated_stream_files(draw):
     ``TOKEN_MUTATIONS`` to some token, two in three to a token.  A
     dictionary entry may also take another entry's code.  A change to an
     entry that is no longer an object is skipped."""
-    dictionary = draw(st.lists(chunk_entries, min_size=1, max_size=3,
-                               unique_by=lambda e: e.id))
-    codes = [e.id for e in dictionary]
-    tokens = draw(st.lists(st.one_of(st.sampled_from(codes).map(CodeRef),
-                                     symbol_texts.map(Literal)), min_size=2, max_size=6))
-    doc = json.loads(stream_to_json(EncodedStream(PatternStore(dictionary), tuple(tokens))))
+    stream = draw(streams(min_entries=1, min_tokens=2))
+    codes = stream.dictionary.ids()
+    doc = json.loads(stream_to_json(stream))
     sections = (("dictionary", ENTRY_MUTATIONS + (_set("code", codes),)),
                 ("stream", TOKEN_MUTATIONS), ("stream", TOKEN_MUTATIONS))
     for _ in range(draw(st.integers(1, 4))):
@@ -441,11 +492,11 @@ def stream_of(stream):
     return entries(stream.dictionary), stream.tokens
 
 
-def reads_alike(doc, readers=(runs_from_json, oracle.runs_from_json), view=runs_of):
+def reads_alike(doc, readers=(runs_from_json, oracle.runs_from_json), views=(runs_of, list)):
     """What the reader and its oracle, ``readers``, read from ``doc``, as
-    ``view`` shows it, or the text of the error each raised."""
+    ``views`` show it, or the text of the error each raised."""
     read = []
-    for reader in readers:
+    for reader, view in zip(readers, views):
         try:
             read.append(view(reader(json.dumps(doc))))
         except InputFormatError as exc:
@@ -486,35 +537,44 @@ class TestStreamReader:
     @example({"dictionary": [{"code": "w1", "symbols": ["a"], "count": 2}],
               "stream": [{"lit": "a b"}]})
     def test_reader_matches_oracle(self, doc):
-        new, old = reads_alike(doc, (stream_from_json, oracle.stream_from_json), stream_of)
+        new, old = reads_alike(doc, (stream_from_json, oracle.stream_from_json),
+                               (stream_of, stream_of))
         assert new == old
 
 
 class TestFileWriters:
     @settings(max_examples=200)
-    @given(streams)
+    @given(streams())
     def test_stream_file_matches_oracle(self, stream):
         assert stream_to_json(stream) == oracle.stream_to_json(stream)
 
     @settings(max_examples=200)
+    @given(streams())
+    def test_stream_file_reads_back_its_stream(self, stream):
+        again = stream_from_json(stream_to_json(stream))
+        assert stream_of(again) == stream_of(stream)
+        # a code token read back is the read dictionary's own entry
+        assert all(isinstance(tok, str) or tok is again.dictionary.get(tok.id)
+                   for tok in again.tokens)
+
+    @settings(max_examples=200)
     @given(run_lists)
     def test_runs_file_matches_oracle(self, runs):
-        assert runs_to_json(runs) == oracle.runs_to_json(runs)
+        assert runs_to_json(runs) == oracle.runs_to_json(runs_of(runs))
 
     def test_empty_sections(self):
         empty = EncodedStream(PatternStore(), ())
         assert stream_to_json(empty) == oracle.stream_to_json(empty) \
             == '{\n  "dictionary": [],\n  "stream": []\n}\n'
-        assert runs_to_json(Runs.of([])) == oracle.runs_to_json([]) == '{\n  "runs": []\n}\n'
+        assert runs_to_json(Runs((), ())) == oracle.runs_to_json([]) == '{\n  "runs": []\n}\n'
 
     def test_escapes_and_unbounded(self):
         texts = ['"', "\\", "\x7f", "\x00", "\ud800", "\U0001f600", "é"]
         symbols = tuple(texts)
-        runs = Runs.of([Run(symbols, UNBOUNDED), Run(symbols[:1], 1)])
-        stream = EncodedStream(
-            PatternStore([SPPattern('w"1', symbols, 2)]),
-            (CodeRef('w"1'), Literal(symbols[4]), Literal(symbols[5])))
-        assert runs_to_json(runs) == oracle.runs_to_json(runs)
+        runs = Runs((symbols, symbols[:1]), (UNBOUNDED, 1))
+        entry = SPPattern('w"1', symbols, 2)
+        stream = EncodedStream(PatternStore([entry]), (entry, symbols[4], symbols[5]))
+        assert runs_to_json(runs) == oracle.runs_to_json(runs_of(runs))
         assert '"count": "*"' in runs_to_json(runs)
         assert stream_to_json(stream) == oracle.stream_to_json(stream)
         assert stream_to_json(stream).isascii()

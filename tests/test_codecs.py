@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icmup import (CodeRef, EncodedStream, FixedSymbol, Literal, PatternStore, Run, SPPattern, Schema,
+from icmup import (EncodedStream, FixedSymbol, PatternStore, SPPattern, Schema,
                    Slot, UNBOUNDED, chunk_decode, chunk_encode,
                    discover_chunks, raw_cost, rle_decode, rle_encode,
                    schema_encode, schema_instantiate, tokenize, unify_basic)
@@ -110,9 +110,9 @@ class TestChunkCodec:
         corpus = chars(TWO_INSTANCE_CORPUS)
         d = discover_chunks(corpus, 2, 2)
         stream = chunk_encode(corpus, d)
-        refs = [t for t in stream.tokens if isinstance(t, CodeRef)]
+        refs = [t for t in stream.tokens if not isinstance(t, str)]
         assert len(refs) == 2
-        assert all(r.code == "w1" for r in refs)
+        assert all(r is d.get("w1") for r in refs)
         assert chunk_decode(stream) == list(corpus)
 
     def test_spelling_past_the_last_code_point_is_too_large(self):
@@ -127,7 +127,7 @@ class TestChunkCodec:
     def test_empty_dictionary_is_identity(self):
         corpus = tokenize("p q r")
         stream = chunk_encode(corpus, PatternStore())
-        assert all(isinstance(t, Literal) for t in stream.tokens)
+        assert stream.tokens == tuple(corpus)
         assert chunk_decode(stream) == list(corpus)
 
     def test_repeated_word_compresses(self):
@@ -153,16 +153,29 @@ class TestChunkCodec:
         with pytest.raises(DegenerateAlphabet):
             price()
 
-    def test_unknown_code_on_decode(self):
-        stream = EncodedStream(PatternStore(), (CodeRef("w9"),))
-        with pytest.raises(UnknownPattern):
-            chunk_decode(stream)
+    @pytest.mark.parametrize("token, message", [
+        (SPPattern("w9", ("a", "b"), 2), "no pattern with id 'w9'"),
+        (SPPattern("w1", ("a", "c"), 2), "code token 'w1' differs"),
+        (SPPattern("w1", ("a", "b"), 3), "code token 'w1' differs"),
+    ], ids=["id-it-lacks", "other-symbols", "other-frequency"])
+    def test_unknown_code_when_made(self, token, message):
+        # a code token names its entry, so a stream whose dictionary lacks
+        # that entry cannot be made, nor written, nor decoded
+        w1 = SPPattern("w1", ("a", "b"), 2)
+        with pytest.raises(UnknownPattern, match=message):
+            EncodedStream(PatternStore([w1]), ("a", w1, token))
+
+    def test_an_equal_entry_is_the_entry(self):
+        # an equal entry, though not the same object, is the entry
+        w1 = SPPattern("w1", ("a", "b"), 2)
+        again = EncodedStream(PatternStore([w1]), (SPPattern("w1", ("a", "b"), 2),))
+        assert chunk_decode(again) == ["a", "b"]
 
     def test_longest_match_first(self):
         ab = SPPattern.from_text("w1", "a b", frequency=2)
         abc = SPPattern.from_text("w2", "a b c", frequency=2)
         stream = chunk_encode(tokenize("a b c a b"), PatternStore([ab, abc]))
-        assert [t.code for t in stream.tokens if isinstance(t, CodeRef)] == ["w2", "w1"]
+        assert stream.tokens == (abc, ab)
 
     @settings(max_examples=150, deadline=None)
     @given(corpora)
@@ -239,15 +252,29 @@ class TestStreamFile:
     def test_stream_rejects_what_the_reader_would(self, bad):
         # the stream refuses the text when made, so no writer is handed it
         with pytest.raises((TypeError, ValueError), match="symbol text"):
-            stream_to_json(EncodedStream(PatternStore([]), (Literal(bad),)))
+            stream_to_json(EncodedStream(PatternStore([]), (bad,)))
 
     def test_writer_takes_any_pattern_id_as_a_code(self):
         # a code is a pattern id, which may hold whitespace
-        stream = EncodedStream(PatternStore([SPPattern("w 1", ("a", "b"), 2)]),
-                               (CodeRef("w 1"), Literal("c")))
+        entry = SPPattern("w 1", ("a", "b"), 2)
+        stream = EncodedStream(PatternStore([entry]), (entry, "c"))
         again = stream_from_json(stream_to_json(stream))
         assert list(again.dictionary) == list(stream.dictionary)
         assert again.tokens == stream.tokens
+
+    def test_a_literal_that_spells_a_code_stays_a_literal(self):
+        # the literal w1 and the chunk w1 = a b are written, read and
+        # decoded each as what it is
+        corpus = tokenize("w1 x a b y a b")
+        dictionary = discover_chunks(corpus)
+        stream = chunk_encode(corpus, dictionary)
+        w1 = dictionary.get("w1")
+        assert (w1.symbols, stream.tokens) == (("a", "b"), ("w1", "x", w1, "y", w1))
+        text = stream_to_json(stream)
+        assert json.loads(text)["stream"][:3] == [{"lit": "w1"}, {"lit": "x"}, {"code": "w1"}]
+        again = stream_from_json(text)
+        assert again.tokens == stream.tokens
+        assert chunk_decode(again) == corpus
 
     def test_entry_count_must_be_an_integer(self):
         chunk = SPPattern.from_text("w1", "a b")
@@ -260,39 +287,39 @@ class TestRle:
     def test_five_copies(self):
         runs = rle_encode(chars("INFORMATION" * 5))
         assert len(runs) == 1
-        assert "".join(runs[0].symbols) == "INFORMATION"
-        assert runs[0].count == 5
+        assert "".join(runs.blocks[0]) == "INFORMATION"
+        assert runs.counts == (5,)
 
     def test_single_symbol(self):
         runs = rle_encode(tokenize("x"))
-        assert [(r.symbols, r.count) for r in runs] == [(("x",), 1)]
+        assert (runs.blocks, runs.counts) == ((("x",),), (1,))
 
     def test_decode_block(self):
-        runs = Runs.of([Run(tuple(tokenize("a b")), 3)])
+        runs = Runs((tuple(tokenize("a b")),), (3,))
         assert list(rle_decode(runs)) == ["a", "b", "a", "b", "a", "b"]
 
     def test_span_beats_block_length(self):
         # five copies munch further than two copies of a doubled block
         runs = rle_encode(chars("ababababab"))
-        assert [("".join(r.symbols), r.count) for r in runs] == [("ab", 5)]
+        assert (runs.blocks, runs.counts) == ((("a", "b"),), (5,))
 
     def test_unbounded_is_not_decodable(self):
-        run = Run(tuple(tokenize("a")), UNBOUNDED)
         with pytest.raises(NotDecodable):
-            rle_decode(Runs.of([run]))
+            rle_decode(Runs((tuple(tokenize("a")),), (UNBOUNDED,)))
 
     def test_decode_stops_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(codecs, "DECODE_CAP", 6)
-        assert rle_decode(Runs.of([Run(("a", "b"), 2), Run(("c",), 2)])) == list("ababcc")
+        assert rle_decode(Runs((("a", "b"), ("c",)), (2, 2))) == list("ababcc")
         with pytest.raises(TooLarge, match="'r2' .* cap of 6 symbols"):
-            rle_decode(Runs.of([Run(("a", "b"), 2), Run(("c",), 3)]))
+            rle_decode(Runs((("a", "b"), ("c",)), (2, 3)))
         # an unbounded run still raises NotDecodable
         with pytest.raises(NotDecodable):
-            rle_decode(Runs.of([Run(("a",), 6), Run(("b",), UNBOUNDED)]))
+            rle_decode(Runs((("a",), ("b",)), (6, UNBOUNDED)))
 
     def test_chunk_decode_stops_at_the_cap(self, monkeypatch):
         dictionary = PatternStore([SPPattern("w1", ("a", "b", "c"), 2)])
-        stream = EncodedStream(dictionary, (Literal("x"), CodeRef("w1"), CodeRef("w1")))
+        w1 = dictionary.get("w1")
+        stream = EncodedStream(dictionary, ("x", w1, w1))
         monkeypatch.setattr(codecs, "DECODE_CAP", 7)
         assert chunk_decode(stream) == list("xabcabc")
         monkeypatch.setattr(codecs, "DECODE_CAP", 6)
@@ -315,7 +342,7 @@ class TestRle:
     def test_run_rejects_what_the_reader_would(self, bad):
         # the run refuses the text when made, so no writer is handed it
         with pytest.raises((TypeError, ValueError), match="symbol text"):
-            runs_to_json(Runs.of([Run(("a", bad), 2)]))
+            runs_to_json(Runs((("a", bad),), (2,)))
 
     @pytest.mark.parametrize("count", [2.9, 3.0, "3", True, False, None, [3], "**"])
     def test_file_count_must_be_an_integer_or_star(self, count):
@@ -323,14 +350,26 @@ class TestRle:
         with pytest.raises(InputFormatError, match="malformed runs file"):
             runs_from_json(json.dumps(doc))
 
+    def test_a_run_list_is_read_by_its_columns(self):
+        # no record per run: a run list has its two columns and a length,
+        # and is neither iterated nor indexed
+        runs = Runs((("a", "b"), ("c",)), (3, UNBOUNDED))
+        assert (runs.blocks, runs.counts) == ((("a", "b"), ("c",)), (3, UNBOUNDED))
+        assert len(runs) == 2
+        assert not hasattr(Runs, "of")
+        with pytest.raises(TypeError):
+            iter(runs)
+        with pytest.raises(TypeError):
+            runs[0]
+
     def test_file_star_count_is_unbounded(self):
         runs = runs_from_json('{"runs": [{"symbols": ["a"], "count": "*"}]}')
-        assert [r.count for r in runs] == [UNBOUNDED]
+        assert runs.counts == (UNBOUNDED,)
 
     def test_pickle_keeps_the_unbounded_marker(self):
-        run = Run(tuple(tokenize("a")), UNBOUNDED)
-        again = pickle.loads(pickle.dumps(run))
-        assert again == run and again.count is UNBOUNDED
+        runs = Runs((tuple(tokenize("a")),), (UNBOUNDED,))
+        again = pickle.loads(pickle.dumps(runs))
+        assert again == runs and again.counts[0] is UNBOUNDED
 
     @pytest.mark.parametrize("symbols", ["ab", {"a": 1}])
     def test_file_symbols_must_be_an_array(self, symbols):
@@ -342,7 +381,7 @@ class TestRle:
         symbols = tuple(tokenize("a"))
         for count in (True, 2.0, "2", "*"):
             with pytest.raises(TypeError, match="integer"):
-                Run(symbols, count)
+                Runs((symbols,), (count,))
 
     @settings(max_examples=200, deadline=None)
     @given(corpora)

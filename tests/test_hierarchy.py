@@ -297,6 +297,10 @@ class TestHierarchyFile:
 
     @pytest.mark.parametrize("text", [
         "KLASS a : attrs=",
+        # the first word is CLASS itself, not a word that starts with it
+        "CLASSmammal : attrs=fur",
+        "class mammal : attrs=fur",
+        ": attrs=fur",
         "CLASS a attrs=",
         "CLASS a b : attrs=",
         "CLASS a : colour=red",

@@ -15,9 +15,8 @@ EXPORTED = {
     "alignment": ["Alignment", "alignment_probabilities", "build_alignments",
                   "compose_alignment", "dump_columns", "infer_unmatched",
                   "literal_alignment", "parse_render", "retrieve"],
-    "codecs": ["CodeRef", "EncodedStream", "Literal", "Run", "UNBOUNDED",
-               "chunk_decode", "chunk_encode", "discover_chunks", "rle_decode",
-               "rle_encode", "unify_basic"],
+    "codecs": ["EncodedStream", "UNBOUNDED", "chunk_decode", "chunk_encode",
+               "discover_chunks", "rle_decode", "rle_encode", "unify_basic"],
     "hierarchy": ["ClassNode", "Hierarchy", "description_length",
                   "parse_hierarchy", "part_context", "resolve_attributes"],
     "machines": ["NAND_TABLE", "FunctionTable", "Gate", "HALTED", "NandCircuit",
@@ -62,6 +61,16 @@ def test_star_import_binds_all_and_dir_lists_it():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'icmup' has no attribute 'nope'"):
         icmup.nope
+
+
+@pytest.mark.parametrize("name", ["CodeRef", "Literal", "Run"])
+def test_removed_codec_records_are_gone(name):
+    # a stream token is its entry or its literal text, and a run list is
+    # two columns, so the codecs have no record per token or per run
+    from icmup import codecs
+    assert not hasattr(codecs, name)
+    with pytest.raises(ImportError):
+        exec(f"from icmup import {name}", {})
 
 
 def test_bare_import_loads_nothing_until_a_submodule_is_read():

@@ -8,8 +8,8 @@ import pickle
 import pytest
 
 from conftest import KITTENS_GRAMMAR, KITTENS_SENTENCE, fresh_python
-from icmup import (CodeRef, EncodedStream, FixedSymbol, Literal, PatternStore, Run,
-                   SPPattern, Schema, Slot, UNBOUNDED)
+from icmup import (EncodedStream, FixedSymbol, PatternStore, SPPattern, Schema, Slot,
+                   UNBOUNDED)
 from icmup.alignment import Alignment, Column
 from icmup.codecs import Runs
 from icmup.errors import TooLarge
@@ -34,10 +34,6 @@ CASES = {
     "SPPattern": (SPPattern("p", ("a", "b"), 2), SPPattern("p", ["a", "b"], 2),
                   SPPattern("p", ("a", "b")),
                   "SPPattern(id='p', symbols=('a', 'b'), frequency=2)"),
-    "CodeRef": (CodeRef("w1"), CodeRef("w1"), CodeRef("w2"), "CodeRef(code='w1')"),
-    "Literal": (Literal("x"), Literal("x"), Literal("y"), "Literal(symbol='x')"),
-    "Run": (Run(("a", "b"), 3), Run(("a", "b"), 3), Run(("a", "b"), UNBOUNDED),
-            "Run(symbols=('a', 'b'), count=3)"),
     "Runs": (Runs((("a", "b"), ("c",)), (3, 1)), Runs((("a", "b"), ("c",)), (3, 1)),
              Runs((("a", "b"), ("c",)), (3, UNBOUNDED)),
              "Runs(blocks=(('a', 'b'), ('c',)), counts=(3, 1))"),
@@ -119,8 +115,7 @@ CASES = {
                   "parents=frozenset({'mammal'}), parts=('tail',))"),
 }
 
-FIRST_FIELD = {"SPPattern": "id", "CodeRef": "code", "Literal": "symbol",
-               "Run": "symbols", "Runs": "blocks", "FixedSymbol": "symbol", "Slot": "name",
+FIRST_FIELD = {"SPPattern": "id", "Runs": "blocks", "FixedSymbol": "symbol", "Slot": "name",
                "Schema": "id", "Alignment": "new_row", "FunctionTable": "name",
                "RowSelection": "match_counts", "Gate": "id", "NandCircuit": "inputs",
                "TMRow": "state", "TuringMachine": "rows", "TapeState": "cells",
@@ -169,22 +164,23 @@ class TestFrozenRecords:
                 assert hash(again) == hash(record)
 
 
-def test_a_code_reference_is_not_a_literal():
-    assert CodeRef("x") != Literal("x")
-    assert Literal("x") != CodeRef("x")
-    assert len({CodeRef("x"), Literal("x")}) == 2
+def test_a_code_token_is_not_a_literal():
+    # the entry w1 and the literal text w1 are two tokens
+    w1 = SPPattern("w1", ("a", "b"), 2)
+    store = PatternStore([w1])
+    code, literal = EncodedStream(store, (w1,)), EncodedStream(store, ("w1",))
+    assert code != literal and literal != code
+    assert len({code, literal}) == 2
 
 
 def test_records_are_not_ordered():
     with pytest.raises(TypeError):
-        CodeRef("a") < CodeRef("b")
+        FixedSymbol("a") < FixedSymbol("b")
 
 
 def test_keywords_name_the_fields():
     assert SPPattern(id="p", symbols=("a",), frequency=2) == SPPattern("p", ("a",), 2)
-    assert Run(symbols=("a",), count=2) == Run(("a",), 2)
-    assert CodeRef(code="w1") == CodeRef("w1")
-    assert Literal(symbol="x") == Literal("x")
+    assert Runs(blocks=(("a",),), counts=(2,)) == Runs((("a",),), (2,))
     assert FixedSymbol(symbol="k") == FixedSymbol("k")
     assert Slot(name="X", fillers=SLOT.fillers) == SLOT
     assert Schema(id="S", elements=(SLOT,)) == Schema("S", (SLOT,))
@@ -204,7 +200,7 @@ def test_keywords_name_the_fields():
     with pytest.raises(TypeError):
         SPPattern("p")
     with pytest.raises(TypeError):
-        CodeRef("a", "b")
+        FixedSymbol("a", "b")
 
 
 def test_an_alignment_works_out_its_costs_and_takes_no_cost_argument():
@@ -290,7 +286,7 @@ def test_every_constructor_is_generated():
     # the only records made at import: machines.NAND_TABLE and the trace
     # steps setnum shares; every other class still holds the builder
     assert after_import == ["FunctionTable", "TraceStep"]
-    assert len(report) == 25
+    assert len(report) == 22
     for name, (error, built) in report.items():
         assert built, name
         # the first call, with wrong arguments, raises the TypeError the
@@ -300,38 +296,42 @@ def test_every_constructor_is_generated():
 
 
 def test_an_encoded_stream_compares_its_store_by_identity():
-    store = PatternStore([SPPattern("w1", ("a", "b"), 2)])
-    tokens = (CodeRef("w1"), Literal("x"))
+    w1 = SPPattern("w1", ("a", "b"), 2)
+    store = PatternStore([w1])
+    tokens = (w1, "x")
     stream = EncodedStream(store, tokens)
     assert stream == EncodedStream(store, tokens)
     assert hash(stream) == hash(EncodedStream(store, tokens))
     assert stream != EncodedStream(PatternStore(list(store)), tokens)
     assert repr(stream) == (f"EncodedStream(dictionary={store!r}, tokens=("
-                            "CodeRef(code='w1'), Literal(symbol='x')))")
+                            "SPPattern(id='w1', symbols=('a', 'b'), frequency=2), 'x'))")
     with pytest.raises(AttributeError):
         stream.tokens = ()
     again = pickle.loads(pickle.dumps(stream))
     assert again.tokens == tokens
     assert list(again.dictionary) == list(store)
+    # a code token unpickles as its dictionary's own entry
+    assert again.tokens[0] is again.dictionary.get("w1")
 
 
 def test_checks_still_run_when_a_record_is_made():
     with pytest.raises(ValueError):
         SPPattern("p", ())
-    with pytest.raises(ValueError):
-        Run((), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one symbol"):
         Runs((("a",), ()), (1, 1))
     with pytest.raises(ValueError, match="one count per block"):
         Runs((("a",),), ())
     # a run's symbols are checked before its count
     with pytest.raises(ValueError, match="may not contain whitespace: 'a b'"):
-        Run(("a", "a b"), 0)
+        Runs((("a", "a b"),), (0,))
     with pytest.raises(ValueError, match="may not contain whitespace: 'a b'"):
         Runs((("a",), ("b", "a b")), (1, 3))
-    # a stream checks its literals; a code is a pattern id, which it does not
+    # a stream checks its literals, then its code tokens, whose ids are
+    # pattern ids, which the symbol rule does not bind
+    w1 = SPPattern("w 1", ("a", "b"), 2)
     with pytest.raises(TypeError, match="symbol text must be a string, got int"):
-        EncodedStream(PatternStore(), (Literal("a"), CodeRef("w 1"), Literal(7)))
+        EncodedStream(PatternStore(), ("a", w1, 7))
+    assert EncodedStream(PatternStore([w1]), ("a", w1)).tokens == ("a", w1)
     with pytest.raises(ValueError):
         FixedSymbol("a b")
     with pytest.raises(ValueError):
