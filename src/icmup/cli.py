@@ -50,15 +50,9 @@ from collections.abc import Iterable
 
 from . import alignment as al
 from . import codecs
-from .errors import IcmupError, InputFormatError
+from .errors import IcmupError, InputFormatError, at_least
 from .patterns import SPPattern, parse_grammar, raw_cost, read_text, render, tokenize
 from .reporting import RunReport, format_bits
-
-
-def _at_least(value: int, flag: str, least: int) -> None:
-    """Refuse an option's value below ``least``, naming the flag as typed."""
-    if value < least:
-        raise InputFormatError(f"{flag} must be >= {least}")
 
 
 def _mode(args) -> str:
@@ -76,8 +70,8 @@ def _two_part(report: RunReport) -> str:
 
 def cmd_compress(args) -> RunReport:
     if args.mode == "chunk":  # the run-length coder takes neither option
-        _at_least(args.min_len, "--min-len", 2)
-        _at_least(args.min_count, "--min-count", 2)
+        at_least(args.min_len, "--min-len", 2)
+        at_least(args.min_count, "--min-count", 2)
     text = read_text(args.corpus)
     symbols = tokenize(text, _mode(args))
     report = RunReport("compress", (args.corpus,))
@@ -147,8 +141,8 @@ def _print_alignment(index: int, alignm, prob: float) -> None:
 
 def _search(args):
     """Load the grammar, tokenize ``--new`` and rank its alignments."""
-    _at_least(args.beam, "--beam", 1)
-    _at_least(args.max_rows, "--max-rows", 0)
+    at_least(args.beam, "--beam", 1)
+    at_least(args.max_rows, "--max-rows", 0)
     store = parse_grammar(read_text(args.grammar))
     new = _new_pattern(args, "new")
     ranking = al.build_alignments(new, store, beam=args.beam,
@@ -157,7 +151,7 @@ def _search(args):
 
 
 def cmd_align(args) -> RunReport:
-    _at_least(args.top, "--top", 1)
+    at_least(args.top, "--top", 1)
     _, new, ranking = _search(args)
     top = ranking[:args.top]
     probs = al.alignment_probabilities(top)
@@ -181,7 +175,7 @@ def cmd_parse(args) -> None:
 
 
 def cmd_retrieve(args) -> None:
-    _at_least(args.top, "--top", 1)
+    at_least(args.top, "--top", 1)
     store = parse_grammar(read_text(args.grammar))
     query = _new_pattern(args, "query")
     for pid, cd in al.retrieve(query, store, args.top):

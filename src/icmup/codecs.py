@@ -33,18 +33,21 @@ half block, ceil(b/2) symbols on one side of it, repeats b later; on
 random text that leaves O(N) extensions.
 ``discover_chunks`` first builds a repeats index, the suffix array and its
 LCP: O(N log N log L) in sorts, for L the longest repeat, plus O(N)
-character steps.  It gives each start i the longest window there that
-occurs again, ``longest[i]``.  One pass per chunk length n, from L down,
-then slices only the unclaimed windows at live starts, those with
-``longest[i] >= n``: a window that occurs once is never a chunk.  Where
-the repeats become chunks and claim their cells, the characters sliced
-grow about linearly (a corpus of two long copies around random noise:
-about 2.3x per doubling).  A corpus whose windows all repeat but whose
-grams never beat ``expected_count`` keeps every window live at every
-length, and stays O(N * L^2): one letter repeated 2,000 times takes about
-2 s.  ``chunk_encode`` spells the corpus, then all the dictionary's entries
-in one more call, and makes, at each position, one table lookup per
-distinct length among the chunks that start with the symbol there.  The
+character steps.  Its first sort ranks 128-character windows, which
+orders a corpus without repeats that long in one round, for up to 128
+characters of memory a start.  It gives each start i the longest window
+there that occurs again, ``longest[i]``.  One pass per chunk length n,
+from L down, then slices only the unclaimed windows at live starts, those
+with ``longest[i] >= n``: a window that occurs once is never a chunk, and
+a gram whose windows all overlap one another is never walked.  Where the
+repeats become chunks and claim their cells, the characters sliced grow
+about linearly (a corpus of two long copies around random noise: 2x to
+2.5x per doubling).  A corpus whose windows all repeat but whose grams
+never beat ``expected_count`` keeps every window live at every length,
+and stays O(N * L^2): one letter repeated 2,000 times takes about 1.4 s.
+``chunk_encode`` spells the corpus, then all the dictionary's entries in
+one more call, and makes, at each position, one table lookup per distinct
+length among the chunks that start with the symbol there.  The
 stream and runs writers give the text of ``json.dumps(doc, indent=2)``
 without its pure-Python encoder: one C escape (``json.dumps``) per distinct text and
 code, then one dict lookup per symbol and one join per entry; the runs
@@ -147,16 +150,22 @@ def _longest_repeats(s: str) -> list[int]:
     that also occurs at another start, overlaps counted.
 
     The suffixes are sorted by prefix doubling (Manber & Myers 1990).  The
-    first round ranks them by their first 16 characters, which tells most
-    windows of prose apart at once; each further round packs a suffix's rank
-    and the rank k characters on into one int key, until every rank
-    differs.  A window repeats exactly when its suffix shares it with a
-    neighbour in that order, so i's longest repeat is the longer of its two
-    neighbours' common prefixes, which Kasai's walk finds in O(N) character
-    steps (Kasai et al. 2001).  Cost: O(N log N log L) for the sorts, with L
-    the longest repeat."""
+    first round ranks them by their first 128 characters; each further round
+    packs a suffix's rank and the rank k characters on into one int key,
+    until every rank differs.  Once they all differ the ranks are the
+    suffixes' order, whatever the first window was, so its length sets only
+    the time and the memory.  128 is where repeats documents stop tying:
+    after their first 16 characters 56% of the benchmark's starts still tie,
+    34% after 32, 7% after 64 and none after 128, so one sort of string
+    windows ranks them, where 16 left three rounds of int keys to do.  The
+    windows hold up to 128 characters a start, still O(N) memory.  A window
+    repeats exactly when its suffix shares it with a neighbour in that
+    order, so i's longest repeat is the longer of its two neighbours' common
+    prefixes, which Kasai's walk finds in O(N) character steps (Kasai et al.
+    2001).  Cost: O(N log N log L) for the sorts, with L the longest
+    repeat."""
     length = len(s)
-    k = 16
+    k = 128
     keys: list = list(map(s.__getitem__, map(slice, range(length), range(k, length + k))))
     while True:
         order = sorted(set(keys))
@@ -203,7 +212,10 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
     that occurs twice passes.  So the first length is the longest repeat
     (at most half the corpus), a start joins the live starts when n falls
     to its longest repeat and leaves them once its own cell is claimed, and
-    the counts and candidate order are those of all unclaimed windows.
+    the counts and candidate order are those of all unclaimed windows.  A
+    gram whose first and last windows start less than n apart has every two
+    of its windows overlapping, so at most one copy, below ``min_count``: it
+    is rejected without walking its windows.
     """
     if min_len < 2 or min_count < 2:
         raise ValueError("min_len and min_count must both be >= 2")
@@ -242,8 +254,11 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
             if g in decided or claimed.find(1, p, p + n) >= 0:
                 continue
             decided.add(g)
+            spots = where[g]
+            if spots[-1] - spots[0] < n:  # every two windows overlap: one copy
+                continue
             occs: list[int] = []
-            for q in where[g]:
+            for q in spots:
                 if (not occs or q >= occs[-1] + n) and claimed.find(1, q, q + n) < 0:
                     occs.append(q)
             if (len(occs) >= min_count
@@ -611,10 +626,12 @@ def stream_from_json(source: str | dict) -> EncodedStream:
                     raise InputFormatError("stream token needs exactly one of 'code' and "
                                            f"'lit' and no other key: {item!r}")
                 if "code" in item:
-                    if item["code"] not in dictionary:
-                        raise InputFormatError(
-                            f"stream references unknown code {item['code']!r}")
-                    tokens.append(dictionary.get(item["code"]))
+                    code = item["code"]
+                    if not isinstance(code, str):
+                        raise TypeError(f"stream token code {code!r} must be a string")
+                    if code not in dictionary:
+                        raise InputFormatError(f"stream references unknown code {code!r}")
+                    tokens.append(dictionary.get(code))
                 else:
                     tokens.append(item["lit"])
         finally:  # a bad literal before the fault raises in its place

@@ -2,7 +2,8 @@
 
 Two branches matter to the CLI: ``InputFormatError`` covers malformed files
 and arguments (exit code 2), ``DomainError`` covers well-formed inputs that
-an operation rejects (exit code 3).
+an operation rejects (exit code 3).  ``at_least`` is every command's check
+of an option's least value.
 """
 
 
@@ -12,6 +13,12 @@ class IcmupError(Exception):
 
 class InputFormatError(IcmupError):
     """A file or argument does not parse or violates its format contract."""
+
+
+def at_least(value: int, flag: str, least: int) -> None:
+    """Refuse an option's value below ``least``, naming the flag as typed."""
+    if value < least:
+        raise InputFormatError(f"{flag} must be >= {least}")
 
 
 class DomainError(IcmupError):

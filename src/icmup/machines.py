@@ -17,7 +17,7 @@ from itertools import chain, product
 from operator import eq
 
 from .errors import (ArityMismatch, InputFormatError, MissingInput, NoMatch,
-                     TooLarge)
+                     TooLarge, at_least)
 from .patterns import Record, check_symbol, check_texts, content_lines, read_text
 
 MAX_TABLE_INPUTS = 16
@@ -443,8 +443,7 @@ def cmd_circuit(args) -> None:
 
 
 def cmd_tm(args) -> None:
-    if args.max_steps < 0:
-        raise InputFormatError("--max-steps must be >= 0")
+    at_least(args.max_steps, "--max-steps", 0)
     machine = parse_tm(read_text(args.machine))
     cells = {}
     for i, ch in enumerate(args.tape):

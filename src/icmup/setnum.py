@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import repeat
 
 from .errors import (BadDigit, DivisionByZero, Indeterminate, InputFormatError,
-                     NonIntegerTerm, NotASet, TooLarge, Underflow)
+                     NonIntegerTerm, NotASet, TooLarge, Underflow, at_least)
 from .patterns import Record, is_count, symbol_cost_bits, tokenize
 from .reporting import RunReport, format_bits, round_half_up
 
@@ -461,8 +461,8 @@ def cmd_unary(args) -> None:
 
 def cmd_peano(args) -> None:
     for name, value in (("n", args.n), ("m", args.m)):
-        if value is not None and value < 0:
-            raise InputFormatError(f"{name} must be >= 0")
+        if value is not None:
+            at_least(value, name, 0)
     # both numerals are made before either is printed, so a second one
     # over the cap prints nothing
     p = to_peano(args.n)
@@ -486,8 +486,7 @@ def cmd_base(args) -> None:
 
 
 def cmd_newton(args) -> RunReport:
-    if args.tmax < 0:
-        raise InputFormatError("--tmax must be >= 0")
+    at_least(args.tmax, "--tmax", 0)
     rep = newton_table(args.g, args.tmax)
     for row in rep.rows:
         print(f"{row.t}\t{row.s:.1f}")

@@ -5,11 +5,14 @@ that a stream token is the entry it stands for or a literal ``str``, and a
 run is the pair ``(symbols, count)``, checked by ``run``.  The library
 versions in ``icmup.codecs`` must give exactly the same dictionaries,
 streams, unifications, runs and file texts, and each reader the same
-stream or runs or the same error.
+stream or runs or the same error.  The stream reader also refuses a
+token whose code is not a string, with the library reader's message.
 
 ``_longest_repeat`` and ``discover_chunks`` cost O(n * L^2) for a longest
 repeat L, ``rle_encode`` is cubic, and ``longest_repeats`` compares every
 window with every other, so use them on small inputs only.
+``sorted_repeats`` gives the same figures by sorting whole suffixes, fast
+enough for corpora of a few thousand symbols.
 """
 
 from __future__ import annotations
@@ -80,6 +83,21 @@ def longest_repeats(texts: Sequence[str]) -> list[int]:
                 for j in range(length - n) if j != i):
             n += 1
         out.append(n)
+    return out
+
+
+def sorted_repeats(texts: Sequence[str]) -> list[int]:
+    """``longest_repeats`` by sorting every whole suffix: a window repeats
+    exactly when its suffix shares it with a neighbour in sorted order, so
+    each start's figure is the longer common prefix with its neighbours."""
+    texts = tuple(texts)
+    order = sorted(range(len(texts)), key=lambda i: texts[i:])
+    out = [0] * len(texts)
+    for a, b in zip(order, order[1:]):
+        h, limit = 0, len(texts) - max(a, b)
+        while h < limit and texts[a + h] == texts[b + h]:
+            h += 1
+        out[a], out[b] = max(out[a], h), max(out[b], h)
     return out
 
 
@@ -256,6 +274,8 @@ def stream_from_json(source: str | dict) -> EncodedStream:
                 raise InputFormatError("stream token needs exactly one of 'code' and "
                                        f"'lit' and no other key: {item!r}")
             if "code" in item:
+                if not isinstance(item["code"], str):
+                    raise TypeError(f"stream token code {item['code']!r} must be a string")
                 if item["code"] not in dictionary:
                     raise InputFormatError(f"stream references unknown code {item['code']!r}")
                 tokens.append(dictionary.get(item["code"]))

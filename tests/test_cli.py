@@ -866,6 +866,8 @@ ERROR_FILES = {
     "zero.runs.json": '{"runs": [{"symbols": ["a"], "count": 0}]}',
     "no-code.stream.json": ('{"dictionary": [{"code": "", "symbols": ["a", "b"],'
                             ' "count": 2}], "stream": [{"lit": "a"}]}'),
+    "array-code.stream.json": '{"dictionary": [], "stream": [{"code": ["x"]}]}',
+    "object-code.stream.json": '{"dictionary": [], "stream": [{"code": {"w1": 1}}]}',
     "no-out.tsv": "in:a\tin:b\n1\t1\n",
     "twice-row.tsv": "in:a\tout:b\n1\t0\n1\t1\n",
     "twice.tm": "s0 1 -> s0 R\ns0 1 -> s1 L\n",
@@ -894,6 +896,11 @@ ERROR_BRANCHES = [
      "error: malformed runs file: run count must be >= 1\n"),
     (["decompress", "no-code.stream.json", "--out", "back.txt"], 2,
      "error: malformed stream file: pattern id must be non-empty\n"),
+    # a code is a string, as a dictionary entry's is
+    (["decompress", "array-code.stream.json", "--out", "back.txt"], 2,
+     "error: malformed stream file: stream token code ['x'] must be a string\n"),
+    (["decompress", "object-code.stream.json", "--out", "back.txt"], 2,
+     "error: malformed stream file: stream token code {'w1': 1} must be a string\n"),
     (["hierarchy", "squashed.classes", "--dl"], 2, "error: line 1: expected 'CLASS'\n"),
     (["table", "no-out.tsv", "--in", "1,1"], 2,
      "error: table needs at least one in: and one out: column\n"),

@@ -80,6 +80,14 @@ def rep_noise_rep(size):
 FIBONACCI = "abaababaabaababaababaabaababaabaab"
 
 
+def fibonacci_word(size):
+    """The Fibonacci word ``FIBONACCI`` begins, grown to at least ``size``."""
+    shorter, word = "a", "ab"
+    while len(word) < size:
+        shorter, word = word, word + shorter
+    return word
+
+
 def assert_same_chunks(corpus, min_len, min_count):
     fast = discover_chunks(corpus, min_len, min_count)
     slow = oracle.discover_chunks(corpus, min_len, min_count)
@@ -106,6 +114,23 @@ class TestChunks:
     def test_longest_repeats_match_oracle(self, corpus):
         assert (codecs._longest_repeats(codecs._spell(corpus, {}))
                 == oracle.longest_repeats(corpus))
+
+    # repeats longer than the first round's 128-symbol windows tie there,
+    # so only these reach the doubling rounds; Hypothesis corpora are shorter
+    @pytest.mark.parametrize("corpus", [
+        list("a" * 300), list("abcde" * 100), rep_noise_rep(1200),
+        list(fibonacci_word(600))], ids=["one-letter", "period-5", "two-copies", "fibonacci"])
+    def test_long_repeats_match_sorted_suffixes(self, corpus):
+        longest = codecs._longest_repeats(codecs._spell(corpus, {}))
+        assert max(longest) > 128
+        assert longest == oracle.sorted_repeats(corpus)
+
+    def test_benchmark_repeats_match_sorted_suffixes(self, bench_gen):
+        rng = random.Random(1)
+        for size in bench_gen.size_grid(64, 200, 800):
+            corpus = chars(bench_gen.repeats_doc(rng, size))
+            assert (codecs._longest_repeats(codecs._spell(corpus, {}))
+                    == oracle.sorted_repeats(corpus))
 
     def test_position_order_example(self):
         # a scan that tries grams in index order rather than position order
@@ -464,7 +489,8 @@ ENTRY_MUTATIONS = (_bad_symbol, _set("symbols", ["ab", {"a": 1}, 3, None]), _one
                    _set("count", [1]), _set("x", [0]), _drop("code", "symbols", "count"),
                    _not_an_object)
 TOKEN_MUTATIONS = (_set("lit", ["a b", "", "\u00a0", 7, None, ["a"], "z"]),
-                   _set("code", ["no such"]), _set("x", [0]), _drop("code", "lit"),
+                   _set("code", ["no such", ["x"], {"w1": 1}, 7, None]), _set("x", [0]),
+                   _drop("code", "lit"),
                    _not_an_object)
 
 
