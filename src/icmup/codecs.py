@@ -38,13 +38,15 @@ orders a corpus without repeats that long in one round, for up to 128
 characters of memory a start.  It gives each start i the longest window
 there that occurs again, ``longest[i]``.  One pass per chunk length n,
 from L down, then slices only the unclaimed windows at live starts, those
-with ``longest[i] >= n``: a window that occurs once is never a chunk, and
-a gram whose windows all overlap one another is never walked.  Where the
-repeats become chunks and claim their cells, the characters sliced grow
-about linearly (a corpus of two long copies around random noise: 2x to
-2.5x per doubling).  A corpus whose windows all repeat but whose grams
-never beat ``expected_count`` keeps every window live at every length,
-and stays O(N * L^2): one letter repeated 2,000 times takes about 1.4 s.
+with ``longest[i] >= n``: a window that occurs once is never a chunk.
+Only a gram whose free windows span ``(min_count - 1) * n`` or more, as
+``min_count`` disjoint copies do, reaches the Python loops that count and
+claim.  Where the repeats become chunks and claim their cells, the
+characters sliced grow about linearly (a corpus of two long copies around
+random noise: 2x to 2.5x per doubling).  A corpus whose windows all
+repeat but whose grams never beat ``expected_count`` keeps every window
+live at every length, and stays O(N * L^2): one letter repeated 2,000
+times takes about 1.4 s.
 ``chunk_encode`` spells the corpus, then all the dictionary's entries in
 one more call, and makes, at each position, one table lookup per distinct
 length among the chunks that start with the symbol there.  The
@@ -68,7 +70,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from enum import Enum
 from itertools import chain, compress, count, repeat
-from operator import add, eq
+from operator import add, eq, sub
 
 from .errors import InputFormatError, NotDecodable, NotPresent, TooLarge, UnknownPattern
 from .patterns import (PatternStore, Record, SPPattern, are_symbols, check_texts,
@@ -212,10 +214,14 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
     that occurs twice passes.  So the first length is the longest repeat
     (at most half the corpus), a start joins the live starts when n falls
     to its longest repeat and leaves them once its own cell is claimed, and
-    the counts and candidate order are those of all unclaimed windows.  A
-    gram whose first and last windows start less than n apart has every two
-    of its windows overlapping, so at most one copy, below ``min_count``: it
-    is rejected without walking its windows.
+    the counts and candidate order are those of all unclaimed windows.
+    Each length's windows then name their gram by its first free start, and
+    only a gram whose free windows span ``(min_count - 1) * n`` or more
+    becomes a candidate, since ``min_count`` disjoint copies span that
+    much.  Any other gram's walk would find fewer copies and claim nothing;
+    at ``min_count`` 2 that is a gram whose windows all overlap one another.
+    A candidate with fewer than ``min_count`` disjoint windows is walked,
+    and rejected by its count.
     """
     if min_len < 2 or min_count < 2:
         raise ValueError("min_len and min_count must both be >= 2")
@@ -239,26 +245,24 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
         if not starts:
             continue
         grams = _windows(s, starts, n)
-        # overlap-counting totals bound the non-overlapping counts from above
-        counts = Counter(grams)
-        if max(counts.values()) < min_count:
-            continue
-        candidates = list(compress(zip(starts, grams), map(
-            min_count.__le__, map(counts.__getitem__, grams))))
-        where: dict[str, list[int]] = {}
+        # each window's gram is named by its first free start, its head;
+        # min_count disjoint copies span (min_count - 1) * n or more
+        heads = list(map({}.setdefault, grams, starts))
+        last = dict(zip(heads, starts))
+        reach = (min_count - 1) * n
+        candidates = list(compress(zip(starts, heads), map(reach.__le__, map(
+            sub, map(last.__getitem__, heads), heads))))
+        where: dict[int, list[int]] = {}
         for p, g in candidates:
             where.setdefault(g, []).append(p)
-        decided: set[str] = set()
+        decided: set[int] = set()
         known = len(entries)
         for p, g in candidates:
             if g in decided or claimed.find(1, p, p + n) >= 0:
                 continue
             decided.add(g)
-            spots = where[g]
-            if spots[-1] - spots[0] < n:  # every two windows overlap: one copy
-                continue
             occs: list[int] = []
-            for q in spots:
+            for q in where[g]:
                 if (not occs or q >= occs[-1] + n) and claimed.find(1, q, q + n) < 0:
                     occs.append(q)
             if (len(occs) >= min_count

@@ -238,12 +238,14 @@ def read_text(path: str) -> str:
 def tokenize(text: str, mode: str = "whitespace") -> list[str]:
     """Split text into symbols: on whitespace runs, or one symbol per
     non-whitespace character.  Empty input yields an empty list.  Every
-    token is a symbol by construction, so none is checked."""
+    token is a symbol by construction, so none is checked.  Character mode
+    splits in C too: ``str.split()`` drops exactly the characters
+    ``str.isspace()`` calls whitespace, both reading CPython's one table."""
     if mode not in TOKENIZE_MODES:
         raise ValueError(f"unknown tokenize mode {mode!r}")
     if mode == "whitespace":
         return text.split()
-    return [ch for ch in text if not ch.isspace()]
+    return list("".join(text.split()))
 
 
 def render(symbols: Iterable[str]) -> str:

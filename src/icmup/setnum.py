@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import repeat
@@ -473,12 +474,32 @@ def cmd_peano(args) -> None:
     print("\n".join(lines))
 
 
+def _base_value(text: str) -> int:
+    """The integer ``base`` reads from its value, as ``int()`` reads it.
+    Text that spells no integer is an input error naming it; a digit string
+    too long for ``int()`` to convert is a magnitude past the cap, unless
+    only its leading zeros made it that long.  A negative one that long
+    reads as -1, which ``UnaryNumber`` refuses as it refuses every negative."""
+    try:
+        return int(text)
+    except ValueError:  # no integer, or more digits than int() converts
+        spelled = re.fullmatch(r"\s*([+-]?)(\d+(?:_\d+)*)\s*", text)
+        if spelled is None:
+            raise InputFormatError(f"value is not an integer: {text!r}") from None
+    sign, digits = spelled[1], spelled[2].replace("_", "").lstrip("0")
+    if len(digits) > len(str(UNARY_CAP)):
+        if sign == "-":
+            return -1
+        raise TooLarge(f"unary magnitude of {len(digits)} digits exceeds cap {UNARY_CAP}")
+    return int(sign + (digits or "0"))
+
+
 def cmd_base(args) -> None:
     if args.decode:
         u = positional_to_unary(args.value, args.base)
         print(f"count={u.count}")
         return
-    u = UnaryNumber(int(args.value))
+    u = UnaryNumber(_base_value(args.value))
     rep = base_report(u, args.base)
     print(f"digits={rep.digits} unary_symbols={rep.unary_symbols} "
           f"positional_symbols={rep.positional_symbols} "

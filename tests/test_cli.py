@@ -744,6 +744,13 @@ class TestSmallCommands:
         # zero takes one positional digit and no unary symbols
         assert run(capsys, "base", "0", "10") == (
             0, "digits=0 unary_symbols=0 positional_symbols=1 ratio=1.000\n", "")
+        # a value is read as int() reads it, even past the digits int()
+        # converts when all but a few of them are leading zeros
+        seventy = "digits=70 unary_symbols=70 positional_symbols=2 ratio=0.029\n"
+        assert run(capsys, "base", " 7", "10")[1] == (
+            "digits=7 unary_symbols=7 positional_symbols=1 ratio=0.143\n")
+        assert run(capsys, "base", "7_0", "10")[1] == seventy
+        assert run(capsys, "base", "0" * 5000 + "7_0", "10")[1] == seventy
 
     def test_newton(self, tmp_path, capsys):
         report = tmp_path / "n.json"
@@ -935,11 +942,18 @@ ERROR_BRANCHES = [
     (["base", "1", "40", "--decode"], 2, "error: base must be in 2..36\n"),
     (["unary", "fact", "-1"], 2, "error: factorial needs a natural number\n"),
     (["base", "ZZZZZ", "36", "--decode"], 3, "TooLarge: value exceeds cap 1000000\n"),
+    # a value int() cannot read is named, and one too long for int() to
+    # convert is past the cap
+    (["base", "x", "2"], 2, "error: value is not an integer: 'x'\n"),
+    (["base", "5.5", "2"], 2, "error: value is not an integer: '5.5'\n"),
+    (["base", "9" * 5000, "2"], 3,
+     "TooLarge: unary magnitude of 5000 digits exceeds cap 1000000\n"),
+    (["base", "-" + "9" * 5000, "2"], 2, "error: unary numbers are naturals\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, err", ERROR_BRANCHES,
-                         ids=[" ".join(argv).strip() for argv, _, _ in ERROR_BRANCHES])
+                         ids=[" ".join(argv).strip()[:60] for argv, _, _ in ERROR_BRANCHES])
 def test_error_branches(tmp_path, capsys, monkeypatch, argv, code, err):
     monkeypatch.chdir(tmp_path)
     for name, text in ERROR_FILES.items():

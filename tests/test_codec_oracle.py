@@ -103,8 +103,18 @@ class TestChunks:
     @example(list("abaababaab" * 3), 2, 2)
     @example(list("abcdefgh" * 2 + "abcd"), 2, 2)
     @example(list(FIBONACCI), 2, 2)
+    # two touching copies, whose windows span exactly n
+    @example(list("abcabc"), 2, 2)
+    # a motif run at min_count 3, where grams of two copies are walked
+    @example(list("acg" * 9 + "tt" + "acg" * 4), 2, 3)
     def test_dictionary_and_stream_match_oracle(self, corpus, min_len, min_count):
         assert_same_chunks(corpus, min_len, min_count)
+
+    def test_benchmark_documents_match_oracle(self, bench_gen):
+        # tandem motif runs, where most grams have only overlapping windows
+        rng = random.Random(1)
+        for size in bench_gen.size_grid(64, 200, 800)[:16]:
+            assert_same_chunks(chars(bench_gen.repeats_doc(rng, size)), 2, 2)
 
     @settings(max_examples=150)
     @given(corpora)

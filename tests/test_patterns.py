@@ -101,6 +101,12 @@ class TestTokenize:
         assert tokenize("") == []
         assert tokenize("   ", "chars") == []
 
+    def test_chars_mode_drops_exactly_the_isspace_characters(self):
+        # character mode splits on whitespace in C; this pins that the split
+        # drops what isspace() calls whitespace, over every code point
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert tokenize(text, "chars") == [ch for ch in text if not ch.isspace()]
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             tokenize("a", "words")
