@@ -35,18 +35,21 @@ random text that leaves O(N) extensions.
 LCP: O(N log N log L) in sorts, for L the longest repeat, plus O(N)
 character steps.  Its first sort ranks 128-character windows, which
 orders a corpus without repeats that long in one round, for up to 128
-characters of memory a start.  It gives each start i the longest window
-there that occurs again, ``longest[i]``.  One pass per chunk length n,
-from L down, then slices only the unclaimed windows at live starts, those
-with ``longest[i] >= n``: a window that occurs once is never a chunk.
-Only a gram whose free windows span ``(min_count - 1) * n`` or more, as
-``min_count`` disjoint copies do, reaches the Python loops that count and
-claim.  Where the repeats become chunks and claim their cells, the
-characters sliced grow about linearly (a corpus of two long copies around
-random noise: 2x to 2.5x per doubling).  A corpus whose windows all
-repeat but whose grams never beat ``expected_count`` keeps every window
-live at every length, and stays O(N * L^2): one letter repeated 2,000
-times takes about 1.4 s.
+characters of memory a start.  From each start's rank neighbours, and
+where they overlap a scan of at most ``SCAN`` ranks further, it gives
+each start i ``far[i]``: at least the longest window there with a copy it
+does not overlap, and at most the longest that occurs again.  One pass
+per chunk length n, from the largest down, then slices only the
+unclaimed windows at live starts, those with ``far[i] >= n``: a window
+with no copy n or more away is never a chunk's.
+Only a gram with ``min_count`` free windows that span
+``(min_count - 1) * n`` or more, as ``min_count`` disjoint copies do,
+reaches the Python loops that count and claim.  Where the repeats become
+chunks and claim their cells, the characters sliced grow about linearly
+(a corpus of two long copies around random noise: 2x to 2.5x per
+doubling).  A corpus whose windows all repeat far apart but whose grams
+never beat ``expected_count`` keeps most windows live at most lengths,
+and stays O(N * L^2): one letter repeated 2,000 times takes about 1.4 s.
 ``chunk_encode`` spells the corpus, then all the dictionary's entries in
 one more call, and makes, at each position, one table lookup per distinct
 length among the chunks that start with the symbol there.  The
@@ -70,7 +73,7 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from enum import Enum
 from itertools import chain, compress, count, repeat
-from operator import add, eq, sub
+from operator import add, and_, eq, gt, sub
 
 from .errors import InputFormatError, NotDecodable, NotPresent, TooLarge, UnknownPattern
 from .patterns import (PatternStore, Record, SPPattern, are_symbols, check_texts,
@@ -147,9 +150,10 @@ def _windows(s: str, starts: Sequence[int], n: int) -> list[str]:
     return list(map(s.__getitem__, map(slice, starts, map(n.__add__, starts))))
 
 
-def _longest_repeats(s: str) -> list[int]:
-    """For each start i, the length of the longest window ``s[i:i + n]``
-    that also occurs at another start, overlaps counted.
+def _suffix_array(s: str) -> tuple[list[int], list[int], list[int]]:
+    """The suffixes of ``s`` sorted: ``rank[i]``, the rank from 1 of the
+    suffix at i; ``after[r]``, the start ranked r + 1; and ``common[r]``,
+    the prefix that ranks r and r + 1 share (0 at both ends).
 
     The suffixes are sorted by prefix doubling (Manber & Myers 1990).  The
     first round ranks them by their first 128 characters; each further round
@@ -160,11 +164,9 @@ def _longest_repeats(s: str) -> list[int]:
     after their first 16 characters 56% of the benchmark's starts still tie,
     34% after 32, 7% after 64 and none after 128, so one sort of string
     windows ranks them, where 16 left three rounds of int keys to do.  The
-    windows hold up to 128 characters a start, still O(N) memory.  A window
-    repeats exactly when its suffix shares it with a neighbour in that
-    order, so i's longest repeat is the longer of its two neighbours' common
-    prefixes, which Kasai's walk finds in O(N) character steps (Kasai et al.
-    2001).  Cost: O(N log N log L) for the sorts, with L the longest
+    windows hold up to 128 characters a start, still O(N) memory.  Kasai's
+    walk then finds the common prefixes in O(N) character steps (Kasai et
+    al. 2001).  Cost: O(N log N log L) for the sorts, with L the longest
     repeat."""
     length = len(s)
     k = 128
@@ -177,8 +179,8 @@ def _longest_repeats(s: str) -> list[int]:
         # a suffix that ends within k characters has rank 0 for its second half
         keys = list(map(add, map((len(order) + 1).__mul__, rank), rank[k:] + [0] * k))
         k *= 2
-    after = sorted(range(length), key=rank.__getitem__)  # after[r]: ranked r + 1
-    common = [0] * (length + 1)  # common[r]: prefix shared by ranks r and r + 1
+    after = sorted(range(length), key=rank.__getitem__)
+    common = [0] * (length + 1)
     h = 0
     for i, r in enumerate(rank):
         if r == length:
@@ -191,8 +193,71 @@ def _longest_repeats(s: str) -> list[int]:
         common[r] = h
         if h:
             h -= 1  # i + 1 shares at least h - 1 with the suffix after it
-    nearest = list(map(max, chain((0,), common), common))
-    return list(map(nearest.__getitem__, rank))
+    return rank, after, common
+
+
+# the ranks a scan of ``_far_repeats`` visits past a neighbour.  On a
+# 2-vCPU x86-64 VM discover_chunks took 1.73, 1.53, 1.45, 1.47, 1.42, 1.41
+# and 1.40 ms per benchmark repeats document (seeds 2, 5 and 9) at caps 1,
+# 2, 3, 4, 6, 8 and 32, and on abcde x 4,000 0.19, 0.21, 0.24 and 0.33 s at
+# caps 4, 8, 16 and 32, and 4.0 s unbounded
+SCAN = 8
+
+
+def _far_repeats(s: str) -> list[int]:
+    """For each start i, a bound on the longest window ``s[i:i + n]`` with
+    a copy it does not overlap, at some j with ``|i - j| >= n``: at least
+    that, and at most the longest window there that occurs again.
+
+    A start j offers ``min(p, |i - j|)``, with p the prefix its suffix
+    shares with i's, the least ``common`` between their ranks.  Every start
+    takes its two rank neighbours' offers, in C-level passes.  Only next to
+    two neighbours that overlap, sharing more than they lie apart, does a
+    start scan on past the other, keeping the least prefix so far, which
+    bounds every rank beyond.  A scan stops once that bound is no more
+    than the best offer, which is then exact, or after ``SCAN`` ranks,
+    when the bound stands in for the rest.  Prose, with few overlapping
+    repeats, scans few starts, and the cap keeps a tandem run linear."""
+    rank, after, common = _suffix_array(s)
+    gap = [0, *map(abs, map(sub, after[1:], after)), 0]  # between ranks x, x + 1
+    overlaps = list(compress(range(len(gap)), map(gt, common, gap)))
+    offer = common[:]
+    for x in overlaps:
+        offer[x] = gap[x]
+    far = [a if a > b else b for a, b in zip(chain((0,), offer), offer)]  # by rank
+    for x in overlaps:
+        # rank x scans up, to ranks y + 1 at after[y]; rank x + 1 down, to
+        # ranks y at after[y - 1]; each shares common[y] with the rank it
+        # passed, and the zeros at common's ends stop a scan there
+        for r, ranks, back in ((x, range(x + 1, x + 1 + SCAN), 0),
+                               (x + 1, range(x - 1, x - 1 - SCAN, -1), 1)):
+            i, best, least = after[r - 1], far[r], common[x]
+            for y in ranks:
+                if common[y] < least:
+                    least = common[y]
+                if least <= best:
+                    break
+                apart = abs(after[y - back] - i)
+                if apart >= least:
+                    best = least
+                    break
+                if apart > best:
+                    best = apart
+            else:
+                best = least  # no rank beyond shares more
+            far[r] = best
+    return list(map(far.__getitem__, rank))
+
+
+def _free_copies(windows: Sequence[int], n: int, claimed: bytearray) -> list[int]:
+    """The copies a left-to-right walk counts among a gram's length-``n``
+    ``windows``: each free of ``claimed`` cells, and n or more after the
+    copy before it."""
+    occs: list[int] = []
+    for q in windows:
+        if (not occs or q >= occs[-1] + n) and claimed.find(1, q, q + n) < 0:
+            occs.append(q)
+    return occs
 
 
 def discover_chunks(corpus: Sequence[str], min_len: int = 2,
@@ -208,20 +273,28 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
     ``w1, w2, ...`` in discovery order.  Discovery is single-pass: the
     residue is not re-scanned for second-order chunks built out of codes.
 
-    Only windows that occur twice are sliced.  The window at i of length n
-    occurs elsewhere exactly when n <= ``_longest_repeats(s)[i]``; any other
-    window's count is 1, below ``min_count``, and every window of a gram
-    that occurs twice passes.  So the first length is the longest repeat
-    (at most half the corpus), a start joins the live starts when n falls
-    to its longest repeat and leaves them once its own cell is claimed, and
-    the counts and candidate order are those of all unclaimed windows.
-    Each length's windows then name their gram by its first free start, and
-    only a gram whose free windows span ``(min_count - 1) * n`` or more
-    becomes a candidate, since ``min_count`` disjoint copies span that
-    much.  Any other gram's walk would find fewer copies and claim nothing;
-    at ``min_count`` 2 that is a gram whose windows all overlap one another.
-    A candidate with fewer than ``min_count`` disjoint windows is walked,
-    and rejected by its count.
+    Only windows that can be copies are sliced.  A start i goes live, its
+    free windows sliced, once the length n falls to ``_far_repeats(s)[i]``
+    (or to half the corpus), and leaves once its own cell is claimed.
+    That skips only windows with no copy n or more away, and none of them
+    changes a dictionary.  The walk counts a copy only n or more after the
+    one before it, so such a window is never a later copy; counted first,
+    it is its gram's only copy, since every other lies within n of it, and
+    the gram is rejected.  So leaving it out moves a gram's first or last
+    window only for a gram the walk would reject anyway.  A window with a
+    copy n or more away has one at every shorter length too, so a live
+    start stays live, and any figure from the exact one up to the longest
+    repeat, overlaps counted, gives the same dictionaries: the index's
+    scan cap, which can only raise a figure, costs time, not output.
+
+    Each length's windows then name their gram by its first free start,
+    and a gram becomes a candidate, to be walked, only with ``min_count``
+    free windows whose span is ``(min_count - 1) * n`` or more, as
+    ``min_count`` disjoint copies have.  Any other gram's walk would find
+    fewer copies and claim nothing.  At ``min_count`` 2 the span alone
+    asks for two windows, so the count clause prunes nothing more there.
+    A candidate with fewer than ``min_count``
+    disjoint windows is walked, and rejected by its count.
     """
     if min_len < 2 or min_count < 2:
         raise ValueError("min_len and min_count must both be >= 2")
@@ -230,10 +303,10 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
     freq = Counter(corpus)
     claimed = bytearray(length)
     entries: list[SPPattern] = []
-    longest = _longest_repeats(s)
-    top = min(max(longest, default=0), length // 2)
+    far = _far_repeats(s)
+    top = min(max(far, default=0), length // 2)
     joins: dict[int, list[int]] = {}  # length -> the starts that go live there
-    for i, r in enumerate(longest):
+    for i, r in enumerate(far):
         if r >= min_len:
             joins.setdefault(min(r, top), []).append(i)
     live: list[int] = []
@@ -246,12 +319,15 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
             continue
         grams = _windows(s, starts, n)
         # each window's gram is named by its first free start, its head;
-        # min_count disjoint copies span (min_count - 1) * n or more
+        # min_count disjoint copies are min_count windows that span
+        # (min_count - 1) * n or more, and two that span n are two copies
         heads = list(map({}.setdefault, grams, starts))
         last = dict(zip(heads, starts))
         reach = (min_count - 1) * n
-        candidates = list(compress(zip(starts, heads), map(reach.__le__, map(
-            sub, map(last.__getitem__, heads), heads))))
+        copies = Counter(heads)
+        candidates = list(compress(zip(starts, heads), map(
+            and_, map(reach.__le__, map(sub, map(last.__getitem__, heads), heads)),
+            map(min_count.__le__, map(copies.__getitem__, heads)))))
         where: dict[int, list[int]] = {}
         for p, g in candidates:
             where.setdefault(g, []).append(p)
@@ -261,10 +337,7 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
             if g in decided or claimed.find(1, p, p + n) >= 0:
                 continue
             decided.add(g)
-            occs: list[int] = []
-            for q in where[g]:
-                if (not occs or q >= occs[-1] + n) and claimed.find(1, q, q + n) < 0:
-                    occs.append(q)
+            occs = _free_copies(where[g], n, claimed)
             if (len(occs) >= min_count
                     and len(occs) > expected_count(corpus[p:p + n], freq, length)):
                 entries.append(SPPattern(f"w{len(entries) + 1}",

@@ -12,7 +12,8 @@ token whose code is not a string, with the library reader's message.
 repeat L, ``rle_encode`` is cubic, and ``longest_repeats`` compares every
 window with every other, so use them on small inputs only.
 ``sorted_repeats`` gives the same figures by sorting whole suffixes, fast
-enough for corpora of a few thousand symbols.
+enough for corpora of a few thousand symbols, and ``disjoint_repeats``
+searches the spelled corpus, one substring search a length.
 """
 
 from __future__ import annotations
@@ -98,6 +99,25 @@ def sorted_repeats(texts: Sequence[str]) -> list[int]:
         while h < limit and texts[a + h] == texts[b + h]:
             h += 1
         out[a], out[b] = max(out[a], h), max(out[b], h)
+    return out
+
+
+def disjoint_repeats(texts: Sequence[str]) -> list[int]:
+    """For each start i, the largest n such that ``texts[i:i + n]`` also
+    occurs n or more away, wholly after or wholly before it (0 if no
+    window there does).  The corpus is spelled one character a distinct
+    symbol, so a window is a substring."""
+    letters: dict[str, str] = {}
+    s = "".join(letters.setdefault(t, chr(len(letters))) for t in texts)
+    out = []
+    for i in range(len(s)):
+        n = 0
+        while i + n < len(s):
+            w = s[i:i + n + 1]
+            if s.find(w, i + n + 1) < 0 and s.rfind(w, 0, i) < 0:
+                break
+            n += 1
+        out.append(n)
     return out
 
 

@@ -4,7 +4,9 @@ exactly equal."""
 
 import json
 import random
+import sys
 import time
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
@@ -88,6 +90,45 @@ def fibonacci_word(size):
     return word
 
 
+def suffix_array_repeats(corpus):
+    """Each start's longest repeat, overlaps counted, from the suffix array:
+    the longer prefix it shares with a rank neighbour."""
+    rank, _, common = codecs._suffix_array(codecs._spell(corpus, {}))
+    return [max(common[r - 1], common[r]) for r in rank]
+
+
+def assert_far_repeats_between(corpus, longest):
+    """The repeats index gives each start at least its longest repeat with
+    a copy it does not overlap, and at most ``longest``, its longest repeat
+    with overlaps counted."""
+    far = codecs._far_repeats(codecs._spell(corpus, {}))
+    assert all(map(le, oracle.disjoint_repeats(corpus), far))
+    assert all(map(le, far, longest))
+
+
+def index_lines(corpus, limit=None):
+    """The line events the repeats index runs on ``corpus``, counted by a
+    tracer of its own frame that raises once they pass ``limit``."""
+    code = codecs._far_repeats.__code__
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+            if limit is not None and lines > limit:
+                raise AssertionError(f"the repeats index ran more than {limit:.0f} lines")
+        return local
+
+    before = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        codecs._far_repeats(codecs._spell(corpus, {}))
+    finally:
+        sys.settrace(before)
+    return lines
+
+
 def assert_same_chunks(corpus, min_len, min_count):
     fast = discover_chunks(corpus, min_len, min_count)
     slow = oracle.discover_chunks(corpus, min_len, min_count)
@@ -122,8 +163,9 @@ class TestChunks:
     @example(list(FIBONACCI))
     @example([])
     def test_longest_repeats_match_oracle(self, corpus):
-        assert (codecs._longest_repeats(codecs._spell(corpus, {}))
-                == oracle.longest_repeats(corpus))
+        longest = oracle.longest_repeats(corpus)
+        assert suffix_array_repeats(corpus) == longest
+        assert_far_repeats_between(corpus, longest)
 
     # repeats longer than the first round's 128-symbol windows tie there,
     # so only these reach the doubling rounds; Hypothesis corpora are shorter
@@ -131,16 +173,18 @@ class TestChunks:
         list("a" * 300), list("abcde" * 100), rep_noise_rep(1200),
         list(fibonacci_word(600))], ids=["one-letter", "period-5", "two-copies", "fibonacci"])
     def test_long_repeats_match_sorted_suffixes(self, corpus):
-        longest = codecs._longest_repeats(codecs._spell(corpus, {}))
+        longest = suffix_array_repeats(corpus)
         assert max(longest) > 128
         assert longest == oracle.sorted_repeats(corpus)
+        assert_far_repeats_between(corpus, longest)
 
     def test_benchmark_repeats_match_sorted_suffixes(self, bench_gen):
         rng = random.Random(1)
         for size in bench_gen.size_grid(64, 200, 800):
             corpus = chars(bench_gen.repeats_doc(rng, size))
-            assert (codecs._longest_repeats(codecs._spell(corpus, {}))
-                    == oracle.sorted_repeats(corpus))
+            longest = suffix_array_repeats(corpus)
+            assert longest == oracle.sorted_repeats(corpus)
+            assert_far_repeats_between(corpus, longest)
 
     def test_position_order_example(self):
         # a scan that tries grams in index order rather than position order
@@ -185,6 +229,56 @@ class TestChunks:
             sliced.append(0)
             discover_chunks(rep_noise_rep(size), 2, 2)
             assert len(sliced) == 1 or sliced[-1] <= 3 * sliced[-2], sliced
+
+    def test_benchmark_documents_slice_few_windows(self, bench_gen, monkeypatch):
+        # counted, not timed: the windows and characters that discovery
+        # slices on the documents test_benchmark_documents_match_oracle
+        # draws; a start goes live only at its longest repeat with a copy it
+        # does not overlap, so a tandem run is sliced where chunks can form
+        windows = codecs._windows
+        sliced = [0, 0]
+
+        def counting(s, starts, n):
+            sliced[0] += len(starts)
+            sliced[1] += len(starts) * n
+            return windows(s, starts, n)
+
+        monkeypatch.setattr(codecs, "_windows", counting)
+        rng = random.Random(1)
+        for size in bench_gen.size_grid(64, 200, 800)[:16]:
+            discover_chunks(chars(bench_gen.repeats_doc(rng, size)), 2, 2)
+        assert sliced == [2_029, 24_160]
+
+    def test_benchmark_documents_at_min_count_3(self, bench_gen, monkeypatch):
+        # the same dictionaries as the oracle, and, counted, the grams
+        # walked: only a gram with min_count free windows that span
+        # (min_count - 1) * n is walked
+        copies = codecs._free_copies
+        walks = []
+
+        def counting(windows, n, claimed):
+            walks.append(len(windows))
+            return copies(windows, n, claimed)
+
+        monkeypatch.setattr(codecs, "_free_copies", counting)
+        rng = random.Random(1)
+        for size in bench_gen.size_grid(64, 200, 800)[:16]:
+            assert_same_chunks(chars(bench_gen.repeats_doc(rng, size)), 2, 3)
+        assert len(walks) == 2_843
+        assert min(walks) >= 3
+
+    @pytest.mark.parametrize("motif, repeats", [("abcde", (1_000, 2_000, 4_000)),
+                                                ("a", (1_000, 2_000))],
+                             ids=["period-5", "one-letter"])
+    def test_repeat_scan_grows_linearly(self, motif, repeats):
+        # counted, not timed: the lines the repeats index runs, a few and
+        # then its scan's.  Every start of a motif run scans; the scan's cap
+        # keeps each start's part constant, where an unbounded scan visits
+        # O(N) ranks a start and a doubling runs four times the lines
+        lines = []
+        for k in repeats:
+            lines.append(index_lines(list(motif * k), 2.2 * lines[-1] if lines else None))
+        assert all(b <= 2.2 * a for a, b in zip(lines, lines[1:])), lines
 
 
 def entry(code, text):
