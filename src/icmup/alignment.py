@@ -92,19 +92,18 @@ the least ceiling c* is the least c at which the key of the store's
 cheapest code under the least id, (-(raw - ((codes + cheapest) +
 (unmatched - c) * log2(A))), rows + 1, ids + ("",)), sorts before the last
 key; no candidate of ceiling c has a key below that one.  The key falls as
-c rises, so ``_least_ceiling`` takes c* from the closed form and settles it
-with the exact test at c* - 1 and c*.  A candidate of ceiling below c*
-fails on its own code too, since a bound rises with its ceiling and falls
-with its code, and rounding is monotone.  The last key only improves, so
-it would fail when popped and end the member's loop: leaving it out of the
-heap scores the same candidates.  So ``_candidates`` gathers only the
-patterns of ceiling c* or more; at c* = 0 they include those that share a
-symbol only with Old columns (mh 0).  A member whose c* exceeds its
-unmatched count can extend to nothing that passes, and it skips the
-non-hit columns, the masks and the candidates altogether.  On a
-1,008-pattern kittens-style store at 20 / 40 / 80 / 160 symbols
-(``search_1k_store`` in the tests) the members make 5,143 / 14,017 /
-42,035 / 24,777 bound tuples, down from 122,258 / 253,293 / 534,211 /
+c rises, so ``_least_ceiling`` finds c* by bisection over the exact test.
+A candidate of ceiling below c* fails on its own code too, since a bound
+rises with its ceiling and falls with its code, and rounding is monotone.
+The last key only improves, so it would fail when popped and end the
+member's loop: leaving it out of the heap scores the same candidates.  So
+``_candidates`` gathers only the patterns of ceiling c* or more; at c* = 0
+they include those that share a symbol only with Old columns (mh 0).  A
+member whose c* exceeds its unmatched count can extend to nothing that
+passes, and it skips the non-hit columns, the masks and the candidates
+altogether.  On a 1,008-pattern kittens-style store at 20 / 40 / 80 / 160
+symbols (``search_1k_store`` in the tests) the members make 5,143 / 14,017
+/ 42,035 / 24,777 bound tuples, down from 122,258 / 253,293 / 534,211 /
 552,102 when every gathered candidate had one, for the same scorings; the
 searches take 0.038 / 0.132 / 0.379 / 0.289 s, down from 0.063 / 0.180 /
 0.501 / 0.378 s (min of 3, a 2-vCPU x86-64 VM).
@@ -128,8 +127,7 @@ k of them and never reaches the top k.
 from __future__ import annotations
 
 import heapq
-import math
-from bisect import insort
+from bisect import bisect_left, insort
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from itertools import chain
@@ -319,19 +317,13 @@ def _least_ceiling(floor: tuple, tail: tuple, raw: float, spent: float,
                    unmatched: int, bits: float) -> int:
     """The least ceiling c in 0..unmatched at which the key (-bound, *tail)
     of a bound raw - (spent + (unmatched - c) * bits) sorts before
-    ``floor``, or unmatched + 1 if none does.  The key falls as c rises, so
-    the closed form's c is settled by the exact test at c - 1 and c: the
-    answer is the test's, however the closed form rounds."""
+    ``floor``, or unmatched + 1 if none does.  Each operation of the key is
+    monotone under rounding and ``tail`` is fixed, so the key falls as c
+    rises and the exact test, bisected, gives the answer."""
     def passes(c: int) -> bool:
         return (-(raw - (spent + (unmatched - c) * bits)), *tail) < floor
 
-    c = min(max(math.floor(unmatched - (raw - spent + floor[0]) / bits) + 1, 0),
-            unmatched + 1)
-    while c and passes(c - 1):
-        c -= 1
-    while c <= unmatched and not passes(c):
-        c += 1
-    return c
+    return bisect_left(range(unmatched + 1), True, key=passes)
 
 
 def build_alignments(new: SPPattern, store: PatternStore, beam: int = 50,

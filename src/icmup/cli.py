@@ -11,14 +11,14 @@ not write, or that names a directory or the command's input file, and a
 ``--report`` that names the ``--out`` file fail the run before the command
 starts, so it prints and writes nothing.
 
-The codecs and the alignment engine (with its kernel) are imported with
-this module, which holds the commands that run them: ``compress``,
-``decompress``, ``align``, ``parse`` and ``retrieve``.  The worked
-examples' commands live in their own modules, and ``main`` imports the
-module when one of them runs: ``table``, ``circuit`` and ``tm`` load
-``machines``; ``sets``, ``unary``, ``peano``, ``base`` and ``newton`` load
-``setnum``; ``hierarchy`` loads ``hierarchy``.  So a process compiles a
-worked example only when it runs one, and no command loads ``schema``.
+Each row of ``COMMANDS`` names the module that holds its command as
+``cmd_<name>``, and ``main`` imports that module to run it.  This module
+holds ``compress``, ``decompress``, ``align``, ``parse`` and ``retrieve``,
+and imports the codecs and the alignment engine (with its kernel) they run.
+``table``, ``circuit`` and ``tm`` live in ``machines``; ``sets``, ``unary``,
+``peano``, ``base`` and ``newton`` in ``setnum``; ``hierarchy`` in
+``hierarchy``.  So a process compiles a worked example only when it runs
+one, and no command loads ``schema``.
 The codecs and the alignment engine stay eager on purpose: a tracer that
 wraps the package's functions from outside, as perfbench's does, wraps
 only the ``icmup`` modules loaded when it is made, right after ``import
@@ -200,25 +200,25 @@ _UNARY_RANGE = (_arg("--lo", type=int, required=True),
                      help="comma-separated term values for lo..hi"),
                 _TRACE)
 
-# Every subcommand, in the order help lists them: its function, or for a
-# worked example the module that holds it as ``cmd_<name>`` (``main``
-# imports that module to run it), its help line, and its arguments, or (for
-# ``unary``) its own subcommands, each with its arguments.
+# Every subcommand, in the order help lists them: the module that holds it
+# as ``cmd_<name>`` (``main`` imports that module to run it), its help line,
+# and its arguments, or (for ``unary``) its own subcommands, each with its
+# arguments.
 COMMANDS = {
-    "compress": (cmd_compress, "discover chunks or runs and encode a corpus", (
+    "compress": ("cli", "discover chunks or runs and encode a corpus", (
         _CHARS, _REPORT, _arg("corpus"),
         _arg("--mode", choices=("chunk", "rle"), default="chunk"),
         _arg("--min-len", type=int, default=2),
         _arg("--min-count", type=int, default=2),
         _arg("--out", required=True))),
-    "decompress": (cmd_decompress, "reconstruct a corpus from a stream file", (
+    "decompress": ("cli", "reconstruct a corpus from a stream file", (
         _CHARS, _arg("stream"), _arg("--out", required=True))),
-    "align": (cmd_align, "rank alignments of a new pattern against a grammar", (
+    "align": ("cli", "rank alignments of a new pattern against a grammar", (
         _CHARS, *_SEARCH, _REPORT, _arg("grammar"), _arg("--new", required=True),
         _arg("--top", type=int, default=3))),
-    "parse": (cmd_parse, "print the best alignment as a bracketing", (
+    "parse": ("cli", "print the best alignment as a bracketing", (
         _CHARS, *_SEARCH, _arg("grammar"), _arg("--new", required=True))),
-    "retrieve": (cmd_retrieve, "rank stored patterns against a query", (
+    "retrieve": ("cli", "rank stored patterns against a query", (
         _CHARS, _arg("grammar"), _arg("--query", required=True),
         _arg("--top", type=int, default=5))),
     "table": ("machines", "evaluate a function table by row matching", (
@@ -282,9 +282,8 @@ def build_parser(commands: Iterable[str] = COMMANDS) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=None if names == tuple(COMMANDS) else every)
     for name in names:
-        func, summary, arguments = COMMANDS[name]
+        _, summary, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
         if isinstance(arguments, dict):  # a command with subcommands of its own
             ops = p.add_subparsers(dest="op", required=True)
             for op, op_arguments in arguments.items():
@@ -344,11 +343,8 @@ def main(argv=None) -> int:
         # the report is written last; an output path that cannot take its
         # file must fail before the command prints or writes anything
         _check_outputs(args)
-        func = args.func
-        if isinstance(func, str):  # a worked example's module, loaded to run it
-            func = getattr(importlib.import_module(f"{__package__}.{func}"),
-                           f"cmd_{args.command}")
-        report = func(args)
+        module = importlib.import_module(f"{__package__}.{COMMANDS[args.command][0]}")
+        report = getattr(module, f"cmd_{args.command}")(args)
         if report is not None and args.report:
             report.write(args.report)
     except (InputFormatError, OSError, ValueError) as exc:

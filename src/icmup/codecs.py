@@ -331,13 +331,11 @@ def discover_chunks(corpus: Sequence[str], min_len: int = 2,
         where: dict[int, list[int]] = {}
         for p, g in candidates:
             where.setdefault(g, []).append(p)
-        decided: set[int] = set()
         known = len(entries)
-        for p, g in candidates:
-            if g in decided or claimed.find(1, p, p + n) >= 0:
+        for p, g in candidates:  # a gram leaves ``where`` once decided
+            if g not in where or claimed.find(1, p, p + n) >= 0:
                 continue
-            decided.add(g)
-            occs = _free_copies(where[g], n, claimed)
+            occs = _free_copies(where.pop(g), n, claimed)
             if (len(occs) >= min_count
                     and len(occs) > expected_count(corpus[p:p + n], freq, length)):
                 entries.append(SPPattern(f"w{len(entries) + 1}",

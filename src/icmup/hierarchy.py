@@ -25,8 +25,8 @@ from collections.abc import Iterable, Iterator
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import DegenerateAlphabet, InputFormatError, UnknownClass
-from .patterns import (Record, check_texts, content_lines, read_text,
-                       symbol_cost_bits)
+from .patterns import (Record, check_texts, content_lines, keyword_line,
+                       read_text, symbol_cost_bits)
 from .reporting import format_bits
 
 DL_FORMS = ("flat", "hierarchical")
@@ -197,14 +197,10 @@ def parse_hierarchy(text: str) -> Hierarchy:
     """
     nodes: list[ClassNode] = []
     for lineno, stripped in content_lines(text):
-        head, sep, body = stripped.partition(":")
-        if head.split()[:1] != ["CLASS"]:
-            raise InputFormatError(f"line {lineno}: expected 'CLASS'")
-        if not sep:
-            raise InputFormatError(f"line {lineno}: missing ':' separator")
-        name = head[len("CLASS"):].strip()
-        if not name or len(name.split()) != 1:
-            raise InputFormatError(f"line {lineno}: bad class name {name!r}")
+        words, body = keyword_line(lineno, stripped, "CLASS")
+        if len(words) != 1:
+            raise InputFormatError(f"line {lineno}: bad class name {' '.join(words)!r}")
+        name = words[0]
         fields = {"attrs": [], "parents": [], "parts": []}
         for item in body.split():
             key, eq, value = item.partition("=")

@@ -330,11 +330,9 @@ class PatternStore:
         return pattern
 
     def symbols(self, pattern_id: str) -> tuple[str, ...]:
-        """The pattern's symbols, without making its ``SPPattern``: the made
-        pattern's, if ``get`` has made it, else a split of its row."""
-        pattern = self._made.get(pattern_id)
-        if pattern is not None:
-            return pattern.symbols
+        """The pattern's symbols, without making its ``SPPattern``: a split
+        of its row.  A made pattern's row is its symbols joined by spaces,
+        and a symbol holds no whitespace, so the split equals them."""
         try:
             return tuple(self._rows[pattern_id][0].split())
         except KeyError:
@@ -423,6 +421,20 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, stripped
 
 
+def keyword_line(lineno: int, line: str, keyword: str) -> tuple[list[str], str]:
+    """The head words after ``keyword``, and the body, of a ``KEYWORD head :
+    body`` line, as ``content_lines`` yields it.  The line's first word must
+    be exactly ``keyword``, so a keyword glued to the next word
+    (``PATTERNx``) is refused, and the line must hold a ':'."""
+    head, sep, body = line.partition(":")
+    words = head.split()
+    if not words or words[0] != keyword:
+        raise InputFormatError(f"line {lineno}: expected {keyword!r}, got {line.split()[0]!r}")
+    if not sep:
+        raise InputFormatError(f"line {lineno}: missing ':' separator")
+    return words[1:], body
+
+
 def parse_grammar(text: str) -> PatternStore:
     """Parse the grammar file format, one pattern per line:
 
@@ -442,13 +454,7 @@ def parse_grammar(text: str) -> PatternStore:
     """
     rows: dict[str, _Row] = {}
     for lineno, stripped in content_lines(text):
-        head, sep, body = stripped.partition(":")
-        words = head.split()
-        if not words or words[0] != "PATTERN":
-            raise InputFormatError(f"line {lineno}: expected 'PATTERN', got {stripped.split()[0]!r}")
-        if not sep:
-            raise InputFormatError(f"line {lineno}: missing ':' separator")
-        fields = words[1:]
+        fields, body = keyword_line(lineno, stripped, "PATTERN")
         if len(fields) == 1:
             pid, freq = fields[0], 1
         elif len(fields) == 2:

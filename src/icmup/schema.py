@@ -8,9 +8,11 @@ slot holds its fillers, each an ``SPPattern`` under a code.
 ``schema_encode`` recovers the choices from an instance.  No command runs
 this module, so no command loads it.
 
-Cost: ``schema_encode`` is a backtracking parse with no memo, one Python
-frame per element, so an instance that fails to parse after many
-ambiguous slots can take time exponential in the slots.
+Cost: ``schema_encode`` is a backtracking parse that keeps each (element,
+position) state's result, so it tries each state's fillers once: polynomial
+time, where the parse without the memo took time exponential in the slots.
+It still takes one Python frame per element, so a schema of some thousands
+of elements passes the recursion limit.
 """
 
 from __future__ import annotations
@@ -92,27 +94,35 @@ def schema_encode(instance: SPPattern, schema: Schema) -> dict[str, str]:
 
     Backtracking parse; when several fillers could match at a position the
     longest (then lexicographically first code) is preferred, so encoding
-    inverts instantiation whenever the schema parses unambiguously.
+    inverts instantiation whenever the schema parses unambiguously.  A
+    state's parse is a pure function of the state, so the memo returns the
+    first parse the search without it finds (packrat parsing, Ford 2002).
     """
     texts = instance.symbols
+    memo: dict[tuple[int, int], dict[str, str] | None] = {}
 
     def parse(elem_idx: int, pos: int) -> "dict[str, str] | None":
         if elem_idx == len(schema.elements):
             return {} if pos == len(texts) else None
+        if (elem_idx, pos) in memo:
+            return memo[elem_idx, pos]
         element = schema.elements[elem_idx]
+        result = None
         if isinstance(element, FixedSymbol):
             if pos < len(texts) and texts[pos] == element.symbol:
-                return parse(elem_idx + 1, pos + 1)
-            return None
-        candidates = sorted(element.fillers,
-                            key=lambda cf: (-len(cf[1]), cf[0]))
-        for code, filler in candidates:
-            body = filler.symbols
-            if texts[pos:pos + len(body)] == body:
-                rest = parse(elem_idx + 1, pos + len(body))
-                if rest is not None:
-                    return {element.name: code, **rest}
-        return None
+                result = parse(elem_idx + 1, pos + 1)
+        else:
+            candidates = sorted(element.fillers,
+                                key=lambda cf: (-len(cf[1]), cf[0]))
+            for code, filler in candidates:
+                body = filler.symbols
+                if texts[pos:pos + len(body)] == body:
+                    rest = parse(elem_idx + 1, pos + len(body))
+                    if rest is not None:
+                        result = {element.name: code, **rest}
+                        break
+        memo[elem_idx, pos] = result
+        return result
 
     result = parse(0, 0)
     if result is None:

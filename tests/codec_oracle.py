@@ -14,6 +14,10 @@ window with every other, so use them on small inputs only.
 ``sorted_repeats`` gives the same figures by sorting whole suffixes, fast
 enough for corpora of a few thousand symbols, and ``disjoint_repeats``
 searches the spelled corpus, one substring search a length.
+
+``schema_encode`` is the schema parse without its memo, verbatim: it is
+exponential in the slots on an instance that fails after many ambiguous
+ones, so give it few slots.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from typing import Sequence
 
 from icmup.codecs import (UNBOUNDED, EncodedStream, Token, _json_array, _json_object,
                           expected_count, parse_json)
-from icmup.errors import InputFormatError, NotPresent
+from icmup.errors import InputFormatError, NoSchemaMatch, NotPresent
 from icmup.patterns import PatternStore, SPPattern, check_symbol, check_texts, is_count
+from icmup.schema import FixedSymbol, Schema
 
 
 def run(symbols: tuple[str, ...], count) -> tuple:
@@ -338,3 +343,36 @@ def runs_from_json(source: str | dict) -> list[tuple]:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed runs file: {exc}") from None
     return out
+
+
+def schema_encode(instance: SPPattern, schema: Schema) -> dict[str, str]:
+    """Recover the filler code per slot from an instantiated pattern.
+
+    Backtracking parse; when several fillers could match at a position the
+    longest (then lexicographically first code) is preferred, so encoding
+    inverts instantiation whenever the schema parses unambiguously.
+    """
+    texts = instance.symbols
+
+    def parse(elem_idx: int, pos: int) -> "dict[str, str] | None":
+        if elem_idx == len(schema.elements):
+            return {} if pos == len(texts) else None
+        element = schema.elements[elem_idx]
+        if isinstance(element, FixedSymbol):
+            if pos < len(texts) and texts[pos] == element.symbol:
+                return parse(elem_idx + 1, pos + 1)
+            return None
+        candidates = sorted(element.fillers,
+                            key=lambda cf: (-len(cf[1]), cf[0]))
+        for code, filler in candidates:
+            body = filler.symbols
+            if texts[pos:pos + len(body)] == body:
+                rest = parse(elem_idx + 1, pos + len(body))
+                if rest is not None:
+                    return {element.name: code, **rest}
+        return None
+
+    result = parse(0, 0)
+    if result is None:
+        raise NoSchemaMatch(f"instance does not match schema {schema.id!r}")
+    return result

@@ -318,12 +318,12 @@ BITS_53, BITS_29 = symbol_cost_bits(53), symbol_cost_bits(29)
 
 @settings(max_examples=300)
 @given(thresholds())
-# at c = 5 the key ties the floor's CD and passes on fewer rows, so the
-# closed form's 6 steps down to 5
+# a tie that passes: at c = 5 the key ties the floor's CD and passes on
+# fewer rows, so the answer is 5
 @example(((-(30 * BITS_53 - (0.0 + 13 * BITS_53)), 3, ("p",)), (1, ("",)),
           30 * BITS_53, 0.0, 18, BITS_53))
-# at c = 7 the key ties the floor's CD and fails on more rows; the closed
-# form rounds to 7, which fails, and steps up to 8
+# a tie that fails: at c = 7 the key ties the floor's CD and fails on more
+# rows, so the answer is 8
 @example(((-(27 * BITS_29 - (0.0 + 7 * BITS_29)), 1, ("p",)), (4, ("",)),
           27 * BITS_29, 0.0, 14, BITS_29))
 def test_least_ceiling_equals_a_scan(args):

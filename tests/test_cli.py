@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -908,7 +909,8 @@ ERROR_BRANCHES = [
      "error: malformed stream file: stream token code ['x'] must be a string\n"),
     (["decompress", "object-code.stream.json", "--out", "back.txt"], 2,
      "error: malformed stream file: stream token code {'w1': 1} must be a string\n"),
-    (["hierarchy", "squashed.classes", "--dl"], 2, "error: line 1: expected 'CLASS'\n"),
+    (["hierarchy", "squashed.classes", "--dl"], 2,
+     "error: line 1: expected 'CLASS', got 'CLASSmammal'\n"),
     (["table", "no-out.tsv", "--in", "1,1"], 2,
      "error: table needs at least one in: and one out: column\n"),
     (["table", "twice-row.tsv", "--in", "1"], 2,
@@ -1102,6 +1104,13 @@ def test_full_parser_lists_every_command(capsys):
     assert err.startswith("usage: icmup [-h]")
     assert "{compress,decompress," in err
     assert "error: argument command: invalid choice: 'nosuch'" in err
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_every_row_names_the_module_of_its_command(name):
+    module = cli.COMMANDS[name][0]
+    assert isinstance(module, str)
+    assert callable(getattr(importlib.import_module(f"icmup.{module}"), f"cmd_{name}"))
 
 
 # Runs cli.main on its arguments, if any, and prints the icmup modules loaded.

@@ -13,14 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import codec_oracle as oracle
-from icmup import (UNBOUNDED, EncodedStream, PatternStore, SPPattern, chunk_decode,
-                   chunk_encode, discover_chunks, rle_decode, rle_encode, tokenize,
-                   unify_basic)
+from icmup import (UNBOUNDED, EncodedStream, FixedSymbol, PatternStore, SPPattern,
+                   Schema, Slot, chunk_decode, chunk_encode, discover_chunks,
+                   rle_decode, rle_encode, schema_encode, schema_instantiate,
+                   tokenize, unify_basic)
 from icmup import codecs, patterns
 from icmup.cli import main
 from icmup.codecs import (Runs, dictionary_cost_bits, encoded_cost_bits, runs_from_json,
                           runs_to_json, stream_from_json, stream_to_json)
-from icmup.errors import InputFormatError, NotPresent
+from icmup.errors import InputFormatError, NoSchemaMatch, NotPresent
 
 LETTERS = "abcdefgh"
 WORDS = ("a", "ab", "ba", "abc", "xy", "y", "the", "cat")
@@ -739,3 +740,44 @@ class TestLazyIndex:
         assert type(store.alphabet) is frozenset
         assert store.alphabet == frozenset(t for body in bodies for t in body)
         assert store.alphabet is store.alphabet
+
+
+def schema_parse(encode, instance, schema):
+    try:
+        return encode(instance, schema)
+    except NoSchemaMatch:
+        return NoSchemaMatch
+
+
+@st.composite
+def schemas_and_instances(draw):
+    """Up to six elements over two letters, slots of one to three fillers
+    that prefix one another, and either an instance of the schema or any
+    short sequence of the letters."""
+    bodies = st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(tuple)
+    elements = []
+    for k in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            elements.append(FixedSymbol(draw(st.sampled_from("ab"))))
+        else:
+            fillers = draw(st.lists(bodies, min_size=1, max_size=3, unique=True))
+            elements.append(Slot(f"s{k}", tuple(
+                (f"c{j}", SPPattern(f"c{j}", body)) for j, body in enumerate(fillers))))
+    schema = Schema("S", tuple(elements))
+    if elements and draw(st.booleans()):
+        chosen = {e.name: draw(st.sampled_from([c for c, _ in e.fillers]))
+                  for e in elements if isinstance(e, Slot)}
+        instance = schema_instantiate(schema, chosen)
+    else:
+        texts = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=12))
+        instance = SPPattern("i", tuple(texts))
+    return schema, instance
+
+
+class TestSchemaEncode:
+    @settings(max_examples=300)
+    @given(schemas_and_instances())
+    def test_memo_matches_oracle(self, case):
+        schema, instance = case
+        assert (schema_parse(schema_encode, instance, schema)
+                == schema_parse(oracle.schema_encode, instance, schema))

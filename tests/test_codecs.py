@@ -454,6 +454,42 @@ class TestSchema:
         inst = schema_instantiate(schema, {"X": "a"})
         assert schema_encode(inst, schema) == {"X": "a"}
 
+    def test_failing_parse_grows_polynomially(self):
+        """k slots, each with fillers ``a`` and ``a a``, then ``b``, against
+        2k copies of ``a`` and a ``c``: the parse fails after trying every
+        way to split the ``a``s.  It enters about k^2 ``parse`` frames, one
+        or two per (slot, position) state, so doubling k at most quadruples
+        them; a parse without a memo enters 2^(k + 1) - 1 and trips the cap
+        at 20 slots."""
+        code = next(c for c in schema_encode.__code__.co_consts
+                    if getattr(c, "co_name", None) == "parse")
+        cap = 20_000
+        entered = 0
+
+        def tracer(frame, event, arg):
+            nonlocal entered
+            if frame.f_code is code:
+                entered += 1
+                if entered > cap:
+                    raise AssertionError(f"the parse entered more than {cap} frames")
+
+        fillers = (("x", SPPattern.from_text("x", "a")),
+                   ("y", SPPattern.from_text("y", "a a")))
+        counts = []
+        for k in (10, 20, 40):
+            elements = tuple(Slot(f"s{i}", fillers) for i in range(k)) + (FixedSymbol("b"),)
+            instance = SPPattern("i", ("a",) * (2 * k) + ("c",))
+            entered = 0
+            before = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                with pytest.raises(NoSchemaMatch):
+                    schema_encode(instance, Schema("S", elements))
+            finally:
+                sys.settrace(before)
+            counts.append(entered)
+        assert all(later <= 4 * earlier for earlier, later in zip(counts, counts[1:]))
+
     def test_ambiguous_fillers_rejected(self):
         with pytest.raises(ValueError):
             Slot("X", (("a", SPPattern.from_text("a", "p")),

@@ -310,6 +310,18 @@ class TestHierarchyFile:
         with pytest.raises(InputFormatError):
             parse_hierarchy(text)
 
+    # the grammar's reader of ``KEYWORD head : body`` lines, and its messages
+    @pytest.mark.parametrize("text, message", [
+        ("CLASSmammal : attrs=fur", "line 1: expected 'CLASS', got 'CLASSmammal'"),
+        ("CLASS a attrs=", "line 1: missing ':' separator"),
+        ("CLASS a   b : attrs=", "line 1: bad class name 'a b'"),
+        ("CLASS : attrs=", "line 1: bad class name ''"),
+    ])
+    def test_bad_line_messages(self, text, message):
+        with pytest.raises(InputFormatError) as caught:
+            parse_hierarchy(text)
+        assert str(caught.value) == message
+
     def test_duplicate_name(self):
         with pytest.raises(InputFormatError):
             parse_hierarchy("CLASS a : attrs=\nCLASS a : attrs=\n")
